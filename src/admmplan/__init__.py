@@ -11,6 +11,7 @@ iLQR baseline and a benchmark harness round out the toolkit.
 from .admm import ADMMSettings, SolveReport, admm_solve, primal_residual, select
 from .barrier import BarrierSettings, barrier_solve
 from .constraints import (
+    ConstraintSet,
     InputBounds,
     Obstacle,
     ellipse_shape,
@@ -43,6 +44,7 @@ __all__ = [
     "BarrierSettings",
     "BicycleModel",
     "ConfigError",
+    "ConstraintSet",
     "Control",
     "CostWeights",
     "DegenerateProjection",

@@ -29,8 +29,8 @@ from . import ilqr
 from .ilqr import ILQRSettings
 from .constraints import (
     FEASIBILITY_TOL,
+    ConstraintSet,
     InputBounds,
-    obstacle_violation,
     project_timestep,
 )
 from .errors import NonConvergence, RegularizationExhausted
@@ -54,17 +54,6 @@ class ADMMSettings:
             raise ValueError("sigma must be positive")
         if self.max_admm_iters < 1:
             raise ValueError("max_admm_iters must be at least 1")
-
-
-@dataclass
-class ConsensusState:
-    """Constraint-side copy z and scaled duals lam, one 4-wide block per
-    stamp. The final block's control slots are zero padding (controls end at
-    T-1) and are excluded from the residual by construction."""
-
-    z: np.ndarray  # (T+1, 4)
-    lam: np.ndarray  # (T+1, 4)
-    sigma: float
 
 
 @dataclass
@@ -110,16 +99,18 @@ def primal_residual(traj: ilqr.Trajectory, z: np.ndarray):
 class PenalizedCost:
     """Base cost plus the quadratic consensus penalty of one ADMM iteration.
 
-    Stage stamps penalize the full (px, py, steer, accel) block; the terminal
-    stamp penalizes position only. The penalty Hessian is the constant
-    sigma * I on the selected components.
+    `z` and `lam` are the constraint-side copy and the scaled duals, one
+    (px, py, steer, accel) block per stamp, shape (T+1, 4). Stage stamps
+    penalize the full block; the terminal stamp penalizes position only, so
+    the final block's control slots are never read. The penalty Hessian is
+    the constant sigma * I on the selected components.
     """
 
-    def __init__(self, base, consensus: ConsensusState):
+    def __init__(self, base, z, lam, sigma: float):
         self.base = base
-        self.sigma = consensus.sigma
+        self.sigma = sigma
         # Effective penalty centers z - lam/sigma, fixed for the iteration.
-        self.centers = consensus.z - consensus.lam / consensus.sigma
+        self.centers = z - lam / sigma
 
     def _offsets(self, tau, x, u=None):
         c = self.centers[tau]
@@ -157,38 +148,13 @@ class PenalizedCost:
         return g_x, g_xx
 
 
-def penalized_costs(base, z, lam, sigma) -> PenalizedCost:
-    """Augment a base cost model with the consensus penalty."""
-    return PenalizedCost(base, ConsensusState(np.asarray(z, float), np.asarray(lam, float), sigma))
+def trajectory_violation(traj: ilqr.Trajectory, constraints: ConstraintSet) -> float:
+    """Largest constraint violation along a trajectory (0 when feasible).
 
-
-def trajectory_violation(
-    traj: ilqr.Trajectory,
-    bounds: InputBounds,
-    obstacles,
-    timestep: float,
-    use_ego_heading: bool = False,
-) -> float:
-    """Largest constraint violation along a trajectory (0 when feasible)."""
-    worst = 0.0
-    for tau in range(traj.horizon):
-        w, a = traj.controls[tau]
-        worst = max(
-            worst,
-            abs(w) - bounds.max_steer,
-            a - bounds.max_accel,
-            bounds.min_accel - a,
-        )
-    for tau in range(traj.horizon + 1):
-        heading = traj.states[tau, 2] if use_ego_heading else None
-        for obs in obstacles:
-            worst = max(
-                worst,
-                obstacle_violation(
-                    traj.states[tau, :2], obs, tau, timestep, heading_override=heading
-                ),
-            )
-    return max(worst, 0.0)
+    A module-level entry point, so the scan shows up as its own layer in
+    profiles of a solve.
+    """
+    return constraints.violation(traj)
 
 
 def admm_solve(
@@ -229,7 +195,9 @@ def admm_solve(
         report rather than raised.
     """
     settings = settings or ADMMSettings()
-    timestep = dynamics.params.timestep
+    constraints = ConstraintSet(
+        bounds, obstacles, dynamics.params.timestep, use_ego_heading
+    )
     start = time.perf_counter()
 
     # Probe: solve the unconstrained base problem first. If its optimum is
@@ -248,12 +216,7 @@ def admm_solve(
         report.seconds = time.perf_counter() - start
         return report
 
-    if (
-        trajectory_violation(
-            probe.trajectory, bounds, obstacles, timestep, use_ego_heading
-        )
-        <= FEASIBILITY_TOL
-    ):
+    if trajectory_violation(probe.trajectory, constraints) <= FEASIBILITY_TOL:
         report = SolveReport(probe.trajectory, STATUS_CONVERGED)
         report.primal_inf_history = [0.0]
         report.primal_two_history = [0.0]
@@ -281,7 +244,7 @@ def admm_solve(
 
     for iteration in range(1, settings.max_admm_iters + 1):
         iter_start = time.perf_counter()
-        penalized = penalized_costs(cost, z, lam, settings.sigma)
+        penalized = PenalizedCost(cost, z, lam, settings.sigma)
         try:
             result = ilqr.solve(
                 x0, penalized, dynamics, settings.ilqr, initial_controls=y.controls
@@ -291,13 +254,7 @@ def admm_solve(
             targets = sel + lam / settings.sigma
             for tau in range(horizon + 1):
                 z[tau] = project_timestep(
-                    targets[tau],
-                    obstacles,
-                    bounds,
-                    tau,
-                    timestep,
-                    ego_heading=y.states[tau, 2],
-                    use_ego_heading=use_ego_heading,
+                    targets[tau], constraints, tau, ego_heading=y.states[tau, 2]
                 )
         except (RegularizationExhausted, NonConvergence) as exc:
             report.status = STATUS_FAILED
@@ -321,21 +278,7 @@ def admm_solve(
             report.status = STATUS_CONVERGED
             break
 
-    report.max_violation = trajectory_violation(
-        report.trajectory, bounds, obstacles, timestep, use_ego_heading
-    )
+    report.max_violation = trajectory_violation(report.trajectory, constraints)
     report.seconds = time.perf_counter() - start
     return report
 
-
-def is_consensus_feasible(z, obstacles, bounds, timestep, tol=FEASIBILITY_TOL):
-    """Check every consensus block against its constraint set."""
-    for tau, block in enumerate(np.asarray(z)):
-        if abs(block[2]) > bounds.max_steer + tol:
-            return False
-        if not bounds.min_accel - tol <= block[3] <= bounds.max_accel + tol:
-            return False
-        for obs in obstacles:
-            if obstacle_violation(block[:2], obs, tau, timestep) > tol:
-                return False
-    return True

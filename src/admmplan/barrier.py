@@ -20,7 +20,7 @@ import numpy as np
 from . import ilqr
 from .ilqr import ILQRSettings
 from .admm import SolveReport, STATUS_CONVERGED, STATUS_FAILED, trajectory_violation
-from .constraints import UNBOUNDED_LIMIT, InputBounds
+from .constraints import ConstraintSet, InputBounds
 from .errors import BarrierDomainViolation, RegularizationExhausted
 
 
@@ -50,57 +50,26 @@ class BarrierCost:
     def __init__(
         self,
         base,
-        bounds: InputBounds,
-        obstacles,
+        constraints: ConstraintSet,
         sharpness: float,
-        timestep: float,
         horizon: int,
         margin: float = 1e-6,
-        use_ego_heading: bool = False,
     ):
         self.base = base
-        self.bounds = bounds
-        self.obstacles = obstacles
+        self.constraints = constraints
         self.sharpness = sharpness
-        self.timestep = timestep
         self.horizon = horizon
         self.margin = margin
-        self.use_ego_heading = use_ego_heading
-
-    def _control_gaps(self, u):
-        """Positive distances -g to each finite box face."""
-        gaps = []
-        if self.bounds.max_steer < UNBOUNDED_LIMIT:
-            gaps.append(self.bounds.max_steer - u[0])
-            gaps.append(u[0] + self.bounds.max_steer)
-        if self.bounds.max_accel < UNBOUNDED_LIMIT:
-            gaps.append(self.bounds.max_accel - u[1])
-        if self.bounds.min_accel > -UNBOUNDED_LIMIT:
-            gaps.append(u[1] - self.bounds.min_accel)
-        return gaps
-
-    def _obstacle_slacks(self, tau, x):
-        """Positive values -h = d'Ad - 1 per obstacle."""
-        p = np.asarray(x[:2], dtype=float)
-        slacks = []
-        heading = x[2] if self.use_ego_heading else None
-        for obs in self.obstacles:
-            d = p - obs.center_at(tau, self.timestep)
-            A = obs.shape(heading)
-            slacks.append((float(d @ A @ d - 1.0), A, d))
-        return slacks
 
     def _barrier_value(self, tau, x, u=None):
-        total = 0.0
+        gs = [g for g, _, _ in self.constraints.keepout(tau, x, x[2])]
         if u is not None:
-            for gap in self._control_gaps(u):
-                if gap <= self.margin:
-                    return math.inf
-                total -= math.log(gap)
-        for slack, _, _ in self._obstacle_slacks(tau, x):
-            if slack <= self.margin:
+            gs = self.constraints.box(u) + gs
+        total = 0.0
+        for g in gs:
+            if -g <= self.margin:
                 return math.inf
-            total -= math.log(slack)
+            total -= math.log(-g)
         return total / self.sharpness
 
     def stage(self, tau, x, u) -> float:
@@ -119,46 +88,27 @@ class BarrierCost:
         # Expansion blocks are freshly allocated by the base model.
         l_x, l_u, l_xx, l_ux, l_uu = self.base.stage_expansion(tau, x, u)
         inv_t = 1.0 / self.sharpness
-
-        b = self.bounds
-        if b.max_steer < UNBOUNDED_LIMIT:
-            hi, lo = b.max_steer - u[0], u[0] + b.max_steer
-            self._check_domain(min(hi, lo), tau)
-            l_u[0] += inv_t * (1.0 / hi - 1.0 / lo)
-            l_uu[0, 0] += inv_t * (1.0 / hi**2 + 1.0 / lo**2)
-        if b.max_accel < UNBOUNDED_LIMIT:
-            hi = b.max_accel - u[1]
-            self._check_domain(hi, tau)
-            l_u[1] += inv_t / hi
-            l_uu[1, 1] += inv_t / hi**2
-        if b.min_accel > -UNBOUNDED_LIMIT:
-            lo = u[1] - b.min_accel
-            self._check_domain(lo, tau)
-            l_u[1] -= inv_t / lo
-            l_uu[1, 1] += inv_t / lo**2
-
-        gx, gxx = self._obstacle_expansion(tau, x)
-        l_x[:2] += gx
-        l_xx[:2, :2] += gxx
+        # Box faces are linear in one control: exact 1-D barrier derivatives.
+        for (i, sign, _), g in zip(self.constraints.faces, self.constraints.box(u)):
+            self._check_domain(-g, tau)
+            l_u[i] -= inv_t * sign / g
+            l_uu[i, i] += inv_t / g**2
+        self._add_keepout(tau, x, l_x, l_xx)
         return l_x, l_u, l_xx, l_ux, l_uu
 
     def terminal_expansion(self, x):
         g_x, g_xx = self.base.terminal_expansion(x)
-        gx, gxx = self._obstacle_expansion(self.horizon, x)
-        g_x[:2] += gx
-        g_xx[:2, :2] += gxx
+        self._add_keepout(self.horizon, x, g_x, g_xx)
         return g_x, g_xx
 
-    def _obstacle_expansion(self, tau, x):
-        gx = np.zeros(2)
-        gxx = np.zeros((2, 2))
+    def _add_keepout(self, tau, x, l_x, l_xx):
+        """Add the keep-out barriers' gradient and Gauss-Newton Hessian."""
         inv_t = 1.0 / self.sharpness
-        for slack, A, d in self._obstacle_slacks(tau, x):
-            self._check_domain(slack, tau)
-            grad_s = 2.0 * A @ d
-            gx -= inv_t * grad_s / slack
-            gxx += inv_t * np.outer(grad_s, grad_s) / slack**2
-        return gx, gxx
+        for g, gx, gy in self.constraints.keepout(tau, x, x[2]):
+            self._check_domain(-g, tau)
+            grad = np.array([gx, gy])
+            l_x[:2] -= inv_t * grad / g
+            l_xx[:2, :2] += inv_t * np.outer(grad, grad) / g**2
 
     def _check_domain(self, gap, tau):
         if gap <= self.margin:
@@ -168,46 +118,22 @@ class BarrierCost:
 
 
 def check_strict_feasibility(
-    traj: ilqr.Trajectory,
-    bounds: InputBounds,
-    obstacles,
-    timestep: float,
-    margin: float,
-    use_ego_heading: bool = False,
+    traj: ilqr.Trajectory, constraints: ConstraintSet, margin: float
 ):
     """Raise BarrierDomainViolation at the first stamp violating any g < -margin."""
-    for tau in range(traj.horizon + 1):
-        x = traj.states[tau]
-        heading = x[2] if use_ego_heading else None
-        for obs in obstacles:
-            d = x[:2] - obs.center_at(tau, timestep)
-            if float(d @ obs.shape(heading) @ d) - 1.0 <= margin:
-                raise BarrierDomainViolation(
-                    f"trajectory is not strictly clear of an obstacle at time index {tau}",
-                    tau=tau,
-                )
-        if tau < traj.horizon:
-            u = traj.controls[tau]
-            gaps = [
-                bounds.max_steer - u[0],
-                u[0] + bounds.max_steer,
-                bounds.max_accel - u[1],
-                u[1] - bounds.min_accel,
-            ]
-            if min(gaps) <= margin:
-                raise BarrierDomainViolation(
-                    f"controls are not strictly inside their box at time index {tau}",
-                    tau=tau,
-                )
-
-
-def barrier_costs(
-    base, bounds, obstacles, weight, timestep, horizon, margin=1e-6, use_ego_heading=False
-) -> BarrierCost:
-    """Augment a base cost with log barriers at barrier weight 1/t = weight."""
-    return BarrierCost(
-        base, bounds, obstacles, 1.0 / weight, timestep, horizon, margin, use_ego_heading
-    )
+    for tau, x in enumerate(traj.states.tolist()):
+        if any(-g <= margin for g, _, _ in constraints.keepout(tau, x, x[2])):
+            raise BarrierDomainViolation(
+                f"trajectory is not strictly clear of an obstacle at time index {tau}",
+                tau=tau,
+            )
+        if tau < traj.horizon and any(
+            -g <= margin for g in constraints.box(traj.controls[tau])
+        ):
+            raise BarrierDomainViolation(
+                f"controls are not strictly inside their box at time index {tau}",
+                tau=tau,
+            )
 
 
 def barrier_solve(
@@ -228,28 +154,21 @@ def barrier_solve(
         documented limitation that the consensus solver avoids.
     """
     settings = settings or BarrierSettings()
-    timestep = dynamics.params.timestep
+    constraints = ConstraintSet(
+        bounds, obstacles, dynamics.params.timestep, use_ego_heading
+    )
     start = time.perf_counter()
 
     y = ilqr.rollout(dynamics, np.asarray(x0, float), np.zeros((horizon, 2)))
-    check_strict_feasibility(
-        y, bounds, obstacles, timestep, settings.margin, use_ego_heading
-    )
+    check_strict_feasibility(y, constraints, settings.margin)
+    # A strictly feasible seed violates nothing.
+    violation = 0.0
 
     report = SolveReport(y, STATUS_CONVERGED)
     sharpness = settings.initial_sharpness
     for _ in range(settings.outer_iters):
         iter_start = time.perf_counter()
-        barrier = BarrierCost(
-            cost,
-            bounds,
-            obstacles,
-            sharpness,
-            timestep,
-            horizon,
-            settings.margin,
-            use_ego_heading,
-        )
+        barrier = BarrierCost(cost, constraints, sharpness, horizon, settings.margin)
         try:
             result = ilqr.solve(
                 x0, barrier, dynamics, settings.ilqr, initial_controls=y.controls
@@ -265,15 +184,11 @@ def barrier_solve(
         report.ilqr_iterations.append(result.iterations)
         report.iteration_seconds.append(time.perf_counter() - iter_start)
         report.snapshots.append(y.copy())
-        violation = trajectory_violation(
-            y, bounds, obstacles, timestep, use_ego_heading
-        )
+        violation = trajectory_violation(y, constraints)
         report.primal_inf_history.append(violation)
         report.primal_two_history.append(violation)
         sharpness *= settings.tighten_factor
 
-    report.max_violation = trajectory_violation(
-        report.trajectory, bounds, obstacles, timestep, use_ego_heading
-    )
+    report.max_violation = violation
     report.seconds = time.perf_counter() - start
     return report

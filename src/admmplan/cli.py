@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--iter-timing", action="store_true",
                         help="record per-iteration seconds in residuals.csv "
                         "(makes outputs run-dependent)")
-    parser.add_argument("--parallel-trials", action="store_true",
-                        help="run trials concurrently (timings not comparable)")
     return parser
 
 
@@ -92,7 +90,6 @@ def main(argv=None) -> int:
             snapshots=args.snapshots,
             compare=args.compare,
             include_seconds=args.iter_timing,
-            parallel=args.parallel_trials,
         )
     except PlannerError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -1,15 +1,16 @@
-"""Inequality constraints and the per-timestep Euclidean projections onto them.
+"""Inequality constraints, their one evaluator, and the per-timestep projections.
 
 Three constraint families are supported: a steering box, an acceleration box,
-and elliptical keep-out regions around (possibly moving) obstacles. The
-keep-out test for position p against an obstacle with center c and shape
-matrix A is
+and elliptical keep-out regions around (possibly moving) obstacles. Every
+constraint is written g <= 0. The keep-out value of position p against an
+obstacle with center c, heading theta and semi-axes (e_a, e_b) is
 
-    violation(p) = 1 - (p - c)' A (p - c)    (<= 0 means safe)
+    g(p) = 1 - (along / e_a)^2 - (across / e_b)^2
 
-with A = R diag(1/e_a^2, 1/e_b^2) R', so the safe boundary is the ellipse
-with semi-axes (e_a, e_b) rotated by the obstacle heading.
+where (along, across) is p - c rotated into the ellipse frame by -theta.
 
+`ConstraintSet` is the single evaluator of these values: the violation scan,
+the log-barrier baseline and the projection all read g from it.
 `project_timestep` is the consensus-update workhorse: it clamps the input
 components onto the boxes and pushes the position outside every keep-out
 ellipse by cyclic nearest-point projection.
@@ -18,7 +19,6 @@ ellipse by cyclic nearest-point projection.
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,10 +72,6 @@ class Obstacle:
     def center_at(self, tau: int, timestep: float) -> np.ndarray:
         return np.array(self.center0) + tau * timestep * np.array(self.velocity)
 
-    def shape(self, heading_override: float | None = None) -> np.ndarray:
-        heading = self.heading if heading_override is None else heading_override
-        return _cached_shape(heading, self.semi_major, self.semi_minor)
-
 
 def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.ndarray:
     """Symmetric positive-definite quadratic form of a rotated ellipse.
@@ -90,28 +86,93 @@ def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.nd
     return rot @ np.diag([semi_major**-2, semi_minor**-2]) @ rot.T
 
 
-@lru_cache(maxsize=512)
-def _cached_shape(heading, semi_major, semi_minor):
-    shape = ellipse_shape(heading, semi_major, semi_minor)
-    shape.setflags(write=False)
-    return shape
-
-
-@lru_cache(maxsize=512)
-def _cached_rotation(heading):
+def _rotation(heading: float) -> np.ndarray:
     c, s = math.cos(heading), math.sin(heading)
-    rot = np.array([[c, -s], [s, c]])
-    rot.setflags(write=False)
-    return rot
+    return np.array([[c, -s], [s, c]])
+
+
+class ConstraintSet:
+    """The box and keep-out constraints of one solve, as values g (<= 0 holds).
+
+    Built once per solve and shared by the violation scan, the barrier and
+    the projection. Per-stamp values are plain floats: the solvers ask for
+    them once per stamp and line-search trial, where one-row numpy arrays
+    cost more than the arithmetic they carry.
+
+    Keep-out ellipses are oriented by each obstacle's own heading, or by the
+    heading passed per stamp when `use_ego_heading` is set.
+    """
+
+    def __init__(self, bounds: InputBounds, obstacles, timestep: float,
+                 use_ego_heading: bool = False):
+        self.bounds = bounds
+        self.obstacles = list(obstacles)
+        self.timestep = timestep
+        self.use_ego_heading = use_ego_heading
+        # Finite box faces as (control index, sign, limit): g = sign * u[i] - limit.
+        self.faces = []
+        if bounds.max_steer < UNBOUNDED_LIMIT:
+            self.faces += [(0, 1.0, bounds.max_steer), (0, -1.0, bounds.max_steer)]
+        if bounds.max_accel < UNBOUNDED_LIMIT:
+            self.faces.append((1, 1.0, bounds.max_accel))
+        if bounds.min_accel > -UNBOUNDED_LIMIT:
+            self.faces.append((1, -1.0, -bounds.min_accel))
+        self._rotations = [_rotation(obs.heading) for obs in self.obstacles]
+        self._ellipses = [
+            (*obs.center0, *obs.velocity, obs.semi_major, obs.semi_minor,
+             math.cos(obs.heading), math.sin(obs.heading))
+            for obs in self.obstacles
+        ]
+
+    def box(self, u) -> list:
+        """g of every finite box face at control u."""
+        u = (float(u[0]), float(u[1]))
+        return [sign * u[i] - limit for i, sign, limit in self.faces]
+
+    def keepout(self, tau: int, p, heading: float = 0.0) -> list:
+        """(g, dg/dpx, dg/dpy) per obstacle at position p and time index tau."""
+        px, py = float(p[0]), float(p[1])
+        t = tau * self.timestep
+        ego = (math.cos(heading), math.sin(heading)) if self.use_ego_heading else None
+        values = []
+        for cx, cy, vx, vy, a, b, c, s in self._ellipses:
+            if ego:
+                c, s = ego
+            dx = px - (cx + t * vx)
+            dy = py - (cy + t * vy)
+            along = (c * dx + s * dy) / a
+            across = (-s * dx + c * dy) / b
+            ga, gb = -2.0 * along / a, -2.0 * across / b
+            values.append(
+                (1.0 - along**2 - across**2, c * ga - s * gb, s * ga + c * gb)
+            )
+        return values
+
+    def violation(self, traj) -> float:
+        """Largest constraint value along a trajectory (0 when feasible)."""
+        worst = 0.0
+        for u in traj.controls.tolist():
+            worst = max([worst, *self.box(u)])
+        for tau, x in enumerate(traj.states.tolist()):
+            for g, _, _ in self.keepout(tau, x, x[2]):
+                worst = max(worst, g)
+        return worst
+
+    def _frame(self, k: int, tau: int, heading: float):
+        """(center, rotation, semi_major, semi_minor) of obstacle k at tau."""
+        obs = self.obstacles[k]
+        rot = _rotation(heading) if self.use_ego_heading else self._rotations[k]
+        return obs.center_at(tau, self.timestep), rot, obs.semi_major, obs.semi_minor
 
 
 def obstacle_violation(
     p, obstacle: Obstacle, tau: int, timestep: float, heading_override=None
 ) -> float:
-    """Keep-out violation of position p at time index tau; <= 0 is safe."""
-    d = np.asarray(p, dtype=float) - obstacle.center_at(tau, timestep)
-    A = obstacle.shape(heading_override)
-    return float(1.0 - d @ A @ d)
+    """Keep-out value g of position p at time index tau; <= 0 is safe."""
+    constraints = ConstraintSet(
+        InputBounds(), [obstacle], timestep, heading_override is not None
+    )
+    return constraints.keepout(tau, p, heading_override)[0][0]
 
 
 def project_inputs(u, bounds: InputBounds) -> np.ndarray:
@@ -212,20 +273,13 @@ def project_outside_ellipse(p, shape, center) -> np.ndarray:
 
 
 def project_timestep(
-    block,
-    obstacles,
-    bounds: InputBounds,
-    tau: int,
-    timestep: float,
-    ego_heading: float = 0.0,
-    use_ego_heading: bool = False,
+    block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0
 ) -> np.ndarray:
     """Project one consensus block (px, py, steer, accel) onto the constraints.
 
     Inputs are clamped onto their boxes; the position is pushed outside every
-    keep-out ellipse at time index tau by cyclic projection. By default the
-    obstacle's own heading orients each ellipse; `use_ego_heading` switches to
-    the ego heading supplied in `ego_heading`.
+    keep-out ellipse at time index tau by cyclic projection. `ego_heading`
+    orients the ellipses when the constraint set uses the ego heading.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within
@@ -234,29 +288,16 @@ def project_timestep(
     """
     block = np.asarray(block, dtype=float)
     out = block.copy()
-    out[2:] = project_inputs(block[2:], bounds)
-    if not obstacles:
-        return out
-
-    frames = []
-    for obs in obstacles:
-        heading = ego_heading if use_ego_heading else obs.heading
-        frames.append(
-            (
-                _cached_rotation(heading),
-                obs.semi_major,
-                obs.semi_minor,
-                obs.center_at(tau, timestep),
-            )
-        )
+    out[2:] = project_inputs(block[2:], constraints.bounds)
     p = out[:2]
     # One extra pass so a sweep that ends clean can be verified and returned.
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True
-        for rot, a, b, c in frames:
-            q = rot.T @ (p - c)
-            if 1.0 - (q[0] / a) ** 2 - (q[1] / b) ** 2 > FEASIBILITY_TOL:
-                p = _project_with_frame(p, c, rot, a, b)
+        values = constraints.keepout(tau, p, ego_heading)
+        for k in range(len(values)):
+            if values[k][0] > FEASIBILITY_TOL:
+                p = _project_with_frame(p, *constraints._frame(k, tau, ego_heading))
+                values = constraints.keepout(tau, p, ego_heading)
                 clean = False
         if clean:
             out[:2] = p

@@ -7,10 +7,10 @@ reference, and squared control effort:
     l(x, u) = q_pos * dist(x, ref)^2 + q_vel * (v - v_ref)^2
               + q_steer * steer^2 + q_accel * accel^2
 
-For a lateral target the position term is q_pos * (py - py_ref)^2, which is
-exactly the diagonal quadratic form returned by `quadratic_form`. For a
-polyline the expansion uses the Gauss-Newton Hessian built from the distance
-residual's first derivative, so it is positive semidefinite by construction.
+For a lateral target the position term is q_pos * (py - py_ref)^2, so the
+cost is an exact diagonal quadratic. For a polyline the expansion uses the
+Gauss-Newton Hessian built from the distance residual's first derivative, so
+it is positive semidefinite by construction.
 """
 
 from dataclasses import dataclass
@@ -176,32 +176,6 @@ def terminal_expansion(x, weights: CostWeights, reference: Reference):
         g_x[3] = 2.0 * weights.velocity_weight * (x[3] - reference.v_ref)
         g_xx[3, 3] = 2.0 * weights.velocity_weight
     return weights.terminal_scale * g_x, weights.terminal_scale * g_xx
-
-
-def quadratic_form(weights: CostWeights, reference: Reference):
-    """Diagonal matrix form (C, r) of the lateral-target stage cost.
-
-    Satisfies stage_cost(x, u) = z'Cz - 2 z'Cr + r'Cr with z = [x; u].
-    Only defined for the py_ref reference.
-    """
-    if reference.py_ref is None:
-        raise ValueError("matrix form requires a lateral-target reference")
-    qv = weights.velocity_weight if reference.v_ref is not None else 0.0
-    C = np.diag(
-        [
-            0.0,
-            weights.position_weight,
-            0.0,
-            qv,
-            weights.steering_weight,
-            weights.accel_weight,
-        ]
-    )
-    r = np.zeros(6)
-    r[1] = reference.py_ref
-    if reference.v_ref is not None:
-        r[3] = reference.v_ref
-    return C, r
 
 
 class TrackingCost:

@@ -21,11 +21,8 @@ byte-reproducible across runs.
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .admm import SolveReport, STATUS_FAILED, admm_solve
 from .barrier import barrier_solve
@@ -91,45 +88,28 @@ def solve_scenario(config: ScenarioConfig, method: str) -> SolveReport:
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_trials(config: ScenarioConfig, method: str, trials: int, parallel=False):
+def run_trials(config: ScenarioConfig, method: str, trials: int):
     """Solve the same configuration `trials` times, recording wall time.
 
-    Failures are captured per trial; remaining trials still run. Parallel
-    execution is offered for non-timing sweeps only.
+    Failures are captured per trial; remaining trials still run.
     """
-
-    def one(index):
+    records, reports = [], []
+    for index in range(1, trials + 1):
         start = time.perf_counter()
         try:
             report = solve_scenario(config, method)
-            seconds = time.perf_counter() - start
-            return (
-                TrialRecord(
-                    method,
-                    config.name,
-                    index,
-                    seconds,
-                    report.status,
-                    report.final_cost,
-                    report.max_violation,
-                ),
-                report,
-            )
         except PlannerError as exc:
-            seconds = time.perf_counter() - start
-            record = TrialRecord(
-                method, config.name, index, seconds, STATUS_FAILED,
-                math.nan, math.nan, message=str(exc),
-            )
-            return record, None
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(one, range(1, trials + 1)))
-    else:
-        outcomes = [one(i) for i in range(1, trials + 1)]
-    records = [r for r, _ in outcomes]
-    reports = [rep for _, rep in outcomes]
+            records.append(TrialRecord(
+                method, config.name, index, time.perf_counter() - start,
+                STATUS_FAILED, math.nan, math.nan, message=str(exc),
+            ))
+            reports.append(None)
+        else:
+            records.append(TrialRecord(
+                method, config.name, index, time.perf_counter() - start,
+                report.status, report.final_cost, report.max_violation,
+            ))
+            reports.append(report)
     return records, reports
 
 
@@ -143,12 +123,11 @@ def _format(value) -> str:
 
 def write_trajectory_csv(traj: Trajectory, dynamics, path, tol=1e-8):
     """Emit one trajectory, re-validating the dynamics recursion row by row."""
-    for tau in range(traj.horizon):
-        nxt = dynamics.step(traj.states[tau], traj.controls[tau])
-        if np.max(np.abs(nxt - traj.states[tau + 1])) > tol:
-            raise PlannerError(
-                f"trajectory breaks the dynamics recursion at time index {tau}"
-            )
+    tau = traj.dynamics_break(dynamics, tol)
+    if tau is not None:
+        raise PlannerError(
+            f"trajectory breaks the dynamics recursion at time index {tau}"
+        )
     h = dynamics.params.timestep
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -284,7 +263,6 @@ def run(
     snapshots: str = "1,2,last",
     compare: bool = False,
     include_seconds: bool = False,
-    parallel: bool = False,
 ) -> int:
     """Execute trials, write all artifacts, and return a process exit code."""
     out_dir = Path(out_dir)
@@ -301,7 +279,7 @@ def run(
     any_failed = False
     try:
         for m in methods:
-            records, reports = run_trials(config, m, trials, parallel=parallel)
+            records, reports = run_trials(config, m, trials)
             records_by_method[m] = records
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)

@@ -72,12 +72,13 @@ class Trajectory:
     def copy(self) -> "Trajectory":
         return Trajectory(self.states.copy(), self.controls.copy())
 
-    def is_dynamically_feasible(self, dynamics, tol: float = 1e-10) -> bool:
+    def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
+        """First time index whose step misses the next state by more than tol."""
         for tau in range(self.horizon):
             nxt = dynamics.step(self.states[tau], self.controls[tau])
             if np.max(np.abs(nxt - self.states[tau + 1])) > tol:
-                return False
-        return True
+                return tau
+        return None
 
 
 @dataclass

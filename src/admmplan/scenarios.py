@@ -54,7 +54,6 @@ class ScenarioConfig:
     admm: ADMMSettings = field(default_factory=ADMMSettings)
     barrier: BarrierSettings = field(default_factory=BarrierSettings)
     ego_heading_ellipses: bool = False
-    seed: int = 0  # reserved; the solver itself is deterministic
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -108,7 +107,6 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return {
         "name": config.name,
         "horizon": config.horizon,
-        "seed": config.seed,
         "ego_heading_ellipses": config.ego_heading_ellipses,
         "initial_state": asdict(config.initial_state),
         "vehicle": asdict(config.vehicle),
@@ -154,7 +152,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             name=str(data.get("name", "custom")),
             initial_state=State(**data["initial_state"]),
             horizon=int(data["horizon"]),
-            vehicle=VehicleParams(**data.get("vehicle", {})),
+            vehicle=_vehicle_from_dict(data.get("vehicle", {})),
             weights=CostWeights(**data.get("weights", {})),
             reference=reference,
             bounds=InputBounds(**data.get("bounds", {})),
@@ -162,10 +160,19 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             admm=_admm_from_dict(data.get("admm", {})),
             barrier=_barrier_from_dict(data.get("barrier", {})),
             ego_heading_ellipses=bool(data.get("ego_heading_ellipses", False)),
-            seed=int(data.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario configuration: {exc}") from exc
+
+
+# Vehicle keys written by older versions and ignored on load (the top-level
+# `seed` key of those files is ignored the same way).
+_RETIRED_VEHICLE_KEYS = ("body_length", "body_width")
+
+
+def _vehicle_from_dict(data: dict) -> VehicleParams:
+    data = {k: v for k, v in data.items() if k not in _RETIRED_VEHICLE_KEYS}
+    return VehicleParams(**data)
 
 
 def _admm_from_dict(data: dict) -> ADMMSettings:

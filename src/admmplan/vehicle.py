@@ -34,20 +34,17 @@ class VehicleParams:
 
     wheelbase: axle-to-axle distance (m).
     timestep: sample period (s).
-    body_length / body_width: footprint (m); used for reporting only, the
-    planner constrains the rear-axle reference point.
+
+    The planner constrains the rear-axle reference point; the body footprint
+    is not modelled.
     """
 
     wheelbase: float = 2.0
     timestep: float = 0.1
-    body_length: float = 3.0
-    body_width: float = 2.0
 
     def __post_init__(self):
         if self.wheelbase <= 0 or self.timestep <= 0:
             raise ValueError("wheelbase and timestep must be positive")
-        if self.body_length <= 0 or self.body_width <= 0:
-            raise ValueError("body dimensions must be positive")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,13 @@ import pytest
 from admmplan import ilqr
 from admmplan.admm import (
     ADMMSettings,
+    PenalizedCost,
     admm_solve,
-    penalized_costs,
     primal_residual,
     select,
     trajectory_violation,
 )
-from admmplan.constraints import InputBounds, Obstacle
+from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.harness import build_problem
 from admmplan.scenarios import builtin_scenario
@@ -81,7 +81,7 @@ def test_penalty_vanishes_at_consensus():
     _, traj = straight_rollout()
     base = tracking_cost()
     z = select(traj)
-    pen = penalized_costs(base, z, np.zeros_like(z), 10.0)
+    pen = PenalizedCost(base, z, np.zeros_like(z), 10.0)
     for tau in range(traj.horizon):
         x, u = traj.states[tau], traj.controls[tau]
         assert pen.stage(tau, x, u) == pytest.approx(base.stage(tau, x, u))
@@ -97,7 +97,7 @@ def test_penalty_matches_direct_formula():
     z = select(traj) + rng.normal(size=(11, 4))
     lam = rng.normal(size=(11, 4))
     sigma = 7.5
-    pen = penalized_costs(base, z, lam, sigma)
+    pen = PenalizedCost(base, z, lam, sigma)
     for tau in range(traj.horizon):
         x, u = traj.states[tau], traj.controls[tau]
         blk = np.array([x[0], x[1], u[0], u[1]])
@@ -118,10 +118,10 @@ def test_penalty_small_sigma_limit():
     z = select(traj) + 1.0
     x, u = traj.states[2], traj.controls[2]
     for sigma in (1e-2, 1e-5, 1e-8):
-        pen = penalized_costs(base, z, np.zeros_like(z), sigma)
+        pen = PenalizedCost(base, z, np.zeros_like(z), sigma)
         excess = pen.stage(2, x, u) - base.stage(2, x, u)
         assert excess == pytest.approx(0.5 * sigma * 4.0, rel=1e-9)
-    assert penalized_costs(base, z, np.zeros_like(z), 1e-12).stage(2, x, u) == \
+    assert PenalizedCost(base, z, np.zeros_like(z), 1e-12).stage(2, x, u) == \
         pytest.approx(base.stage(2, x, u), abs=1e-9)
 
 
@@ -131,7 +131,7 @@ def test_penalty_expansion_matches_finite_differences():
     base = tracking_cost()
     z = select(traj) + rng.normal(size=(11, 4))
     lam = rng.normal(size=(11, 4))
-    pen = penalized_costs(base, z, lam, 10.0)
+    pen = PenalizedCost(base, z, lam, 10.0)
     eps = 1e-6
     for _ in range(50):
         tau = rng.integers(0, traj.horizon)
@@ -174,8 +174,6 @@ def solve_scenario_admm(sid, **kwargs):
 
 def test_dual_update_identity():
     # replay the loop by hand and check the multiplier identity per iteration
-    from admmplan.constraints import project_timestep
-
     cfg = builtin_scenario(1)
     x0, cost, dynamics = build_problem(cfg)
     T = cfg.horizon
@@ -183,26 +181,21 @@ def test_dual_update_identity():
     z = select(y)
     lam = np.zeros_like(z)
     sigma = cfg.admm.sigma
+    constraints = ConstraintSet(cfg.bounds, cfg.obstacles, dynamics.params.timestep)
     for _ in range(4):
-        pen = penalized_costs(cost, z, lam, sigma)
+        pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(x0, pen, dynamics, cfg.admm.ilqr,
                        initial_controls=y.controls).trajectory
         sel = select(y)
         targets = sel + lam / sigma
         for tau in range(T + 1):
-            z[tau] = project_timestep(
-                targets[tau], cfg.obstacles, cfg.bounds, tau,
-                dynamics.params.timestep,
-            )
+            z[tau] = project_timestep(targets[tau], constraints, tau)
         lam_before = lam.copy()
         lam = lam + sigma * (sel - z)
         np.testing.assert_allclose(lam - lam_before, sigma * (sel - z), atol=1e-12)
 
 
 def test_z_iterates_feasible():
-    from admmplan.constraints import project_timestep
-    from admmplan.admm import is_consensus_feasible
-
     cfg = builtin_scenario(1)
     x0, cost, dynamics = build_problem(cfg)
     T = cfg.horizon
@@ -210,21 +203,19 @@ def test_z_iterates_feasible():
     z = select(y)
     lam = np.zeros_like(z)
     sigma = cfg.admm.sigma
+    constraints = ConstraintSet(cfg.bounds, cfg.obstacles, dynamics.params.timestep)
     for _ in range(6):
-        pen = penalized_costs(cost, z, lam, sigma)
+        pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(x0, pen, dynamics, cfg.admm.ilqr,
                        initial_controls=y.controls).trajectory
         sel = select(y)
         targets = sel + lam / sigma
         for tau in range(T + 1):
-            z[tau] = project_timestep(
-                targets[tau], cfg.obstacles, cfg.bounds, tau,
-                dynamics.params.timestep,
-            )
+            z[tau] = project_timestep(targets[tau], constraints, tau)
         lam += sigma * (sel - z)
-        assert is_consensus_feasible(
-            z, cfg.obstacles, cfg.bounds, dynamics.params.timestep
-        )
+        for tau, block in enumerate(z):
+            assert max(constraints.box(block[2:])) <= 1e-6
+            assert all(g <= 1e-6 for g, _, _ in constraints.keepout(tau, block[:2]))
 
 
 def test_inactive_splitting_matches_plain_ilqr():
@@ -264,7 +255,7 @@ def test_returned_trajectory_dynamically_feasible():
     for sid in (1, 2):
         cfg, report = solve_scenario_admm(sid)
         _, _, dynamics = build_problem(cfg)
-        assert report.trajectory.is_dynamically_feasible(dynamics, tol=1e-9)
+        assert report.trajectory.dynamics_break(dynamics, tol=1e-9) is None
 
 
 def test_warm_start_iteration_counts_decay():
@@ -330,5 +321,5 @@ def test_trajectory_violation_reports_worst_breach():
     bounds = InputBounds(0.6, 3.0, -3.0)
     # straight rollout through an obstacle sitting on the path
     obs = [Obstacle(center0=(0.4, 0.0), semi_major=0.3, semi_minor=0.2)]
-    worst = trajectory_violation(traj, bounds, obs, 0.1)
+    worst = trajectory_violation(traj, ConstraintSet(bounds, obs, 0.1))
     assert worst == pytest.approx(1.0)  # stamp 1 sits at the center

@@ -8,11 +8,10 @@ from admmplan.admm import ADMMSettings, admm_solve
 from admmplan.barrier import (
     BarrierCost,
     BarrierSettings,
-    barrier_costs,
     barrier_solve,
     check_strict_feasibility,
 )
-from admmplan.constraints import InputBounds, Obstacle
+from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem
 from admmplan.ilqr import ILQRSettings, rollout
@@ -36,14 +35,8 @@ class FlatCost:
 
 
 def make_barrier(sharpness=1.0, obstacles=(), bounds=None, horizon=10):
-    return BarrierCost(
-        FlatCost(),
-        bounds or InputBounds(0.6, 3.0, -3.0),
-        list(obstacles),
-        sharpness,
-        timestep=0.1,
-        horizon=horizon,
-    )
+    constraints = ConstraintSet(bounds or InputBounds(0.6, 3.0, -3.0), obstacles, 0.1)
+    return BarrierCost(FlatCost(), constraints, sharpness, horizon=horizon)
 
 
 def test_unit_slack_contributes_nothing():
@@ -71,12 +64,6 @@ def test_barrier_weight_scales_inverse_sharpness():
     assert weak.stage(0, np.zeros(4), u) == pytest.approx(
         strong.stage(0, np.zeros(4), u) / 10.0
     )
-
-
-def test_barrier_costs_factory_uses_weight():
-    by_weight = barrier_costs(FlatCost(), InputBounds(0.6, 3.0, -3.0), [], 0.2,
-                              0.1, 10)
-    assert by_weight.sharpness == pytest.approx(5.0)
 
 
 def test_barrier_gradients_match_finite_differences():
@@ -118,7 +105,7 @@ def test_strict_feasibility_checker_flags_offending_stamp():
     obs = [Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)]
     bounds = InputBounds(0.6, 3.0, -3.0)
     with pytest.raises(BarrierDomainViolation) as info:
-        check_strict_feasibility(traj, bounds, obs, 0.1, 1e-6)
+        check_strict_feasibility(traj, ConstraintSet(bounds, obs, 0.1), 1e-6)
     assert info.value.tau is not None
     first_bad = next(
         t for t in range(61)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmplan.constraints import (
+    ConstraintSet,
     InputBounds,
     Obstacle,
     ellipse_shape,
@@ -13,6 +16,7 @@ from admmplan.constraints import (
     project_timestep,
 )
 from admmplan.errors import DegenerateProjection, NonConvergence
+from admmplan.ilqr import Trajectory
 
 from oracles import dense_ellipse_boundary, nearest_on_boundary
 
@@ -170,16 +174,17 @@ def test_project_timestep_identity_when_feasible():
     block = np.array([100.0, 100.0, 0.1, 1.0])
     obs = [Obstacle(center0=(0.0, 0.0))]
     np.testing.assert_array_equal(
-        project_timestep(block, obs, make_bounds(), 0, 0.1), block
+        project_timestep(block, ConstraintSet(make_bounds(), obs, 0.1), 0), block
     )
 
 
 def test_project_timestep_single_obstacle_matches_single_projection():
     obs = Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)
     block = np.array([15.5, 0.0, 0.2, 1.0])
-    out = project_timestep(block, [obs], make_bounds(), 0, 0.1)
+    out = project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)
     expected = project_outside_ellipse(
-        block[:2], obs.shape(), np.array(obs.center0)
+        block[:2], ellipse_shape(obs.heading, obs.semi_major, obs.semi_minor),
+        np.array(obs.center0),
     )
     np.testing.assert_allclose(out[:2], expected, atol=1e-12)
     np.testing.assert_array_equal(out[2:], block[2:])
@@ -189,15 +194,15 @@ def test_project_timestep_inactive_second_obstacle():
     near = Obstacle(center0=(0.0, 0.0), semi_major=2.0, semi_minor=1.0)
     far = Obstacle(center0=(100.0, 0.0), semi_major=2.0, semi_minor=1.0)
     block = np.array([0.5, 0.2, 0.0, 0.0])
-    both = project_timestep(block, [near, far], make_bounds(), 0, 0.1)
-    alone = project_timestep(block, [near], make_bounds(), 0, 0.1)
+    both = project_timestep(block, ConstraintSet(make_bounds(), [near, far], 0.1), 0)
+    alone = project_timestep(block, ConstraintSet(make_bounds(), [near], 0.1), 0)
     np.testing.assert_allclose(both, alone, atol=1e-12)
 
 
 def test_project_timestep_clamps_inputs_and_clears_obstacles():
     obs = Obstacle(center0=(0.0, 0.0), semi_major=5.0, semi_minor=2.5)
     block = np.array([1.0, 0.5, 0.9, -4.5])
-    out = project_timestep(block, [obs], make_bounds(), 0, 0.1)
+    out = project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)
     assert out[2] == pytest.approx(0.6)
     assert out[3] == pytest.approx(-3.0)
     assert obstacle_violation(out[:2], obs, 0, 0.1) <= 1e-6
@@ -209,11 +214,11 @@ def test_project_timestep_idempotent():
         Obstacle(center0=(0.0, 0.0), heading=0.3, semi_major=4.0, semi_minor=2.0),
         Obstacle(center0=(5.0, 1.0), heading=-0.5, semi_major=3.0, semi_minor=1.0),
     ]
-    bounds = make_bounds()
+    constraints = ConstraintSet(make_bounds(), obstacles, 0.1)
     for _ in range(200):
         block = np.concatenate([rng.normal(size=2) * 4, rng.normal(size=2) * 2])
-        once = project_timestep(block, obstacles, bounds, 0, 0.1)
-        twice = project_timestep(once, obstacles, bounds, 0, 0.1)
+        once = project_timestep(block, constraints, 0)
+        twice = project_timestep(once, constraints, 0)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
 
@@ -221,9 +226,10 @@ def test_project_timestep_moving_obstacle_uses_time_index():
     obs = Obstacle(center0=(0.0, 0.0), velocity=(10.0, 0.0), semi_major=2.0,
                    semi_minor=1.0)
     block = np.array([10.0, 0.1, 0.0, 0.0])
-    moved = project_timestep(block, [obs], make_bounds(), 10, 0.1)
+    constraints = ConstraintSet(make_bounds(), [obs], 0.1)
+    moved = project_timestep(block, constraints, 10)
     assert obstacle_violation(moved[:2], obs, 10, 0.1) <= 1e-6
-    unmoved = project_timestep(block, [obs], make_bounds(), 0, 0.1)
+    unmoved = project_timestep(block, constraints, 0)
     np.testing.assert_array_equal(unmoved, block)
 
 
@@ -236,17 +242,77 @@ def test_project_timestep_nonconvergence_on_impossible_cover():
         for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)
     ]
     with pytest.raises(NonConvergence):
-        project_timestep(np.zeros(4), ring, make_bounds(), 0, 0.1)
+        project_timestep(np.zeros(4), ConstraintSet(make_bounds(), ring, 0.1), 0)
 
 
 def test_ego_heading_convention_switch():
     obs = Obstacle(center0=(0.0, 0.0), heading=0.0, semi_major=5.0, semi_minor=2.5)
     block = np.array([0.0, 3.0, 0.0, 0.0])  # outside with heading 0 (minor = 2.5)
-    default = project_timestep(block, [obs], make_bounds(), 0, 0.1, ego_heading=1.2)
+    own = ConstraintSet(make_bounds(), [obs], 0.1)
+    default = project_timestep(block, own, 0, ego_heading=1.2)
     np.testing.assert_array_equal(default, block)  # ego heading ignored
-    rotated = project_timestep(
-        block, [obs], make_bounds(), 0, 0.1,
-        ego_heading=math.pi / 2, use_ego_heading=True,
-    )
+    ego = ConstraintSet(make_bounds(), [obs], 0.1, use_ego_heading=True)
+    rotated = project_timestep(block, ego, 0, ego_heading=math.pi / 2)
     # with the ellipse rotated a quarter turn the point sits inside
     assert np.linalg.norm(rotated[:2] - block[:2]) > 0.5
+
+
+@st.composite
+def obstacles(draw):
+    minor = draw(st.floats(0.1, 10.0))
+    return Obstacle(
+        center0=(draw(st.floats(-50, 50)), draw(st.floats(-50, 50))),
+        velocity=(draw(st.floats(-10, 10)), draw(st.floats(-10, 10))),
+        heading=draw(st.floats(-math.pi, math.pi)),
+        semi_major=minor + draw(st.floats(0.0, 10.0)),
+        semi_minor=minor,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obs=obstacles(),
+    tau=st.integers(0, 60),
+    p=st.tuples(st.floats(-80, 80), st.floats(-80, 80)),
+    ego_heading=st.floats(-10.0, 10.0),
+    use_ego_heading=st.booleans(),
+)
+def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_heading):
+    constraints = ConstraintSet(make_bounds(), [obs], 0.1, use_ego_heading)
+    g, gx, gy = constraints.keepout(tau, p, ego_heading)[0]
+    heading = ego_heading if use_ego_heading else obs.heading
+    A = ellipse_shape(heading, obs.semi_major, obs.semi_minor)
+    d = np.asarray(p) - obs.center_at(tau, 0.1)
+    scale = 1.0 + float(d @ A @ d)
+    assert g == pytest.approx(1.0 - float(d @ A @ d), rel=1e-12, abs=1e-12 * scale)
+    grad = -2.0 * A @ d
+    np.testing.assert_allclose([gx, gy], grad, rtol=1e-12,
+                               atol=1e-12 * (1.0 + float(np.abs(grad).max())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    obs=st.lists(obstacles(), max_size=3),
+    horizon=st.integers(1, 6),
+    data=st.data(),
+    use_ego_heading=st.booleans(),
+)
+def test_violation_is_worst_pointwise_value(obs, horizon, data, use_ego_heading):
+    values = st.floats(-20, 20)
+    states = np.array(data.draw(st.lists(st.tuples(values, values, values, values),
+                                         min_size=horizon + 1, max_size=horizon + 1)))
+    controls = np.array(data.draw(st.lists(st.tuples(values, values),
+                                           min_size=horizon, max_size=horizon)))
+    bounds = InputBounds(max_steer=data.draw(st.floats(0.1, 1.0)),
+                         max_accel=data.draw(st.floats(0.5, 5.0)),
+                         min_accel=-data.draw(st.floats(0.5, 5.0)))
+    traj = Trajectory(states, controls)
+    brute = [0.0]
+    for tau in range(horizon + 1):
+        heading = states[tau, 2] if use_ego_heading else None
+        brute += [obstacle_violation(states[tau, :2], o, tau, 0.1, heading) for o in obs]
+    for steer, accel in controls:
+        brute += [abs(steer) - bounds.max_steer, accel - bounds.max_accel,
+                  bounds.min_accel - accel]
+    constraints = ConstraintSet(bounds, obs, 0.1, use_ego_heading)
+    assert constraints.violation(traj) == max(brute)

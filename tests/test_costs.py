@@ -6,7 +6,6 @@ from admmplan.costs import (
     Reference,
     TrackingCost,
     polyline_distance,
-    quadratic_form,
     stage_cost,
     stage_expansion,
     terminal_cost,
@@ -80,27 +79,6 @@ def test_stage_cost_by_weights_wait_zero_weight_allowed():
     ref = Reference(py_ref=2.0)
     val = stage_cost(np.array([0, 0, 0, 0.0]), np.array([0.5, -1.0]), w(1, 0, 0, 0), ref)
     assert val == pytest.approx(4.0)
-
-
-def test_matrix_form_equivalence():
-    ref = Reference(py_ref=1.5, v_ref=8.0)
-    weights = w(0.7, 1.3, 0.4, 2.1)
-    C, r = quadratic_form(weights, ref)
-    rng = np.random.default_rng(5)
-    const = float(r @ C @ r)
-    for _ in range(200):
-        x = rng.normal(size=4) * 5
-        u = rng.normal(size=2) * 2
-        z = np.concatenate([x, u])
-        matrix_value = float(z @ C @ z - 2.0 * z @ C @ r)
-        assert stage_cost(x, u, weights, ref) - matrix_value == pytest.approx(
-            const, rel=1e-12, abs=1e-9
-        )
-
-
-def test_matrix_form_requires_lateral_reference():
-    with pytest.raises(ValueError):
-        quadratic_form(w(), Reference(polyline=((0, 0), (1, 0))))
 
 
 def test_quadratic_hessian_exact():

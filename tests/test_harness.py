@@ -87,6 +87,21 @@ def test_config_round_trip_with_polyline(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_config_loads_files_with_retired_keys(tmp_path):
+    # Files written before `seed` and the vehicle body size were dropped
+    # still load; those keys are ignored.
+    path = tmp_path / "old.yaml"
+    path.write_text(
+        "name: static_avoidance\nhorizon: 60\nseed: 7\n"
+        "initial_state: {px: 0.0, py: 0.0, theta: 0.0, v: 4.0}\n"
+        "vehicle: {wheelbase: 2.5, timestep: 0.1, body_length: 3.0, body_width: 2.0}\n"
+        "reference: {py_ref: 0.0}\n"
+    )
+    cfg = load_config(path)
+    assert cfg.vehicle == VehicleParams(wheelbase=2.5, timestep=0.1)
+    assert cfg.horizon == 60
+
+
 def test_config_dict_round_trip():
     cfg = builtin_scenario(2)
     assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -276,10 +291,3 @@ def test_cli_iter_timing_flag_populates_seconds(tmp_path):
     rows = read_rows(plain / "admm" / "residuals.csv")
     assert all(row[5] == "" for row in rows[1:])
 
-
-def test_parallel_trials_flag(tmp_path):
-    cfg = builtin_scenario(1)
-    code = run(cfg, "admm", trials=2, out_dir=tmp_path, parallel=True)
-    assert code == harness.EXIT_OK
-    rows = read_rows(tmp_path / "admm" / "timings.csv")
-    assert len(rows) == 4

@@ -53,9 +53,9 @@ def test_trajectory_shape_validation():
 def test_trajectory_feasibility_check():
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((10, 2)))
-    assert traj.is_dynamically_feasible(model)
+    assert traj.dynamics_break(model) is None
     traj.states[3, 0] += 1e-6
-    assert not traj.is_dynamically_feasible(model)
+    assert traj.dynamics_break(model) == 2
 
 
 def test_q_expansion_terminal_free_case():
