@@ -102,8 +102,10 @@ class PenalizedCost:
     `z` and `lam` are the constraint-side copy and the scaled duals, one
     (px, py, steer, accel) block per stamp, shape (T+1, 4). Stage stamps
     penalize the full block; the terminal stamp penalizes position only, so
-    the final block's control slots are never read. The penalty Hessian is
-    the constant sigma * I on the selected components.
+    the final block's control slots are never read. Over a trajectory,
+    `values` adds sigma/2 times each stamp's squared offset to the base
+    values, and `expand` adds sigma times the offsets to the gradients and
+    sigma to the selected Hessian diagonals, all as array operations.
     """
 
     def __init__(self, base, z, lam, sigma: float):
@@ -111,41 +113,23 @@ class PenalizedCost:
         self.sigma = sigma
         # Effective penalty centers z - lam/sigma, fixed for the iteration.
         self.centers = z - lam / sigma
+        self.centers[-1, 2:] = 0.0
 
-    def _offsets(self, tau, x, u=None):
-        c = self.centers[tau]
-        if u is None:
-            return np.array([x[0] - c[0], x[1] - c[1]])
-        return np.array([x[0] - c[0], x[1] - c[1], u[0] - c[2], u[1] - c[3]])
+    def values(self, traj) -> np.ndarray:
+        off = select(traj) - self.centers
+        squares = (off[:, None, :] @ off[:, :, None])[:, 0, 0]
+        return self.base.values(traj) + 0.5 * self.sigma * squares
 
-    def stage(self, tau, x, u) -> float:
-        off = self._offsets(tau, x, u)
-        return self.base.stage(tau, x, u) + 0.5 * self.sigma * float(off @ off)
-
-    def stage_expansion(self, tau, x, u):
-        # Expansion blocks are freshly allocated by the base model, so they
+    def expand(self, traj):
+        # Expansion arrays are freshly allocated by the base model, so they
         # can be updated in place.
-        l_x, l_u, l_xx, l_ux, l_uu = self.base.stage_expansion(tau, x, u)
-        off = self._offsets(tau, x, u)
-        l_x[:2] += self.sigma * off[:2]
-        l_u += self.sigma * off[2:]
-        l_xx[0, 0] += self.sigma
-        l_xx[1, 1] += self.sigma
-        l_uu[0, 0] += self.sigma
-        l_uu[1, 1] += self.sigma
-        return l_x, l_u, l_xx, l_ux, l_uu
-
-    def terminal(self, x) -> float:
-        off = self._offsets(len(self.centers) - 1, x)
-        return self.base.terminal(x) + 0.5 * self.sigma * float(off @ off)
-
-    def terminal_expansion(self, x):
-        g_x, g_xx = self.base.terminal_expansion(x)
-        off = self._offsets(len(self.centers) - 1, x)
-        g_x[:2] += self.sigma * off
-        g_xx[0, 0] += self.sigma
-        g_xx[1, 1] += self.sigma
-        return g_x, g_xx
+        l_x, l_u, l_xx, l_uu = self.base.expand(traj)
+        off = select(traj) - self.centers
+        l_x[:, :2] += self.sigma * off[:, :2]
+        l_u += self.sigma * off[:-1, 2:]
+        l_xx[:, [0, 1], [0, 1]] += self.sigma
+        l_uu[:, [0, 1], [0, 1]] += self.sigma
+        return l_x, l_u, l_xx, l_uu
 
 
 def trajectory_violation(traj: ilqr.Trajectory, constraints: ConstraintSet) -> float:
@@ -252,9 +236,11 @@ def admm_solve(
             y = result.trajectory
             sel = select(y)
             targets = sel + lam / settings.sigma
+            headings = y.states[:, 2]
+            g = constraints.keepout(np.arange(horizon + 1), targets[:, :2], headings)
             for tau in range(horizon + 1):
                 z[tau] = project_timestep(
-                    targets[tau], constraints, tau, ego_heading=y.states[tau, 2]
+                    targets[tau], constraints, tau, headings[tau], g[tau]
                 )
         except (RegularizationExhausted, NonConvergence) as exc:
             report.status = STATUS_FAILED

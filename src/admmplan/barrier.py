@@ -42,9 +42,13 @@ class BarrierSettings:
 class BarrierCost:
     """Base cost plus log-barrier terms for the box and keep-out constraints.
 
-    Evaluations outside the barrier domain return +inf so the line search
-    backtracks; expansions raise BarrierDomainViolation instead, since they
-    are only ever requested on accepted (feasible) nominal trajectories.
+    Over a trajectory, `values` adds -(1/t) sum(log(-g)) of each stamp's
+    constraint values from the `ConstraintSet` to the base values, and is
+    +inf at every stamp outside the barrier domain (-g <= margin), so the
+    line search backtracks. `expand` adds the barrier gradients and Hessians
+    to the base expansion as array operations; it raises
+    BarrierDomainViolation at the first violating stamp instead, since it is
+    only ever requested on accepted (feasible) nominal trajectories.
     """
 
     def __init__(
@@ -52,88 +56,67 @@ class BarrierCost:
         base,
         constraints: ConstraintSet,
         sharpness: float,
-        horizon: int,
         margin: float = 1e-6,
     ):
         self.base = base
         self.constraints = constraints
         self.sharpness = sharpness
-        self.horizon = horizon
         self.margin = margin
 
-    def _barrier_value(self, tau, x, u=None):
-        gs = [g for g, _, _ in self.constraints.keepout(tau, x, x[2])]
-        if u is not None:
-            gs = self.constraints.box(u) + gs
-        total = 0.0
-        for g in gs:
-            if -g <= self.margin:
-                return math.inf
-            total -= math.log(-g)
-        return total / self.sharpness
+    def values(self, traj) -> np.ndarray:
+        box, keepout = self.constraints.values(traj)
+        outside = _outside(box, keepout, self.margin)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            logs = np.zeros(len(keepout))
+            for g in box.T:
+                logs[:-1] -= np.log(-g)
+            for g in keepout.T:
+                logs -= np.log(-g)
+        values = self.base.values(traj) + logs / self.sharpness
+        values[outside] = math.inf
+        return values
 
-    def stage(self, tau, x, u) -> float:
-        penalty = self._barrier_value(tau, x, u)
-        if not math.isfinite(penalty):
-            return math.inf
-        return self.base.stage(tau, x, u) + penalty
-
-    def terminal(self, x) -> float:
-        penalty = self._barrier_value(self.horizon, x)
-        if not math.isfinite(penalty):
-            return math.inf
-        return self.base.terminal(x) + penalty
-
-    def stage_expansion(self, tau, x, u):
-        # Expansion blocks are freshly allocated by the base model.
-        l_x, l_u, l_xx, l_ux, l_uu = self.base.stage_expansion(tau, x, u)
+    def expand(self, traj):
+        # Expansion arrays are freshly allocated by the base model.
+        l_x, l_u, l_xx, l_uu = self.base.expand(traj)
+        box, keepout = self.constraints.values(traj)
+        _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
+        x = traj.states
+        grad = self.constraints.keepout_gradient(np.arange(len(x)), x[:, :2], x[:, 2])
         inv_t = 1.0 / self.sharpness
         # Box faces are linear in one control: exact 1-D barrier derivatives.
-        for (i, sign, _), g in zip(self.constraints.faces, self.constraints.box(u)):
-            self._check_domain(-g, tau)
-            l_u[i] -= inv_t * sign / g
-            l_uu[i, i] += inv_t / g**2
-        self._add_keepout(tau, x, l_x, l_xx)
-        return l_x, l_u, l_xx, l_ux, l_uu
+        for (i, sign, _), g in zip(self.constraints.faces, box.T):
+            l_u[:, i] -= inv_t * sign / g
+            l_uu[:, i, i] += inv_t / g**2
+        # Keep-out barriers: gradient and Gauss-Newton Hessian.
+        for g, dg in zip(keepout.T, grad.transpose(1, 0, 2)):
+            l_x[:, :2] -= inv_t * dg / g[:, None]
+            outer = dg[:, :, None] * dg[:, None, :]
+            l_xx[:, :2, :2] += inv_t * outer / (g**2)[:, None, None]
+        return l_x, l_u, l_xx, l_uu
 
-    def terminal_expansion(self, x):
-        g_x, g_xx = self.base.terminal_expansion(x)
-        self._add_keepout(self.horizon, x, g_x, g_xx)
-        return g_x, g_xx
 
-    def _add_keepout(self, tau, x, l_x, l_xx):
-        """Add the keep-out barriers' gradient and Gauss-Newton Hessian."""
-        inv_t = 1.0 / self.sharpness
-        for g, gx, gy in self.constraints.keepout(tau, x, x[2]):
-            self._check_domain(-g, tau)
-            grad = np.array([gx, gy])
-            l_x[:2] -= inv_t * grad / g
-            l_xx[:2, :2] += inv_t * np.outer(grad, grad) / g**2
+def _outside(box, keepout, margin):
+    """Per stamp (T+1,): whether some constraint has -g <= margin."""
+    outside = (-keepout <= margin).any(axis=1)
+    outside[:-1] |= (-box <= margin).any(axis=1)
+    return outside
 
-    def _check_domain(self, gap, tau):
-        if gap <= self.margin:
-            raise BarrierDomainViolation(
-                f"iterate left the barrier domain at time index {tau}", tau=tau
-            )
+
+def _check_domain(box, keepout, margin, problem):
+    """Raise BarrierDomainViolation at the first stamp outside the domain."""
+    outside = _outside(box, keepout, margin)
+    if outside.any():
+        tau = int(np.argmax(outside))
+        raise BarrierDomainViolation(f"{problem} at time index {tau}", tau=tau)
 
 
 def check_strict_feasibility(
     traj: ilqr.Trajectory, constraints: ConstraintSet, margin: float
 ):
     """Raise BarrierDomainViolation at the first stamp violating any g < -margin."""
-    for tau, x in enumerate(traj.states.tolist()):
-        if any(-g <= margin for g, _, _ in constraints.keepout(tau, x, x[2])):
-            raise BarrierDomainViolation(
-                f"trajectory is not strictly clear of an obstacle at time index {tau}",
-                tau=tau,
-            )
-        if tau < traj.horizon and any(
-            -g <= margin for g in constraints.box(traj.controls[tau])
-        ):
-            raise BarrierDomainViolation(
-                f"controls are not strictly inside their box at time index {tau}",
-                tau=tau,
-            )
+    box, keepout = constraints.values(traj)
+    _check_domain(box, keepout, margin, "trajectory is not strictly feasible")
 
 
 def barrier_solve(
@@ -168,7 +151,7 @@ def barrier_solve(
     sharpness = settings.initial_sharpness
     for _ in range(settings.outer_iters):
         iter_start = time.perf_counter()
-        barrier = BarrierCost(cost, constraints, sharpness, horizon, settings.margin)
+        barrier = BarrierCost(cost, constraints, sharpness, settings.margin)
         try:
             result = ilqr.solve(
                 x0, barrier, dynamics, settings.ilqr, initial_controls=y.controls

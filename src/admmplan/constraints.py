@@ -73,6 +73,11 @@ class Obstacle:
         return np.array(self.center0) + tau * timestep * np.array(self.velocity)
 
 
+def _rotation(heading: float) -> np.ndarray:
+    c, s = math.cos(heading), math.sin(heading)
+    return np.array([[c, -s], [s, c]])
+
+
 def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.ndarray:
     """Symmetric positive-definite quadratic form of a rotated ellipse.
 
@@ -81,23 +86,18 @@ def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.nd
     """
     if semi_major <= 0 or semi_minor <= 0:
         raise ValueError("semi-axes must be positive")
-    c, s = math.cos(heading), math.sin(heading)
-    rot = np.array([[c, -s], [s, c]])
+    rot = _rotation(heading)
     return rot @ np.diag([semi_major**-2, semi_minor**-2]) @ rot.T
-
-
-def _rotation(heading: float) -> np.ndarray:
-    c, s = math.cos(heading), math.sin(heading)
-    return np.array([[c, -s], [s, c]])
 
 
 class ConstraintSet:
     """The box and keep-out constraints of one solve, as values g (<= 0 holds).
 
     Built once per solve and shared by the violation scan, the barrier and
-    the projection. Per-stamp values are plain floats: the solvers ask for
-    them once per stamp and line-search trial, where one-row numpy arrays
-    cost more than the arithmetic they carry.
+    the projection. Every evaluation takes one stamp or stacked rows with a
+    leading stamp axis: `box(u)`, `keepout(tau, p, heading)` and
+    `keepout_gradient(tau, p, heading)` evaluate the given stamps,
+    `values(traj)` the box and keep-out values of a whole trajectory.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -117,51 +117,60 @@ class ConstraintSet:
             self.faces.append((1, 1.0, bounds.max_accel))
         if bounds.min_accel > -UNBOUNDED_LIMIT:
             self.faces.append((1, -1.0, -bounds.min_accel))
-        self._rotations = [_rotation(obs.heading) for obs in self.obstacles]
-        self._ellipses = [
-            (*obs.center0, *obs.velocity, obs.semi_major, obs.semi_minor,
-             math.cos(obs.heading), math.sin(obs.heading))
-            for obs in self.obstacles
-        ]
+        faces = np.array(self.faces, dtype=float).reshape(-1, 3)
+        self._face_index = faces[:, 0].astype(int)
+        self._face_sign, self._face_limit = faces[:, 1], faces[:, 2]
+        # (obstacles,) columns: center, velocity, semi-axes, cos/sin heading.
+        self._ellipses = tuple(np.array(
+            [(*obs.center0, *obs.velocity, obs.semi_major, obs.semi_minor,
+              math.cos(obs.heading), math.sin(obs.heading)) for obs in self.obstacles]
+        ).reshape(-1, 8).T)
 
-    def box(self, u) -> list:
-        """g of every finite box face at control u."""
-        u = (float(u[0]), float(u[1]))
-        return [sign * u[i] - limit for i, sign, limit in self.faces]
+    def box(self, u) -> np.ndarray:
+        """g of every finite box face, (..., faces) for controls u (..., 2)."""
+        u = np.asarray(u, dtype=float)
+        return self._face_sign * u[..., self._face_index] - self._face_limit
 
-    def keepout(self, tau: int, p, heading: float = 0.0) -> list:
-        """(g, dg/dpx, dg/dpy) per obstacle at position p and time index tau."""
-        px, py = float(p[0]), float(p[1])
-        t = tau * self.timestep
-        ego = (math.cos(heading), math.sin(heading)) if self.use_ego_heading else None
-        values = []
-        for cx, cy, vx, vy, a, b, c, s in self._ellipses:
-            if ego:
-                c, s = ego
-            dx = px - (cx + t * vx)
-            dy = py - (cy + t * vy)
-            along = (c * dx + s * dy) / a
-            across = (-s * dx + c * dy) / b
-            ga, gb = -2.0 * along / a, -2.0 * across / b
-            values.append(
-                (1.0 - along**2 - across**2, c * ga - s * gb, s * ga + c * gb)
-            )
-        return values
+    def _offsets(self, tau, p, heading):
+        """Offsets (along / e_a, across / e_b) of p from every obstacle center
+        in its frame, (..., obstacles) each, and the frame's cos and sin."""
+        cx, cy, vx, vy, a, b, c, s = self._ellipses
+        if self.use_ego_heading:
+            heading = np.asarray(heading, dtype=float)[..., None]
+            c, s = np.cos(heading), np.sin(heading)
+        p = np.asarray(p, dtype=float)
+        t = (np.asarray(tau) * self.timestep)[..., None]
+        dx = p[..., 0, None] - (cx + t * vx)
+        dy = p[..., 1, None] - (cy + t * vy)
+        return (c * dx + s * dy) / a, (-s * dx + c * dy) / b, c, s
+
+    def keepout(self, tau, p, heading=0.0) -> np.ndarray:
+        """Keep-out values g (..., obstacles) at time indices tau (...),
+        positions p (..., 2) and headings (...)."""
+        along, across, _, _ = self._offsets(tau, p, heading)
+        return 1.0 - along**2 - across**2
+
+    def keepout_gradient(self, tau, p, heading=0.0) -> np.ndarray:
+        """Position gradients dg/dp (..., obstacles, 2) of `keepout`."""
+        along, across, c, s = self._offsets(tau, p, heading)
+        ga, gb = -2.0 * along / self._ellipses[4], -2.0 * across / self._ellipses[5]
+        return np.stack([c * ga - s * gb, s * ga + c * gb], axis=-1)
+
+    def values(self, traj):
+        """(box g (T, faces), keep-out g (T+1, obstacles)) along a trajectory."""
+        states = traj.states
+        return self.box(traj.controls), self.keepout(
+            np.arange(len(states)), states[:, :2], states[:, 2])
 
     def violation(self, traj) -> float:
         """Largest constraint value along a trajectory (0 when feasible)."""
-        worst = 0.0
-        for u in traj.controls.tolist():
-            worst = max([worst, *self.box(u)])
-        for tau, x in enumerate(traj.states.tolist()):
-            for g, _, _ in self.keepout(tau, x, x[2]):
-                worst = max(worst, g)
-        return worst
+        box, keepout = self.values(traj)
+        return float(max(np.max(box, initial=0.0), np.max(keepout, initial=0.0)))
 
     def _frame(self, k: int, tau: int, heading: float):
         """(center, rotation, semi_major, semi_minor) of obstacle k at tau."""
         obs = self.obstacles[k]
-        rot = _rotation(heading) if self.use_ego_heading else self._rotations[k]
+        rot = _rotation(heading if self.use_ego_heading else obs.heading)
         return obs.center_at(tau, self.timestep), rot, obs.semi_major, obs.semi_minor
 
 
@@ -172,7 +181,7 @@ def obstacle_violation(
     constraints = ConstraintSet(
         InputBounds(), [obstacle], timestep, heading_override is not None
     )
-    return constraints.keepout(tau, p, heading_override)[0][0]
+    return float(constraints.keepout(tau, p, heading_override)[0])
 
 
 def project_inputs(u, bounds: InputBounds) -> np.ndarray:
@@ -273,13 +282,16 @@ def project_outside_ellipse(p, shape, center) -> np.ndarray:
 
 
 def project_timestep(
-    block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0
+    block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0,
+    keepout=None,
 ) -> np.ndarray:
     """Project one consensus block (px, py, steer, accel) onto the constraints.
 
     Inputs are clamped onto their boxes; the position is pushed outside every
     keep-out ellipse at time index tau by cyclic projection. `ego_heading`
     orients the ellipses when the constraint set uses the ego heading.
+    `keepout` may carry the block's keep-out values from a stacked
+    evaluation; they are evaluated here otherwise.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within
@@ -290,18 +302,18 @@ def project_timestep(
     out = block.copy()
     out[2:] = project_inputs(block[2:], constraints.bounds)
     p = out[:2]
+    g = constraints.keepout(tau, p, ego_heading) if keepout is None else keepout
     # One extra pass so a sweep that ends clean can be verified and returned.
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True
-        values = constraints.keepout(tau, p, ego_heading)
-        for k in range(len(values)):
-            if values[k][0] > FEASIBILITY_TOL:
+        for k in range(len(g)):
+            if g[k] > FEASIBILITY_TOL:
                 p = _project_with_frame(p, *constraints._frame(k, tau, ego_heading))
-                values = constraints.keepout(tau, p, ego_heading)
+                g = constraints.keepout(tau, p, ego_heading)
                 clean = False
         if clean:
             out[:2] = p
             return out
     raise NonConvergence(
-        f"cyclic ellipse projection did not converge at time index {tau}"
+        f"cyclic ellipse projection did not converge at time index {tau}", tau=tau
     )

@@ -10,7 +10,8 @@ reference, and squared control effort:
 For a lateral target the position term is q_pos * (py - py_ref)^2, so the
 cost is an exact diagonal quadratic. For a polyline the expansion uses the
 Gauss-Newton Hessian built from the distance residual's first derivative, so
-it is positive semidefinite by construction.
+it is positive semidefinite by construction. Every function takes one stamp
+or stacked rows.
 """
 
 from dataclasses import dataclass
@@ -82,122 +83,162 @@ def polyline_distance(point, polyline):
         (distance, closest_point, segment_tangent); ties between segments
         are broken toward the lower segment index.
     """
-    dist, closest, tangent, _ = _closest_on_polyline(np.asarray(point, float), polyline)
-    return dist, closest, tangent
+    P = np.asarray(point, float)[None]
+    dist, closest, tangent, _ = _closest_on_polyline(P, polyline)
+    return float(dist[0]), closest[0], tangent[0]
 
 
-def _closest_on_polyline(p, polyline):
-    """Like `polyline_distance` but also reports whether the projection hit
-    a segment interior (True) or clamped to a vertex (False)."""
+def _closest_on_polyline(P, polyline):
+    """Closest polyline points to every row of P (N, 2), found in one pass.
+
+    Returns (distance, closest_point, segment_tangent, interior) stacked per
+    row; `interior` tells whether the projection hit a segment interior
+    (True) or clamped to a vertex (False).
+    """
     pts = np.asarray(polyline, dtype=float)
     s0 = pts[:-1]
     seg = pts[1:] - s0
     seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    t = np.einsum("ij,ij->i", p - s0, seg) / seg_len2
+    rel = P[:, None, :] - s0
+    t = np.einsum("nij,ij->ni", rel, seg) / seg_len2
     t = np.clip(t, 0.0, 1.0)
-    proj = s0 + t[:, None] * seg
-    d2 = np.einsum("ij,ij->i", p - proj, p - proj)
-    i = int(np.argmin(d2))
-    tangent = seg[i] / np.sqrt(seg_len2[i])
-    interior = _VERTEX_EPS < t[i] < 1.0 - _VERTEX_EPS
-    return float(np.sqrt(d2[i])), proj[i], tangent, interior
+    proj = s0 + t[..., None] * seg
+    gap = P[:, None, :] - proj
+    d2 = np.einsum("nij,nij->ni", gap, gap)
+    i = np.argmin(d2, axis=1)
+    rows = np.arange(len(P))
+    tangent = seg[i] / np.sqrt(seg_len2[i])[:, None]
+    t_best = t[rows, i]
+    interior = (_VERTEX_EPS < t_best) & (t_best < 1.0 - _VERTEX_EPS)
+    return np.sqrt(d2[rows, i]), proj[rows, i], tangent, interior
 
 
-def _position_term(x, weights, reference):
-    """Value, 2-vector gradient, and 2x2 GN Hessian of the position penalty
-    as functions of (px, py)."""
+def _position_term(X, weights, reference):
+    """Value (N,), gradient (N, 2) and GN Hessian (N, 2, 2) of the position
+    penalty as functions of (px, py), per row of X (N, 4)."""
     q = weights.position_weight
+    grad, hess = np.zeros((len(X), 2)), np.zeros((len(X), 2, 2))
     if reference.py_ref is not None:
-        e = x[1] - reference.py_ref
-        value = q * e * e
-        grad = np.array([0.0, 2.0 * q * e])
-        hess = np.array([[0.0, 0.0], [0.0, 2.0 * q]])
-        return value, grad, hess
-    p = np.asarray(x[:2], dtype=float)
-    dist, closest, tangent, interior = _closest_on_polyline(p, reference.polyline)
-    e = p - closest
-    value = q * dist * dist
-    grad = 2.0 * q * e
-    if interior:
-        hess = 2.0 * q * (np.eye(2) - np.outer(tangent, tangent))
-    else:
-        hess = 2.0 * q * np.eye(2)
-    return value, grad, hess
+        e = X[:, 1] - reference.py_ref
+        grad[:, 1] = 2.0 * q * e
+        hess[:, 1, 1] = 2.0 * q
+        return q * e * e, grad, hess
+    P = X[:, :2]
+    dist, closest, tangent, interior = _closest_on_polyline(P, reference.polyline)
+    grad[:] = 2.0 * q * (P - closest)
+    hess[:] = np.eye(2)
+    hess[interior] -= tangent[interior, :, None] * tangent[interior, None, :]
+    hess *= 2.0 * q
+    return q * dist * dist, grad, hess
 
 
-def stage_cost(x, u, weights: CostWeights, reference: Reference) -> float:
-    value, _, _ = _position_term(x, weights, reference)
+def _state_values(X, weights, reference):
+    """Position plus speed penalty per row of X (N, 4)."""
+    value = _position_term(X, weights, reference)[0]
     if reference.v_ref is not None:
-        dv = x[3] - reference.v_ref
+        dv = X[:, 3] - reference.v_ref
         value += weights.velocity_weight * dv * dv
-    value += weights.steering_weight * u[0] * u[0]
-    value += weights.accel_weight * u[1] * u[1]
-    return float(value)
+    return value
+
+
+def _state_expansion(X, weights, reference):
+    """Gradient (N, 4) and Hessian (N, 4, 4) of `_state_values`."""
+    _, gpos, hpos = _position_term(X, weights, reference)
+    l_x, l_xx = np.zeros((len(X), STATE_DIM)), np.zeros((len(X), STATE_DIM, STATE_DIM))
+    l_x[:, :2] = gpos
+    l_xx[:, :2, :2] = hpos
+    if reference.v_ref is not None:
+        l_x[:, 3] = 2.0 * weights.velocity_weight * (X[:, 3] - reference.v_ref)
+        l_xx[:, 3, 3] = 2.0 * weights.velocity_weight
+    return l_x, l_xx
+
+
+def _plus_effort(values, U, weights):
+    """Stage costs from state values (N,) and controls U (N, 2)."""
+    return (values + weights.steering_weight * U[:, 0] * U[:, 0]
+            + weights.accel_weight * U[:, 1] * U[:, 1])
+
+
+def _control_expansion(U, weights):
+    """Gradient (N, 2) and diagonal Hessian (N, 2, 2) of the control effort."""
+    scale = np.array([2.0 * weights.steering_weight, 2.0 * weights.accel_weight])
+    l_uu = np.zeros((len(U), CONTROL_DIM, CONTROL_DIM))
+    l_uu[:, [0, 1], [0, 1]] = scale
+    return scale * U, l_uu
+
+
+def _rows(a):
+    """(stacked rows, whether a was one stamp) for a (n,) or (N, n) array."""
+    a = np.asarray(a, dtype=float)
+    return np.atleast_2d(a), a.ndim == 1
+
+
+def stage_cost(x, u, weights: CostWeights, reference: Reference):
+    """Stage cost of one stamp (a float) or of stacked rows (an (N,) array)."""
+    X, single = _rows(x)
+    U, _ = _rows(u)
+    value = _plus_effort(_state_values(X, weights, reference), U, weights)
+    return float(value[0]) if single else value
 
 
 def stage_expansion(x, u, weights: CostWeights, reference: Reference):
     """Gradients and Hessians of `stage_cost` around (x, u).
 
     Returns:
-        (l_x, l_u, l_xx, l_ux, l_uu) with the Hessian blocks symmetric PSD.
+        (l_x, l_u, l_xx, l_ux, l_uu) with the Hessian blocks symmetric PSD,
+        each with a leading stamp axis for stacked rows. l_ux is zero: no
+        term couples state and control.
     """
-    _, gpos, hpos = _position_term(x, weights, reference)
-    l_x = np.zeros(STATE_DIM)
-    l_xx = np.zeros((STATE_DIM, STATE_DIM))
-    l_x[:2] = gpos
-    l_xx[:2, :2] = hpos
-    if reference.v_ref is not None:
-        l_x[3] = 2.0 * weights.velocity_weight * (x[3] - reference.v_ref)
-        l_xx[3, 3] = 2.0 * weights.velocity_weight
-    l_u = np.array(
-        [2.0 * weights.steering_weight * u[0], 2.0 * weights.accel_weight * u[1]]
-    )
-    l_uu = np.diag([2.0 * weights.steering_weight, 2.0 * weights.accel_weight])
-    l_ux = np.zeros((CONTROL_DIM, STATE_DIM))
-    return l_x, l_u, l_xx, l_ux, l_uu
+    X, single = _rows(x)
+    U, _ = _rows(u)
+    l_x, l_xx = _state_expansion(X, weights, reference)
+    l_u, l_uu = _control_expansion(U, weights)
+    l_ux = np.zeros((len(X), CONTROL_DIM, STATE_DIM))
+    out = (l_x, l_u, l_xx, l_ux, l_uu)
+    return tuple(a[0] for a in out) if single else out
 
 
-def terminal_cost(x, weights: CostWeights, reference: Reference) -> float:
-    """State-dependent stage terms scaled by terminal_scale."""
-    value, _, _ = _position_term(x, weights, reference)
-    if reference.v_ref is not None:
-        dv = x[3] - reference.v_ref
-        value += weights.velocity_weight * dv * dv
-    return float(weights.terminal_scale * value)
+def terminal_cost(x, weights: CostWeights, reference: Reference):
+    """State-dependent stage terms scaled by terminal_scale (float or (N,))."""
+    X, single = _rows(x)
+    value = weights.terminal_scale * _state_values(X, weights, reference)
+    return float(value[0]) if single else value
 
 
 def terminal_expansion(x, weights: CostWeights, reference: Reference):
-    _, gpos, hpos = _position_term(x, weights, reference)
-    g_x = np.zeros(STATE_DIM)
-    g_xx = np.zeros((STATE_DIM, STATE_DIM))
-    g_x[:2] = gpos
-    g_xx[:2, :2] = hpos
-    if reference.v_ref is not None:
-        g_x[3] = 2.0 * weights.velocity_weight * (x[3] - reference.v_ref)
-        g_xx[3, 3] = 2.0 * weights.velocity_weight
-    return weights.terminal_scale * g_x, weights.terminal_scale * g_xx
+    X, single = _rows(x)
+    g_x, g_xx = _state_expansion(X, weights, reference)
+    g_x *= weights.terminal_scale
+    g_xx *= weights.terminal_scale
+    return (g_x[0], g_xx[0]) if single else (g_x, g_xx)
 
 
 class TrackingCost:
     """Cost-model adapter binding weights and a reference for the solvers.
 
-    The solver-facing protocol is: stage(tau, x, u), stage_expansion(tau, x, u),
-    terminal(x), terminal_expansion(x). The time index is unused here but kept
-    so time-dependent wrappers (consensus penalty, barrier) share the surface.
+    The solver-facing protocol works on whole trajectories:
+
+    * `values(traj)`: the T stage costs and the terminal cost, (T+1,);
+    * `expand(traj)`: (l_x (T+1, 4), l_u (T, 2), l_xx (T+1, 4, 4),
+      l_uu (T, 2, 2)), with the terminal gradient and Hessian in row T.
+
+    Every cost in the package has l_ux = 0, so the protocol carries no cross
+    term. The position term of all T+1 stamps, including the closest
+    polyline points, is computed in one pass.
     """
 
     def __init__(self, weights: CostWeights, reference: Reference):
         self.weights = weights
         self.reference = reference
 
-    def stage(self, tau, x, u) -> float:
-        return stage_cost(x, u, self.weights, self.reference)
+    def values(self, traj) -> np.ndarray:
+        states = _state_values(traj.states, self.weights, self.reference)
+        stages = _plus_effort(states[:-1], traj.controls, self.weights)
+        return np.append(stages, self.weights.terminal_scale * states[-1])
 
-    def stage_expansion(self, tau, x, u):
-        return stage_expansion(x, u, self.weights, self.reference)
-
-    def terminal(self, x) -> float:
-        return terminal_cost(x, self.weights, self.reference)
-
-    def terminal_expansion(self, x):
-        return terminal_expansion(x, self.weights, self.reference)
+    def expand(self, traj):
+        l_x, l_xx = _state_expansion(traj.states, self.weights, self.reference)
+        l_x[-1] *= self.weights.terminal_scale
+        l_xx[-1] *= self.weights.terminal_scale
+        l_u, l_uu = _control_expansion(traj.controls, self.weights)
+        return l_x, l_u, l_xx, l_uu

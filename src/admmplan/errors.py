@@ -2,7 +2,14 @@
 
 
 class PlannerError(Exception):
-    """Base class for all solver and harness errors."""
+    """Base class for all solver and harness errors.
+
+    `tau` is the time index where the failure happened, when one applies.
+    """
+
+    def __init__(self, message="", tau=None):
+        super().__init__(message)
+        self.tau = tau
 
 
 class DomainError(PlannerError):
@@ -28,10 +35,6 @@ class BarrierDomainViolation(PlannerError):
     The log-barrier solver requires strictly feasible iterates; this carries
     the first offending time index.
     """
-
-    def __init__(self, message, tau=None):
-        super().__init__(message)
-        self.tau = tau
 
 
 class UnknownScenario(PlannerError):

@@ -4,10 +4,11 @@ Each iteration quadraticizes the cost and linearizes the dynamics around the
 nominal trajectory, runs the backward Riccati-style recursion for affine
 control updates, and rolls the updated policy through the true dynamics with
 a backtracking line search on the feedforward term. Second-order dynamics
-terms are dropped (Gauss-Newton), so the per-step model is
+terms are dropped (Gauss-Newton), and no cost couples state and control
+(l_ux = 0), so the per-step model is
 
     Q_x  = l_x  + f_x' V_x          Q_u  = l_u  + f_u' V_x
-    Q_xx = l_xx + f_x' V_xx f_x     Q_ux = l_ux + f_u' V_xx f_x
+    Q_xx = l_xx + f_x' V_xx f_x     Q_ux = f_u' V_xx f_x
     Q_uu = l_uu + f_u' V_xx f_u
 
 with gains k = -(Q_uu + mu I)^-1 Q_u and K = -(Q_uu + mu I)^-1 Q_ux, and the
@@ -19,6 +20,12 @@ value recursion
 
 The Levenberg-style mu keeps Q_uu positive definite near flat or indefinite
 regions; it grows on failed line searches and shrinks after accepted steps.
+
+The engine reads its models over whole trajectories: `dynamics.jacobians(X,
+U)` gives the stacked (T, n, n) and (T, n, 2) Jacobians, `cost.values(traj)`
+the T stage costs and the terminal cost (inf outside the cost's domain), and
+`cost.expand(traj)` the stacked (l_x, l_u, l_xx, l_uu), terminal terms in row
+T. Only the Riccati recursion and the rollouts run stamp by stamp.
 """
 
 import math
@@ -47,6 +54,16 @@ class ILQRSettings:
             raise ValueError("max_iters must be at least 1")
         if self.cost_tolerance <= 0:
             raise ValueError("cost_tolerance must be positive")
+        if self.mu_init <= 0:
+            raise ValueError("mu_init must be positive")
+        if self.mu_growth <= 1:
+            raise ValueError("mu_growth must exceed 1")
+        if not 0 < self.mu_shrink <= 1:
+            raise ValueError("need 0 < mu_shrink <= 1")
+        if self.mu_max < self.mu_init:
+            raise ValueError("mu_max must be at least mu_init")
+        if self.line_search_steps < 1:
+            raise ValueError("line_search_steps must be at least 1")
 
     def alphas(self):
         return [0.5**i for i in range(self.line_search_steps)]
@@ -88,16 +105,6 @@ class GainSchedule:
 
 
 @dataclass
-class ValueExpansion:
-    """Local quadratic model of the cost-to-go: gradient, Hessian, and the
-    expected improvement accumulated so far."""
-
-    V_x: np.ndarray
-    V_xx: np.ndarray
-    dV: float = 0.0
-
-
-@dataclass
 class ILQRResult:
     trajectory: Trajectory
     cost_history: list = field(default_factory=list)
@@ -120,106 +127,69 @@ def rollout(dynamics, x0, controls) -> Trajectory:
 
 
 def total_cost(cost, traj: Trajectory) -> float:
-    value = 0.0
-    for tau in range(traj.horizon):
-        value += cost.stage(tau, traj.states[tau], traj.controls[tau])
-        if not math.isfinite(value):
-            return math.inf
-    value += cost.terminal(traj.states[traj.horizon])
+    """Per-stamp costs summed in stamp order; inf outside the cost's domain."""
+    value = float(np.cumsum(cost.values(traj))[-1])
     return value if math.isfinite(value) else math.inf
-
-
-def q_expansion(stage_expansion, v_next: ValueExpansion, f_x, f_u):
-    """Quadratic model of the stage value around the nominal point.
-
-    `stage_expansion` is the (l_x, l_u, l_xx, l_ux, l_uu) tuple; the dynamics
-    curvature terms are omitted (Gauss-Newton).
-    """
-    l_x, l_u, l_xx, l_ux, l_uu = stage_expansion
-    fxT_V = f_x.T @ v_next.V_xx
-    Q_x = l_x + f_x.T @ v_next.V_x
-    Q_u = l_u + f_u.T @ v_next.V_x
-    Q_xx = l_xx + fxT_V @ f_x
-    Q_ux = l_ux + f_u.T @ v_next.V_xx @ f_x
-    Q_uu = l_uu + f_u.T @ v_next.V_xx @ f_u
-    return Q_x, Q_u, Q_xx, Q_ux, Q_uu
-
-
-class _NotPositiveDefinite(Exception):
-    pass
-
-
-def _gains_from_quadratic(Q_uu_reg, Q_u, Q_ux):
-    """Solve the regularized gain equations, rejecting indefinite Q_uu.
-
-    The control dimension here is 2, so the symmetric solve is done in
-    closed form (it dominates the backward-pass profile otherwise); other
-    sizes fall back to a Cholesky factorization.
-    """
-    if Q_uu_reg.shape[0] == 2:
-        a = Q_uu_reg[0, 0]
-        b = Q_uu_reg[0, 1]
-        d = Q_uu_reg[1, 1]
-        det = a * d - b * b
-        if a <= 0.0 or det <= 0.0:
-            raise _NotPositiveDefinite
-        inv = np.array([[d, -b], [-b, a]]) / det
-        return -(inv @ Q_u), -(inv @ Q_ux)
-    try:
-        chol = np.linalg.cholesky(Q_uu_reg)
-    except np.linalg.LinAlgError:
-        raise _NotPositiveDefinite from None
-    rhs = np.column_stack([Q_u, Q_ux])
-    sol = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return -sol[:, 0], -sol[:, 1:]
 
 
 def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
     """Compute the affine control update along the nominal trajectory.
 
-    Escalates mu internally whenever a regularized Q_uu fails its positive
-    definiteness check, restarting the recursion at the larger value.
+    The Jacobians and cost expansions are built once; whenever a regularized
+    Q_uu fails its positive definiteness check, only the recursion restarts,
+    at a larger mu. Per stamp, one product F' V_xx F with F = [f_x f_u]
+    gives the Q_xx, Q_ux and Q_uu blocks together.
 
     Returns:
-        (gains, value, mu): the gain schedule, the value expansion at the
-        first stamp (whose dV field carries the predicted total cost change
-        sum(-1/2 k' Q_uu k), nonpositive), and the mu actually used.
+        (gains, value, mu): the gain schedule; the value model at the first
+        stamp as (V_x, V_xx, dV), where dV is the predicted total cost change
+        sum(-1/2 k' Q_uu k), nonpositive; and the mu actually used.
 
     Raises:
         RegularizationExhausted: mu grew past settings.mu_max.
     """
-    T = traj.horizon
-    n = traj.states.shape[1]
-    m = traj.controls.shape[1]
-    terminal_x, terminal_xx = cost.terminal_expansion(traj.states[T])
+    T, n = traj.horizon, traj.states.shape[1]
+    f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
+    l_x, l_u, l_xx, l_uu = cost.expand(traj)
+    F = np.concatenate([f_x, f_u], axis=2)
+    H = np.zeros((T, n + 2, n + 2))
+    H[:, :n, :n] = l_xx[:T]
+    H[:, n:, n:] = l_uu
+    # Per-stamp views, listed once for every restart of the recursion. The
+    # gradient terms keep their own matrix-vector products: folded into the
+    # block product they round differently, which moves long solves.
+    stamps = list(zip(F, F.transpose(0, 2, 1), H, f_x.transpose(0, 2, 1),
+                      f_u.transpose(0, 2, 1), l_x, l_u))[::-1]
+    ks = np.empty((T, 2))
+    Ks = np.empty((T, 2, n))
 
     while True:
         if mu > settings.mu_max:
             raise RegularizationExhausted(
                 f"backward pass found no positive-definite Q_uu below mu={settings.mu_max}"
             )
-        ks = np.zeros((T, m))
-        Ks = np.zeros((T, m, n))
-        value = ValueExpansion(terminal_x.copy(), terminal_xx.copy())
-        reg = mu * np.eye(m)
-        try:
-            for tau in range(T - 1, -1, -1):
-                f_x, f_u = dynamics.jacobians(traj.states[tau], traj.controls[tau])
-                expansion = cost.stage_expansion(
-                    tau, traj.states[tau], traj.controls[tau]
-                )
-                Q_x, Q_u, Q_xx, Q_ux, Q_uu = q_expansion(expansion, value, f_x, f_u)
-                k, K = _gains_from_quadratic(Q_uu + reg, Q_u, Q_ux)
-                ks[tau] = k
-                Ks[tau] = K
-                value.dV += -0.5 * k @ Q_uu @ k
-                value.V_x = Q_x - K.T @ Q_uu @ k
-                V_xx = Q_xx - K.T @ Q_uu @ K
-                value.V_xx = 0.5 * (V_xx + V_xx.T)
-        except _NotPositiveDefinite:
-            mu *= settings.mu_growth
-            continue
-        return GainSchedule(ks, Ks), value, mu
+        V_x, V_xx, dV = l_x[T], l_xx[T], 0.0
+        for tau, (F_t, Ft, H_t, At, Bt, lx, lu) in zip(range(T - 1, -1, -1), stamps):
+            Q = Ft @ V_xx @ F_t
+            Q += H_t
+            Q_uu = Q[n:, n:]
+            # Closed-form solve of the regularized 2x2 system.
+            (a, b), (_, d) = Q_uu.tolist()
+            a, d = a + mu, d + mu
+            det = a * d - b * b
+            if a <= 0.0 or det <= 0.0:
+                break  # not positive definite: restart at a larger mu
+            gain = np.array([[-d, b], [b, -a]]) / det
+            ks[tau] = k = gain @ (lu + Bt @ V_x)
+            Ks[tau] = K = gain @ Q[n:, :n]
+            KtQ = K.T @ Q_uu
+            dV += -0.5 * k @ Q_uu @ k
+            V_x = lx + At @ V_x - KtQ @ k
+            V_xx = Q[:n, :n] - KtQ @ K
+            V_xx = 0.5 * (V_xx + V_xx.T)
+        else:
+            return GainSchedule(ks, Ks), (V_x, V_xx, dV), mu
+        mu *= settings.mu_growth
 
 
 def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
@@ -228,14 +198,13 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
     The feedforward term is scaled by alpha; feedback is applied at full
     strength against the deviation from the nominal states.
     """
-    T = traj.horizon
     states = np.empty_like(traj.states)
     controls = np.empty_like(traj.controls)
-    states[0] = traj.states[0]
-    for tau in range(T):
-        du = alpha * gains.k[tau] + gains.K[tau] @ (states[tau] - traj.states[tau])
-        controls[tau] = traj.controls[tau] + du
-        states[tau + 1] = dynamics.step(states[tau], controls[tau])
+    states[0] = x = traj.states[0]
+    rows = zip(alpha * gains.k, gains.K, traj.states, traj.controls)
+    for tau, (k, K, x_nom, u_nom) in enumerate(rows):
+        controls[tau] = u = u_nom + (k + K @ (x - x_nom))
+        states[tau + 1] = x = dynamics.step(x, u)
     return Trajectory(states, controls)
 
 
@@ -268,8 +237,7 @@ def solve(
     iterations = 0
 
     for iterations in range(1, settings.max_iters + 1):
-        gains, value, mu = backward_pass(traj, cost, dynamics, mu, settings)
-        expected = value.dV
+        gains, (_, _, expected), mu = backward_pass(traj, cost, dynamics, mu, settings)
         accepted = None
         for alpha in settings.alphas():
             try:

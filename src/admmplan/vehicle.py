@@ -101,8 +101,9 @@ def step(x, u, params: VehicleParams) -> np.ndarray:
     Returns:
         Next state as a new array.
     """
-    px, py, theta, v = float(x[0]), float(x[1]), float(x[2]), float(x[3])
-    w, a = float(u[0]), float(u[1])
+    # Plain floats: indexing arrays element by element costs more than a step.
+    px, py, theta, v = np.asarray(x, dtype=float).tolist()
+    w, a = np.asarray(u, dtype=float).tolist()
     d = params.wheelbase
     h = params.timestep
     b = back_roll(v, w, params)
@@ -120,24 +121,36 @@ def step(x, u, params: VehicleParams) -> np.ndarray:
 def jacobians(x, u, params: VehicleParams):
     """Exact partial derivatives of `step` with respect to state and control.
 
+    Takes one stamp (x of shape (4,), u of shape (2,)) or stacked rows
+    (x of shape (T, 4), u of shape (T, 2)).
+
     Returns:
-        (f_x, f_u): the 4x4 state Jacobian and 4x2 control Jacobian.
+        (f_x, f_u): the 4x4 state and 4x2 control Jacobians, stacked to
+        (T, 4, 4) and (T, 4, 2) for stacked rows.
 
     Raises:
         DomainError: at or beyond the boundary of the kinematic domain,
-        where the derivatives blow up.
+        where the derivatives blow up; its `tau` is the first such row.
     """
-    theta, v = float(x[2]), float(x[3])
-    w = float(u[0])
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    theta, v, w = x[..., 2], x[..., 3], u[..., 0]
     d = params.wheelbase
     h = params.timestep
 
     f = h * v
-    s, c = math.sin(w), math.cos(w)
+    s, c = np.sin(w), np.cos(w)
     disc = d * d - (f * s) ** 2
-    if disc <= 0.0:
-        raise DomainError("jacobians undefined at the kinematic domain boundary")
-    root = math.sqrt(disc)
+    q = f * s / d
+    outside = (disc <= 0.0) | (np.abs(q) >= 1.0)
+    if outside.any():
+        tau = int(np.argmax(outside.reshape(-1)))
+        raise DomainError(
+            f"jacobians undefined at time index {tau}: "
+            "at or beyond the kinematic domain boundary",
+            tau=tau,
+        )
+    root = np.sqrt(disc)
     b = d + f * c - root
 
     # d(back roll)/d(front roll) and /d(steer)
@@ -145,35 +158,29 @@ def jacobians(x, u, params: VehicleParams):
     db_dv = h * db_df
     db_dw = -f * s + f * f * s * c / root
 
-    q = f * s / d
-    if abs(q) >= 1.0:
-        raise DomainError("heading update undefined: asin argument at unit magnitude")
-    dasin = 1.0 / math.sqrt(1.0 - q * q)
+    dasin = 1.0 / np.sqrt(1.0 - q * q)
     dth_dv = (h * s / d) * dasin
     dth_dw = (f * c / d) * dasin
 
-    ct, st = math.cos(theta), math.sin(theta)
-    f_x = np.array(
-        [
-            [1.0, 0.0, -b * st, db_dv * ct],
-            [0.0, 1.0, b * ct, db_dv * st],
-            [0.0, 0.0, 1.0, dth_dv],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    f_u = np.array(
-        [
-            [db_dw * ct, 0.0],
-            [db_dw * st, 0.0],
-            [dth_dw, 0.0],
-            [0.0, h],
-        ]
-    )
+    ct, st = np.cos(theta), np.sin(theta)
+    f_x = np.zeros(theta.shape + (4, 4))
+    f_x[..., [0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+    f_x[..., 0, 2] = -b * st
+    f_x[..., 0, 3] = db_dv * ct
+    f_x[..., 1, 2] = b * ct
+    f_x[..., 1, 3] = db_dv * st
+    f_x[..., 2, 3] = dth_dv
+    f_u = np.zeros(theta.shape + (4, 2))
+    f_u[..., 0, 0] = db_dw * ct
+    f_u[..., 1, 0] = db_dw * st
+    f_u[..., 2, 0] = dth_dw
+    f_u[..., 3, 1] = h
     return f_x, f_u
 
 
 class BicycleModel:
-    """Dynamics adapter exposing step/jacobians for the trajectory solvers."""
+    """Dynamics adapter for the trajectory solvers: `step(x, u)` advances one
+    stamp, `jacobians(X, U)` linearizes stacked rows in one call."""
 
     def __init__(self, params: VehicleParams | None = None):
         self.params = params or VehicleParams()
@@ -181,5 +188,5 @@ class BicycleModel:
     def step(self, x, u) -> np.ndarray:
         return step(x, u, self.params)
 
-    def jacobians(self, x, u):
-        return jacobians(x, u, self.params)
+    def jacobians(self, X, U):
+        return jacobians(X, U, self.params)

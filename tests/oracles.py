@@ -19,37 +19,33 @@ class LinearDynamics:
     def step(self, x, u):
         return self.A @ x + self.B @ u
 
-    def jacobians(self, x, u):
-        return self.A, self.B
+    def jacobians(self, X, U):
+        T = len(X)
+        return np.tile(self.A, (T, 1, 1)), np.tile(self.B, (T, 1, 1))
 
 
 class QuadraticCost:
-    """Stage cost x'Qx + u'Ru with terminal x'Qf x."""
+    """Stage cost x'Qx + u'Ru with terminal x'Qf x, over whole trajectories."""
 
     def __init__(self, Q, R, Qf):
         self.Q = np.asarray(Q, dtype=float)
         self.R = np.asarray(R, dtype=float)
         self.Qf = np.asarray(Qf, dtype=float)
 
-    def stage(self, tau, x, u):
-        return float(x @ self.Q @ x + u @ self.R @ u)
+    def values(self, traj):
+        X, U = traj.states, traj.controls
+        stages = [float(x @ self.Q @ x + u @ self.R @ u) for x, u in zip(X, U)]
+        return np.array(stages + [float(X[-1] @ self.Qf @ X[-1])])
 
-    def stage_expansion(self, tau, x, u):
-        n = len(x)
-        m = len(u)
-        return (
-            2.0 * self.Q @ x,
-            2.0 * self.R @ u,
-            2.0 * self.Q.copy(),
-            np.zeros((m, n)),
-            2.0 * self.R.copy(),
-        )
-
-    def terminal(self, x):
-        return float(x @ self.Qf @ x)
-
-    def terminal_expansion(self, x):
-        return 2.0 * self.Qf @ x, 2.0 * self.Qf.copy()
+    def expand(self, traj):
+        X, U = traj.states, traj.controls
+        T = len(U)
+        weights = np.concatenate([np.tile(self.Q, (T, 1, 1)), self.Qf[None]])
+        l_xx = 2.0 * weights
+        l_x = np.einsum("tij,tj->ti", l_xx, X)
+        l_uu = 2.0 * np.tile(self.R, (T, 1, 1))
+        l_u = np.einsum("tij,tj->ti", l_uu, U)
+        return l_x, l_u, l_xx, l_uu
 
 
 def riccati_optimal(A, B, Q, R, Qf, x0, horizon):

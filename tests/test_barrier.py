@@ -11,32 +11,37 @@ from admmplan.barrier import (
     barrier_solve,
     check_strict_feasibility,
 )
-from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
+from admmplan.constraints import (
+    ConstraintSet,
+    InputBounds,
+    Obstacle,
+    obstacle_violation,
+)
 from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem
-from admmplan.ilqr import ILQRSettings, rollout
+from admmplan.ilqr import ILQRSettings, Trajectory, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
 
 class FlatCost:
-    def stage(self, tau, x, u):
-        return 0.0
+    def values(self, traj):
+        return np.zeros(traj.horizon + 1)
 
-    def stage_expansion(self, tau, x, u):
-        return (np.zeros(4), np.zeros(2), np.zeros((4, 4)),
-                np.zeros((2, 4)), np.zeros((2, 2)))
-
-    def terminal(self, x):
-        return 0.0
-
-    def terminal_expansion(self, x):
-        return np.zeros(4), np.zeros((4, 4))
+    def expand(self, traj):
+        N, T = traj.horizon + 1, traj.horizon
+        return (np.zeros((N, 4)), np.zeros((T, 2)), np.zeros((N, 4, 4)),
+                np.zeros((T, 2, 2)))
 
 
-def make_barrier(sharpness=1.0, obstacles=(), bounds=None, horizon=10):
+def make_barrier(sharpness=1.0, obstacles=(), bounds=None):
     constraints = ConstraintSet(bounds or InputBounds(0.6, 3.0, -3.0), obstacles, 0.1)
-    return BarrierCost(FlatCost(), constraints, sharpness, horizon=horizon)
+    return BarrierCost(FlatCost(), constraints, sharpness)
+
+
+def one_stamp(x, u):
+    """A one-step trajectory that holds state x under control u."""
+    return Trajectory(np.array([x, x], dtype=float), np.array([u], dtype=float))
 
 
 def test_unit_slack_contributes_nothing():
@@ -44,26 +49,42 @@ def test_unit_slack_contributes_nothing():
     cost = make_barrier(obstacles=[obs], bounds=InputBounds(1e9, 1e9, -1e9))
     # slack d'Ad - 1 = 1 at radius sqrt(2), so -log(1) = 0
     x = np.array([math.sqrt(2.0), 0.0, 0.0, 0.0])
-    assert cost.stage(0, x, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(cost.values(one_stamp(x, np.zeros(2))), 0.0, atol=1e-12)
 
 
 def test_barrier_blows_up_at_boundary():
     cost = make_barrier()
     values = []
     for w in (0.0, 0.3, 0.5, 0.59, 0.5999):
-        values.append(cost.stage(0, np.zeros(4), np.array([w, 0.0])))
+        values.append(cost.values(one_stamp(np.zeros(4), [w, 0.0]))[0])
     assert all(b > a for a, b in zip(values, values[1:]))
-    assert cost.stage(0, np.zeros(4), np.array([0.6, 0.0])) == math.inf
-    assert cost.stage(0, np.zeros(4), np.array([0.7, 0.0])) == math.inf
+    assert cost.values(one_stamp(np.zeros(4), [0.6, 0.0]))[0] == math.inf
+    assert cost.values(one_stamp(np.zeros(4), [0.7, 0.0]))[0] == math.inf
 
 
 def test_barrier_weight_scales_inverse_sharpness():
     weak = make_barrier(sharpness=10.0)
     strong = make_barrier(sharpness=1.0)
-    u = np.array([0.3, 1.0])
-    assert weak.stage(0, np.zeros(4), u) == pytest.approx(
-        strong.stage(0, np.zeros(4), u) / 10.0
-    )
+    traj = one_stamp(np.zeros(4), [0.3, 1.0])
+    assert weak.values(traj)[0] == pytest.approx(strong.values(traj)[0] / 10.0)
+
+
+def clear_trajectory(constraints, rng, horizon, clearance=0.05):
+    """Random states and controls, each stamp drawn until every constraint
+    has -g > clearance, so central differences stay inside the domain."""
+    states, controls = [], []
+    for tau in range(horizon + 1):
+        while True:
+            x = rng.normal(size=4) * 6
+            if np.all(constraints.keepout(tau, x[:2]) < -clearance):
+                break
+        states.append(x)
+        while tau < horizon:
+            u = rng.uniform([-0.5, -2.5], [0.5, 2.5])
+            if np.all(constraints.box(u) < -clearance):
+                controls.append(u)
+                break
+    return Trajectory(np.array(states), np.array(controls))
 
 
 def test_barrier_gradients_match_finite_differences():
@@ -75,28 +96,33 @@ def test_barrier_gradients_match_finite_differences():
     cost = make_barrier(sharpness=2.0, obstacles=obs)
     rng = np.random.default_rng(4)
     eps = 1e-6
-    checked = 0
-    while checked < 200:
-        tau = int(rng.integers(0, 10))
-        x = rng.normal(size=4) * 6
-        u = rng.uniform([-0.5, -2.5], [0.5, 2.5])
-        if not math.isfinite(cost.stage(tau, x, u)):
-            continue
-        # stay clear of the boundary so central differences are stable
-        if cost.stage(tau, x, u) > 20:
-            continue
-        l_x, l_u, *_ = cost.stage_expansion(tau, x, u)
-        for j in range(4):
-            dx = np.zeros(4)
-            dx[j] = eps
-            fd = (cost.stage(tau, x + dx, u) - cost.stage(tau, x - dx, u)) / (2 * eps)
-            assert fd == pytest.approx(l_x[j], abs=1e-5)
-        for j in range(2):
-            du = np.zeros(2)
-            du[j] = eps
-            fd = (cost.stage(tau, x, u + du) - cost.stage(tau, x, u - du)) / (2 * eps)
-            assert fd == pytest.approx(l_u[j], abs=1e-5)
-        checked += 1
+    for _ in range(20):
+        traj = clear_trajectory(cost.constraints, rng, horizon=10)
+        l_x, l_u, _, _ = cost.expand(traj)
+        for rows, grad in ((traj.states, l_x), (traj.controls, l_u)):
+            for index in np.ndindex(rows.shape):
+                rows[index] += eps
+                up = total_cost(cost, traj)
+                rows[index] -= 2 * eps
+                down = total_cost(cost, traj)
+                rows[index] += eps
+                assert (up - down) / (2 * eps) == pytest.approx(grad[index], abs=1e-5)
+
+
+def test_expansion_names_first_stamp_outside_domain():
+    obs = [Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)]
+    cost = make_barrier(obstacles=obs)
+    model = BicycleModel(VehicleParams())
+    traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((60, 2)))
+    traj.controls[55, 0] = 0.7  # past the steering box, after the obstacle
+    # Stamps 27-48 sit inside the ellipse; a backward walk would name 55.
+    inside = [t for t in range(61)
+              if obstacle_violation(traj.states[t, :2], obs[0], t, 0.1) > -1e-6]
+    assert (inside[0], inside[-1]) == (27, 48)
+    with pytest.raises(BarrierDomainViolation) as info:
+        cost.expand(traj)
+    assert info.value.tau == 27
+    assert math.isinf(total_cost(cost, traj))
 
 
 def test_strict_feasibility_checker_flags_offending_stamp():

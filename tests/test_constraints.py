@@ -279,7 +279,8 @@ def obstacles(draw):
 )
 def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_heading):
     constraints = ConstraintSet(make_bounds(), [obs], 0.1, use_ego_heading)
-    g, gx, gy = constraints.keepout(tau, p, ego_heading)[0]
+    g = constraints.keepout(tau, p, ego_heading)[0]
+    gx, gy = constraints.keepout_gradient(tau, p, ego_heading)[0]
     heading = ego_heading if use_ego_heading else obs.heading
     A = ellipse_shape(heading, obs.semi_major, obs.semi_minor)
     d = np.asarray(p) - obs.center_at(tau, 0.1)

@@ -11,6 +11,7 @@ from admmplan.costs import (
     terminal_cost,
     terminal_expansion,
 )
+from admmplan.ilqr import Trajectory
 
 
 def w(q1=1.0, q2=1.0, r1=1.0, r2=1.0, ts=1.0):
@@ -170,7 +171,10 @@ def test_tracking_cost_adapter_matches_functions():
     ref = Reference(py_ref=0.0, v_ref=8.0)
     weights = w()
     cost = TrackingCost(weights, ref)
-    x = np.array([1.0, -1.0, 0.2, 6.0])
-    u = np.array([0.1, 0.5])
-    assert cost.stage(7, x, u) == stage_cost(x, u, weights, ref)
-    assert cost.terminal(x) == terminal_cost(x, weights, ref)
+    rng = np.random.default_rng(5)
+    traj = Trajectory(rng.normal(size=(8, 4)), rng.normal(size=(7, 2)))
+    values = cost.values(traj)
+    for tau in range(7):
+        x, u = traj.states[tau], traj.controls[tau]
+        assert values[tau] == stage_cost(x, u, weights, ref)
+    assert values[7] == terminal_cost(traj.states[7], weights, ref)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from admmplan import cli, harness
-from admmplan.errors import PlannerError, UnknownScenario
+from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
     emit_iterates,
     parse_snapshot_policy,
@@ -100,6 +100,21 @@ def test_config_loads_files_with_retired_keys(tmp_path):
     cfg = load_config(path)
     assert cfg.vehicle == VehicleParams(wheelbase=2.5, timestep=0.1)
     assert cfg.horizon == 60
+
+
+@pytest.mark.parametrize("solver", ["admm", "barrier"])
+def test_config_rejects_ilqr_settings_that_hang(tmp_path, solver):
+    # mu_init = 0 never grows, so the backward pass would restart forever.
+    path = tmp_path / "hang.yaml"
+    path.write_text(
+        "horizon: 60\n"
+        "initial_state: {px: 0.0, py: 0.0, theta: 0.0, v: 4.0}\n"
+        "weights: {steering_weight: 0.0, accel_weight: 0.0}\n"
+        "reference: {py_ref: 0.0}\n"
+        f"{solver}: {{ilqr: {{mu_init: 0}}}}\n"
+    )
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 def test_config_dict_round_trip():

@@ -7,10 +7,8 @@ from admmplan.errors import RegularizationExhausted
 from admmplan.ilqr import (
     ILQRSettings,
     Trajectory,
-    ValueExpansion,
     backward_pass,
     forward_pass,
-    q_expansion,
     rollout,
     solve,
     total_cost,
@@ -29,20 +27,17 @@ def lqr_setup(seed, horizon=30):
 
 
 class ZeroCost:
-    def stage(self, tau, x, u):
-        return 0.0
+    # l_uu is the identity so Q_uu stays positive definite and the gain
+    # solve is well posed
+    l_uu = np.eye(2)
 
-    def stage_expansion(self, tau, x, u):
-        n, m = len(x), len(u)
-        # keep Q_uu positive definite so the gain solve is well posed
-        return np.zeros(n), np.zeros(m), np.zeros((n, n)), np.zeros((m, n)), np.eye(m)
+    def values(self, traj):
+        return np.zeros(traj.horizon + 1)
 
-    def terminal(self, x):
-        return 0.0
-
-    def terminal_expansion(self, x):
-        n = len(x)
-        return np.zeros(n), np.zeros((n, n))
+    def expand(self, traj):
+        (N, n), T = traj.states.shape, traj.horizon
+        return (np.zeros((N, n)), np.zeros((T, 2)), np.zeros((N, n, n)),
+                np.tile(self.l_uu, (T, 1, 1)))
 
 
 def test_trajectory_shape_validation():
@@ -58,61 +53,13 @@ def test_trajectory_feasibility_check():
     assert traj.dynamics_break(model) == 2
 
 
-def test_q_expansion_terminal_free_case():
-    rng = np.random.default_rng(0)
-    blocks = (
-        rng.normal(size=4),
-        rng.normal(size=2),
-        np.eye(4),
-        np.zeros((2, 4)),
-        np.eye(2),
-    )
-    zero_value = ValueExpansion(np.zeros(4), np.zeros((4, 4)))
-    out = q_expansion(blocks, zero_value, rng.normal(size=(4, 4)), rng.normal(size=(4, 2)))
-    for got, want in zip(out, blocks):
-        np.testing.assert_allclose(got, want)
-
-
-def test_q_expansion_matches_riccati_intermediates():
-    rng = np.random.default_rng(1)
-    A, B, Q, R, Qf, _ = random_lqr_instance(rng)
-    P = Qf
-    value = ValueExpansion(np.zeros(4), 2.0 * P)  # V(x) = x'(2P/2)x ... gradient 0 at x=0
-    x = np.zeros(4)
-    u = np.zeros(2)
-    cost = QuadraticCost(Q, R, Qf)
-    Q_x, Q_u, Q_xx, Q_ux, Q_uu = q_expansion(
-        cost.stage_expansion(0, x, u), value, A, B
-    )
-    np.testing.assert_allclose(Q_xx, 2.0 * (Q + A.T @ P @ A), atol=1e-12)
-    np.testing.assert_allclose(Q_uu, 2.0 * (R + B.T @ P @ B), atol=1e-12)
-    np.testing.assert_allclose(Q_ux, 2.0 * (B.T @ P @ A), atol=1e-12)
-    np.testing.assert_allclose(Q_x, np.zeros(4), atol=1e-12)
-    np.testing.assert_allclose(Q_u, np.zeros(2), atol=1e-12)
-
-
-def test_q_expansion_preserves_symmetry():
-    rng = np.random.default_rng(2)
-    S = rng.normal(size=(4, 4))
-    value = ValueExpansion(rng.normal(size=4), S + S.T)
-    cost = QuadraticCost(np.eye(4), np.eye(2), np.eye(4))
-    _, _, Q_xx, _, Q_uu = q_expansion(
-        cost.stage_expansion(0, rng.normal(size=4), rng.normal(size=2)),
-        value,
-        rng.normal(size=(4, 4)),
-        rng.normal(size=(4, 2)),
-    )
-    np.testing.assert_allclose(Q_xx, Q_xx.T, atol=1e-12)
-    np.testing.assert_allclose(Q_uu, Q_uu.T, atol=1e-12)
-
-
 def test_backward_pass_zero_cost_gives_zero_gains():
     dynamics, _, x0, _ = lqr_setup(3)
     traj = rollout(dynamics, x0, np.zeros((20, 2)))
-    gains, value, _ = backward_pass(traj, ZeroCost(), dynamics, 1e-8, ILQRSettings())
+    gains, (_, _, dV), _ = backward_pass(traj, ZeroCost(), dynamics, 1e-8, ILQRSettings())
     np.testing.assert_allclose(gains.k, np.zeros((20, 2)), atol=1e-14)
     np.testing.assert_allclose(gains.K, np.zeros((20, 2, 4)), atol=1e-14)
-    assert value.dV == pytest.approx(0.0, abs=1e-16)
+    assert dV == pytest.approx(0.0, abs=1e-16)
 
 
 def test_backward_pass_matches_riccati_gains():
@@ -127,10 +74,7 @@ def test_backward_pass_matches_riccati_gains():
 
 def test_backward_pass_regularization_exhausted():
     class ConcaveCost(ZeroCost):
-        def stage_expansion(self, tau, x, u):
-            n, m = len(x), len(u)
-            return (np.zeros(n), np.zeros(m), np.zeros((n, n)),
-                    np.zeros((m, n)), -1e12 * np.eye(m))
+        l_uu = -1e12 * np.eye(2)
 
     dynamics, _, x0, _ = lqr_setup(5)
     traj = rollout(dynamics, x0, np.zeros((10, 2)))
@@ -207,21 +151,22 @@ def test_stationarity_at_convergence():
     horizon = 30
     result = solve(x0, cost, dynamics, TIGHT, horizon=horizon)
     traj = result.trajectory
-    gx, gxx = cost.terminal_expansion(traj.states[horizon])
-    value = ValueExpansion(gx, gxx)
+    f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
+    l_x, l_u, l_xx, l_uu = cost.expand(traj)
+    V_x, V_xx = l_x[horizon], l_xx[horizon]
     worst = 0.0
     for tau in range(horizon - 1, -1, -1):
-        f_x, f_u = dynamics.jacobians(traj.states[tau], traj.controls[tau])
-        Q_x, Q_u, Q_xx, Q_ux, Q_uu = q_expansion(
-            cost.stage_expansion(tau, traj.states[tau], traj.controls[tau]),
-            value, f_x, f_u,
-        )
+        A, B = f_x[tau], f_u[tau]
+        Q_x = l_x[tau] + A.T @ V_x
+        Q_u = l_u[tau] + B.T @ V_x
+        Q_xx = l_xx[tau] + A.T @ V_xx @ A
+        Q_ux = B.T @ V_xx @ A
+        Q_uu = l_uu[tau] + B.T @ V_xx @ B
         worst = max(worst, np.abs(Q_u).max())
         k = -np.linalg.solve(Q_uu, Q_u)
         K = -np.linalg.solve(Q_uu, Q_ux)
-        value = ValueExpansion(
-            Q_x - K.T @ Q_uu @ k, Q_xx - K.T @ Q_uu @ K, 0.0
-        )
+        V_x = Q_x - K.T @ Q_uu @ k
+        V_xx = Q_xx - K.T @ Q_uu @ K
     assert worst < 1e-4
 
 
@@ -234,7 +179,8 @@ def test_feedback_consistency_quadratic_model():
     result = solve(x0, cost, dynamics, ILQRSettings(cost_tolerance=1e-9),
                    horizon=40)
     traj = result.trajectory
-    gains, value, _ = backward_pass(traj, cost, dynamics, 1e-9, ILQRSettings())
+    gains, (V_x, V_xx, _), _ = backward_pass(traj, cost, dynamics, 1e-9, ILQRSettings())
+    np.testing.assert_array_equal(V_xx, V_xx.T)
     base = total_cost(cost, traj)
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -244,7 +190,7 @@ def test_feedback_consistency_quadratic_model():
         shifted.states[0] = traj.states[0] + delta
         out = forward_pass(shifted, gains, 0.0, dynamics)
         actual = total_cost(cost, out) - base
-        predicted = float(delta @ value.V_x + 0.5 * delta @ value.V_xx @ delta)
+        predicted = float(delta @ V_x + 0.5 * delta @ V_xx @ delta)
         assert actual == pytest.approx(predicted, rel=0.1)
 
 
@@ -261,3 +207,36 @@ def test_settings_validation():
         ILQRSettings(max_iters=0)
     with pytest.raises(ValueError):
         ILQRSettings(cost_tolerance=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mu_init", 0.0),
+        ("mu_init", -1e-6),
+        ("mu_growth", 1.0),
+        ("mu_shrink", 0.0),
+        ("mu_shrink", 1.5),
+        ("mu_max", 1e-7),
+        ("line_search_steps", 0),
+    ],
+)
+def test_settings_reject_values_that_hang(field, value):
+    # Each of these stalls the regularization schedule or the line search.
+    with pytest.raises(ValueError):
+        ILQRSettings(**{field: value})
+
+
+def test_settings_accept_boundary_values():
+    ILQRSettings(mu_shrink=1.0, mu_max=1e-6, line_search_steps=1)
+
+
+def test_total_cost_sums_stamps_in_order():
+    class Stamps(ZeroCost):
+        def values(self, traj):
+            return np.array([1.0] * 8 + [1e16] + [1.0] * 7 + [-1e16])
+
+    # In stamp order each 1.0 after 1e16 is lost to rounding, leaving 8; a
+    # pairwise or compensated sum keeps more of them.
+    traj = Trajectory(np.zeros((17, 4)), np.zeros((16, 2)))
+    assert total_cost(Stamps(), traj) == 8.0

@@ -132,6 +132,19 @@ def test_jacobians_domain_boundary_raises():
         jacobians(np.array([0.0, 0.0, 0.0, 2.0]), np.array([math.pi / 2, 0.0]), fast)
 
 
+def test_stacked_jacobians_name_first_stamp_outside_domain():
+    fast = VehicleParams(wheelbase=2.0, timestep=1.0)
+    states = np.tile([0.0, 0.0, 0.0, 2.0], (8, 1))
+    controls = np.zeros((8, 2))
+    controls[[3, 6], 0] = math.pi / 2  # |front_roll * sin(steer)| = wheelbase
+    with pytest.raises(DomainError) as info:
+        jacobians(states, controls, fast)
+    assert info.value.tau == 3
+    with pytest.raises(DomainError) as info:
+        BicycleModel(fast).jacobians(states[4:], controls[4:])
+    assert info.value.tau == 2
+
+
 def test_state_control_array_round_trip():
     s = State(1.0, 2.0, 0.3, 4.0)
     np.testing.assert_array_equal(s.as_array(), [1.0, 2.0, 0.3, 4.0])
