@@ -15,12 +15,10 @@ from .constraints import (
     InputBounds,
     Obstacle,
     ellipse_shape,
-    obstacle_violation,
     project_inputs,
-    project_outside_ellipse,
     project_timestep,
 )
-from .costs import CostWeights, Reference, TrackingCost, polyline_distance
+from .costs import CostWeights, Reference, TrackingCost
 from .errors import (
     BarrierDomainViolation,
     ConfigError,
@@ -34,7 +32,7 @@ from .errors import (
 from .ilqr import ILQRSettings, Trajectory, rollout, total_cost
 from .ilqr import solve as ilqr_solve
 from .scenarios import ScenarioConfig, builtin_scenario, load_config, save_config
-from .vehicle import BicycleModel, Control, State, VehicleParams
+from .vehicle import BicycleModel, State, VehicleParams
 
 __version__ = "0.1.0"
 
@@ -45,7 +43,6 @@ __all__ = [
     "BicycleModel",
     "ConfigError",
     "ConstraintSet",
-    "Control",
     "CostWeights",
     "DegenerateProjection",
     "DomainError",
@@ -69,11 +66,8 @@ __all__ = [
     "ellipse_shape",
     "ilqr_solve",
     "load_config",
-    "obstacle_violation",
-    "polyline_distance",
     "primal_residual",
     "project_inputs",
-    "project_outside_ellipse",
     "project_timestep",
     "rollout",
     "save_config",

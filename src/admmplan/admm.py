@@ -156,7 +156,7 @@ def admm_solve(
 
     Args:
         x0: initial state array.
-        cost: base cost model (stage/terminal with expansions).
+        cost: base cost model with `values(traj)` and `expand(traj)`.
         dynamics: model with step/jacobians; its `params.timestep` drives the
             moving-obstacle schedule.
         bounds: control box limits.

@@ -53,8 +53,9 @@ class Obstacle:
     """Keep-out ellipse translating at constant velocity.
 
     The heading is fixed (the ellipse does not rotate as it moves);
-    `semi_major >= semi_minor > 0`. Time index tau and the sample period map
-    to the center via center0 + tau * timestep * velocity.
+    `semi_major >= semi_minor > 0`. `center0` and `velocity` are two finite
+    numbers each. Time index tau and the sample period map to the center via
+    center0 + tau * timestep * velocity.
     """
 
     center0: tuple
@@ -64,8 +65,13 @@ class Obstacle:
     semi_minor: float = 2.5
 
     def __post_init__(self):
-        object.__setattr__(self, "center0", tuple(float(c) for c in self.center0))
-        object.__setattr__(self, "velocity", tuple(float(c) for c in self.velocity))
+        for name in ("center0", "velocity"):
+            value = tuple(float(c) for c in getattr(self, name))
+            if len(value) != 2 or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} must be two finite numbers, got {value}")
+            object.__setattr__(self, name, value)
+        if not math.isfinite(self.heading):
+            raise ValueError("heading must be finite")
         if not self.semi_major >= self.semi_minor > 0:
             raise ValueError("need semi_major >= semi_minor > 0")
 
@@ -174,16 +180,6 @@ class ConstraintSet:
         return obs.center_at(tau, self.timestep), rot, obs.semi_major, obs.semi_minor
 
 
-def obstacle_violation(
-    p, obstacle: Obstacle, tau: int, timestep: float, heading_override=None
-) -> float:
-    """Keep-out value g of position p at time index tau; <= 0 is safe."""
-    constraints = ConstraintSet(
-        InputBounds(), [obstacle], timestep, heading_override is not None
-    )
-    return float(constraints.keepout(tau, p, heading_override)[0])
-
-
 def project_inputs(u, bounds: InputBounds) -> np.ndarray:
     """Exact Euclidean projection of (steer, accel) onto the box limits."""
     return np.array(
@@ -192,15 +188,6 @@ def project_inputs(u, bounds: InputBounds) -> np.ndarray:
             min(max(float(u[1]), bounds.min_accel), bounds.max_accel),
         ]
     )
-
-
-def _ellipse_frame(shape):
-    """Decompose a shape matrix into (rotation, semi_major, semi_minor)."""
-    evals, evecs = np.linalg.eigh(np.asarray(shape, dtype=float))
-    # ascending eigenvalues: 1/a^2 <= 1/b^2
-    a = 1.0 / math.sqrt(evals[0])
-    b = 1.0 / math.sqrt(evals[1])
-    return evecs, a, b
 
 
 def _nearest_boundary_point(qx, qy, a, b):
@@ -264,23 +251,6 @@ def _project_with_frame(p, center, rot, a, b) -> np.ndarray:
     return center + rot @ np.array([sx * nx, sy * ny])
 
 
-def project_outside_ellipse(p, shape, center) -> np.ndarray:
-    """Euclidean-nearest point of p outside (or on) the ellipse boundary.
-
-    Points already satisfying the keep-out constraint are returned unchanged.
-    An exact-center input has no unique nearest point; the minor-axis boundary
-    point is returned and a DegenerateProjection warning is issued.
-    """
-    p = np.asarray(p, dtype=float)
-    center = np.asarray(center, dtype=float)
-    d = p - center
-    shape = np.asarray(shape, dtype=float)
-    if 1.0 - d @ shape @ d <= 0.0:
-        return p.copy()
-    rot, a, b = _ellipse_frame(shape)
-    return _project_with_frame(p, center, rot, a, b)
-
-
 def project_timestep(
     block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0,
     keepout=None,
@@ -291,7 +261,9 @@ def project_timestep(
     keep-out ellipse at time index tau by cyclic projection. `ego_heading`
     orients the ellipses when the constraint set uses the ego heading.
     `keepout` may carry the block's keep-out values from a stacked
-    evaluation; they are evaluated here otherwise.
+    evaluation; they are evaluated here otherwise. A position at an ellipse
+    center has no unique nearest boundary point; it goes to the minor-axis
+    boundary point with a DegenerateProjection warning.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within

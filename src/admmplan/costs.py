@@ -7,11 +7,12 @@ reference, and squared control effort:
     l(x, u) = q_pos * dist(x, ref)^2 + q_vel * (v - v_ref)^2
               + q_steer * steer^2 + q_accel * accel^2
 
-For a lateral target the position term is q_pos * (py - py_ref)^2, so the
-cost is an exact diagonal quadratic. For a polyline the expansion uses the
+The terminal cost is the state part of l scaled by terminal_scale. For a
+lateral target the position term is q_pos * (py - py_ref)^2, so the cost is
+an exact diagonal quadratic. For a polyline the expansion uses the
 Gauss-Newton Hessian built from the distance residual's first derivative, so
-it is positive semidefinite by construction. Every function takes one stamp
-or stacked rows.
+it is positive semidefinite by construction. `TrackingCost` evaluates both
+over a whole trajectory as stacked arrays.
 """
 
 from dataclasses import dataclass
@@ -74,18 +75,6 @@ class Reference:
                 if a == b:
                     raise ValueError("polyline has repeated consecutive points")
             object.__setattr__(self, "polyline", pts)
-
-
-def polyline_distance(point, polyline):
-    """Euclidean distance from a point to a polyline.
-
-    Returns:
-        (distance, closest_point, segment_tangent); ties between segments
-        are broken toward the lower segment index.
-    """
-    P = np.asarray(point, float)[None]
-    dist, closest, tangent, _ = _closest_on_polyline(P, polyline)
-    return float(dist[0]), closest[0], tangent[0]
 
 
 def _closest_on_polyline(P, polyline):
@@ -165,52 +154,6 @@ def _control_expansion(U, weights):
     l_uu = np.zeros((len(U), CONTROL_DIM, CONTROL_DIM))
     l_uu[:, [0, 1], [0, 1]] = scale
     return scale * U, l_uu
-
-
-def _rows(a):
-    """(stacked rows, whether a was one stamp) for a (n,) or (N, n) array."""
-    a = np.asarray(a, dtype=float)
-    return np.atleast_2d(a), a.ndim == 1
-
-
-def stage_cost(x, u, weights: CostWeights, reference: Reference):
-    """Stage cost of one stamp (a float) or of stacked rows (an (N,) array)."""
-    X, single = _rows(x)
-    U, _ = _rows(u)
-    value = _plus_effort(_state_values(X, weights, reference), U, weights)
-    return float(value[0]) if single else value
-
-
-def stage_expansion(x, u, weights: CostWeights, reference: Reference):
-    """Gradients and Hessians of `stage_cost` around (x, u).
-
-    Returns:
-        (l_x, l_u, l_xx, l_ux, l_uu) with the Hessian blocks symmetric PSD,
-        each with a leading stamp axis for stacked rows. l_ux is zero: no
-        term couples state and control.
-    """
-    X, single = _rows(x)
-    U, _ = _rows(u)
-    l_x, l_xx = _state_expansion(X, weights, reference)
-    l_u, l_uu = _control_expansion(U, weights)
-    l_ux = np.zeros((len(X), CONTROL_DIM, STATE_DIM))
-    out = (l_x, l_u, l_xx, l_ux, l_uu)
-    return tuple(a[0] for a in out) if single else out
-
-
-def terminal_cost(x, weights: CostWeights, reference: Reference):
-    """State-dependent stage terms scaled by terminal_scale (float or (N,))."""
-    X, single = _rows(x)
-    value = weights.terminal_scale * _state_values(X, weights, reference)
-    return float(value[0]) if single else value
-
-
-def terminal_expansion(x, weights: CostWeights, reference: Reference):
-    X, single = _rows(x)
-    g_x, g_xx = _state_expansion(X, weights, reference)
-    g_x *= weights.terminal_scale
-    g_xx *= weights.terminal_scale
-    return (g_x[0], g_xx[0]) if single else (g_x, g_xx)
 
 
 class TrackingCost:

@@ -226,8 +226,11 @@ def parse_snapshot_policy(text: str):
             continue
         if token == "last":
             picks.add("last")
-        else:
-            picks.add(int(token))
+            continue
+        index = int(token)
+        if index < 1:
+            raise ValueError(f"snapshot indices start at 1, got {index}")
+        picks.add(index)
     if not picks:
         raise ValueError("empty snapshot policy")
     return picks

@@ -213,22 +213,18 @@ def solve(
     cost,
     dynamics,
     settings: ILQRSettings | None = None,
-    initial_controls=None,
-    horizon: int | None = None,
+    *,
+    initial_controls,
 ) -> ILQRResult:
     """Minimize the summed stage plus terminal cost subject to the dynamics.
 
-    The nominal trajectory starts from `initial_controls` (zeros over
-    `horizon` steps when omitted). Iterations alternate backward and forward
-    passes, accepting the first backtracking step that strictly decreases the
-    cost; the loop stops when the accepted improvement (or the predicted one,
-    if no step is acceptable) falls below the cost tolerance.
+    The nominal trajectory is the rollout of `initial_controls` (T, 2).
+    Iterations alternate backward and forward passes, accepting the first
+    backtracking step that strictly decreases the cost; the loop stops when
+    the accepted improvement (or the predicted one, if no step is acceptable)
+    falls below the cost tolerance.
     """
     settings = settings or ILQRSettings()
-    if initial_controls is None:
-        if horizon is None:
-            raise ValueError("either initial_controls or horizon is required")
-        initial_controls = np.zeros((horizon, 2))
     traj = rollout(dynamics, np.asarray(x0, dtype=float), initial_controls)
     cost_now = total_cost(cost, traj)
     history = [cost_now]

@@ -58,15 +58,6 @@ class State:
         return np.array([self.px, self.py, self.theta, self.v], dtype=float)
 
 
-@dataclass(frozen=True)
-class Control:
-    steer: float = 0.0
-    accel: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.steer, self.accel], dtype=float)
-
-
 def front_roll(v: float, params: VehicleParams) -> float:
     """Rolling distance of the front wheels over one step (may be negative)."""
     return params.timestep * v

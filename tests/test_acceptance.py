@@ -12,23 +12,11 @@ import pytest
 from admmplan import cli, ilqr
 from admmplan.admm import admm_solve
 from admmplan.barrier import barrier_solve
-from admmplan.constraints import (
-    InputBounds,
-    ellipse_shape,
-    obstacle_violation,
-    project_outside_ellipse,
-)
-from admmplan.costs import (
-    CostWeights,
-    Reference,
-    stage_cost,
-    stage_expansion,
-    terminal_cost,
-    terminal_expansion,
-)
+from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
+from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem, solve_scenario
-from admmplan.ilqr import ILQRSettings
+from admmplan.ilqr import ILQRSettings, Trajectory
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import State, VehicleParams, jacobians, step
 
@@ -60,7 +48,7 @@ def test_criterion_1_lqr_oracle_equivalence():
         start = time.perf_counter()
         result = ilqr.solve(
             x0, QuadraticCost(Q, R, Qf), LinearDynamics(A, B), settings,
-            horizon=horizon,
+            initial_controls=np.zeros((horizon, 2)),
         )
         elapsed = (time.perf_counter() - start) * 1e3
         worst_rel = max(worst_rel, abs(result.cost - opt_cost) / abs(opt_cost))
@@ -73,11 +61,18 @@ def test_criterion_1_lqr_oracle_equivalence():
 def test_criterion_2_derivative_suite():
     """Analytic Jacobians and cost expansions match central differences."""
     params = VehicleParams()
-    refs = [
-        Reference(py_ref=0.0, v_ref=8.0),
-        Reference(polyline=((0.0, 0.0), (20.0, 0.0), (40.0, 5.0)), v_ref=6.0),
-    ]
     weights = CostWeights(0.7, 1.1, 0.6, 0.3, 2.0)
+    costs = [
+        TrackingCost(weights, Reference(py_ref=0.0, v_ref=8.0)),
+        TrackingCost(weights, Reference(
+            polyline=((0.0, 0.0), (20.0, 0.0), (40.0, 5.0)), v_ref=6.0)),
+    ]
+
+    def at(x, u):
+        # Row 0 of a cost's values is the stage term at (x, u), row 1 the
+        # terminal term at x.
+        return Trajectory(np.array([x, x]), np.array([u]))
+
     rng = np.random.default_rng(7)
     eps = 1e-6
     worst = 0.0
@@ -95,24 +90,20 @@ def test_criterion_2_derivative_suite():
             du[j] = eps
             fd = (step(x, u + du, params) - step(x, u - du, params)) / (2 * eps)
             worst = max(worst, np.abs(fd - f_u[:, j]).max())
-        ref = refs[i % 2]
-        l_x, l_u, _, _, _ = stage_expansion(x, u, weights, ref)
-        g_x, _ = terminal_expansion(x, weights, ref)
+        cost = costs[i % 2]
+        l_x, l_u, _, _ = cost.expand(at(x, u))
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            fd = (stage_cost(x + dx, u, weights, ref)
-                  - stage_cost(x - dx, u, weights, ref)) / (2 * eps)
-            worst = max(worst, abs(fd - l_x[j]))
-            fd = (terminal_cost(x + dx, weights, ref)
-                  - terminal_cost(x - dx, weights, ref)) / (2 * eps)
-            worst = max(worst, abs(fd - g_x[j]))
+            fd = (cost.values(at(x + dx, u))
+                  - cost.values(at(x - dx, u))) / (2 * eps)
+            worst = max(worst, np.abs(fd - l_x[:, j]).max())
         for j in range(2):
             du = np.zeros(2)
             du[j] = eps
-            fd = (stage_cost(x, u + du, weights, ref)
-                  - stage_cost(x, u - du, weights, ref)) / (2 * eps)
-            worst = max(worst, abs(fd - l_u[j]))
+            fd = (cost.values(at(x, u + du))
+                  - cost.values(at(x, u - du))) / (2 * eps)
+            worst = max(worst, abs(fd[0] - l_u[0, j]))
     ok = worst < 1e-5
     report("criterion 2: derivative suite", ok, f"max abs err {worst:.2e}")
 
@@ -130,8 +121,9 @@ def test_criterion_3_projection_oracle():
     ]
     per_case = 50  # 4 cases x 50 points = 200 interior points
     for center, heading, a, b in cases:
+        obstacle = Obstacle(center, heading=heading, semi_major=a, semi_minor=b)
+        constraints = ConstraintSet(InputBounds(), [obstacle], 0.1)
         center = np.asarray(center)
-        shape = ellipse_shape(heading, a, b)
         boundary = dense_ellipse_boundary(center, heading, a, b, 1_000_000)
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
@@ -140,10 +132,10 @@ def test_criterion_3_projection_oracle():
             phi = rng.uniform(0.0, 2.0 * math.pi)
             p = center + rot @ np.array([a * r * math.cos(phi),
                                          b * r * math.sin(phi)])
-            out = project_outside_ellipse(p, shape, center)
+            out = project_timestep(np.append(p, (0.0, 0.0)), constraints, 0)[:2]
             best = nearest_on_boundary(p, boundary)
             worst_match = max(worst_match, float(np.linalg.norm(out - best)))
-            again = project_outside_ellipse(out, shape, center)
+            again = project_timestep(np.append(out, (0.0, 0.0)), constraints, 0)[:2]
             worst_idem = max(worst_idem, float(np.linalg.norm(again - out)))
     ok = worst_match < 1e-4 and worst_idem < 1e-9
     report("criterion 3: projection oracle", ok,
@@ -155,11 +147,10 @@ def scenario_constraint_summary(cfg, traj):
     max_steer = float(np.abs(traj.controls[:, 0]).max())
     a_min = float(traj.controls[:, 1].min())
     a_max = float(traj.controls[:, 1].max())
-    worst_h = max(
-        obstacle_violation(traj.states[t, :2], obs, t, h)
-        for t in range(traj.horizon + 1)
-        for obs in cfg.obstacles
-    )
+    constraints = ConstraintSet(cfg.bounds, cfg.obstacles, h)
+    worst_h = float(np.max(
+        constraints.keepout(np.arange(traj.horizon + 1), traj.states[:, :2])
+    ))
     return max_steer, a_min, a_max, worst_h
 
 
@@ -267,7 +258,8 @@ def test_criterion_8_inactive_splitting_identity():
         x0, cost, dynamics = build_problem(cfg)
         wide = InputBounds(1e9, 1e9, -1e9)
         rep = admm_solve(x0, cost, dynamics, wide, [], cfg.horizon, cfg.admm)
-        plain = ilqr.solve(x0, cost, dynamics, cfg.admm.ilqr, horizon=cfg.horizon)
+        plain = ilqr.solve(x0, cost, dynamics, cfg.admm.ilqr,
+                           initial_controls=np.zeros((cfg.horizon, 2)))
         worst = max(worst, abs(rep.cost_history[-1] - plain.cost) / abs(plain.cost))
     ok = worst < 1e-6
     report("criterion 8: inactive-splitting identity", ok,

@@ -209,7 +209,8 @@ def test_inactive_splitting_matches_plain_ilqr():
         x0, cost, dynamics = build_problem(cfg)
         bounds = InputBounds(1e9, 1e9, -1e9)
         report = admm_solve(x0, cost, dynamics, bounds, [], cfg.horizon, cfg.admm)
-        plain = ilqr.solve(x0, cost, dynamics, cfg.admm.ilqr, horizon=cfg.horizon)
+        plain = ilqr.solve(x0, cost, dynamics, cfg.admm.ilqr,
+                           initial_controls=np.zeros((cfg.horizon, 2)))
         assert report.status == "converged"
         assert report.primal_inf_history == [0.0]
         assert abs(report.cost_history[-1] - plain.cost) <= 1e-6 * abs(plain.cost)

@@ -11,12 +11,7 @@ from admmplan.barrier import (
     barrier_solve,
     check_strict_feasibility,
 )
-from admmplan.constraints import (
-    ConstraintSet,
-    InputBounds,
-    Obstacle,
-    obstacle_violation,
-)
+from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem
 from admmplan.ilqr import ILQRSettings, Trajectory, rollout, total_cost
@@ -116,8 +111,9 @@ def test_expansion_names_first_stamp_outside_domain():
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((60, 2)))
     traj.controls[55, 0] = 0.7  # past the steering box, after the obstacle
     # Stamps 27-48 sit inside the ellipse; a backward walk would name 55.
-    inside = [t for t in range(61)
-              if obstacle_violation(traj.states[t, :2], obs[0], t, 0.1) > -1e-6]
+    keepout = ConstraintSet(InputBounds(), obs, 0.1).keepout(
+        np.arange(61), traj.states[:, :2])[:, 0]
+    inside = np.flatnonzero(keepout > -1e-6)
     assert (inside[0], inside[-1]) == (27, 48)
     with pytest.raises(BarrierDomainViolation) as info:
         cost.expand(traj)

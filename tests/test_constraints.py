@@ -10,9 +10,7 @@ from admmplan.constraints import (
     InputBounds,
     Obstacle,
     ellipse_shape,
-    obstacle_violation,
     project_inputs,
-    project_outside_ellipse,
     project_timestep,
 )
 from admmplan.errors import DegenerateProjection, NonConvergence
@@ -38,26 +36,33 @@ def test_ellipse_shape_point_symmetry():
     )
 
 
+def make_bounds():
+    return InputBounds(max_steer=0.6, max_accel=3.0, min_accel=-3.0)
+
+
 def test_violation_at_center_is_one():
-    obs = Obstacle(center0=(3.0, -1.0))
-    assert obstacle_violation((3.0, -1.0), obs, 0, 0.1) == pytest.approx(1.0)
+    constraints = ConstraintSet(make_bounds(), [Obstacle(center0=(3.0, -1.0))], 0.1)
+    assert constraints.keepout(0, (3.0, -1.0))[0] == pytest.approx(1.0)
 
 
 def test_violation_zero_on_major_axis_boundary():
     obs = Obstacle(center0=(0.0, 0.0), heading=0.4, semi_major=5.0, semi_minor=2.5)
     p = (5.0 * math.cos(0.4), 5.0 * math.sin(0.4))
-    assert obstacle_violation(p, obs, 0, 0.1) == pytest.approx(0.0, abs=1e-12)
+    g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(0, p)[0]
+    assert g == pytest.approx(0.0, abs=1e-12)
 
 
 def test_violation_scenario_point():
     obs = Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)
-    assert obstacle_violation((15.0, 2.0), obs, 0, 0.1) == pytest.approx(-0.44)
+    g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(0, (15.0, 2.0))[0]
+    assert g == pytest.approx(-0.44)
 
 
 def test_violation_moving_obstacle_center():
     obs = Obstacle(center0=(0.0, 0.0), velocity=(3.0, 0.0))
     np.testing.assert_allclose(obs.center_at(10, 0.1), [3.0, 0.0])
-    assert obstacle_violation((3.0, 0.0), obs, 10, 0.1) == pytest.approx(1.0)
+    g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(10, (3.0, 0.0))[0]
+    assert g == pytest.approx(1.0)
 
 
 def test_violation_rotation_invariance():
@@ -73,8 +78,8 @@ def test_violation_rotation_invariance():
                      semi_minor=1.5)
         b = Obstacle(center0=tuple(rot @ center), heading=heading + angle,
                      semi_major=4.0, semi_minor=1.5)
-        va = obstacle_violation(p, a, 0, 0.1)
-        vb = obstacle_violation(rot @ p, b, 0, 0.1)
+        va = ConstraintSet(make_bounds(), [a], 0.1).keepout(0, p)[0]
+        vb = ConstraintSet(make_bounds(), [b], 0.1).keepout(0, rot @ p)[0]
         assert va == pytest.approx(vb, abs=1e-12)
 
 
@@ -97,22 +102,40 @@ def test_obstacle_validation():
         Obstacle(center0=(0, 0), semi_major=1.0, semi_minor=2.0)
 
 
+def test_obstacle_geometry_validation():
+    # A third coordinate or a non-finite entry would be misread by the
+    # stacked ellipse columns of ConstraintSet.
+    for bad in ((15.0, 7.0, -1.0), (1.0,), (0.0, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="center0"):
+            Obstacle(center0=bad)
+        with pytest.raises(ValueError, match="velocity"):
+            Obstacle(center0=(0.0, 0.0), velocity=bad)
+    with pytest.raises(ValueError, match="heading"):
+        Obstacle(center0=(0.0, 0.0), heading=math.nan)
+    obs = Obstacle(center0=[1, 2], velocity=np.array([3.0, 4.0]))
+    assert obs.center0 == (1.0, 2.0) and obs.velocity == (3.0, 4.0)
+
+
+def project_point(p, center, heading, a, b):
+    """Position part of `project_timestep` against one static ellipse."""
+    obs = Obstacle(center0=tuple(center), heading=heading, semi_major=a, semi_minor=b)
+    block = np.concatenate([np.asarray(p, dtype=float), np.zeros(2)])
+    return project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)[:2]
+
+
 def test_projection_leaves_exterior_points_alone():
-    shape = ellipse_shape(0.3, 5.0, 2.5)
     p = np.array([9.0, 4.0])
-    np.testing.assert_array_equal(project_outside_ellipse(p, shape, (0, 0)), p)
+    np.testing.assert_array_equal(project_point(p, (0, 0), 0.3, 5.0, 2.5), p)
 
 
 def test_projection_leaves_boundary_points_alone():
-    shape = ellipse_shape(0.0, 5.0, 2.5)
     p = np.array([5.0, 0.0])
-    np.testing.assert_array_equal(project_outside_ellipse(p, shape, (0, 0)), p)
+    np.testing.assert_array_equal(project_point(p, (0, 0), 0.0, 5.0, 2.5), p)
 
 
 def test_projection_interior_on_major_axis_goes_to_minor_side():
     # Inside the evolute cusp the nearest boundary point leaves the axis.
-    shape = ellipse_shape(0.0, 5.0, 2.5)
-    out = project_outside_ellipse(np.array([1.0, 0.0]), shape, (0.0, 0.0))
+    out = project_point([1.0, 0.0], (0.0, 0.0), 0.0, 5.0, 2.5)
     np.testing.assert_allclose(
         out, [4.0 / 3.0, 2.4094720491334934], atol=1e-9
     )
@@ -122,10 +145,9 @@ def test_projection_interior_on_major_axis_goes_to_minor_side():
 
 
 def test_projection_center_degenerate_flagged():
-    shape = ellipse_shape(0.7, 5.0, 2.5)
     center = np.array([2.0, -3.0])
     with pytest.warns(DegenerateProjection):
-        out = project_outside_ellipse(center.copy(), shape, center)
+        out = project_point(center, center, 0.7, 5.0, 2.5)
     # lands on the minor axis of the rotated ellipse
     minor = np.array([-math.sin(0.7), math.cos(0.7)]) * 2.5
     np.testing.assert_allclose(out, center + minor, atol=1e-12)
@@ -145,7 +167,7 @@ def test_projection_matches_dense_sampling(heading):
         c, s = math.cos(heading), math.sin(heading)
         rot = np.array([[c, -s], [s, c]])
         p = center + rot @ np.array([a * r * math.cos(phi), b * r * math.sin(phi)])
-        out = project_outside_ellipse(p, shape, center)
+        out = project_point(p, center, heading, a, b)
         assert abs(1.0 - (out - center) @ shape @ (out - center)) < 1e-9
         best = nearest_on_boundary(p, boundary)
         assert np.linalg.norm(out - best) < 1e-4
@@ -160,14 +182,10 @@ def test_projection_nearest_point_optimality():
         p = rng.normal(size=2) * 1.2
         if 1.0 - p @ shape @ p <= 0.0:
             continue
-        out = project_outside_ellipse(p, shape, center)
+        out = project_point(p, center, 0.5, 4.0, 1.5)
         dist = np.linalg.norm(out - p)
         sampled = np.linalg.norm(boundary - p, axis=1).min()
         assert dist <= sampled + 1e-6
-
-
-def make_bounds():
-    return InputBounds(max_steer=0.6, max_accel=3.0, min_accel=-3.0)
 
 
 def test_project_timestep_identity_when_feasible():
@@ -182,11 +200,9 @@ def test_project_timestep_single_obstacle_matches_single_projection():
     obs = Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)
     block = np.array([15.5, 0.0, 0.2, 1.0])
     out = project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)
-    expected = project_outside_ellipse(
-        block[:2], ellipse_shape(obs.heading, obs.semi_major, obs.semi_minor),
-        np.array(obs.center0),
-    )
-    np.testing.assert_allclose(out[:2], expected, atol=1e-12)
+    boundary = dense_ellipse_boundary(obs.center0, obs.heading, obs.semi_major,
+                                      obs.semi_minor, 1_000_000)
+    assert np.linalg.norm(out[:2] - nearest_on_boundary(block[:2], boundary)) < 1e-4
     np.testing.assert_array_equal(out[2:], block[2:])
 
 
@@ -202,10 +218,11 @@ def test_project_timestep_inactive_second_obstacle():
 def test_project_timestep_clamps_inputs_and_clears_obstacles():
     obs = Obstacle(center0=(0.0, 0.0), semi_major=5.0, semi_minor=2.5)
     block = np.array([1.0, 0.5, 0.9, -4.5])
-    out = project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)
+    constraints = ConstraintSet(make_bounds(), [obs], 0.1)
+    out = project_timestep(block, constraints, 0)
     assert out[2] == pytest.approx(0.6)
     assert out[3] == pytest.approx(-3.0)
-    assert obstacle_violation(out[:2], obs, 0, 0.1) <= 1e-6
+    assert constraints.keepout(0, out[:2])[0] <= 1e-6
 
 
 def test_project_timestep_idempotent():
@@ -228,7 +245,7 @@ def test_project_timestep_moving_obstacle_uses_time_index():
     block = np.array([10.0, 0.1, 0.0, 0.0])
     constraints = ConstraintSet(make_bounds(), [obs], 0.1)
     moved = project_timestep(block, constraints, 10)
-    assert obstacle_violation(moved[:2], obs, 10, 0.1) <= 1e-6
+    assert constraints.keepout(10, moved[:2])[0] <= 1e-6
     unmoved = project_timestep(block, constraints, 0)
     np.testing.assert_array_equal(unmoved, block)
 
@@ -310,8 +327,9 @@ def test_violation_is_worst_pointwise_value(obs, horizon, data, use_ego_heading)
     traj = Trajectory(states, controls)
     brute = [0.0]
     for tau in range(horizon + 1):
-        heading = states[tau, 2] if use_ego_heading else None
-        brute += [obstacle_violation(states[tau, :2], o, tau, 0.1, heading) for o in obs]
+        for o in obs:
+            one = ConstraintSet(bounds, [o], 0.1, use_ego_heading)
+            brute.append(one.keepout(tau, states[tau, :2], states[tau, 2])[0])
     for steer, accel in controls:
         brute += [abs(steer) - bounds.max_steer, accel - bounds.max_accel,
                   bounds.min_accel - accel]

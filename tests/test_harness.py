@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from admmplan import cli, harness
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
@@ -130,7 +131,7 @@ def test_overrides():
     assert cfg.admm.sigma == 10.0  # original untouched
 
 
-def test_snapshot_policy_parsing():
+def test_snapshot_policy_parsing(tmp_path):
     assert parse_snapshot_policy("all") == "all"
     assert parse_snapshot_policy("1,2,last") == {1, 2, "last"}
     assert parse_snapshot_policy(" 3 , last ") == {3, "last"}
@@ -138,6 +139,13 @@ def test_snapshot_policy_parsing():
         parse_snapshot_policy("")
     with pytest.raises(ValueError):
         parse_snapshot_policy("1,x")
+    # Indices are 1-based: 0 and negatives select nothing, so they are errors.
+    for bad in ("0,-2", "0", "last,-1"):
+        with pytest.raises(ValueError):
+            parse_snapshot_policy(bad)
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "1", "--snapshots", "0,-2", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_trajectory_csv_contents(tmp_path):
@@ -264,6 +272,21 @@ def test_cli_config_error_exit_codes(tmp_path):
     assert cli.main(["--config", str(missing), "--method", "admm"]) == 2
     assert cli.main(["--scenario", "1", "--trials", "0"]) == 2
     assert cli.main(["--scenario", "1", "--snapshots", "bogus"]) == 2
+
+
+def test_cli_rejects_malformed_obstacle(tmp_path):
+    # A three-number center used to die in ConstraintSet's column reshape
+    # (one obstacle) or be misread silently (eight obstacles).
+    data = config_to_dict(builtin_scenario(1))
+    bad = dict(data["obstacles"][0], center0=[15.0, 7.0, -1.0])
+    for obstacles in ([bad], [bad] * 8):
+        path = tmp_path / f"bad{len(obstacles)}.yaml"
+        path.write_text(yaml.safe_dump(dict(data, obstacles=obstacles)))
+        with pytest.raises(ConfigError, match="center0"):
+            load_config(path)
+        out = tmp_path / f"out{len(obstacles)}"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cli_solver_failure_exit_code(tmp_path):

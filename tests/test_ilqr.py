@@ -114,7 +114,7 @@ def test_solve_matches_riccati_cost(seed):
     dynamics, cost, x0, (A, B, Q, R, Qf) = lqr_setup(seed)
     horizon = 60
     opt_cost, _, _, _ = riccati_optimal(A, B, Q, R, Qf, x0, horizon)
-    result = solve(x0, cost, dynamics, TIGHT, horizon=horizon)
+    result = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((horizon, 2)))
     assert result.cost == pytest.approx(opt_cost, rel=1e-8)
     assert result.status == ilqr.STATUS_CONVERGED
 
@@ -124,14 +124,14 @@ def test_solve_monotone_descent_and_history():
     dynamics = BicycleModel(params)
     cost = TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0))
     result = solve(np.array([0.0, 0.0, 0.0, 2.0]), cost, dynamics,
-                   ILQRSettings(), horizon=40)
+                   ILQRSettings(), initial_controls=np.zeros((40, 2)))
     diffs = np.diff(result.cost_history)
     assert (diffs < 0).all()
 
 
 def test_solve_warm_start_converges_immediately():
     dynamics, cost, x0, _ = lqr_setup(10)
-    first = solve(x0, cost, dynamics, TIGHT, horizon=30)
+    first = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((30, 2)))
     again = solve(x0, cost, dynamics, TIGHT,
                   initial_controls=first.trajectory.controls)
     assert again.status == ilqr.STATUS_CONVERGED
@@ -141,7 +141,7 @@ def test_solve_warm_start_converges_immediately():
 
 def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
     dynamics, cost, x0, _ = lqr_setup(11)
-    result = solve(x0, cost, dynamics, TIGHT, horizon=30)
+    result = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((30, 2)))
     gains, _, _ = backward_pass(result.trajectory, cost, dynamics, 1e-12, TIGHT)
     assert np.abs(gains.k).max() < 1e-6
 
@@ -149,7 +149,7 @@ def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
 def test_stationarity_at_convergence():
     dynamics, cost, x0, _ = lqr_setup(12)
     horizon = 30
-    result = solve(x0, cost, dynamics, TIGHT, horizon=horizon)
+    result = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((horizon, 2)))
     traj = result.trajectory
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
     l_x, l_u, l_xx, l_uu = cost.expand(traj)
@@ -177,7 +177,7 @@ def test_feedback_consistency_quadratic_model():
     cost = TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0))
     x0 = np.array([0.0, 0.0, 0.0, 4.0])
     result = solve(x0, cost, dynamics, ILQRSettings(cost_tolerance=1e-9),
-                   horizon=40)
+                   initial_controls=np.zeros((40, 2)))
     traj = result.trajectory
     gains, (V_x, V_xx, _), _ = backward_pass(traj, cost, dynamics, 1e-9, ILQRSettings())
     np.testing.assert_array_equal(V_xx, V_xx.T)
@@ -198,7 +198,7 @@ def test_scenario_subproblem_reaches_reference_speed():
     dynamics = BicycleModel(VehicleParams())
     cost = TrackingCost(CostWeights(), Reference(py_ref=0.0, v_ref=8.0))
     result = solve(np.array([0.0, 0.0, 0.0, 4.0]), cost, dynamics,
-                   ILQRSettings(), horizon=60)
+                   ILQRSettings(), initial_controls=np.zeros((60, 2)))
     assert result.trajectory.states[-1, 3] == pytest.approx(8.0, abs=0.1)
 
 

@@ -2,8 +2,9 @@
 
 The solvers read dynamics Jacobians, cost values and cost expansions over
 whole trajectories as stacked arrays. Each check here rebuilds the same
-arrays one stamp at a time from the single-stamp functions and the
-single-stamp `ConstraintSet` evaluation, and requires agreement to 1e-12.
+arrays one stamp at a time, from one-stamp slices of the tracking cost and
+single-stamp `jacobians` and `ConstraintSet` evaluations, and requires
+agreement to 1e-12.
 """
 
 import math
@@ -16,15 +17,7 @@ from hypothesis import strategies as st
 from admmplan.admm import PenalizedCost, select
 from admmplan.barrier import BarrierCost
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
-from admmplan.costs import (
-    CostWeights,
-    Reference,
-    TrackingCost,
-    stage_cost,
-    stage_expansion,
-    terminal_cost,
-    terminal_expansion,
-)
+from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import BarrierDomainViolation
 from admmplan.ilqr import Trajectory, total_cost
 from admmplan.vehicle import VehicleParams, jacobians
@@ -71,19 +64,20 @@ def references(draw):
     return Reference(polyline=POLYLINE, v_ref=v_ref)
 
 
-def stampwise(cost_weights, reference, traj):
-    """Values and expansions of a tracking cost, one stamp at a time."""
+def stampwise(cost, traj):
+    """Values and expansions of a tracking cost, one stamp at a time: stamp t
+    is row 0 of the one-step slice starting at t, the terminal stamp row 1 of
+    the last slice."""
     X, U, T = traj.states, traj.controls, traj.horizon
-    values = [stage_cost(X[t], U[t], cost_weights, reference) for t in range(T)]
-    values.append(terminal_cost(X[T], cost_weights, reference))
-    stages = [stage_expansion(X[t], U[t], cost_weights, reference) for t in range(T)]
-    g_x, g_xx = terminal_expansion(X[T], cost_weights, reference)
-    l_x = np.array([s[0] for s in stages] + [g_x])
-    l_xx = np.array([s[2] for s in stages] + [g_xx])
-    l_u = np.array([s[1] for s in stages])
-    l_uu = np.array([s[4] for s in stages])
-    assert all(np.all(s[3] == 0.0) for s in stages)  # no cross term to drop
-    return np.array(values), (l_x, l_u, l_xx, l_uu)
+    slices = [Trajectory(X[t:t + 2], U[t:t + 1]) for t in range(T)]
+    rows = [(cost.values(one), cost.expand(one)) for one in slices]
+    last_values, (last_x, _, last_xx, _) = rows[-1]
+    values = np.array([v[0] for v, _ in rows] + [last_values[1]])
+    l_x = np.array([e[0][0] for _, e in rows] + [last_x[1]])
+    l_u = np.array([e[1][0] for _, e in rows])
+    l_xx = np.array([e[2][0] for _, e in rows] + [last_xx[1]])
+    l_uu = np.array([e[3][0] for _, e in rows])
+    return values, (l_x, l_u, l_xx, l_uu)
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,7 +96,7 @@ def test_jacobians_stacked_equal_single_stamp(traj):
 @given(w=weights(), reference=references(), traj=trajectories(extra_states=CLAMPED))
 def test_tracking_cost_stacked_equal_single_stamp(w, reference, traj):
     cost = TrackingCost(w, reference)
-    values, expansion = stampwise(w, reference, traj)
+    values, expansion = stampwise(cost, traj)
     close(cost.values(traj), values)
     assert total_cost(cost, traj) == pytest.approx(float(np.sum(values)),
                                                    rel=TOL, abs=TOL)
@@ -127,9 +121,10 @@ def test_penalized_cost_stacked_equal_single_stamp(w, reference, traj, data):
                       min_size=traj.horizon + 1, max_size=traj.horizon + 1)
     z, lam = np.array(data.draw(blocks)), np.array(data.draw(blocks))
     sigma = data.draw(st.floats(1e-3, 100.0))
-    cost = PenalizedCost(TrackingCost(w, reference), z, lam, sigma)
+    base = TrackingCost(w, reference)
+    cost = PenalizedCost(base, z, lam, sigma)
 
-    values, (l_x, l_u, l_xx, l_uu) = stampwise(w, reference, traj)
+    values, (l_x, l_u, l_xx, l_uu) = stampwise(base, traj)
     T = traj.horizon
     centers = z - lam / sigma
     for t in range(T + 1):
@@ -174,9 +169,10 @@ def test_barrier_cost_stacked_equal_single_stamp(
 ):
     margin = 1e-6
     constraints = ConstraintSet(bounds, obs, 0.1, use_ego_heading)
-    cost = BarrierCost(TrackingCost(w, reference), constraints, sharpness, margin)
+    base = TrackingCost(w, reference)
+    cost = BarrierCost(base, constraints, sharpness, margin)
 
-    values, (l_x, l_u, l_xx, l_uu) = stampwise(w, reference, traj)
+    values, (l_x, l_u, l_xx, l_uu) = stampwise(base, traj)
     T = traj.horizon
     outside = []
     for t in range(T + 1):

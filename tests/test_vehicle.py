@@ -6,7 +6,6 @@ import pytest
 from admmplan.errors import DomainError
 from admmplan.vehicle import (
     BicycleModel,
-    Control,
     State,
     VehicleParams,
     back_roll,
@@ -148,8 +147,6 @@ def test_stacked_jacobians_name_first_stamp_outside_domain():
 def test_state_control_array_round_trip():
     s = State(1.0, 2.0, 0.3, 4.0)
     np.testing.assert_array_equal(s.as_array(), [1.0, 2.0, 0.3, 4.0])
-    c = Control(0.1, -0.5)
-    np.testing.assert_array_equal(c.as_array(), [0.1, -0.5])
 
 
 def test_params_validation():
