@@ -21,6 +21,7 @@ byte-reproducible across runs.
 import csv
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -238,7 +239,11 @@ def parse_snapshot_policy(text: str):
 
 def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
                   include_seconds=False):
-    """Write the residual history and the selected per-iteration snapshots."""
+    """Write the residual history and the selected per-iteration snapshots.
+
+    Snapshot indices past the solve's last iteration have no trajectory to
+    write; they are skipped with a UserWarning that names them.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     picks = parse_snapshot_policy(policy) if isinstance(policy, str) else policy
@@ -247,6 +252,14 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
         chosen = set(range(1, total + 1))
     else:
         chosen = {total if p == "last" else p for p in picks}
+    dropped = sorted(i for i in chosen if i > total)
+    if dropped:
+        warnings.warn(
+            f"snapshot indices {dropped} are past the last iteration ({total}); "
+            "no trajectory file is written for them",
+            UserWarning,
+            stacklevel=2,
+        )
     paths = []
     for index in sorted(i for i in chosen if 1 <= i <= total):
         path = out_dir / f"trajectory_iter{index:03d}.csv"

@@ -21,11 +21,17 @@ value recursion
 The Levenberg-style mu keeps Q_uu positive definite near flat or indefinite
 regions; it grows on failed line searches and shrinks after accepted steps.
 
+The recursion runs in homogeneous coordinates (Tassa, Mansard & Todorov
+2014): a constant 1 appended to the state folds the gradients into the
+Hessian products, and dV is read off the constant entry (see `backward_pass`).
+
 The engine reads its models over whole trajectories: `dynamics.jacobians(X,
 U)` gives the stacked (T, n, n) and (T, n, 2) Jacobians, `cost.values(traj)`
 the T stage costs and the terminal cost (inf outside the cost's domain), and
 `cost.expand(traj)` the stacked (l_x, l_u, l_xx, l_uu), terminal terms in row
-T. Only the Riccati recursion and the rollouts run stamp by stamp.
+T. Only the Riccati recursion and the rollouts run stamp by stamp; the
+rollouts run the policy on plain floats and call `dynamics.step(x, u)` with
+float lists.
 """
 
 import math
@@ -91,8 +97,9 @@ class Trajectory:
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
         """First time index whose step misses the next state by more than tol."""
-        for tau in range(self.horizon):
-            nxt = dynamics.step(self.states[tau], self.controls[tau])
+        states = self.states.tolist()
+        for tau, u in enumerate(self.controls.tolist()):
+            nxt = dynamics.step(states[tau], u)
             if np.max(np.abs(nxt - self.states[tau + 1])) > tol:
                 return tau
         return None
@@ -118,12 +125,11 @@ class ILQRResult:
 
 def rollout(dynamics, x0, controls) -> Trajectory:
     """Integrate an open-loop control sequence through the dynamics."""
-    controls = np.asarray(controls, dtype=float)
-    states = np.empty((len(controls) + 1, len(x0)))
-    states[0] = x0
-    for tau, u in enumerate(controls):
-        states[tau + 1] = dynamics.step(states[tau], u)
-    return Trajectory(states, controls.copy())
+    controls = np.array(controls, dtype=float)
+    states = [np.asarray(x0, dtype=float).tolist()]
+    for u in controls.tolist():
+        states.append(dynamics.step(states[-1], u).tolist())
+    return Trajectory(np.array(states), controls)
 
 
 def total_cost(cost, traj: Trajectory) -> float:
@@ -135,10 +141,21 @@ def total_cost(cost, traj: Trajectory) -> float:
 def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
     """Compute the affine control update along the nominal trajectory.
 
-    The Jacobians and cost expansions are built once; whenever a regularized
-    Q_uu fails its positive definiteness check, only the recursion restarts,
-    at a larger mu. Per stamp, one product F' V_xx F with F = [f_x f_u]
-    gives the Q_xx, Q_ux and Q_uu blocks together.
+    The recursion runs in augmented coordinates z = (x, 1, u): the linearized
+    step is z -> F z with F = [[f_x, 0, f_u], [0, 1, 0]], and the value model
+    is V = [[V_xx, V_x], [V_x', c]]. Per stamp, one product
+
+        Q = F' V F + H,    H = [[l_xx, l_x, 0], [l_x', 0, l_u'], [0, l_u, l_uu]]
+
+    gives Q_xx, Q_x, Q_ux, Q_u and Q_uu together, one product of the
+    regularized inverse with the rows [Q_ux | Q_u] gives the gains [K | k],
+    and V = Q[:n+1, :n+1] - [K | k]' Q_uu [K | k] updates V_xx, V_x and the
+    corner c. The corner starts at 0 and only ever loses k' Q_uu k, so at the
+    first stamp it holds twice the predicted cost change dV.
+
+    The Jacobians, cost expansions and F and H are built once; whenever a
+    regularized Q_uu fails its positive definiteness check, only the
+    recursion restarts, at a larger mu.
 
     Returns:
         (gains, value, mu): the gain schedule; the value model at the first
@@ -149,46 +166,49 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
         RegularizationExhausted: mu grew past settings.mu_max.
     """
     T, n = traj.horizon, traj.states.shape[1]
+    N = n + 1  # augmented state (x, 1); the controls follow in z
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
     l_x, l_u, l_xx, l_uu = cost.expand(traj)
-    F = np.concatenate([f_x, f_u], axis=2)
-    H = np.zeros((T, n + 2, n + 2))
+    F = np.zeros((T, N, N + 2))
+    F[:, :n, :n] = f_x
+    F[:, :n, N:] = f_u
+    F[:, n, n] = 1.0
+    H = np.zeros((T, N + 2, N + 2))
     H[:, :n, :n] = l_xx[:T]
-    H[:, n:, n:] = l_uu
-    # Per-stamp views, listed once for every restart of the recursion. The
-    # gradient terms keep their own matrix-vector products: folded into the
-    # block product they round differently, which moves long solves.
-    stamps = list(zip(F, F.transpose(0, 2, 1), H, f_x.transpose(0, 2, 1),
-                      f_u.transpose(0, 2, 1), l_x, l_u))[::-1]
-    ks = np.empty((T, 2))
-    Ks = np.empty((T, 2, n))
+    H[:, :n, n] = H[:, n, :n] = l_x[:T]
+    H[:, N:, n] = H[:, n, N:] = l_u
+    H[:, N:, N:] = l_uu
+    V_T = np.zeros((N, N))
+    V_T[:n, :n] = l_xx[T]
+    V_T[:n, n] = V_T[n, :n] = l_x[T]
+    # Per-stamp views, listed once for every restart of the recursion.
+    stamps = list(zip(F, F.transpose(0, 2, 1), H))[::-1]
+    gains = np.empty((T, 2, N))  # [K | k] per stamp
 
     while True:
         if mu > settings.mu_max:
             raise RegularizationExhausted(
                 f"backward pass found no positive-definite Q_uu below mu={settings.mu_max}"
             )
-        V_x, V_xx, dV = l_x[T], l_xx[T], 0.0
-        for tau, (F_t, Ft, H_t, At, Bt, lx, lu) in zip(range(T - 1, -1, -1), stamps):
-            Q = Ft @ V_xx @ F_t
+        V = V_T
+        for tau, (F_t, Ft, H_t) in zip(range(T - 1, -1, -1), stamps):
+            # np.dot: on blocks this small its dispatch costs less than @.
+            Q = np.dot(np.dot(Ft, V), F_t)
             Q += H_t
-            Q_uu = Q[n:, n:]
+            Q_uu = Q[N:, N:]
             # Closed-form solve of the regularized 2x2 system.
             (a, b), (_, d) = Q_uu.tolist()
             a, d = a + mu, d + mu
             det = a * d - b * b
             if a <= 0.0 or det <= 0.0:
                 break  # not positive definite: restart at a larger mu
-            gain = np.array([[-d, b], [b, -a]]) / det
-            ks[tau] = k = gain @ (lu + Bt @ V_x)
-            Ks[tau] = K = gain @ Q[n:, :n]
-            KtQ = K.T @ Q_uu
-            dV += -0.5 * k @ Q_uu @ k
-            V_x = lx + At @ V_x - KtQ @ k
-            V_xx = Q[:n, :n] - KtQ @ K
-            V_xx = 0.5 * (V_xx + V_xx.T)
+            gain = np.array([[-d / det, b / det], [b / det, -a / det]])
+            G = np.dot(gain, Q[N:, :N], out=gains[tau])
+            V = Q[:N, :N] - np.dot(np.dot(G.T, Q_uu), G)
+            V = 0.5 * (V + V.T)
         else:
-            return GainSchedule(ks, Ks), (V_x, V_xx, dV), mu
+            value = (V[:n, n], V[:n, :n], 0.5 * V[n, n])
+            return GainSchedule(gains[:, :, n], gains[:, :, :n]), value, mu
         mu *= settings.mu_growth
 
 
@@ -196,16 +216,22 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
     """Roll the affine policy through the true dynamics from the nominal start.
 
     The feedforward term is scaled by alpha; feedback is applied at full
-    strength against the deviation from the nominal states.
+    strength against the deviation from the nominal states. The policy runs
+    on plain floats over the four states and two controls of a Trajectory,
+    which cost less per stamp than small arrays.
     """
-    states = np.empty_like(traj.states)
-    controls = np.empty_like(traj.controls)
-    states[0] = x = traj.states[0]
-    rows = zip(alpha * gains.k, gains.K, traj.states, traj.controls)
-    for tau, (k, K, x_nom, u_nom) in enumerate(rows):
-        controls[tau] = u = u_nom + (k + K @ (x - x_nom))
-        states[tau + 1] = x = dynamics.step(x, u)
-    return Trajectory(states, controls)
+    x = traj.states[0].tolist()
+    states, controls = [x], []
+    rows = zip((alpha * gains.k).tolist(), gains.K.tolist(), traj.states.tolist(),
+               traj.controls.tolist())
+    for (k0, k1), (K0, K1), (n0, n1, n2, n3), (w, a) in rows:
+        d0, d1, d2, d3 = x[0] - n0, x[1] - n1, x[2] - n2, x[3] - n3
+        u = [w + (k0 + (K0[0] * d0 + K0[1] * d1 + K0[2] * d2 + K0[3] * d3)),
+             a + (k1 + (K1[0] * d0 + K1[1] * d1 + K1[2] * d2 + K1[3] * d3))]
+        x = dynamics.step(x, u).tolist()
+        controls.append(u)
+        states.append(x)
+    return Trajectory(np.array(states), np.array(controls))
 
 
 def solve(

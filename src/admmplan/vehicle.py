@@ -85,16 +85,18 @@ def step(x, u, params: VehicleParams) -> np.ndarray:
     """Advance the state one sample period.
 
     Args:
-        x: state array (px, py, theta, v).
-        u: control array (steer, accel).
+        x: state (px, py, theta, v), any sequence of four floats.
+        u: control (steer, accel), any sequence of two floats.
         params: vehicle geometry.
+
+    Plain float lists are the fast input: the solvers' rollouts pass them,
+    because the scalar kinematics below cost more on array elements.
 
     Returns:
         Next state as a new array.
     """
-    # Plain floats: indexing arrays element by element costs more than a step.
-    px, py, theta, v = np.asarray(x, dtype=float).tolist()
-    w, a = np.asarray(u, dtype=float).tolist()
+    px, py, theta, v = x
+    w, a = u
     d = params.wheelbase
     h = params.timestep
     b = back_roll(v, w, params)

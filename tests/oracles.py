@@ -1,12 +1,17 @@
 """Independent reference implementations used to check the solvers.
 
 Everything here is deliberately written from the textbook definitions and
-shares no code with the package: a finite-horizon Riccati recursion, a
-linear/quadratic problem wrapper for the iLQR interface, and brute-force
-geometric helpers.
+shares no solver code with the package: a finite-horizon Riccati recursion, a
+linear/quadratic problem wrapper for the iLQR interface, brute-force
+geometric helpers, and the iLQR backward and forward passes written stamp by
+stamp on small arrays (they borrow only the package's result and error
+types).
 """
 
 import numpy as np
+
+from admmplan.errors import RegularizationExhausted
+from admmplan.ilqr import GainSchedule, ILQRSettings, Trajectory
 
 
 class LinearDynamics:
@@ -103,3 +108,86 @@ def nearest_on_boundary(point, boundary):
     """Closest point among a dense boundary sample."""
     d = boundary - np.asarray(point, dtype=float)
     return boundary[np.argmin(np.einsum("ij,ij->i", d, d))]
+
+
+def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
+    """The iLQR backward pass in plain (x, u) coordinates, one stamp at a time.
+
+    Same contract as `admmplan.ilqr.backward_pass`, which folds the gradient
+    terms into one augmented product per stamp; this is the unfolded
+    recursion it replaced, kept as its reference.
+
+    The Jacobians and cost expansions are built once; whenever a regularized
+    Q_uu fails its positive definiteness check, only the recursion restarts,
+    at a larger mu. Per stamp, one product F' V_xx F with F = [f_x f_u]
+    gives the Q_xx, Q_ux and Q_uu blocks together.
+
+    Returns:
+        (gains, value, mu): the gain schedule; the value model at the first
+        stamp as (V_x, V_xx, dV), where dV is the predicted total cost change
+        sum(-1/2 k' Q_uu k), nonpositive; and the mu actually used.
+
+    Raises:
+        RegularizationExhausted: mu grew past settings.mu_max.
+    """
+    T, n = traj.horizon, traj.states.shape[1]
+    f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
+    l_x, l_u, l_xx, l_uu = cost.expand(traj)
+    F = np.concatenate([f_x, f_u], axis=2)
+    H = np.zeros((T, n + 2, n + 2))
+    H[:, :n, :n] = l_xx[:T]
+    H[:, n:, n:] = l_uu
+    # Per-stamp views, listed once for every restart of the recursion. The
+    # gradient terms keep their own matrix-vector products: folded into the
+    # block product they round differently, which moves long solves.
+    stamps = list(zip(F, F.transpose(0, 2, 1), H, f_x.transpose(0, 2, 1),
+                      f_u.transpose(0, 2, 1), l_x, l_u))[::-1]
+    ks = np.empty((T, 2))
+    Ks = np.empty((T, 2, n))
+
+    while True:
+        if mu > settings.mu_max:
+            raise RegularizationExhausted(
+                f"backward pass found no positive-definite Q_uu below mu={settings.mu_max}"
+            )
+        V_x, V_xx, dV = l_x[T], l_xx[T], 0.0
+        for tau, (F_t, Ft, H_t, At, Bt, lx, lu) in zip(range(T - 1, -1, -1), stamps):
+            Q = Ft @ V_xx @ F_t
+            Q += H_t
+            Q_uu = Q[n:, n:]
+            # Closed-form solve of the regularized 2x2 system.
+            (a, b), (_, d) = Q_uu.tolist()
+            a, d = a + mu, d + mu
+            det = a * d - b * b
+            if a <= 0.0 or det <= 0.0:
+                break  # not positive definite: restart at a larger mu
+            gain = np.array([[-d, b], [b, -a]]) / det
+            ks[tau] = k = gain @ (lu + Bt @ V_x)
+            Ks[tau] = K = gain @ Q[n:, :n]
+            KtQ = K.T @ Q_uu
+            dV += -0.5 * k @ Q_uu @ k
+            V_x = lx + At @ V_x - KtQ @ k
+            V_xx = Q[:n, :n] - KtQ @ K
+            V_xx = 0.5 * (V_xx + V_xx.T)
+        else:
+            return GainSchedule(ks, Ks), (V_x, V_xx, dV), mu
+        mu *= settings.mu_growth
+
+
+def reference_forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
+    """The iLQR forward pass on arrays: u = u_nom + (alpha k + K (x - x_nom)).
+
+    Same contract as `admmplan.ilqr.forward_pass`, which runs the policy on
+    plain floats; this is the array formula it replaced.
+
+    The feedforward term is scaled by alpha; feedback is applied at full
+    strength against the deviation from the nominal states.
+    """
+    states = np.empty_like(traj.states)
+    controls = np.empty_like(traj.controls)
+    states[0] = x = traj.states[0]
+    rows = zip(alpha * gains.k, gains.K, traj.states, traj.controls)
+    for tau, (k, K, x_nom, u_nom) in enumerate(rows):
+        controls[tau] = u = u_nom + (k + K @ (x - x_nom))
+        states[tau + 1] = x = dynamics.step(x, u)
+    return Trajectory(states, controls)

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import admmplan
 from admmplan import cli, harness
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
@@ -146,6 +150,24 @@ def test_snapshot_policy_parsing(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["--scenario", "1", "--snapshots", "0,-2", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_warns_on_snapshots_past_last_iteration(tmp_path):
+    # S1 converges in 6 ADMM iterations; the count is known only after the
+    # solve, so indices past it are a warning on stderr, not a parse error.
+    src = str(Path(admmplan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "admmplan.cli", "--scenario", "1", "--method", "admm",
+         "--snapshots", "2,99,120", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "UserWarning: snapshot indices [99, 120] are past the last iteration (6)" in done.stderr
+    written = sorted(p.name for p in (out / "admm").iterdir())
+    assert written == ["residuals.csv", "timings.csv", "trajectory_iter002.csv"]
 
 
 def test_trajectory_csv_contents(tmp_path):

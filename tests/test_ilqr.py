@@ -20,7 +20,7 @@ from oracles import LinearDynamics, QuadraticCost, random_lqr_instance, riccati_
 TIGHT = ILQRSettings(max_iters=100, cost_tolerance=1e-10, mu_init=1e-9)
 
 
-def lqr_setup(seed, horizon=30):
+def lqr_setup(seed):
     rng = np.random.default_rng(seed)
     A, B, Q, R, Qf, x0 = random_lqr_instance(rng)
     return LinearDynamics(A, B), QuadraticCost(Q, R, Qf), x0, (A, B, Q, R, Qf)
