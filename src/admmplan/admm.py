@@ -31,6 +31,7 @@ from .constraints import (
     FEASIBILITY_TOL,
     ConstraintSet,
     InputBounds,
+    project_inputs,
     project_timestep,
 )
 from .errors import NonConvergence, RegularizationExhausted
@@ -130,6 +131,21 @@ class PenalizedCost:
         l_xx[:, [0, 1], [0, 1]] += self.sigma
         l_uu[:, [0, 1], [0, 1]] += self.sigma
         return l_x, l_u, l_xx, l_uu
+
+
+def project_consensus(targets, headings, constraints: ConstraintSet) -> np.ndarray:
+    """Project the consensus blocks (T+1, 4) of every stamp onto the constraints.
+
+    Equal to `project_timestep` on every stamp: the inputs of all stamps are
+    clamped in one stacked operation, and only stamps with a keep-out value
+    above FEASIBILITY_TOL go through `project_timestep`.
+    """
+    g = constraints.keepout(np.arange(len(targets)), targets[:, :2], headings)
+    z = targets.copy()
+    z[:, 2:] = project_inputs(targets[:, 2:], constraints.bounds)
+    for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():
+        z[tau] = project_timestep(targets[tau], constraints, tau, headings[tau], g[tau])
+    return z
 
 
 def trajectory_violation(traj: ilqr.Trajectory, constraints: ConstraintSet) -> float:
@@ -235,13 +251,7 @@ def admm_solve(
             )
             y = result.trajectory
             sel = select(y)
-            targets = sel + lam / settings.sigma
-            headings = y.states[:, 2]
-            g = constraints.keepout(np.arange(horizon + 1), targets[:, :2], headings)
-            for tau in range(horizon + 1):
-                z[tau] = project_timestep(
-                    targets[tau], constraints, tau, headings[tau], g[tau]
-                )
+            z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], constraints)
         except (RegularizationExhausted, NonConvergence) as exc:
             report.status = STATUS_FAILED
             report.message = str(exc)

@@ -181,13 +181,9 @@ class ConstraintSet:
 
 
 def project_inputs(u, bounds: InputBounds) -> np.ndarray:
-    """Exact Euclidean projection of (steer, accel) onto the box limits."""
-    return np.array(
-        [
-            min(max(float(u[0]), -bounds.max_steer), bounds.max_steer),
-            min(max(float(u[1]), bounds.min_accel), bounds.max_accel),
-        ]
-    )
+    """Exact Euclidean projection of controls (..., 2) = (steer, accel) onto
+    the box limits, for one stamp or stacked rows."""
+    return np.clip(u, (-bounds.max_steer, bounds.min_accel), (bounds.max_steer, bounds.max_accel))
 
 
 def _nearest_boundary_point(qx, qy, a, b):

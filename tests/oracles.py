@@ -113,9 +113,9 @@ def nearest_on_boundary(point, boundary):
 def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
     """The iLQR backward pass in plain (x, u) coordinates, one stamp at a time.
 
-    Same contract as `admmplan.ilqr.backward_pass`, which folds the gradient
-    terms into one augmented product per stamp; this is the unfolded
-    recursion it replaced, kept as its reference.
+    Same contract as `admmplan.ilqr.backward_pass`, which writes the same
+    recursion out on plain floats; this is its array form, kept as its
+    reference.
 
     The Jacobians and cost expansions are built once; whenever a regularized
     Q_uu fails its positive definiteness check, only the recursion restarts,

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from admmplan import ilqr
+from admmplan import admm, ilqr
 from admmplan.admm import (
     ADMMSettings,
     PenalizedCost,
     admm_solve,
     primal_residual,
+    project_consensus,
     select,
     trajectory_violation,
 )
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
 from admmplan.costs import CostWeights, Reference, TrackingCost
-from admmplan.harness import build_problem
+from admmplan.harness import build_problem, solve_scenario
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, VehicleParams
 
@@ -201,6 +202,32 @@ def test_z_iterates_feasible():
         lam += sigma * (sel - z)
         assert constraints.box(z[:, 2:]).max() <= 1e-6
         assert constraints.keepout(np.arange(T + 1), z[:, :2]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
+    # The projection targets of every ADMM iteration of S1/S2, as passed,
+    # and with the inputs scaled past the box limits.
+    calls = []
+
+    def spy(targets, headings, constraints):
+        calls.append((targets.copy(), headings.copy(), constraints))
+        return project_consensus(targets, headings, constraints)
+
+    monkeypatch.setattr(admm, "project_consensus", spy)
+    solve_scenario(builtin_scenario(scenario), "admm")
+    moved = clamped = 0
+    for targets, headings, constraints in calls:
+        for blocks in (targets, targets * [1.0, 1.0, 20.0, 20.0]):
+            per_stamp = np.array([
+                project_timestep(block, constraints, tau, heading)
+                for tau, (block, heading) in enumerate(zip(blocks, headings))
+            ])
+            np.testing.assert_array_equal(project_consensus(blocks, headings, constraints),
+                                          per_stamp)
+            moved += np.count_nonzero((per_stamp[:, :2] != blocks[:, :2]).any(axis=1))
+            clamped += np.count_nonzero((per_stamp[:, 2:] != blocks[:, 2:]).any(axis=1))
+    assert len(calls) == 6 and moved > 0 and clamped > 0
 
 
 def test_inactive_splitting_matches_plain_ilqr():
