@@ -51,10 +51,13 @@ class ADMMSettings:
     ilqr: ILQRSettings = field(default_factory=ILQRSettings)
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        # Written so that NaN fails every check.
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.max_admm_iters < 1:
+        if not self.max_admm_iters >= 1:
             raise ValueError("max_admm_iters must be at least 1")
+        if not self.primal_tolerance > 0:
+            raise ValueError("primal_tolerance must be positive")
 
 
 @dataclass
@@ -199,6 +202,8 @@ def admm_solve(
         bounds, obstacles, dynamics.params.timestep, use_ego_heading
     )
     start = time.perf_counter()
+    # The only rollout: the probe's nominal, the first iterate, a failed probe's answer.
+    rollout0 = ilqr.rollout(dynamics, np.asarray(x0, float), np.zeros((horizon, 2)))
 
     # Probe: solve the unconstrained base problem first. If its optimum is
     # already feasible the splitting has nothing to do; consensus holds
@@ -206,12 +211,8 @@ def admm_solve(
     # is discarded: seeding the consensus from a deeply violating optimum
     # produces far worse projection targets than the plain rollout.)
     try:
-        probe = ilqr.solve(
-            x0, cost, dynamics, settings.ilqr,
-            initial_controls=np.zeros((horizon, 2)),
-        )
+        probe = ilqr.solve(rollout0, cost, dynamics, settings.ilqr)
     except RegularizationExhausted as exc:
-        rollout0 = ilqr.rollout(dynamics, np.asarray(x0, float), np.zeros((horizon, 2)))
         report = SolveReport(rollout0, STATUS_FAILED, message=str(exc))
         report.seconds = time.perf_counter() - start
         return report
@@ -231,7 +232,7 @@ def admm_solve(
     if initialization == "unconstrained":
         y = probe.trajectory
     elif initialization == "rollout":
-        y = ilqr.rollout(dynamics, np.asarray(x0, float), np.zeros((horizon, 2)))
+        y = rollout0
     else:
         raise ValueError(f"unknown initialization {initialization!r}")
     z = select(y)
@@ -246,9 +247,7 @@ def admm_solve(
         iter_start = time.perf_counter()
         penalized = PenalizedCost(cost, z, lam, settings.sigma)
         try:
-            result = ilqr.solve(
-                x0, penalized, dynamics, settings.ilqr, initial_controls=y.controls
-            )
+            result = ilqr.solve(y, penalized, dynamics, settings.ilqr)
             y = result.trajectory
             sel = select(y)
             z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], constraints)

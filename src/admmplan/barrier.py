@@ -33,9 +33,10 @@ class BarrierSettings:
     ilqr: ILQRSettings = field(default_factory=ILQRSettings)
 
     def __post_init__(self):
-        if self.initial_sharpness <= 0:
+        # Written so that NaN fails every check.
+        if not self.initial_sharpness > 0:
             raise ValueError("initial_sharpness must be positive")
-        if self.tighten_factor <= 1:
+        if not self.tighten_factor > 1:
             raise ValueError("tighten_factor must exceed 1")
 
 
@@ -153,9 +154,7 @@ def barrier_solve(
         iter_start = time.perf_counter()
         barrier = BarrierCost(cost, constraints, sharpness, settings.margin)
         try:
-            result = ilqr.solve(
-                x0, barrier, dynamics, settings.ilqr, initial_controls=y.controls
-            )
+            result = ilqr.solve(y, barrier, dynamics, settings.ilqr)
         except RegularizationExhausted as exc:
             report.status = STATUS_FAILED
             report.message = str(exc)

@@ -27,7 +27,10 @@ the T stage costs and the terminal cost (inf outside the cost's domain), and
 `cost.expand(traj)` the stacked (l_x, l_u, l_xx, l_uu), terminal terms in row
 T. Only the Riccati recursion and the rollouts run stamp by stamp, on plain
 Python floats written out for four states and two controls: on blocks this
-small a float operation costs far less than a numpy call.
+small a float operation costs far less than a numpy call. Between those
+loops the data stay floats: `dynamics.step` returns a list of four, the gains
+are one float row per stamp, and a solve starts from the nominal trajectory
+it is handed, such as the previous solve's, without rolling it out again.
 """
 
 import math
@@ -52,19 +55,20 @@ class ILQRSettings:
     line_search_steps: int = 11  # alpha = 1, 1/2, ..., 2**-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        # Written so that NaN fails every check.
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if self.cost_tolerance <= 0:
+        if not self.cost_tolerance > 0:
             raise ValueError("cost_tolerance must be positive")
-        if self.mu_init <= 0:
+        if not self.mu_init > 0:
             raise ValueError("mu_init must be positive")
-        if self.mu_growth <= 1:
+        if not self.mu_growth > 1:
             raise ValueError("mu_growth must exceed 1")
         if not 0 < self.mu_shrink <= 1:
             raise ValueError("need 0 < mu_shrink <= 1")
-        if self.mu_max < self.mu_init:
+        if not self.mu_max >= self.mu_init:
             raise ValueError("mu_max must be at least mu_init")
-        if self.line_search_steps < 1:
+        if not self.line_search_steps >= 1:
             raise ValueError("line_search_steps must be at least 1")
 
     def alphas(self):
@@ -96,15 +100,20 @@ class Trajectory:
         states = self.states.tolist()
         for tau, u in enumerate(self.controls.tolist()):
             nxt = dynamics.step(states[tau], u)
-            if np.max(np.abs(nxt - self.states[tau + 1])) > tol:
+            if any(abs(a - b) > tol for a, b in zip(nxt, states[tau + 1])):
                 return tau
         return None
 
 
 @dataclass
 class GainSchedule:
-    k: np.ndarray  # (T, m) feedforward
-    K: np.ndarray  # (T, m, n) feedback
+    """The update u = u_nom + (k + K (x - x_nom)) as one float row (K[0], k[0],
+    K[1], k[1]) per stamp; `k` (T, 2) and `K` (T, 2, 4) build arrays of it."""
+
+    rows: list
+
+    k = property(lambda self: np.array(self.rows).reshape(-1, 2, 5)[:, :, 4])
+    K = property(lambda self: np.array(self.rows).reshape(-1, 2, 5)[:, :, :4])
 
 
 @dataclass
@@ -126,7 +135,7 @@ def rollout(dynamics, x0, controls) -> Trajectory:
     states = [np.asarray(x0, dtype=float).tolist()]
     try:
         for u in controls.tolist():
-            states.append(dynamics.step(states[-1], u).tolist())
+            states.append(dynamics.step(states[-1], u))
     except DomainError as exc:
         tau = len(states) - 1
         raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
@@ -143,9 +152,10 @@ def _riccati_sweep(rows, terminal, mu):
     """One sweep of the float recursion at regularization mu, latest stamp first.
 
     Each row holds one stamp's f_x, f_u, l_x, l_u, l_xx and l_uu flattened
-    row-major, `terminal` the final l_xx and l_x. Returns the gains [K | k]
-    per stamp, latest first, and the value (V_x, V_xx, c) at the first stamp;
-    or None as soon as a regularized Q_uu is not positive definite.
+    row-major, `terminal` the final l_xx and l_x. Returns the gain rows
+    (K[0], k[0], K[1], k[1]) per stamp, latest first, and the value (V_x,
+    V_xx, c) at the first stamp; or None as soon as a regularized Q_uu is not
+    positive definite.
     """
     v00, v01, v02, v03, _, v11, v12, v13, _, _, v22, v23, _, _, _, v33, x0, x1, x2, x3 = terminal
     corner, gains = 0.0, []
@@ -249,8 +259,8 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
         sweep = _riccati_sweep(rows, terminal, mu)
         if sweep is not None:
             gains, (V_x, V_xx, corner) = sweep
-            G = np.array(gains[::-1]).reshape(T, 2, 5)  # [K | k] per stamp
-            return GainSchedule(G[:, :, 4], G[:, :, :4]), (V_x, V_xx, 0.5 * corner), mu
+            gains.reverse()
+            return GainSchedule(gains), (V_x, V_xx, 0.5 * corner), mu
         mu *= settings.mu_growth
     raise RegularizationExhausted(
         f"backward pass found no positive-definite Q_uu below mu={settings.mu_max}"
@@ -262,20 +272,19 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
 
     The feedforward term is scaled by alpha; feedback is applied at full
     strength against the deviation from the nominal states. The policy runs
-    on plain floats over the four states and two controls of a Trajectory,
-    which cost less per stamp than small arrays. A DomainError from a step
-    that leaves the kinematic domain names its stamp.
+    on plain floats over the four states and two controls of a Trajectory
+    and the float gain rows, which cost less per stamp than small arrays. A
+    DomainError from a step that leaves the kinematic domain names its stamp.
     """
     x = traj.states[0].tolist()
     states, controls = [x], []
-    rows = zip((alpha * gains.k).tolist(), gains.K.tolist(), traj.states.tolist(),
-               traj.controls.tolist())
+    rows = zip(gains.rows, traj.states.tolist(), traj.controls.tolist())
     try:
-        for (k0, k1), (K0, K1), (n0, n1, n2, n3), (w, a) in rows:
+        for (K00, K01, K02, K03, k0, K10, K11, K12, K13, k1), (n0, n1, n2, n3), (w, a) in rows:
             d0, d1, d2, d3 = x[0] - n0, x[1] - n1, x[2] - n2, x[3] - n3
-            u = [w + (k0 + (K0[0] * d0 + K0[1] * d1 + K0[2] * d2 + K0[3] * d3)),
-                 a + (k1 + (K1[0] * d0 + K1[1] * d1 + K1[2] * d2 + K1[3] * d3))]
-            x = dynamics.step(x, u).tolist()
+            u = [w + (alpha * k0 + (K00 * d0 + K01 * d1 + K02 * d2 + K03 * d3)),
+                 a + (alpha * k1 + (K10 * d0 + K11 * d1 + K12 * d2 + K13 * d3))]
+            x = dynamics.step(x, u)
             controls.append(u)
             states.append(x)
     except DomainError as exc:
@@ -284,24 +293,17 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
     return Trajectory(np.array(states), np.array(controls))
 
 
-def solve(
-    x0,
-    cost,
-    dynamics,
-    settings: ILQRSettings | None = None,
-    *,
-    initial_controls,
-) -> ILQRResult:
+def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None) -> ILQRResult:
     """Minimize the summed stage plus terminal cost subject to the dynamics.
 
-    The nominal trajectory is the rollout of `initial_controls` (T, 2).
-    Iterations alternate backward and forward passes, accepting the first
-    backtracking step that strictly decreases the cost; the loop stops when
-    the accepted improvement (or the predicted one, if no step is acceptable)
-    falls below the cost tolerance.
+    `traj` is the first nominal trajectory: the rollout of its controls from
+    its first state, as `rollout` and every solve return it, so it is not
+    rolled out again. Iterations alternate backward and forward passes,
+    accepting the first backtracking step that strictly decreases the cost;
+    the loop stops when the accepted improvement (or the predicted one, if
+    no step is acceptable) falls below the cost tolerance.
     """
     settings = settings or ILQRSettings()
-    traj = rollout(dynamics, np.asarray(x0, dtype=float), initial_controls)
     cost_now = total_cost(cost, traj)
     history = [cost_now]
     mu = settings.mu_init

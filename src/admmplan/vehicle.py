@@ -81,7 +81,7 @@ def back_roll(v: float, steer: float, params: VehicleParams) -> float:
     return d + f * math.cos(steer) - math.sqrt(disc)
 
 
-def step(x, u, params: VehicleParams) -> np.ndarray:
+def step(x, u, params: VehicleParams) -> list:
     """Advance the state one sample period.
 
     Args:
@@ -93,7 +93,8 @@ def step(x, u, params: VehicleParams) -> np.ndarray:
     because the scalar kinematics below cost more on array elements.
 
     Returns:
-        Next state as a new array.
+        Next state as a new list of four Python floats; wrap it in
+        `np.asarray` for array arithmetic.
     """
     px, py, theta, v = x
     w, a = u
@@ -101,14 +102,12 @@ def step(x, u, params: VehicleParams) -> np.ndarray:
     h = params.timestep
     b = back_roll(v, w, params)
     f = h * v
-    return np.array(
-        [
-            px + b * math.cos(theta),
-            py + b * math.sin(theta),
-            theta + math.asin(f * math.sin(w) / d),
-            v + h * a,
-        ]
-    )
+    return [
+        px + b * math.cos(theta),
+        py + b * math.sin(theta),
+        theta + math.asin(f * math.sin(w) / d),
+        v + h * a,
+    ]
 
 
 def jacobians(x, u, params: VehicleParams):
@@ -178,7 +177,7 @@ class BicycleModel:
     def __init__(self, params: VehicleParams | None = None):
         self.params = params or VehicleParams()
 
-    def step(self, x, u) -> np.ndarray:
+    def step(self, x, u) -> list:
         return step(x, u, self.params)
 
     def jacobians(self, X, U):

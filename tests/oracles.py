@@ -22,7 +22,7 @@ class LinearDynamics:
         self.B = np.asarray(B, dtype=float)
 
     def step(self, x, u):
-        return self.A @ x + self.B @ u
+        return (self.A @ x + self.B @ u).tolist()
 
     def jacobians(self, X, U):
         T = len(X)
@@ -51,6 +51,12 @@ class QuadraticCost:
         l_uu = 2.0 * np.tile(self.R, (T, 1, 1))
         l_u = np.einsum("tij,tj->ti", l_uu, U)
         return l_x, l_u, l_xx, l_uu
+
+
+def gain_schedule(k, K):
+    """The solver's float-row GainSchedule of (T, 2) k and (T, 2, 4) K."""
+    k, K = np.asarray(k, dtype=float), np.asarray(K, dtype=float)
+    return GainSchedule(np.concatenate([K, k[:, :, None]], axis=2).reshape(len(k), -1).tolist())
 
 
 def riccati_optimal(A, B, Q, R, Qf, x0, horizon):
@@ -170,7 +176,7 @@ def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, setting
             V_xx = Q[:n, :n] - KtQ @ K
             V_xx = 0.5 * (V_xx + V_xx.T)
         else:
-            return GainSchedule(ks, Ks), (V_x, V_xx, dV), mu
+            return gain_schedule(ks, Ks), (V_x, V_xx, dV), mu
         mu *= settings.mu_growth
 
 
@@ -189,5 +195,5 @@ def reference_forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, 
     rows = zip(alpha * gains.k, gains.K, traj.states, traj.controls)
     for tau, (k, K, x_nom, u_nom) in enumerate(rows):
         controls[tau] = u = u_nom + (k + K @ (x - x_nom))
-        states[tau + 1] = x = dynamics.step(x, u)
+        states[tau + 1] = x = np.asarray(dynamics.step(x, u))
     return Trajectory(states, controls)

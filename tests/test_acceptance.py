@@ -46,9 +46,10 @@ def test_criterion_1_lqr_oracle_equivalence():
         A, B, Q, R, Qf, x0 = random_lqr_instance(rng)
         opt_cost, _, _, _ = riccati_optimal(A, B, Q, R, Qf, x0, horizon)
         start = time.perf_counter()
+        dynamics = LinearDynamics(A, B)
         result = ilqr.solve(
-            x0, QuadraticCost(Q, R, Qf), LinearDynamics(A, B), settings,
-            initial_controls=np.zeros((horizon, 2)),
+            ilqr.rollout(dynamics, x0, np.zeros((horizon, 2))),
+            QuadraticCost(Q, R, Qf), dynamics, settings,
         )
         elapsed = (time.perf_counter() - start) * 1e3
         worst_rel = max(worst_rel, abs(result.cost - opt_cost) / abs(opt_cost))
@@ -83,12 +84,14 @@ def test_criterion_2_derivative_suite():
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            fd = (step(x + dx, u, params) - step(x - dx, u, params)) / (2 * eps)
+            fd = (np.asarray(step(x + dx, u, params))
+                  - np.asarray(step(x - dx, u, params))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_x[:, j]).max())
         for j in range(2):
             du = np.zeros(2)
             du[j] = eps
-            fd = (step(x, u + du, params) - step(x, u - du, params)) / (2 * eps)
+            fd = (np.asarray(step(x, u + du, params))
+                  - np.asarray(step(x, u - du, params))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_u[:, j]).max())
         cost = costs[i % 2]
         l_x, l_u, _, _ = cost.expand(at(x, u))
@@ -258,8 +261,8 @@ def test_criterion_8_inactive_splitting_identity():
         x0, cost, dynamics = build_problem(cfg)
         wide = InputBounds(1e9, 1e9, -1e9)
         rep = admm_solve(x0, cost, dynamics, wide, [], cfg.horizon, cfg.admm)
-        plain = ilqr.solve(x0, cost, dynamics, cfg.admm.ilqr,
-                           initial_controls=np.zeros((cfg.horizon, 2)))
+        plain = ilqr.solve(ilqr.rollout(dynamics, x0, np.zeros((cfg.horizon, 2))),
+                           cost, dynamics, cfg.admm.ilqr)
         worst = max(worst, abs(rep.cost_history[-1] - plain.cost) / abs(plain.cost))
     ok = worst < 1e-6
     report("criterion 8: inactive-splitting identity", ok,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,11 @@ def test_settings_validation():
         ADMMSettings(sigma=0.0)
     with pytest.raises(ValueError):
         ADMMSettings(max_admm_iters=0)
+    with pytest.raises(ValueError):
+        ADMMSettings(primal_tolerance=0.0)
+    for field in ("sigma", "max_admm_iters", "primal_tolerance"):
+        with pytest.raises(ValueError):
+            ADMMSettings(**{field: math.nan})
 
 
 def solve_scenario_admm(sid, **kwargs):
@@ -171,8 +178,7 @@ def test_dual_update_identity():
     constraints = ConstraintSet(cfg.bounds, cfg.obstacles, dynamics.params.timestep)
     for _ in range(4):
         pen = PenalizedCost(cost, z, lam, sigma)
-        y = ilqr.solve(x0, pen, dynamics, cfg.admm.ilqr,
-                       initial_controls=y.controls).trajectory
+        y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
         sel = select(y)
         targets = sel + lam / sigma
         for tau in range(T + 1):
@@ -193,8 +199,7 @@ def test_z_iterates_feasible():
     constraints = ConstraintSet(cfg.bounds, cfg.obstacles, dynamics.params.timestep)
     for _ in range(6):
         pen = PenalizedCost(cost, z, lam, sigma)
-        y = ilqr.solve(x0, pen, dynamics, cfg.admm.ilqr,
-                       initial_controls=y.controls).trajectory
+        y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
         sel = select(y)
         targets = sel + lam / sigma
         for tau in range(T + 1):
@@ -236,8 +241,8 @@ def test_inactive_splitting_matches_plain_ilqr():
         x0, cost, dynamics = build_problem(cfg)
         bounds = InputBounds(1e9, 1e9, -1e9)
         report = admm_solve(x0, cost, dynamics, bounds, [], cfg.horizon, cfg.admm)
-        plain = ilqr.solve(x0, cost, dynamics, cfg.admm.ilqr,
-                           initial_controls=np.zeros((cfg.horizon, 2)))
+        plain = ilqr.solve(ilqr.rollout(dynamics, x0, np.zeros((cfg.horizon, 2))),
+                           cost, dynamics, cfg.admm.ilqr)
         assert report.status == "converged"
         assert report.primal_inf_history == [0.0]
         assert abs(report.cost_history[-1] - plain.cost) <= 1e-6 * abs(plain.cost)

@@ -206,3 +206,6 @@ def test_settings_validation():
         BarrierSettings(initial_sharpness=0.0)
     with pytest.raises(ValueError):
         BarrierSettings(tighten_factor=1.0)
+    for field in ("initial_sharpness", "tighten_factor"):
+        with pytest.raises(ValueError):
+            BarrierSettings(**{field: math.nan})

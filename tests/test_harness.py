@@ -311,6 +311,22 @@ def test_cli_rejects_malformed_obstacle(tmp_path):
         assert not out.exists()
 
 
+def test_cli_rejects_nan_settings(tmp_path):
+    # NaN fails every settings check, so it is a configuration error (exit
+    # 2), not a solve that ends "failed".
+    data = config_to_dict(builtin_scenario(1))
+    for admm in (dict(data["admm"], sigma=math.nan),
+                 dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], cost_tolerance=math.nan))):
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(dict(data, admm=admm)))
+        assert ".nan" in path.read_text()
+        with pytest.raises(ConfigError):
+            load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     code = cli.main(
         ["--scenario", "1", "--method", "barrier", "--out", str(tmp_path)]

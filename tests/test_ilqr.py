@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from admmplan.ilqr import (
 )
 from admmplan.vehicle import BicycleModel, VehicleParams
 
-from oracles import LinearDynamics, QuadraticCost, random_lqr_instance, riccati_optimal
+from oracles import (
+    LinearDynamics,
+    QuadraticCost,
+    gain_schedule,
+    random_lqr_instance,
+    riccati_optimal,
+)
 
 TIGHT = ILQRSettings(max_iters=100, cost_tolerance=1e-10, mu_init=1e-9)
 
@@ -85,7 +93,7 @@ def test_backward_pass_regularization_exhausted():
 def test_forward_pass_zero_gains_is_identity():
     dynamics, _, x0, _ = lqr_setup(6)
     traj = rollout(dynamics, x0, np.ones((15, 2)) * 0.1)
-    gains = ilqr.GainSchedule(np.zeros((15, 2)), np.zeros((15, 2, 4)))
+    gains = gain_schedule(np.zeros((15, 2)), np.zeros((15, 2, 4)))
     out = forward_pass(traj, gains, 1.0, dynamics)
     np.testing.assert_array_equal(out.states, traj.states)
     np.testing.assert_array_equal(out.controls, traj.controls)
@@ -114,7 +122,7 @@ def test_solve_matches_riccati_cost(seed):
     dynamics, cost, x0, (A, B, Q, R, Qf) = lqr_setup(seed)
     horizon = 60
     opt_cost, _, _, _ = riccati_optimal(A, B, Q, R, Qf, x0, horizon)
-    result = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((horizon, 2)))
+    result = solve(rollout(dynamics, x0, np.zeros((horizon, 2))), cost, dynamics, TIGHT)
     assert result.cost == pytest.approx(opt_cost, rel=1e-8)
     assert result.status == ilqr.STATUS_CONVERGED
 
@@ -123,25 +131,45 @@ def test_solve_monotone_descent_and_history():
     params = VehicleParams()
     dynamics = BicycleModel(params)
     cost = TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0))
-    result = solve(np.array([0.0, 0.0, 0.0, 2.0]), cost, dynamics,
-                   ILQRSettings(), initial_controls=np.zeros((40, 2)))
+    nominal = rollout(dynamics, np.array([0.0, 0.0, 0.0, 2.0]), np.zeros((40, 2)))
+    result = solve(nominal, cost, dynamics, ILQRSettings())
     diffs = np.diff(result.cost_history)
     assert (diffs < 0).all()
 
 
 def test_solve_warm_start_converges_immediately():
     dynamics, cost, x0, _ = lqr_setup(10)
-    first = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((30, 2)))
-    again = solve(x0, cost, dynamics, TIGHT,
-                  initial_controls=first.trajectory.controls)
+    first = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, TIGHT)
+    again = solve(first.trajectory, cost, dynamics, TIGHT)
     assert again.status == ilqr.STATUS_CONVERGED
     assert again.iterations == 1
     assert again.cost == pytest.approx(first.cost, rel=1e-12)
 
 
+def test_solve_from_a_solved_trajectory_equals_solve_from_its_rollout():
+    # A solve returns the rollout of its own controls bit for bit, so handing
+    # its trajectory to the next solve is the same as rolling the controls
+    # out again.
+    dynamics = BicycleModel(VehicleParams())
+    x0 = np.array([0.0, 0.0, 0.0, 4.0])
+    first = solve(rollout(dynamics, x0, np.zeros((40, 2))),
+                  TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0)), dynamics)
+    rolled = rollout(dynamics, x0, first.trajectory.controls)
+    assert (rolled.states == first.trajectory.states).all()
+    assert (rolled.controls == first.trajectory.controls).all()
+    cost = TrackingCost(CostWeights(), Reference(py_ref=-0.5, v_ref=7.0))
+    handed = solve(first.trajectory, cost, dynamics)
+    again = solve(rolled, cost, dynamics)
+    assert handed.iterations > 1
+    assert handed.cost_history == again.cost_history
+    assert (handed.trajectory.states == again.trajectory.states).all()
+    assert (handed.trajectory.controls == again.trajectory.controls).all()
+    assert handed.status == again.status and handed.iterations == again.iterations
+
+
 def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
     dynamics, cost, x0, _ = lqr_setup(11)
-    result = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((30, 2)))
+    result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, TIGHT)
     gains, _, _ = backward_pass(result.trajectory, cost, dynamics, 1e-12, TIGHT)
     assert np.abs(gains.k).max() < 1e-6
 
@@ -149,7 +177,7 @@ def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
 def test_stationarity_at_convergence():
     dynamics, cost, x0, _ = lqr_setup(12)
     horizon = 30
-    result = solve(x0, cost, dynamics, TIGHT, initial_controls=np.zeros((horizon, 2)))
+    result = solve(rollout(dynamics, x0, np.zeros((horizon, 2))), cost, dynamics, TIGHT)
     traj = result.trajectory
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
     l_x, l_u, l_xx, l_uu = cost.expand(traj)
@@ -176,8 +204,8 @@ def test_feedback_consistency_quadratic_model():
     dynamics = BicycleModel(VehicleParams())
     cost = TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0))
     x0 = np.array([0.0, 0.0, 0.0, 4.0])
-    result = solve(x0, cost, dynamics, ILQRSettings(cost_tolerance=1e-9),
-                   initial_controls=np.zeros((40, 2)))
+    result = solve(rollout(dynamics, x0, np.zeros((40, 2))), cost, dynamics,
+                   ILQRSettings(cost_tolerance=1e-9))
     traj = result.trajectory
     gains, (V_x, V_xx, _), _ = backward_pass(traj, cost, dynamics, 1e-9, ILQRSettings())
     np.testing.assert_array_equal(V_xx, V_xx.T)
@@ -197,8 +225,8 @@ def test_feedback_consistency_quadratic_model():
 def test_scenario_subproblem_reaches_reference_speed():
     dynamics = BicycleModel(VehicleParams())
     cost = TrackingCost(CostWeights(), Reference(py_ref=0.0, v_ref=8.0))
-    result = solve(np.array([0.0, 0.0, 0.0, 4.0]), cost, dynamics,
-                   ILQRSettings(), initial_controls=np.zeros((60, 2)))
+    nominal = rollout(dynamics, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((60, 2)))
+    result = solve(nominal, cost, dynamics, ILQRSettings())
     assert result.trajectory.states[-1, 3] == pytest.approx(8.0, abs=0.1)
 
 
@@ -207,6 +235,15 @@ def test_settings_validation():
         ILQRSettings(max_iters=0)
     with pytest.raises(ValueError):
         ILQRSettings(cost_tolerance=0.0)
+
+
+@pytest.mark.parametrize(
+    "field", ["max_iters", "cost_tolerance", "mu_init", "mu_growth", "mu_shrink", "mu_max",
+              "line_search_steps"],
+)
+def test_settings_reject_nan(field):
+    with pytest.raises(ValueError):
+        ILQRSettings(**{field: math.nan})
 
 
 @pytest.mark.parametrize(

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmplan.admm import PenalizedCost, select
+from admmplan import ilqr
+from admmplan.admm import PenalizedCost, admm_solve, select
 from admmplan.barrier import BarrierCost
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import DomainError
 from admmplan.harness import build_problem
 from admmplan.ilqr import (
-    GainSchedule,
     ILQRSettings,
     backward_pass,
     forward_pass,
@@ -35,6 +35,7 @@ from admmplan.vehicle import BicycleModel, VehicleParams
 from oracles import (
     LinearDynamics,
     QuadraticCost,
+    gain_schedule,
     random_lqr_instance,
     reference_backward_pass,
     reference_forward_pass,
@@ -170,8 +171,10 @@ def test_backward_pass_matches_reference_on_dense_lqr(seed, horizon, scale, log_
 @pytest.mark.parametrize("build, arg, mu", CASES)
 @pytest.mark.parametrize("alpha", [1.0, 0.25])
 def test_forward_pass_matches_array_formula(build, arg, mu, alpha):
+    # The float gain rows of the solver's own backward pass, read by the
+    # float pass as rows and by the reference through the k and K arrays.
     traj, cost, dynamics = build(arg)
-    gains, _, _ = reference_backward_pass(traj, cost, dynamics, mu, SETTINGS)
+    gains, _, _ = backward_pass(traj, cost, dynamics, mu, SETTINGS)
     out = forward_pass(traj, gains, alpha, dynamics)
     ref = reference_forward_pass(traj, gains, alpha, dynamics)
     assert_close(out.states, ref.states)
@@ -195,6 +198,9 @@ class CountingDynamics:
         self.calls += 1
         return self.inner.step(x, u)
 
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
 
 def test_forward_pass_domain_error_at_the_same_stamp():
     # At 25 m/s one step rolls 2.5 m against a 2 m wheelbase, so a steer
@@ -204,7 +210,7 @@ def test_forward_pass_domain_error_at_the_same_stamp():
     rng = np.random.default_rng(3)
     k = np.zeros((12, 2))
     k[7, 0] = 1.2
-    gains = GainSchedule(k, 1e-3 * rng.normal(size=(12, 2, 4)))
+    gains = gain_schedule(k, 1e-3 * rng.normal(size=(12, 2, 4)))
     stamps = []
     for roll in (forward_pass, reference_forward_pass):
         counter = CountingDynamics(model)
@@ -215,6 +221,25 @@ def test_forward_pass_domain_error_at_the_same_stamp():
     with pytest.raises(DomainError, match="time index 7") as info:
         forward_pass(traj, gains, 1.0, model)
     assert info.value.tau == 7
+
+
+def test_admm_solve_rolls_out_once(monkeypatch):
+    # Every step of an S1 solve belongs to a forward pass or to the single
+    # zero-control rollout: no solve rolls out its nominal controls again.
+    passes = []
+
+    def counted_forward_pass(*args):
+        passes.append(args)
+        return forward_pass(*args)
+
+    monkeypatch.setattr(ilqr, "forward_pass", counted_forward_pass)
+    config = builtin_scenario(1)
+    x0, cost, dynamics = build_problem(config)
+    counter = CountingDynamics(dynamics)
+    report = admm_solve(x0, cost, counter, config.bounds, config.obstacles, config.horizon,
+                        config.admm)
+    assert report.status == "converged" and len(passes) > report.iterations
+    assert counter.calls == config.horizon * (len(passes) + 1)
 
 
 def test_rollout_domain_error_names_its_stamp():

@@ -66,8 +66,28 @@ def test_step_translation_invariance():
         x = rng.uniform([-5, -5, -2, -1], [5, 5, 2, 10])
         u = rng.uniform([-0.6, -3], [0.6, 3])
         np.testing.assert_allclose(
-            step(x + shift, u, PARAMS), step(x, u, PARAMS) + shift, atol=1e-12
+            step(x + shift, u, PARAMS), np.asarray(step(x, u, PARAMS)) + shift, atol=1e-12
         )
+
+
+def test_step_returns_four_floats_of_the_array_formula():
+    # The kinematics of the module docstring evaluated into an array, against
+    # the list that step returns, for list and array inputs alike.
+    rng = np.random.default_rng(5)
+    h, d = PARAMS.timestep, PARAMS.wheelbase
+    for _ in range(50):
+        x = rng.uniform([-10, -10, -3, -2], [10, 10, 3, 12])
+        u = rng.uniform([-0.6, -3], [0.6, 3])
+        px, py, theta, v = x.tolist()
+        w, a = u.tolist()
+        b = back_roll(v, w, PARAMS)
+        expected = np.array([px + b * math.cos(theta), py + b * math.sin(theta),
+                             theta + math.asin(h * v * math.sin(w) / d), v + h * a])
+        for nxt in (step(x.tolist(), u.tolist(), PARAMS), step(x, u, PARAMS),
+                    BicycleModel(PARAMS).step(x.tolist(), u.tolist())):
+            assert type(nxt) is list and len(nxt) == 4
+            assert all(isinstance(value, float) for value in nxt)
+            assert nxt == expected.tolist()
 
 
 def test_zero_steer_is_straight_line_at_any_heading():
@@ -91,7 +111,7 @@ def test_rollout_determinism():
     for u in controls:
         first.append(model.step(first[-1], u))
         second.append(model.step(second[-1], u))
-    assert all((a == b).all() for a, b in zip(first, second))
+    np.testing.assert_array_equal(np.array(first), np.array(second))
 
 
 def test_straight_line_jacobian_row():
@@ -115,12 +135,14 @@ def test_jacobians_match_central_differences():
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            fd = (step(x + dx, u, PARAMS) - step(x - dx, u, PARAMS)) / (2 * eps)
+            fd = (np.asarray(step(x + dx, u, PARAMS))
+                  - np.asarray(step(x - dx, u, PARAMS))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_x[:, j]).max())
         for j in range(2):
             du = np.zeros(2)
             du[j] = eps
-            fd = (step(x, u + du, PARAMS) - step(x, u - du, PARAMS)) / (2 * eps)
+            fd = (np.asarray(step(x, u + du, PARAMS))
+                  - np.asarray(step(x, u - du, PARAMS))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_u[:, j]).max())
     assert worst < 1e-5
 
