@@ -38,6 +38,10 @@ class BarrierSettings:
             raise ValueError("initial_sharpness must be positive")
         if not self.tighten_factor > 1:
             raise ValueError("tighten_factor must exceed 1")
+        if not self.outer_iters >= 1:
+            raise ValueError("outer_iters must be at least 1")
+        if not self.margin >= 0:
+            raise ValueError("margin must be nonnegative")
 
 
 class BarrierCost:

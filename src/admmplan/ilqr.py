@@ -96,11 +96,11 @@ class Trajectory:
         return Trajectory(self.states.copy(), self.controls.copy())
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
-        """First time index whose step misses the next state by more than tol."""
+        """First time index whose step misses the next state by more than tol, or by NaN."""
         states = self.states.tolist()
         for tau, u in enumerate(self.controls.tolist()):
             nxt = dynamics.step(states[tau], u)
-            if any(abs(a - b) > tol for a, b in zip(nxt, states[tau + 1])):
+            if not all(abs(a - b) <= tol for a, b in zip(nxt, states[tau + 1])):
                 return tau
         return None
 

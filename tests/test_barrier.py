@@ -206,6 +206,11 @@ def test_settings_validation():
         BarrierSettings(initial_sharpness=0.0)
     with pytest.raises(ValueError):
         BarrierSettings(tighten_factor=1.0)
-    for field in ("initial_sharpness", "tighten_factor"):
+    with pytest.raises(ValueError):
+        BarrierSettings(outer_iters=0)
+    with pytest.raises(ValueError):
+        BarrierSettings(margin=-1e-6)
+    BarrierSettings(margin=0.0)
+    for field in ("initial_sharpness", "tighten_factor", "outer_iters", "margin"):
         with pytest.raises(ValueError):
             BarrierSettings(**{field: math.nan})

@@ -59,6 +59,8 @@ def test_trajectory_feasibility_check():
     assert traj.dynamics_break(model) is None
     traj.states[3, 0] += 1e-6
     assert traj.dynamics_break(model) == 2
+    traj.states[3, 0] = math.nan
+    assert traj.dynamics_break(model) == 2
 
 
 def test_backward_pass_zero_cost_gives_zero_gains():
