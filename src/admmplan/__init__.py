@@ -8,7 +8,7 @@ projection step is solved exactly per time stamp. A log-barrier constrained
 iLQR baseline and a benchmark harness round out the toolkit.
 """
 
-from .admm import ADMMSettings, SolveReport, admm_solve, primal_residual, select
+from .admm import ADMMSettings, IterationRecord, SolveReport, admm_solve, primal_residual, select
 from .barrier import BarrierSettings, barrier_solve
 from .constraints import (
     ConstraintSet,
@@ -48,6 +48,7 @@ __all__ = [
     "DomainError",
     "ILQRSettings",
     "InputBounds",
+    "IterationRecord",
     "NonConvergence",
     "Obstacle",
     "PlannerError",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ilqr
-from .ilqr import ILQRSettings
+from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count
 from .constraints import (
     FEASIBILITY_TOL,
     ConstraintSet,
@@ -35,10 +35,6 @@ from .constraints import (
     project_timestep,
 )
 from .errors import NonConvergence, RegularizationExhausted
-
-STATUS_CONVERGED = "converged"
-STATUS_MAX_ITERS = "max_iters"
-STATUS_FAILED = "failed"
 
 BLOCK_DIM = 4  # (px, py, steer, accel)
 
@@ -54,32 +50,54 @@ class ADMMSettings:
         # Written so that NaN fails every check.
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not self.max_admm_iters >= 1:
-            raise ValueError("max_admm_iters must be at least 1")
+        if not is_count(self.max_admm_iters):
+            raise ValueError("max_admm_iters must be an integer of at least 1")
         if not self.primal_tolerance > 0:
             raise ValueError("primal_tolerance must be positive")
 
 
 @dataclass
+class IterationRecord:
+    """One outer iteration: its iterate and the values of its residuals.csv row.
+
+    `trajectory` is the iterate itself, not a copy: solves return fresh
+    trajectories and nothing changes one in place.
+    """
+
+    trajectory: ilqr.Trajectory
+    residual_inf: float  # residual_inf column
+    residual_two: float  # residual_2 column
+    cost: float  # base cost of the iterate; cost column
+    ilqr_iterations: int  # inner iterations; ilqr_iters column
+    seconds: float  # seconds column (with per-iteration timing)
+
+
+@dataclass
 class SolveReport:
-    """Outcome of a constrained solve plus per-iteration diagnostics."""
+    """Outcome of a constrained solve plus one record per outer iteration.
+
+    When there are records, `trajectory` is the last record's trajectory;
+    a solve that fails before its first iteration returns its seed rollout.
+    """
 
     trajectory: ilqr.Trajectory
     status: str
-    primal_inf_history: list = field(default_factory=list)
-    primal_two_history: list = field(default_factory=list)
-    cost_history: list = field(default_factory=list)
-    ilqr_iterations: list = field(default_factory=list)
-    iteration_seconds: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # trajectory per iteration
+    records: list = field(default_factory=list)  # IterationRecord per iteration
     seconds: float = 0.0
     max_violation: float = 0.0
-    iterations: int = 0
     message: str = ""
 
     @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    @property
     def final_cost(self) -> float:
-        return self.cost_history[-1] if self.cost_history else float("nan")
+        return self.records[-1].cost if self.records else float("nan")
+
+    @property
+    def ilqr_iterations(self) -> list:
+        return [r.ilqr_iterations for r in self.records]
 
 
 def select(traj: ilqr.Trajectory) -> np.ndarray:
@@ -192,8 +210,10 @@ def admm_solve(
             dual transient.
 
     Returns:
-        SolveReport with the final dynamics-feasible trajectory, residual and
-        cost histories, and the trajectory's residual constraint violation.
+        SolveReport with the final dynamics-feasible trajectory, one
+        IterationRecord per consensus iteration (the probe's optimum is the
+        single record of a probe exit), and the trajectory's residual
+        constraint violation.
         Internal solver failures are reported as status "failed" on a partial
         report rather than raised.
     """
@@ -218,14 +238,9 @@ def admm_solve(
         return report
 
     if trajectory_violation(probe.trajectory, constraints) <= FEASIBILITY_TOL:
-        report = SolveReport(probe.trajectory, STATUS_CONVERGED)
-        report.primal_inf_history = [0.0]
-        report.primal_two_history = [0.0]
-        report.cost_history = [probe.cost]
-        report.ilqr_iterations = [probe.iterations]
-        report.iteration_seconds = [time.perf_counter() - start]
-        report.snapshots = [probe.trajectory.copy()]
-        report.iterations = 1
+        record = IterationRecord(probe.trajectory, 0.0, 0.0, probe.cost,
+                                 probe.iterations, time.perf_counter() - start)
+        report = SolveReport(probe.trajectory, STATUS_CONVERGED, [record])
         report.seconds = time.perf_counter() - start
         return report
 
@@ -243,7 +258,7 @@ def admm_solve(
     # has nothing to say yet while the objective is still improving.
     engaged = False
 
-    for iteration in range(1, settings.max_admm_iters + 1):
+    for _ in range(settings.max_admm_iters):
         iter_start = time.perf_counter()
         penalized = PenalizedCost(cost, z, lam, settings.sigma)
         try:
@@ -259,13 +274,10 @@ def admm_solve(
         res_inf, res_two = primal_residual(y, z)
 
         report.trajectory = y
-        report.iterations = iteration
-        report.primal_inf_history.append(res_inf)
-        report.primal_two_history.append(res_two)
-        report.cost_history.append(ilqr.total_cost(cost, y))
-        report.ilqr_iterations.append(result.iterations)
-        report.iteration_seconds.append(time.perf_counter() - iter_start)
-        report.snapshots.append(y.copy())
+        report.records.append(IterationRecord(
+            y, res_inf, res_two, ilqr.total_cost(cost, y), result.iterations,
+            time.perf_counter() - iter_start,
+        ))
 
         if res_inf >= settings.primal_tolerance:
             engaged = True

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ilqr
-from .ilqr import ILQRSettings
-from .admm import SolveReport, STATUS_CONVERGED, STATUS_FAILED, trajectory_violation
+from .ilqr import STATUS_CONVERGED, STATUS_FAILED, ILQRSettings, is_count
+from .admm import IterationRecord, SolveReport, trajectory_violation
 from .constraints import ConstraintSet, InputBounds
 from .errors import BarrierDomainViolation, RegularizationExhausted
 
@@ -38,8 +38,8 @@ class BarrierSettings:
             raise ValueError("initial_sharpness must be positive")
         if not self.tighten_factor > 1:
             raise ValueError("tighten_factor must exceed 1")
-        if not self.outer_iters >= 1:
-            raise ValueError("outer_iters must be at least 1")
+        if not is_count(self.outer_iters):
+            raise ValueError("outer_iters must be an integer of at least 1")
         if not self.margin >= 0:
             raise ValueError("margin must be nonnegative")
 
@@ -164,15 +164,13 @@ def barrier_solve(
             report.message = str(exc)
             break
         y = result.trajectory
-        report.trajectory = y
-        report.iterations += 1
-        report.cost_history.append(ilqr.total_cost(cost, y))
-        report.ilqr_iterations.append(result.iterations)
-        report.iteration_seconds.append(time.perf_counter() - iter_start)
-        report.snapshots.append(y.copy())
         violation = trajectory_violation(y, constraints)
-        report.primal_inf_history.append(violation)
-        report.primal_two_history.append(violation)
+        # The barrier has no consensus residual: its violation fills both.
+        report.trajectory = y
+        report.records.append(IterationRecord(
+            y, violation, violation, ilqr.total_cost(cost, y), result.iterations,
+            time.perf_counter() - iter_start,
+        ))
         sharpness *= settings.tighten_factor
 
     report.max_violation = violation

@@ -3,15 +3,16 @@
 A run writes, under the output directory:
 
     config.yaml                  exact configuration used (round-trippable)
-    <method>/trajectory_iterNNN.csv   snapshot per recorded solver iteration
-    <method>/residuals.csv       per-iteration residual/cost history
+    <method>/trajectory_iterNNN.csv   trajectory of a selected solver iteration
+    <method>/residuals.csv       one row per solver iteration
     <method>/timings.csv         one row per trial plus a mean row
     compare.csv                  joint timing table (only with compare=True)
 
 Trajectory files carry the header `tau,t,px,py,theta,v,w,a` with the control
 columns blank on the final row; residual files carry
-`iter,residual_inf,residual_2,cost,ilqr_iters,seconds`. Every trajectory row
-is re-checked against the dynamics recursion at write time.
+`iter,residual_inf,residual_2,cost,ilqr_iters,seconds`. Both are written
+from the report's `records`, one IterationRecord per iteration. Every
+trajectory row is re-checked against the dynamics recursion at write time.
 
 Timing measures the solver call only. The `seconds` column of residuals.csv
 stays blank unless per-iteration timing is requested, keeping default outputs
@@ -25,11 +26,11 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .admm import SolveReport, STATUS_FAILED, admm_solve
+from .admm import SolveReport, admm_solve
 from .barrier import barrier_solve
 from .costs import TrackingCost
 from .errors import PlannerError
-from .ilqr import Trajectory
+from .ilqr import STATUS_FAILED, Trajectory
 from .scenarios import ScenarioConfig, save_config
 from .vehicle import BicycleModel
 
@@ -51,6 +52,7 @@ class TrialRecord:
     final_cost: float
     max_violation: float
     message: str = ""
+    report: SolveReport | None = None  # None when the trial raised
 
 
 def build_problem(config: ScenarioConfig):
@@ -63,38 +65,23 @@ def build_problem(config: ScenarioConfig):
 
 def solve_scenario(config: ScenarioConfig, method: str) -> SolveReport:
     """Run one solver on a scenario; barrier infeasibility propagates."""
-    x0, cost, dynamics = build_problem(config)
     if method == "admm":
-        return admm_solve(
-            x0,
-            cost,
-            dynamics,
-            config.bounds,
-            config.obstacles,
-            config.horizon,
-            config.admm,
-            use_ego_heading=config.ego_heading_ellipses,
-        )
-    if method == "barrier":
-        return barrier_solve(
-            x0,
-            cost,
-            dynamics,
-            config.bounds,
-            config.obstacles,
-            config.horizon,
-            config.barrier,
-            use_ego_heading=config.ego_heading_ellipses,
-        )
-    raise ValueError(f"unknown method {method!r}")
+        solver, settings = admm_solve, config.admm
+    elif method == "barrier":
+        solver, settings = barrier_solve, config.barrier
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    x0, cost, dynamics = build_problem(config)
+    return solver(x0, cost, dynamics, config.bounds, config.obstacles, config.horizon,
+                  settings, use_ego_heading=config.ego_heading_ellipses)
 
 
-def run_trials(config: ScenarioConfig, method: str, trials: int):
-    """Solve the same configuration `trials` times, recording wall time.
+def run_trials(config: ScenarioConfig, method: str, trials: int) -> list:
+    """Solve the same configuration `trials` times, one TrialRecord each.
 
     Failures are captured per trial; remaining trials still run.
     """
-    records, reports = [], []
+    records = []
     for index in range(1, trials + 1):
         start = time.perf_counter()
         try:
@@ -104,14 +91,12 @@ def run_trials(config: ScenarioConfig, method: str, trials: int):
                 method, config.name, index, time.perf_counter() - start,
                 STATUS_FAILED, math.nan, math.nan, message=str(exc),
             ))
-            reports.append(None)
         else:
             records.append(TrialRecord(
                 method, config.name, index, time.perf_counter() - start,
-                report.status, report.final_cost, report.max_violation,
+                report.status, report.final_cost, report.max_violation, report=report,
             ))
-            reports.append(report)
-    return records, reports
+    return records
 
 
 def _format(value) -> str:
@@ -152,19 +137,10 @@ def write_residuals_csv(report: SolveReport, path, include_seconds=False):
         writer.writerow(
             ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters", "seconds"]
         )
-        for i in range(len(report.primal_inf_history)):
-            seconds = (
-                _format(report.iteration_seconds[i]) if include_seconds else ""
-            )
+        for index, r in enumerate(report.records, 1):
             writer.writerow(
-                [
-                    i + 1,
-                    _format(report.primal_inf_history[i]),
-                    _format(report.primal_two_history[i]),
-                    _format(report.cost_history[i]),
-                    report.ilqr_iterations[i],
-                    seconds,
-                ]
+                [index, _format(r.residual_inf), _format(r.residual_two), _format(r.cost),
+                 r.ilqr_iterations, _format(r.seconds) if include_seconds else ""]
             )
 
 
@@ -247,7 +223,7 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     picks = parse_snapshot_policy(policy) if isinstance(policy, str) else policy
-    total = len(report.snapshots)
+    total = report.iterations
     if picks == "all":
         chosen = set(range(1, total + 1))
     else:
@@ -263,7 +239,7 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
     paths = []
     for index in sorted(i for i in chosen if 1 <= i <= total):
         path = out_dir / f"trajectory_iter{index:03d}.csv"
-        write_trajectory_csv(report.snapshots[index - 1], dynamics, path)
+        write_trajectory_csv(report.records[index - 1].trajectory, dynamics, path)
         paths.append(path)
     residual_path = out_dir / "residuals.csv"
     write_residuals_csv(report, residual_path, include_seconds)
@@ -295,12 +271,12 @@ def run(
     any_failed = False
     try:
         for m in methods:
-            records, reports = run_trials(config, m, trials)
+            records = run_trials(config, m, trials)
             records_by_method[m] = records
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)
             write_timings_csv(records, method_dir / "timings.csv")
-            emitted = next((rep for rep in reports if rep is not None), None)
+            emitted = next((r.report for r in records if r.report is not None), None)
             if emitted is not None:
                 emit_iterates(emitted, dynamics, method_dir, snapshots,
                               include_seconds)

@@ -34,14 +34,23 @@ it is handed, such as the previous solve's, without rolling it out again.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, RegularizationExhausted
 
+# Solve statuses of an iLQR result and of the constrained solvers' reports;
+# only a constrained solve reports "failed".
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
+STATUS_FAILED = "failed"
+
+
+def is_count(value) -> bool:
+    """Whether value is an integer of at least 1: False for 2.5, NaN and True."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -56,8 +65,8 @@ class ILQRSettings:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
+        if not is_count(self.max_iters):
+            raise ValueError("max_iters must be an integer of at least 1")
         if not self.cost_tolerance > 0:
             raise ValueError("cost_tolerance must be positive")
         if not self.mu_init > 0:
@@ -68,8 +77,8 @@ class ILQRSettings:
             raise ValueError("need 0 < mu_shrink <= 1")
         if not self.mu_max >= self.mu_init:
             raise ValueError("mu_max must be at least mu_init")
-        if not self.line_search_steps >= 1:
-            raise ValueError("line_search_steps must be at least 1")
+        if not is_count(self.line_search_steps):
+            raise ValueError("line_search_steps must be an integer of at least 1")
 
     def alphas(self):
         return [0.5**i for i in range(self.line_search_steps)]
@@ -91,9 +100,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.controls)
-
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.states.copy(), self.controls.copy())
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
         """First time index whose step misses the next state by more than tol, or by NaN."""

@@ -24,7 +24,7 @@ from .barrier import BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
 from .errors import ConfigError, UnknownScenario
-from .ilqr import ILQRSettings
+from .ilqr import ILQRSettings, is_count
 from .vehicle import State, VehicleParams
 
 
@@ -56,8 +56,8 @@ class ScenarioConfig:
     ego_heading_ellipses: bool = False
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
+        if not is_count(self.horizon):
+            raise ConfigError("horizon must be an integer of at least 1")
         self.obstacles = list(self.obstacles)
 
 
@@ -151,7 +151,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         return ScenarioConfig(
             name=str(data.get("name", "custom")),
             initial_state=State(**data["initial_state"]),
-            horizon=int(data["horizon"]),
+            horizon=data["horizon"],
             vehicle=_vehicle_from_dict(data.get("vehicle", {})),
             weights=CostWeights(**data.get("weights", {})),
             reference=reference,
@@ -209,5 +209,5 @@ def with_overrides(config: ScenarioConfig, sigma=None, max_admm=None) -> Scenari
     if sigma is not None:
         admm = replace(admm, sigma=float(sigma))
     if max_admm is not None:
-        admm = replace(admm, max_admm_iters=int(max_admm))
+        admm = replace(admm, max_admm_iters=max_admm)
     return replace(config, admm=admm)

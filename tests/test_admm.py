@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from admmplan import admm, ilqr
 from admmplan.admm import (
     ADMMSettings,
+    SolveReport,
     PenalizedCost,
     admm_solve,
     primal_residual,
@@ -14,10 +16,11 @@ from admmplan.admm import (
     trajectory_violation,
 )
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
+from admmplan.barrier import barrier_solve
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.harness import build_problem, solve_scenario
 from admmplan.scenarios import builtin_scenario
-from admmplan.vehicle import BicycleModel, VehicleParams
+from admmplan.vehicle import BicycleModel, State, VehicleParams
 
 
 def tracking_cost():
@@ -155,6 +158,9 @@ def test_settings_validation():
     for field in ("sigma", "max_admm_iters", "primal_tolerance"):
         with pytest.raises(ValueError):
             ADMMSettings(**{field: math.nan})
+    for value in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            ADMMSettings(max_admm_iters=value)
 
 
 def solve_scenario_admm(sid, **kwargs):
@@ -244,20 +250,18 @@ def test_inactive_splitting_matches_plain_ilqr():
         plain = ilqr.solve(ilqr.rollout(dynamics, x0, np.zeros((cfg.horizon, 2))),
                            cost, dynamics, cfg.admm.ilqr)
         assert report.status == "converged"
-        assert report.primal_inf_history == [0.0]
-        assert abs(report.cost_history[-1] - plain.cost) <= 1e-6 * abs(plain.cost)
+        assert [r.residual_inf for r in report.records] == [0.0]
+        assert abs(report.records[-1].cost - plain.cost) <= 1e-6 * abs(plain.cost)
 
 
 def test_scenario1_report_contents():
     cfg, report = solve_scenario_admm(1)
     assert report.status == "converged"
     assert report.iterations <= cfg.admm.max_admm_iters
-    assert len(report.primal_inf_history) == report.iterations
-    assert len(report.cost_history) == report.iterations
+    assert len(report.records) == report.iterations
     assert len(report.ilqr_iterations) == report.iterations
-    assert len(report.snapshots) == report.iterations
     # residual decays to near-feasibility and the trajectory clears the ellipse
-    assert report.primal_inf_history[-1] < 1e-2 * report.primal_inf_history[0]
+    assert report.records[-1].residual_inf < 1e-2 * report.records[0].residual_inf
     assert report.max_violation <= 1e-3
     final_speed = report.trajectory.states[-1, 3]
     assert final_speed == pytest.approx(8.0, abs=0.5)
@@ -289,9 +293,9 @@ def test_warm_start_iteration_counts_decay():
 def test_determinism_identical_reports():
     _, first = solve_scenario_admm(1)
     _, second = solve_scenario_admm(1)
-    assert first.primal_inf_history == second.primal_inf_history
-    assert first.cost_history == second.cost_history
-    assert first.ilqr_iterations == second.ilqr_iterations
+    for field in ("residual_inf", "residual_two", "cost", "ilqr_iterations"):
+        assert ([getattr(r, field) for r in first.records]
+                == [getattr(r, field) for r in second.records])
     np.testing.assert_array_equal(
         first.trajectory.states, second.trajectory.states
     )
@@ -315,19 +319,21 @@ def test_unconstrained_initialization_option():
         )
 
 
-def test_projection_failure_yields_failed_status_with_partial_report():
-    import math as _math
-
-    # a ring of overlapping keep-outs around the driven corridor defeats the
-    # cyclic projection; the solve must report failure instead of raising
-    cfg = builtin_scenario(1)
-    ring = [
-        Obstacle(center0=(12.0 + 3.0 * _math.cos(t), 3.0 * _math.sin(t)),
-                 heading=t + _math.pi / 2, semi_major=40.0, semi_minor=3.5)
-        for t in np.linspace(0, 2 * _math.pi, 8, endpoint=False)
+def keepout_ring():
+    # A ring of overlapping keep-outs around the driven corridor of S1; it
+    # defeats the cyclic projection.
+    return [
+        Obstacle(center0=(12.0 + 3.0 * math.cos(t), 3.0 * math.sin(t)),
+                 heading=t + math.pi / 2, semi_major=40.0, semi_minor=3.5)
+        for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)
     ]
+
+
+def test_projection_failure_yields_failed_status_with_partial_report():
+    # the solve must report the projection failure instead of raising
+    cfg = builtin_scenario(1)
     x0, cost, dynamics = build_problem(cfg)
-    report = admm_solve(x0, cost, dynamics, cfg.bounds, ring, cfg.horizon,
+    report = admm_solve(x0, cost, dynamics, cfg.bounds, keepout_ring(), cfg.horizon,
                         cfg.admm)
     assert report.status == "failed"
     assert report.message
@@ -358,3 +364,46 @@ def test_paper_runs_pinned(sid, ilqr_counts, final_cost):
     assert report.iterations == 6
     assert report.ilqr_iterations == ilqr_counts
     assert report.final_cost == pytest.approx(final_cost, rel=1e-9)
+
+
+def report_of(case) -> SolveReport:
+    cfg = builtin_scenario(2 if case == "S2" else 1)
+    if case == "barrier":
+        cfg = replace(cfg, initial_state=State(0.0, 0.0, 0.0, 0.0))
+    x0, cost, dynamics = build_problem(cfg)
+    if case == "barrier":
+        return barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon,
+                             cfg.barrier)
+    bounds, obstacles = cfg.bounds, cfg.obstacles
+    if case == "probe exit":
+        bounds, obstacles = InputBounds(1e9, 1e9, -1e9), []
+    elif case == "projection failure":
+        obstacles = keepout_ring()
+    return admm_solve(x0, cost, dynamics, bounds, obstacles, cfg.horizon, cfg.admm)
+
+
+@pytest.mark.parametrize("case", ["S1", "S2", "probe exit", "barrier", "projection failure"])
+def test_report_counts_and_costs_come_from_its_records(case):
+    report = report_of(case)
+    assert report.iterations == len(report.records)
+    assert report.ilqr_iterations == [r.ilqr_iterations for r in report.records]
+    if report.records:
+        assert report.final_cost == report.records[-1].cost
+        assert report.trajectory is report.records[-1].trajectory
+    else:  # the projection fails in the first iteration
+        assert case == "projection failure" and math.isnan(report.final_cost)
+    if case == "probe exit":
+        assert report.status == "converged" and report.iterations == 1
+
+
+def test_each_record_keeps_its_own_iterate():
+    # Records hold the iterates themselves, not copies; a solve that changed
+    # a trajectory in place would turn every record into the last one.
+    cfg = builtin_scenario(1)
+    x0, cost, dynamics = build_problem(cfg)
+    report = admm_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon, cfg.admm)
+    first, last = report.records[0].trajectory, report.records[-1].trajectory
+    assert not np.array_equal(first.states, last.states)
+    for record in report.records:
+        again = ilqr.rollout(dynamics, x0, record.trajectory.controls)
+        np.testing.assert_array_equal(again.states, record.trajectory.states)

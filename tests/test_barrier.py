@@ -166,7 +166,7 @@ def test_scenario1_standstill_seed_converges():
     assert report.max_violation == 0.0
     assert report.iterations == cfg.barrier.outer_iters
     # every outer iterate stays strictly feasible
-    assert all(v == 0.0 for v in report.primal_inf_history)
+    assert all(r.residual_inf == 0.0 for r in report.records)
 
 
 def test_scenario2_slow_seed_converges():
@@ -187,10 +187,10 @@ def test_barrier_cost_approaches_consensus_cost():
         ADMMSettings(ilqr=ILQRSettings(), max_admm_iters=60),
         initialization="unconstrained",
     )
-    ref_cost = reference.cost_history[-1]
+    ref_cost = reference.records[-1].cost
     report = barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
                            cfg.horizon, cfg.barrier)
-    gaps = [abs(c - ref_cost) / abs(ref_cost) for c in report.cost_history]
+    gaps = [abs(r.cost - ref_cost) / abs(ref_cost) for r in report.records]
     floor = 5e-3
     settled = False
     for prev, nxt in zip(gaps, gaps[1:]):
@@ -214,3 +214,6 @@ def test_settings_validation():
     for field in ("initial_sharpness", "tighten_factor", "outer_iters", "margin"):
         with pytest.raises(ValueError):
             BarrierSettings(**{field: math.nan})
+    for value in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            BarrierSettings(outer_iters=value)

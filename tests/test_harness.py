@@ -224,14 +224,14 @@ def test_emit_iterates_all_policy(tmp_path):
 
 def test_run_trials_counts_and_failures():
     cfg = builtin_scenario(1)
-    records, reports = run_trials(cfg, "admm", 2)
+    records = run_trials(cfg, "admm", 2)
     assert [r.trial for r in records] == [1, 2]
     assert all(r.status == "converged" for r in records)
-    assert all(rep is not None for rep in reports)
-    records, reports = run_trials(cfg, "barrier", 3)
+    assert all(r.report is not None and r.final_cost == r.report.final_cost for r in records)
+    records = run_trials(cfg, "barrier", 3)
     assert all(r.status == "failed" for r in records)
     assert all(math.isnan(r.final_cost) for r in records)
-    assert reports == [None, None, None]
+    assert [r.report for r in records] == [None, None, None]
 
 
 def test_run_writes_artifacts_and_timing_table(tmp_path):
@@ -322,6 +322,31 @@ def test_cli_rejects_nan_settings(tmp_path):
         assert ".nan" in path.read_text()
         with pytest.raises(ConfigError):
             load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2.5, 60.0, True, "60"])
+def test_horizon_must_be_an_integer(value):
+    cfg = builtin_scenario(1)
+    with pytest.raises(ConfigError, match="integer"):
+        replace(cfg, horizon=value)
+    with pytest.raises(ConfigError, match="integer"):
+        config_from_dict(dict(config_to_dict(cfg), horizon=value))
+
+
+def test_cli_rejects_non_integer_iteration_counts(tmp_path):
+    # A count of 2.5 is a configuration error (exit 2), not a crash inside
+    # range() or a horizon truncated to 2.
+    data = config_to_dict(builtin_scenario(1))
+    ilqr = dict(data["admm"]["ilqr"], line_search_steps=2.5)
+    for edit in ({"horizon": 2.5},
+                 {"admm": dict(data["admm"], max_admm_iters=2.5)},
+                 {"admm": dict(data["admm"], ilqr=ilqr)},
+                 {"barrier": dict(data["barrier"], outer_iters=2.5)}):
+        path = tmp_path / "count.yaml"
+        path.write_text(yaml.safe_dump(dict(data, **edit)))
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()

@@ -266,6 +266,13 @@ def test_settings_reject_values_that_hang(field, value):
         ILQRSettings(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["max_iters", "line_search_steps"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_iteration_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match="integer"):
+        ILQRSettings(**{field: value})
+
+
 def test_settings_accept_boundary_values():
     ILQRSettings(mu_shrink=1.0, mu_max=1e-6, line_search_steps=1)
 
