@@ -31,11 +31,20 @@ small a float operation costs far less than a numpy call. Between those
 loops the data stay floats: `dynamics.step` returns a list of four, the gains
 are one float row per stamp, and a solve starts from the nominal trajectory
 it is handed, such as the previous solve's, without rolling it out again.
+
+Most Jacobian and expansion entries are 0.0 or 1.0 at every stamp, so the
+recursion is generated from the formulas above once per pattern of such
+entries (`_sweep_kernel`, cached by the pattern's bytes, at most 64 kernels),
+dropping every product with a constant 0.0 and writing 1.0*x as x. No other
+rounding step changes: on finite input the result equals the dense
+recursion's up to the sign of an exact zero; inf or NaN input runs dense.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -154,89 +163,103 @@ def total_cost(cost, traj: Trajectory) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _riccati_sweep(rows, terminal, mu):
-    """One sweep of the float recursion at regularization mu, latest stamp first.
-
-    Each row holds one stamp's f_x, f_u, l_x, l_u, l_xx and l_uu flattened
-    row-major, `terminal` the final l_xx and l_x. Returns the gain rows
-    (K[0], k[0], K[1], k[1]) per stamp, latest first, and the value (V_x,
-    V_xx, c) at the first stamp; or None as soon as a regularized Q_uu is not
-    positive definite.
-    """
+# One stamp's row: f_x (columns a..d), f_u (columns e, f), l_x, l_u (m), l_xx
+# and l_uu (n), row-major; l_x is the last column of h = [l_xx | l_x].
+_ROW = ([f"{c}{i}" for i in range(4) for c in "abcd"] + [f"{c}{i}" for i in range(4) for c in "ef"]
+        + [f"h{i}4" for i in range(4)] + ["m0", "m1"]
+        + [f"h{i}{j}" for i in range(4) for j in range(4)] + ["n00", "n01", "n10", "n11"])
+_SWEEP = """def sweep(rows, terminal, mu):
     v00, v01, v02, v03, _, v11, v12, v13, _, _, v22, v23, _, _, _, v33, x0, x1, x2, x3 = terminal
     corner, gains = 0.0, []
-    # Columns a..d of f_x and e, f of f_u; only the upper triangles of the
-    # symmetric l_xx (h) and l_uu (n) are read.
-    for (a0, b0, c0, d0, a1, b1, c1, d1, a2, b2, c2, d2, a3, b3, c3, d3,
-         e0, f0, e1, f1, e2, f2, e3, f3, l0, l1, l2, l3, m0, m1,
-         h00, h01, h02, h03, _, h11, h12, h13, _, _, h22, h23, _, _, _, h33,
-         n00, n01, _, n11) in rows:
-        # W = V_xx F, one column of F = [f_x f_u] at a time.
-        wa0, wa1, wa2, wa3 = (v00*a0 + v01*a1 + v02*a2 + v03*a3, v01*a0 + v11*a1 + v12*a2 + v13*a3,
-                              v02*a0 + v12*a1 + v22*a2 + v23*a3, v03*a0 + v13*a1 + v23*a2 + v33*a3)
-        wb0, wb1, wb2, wb3 = (v00*b0 + v01*b1 + v02*b2 + v03*b3, v01*b0 + v11*b1 + v12*b2 + v13*b3,
-                              v02*b0 + v12*b1 + v22*b2 + v23*b3, v03*b0 + v13*b1 + v23*b2 + v33*b3)
-        wc0, wc1, wc2, wc3 = (v00*c0 + v01*c1 + v02*c2 + v03*c3, v01*c0 + v11*c1 + v12*c2 + v13*c3,
-                              v02*c0 + v12*c1 + v22*c2 + v23*c3, v03*c0 + v13*c1 + v23*c2 + v33*c3)
-        wd0, wd1, wd2, wd3 = (v00*d0 + v01*d1 + v02*d2 + v03*d3, v01*d0 + v11*d1 + v12*d2 + v13*d3,
-                              v02*d0 + v12*d1 + v22*d2 + v23*d3, v03*d0 + v13*d1 + v23*d2 + v33*d3)
-        we0, we1, we2, we3 = (v00*e0 + v01*e1 + v02*e2 + v03*e3, v01*e0 + v11*e1 + v12*e2 + v13*e3,
-                              v02*e0 + v12*e1 + v22*e2 + v23*e3, v03*e0 + v13*e1 + v23*e2 + v33*e3)
-        wf0, wf1, wf2, wf3 = (v00*f0 + v01*f1 + v02*f2 + v03*f3, v01*f0 + v11*f1 + v12*f2 + v13*f3,
-                              v02*f0 + v12*f1 + v22*f2 + v23*f3, v03*f0 + v13*f1 + v23*f2 + v33*f3)
-        # Q = F' W + blockdiag(l_xx, l_uu): q + l_xx = Q_xx (upper triangle),
-        # r = Q_ux, u = Q_uu; y + l_x = Q_x and g = Q_u. l_xx and l_x join q
-        # and y in the value update.
-        q00, q01 = a0*wa0 + a1*wa1 + a2*wa2 + a3*wa3, a0*wb0 + a1*wb1 + a2*wb2 + a3*wb3
-        q02, q03 = a0*wc0 + a1*wc1 + a2*wc2 + a3*wc3, a0*wd0 + a1*wd1 + a2*wd2 + a3*wd3
-        q11, q12 = b0*wb0 + b1*wb1 + b2*wb2 + b3*wb3, b0*wc0 + b1*wc1 + b2*wc2 + b3*wc3
-        q13, q22 = b0*wd0 + b1*wd1 + b2*wd2 + b3*wd3, c0*wc0 + c1*wc1 + c2*wc2 + c3*wc3
-        q23, q33 = c0*wd0 + c1*wd1 + c2*wd2 + c3*wd3, d0*wd0 + d1*wd1 + d2*wd2 + d3*wd3
-        r00, r10 = e0*wa0 + e1*wa1 + e2*wa2 + e3*wa3, f0*wa0 + f1*wa1 + f2*wa2 + f3*wa3
-        r01, r11 = e0*wb0 + e1*wb1 + e2*wb2 + e3*wb3, f0*wb0 + f1*wb1 + f2*wb2 + f3*wb3
-        r02, r12 = e0*wc0 + e1*wc1 + e2*wc2 + e3*wc3, f0*wc0 + f1*wc1 + f2*wc2 + f3*wc3
-        r03, r13 = e0*wd0 + e1*wd1 + e2*wd2 + e3*wd3, f0*wd0 + f1*wd1 + f2*wd2 + f3*wd3
-        u00 = n00 + (e0*we0 + e1*we1 + e2*we2 + e3*we3)
-        u01 = n01 + (e0*wf0 + e1*wf1 + e2*wf2 + e3*wf3)
-        u11 = n11 + (f0*wf0 + f1*wf1 + f2*wf2 + f3*wf3)
-        y0, y1 = a0*x0 + a1*x1 + a2*x2 + a3*x3, b0*x0 + b1*x1 + b2*x2 + b3*x3
-        y2, y3 = c0*x0 + c1*x1 + c2*x2 + c3*x3, d0*x0 + d1*x1 + d2*x2 + d3*x3
-        g0, g1 = m0 + (e0*x0 + e1*x1 + e2*x2 + e3*x3), m1 + (f0*x0 + f1*x1 + f2*x2 + f3*x3)
-        # Closed-form solve of the regularized 2x2 system.
-        ra, rd = u00 + mu, u11 + mu
-        det = ra * rd - u01 * u01
-        if ra <= 0.0 or det <= 0.0:
-            return None  # not positive definite
-        i00, i01, i11 = -rd / det, u01 / det, -ra / det  # -(Q_uu + mu I)^-1
-        # Gains G = [K | k] (rows k0., k1.) and P = Q_uu G (rows p0., p1.).
-        k00, k01, k02, k03, k04 = (i00*r00 + i01*r10, i00*r01 + i01*r11, i00*r02 + i01*r12,
-                                   i00*r03 + i01*r13, i00*g0 + i01*g1)
-        k10, k11, k12, k13, k14 = (i01*r00 + i11*r10, i01*r01 + i11*r11, i01*r02 + i11*r12,
-                                   i01*r03 + i11*r13, i01*g0 + i11*g1)
-        gains.append((k00, k01, k02, k03, k04, k10, k11, k12, k13, k14))
-        p00, p01, p02, p03, p04 = (u00*k00 + u01*k10, u00*k01 + u01*k11, u00*k02 + u01*k12,
-                                   u00*k03 + u01*k13, u00*k04 + u01*k14)
-        p10, p11, p12, p13, p14 = (u01*k00 + u11*k10, u01*k01 + u11*k11, u01*k02 + u11*k12,
-                                   u01*k03 + u11*k13, u01*k04 + u11*k14)
-        # [[V_xx, V_x], [V_x', corner]] = [[Q_xx, Q_x], [Q_x', corner]] - G' P.
-        v00, v01 = (h00 + q00) - (k00*p00 + k10*p10), (h01 + q01) - (k00*p01 + k10*p11)
-        v02, v03 = (h02 + q02) - (k00*p02 + k10*p12), (h03 + q03) - (k00*p03 + k10*p13)
-        v11, v12 = (h11 + q11) - (k01*p01 + k11*p11), (h12 + q12) - (k01*p02 + k11*p12)
-        v13, v22 = (h13 + q13) - (k01*p03 + k11*p13), (h22 + q22) - (k02*p02 + k12*p12)
-        v23, v33 = (h23 + q23) - (k02*p03 + k12*p13), (h33 + q33) - (k03*p03 + k13*p13)
-        x0, x1 = (l0 + y0) - (k00*p04 + k10*p14), (l1 + y1) - (k01*p04 + k11*p14)
-        x2, x3 = (l2 + y2) - (k02*p04 + k12*p14), (l3 + y3) - (k03*p04 + k13*p14)
-        corner -= k04*p04 + k14*p14
+    for ({row}) in rows:
+        {body}
     V_xx = [[v00, v01, v02, v03], [v01, v11, v12, v13], [v02, v12, v22, v23], [v03, v13, v23, v33]]
     return gains, (np.array([x0, x1, x2, x3]), np.array(V_xx), corner)
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep_kernel(pattern: bytes):
+    """The sweep for `pattern` (per `_ROW` slot: 1 if 0.0 at every stamp, then 1 if
+    1.0; b"" is dense) and the row columns it reads. The sweep returns the gain
+    rows, latest stamp first, and (V_x, V_xx, 2 dV) at the first stamp; or None
+    as soon as a regularized Q_uu is not positive definite."""
+    env = {name: "0.0" for name, zero in zip(_ROW, pattern) if zero}
+    env.update((name, "1.0") for name, one in zip(_ROW, pattern[len(_ROW):]) if one)
+    body = []
+    sym = lambda name: env.get(name, name)  # noqa: E731
+
+    def dot(*pairs):  # summed left to right, as in the dense sweep
+        terms = [(a, b) for a, b in ((sym(a), sym(b)) for a, b in pairs) if "0.0" not in (a, b)]
+        return " + ".join(b if a == "1.0" else a if b == "1.0" else f"{a}*{b}"
+                          for a, b in terms) or "0.0"
+
+    def comb(a, op, b):  # a op b, without an exact-zero operand
+        a, b = sym(a), sym(b)
+        return a if b == "0.0" else b if a == "0.0" and op == "+" else f"({a}) {op} ({b})"
+
+    def let(name, expr):
+        if expr in ("0.0", "1.0") or expr.isidentifier():
+            env[name] = expr  # substituted where it is read
+        else:
+            body.append(f"{name} = {expr}")
+
+    # V_xx (v) and V_x (x) as one augmented matrix [V_xx | V_x].
+    V = lambda i, j: f"x{i}" if j == 4 else f"v{min(i, j)}{max(i, j)}"  # noqa: E731
+    col = lambda c, w: dot(*((f"{c}{k}", f"{w}{k}") for k in range(4)))  # noqa: E731
+    # W = V_xx F, one column of F = [f_x f_u] at a time.
+    for c, i in product("abcdef", range(4)):
+        let(f"w{c}{i}", dot(*((V(i, k), f"{c}{k}") for k in range(4))))
+    # The Q blocks: q + h = [Q_xx | Q_x] (upper triangle), r = [Q_ux | Q_u]
+    # and u = Q_uu.
+    for i, j in ((i, j) for i in range(4) for j in range(i, 4)):
+        let(f"q{i}{j}", col("abcd"[i], "w" + "abcd"[j]))
+    for i in range(4):
+        let(f"q{i}4", col("abcd"[i], "x"))
+    for u, j in product(range(2), range(4)):
+        let(f"r{u}{j}", col("ef"[u], "w" + "abcd"[j]))
+    for u in range(2):
+        let(f"r{u}4", comb(f"m{u}", "+", col("ef"[u], "x")))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        let(f"u{i}{j}", comb(f"n{i}{j}", "+", col("ef"[i], "w" + "ef"[j])))
+    # Closed-form solve of the regularized 2x2 system; NaN fails the check.
+    let("ra", comb("u00", "+", "mu"))
+    let("rd", comb("u11", "+", "mu"))
+    let("det", comb(dot(("ra", "rd")), "-", dot(("u01", "u01"))))
+    body.append(f"if not ({sym('ra')} > 0.0 and {sym('det')} > 0.0): return None")
+    let("i00", f"-{sym('rd')}/{sym('det')}")  # -(Q_uu + mu I)^-1
+    let("i01", f"{sym('u01')}/{sym('det')}")
+    let("i11", f"-{sym('ra')}/{sym('det')}")
+    # Gains G = [K | k] = -(Q_uu + mu I)^-1 r (rows k0., k1.) and P = Q_uu G.
+    for u, j in product(range(2), range(5)):
+        let(f"k{u}{j}", dot((f"i0{u}", f"r0{j}"), (f"i{u}1", f"r1{j}")))
+    gains = ", ".join(sym(f"k{u}{j}") for u in range(2) for j in range(5))
+    body.append(f"gains.append(({gains}))")
+    for u, j in product(range(2), range(5)):
+        let(f"p{u}{j}", dot((f"u0{u}", f"k0{j}"), (f"u{u}1", f"k1{j}")))
+    # [[V_xx, V_x], [V_x', corner]] = [[Q_xx, Q_x], [Q_x', corner]] - G' P,
+    # in one assignment since the right sides may name the old values.
+    new = {V(i, j): comb(comb(f"h{i}{j}", "+", f"q{i}{j}"), "-",
+                         dot((f"k0{i}", f"p0{j}"), (f"k1{i}", f"p1{j}")))
+           for i in range(4) for j in range(i, 5)}
+    new["corner"] = comb("corner", "-", dot(("k04", "p04"), ("k14", "p14")))
+    body.append(f"{', '.join(new)} = {', '.join(new.values())}")
+    # Only the upper triangles of the symmetric l_xx (h) and l_uu (n) are read.
+    columns = [k for k, name in enumerate(_ROW)
+               if name not in env and (name[0] not in "hn" or name[1] <= name[2])]
+    source = _SWEEP.format(row="".join(f"{_ROW[k]}, " for k in columns),
+                           body="\n        ".join(body))
+    scope = {"np": np}
+    exec(compile(source, "<riccati sweep>", "exec"), scope)
+    return scope["sweep"], np.array(columns, dtype=np.intp)
 
 
 def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
     """Compute the affine control update along the nominal trajectory.
 
     Requires four states and two controls. The Jacobians and cost expansions
-    are built once and listed as one float row per stamp for the float sweep
-    (`_riccati_sweep`), which forms the Q blocks of the module docstring,
+    are stacked once and their non-constant columns listed as float rows for
+    the sweep (`_sweep_kernel`), which forms the Q blocks of the module docstring,
     solves the regularized 2x2 system in closed form for G = [K | k], and
     updates the value model with the unregularized Q_uu,
 
@@ -259,12 +282,17 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
     l_x, l_u, l_xx, l_uu = cost.expand(traj)
     rows = np.concatenate([f_x.reshape(T, 16), f_u.reshape(T, 8), l_x[:T], l_u,
-                           l_xx[:T].reshape(T, 16), l_uu.reshape(T, 4)], axis=1)[::-1].tolist()
+                           l_xx[:T].reshape(T, 16), l_uu.reshape(T, 4)], axis=1)[::-1]
     terminal = l_xx[T].ravel().tolist() + l_x[T].tolist()
+    pattern = b""  # dense where inf or NaN may meet a constant 0.0 (0.0 * inf is NaN)
+    if np.isfinite(rows).all() and np.isfinite(terminal).all():
+        pattern = (rows == 0).all(0).tobytes() + (rows == 1).all(0).tobytes()
+    sweep, columns = _sweep_kernel(pattern)
+    rows = rows[:, columns].tolist()
     while mu <= settings.mu_max:
-        sweep = _riccati_sweep(rows, terminal, mu)
-        if sweep is not None:
-            gains, (V_x, V_xx, corner) = sweep
+        result = sweep(rows, terminal, mu)
+        if result is not None:
+            gains, (V_x, V_xx, corner) = result
             gains.reverse()
             return GainSchedule(gains), (V_x, V_xx, 0.5 * corner), mu
         mu *= settings.mu_growth

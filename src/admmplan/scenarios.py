@@ -58,6 +58,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not is_count(self.horizon):
             raise ConfigError("horizon must be an integer of at least 1")
+        if not isinstance(self.ego_heading_ellipses, bool):  # YAML "false" is a string
+            raise ConfigError("ego_heading_ellipses must be true or false")
         self.obstacles = list(self.obstacles)
 
 
@@ -159,7 +161,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             obstacles=[Obstacle(**o) for o in data.get("obstacles", [])],
             admm=_admm_from_dict(data.get("admm", {})),
             barrier=_barrier_from_dict(data.get("barrier", {})),
-            ego_heading_ellipses=bool(data.get("ego_heading_ellipses", False)),
+            ego_heading_ellipses=data.get("ego_heading_ellipses", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario configuration: {exc}") from exc

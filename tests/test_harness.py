@@ -352,6 +352,31 @@ def test_cli_rejects_non_integer_iteration_counts(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_ego_heading_ellipses_must_be_a_boolean(value):
+    # bool("false") is True: a quoted YAML value must not switch the
+    # keep-out convention silently.
+    data = config_to_dict(builtin_scenario(1))
+    with pytest.raises(ConfigError, match="ego_heading_ellipses"):
+        config_from_dict(dict(data, ego_heading_ellipses=value))
+    with pytest.raises(ConfigError, match="ego_heading_ellipses"):
+        replace(builtin_scenario(1), ego_heading_ellipses=value)
+    for flag in (False, True):
+        assert config_from_dict(dict(data, ego_heading_ellipses=flag)).ego_heading_ellipses is flag
+    assert config_from_dict({k: v for k, v in data.items()
+                             if k != "ego_heading_ellipses"}).ego_heading_ellipses is False
+
+
+def test_cli_rejects_quoted_ego_heading_flag(tmp_path):
+    data = config_to_dict(builtin_scenario(1))
+    path = tmp_path / "quoted.yaml"
+    path.write_text(yaml.safe_dump(dict(data, ego_heading_ellipses="false")))
+    assert "ego_heading_ellipses: 'false'" in path.read_text()
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     code = cli.main(
         ["--scenario", "1", "--method", "barrier", "--out", str(tmp_path)]

@@ -92,6 +92,25 @@ def test_backward_pass_regularization_exhausted():
         backward_pass(traj, ConcaveCost(), dynamics, 1e-6, ILQRSettings())
 
 
+@pytest.mark.parametrize("stamps", [slice(None), slice(4, 5)])
+def test_nan_l_uu_exhausts_regularization(stamps):
+    # NaN fails every comparison, so a NaN Q_uu must fail the positive
+    # definiteness check at every mu instead of yielding NaN gains (which
+    # then cost the solve every line-search trial of every iteration).
+    class NaNCost(ZeroCost):
+        def expand(self, traj):
+            l_x, l_u, l_xx, l_uu = super().expand(traj)
+            l_uu[stamps] = math.nan
+            return l_x, l_u, l_xx, l_uu
+
+    model = BicycleModel(VehicleParams())
+    traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((10, 2)))
+    with pytest.raises(RegularizationExhausted):
+        backward_pass(traj, NaNCost(), model, 1e-6, ILQRSettings())
+    with pytest.raises(RegularizationExhausted, match="backward pass"):
+        solve(traj, NaNCost(), model, ILQRSettings())
+
+
 def test_forward_pass_zero_gains_is_identity():
     dynamics, _, x0, _ = lqr_setup(6)
     traj = rollout(dynamics, x0, np.ones((15, 2)) * 0.1)

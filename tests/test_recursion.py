@@ -8,6 +8,10 @@ decided by sign tests alone and must be identical. The cases cover the costs
 the solvers pass: the tracking cost (lane and polyline references), the
 ADMM consensus penalty and the log barrier, plus dense linear-quadratic
 instances.
+
+The float sweep is generated per pattern of row entries that are 0.0 or 1.0
+at every stamp; the kernel for a pattern must return exactly what the dense
+kernel returns on the same rows.
 """
 
 import numpy as np
@@ -102,6 +106,17 @@ def polyline_case(seed):
     return traj, TrackingCost(CostWeights(), reference), dynamics
 
 
+def zero_control_case(seed):
+    # Straight at constant speed: theta = 0 and steer = 0 make sin(theta),
+    # tan(steer) and their Jacobian entries exactly 0.0 at every stamp, so
+    # the sweep is specialized to more constant entries than in a solve.
+    config = builtin_scenario(seed)
+    x0, cost, dynamics = build_problem(config)
+    traj = rollout(dynamics, x0, np.zeros((config.horizon, 2)))
+    assert not traj.states[:, 1:3].any()
+    return traj, cost, dynamics
+
+
 def indefinite_case(seed):
     # Weak actuation and a concave steer weight: Q_uu is indefinite at the
     # initial mu, so the recursion restarts several times.
@@ -116,6 +131,7 @@ CASES = (
     [pytest.param(linear_case, s, 1e-9, id=f"linear{s}") for s in range(4)]
     + [pytest.param(linear_case, 4, 1e-3, id="linear4-mu1e-3")]
     + [pytest.param(bicycle_case, s, 1e-6, id=f"bicycle-S{s}") for s in (1, 2)]
+    + [pytest.param(zero_control_case, 1, 1e-6, id="zero-control-S1")]
     + [pytest.param(indefinite_case, s, 1e-6, id=f"indefinite{s}") for s in range(2)]
     + [pytest.param(penalized_case, 1, 1e-6, id="penalized-S1")]
     + [pytest.param(barrier_case, 0, 1e-6, id="barrier")]
@@ -166,6 +182,57 @@ def test_backward_pass_matches_reference_on_dense_lqr(seed, horizon, scale, log_
     dynamics = LinearDynamics(A, B)
     traj = rollout(dynamics, x0, rng.normal(scale=scale, size=(horizon, 2)))
     assert_matches_reference(traj, QuadraticCost(Q, R, Qf), dynamics, 10.0**log_mu)
+
+
+DENSE = ilqr._sweep_kernel(b"")
+
+
+@pytest.mark.parametrize("build, arg, mu", CASES)
+def test_backward_pass_equals_dense_sweep(build, arg, mu, monkeypatch):
+    # The sweep specialized to the case's constant entries against the
+    # dense sweep on the same rows: equal, not just close.
+    traj, cost, dynamics = build(arg)
+    results = []
+    for kernel in (ilqr._sweep_kernel, lambda pattern: DENSE):
+        monkeypatch.setattr(ilqr, "_sweep_kernel", kernel)
+        gains, (V_x, V_xx, dV), mu_used = backward_pass(traj, cost, dynamics, mu, SETTINGS)
+        results.append((gains.rows, V_x.tolist(), V_xx.tolist(), dV, mu_used))
+    assert results[0] == results[1]
+
+
+@settings(deadline=None)  # max_examples comes from the profile (tests/conftest.py)
+@given(mask=st.lists(st.sampled_from(".01"), min_size=50, max_size=50),
+       units=st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 3)),
+       seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 8))
+def test_specialized_sweep_equals_dense_sweep(mask, units, seed, horizon):
+    # Rows honouring a random pattern of constant 0.0 (of either sign) and
+    # 1.0 slots, with some columns of [f_x f_u] unit vectors as in the
+    # bicycle model: the kernel generated for the pattern returns exactly
+    # what the dense kernel returns, None included, at every mu.
+    mask = list(mask)
+    for c, k in units.items():
+        for i in range(4):
+            mask[ilqr._ROW.index(f"{c}{i}")] = "1" if i == k else "0"
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(horizon, 50))
+    for k, slot in enumerate(mask):
+        if slot != ".":
+            rows[:, k] = 1.0 if slot == "1" else rng.choice([0.0, -0.0], size=horizon)
+    terminal = rng.normal(size=20).tolist()
+    pattern = bytes(m == "0" for m in mask) + bytes(m == "1" for m in mask)
+    sweep, columns = ilqr._sweep_kernel(pattern)
+    dense, dense_columns = DENSE
+    for mu in (1e-6, 1e-1, 1e2, 1e6):
+        assert (plain(sweep(rows[:, columns].tolist(), terminal, mu))
+                == plain(dense(rows[:, dense_columns].tolist(), terminal, mu)))
+
+
+def plain(result):
+    # A sweep's result with its arrays as nested lists, for ==.
+    if result is None:
+        return None
+    gains, (V_x, V_xx, corner) = result
+    return gains, V_x.tolist(), V_xx.tolist(), corner
 
 
 @pytest.mark.parametrize("build, arg, mu", CASES)
