@@ -32,12 +32,12 @@ loops the data stay floats: `dynamics.step` returns a list of four, the gains
 are one float row per stamp, and a solve starts from the nominal trajectory
 it is handed, such as the previous solve's, without rolling it out again.
 
-Most Jacobian and expansion entries are 0.0 or 1.0 at every stamp, so the
-recursion is generated from the formulas above once per pattern of such
-entries (`_sweep_kernel`, cached by the pattern's bytes, at most 64 kernels),
-dropping every product with a constant 0.0 and writing 1.0*x as x. No other
-rounding step changes: on finite input the result equals the dense
-recursion's up to the sign of an exact zero; inf or NaN input runs dense.
+Most Jacobian and expansion entries are 0.0 at every stamp, so the recursion
+is generated from the formulas above once per pattern of such entries
+(`_sweep_kernel`, cached by the pattern's bytes, at most 64 kernels),
+dropping every product with a constant 0.0. No other rounding step changes:
+on finite input the result equals the dense recursion's up to the sign of an
+exact zero; inf or NaN input runs dense.
 """
 
 import functools
@@ -180,27 +180,25 @@ _SWEEP = """def sweep(rows, terminal, mu):
 
 @functools.lru_cache(maxsize=64)
 def _sweep_kernel(pattern: bytes):
-    """The sweep for `pattern` (per `_ROW` slot: 1 if 0.0 at every stamp, then 1 if
-    1.0; b"" is dense) and the row columns it reads. The sweep returns the gain
-    rows, latest stamp first, and (V_x, V_xx, 2 dV) at the first stamp; or None
-    as soon as a regularized Q_uu is not positive definite."""
-    env = {name: "0.0" for name, zero in zip(_ROW, pattern) if zero}
-    env.update((name, "1.0") for name, one in zip(_ROW, pattern[len(_ROW):]) if one)
+    """The sweep for `pattern` (per `_ROW` slot, 1 if 0.0 at every stamp; b"" is
+    dense) and the row columns it reads. The sweep returns the gain rows,
+    latest stamp first, and (V_x, V_xx, 2 dV) at the first stamp; or None as
+    soon as a regularized Q_uu is not positive definite."""
+    zero = {name for name, flag in zip(_ROW, pattern) if flag}
     body = []
-    sym = lambda name: env.get(name, name)  # noqa: E731
+    sym = lambda name: "0.0" if name in zero else name  # noqa: E731
 
     def dot(*pairs):  # summed left to right, as in the dense sweep
-        terms = [(a, b) for a, b in ((sym(a), sym(b)) for a, b in pairs) if "0.0" not in (a, b)]
-        return " + ".join(b if a == "1.0" else a if b == "1.0" else f"{a}*{b}"
-                          for a, b in terms) or "0.0"
+        return " + ".join(f"{a}*{b}" for a, b in ((sym(a), sym(b)) for a, b in pairs)
+                          if "0.0" not in (a, b)) or "0.0"
 
     def comb(a, op, b):  # a op b, without an exact-zero operand
         a, b = sym(a), sym(b)
         return a if b == "0.0" else b if a == "0.0" and op == "+" else f"({a}) {op} ({b})"
 
     def let(name, expr):
-        if expr in ("0.0", "1.0") or expr.isidentifier():
-            env[name] = expr  # substituted where it is read
+        if expr == "0.0":
+            zero.add(name)  # dropped where it is read
         else:
             body.append(f"{name} = {expr}")
 
@@ -226,10 +224,10 @@ def _sweep_kernel(pattern: bytes):
     let("ra", comb("u00", "+", "mu"))
     let("rd", comb("u11", "+", "mu"))
     let("det", comb(dot(("ra", "rd")), "-", dot(("u01", "u01"))))
-    body.append(f"if not ({sym('ra')} > 0.0 and {sym('det')} > 0.0): return None")
-    let("i00", f"-{sym('rd')}/{sym('det')}")  # -(Q_uu + mu I)^-1
-    let("i01", f"{sym('u01')}/{sym('det')}")
-    let("i11", f"-{sym('ra')}/{sym('det')}")
+    body.append("if not (ra > 0.0 and det > 0.0): return None")
+    let("i00", "-rd/det")  # -(Q_uu + mu I)^-1
+    let("i01", f"{sym('u01')}/det")
+    let("i11", "-ra/det")
     # Gains G = [K | k] = -(Q_uu + mu I)^-1 r (rows k0., k1.) and P = Q_uu G.
     for u, j in product(range(2), range(5)):
         let(f"k{u}{j}", dot((f"i0{u}", f"r0{j}"), (f"i{u}1", f"r1{j}")))
@@ -237,16 +235,14 @@ def _sweep_kernel(pattern: bytes):
     body.append(f"gains.append(({gains}))")
     for u, j in product(range(2), range(5)):
         let(f"p{u}{j}", dot((f"u0{u}", f"k0{j}"), (f"u{u}1", f"k1{j}")))
-    # [[V_xx, V_x], [V_x', corner]] = [[Q_xx, Q_x], [Q_x', corner]] - G' P,
-    # in one assignment since the right sides may name the old values.
-    new = {V(i, j): comb(comb(f"h{i}{j}", "+", f"q{i}{j}"), "-",
-                         dot((f"k0{i}", f"p0{j}"), (f"k1{i}", f"p1{j}")))
-           for i in range(4) for j in range(i, 5)}
-    new["corner"] = comb("corner", "-", dot(("k04", "p04"), ("k14", "p14")))
-    body.append(f"{', '.join(new)} = {', '.join(new.values())}")
+    # [[V_xx, V_x], [V_x', corner]] = [[Q_xx, Q_x], [Q_x', corner]] - G' P.
+    for i, j in ((i, j) for i in range(4) for j in range(i, 5)):
+        body.append(f"{V(i, j)} = " + comb(comb(f"h{i}{j}", "+", f"q{i}{j}"), "-",
+                                           dot((f"k0{i}", f"p0{j}"), (f"k1{i}", f"p1{j}"))))
+    body.append("corner = " + comb("corner", "-", dot(("k04", "p04"), ("k14", "p14"))))
     # Only the upper triangles of the symmetric l_xx (h) and l_uu (n) are read.
     columns = [k for k, name in enumerate(_ROW)
-               if name not in env and (name[0] not in "hn" or name[1] <= name[2])]
+               if name not in zero and (name[0] not in "hn" or name[1] <= name[2])]
     source = _SWEEP.format(row="".join(f"{_ROW[k]}, " for k in columns),
                            body="\n        ".join(body))
     scope = {"np": np}
@@ -258,10 +254,10 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
     """Compute the affine control update along the nominal trajectory.
 
     Requires four states and two controls. The Jacobians and cost expansions
-    are stacked once and their non-constant columns listed as float rows for
-    the sweep (`_sweep_kernel`), which forms the Q blocks of the module docstring,
-    solves the regularized 2x2 system in closed form for G = [K | k], and
-    updates the value model with the unregularized Q_uu,
+    are stacked once and their columns that are not 0.0 throughout listed as
+    float rows for the sweep (`_sweep_kernel`), which forms the Q blocks of the
+    module docstring, solves the regularized 2x2 system in closed form for
+    G = [K | k], and updates the value model with the unregularized Q_uu,
 
         [[V_xx, V_x], [V_x', c]] = [[Q_xx, Q_x], [Q_x', c]] - G' Q_uu G,
 
@@ -286,7 +282,7 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
     terminal = l_xx[T].ravel().tolist() + l_x[T].tolist()
     pattern = b""  # dense where inf or NaN may meet a constant 0.0 (0.0 * inf is NaN)
     if np.isfinite(rows).all() and np.isfinite(terminal).all():
-        pattern = (rows == 0).all(0).tobytes() + (rows == 1).all(0).tobytes()
+        pattern = (rows == 0).all(0).tobytes()
     sweep, columns = _sweep_kernel(pattern)
     rows = rows[:, columns].tolist()
     while mu <= settings.mu_max:
