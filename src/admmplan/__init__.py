@@ -14,7 +14,6 @@ from .constraints import (
     ConstraintSet,
     InputBounds,
     Obstacle,
-    ellipse_shape,
     project_inputs,
     project_timestep,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "admm_solve",
     "barrier_solve",
     "builtin_scenario",
-    "ellipse_shape",
     "ilqr_solve",
     "load_config",
     "primal_residual",

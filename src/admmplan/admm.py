@@ -20,6 +20,7 @@ zero-control rollout, which is the advertised advantage over barrier-style
 constrained iLQR.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -48,8 +49,8 @@ class ADMMSettings:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not math.inf > self.sigma > 0:
+            raise ValueError("sigma must be positive and finite")
         if not is_count(self.max_admm_iters):
             raise ValueError("max_admm_iters must be an integer of at least 1")
         if not self.primal_tolerance > 0:
@@ -165,7 +166,7 @@ def project_consensus(targets, headings, constraints: ConstraintSet) -> np.ndarr
     z = targets.copy()
     z[:, 2:] = project_inputs(targets[:, 2:], constraints.bounds)
     for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():
-        z[tau] = project_timestep(targets[tau], constraints, tau, headings[tau], g[tau])
+        z[tau] = project_timestep(targets[tau], constraints, tau, headings[tau])
     return z
 
 

@@ -9,11 +9,14 @@ obstacle with center c, heading theta and semi-axes (e_a, e_b) is
 
 where (along, across) is p - c rotated into the ellipse frame by -theta.
 
-`ConstraintSet` is the single evaluator of these values: the violation scan,
-the log-barrier baseline and the projection all read g from it.
-`project_timestep` is the consensus-update workhorse: it clamps the input
-components onto the boxes and pushes the position outside every keep-out
-ellipse by cyclic nearest-point projection.
+`ConstraintSet` holds the only description of the ellipses: one float row
+per obstacle with its center at stamp 0, velocity, semi-axes and cos/sin of
+its heading. Its evaluator reads the rows as stacked columns for the
+violation scan and the log-barrier baseline. `project_timestep`, the
+consensus-update workhorse, reads them as plain floats at one stamp: it
+clamps the input components onto the boxes and pushes the position outside
+every keep-out ellipse by cyclic nearest-point projection, testing g in the
+evaluator's order of operations.
 """
 
 import math
@@ -42,7 +45,8 @@ class InputBounds:
     min_accel: float = -3.0
 
     def __post_init__(self):
-        if self.max_steer <= 0:
+        # Written so that NaN fails every check; an infinite limit is absent.
+        if not self.max_steer > 0:
             raise ValueError("max_steer must be positive")
         if not self.min_accel < 0 < self.max_accel:
             raise ValueError("need min_accel < 0 < max_accel")
@@ -52,10 +56,10 @@ class InputBounds:
 class Obstacle:
     """Keep-out ellipse translating at constant velocity.
 
-    The heading is fixed (the ellipse does not rotate as it moves);
-    `semi_major >= semi_minor > 0`. `center0` and `velocity` are two finite
-    numbers each. Time index tau and the sample period map to the center via
-    center0 + tau * timestep * velocity.
+    The heading is fixed (the ellipse does not rotate as it moves); the
+    semi-axes are finite with `semi_major >= semi_minor > 0`. `center0` and
+    `velocity` are two finite numbers each. Time index tau and the sample
+    period map to the center via center0 + tau * timestep * velocity.
     """
 
     center0: tuple
@@ -72,28 +76,8 @@ class Obstacle:
             object.__setattr__(self, name, value)
         if not math.isfinite(self.heading):
             raise ValueError("heading must be finite")
-        if not self.semi_major >= self.semi_minor > 0:
-            raise ValueError("need semi_major >= semi_minor > 0")
-
-    def center_at(self, tau: int, timestep: float) -> np.ndarray:
-        return np.array(self.center0) + tau * timestep * np.array(self.velocity)
-
-
-def _rotation(heading: float) -> np.ndarray:
-    c, s = math.cos(heading), math.sin(heading)
-    return np.array([[c, -s], [s, c]])
-
-
-def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.ndarray:
-    """Symmetric positive-definite quadratic form of a rotated ellipse.
-
-    The returned 2x2 matrix A satisfies (p - c)' A (p - c) = 1 on the
-    boundary of the ellipse with the given semi-axes rotated by `heading`.
-    """
-    if semi_major <= 0 or semi_minor <= 0:
-        raise ValueError("semi-axes must be positive")
-    rot = _rotation(heading)
-    return rot @ np.diag([semi_major**-2, semi_minor**-2]) @ rot.T
+        if not math.inf > self.semi_major >= self.semi_minor > 0:
+            raise ValueError("need finite semi_major >= semi_minor > 0")
 
 
 class ConstraintSet:
@@ -126,11 +110,14 @@ class ConstraintSet:
         faces = np.array(self.faces, dtype=float).reshape(-1, 3)
         self._face_index = faces[:, 0].astype(int)
         self._face_sign, self._face_limit = faces[:, 1], faces[:, 2]
-        # (obstacles,) columns: center, velocity, semi-axes, cos/sin heading.
-        self._ellipses = tuple(np.array(
+        # One float row per obstacle: center, velocity, semi-axes, cos/sin
+        # heading; `_ellipses` holds the same rows as (obstacles,) columns.
+        rows = np.array(
             [(*obs.center0, *obs.velocity, obs.semi_major, obs.semi_minor,
-              math.cos(obs.heading), math.sin(obs.heading)) for obs in self.obstacles]
-        ).reshape(-1, 8).T)
+              math.cos(obs.heading), math.sin(obs.heading)) for obs in self.obstacles],
+            dtype=float).reshape(-1, 8)
+        self._rows = rows.tolist()
+        self._ellipses = tuple(rows.T)
 
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
@@ -172,12 +159,6 @@ class ConstraintSet:
         """Largest constraint value along a trajectory (0 when feasible)."""
         box, keepout = self.values(traj)
         return float(max(np.max(box, initial=0.0), np.max(keepout, initial=0.0)))
-
-    def _frame(self, k: int, tau: int, heading: float):
-        """(center, rotation, semi_major, semi_minor) of obstacle k at tau."""
-        obs = self.obstacles[k]
-        rot = _rotation(heading if self.use_ego_heading else obs.heading)
-        return obs.center_at(tau, self.timestep), rot, obs.semi_major, obs.semi_minor
 
 
 def project_inputs(u, bounds: InputBounds) -> np.ndarray:
@@ -229,58 +210,57 @@ def _nearest_boundary_point(qx, qy, a, b):
     return a * a * qx / (a * a + t), b * b * qy / (b * b + t)
 
 
-def _project_with_frame(p, center, rot, a, b) -> np.ndarray:
-    """Nearest boundary point for an interior p, in a known ellipse frame."""
-    d = p - center
-    if d[0] == 0.0 and d[1] == 0.0:
-        warnings.warn(
-            "projection target is the ellipse center; returning the "
-            "minor-axis boundary point",
-            DegenerateProjection,
-        )
-        return center + b * rot[:, 1]
-    q = rot.T @ d
-    # Fold into the closed first quadrant, solve, unfold.
-    sx = 1.0 if q[0] >= 0.0 else -1.0
-    sy = 1.0 if q[1] >= 0.0 else -1.0
-    nx, ny = _nearest_boundary_point(sx * q[0], sy * q[1], a, b)
-    return center + rot @ np.array([sx * nx, sy * ny])
-
-
 def project_timestep(
-    block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0,
-    keepout=None,
+    block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0
 ) -> np.ndarray:
     """Project one consensus block (px, py, steer, accel) onto the constraints.
 
     Inputs are clamped onto their boxes; the position is pushed outside every
-    keep-out ellipse at time index tau by cyclic projection. `ego_heading`
-    orients the ellipses when the constraint set uses the ego heading.
-    `keepout` may carry the block's keep-out values from a stacked
-    evaluation; they are evaluated here otherwise. A position at an ellipse
-    center has no unique nearest boundary point; it goes to the minor-axis
-    boundary point with a DegenerateProjection warning.
+    keep-out ellipse at time index tau by cyclic projection. The ellipses are
+    read from the constraint set's float rows and oriented by cos/sin of
+    `ego_heading` when the set uses the ego heading; g is tested and the
+    point moved on plain floats, in the evaluator's order of operations. A
+    position at an ellipse center has no unique nearest boundary point; it
+    goes to the minor-axis boundary point with a DegenerateProjection warning.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within
         the sweep budget (overlapping obstacles leaving no nearby feasible
         point).
     """
-    block = np.asarray(block, dtype=float)
-    out = block.copy()
-    out[2:] = project_inputs(block[2:], constraints.bounds)
-    p = out[:2]
-    g = constraints.keepout(tau, p, ego_heading) if keepout is None else keepout
+    out = np.array(block, dtype=float)
+    out[2:] = project_inputs(out[2:], constraints.bounds)
+    px, py = out[:2].tolist()
+    t = tau * constraints.timestep
+    ego = (math.cos(ego_heading), math.sin(ego_heading)) if constraints.use_ego_heading else None
+    ellipses = [(cx + t * vx, cy + t * vy, a, b, *(ego or (c, s)))
+                for cx, cy, vx, vy, a, b, c, s in constraints._rows]
     # One extra pass so a sweep that ends clean can be verified and returned.
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True
-        for k in range(len(g)):
-            if g[k] > FEASIBILITY_TOL:
-                p = _project_with_frame(p, *constraints._frame(k, tau, ego_heading))
-                g = constraints.keepout(tau, p, ego_heading)
-                clean = False
+        for cx, cy, a, b, c, s in ellipses:
+            dx, dy = px - cx, py - cy
+            qx, qy = c * dx + s * dy, -s * dx + c * dy
+            along, across = qx / a, qy / b
+            if 1.0 - along * along - across * across <= FEASIBILITY_TOL:
+                continue
+            clean = False
+            if dx == 0.0 and dy == 0.0:
+                warnings.warn(
+                    "projection target is the ellipse center; returning the "
+                    "minor-axis boundary point",
+                    DegenerateProjection,
+                )
+                px, py = cx - b * s, cy + b * c
+                continue
+            # Fold into the closed first quadrant, solve, unfold.
+            sx = 1.0 if qx >= 0.0 else -1.0
+            sy = 1.0 if qy >= 0.0 else -1.0
+            nx, ny = _nearest_boundary_point(sx * qx, sy * qy, a, b)
+            nx, ny = sx * nx, sy * ny
+            px, py = cx + (c * nx - s * ny), cy + (s * nx + c * ny)
         if clean:
-            out[:2] = p
+            out[0], out[1] = px, py
             return out
     raise NonConvergence(
         f"cyclic ellipse projection did not converge at time index {tau}", tau=tau

@@ -15,6 +15,7 @@ it is positive semidefinite by construction. `TrackingCost` evaluates both
 over a whole trajectory as stacked arrays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class CostWeights:
             self.accel_weight,
             self.terminal_scale,
         )
-        if any(v < 0 for v in vals):
-            raise ValueError("cost weights must be nonnegative")
+        if not all(math.inf > v >= 0 for v in vals):  # NaN fails too
+            raise ValueError("cost weights must be finite and nonnegative")
         if not any(v > 0 for v in vals[:4]):
             raise ValueError("at least one cost weight must be positive")
 
@@ -67,8 +68,12 @@ class Reference:
     def __post_init__(self):
         if (self.py_ref is None) == (self.polyline is None):
             raise ValueError("exactly one of py_ref and polyline must be given")
+        if any(r is not None and not math.isfinite(r) for r in (self.py_ref, self.v_ref)):
+            raise ValueError("py_ref and v_ref must be finite")
         if self.polyline is not None:
             pts = tuple(tuple(float(c) for c in p) for p in self.polyline)
+            if not all(math.isfinite(c) for p in pts for c in p):
+                raise ValueError("polyline points must be finite")
             if len(pts) < 2:
                 raise ValueError("polyline needs at least two points")
             for a, b in zip(pts, pts[1:]):

@@ -84,8 +84,8 @@ class ILQRSettings:
             raise ValueError("mu_growth must exceed 1")
         if not 0 < self.mu_shrink <= 1:
             raise ValueError("need 0 < mu_shrink <= 1")
-        if not self.mu_max >= self.mu_init:
-            raise ValueError("mu_max must be at least mu_init")
+        if not math.inf > self.mu_max >= self.mu_init:
+            raise ValueError("mu_max must be finite and at least mu_init")
         if not is_count(self.line_search_steps):
             raise ValueError("line_search_steps must be an integer of at least 1")
 

@@ -125,19 +125,8 @@ def config_to_dict(config: ScenarioConfig) -> dict:
             }
             for o in config.obstacles
         ],
-        "admm": {
-            "sigma": config.admm.sigma,
-            "max_admm_iters": config.admm.max_admm_iters,
-            "primal_tolerance": config.admm.primal_tolerance,
-            "ilqr": asdict(config.admm.ilqr),
-        },
-        "barrier": {
-            "initial_sharpness": config.barrier.initial_sharpness,
-            "tighten_factor": config.barrier.tighten_factor,
-            "outer_iters": config.barrier.outer_iters,
-            "margin": config.barrier.margin,
-            "ilqr": asdict(config.barrier.ilqr),
-        },
+        "admm": asdict(config.admm),
+        "barrier": asdict(config.barrier),
     }
 
 
@@ -159,8 +148,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             reference=reference,
             bounds=InputBounds(**data.get("bounds", {})),
             obstacles=[Obstacle(**o) for o in data.get("obstacles", [])],
-            admm=_admm_from_dict(data.get("admm", {})),
-            barrier=_barrier_from_dict(data.get("barrier", {})),
+            admm=_settings_from_dict(ADMMSettings, data.get("admm", {})),
+            barrier=_settings_from_dict(BarrierSettings, data.get("barrier", {})),
             ego_heading_ellipses=data.get("ego_heading_ellipses", False),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -177,16 +166,10 @@ def _vehicle_from_dict(data: dict) -> VehicleParams:
     return VehicleParams(**data)
 
 
-def _admm_from_dict(data: dict) -> ADMMSettings:
+def _settings_from_dict(cls, data: dict):
+    """ADMMSettings or BarrierSettings from a mapping with a nested `ilqr`."""
     data = dict(data)
-    ilqr_settings = ILQRSettings(**data.pop("ilqr", {}))
-    return ADMMSettings(ilqr=ilqr_settings, **data)
-
-
-def _barrier_from_dict(data: dict) -> BarrierSettings:
-    data = dict(data)
-    ilqr_settings = ILQRSettings(**data.pop("ilqr", {}))
-    return BarrierSettings(ilqr=ilqr_settings, **data)
+    return cls(ilqr=ILQRSettings(**data.pop("ilqr", {})), **data)
 
 
 def save_config(config: ScenarioConfig, path):

@@ -43,8 +43,8 @@ class VehicleParams:
     timestep: float = 0.1
 
     def __post_init__(self):
-        if self.wheelbase <= 0 or self.timestep <= 0:
-            raise ValueError("wheelbase and timestep must be positive")
+        if not (math.inf > self.wheelbase > 0 and math.inf > self.timestep > 0):
+            raise ValueError("wheelbase and timestep must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,10 @@ class State:
     py: float = 0.0
     theta: float = 0.0
     v: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.px, self.py, self.theta, self.v))):
+            raise ValueError("state must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.theta, self.v], dtype=float)

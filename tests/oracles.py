@@ -3,14 +3,26 @@
 Everything here is deliberately written from the textbook definitions and
 shares no solver code with the package: a finite-horizon Riccati recursion, a
 linear/quadratic problem wrapper for the iLQR interface, brute-force
-geometric helpers, and the iLQR backward and forward passes written stamp by
-stamp on small arrays (they borrow only the package's result and error
-types).
+geometric helpers, the ellipse's center and shape-matrix form, and the iLQR
+backward and forward passes written stamp by stamp on small arrays (they
+borrow only the package's result and error types). The exception is
+`frame_project_timestep`, the cyclic keep-out projection on numpy ellipse
+frames: it is the array form of `project_timestep` and borrows its
+single-ellipse boundary solve and the stacked keep-out evaluator.
 """
+
+import math
+import warnings
 
 import numpy as np
 
-from admmplan.errors import RegularizationExhausted
+from admmplan.constraints import (
+    FEASIBILITY_TOL,
+    MAX_PROJECTION_SWEEPS,
+    _nearest_boundary_point,
+    project_inputs,
+)
+from admmplan.errors import DegenerateProjection, NonConvergence, RegularizationExhausted
 from admmplan.ilqr import GainSchedule, ILQRSettings, Trajectory
 
 
@@ -114,6 +126,72 @@ def nearest_on_boundary(point, boundary):
     """Closest point among a dense boundary sample."""
     d = boundary - np.asarray(point, dtype=float)
     return boundary[np.argmin(np.einsum("ij,ij->i", d, d))]
+
+
+def center_at(obstacle, tau: int, timestep: float) -> np.ndarray:
+    """Center of a keep-out obstacle at time index tau."""
+    return np.array(obstacle.center0) + tau * timestep * np.array(obstacle.velocity)
+
+
+def _rotation(heading: float) -> np.ndarray:
+    c, s = math.cos(heading), math.sin(heading)
+    return np.array([[c, -s], [s, c]])
+
+
+def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.ndarray:
+    """Symmetric positive-definite quadratic form of a rotated ellipse.
+
+    The returned 2x2 matrix A satisfies (p - c)' A (p - c) = 1 on the
+    boundary of the ellipse with the given semi-axes rotated by `heading`.
+    """
+    if semi_major <= 0 or semi_minor <= 0:
+        raise ValueError("semi-axes must be positive")
+    rot = _rotation(heading)
+    return rot @ np.diag([semi_major**-2, semi_minor**-2]) @ rot.T
+
+
+def _project_with_frame(p, center, rot, a, b) -> np.ndarray:
+    """Nearest boundary point for an interior p, in a known ellipse frame."""
+    d = p - center
+    if d[0] == 0.0 and d[1] == 0.0:
+        warnings.warn(
+            "projection target is the ellipse center; returning the "
+            "minor-axis boundary point",
+            DegenerateProjection,
+        )
+        return center + b * rot[:, 1]
+    q = rot.T @ d
+    # Fold into the closed first quadrant, solve, unfold.
+    sx = 1.0 if q[0] >= 0.0 else -1.0
+    sy = 1.0 if q[1] >= 0.0 else -1.0
+    nx, ny = _nearest_boundary_point(sx * q[0], sy * q[1], a, b)
+    return center + rot @ np.array([sx * nx, sy * ny])
+
+
+def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.0) -> np.ndarray:
+    """`project_timestep` on numpy ellipse frames: the obstacle's center at
+    tau and a 2x2 rotation map the point into and out of each ellipse's
+    frame, and every move is re-checked with the stacked evaluator."""
+    block = np.asarray(block, dtype=float)
+    out = block.copy()
+    out[2:] = project_inputs(block[2:], constraints.bounds)
+    p = out[:2]
+    g = constraints.keepout(tau, p, ego_heading)
+    for _ in range(MAX_PROJECTION_SWEEPS + 1):
+        clean = True
+        for k, obs in enumerate(constraints.obstacles):
+            if g[k] > FEASIBILITY_TOL:
+                rot = _rotation(ego_heading if constraints.use_ego_heading else obs.heading)
+                p = _project_with_frame(p, center_at(obs, tau, constraints.timestep), rot,
+                                        obs.semi_major, obs.semi_minor)
+                g = constraints.keepout(tau, p, ego_heading)
+                clean = False
+        if clean:
+            out[:2] = p
+            return out
+    raise NonConvergence(
+        f"cyclic ellipse projection did not converge at time index {tau}", tau=tau
+    )
 
 
 def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):

@@ -151,6 +151,8 @@ def test_penalty_expansion_matches_finite_differences():
 def test_settings_validation():
     with pytest.raises(ValueError):
         ADMMSettings(sigma=0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        ADMMSettings(sigma=math.inf)
     with pytest.raises(ValueError):
         ADMMSettings(max_admm_iters=0)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,17 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmplan.constraints import (
+    FEASIBILITY_TOL,
     ConstraintSet,
     InputBounds,
     Obstacle,
-    ellipse_shape,
     project_inputs,
     project_timestep,
 )
 from admmplan.errors import DegenerateProjection, NonConvergence
 from admmplan.ilqr import Trajectory
 
-from oracles import dense_ellipse_boundary, nearest_on_boundary
+from oracles import (
+    center_at,
+    dense_ellipse_boundary,
+    ellipse_shape,
+    frame_project_timestep,
+    nearest_on_boundary,
+)
 
 
 def test_ellipse_shape_axis_aligned():
@@ -60,7 +67,7 @@ def test_violation_scenario_point():
 
 def test_violation_moving_obstacle_center():
     obs = Obstacle(center0=(0.0, 0.0), velocity=(3.0, 0.0))
-    np.testing.assert_allclose(obs.center_at(10, 0.1), [3.0, 0.0])
+    np.testing.assert_allclose(center_at(obs, 10, 0.1), [3.0, 0.0])
     g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(10, (3.0, 0.0))[0]
     assert g == pytest.approx(1.0)
 
@@ -300,12 +307,42 @@ def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_hea
     gx, gy = constraints.keepout_gradient(tau, p, ego_heading)[0]
     heading = ego_heading if use_ego_heading else obs.heading
     A = ellipse_shape(heading, obs.semi_major, obs.semi_minor)
-    d = np.asarray(p) - obs.center_at(tau, 0.1)
+    d = np.asarray(p) - center_at(obs, tau, 0.1)
     scale = 1.0 + float(d @ A @ d)
     assert g == pytest.approx(1.0 - float(d @ A @ d), rel=1e-12, abs=1e-12 * scale)
     grad = -2.0 * A @ d
     np.testing.assert_allclose([gx, gy], grad, rtol=1e-12,
                                atol=1e-12 * (1.0 + float(np.abs(grad).max())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obs=st.lists(obstacles(), min_size=1, max_size=3),
+    tau=st.integers(0, 60),
+    data=st.data(),
+    ego_heading=st.floats(-10.0, 10.0),
+    use_ego_heading=st.booleans(),
+)
+def test_projection_matches_frame_reference(obs, tau, data, ego_heading, use_ego_heading):
+    # Targets around one obstacle's center at tau, so most start inside it
+    # and often inside a second, overlapping ellipse too.
+    near = obs[data.draw(st.integers(0, len(obs) - 1))]
+    offset = data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    p = center_at(near, tau, 0.1) + near.semi_major * np.array(offset)
+    block = np.array([*p, data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-5.0, 5.0))])
+    constraints = ConstraintSet(make_bounds(), obs, 0.1, use_ego_heading)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateProjection)
+        try:
+            expected = frame_project_timestep(block, constraints, tau, ego_heading)
+        except NonConvergence:
+            with pytest.raises(NonConvergence):
+                project_timestep(block, constraints, tau, ego_heading)
+            return
+        out = project_timestep(block, constraints, tau, ego_heading)
+    np.testing.assert_allclose(out[:2], expected[:2], rtol=0.0, atol=1e-9)
+    np.testing.assert_array_equal(out[2:], expected[2:])
+    assert constraints.keepout(tau, out[:2], ego_heading).max() <= FEASIBILITY_TOL
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ import yaml
 
 import admmplan
 from admmplan import cli, harness
+from admmplan.constraints import ConstraintSet
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
     emit_iterates,
@@ -325,6 +326,58 @@ def test_cli_rejects_nan_settings(tmp_path):
         out = tmp_path / "out"
         assert cli.main(["--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
+    # An infinite mu_max never ends the regularization of a Q_uu that a NaN
+    # weight keeps indefinite, so each is rejected on load.
+    data = config_to_dict(builtin_scenario(1))
+    for edit in ({"admm": dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], mu_max=math.inf))},
+                 {"admm": dict(data["admm"], sigma=math.inf)},
+                 {"weights": dict(data["weights"], steering_weight=math.nan)}):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(dict(data, **edit)))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def _with_fields(section, **fields):
+    data = config_to_dict(builtin_scenario(1))
+    return dict(data, **{section: dict(data[section], **fields)})
+
+
+@pytest.mark.parametrize("section, edits", [
+    ("bounds", [{"max_steer": math.nan}, {"max_accel": math.nan}, {"min_accel": math.nan}]),
+    ("weights", [{name: math.nan} for name in ("position_weight", "velocity_weight",
+                                               "steering_weight", "accel_weight",
+                                               "terminal_scale")]),
+    ("vehicle", [{"wheelbase": math.nan}, {"timestep": math.nan}, {"timestep": math.inf}]),
+    ("reference", [{"py_ref": math.nan}, {"v_ref": math.nan},
+                   {"polyline": [[0.0, 0.0], [math.nan, 1.0]]}]),
+    ("initial_state", [{name: math.nan} for name in ("px", "py", "theta", "v")]),
+], ids=["InputBounds", "CostWeights", "VehicleParams", "Reference", "State"])
+def test_config_rejects_nan_model_inputs(section, edits):
+    # NaN fails every model-input check, so the file is rejected on load
+    # instead of failing late, inside the solve.
+    for fields in edits:
+        with pytest.raises(ConfigError):
+            config_from_dict(_with_fields(section, **fields))
+
+
+def test_config_rejects_infinite_semi_axes():
+    data = config_to_dict(builtin_scenario(1))
+    for fields in ({"semi_major": math.inf}, {"semi_major": math.inf, "semi_minor": math.inf},
+                   {"semi_major": math.nan}):
+        obstacles = [dict(data["obstacles"][0], **fields)]
+        with pytest.raises(ConfigError, match="semi_major"):
+            config_from_dict(dict(data, obstacles=obstacles))
+
+
+def test_config_infinite_box_limit_is_absent():
+    config = config_from_dict(_with_fields("bounds", max_steer=math.inf, min_accel=-math.inf))
+    constraints = ConstraintSet(config.bounds, config.obstacles, config.vehicle.timestep)
+    assert constraints.faces == [(1, 1.0, 3.0)]
 
 
 @pytest.mark.parametrize("value", [2.5, 60.0, True, "60"])

@@ -256,6 +256,10 @@ def test_settings_validation():
         ILQRSettings(max_iters=0)
     with pytest.raises(ValueError):
         ILQRSettings(cost_tolerance=0.0)
+    # An infinite cap never exhausts the regularization: a Q_uu that never
+    # turns positive definite would restart the backward pass forever.
+    with pytest.raises(ValueError, match="mu_max"):
+        ILQRSettings(mu_max=math.inf)
 
 
 @pytest.mark.parametrize(
