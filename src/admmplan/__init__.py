@@ -8,7 +8,9 @@ projection step is solved exactly per time stamp. A log-barrier constrained
 iLQR baseline and a benchmark harness round out the toolkit.
 """
 
-from .admm import ADMMSettings, IterationRecord, SolveReport, admm_solve, primal_residual, select
+from .admm import (
+    ADMMSettings, IterationRecord, Problem, SolveReport, admm_solve, primal_residual, select,
+)
 from .barrier import BarrierSettings, barrier_solve
 from .constraints import (
     ConstraintSet,
@@ -51,6 +53,7 @@ __all__ = [
     "NonConvergence",
     "Obstacle",
     "PlannerError",
+    "Problem",
     "Reference",
     "RegularizationExhausted",
     "ScenarioConfig",

@@ -28,13 +28,7 @@ import numpy as np
 
 from . import ilqr
 from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count
-from .constraints import (
-    FEASIBILITY_TOL,
-    ConstraintSet,
-    InputBounds,
-    project_inputs,
-    project_timestep,
-)
+from .constraints import FEASIBILITY_TOL, ConstraintSet, project_inputs, project_timestep
 from .errors import NonConvergence, RegularizationExhausted
 
 BLOCK_DIM = 4  # (px, py, steer, accel)
@@ -99,6 +93,30 @@ class SolveReport:
     @property
     def ilqr_iterations(self) -> list:
         return [r.ilqr_iterations for r in self.records]
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One constrained planning problem, as both solvers take it.
+
+    `cost` has `values(traj)` and `expand(traj)`; `dynamics` has step and
+    jacobians, and its `params.timestep` must be the timestep `constraints`
+    moves the obstacles with. `horizon` is the number of control stamps T.
+    """
+
+    x0: np.ndarray
+    cost: object
+    dynamics: object
+    constraints: ConstraintSet
+    horizon: int
+
+    def __post_init__(self):
+        if self.constraints.timestep != self.dynamics.params.timestep:
+            raise ValueError(
+                f"constraint timestep {self.constraints.timestep} differs from the "
+                f"dynamics timestep {self.dynamics.params.timestep}"
+            )
+        object.__setattr__(self, "x0", np.asarray(self.x0, float))
 
 
 def select(traj: ilqr.Trajectory) -> np.ndarray:
@@ -179,36 +197,8 @@ def trajectory_violation(traj: ilqr.Trajectory, constraints: ConstraintSet) -> f
     return constraints.violation(traj)
 
 
-def admm_solve(
-    x0,
-    cost,
-    dynamics,
-    bounds: InputBounds,
-    obstacles,
-    horizon: int,
-    settings: ADMMSettings | None = None,
-    use_ego_heading: bool = False,
-    initialization: str = "rollout",
-) -> SolveReport:
+def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveReport:
     """Plan a constrained trajectory by consensus splitting.
-
-    Args:
-        x0: initial state array.
-        cost: base cost model with `values(traj)` and `expand(traj)`.
-        dynamics: model with step/jacobians; its `params.timestep` drives the
-            moving-obstacle schedule.
-        bounds: control box limits.
-        obstacles: keep-out ellipses (may be empty).
-        horizon: number of control stamps T.
-        settings: penalty, iteration, and tolerance knobs.
-        use_ego_heading: orient keep-out ellipses with the ego heading
-            instead of each obstacle's own heading.
-        initialization: consensus seed when the unconstrained probe is
-            infeasible. "rollout" (default) starts from the zero-control
-            rollout, which engages the constraints gently; "unconstrained"
-            starts from the probe's optimum, which reaches better objective
-            values on far-from-feasible starts at the price of a rougher
-            dual transient.
 
     Returns:
         SolveReport with the final dynamics-feasible trajectory, one
@@ -219,12 +209,10 @@ def admm_solve(
         report rather than raised.
     """
     settings = settings or ADMMSettings()
-    constraints = ConstraintSet(
-        bounds, obstacles, dynamics.params.timestep, use_ego_heading
-    )
+    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
     start = time.perf_counter()
     # The only rollout: the probe's nominal, the first iterate, a failed probe's answer.
-    rollout0 = ilqr.rollout(dynamics, np.asarray(x0, float), np.zeros((horizon, 2)))
+    rollout0 = ilqr.rollout(dynamics, problem.x0, np.zeros((problem.horizon, 2)))
 
     # Probe: solve the unconstrained base problem first. If its optimum is
     # already feasible the splitting has nothing to do; consensus holds
@@ -234,7 +222,8 @@ def admm_solve(
     try:
         probe = ilqr.solve(rollout0, cost, dynamics, settings.ilqr)
     except RegularizationExhausted as exc:
-        report = SolveReport(rollout0, STATUS_FAILED, message=str(exc))
+        report = SolveReport(rollout0, STATUS_FAILED, message=str(exc),
+                             max_violation=trajectory_violation(rollout0, constraints))
         report.seconds = time.perf_counter() - start
         return report
 
@@ -245,12 +234,7 @@ def admm_solve(
         report.seconds = time.perf_counter() - start
         return report
 
-    if initialization == "unconstrained":
-        y = probe.trajectory
-    elif initialization == "rollout":
-        y = rollout0
-    else:
-        raise ValueError(f"unknown initialization {initialization!r}")
+    y = rollout0
     z = select(y)
     lam = np.zeros_like(z)
     report = SolveReport(y, STATUS_MAX_ITERS)

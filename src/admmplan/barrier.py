@@ -19,8 +19,8 @@ import numpy as np
 
 from . import ilqr
 from .ilqr import STATUS_CONVERGED, STATUS_FAILED, ILQRSettings, is_count
-from .admm import IterationRecord, SolveReport, trajectory_violation
-from .constraints import ConstraintSet, InputBounds
+from .admm import IterationRecord, Problem, SolveReport, trajectory_violation
+from .constraints import ConstraintSet
 from .errors import BarrierDomainViolation, RegularizationExhausted
 
 
@@ -34,10 +34,10 @@ class BarrierSettings:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not self.initial_sharpness > 0:
-            raise ValueError("initial_sharpness must be positive")
-        if not self.tighten_factor > 1:
-            raise ValueError("tighten_factor must exceed 1")
+        if not math.inf > self.initial_sharpness > 0:
+            raise ValueError("initial_sharpness must be positive and finite")
+        if not math.inf > self.tighten_factor > 1:
+            raise ValueError("tighten_factor must exceed 1 and be finite")
         if not is_count(self.outer_iters):
             raise ValueError("outer_iters must be an integer of at least 1")
         if not self.margin >= 0:
@@ -124,16 +124,7 @@ def check_strict_feasibility(
     _check_domain(box, keepout, margin, "trajectory is not strictly feasible")
 
 
-def barrier_solve(
-    x0,
-    cost,
-    dynamics,
-    bounds: InputBounds,
-    obstacles,
-    horizon: int,
-    settings: BarrierSettings | None = None,
-    use_ego_heading: bool = False,
-) -> SolveReport:
+def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> SolveReport:
     """Constrained solve by the outer-inner log-barrier loop.
 
     Raises:
@@ -142,12 +133,10 @@ def barrier_solve(
         documented limitation that the consensus solver avoids.
     """
     settings = settings or BarrierSettings()
-    constraints = ConstraintSet(
-        bounds, obstacles, dynamics.params.timestep, use_ego_heading
-    )
+    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
     start = time.perf_counter()
 
-    y = ilqr.rollout(dynamics, np.asarray(x0, float), np.zeros((horizon, 2)))
+    y = ilqr.rollout(dynamics, problem.x0, np.zeros((problem.horizon, 2)))
     check_strict_feasibility(y, constraints, settings.margin)
     # A strictly feasible seed violates nothing.
     violation = 0.0

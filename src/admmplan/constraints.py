@@ -83,11 +83,12 @@ class Obstacle:
 class ConstraintSet:
     """The box and keep-out constraints of one solve, as values g (<= 0 holds).
 
-    Built once per solve and shared by the violation scan, the barrier and
-    the projection. Every evaluation takes one stamp or stacked rows with a
-    leading stamp axis: `box(u)`, `keepout(tau, p, heading)` and
-    `keepout_gradient(tau, p, heading)` evaluate the given stamps,
-    `values(traj)` the box and keep-out values of a whole trajectory.
+    Built once per problem by `build_problem` and shared by the violation
+    scan, the barrier and the projection. Every evaluation takes one stamp
+    or stacked rows with a leading stamp axis: `box(u)`,
+    `keepout(tau, p, heading)` and `keepout_gradient(tau, p, heading)`
+    evaluate the given stamps, `values(traj)` the box and keep-out values of
+    a whole trajectory.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.

@@ -26,8 +26,9 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .admm import SolveReport, admm_solve
+from .admm import Problem, SolveReport, admm_solve
 from .barrier import barrier_solve
+from .constraints import ConstraintSet
 from .costs import TrackingCost
 from .errors import PlannerError
 from .ilqr import STATUS_FAILED, Trajectory
@@ -55,12 +56,13 @@ class TrialRecord:
     report: SolveReport | None = None  # None when the trial raised
 
 
-def build_problem(config: ScenarioConfig):
-    """Instantiate the solver inputs described by a scenario configuration."""
+def build_problem(config: ScenarioConfig) -> Problem:
+    """The problem a scenario configuration describes, with its one constraint set."""
     dynamics = BicycleModel(config.vehicle)
-    cost = TrackingCost(config.weights, config.reference)
-    x0 = config.initial_state.as_array()
-    return x0, cost, dynamics
+    constraints = ConstraintSet(config.bounds, config.obstacles, dynamics.params.timestep,
+                                config.ego_heading_ellipses)
+    return Problem(config.initial_state.as_array(), TrackingCost(config.weights, config.reference),
+                   dynamics, constraints, config.horizon)
 
 
 def solve_scenario(config: ScenarioConfig, method: str) -> SolveReport:
@@ -71,9 +73,7 @@ def solve_scenario(config: ScenarioConfig, method: str) -> SolveReport:
         solver, settings = barrier_solve, config.barrier
     else:
         raise ValueError(f"unknown method {method!r}")
-    x0, cost, dynamics = build_problem(config)
-    return solver(x0, cost, dynamics, config.bounds, config.obstacles, config.horizon,
-                  settings, use_ego_heading=config.ego_heading_ellipses)
+    return solver(build_problem(config), settings)
 
 
 def run_trials(config: ScenarioConfig, method: str, trials: int) -> list:
@@ -265,7 +265,7 @@ def run(
         print(f"cannot prepare output directory {out_dir}: {exc}")
         return EXIT_IO
 
-    _, _, dynamics = build_problem(config)
+    dynamics = build_problem(config).dynamics
     methods = list(METHODS) if compare else [method]
     records_by_method = {}
     any_failed = False

@@ -214,15 +214,13 @@ def test_criterion_6_infeasible_seed_contrast():
     outcomes = []
     for sid in (1, 2):
         cfg = builtin_scenario(sid)
-        x0, cost, dynamics = build_problem(cfg)
+        problem = build_problem(cfg)
         try:
-            barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                          cfg.horizon, cfg.barrier)
+            barrier_solve(problem, cfg.barrier)
             barrier_failed = False
         except BarrierDomainViolation:
             barrier_failed = True
-        admm_report = admm_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                                 cfg.horizon, cfg.admm)
+        admm_report = admm_solve(problem, cfg.admm)
         outcomes.append((sid, barrier_failed, admm_report.status))
     ok = all(bf and status == "converged" for _, bf, status in outcomes)
     report("criterion 6: infeasible-seed contrast", ok, str(outcomes))
@@ -257,12 +255,11 @@ def test_criterion_8_inactive_splitting_identity():
     """With nothing to project, the split solve equals plain iLQR."""
     worst = 0.0
     for sid in (1, 2):
-        cfg = builtin_scenario(sid)
-        x0, cost, dynamics = build_problem(cfg)
-        wide = InputBounds(1e9, 1e9, -1e9)
-        rep = admm_solve(x0, cost, dynamics, wide, [], cfg.horizon, cfg.admm)
-        plain = ilqr.solve(ilqr.rollout(dynamics, x0, np.zeros((cfg.horizon, 2))),
-                           cost, dynamics, cfg.admm.ilqr)
+        cfg = replace(builtin_scenario(sid), bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
+        problem = build_problem(cfg)
+        rep = admm_solve(problem, cfg.admm)
+        plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
+                           problem.cost, problem.dynamics, cfg.admm.ilqr)
         worst = max(worst, abs(rep.records[-1].cost - plain.cost) / abs(plain.cost))
     ok = worst < 1e-6
     report("criterion 8: inactive-splitting identity", ok,

@@ -165,25 +165,21 @@ def test_settings_validation():
             ADMMSettings(max_admm_iters=value)
 
 
-def solve_scenario_admm(sid, **kwargs):
+def solve_scenario_admm(sid):
     cfg = builtin_scenario(sid)
-    x0, cost, dynamics = build_problem(cfg)
-    return cfg, admm_solve(
-        x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon, cfg.admm,
-        **kwargs,
-    )
+    return cfg, admm_solve(build_problem(cfg), cfg.admm)
 
 
 def test_dual_update_identity():
     # replay the loop by hand and check the multiplier identity per iteration
     cfg = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(cfg)
+    problem = build_problem(cfg)
+    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
     T = cfg.horizon
-    y = ilqr.rollout(dynamics, x0, np.zeros((T, 2)))
+    y = ilqr.rollout(dynamics, problem.x0, np.zeros((T, 2)))
     z = select(y)
     lam = np.zeros_like(z)
     sigma = cfg.admm.sigma
-    constraints = ConstraintSet(cfg.bounds, cfg.obstacles, dynamics.params.timestep)
     for _ in range(4):
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
@@ -198,13 +194,13 @@ def test_dual_update_identity():
 
 def test_z_iterates_feasible():
     cfg = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(cfg)
+    problem = build_problem(cfg)
+    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
     T = cfg.horizon
-    y = ilqr.rollout(dynamics, x0, np.zeros((T, 2)))
+    y = ilqr.rollout(dynamics, problem.x0, np.zeros((T, 2)))
     z = select(y)
     lam = np.zeros_like(z)
     sigma = cfg.admm.sigma
-    constraints = ConstraintSet(cfg.bounds, cfg.obstacles, dynamics.params.timestep)
     for _ in range(6):
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
@@ -245,12 +241,11 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
 
 def test_inactive_splitting_matches_plain_ilqr():
     for sid in (1, 2):
-        cfg = builtin_scenario(sid)
-        x0, cost, dynamics = build_problem(cfg)
-        bounds = InputBounds(1e9, 1e9, -1e9)
-        report = admm_solve(x0, cost, dynamics, bounds, [], cfg.horizon, cfg.admm)
-        plain = ilqr.solve(ilqr.rollout(dynamics, x0, np.zeros((cfg.horizon, 2))),
-                           cost, dynamics, cfg.admm.ilqr)
+        cfg = replace(builtin_scenario(sid), bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
+        problem = build_problem(cfg)
+        report = admm_solve(problem, cfg.admm)
+        plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
+                           problem.cost, problem.dynamics, cfg.admm.ilqr)
         assert report.status == "converged"
         assert [r.residual_inf for r in report.records] == [0.0]
         assert abs(report.records[-1].cost - plain.cost) <= 1e-6 * abs(plain.cost)
@@ -278,7 +273,7 @@ def test_scenario2_final_speed_brackets_paper_value():
 def test_returned_trajectory_dynamically_feasible():
     for sid in (1, 2):
         cfg, report = solve_scenario_admm(sid)
-        _, _, dynamics = build_problem(cfg)
+        dynamics = build_problem(cfg).dynamics
         assert report.trajectory.dynamics_break(dynamics, tol=1e-9) is None
 
 
@@ -306,21 +301,6 @@ def test_determinism_identical_reports():
     )
 
 
-def test_unconstrained_initialization_option():
-    cfg = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(cfg)
-    report = admm_solve(
-        x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon, cfg.admm,
-        initialization="unconstrained",
-    )
-    assert report.iterations >= 1
-    with pytest.raises(ValueError):
-        admm_solve(
-            x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon,
-            cfg.admm, initialization="bogus",
-        )
-
-
 def keepout_ring():
     # A ring of overlapping keep-outs around the driven corridor of S1; it
     # defeats the cyclic projection.
@@ -333,13 +313,37 @@ def keepout_ring():
 
 def test_projection_failure_yields_failed_status_with_partial_report():
     # the solve must report the projection failure instead of raising
-    cfg = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(cfg)
-    report = admm_solve(x0, cost, dynamics, cfg.bounds, keepout_ring(), cfg.horizon,
-                        cfg.admm)
+    cfg = replace(builtin_scenario(1), obstacles=keepout_ring())
+    report = admm_solve(build_problem(cfg), cfg.admm)
     assert report.status == "failed"
     assert report.message
     assert report.trajectory.states.shape == (cfg.horizon + 1, 4)
+
+
+class NaNControlHessian:
+    """The base cost with NaN control Hessians: no regularization of Q_uu helps."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def values(self, traj):
+        return self.base.values(traj)
+
+    def expand(self, traj):
+        l_x, l_u, l_xx, l_uu = self.base.expand(traj)
+        l_uu[:] = math.nan
+        return l_x, l_u, l_xx, l_uu
+
+
+def test_failed_probe_reports_the_seed_violation():
+    # The probe's regularization is exhausted, so the solve returns the
+    # zero-control rollout, which drives through the S1 obstacle.
+    cfg = builtin_scenario(1)
+    problem = build_problem(cfg)
+    report = admm_solve(replace(problem, cost=NaNControlHessian(problem.cost)), cfg.admm)
+    assert report.status == "failed" and not report.records
+    assert report.max_violation > 0
+    assert report.max_violation == trajectory_violation(report.trajectory, problem.constraints)
 
 
 def test_trajectory_violation_reports_worst_breach():
@@ -372,16 +376,13 @@ def report_of(case) -> SolveReport:
     cfg = builtin_scenario(2 if case == "S2" else 1)
     if case == "barrier":
         cfg = replace(cfg, initial_state=State(0.0, 0.0, 0.0, 0.0))
-    x0, cost, dynamics = build_problem(cfg)
     if case == "barrier":
-        return barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon,
-                             cfg.barrier)
-    bounds, obstacles = cfg.bounds, cfg.obstacles
+        return barrier_solve(build_problem(cfg), cfg.barrier)
     if case == "probe exit":
-        bounds, obstacles = InputBounds(1e9, 1e9, -1e9), []
+        cfg = replace(cfg, bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
     elif case == "projection failure":
-        obstacles = keepout_ring()
-    return admm_solve(x0, cost, dynamics, bounds, obstacles, cfg.horizon, cfg.admm)
+        cfg = replace(cfg, obstacles=keepout_ring())
+    return admm_solve(build_problem(cfg), cfg.admm)
 
 
 @pytest.mark.parametrize("case", ["S1", "S2", "probe exit", "barrier", "projection failure"])
@@ -402,10 +403,10 @@ def test_each_record_keeps_its_own_iterate():
     # Records hold the iterates themselves, not copies; a solve that changed
     # a trajectory in place would turn every record into the last one.
     cfg = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(cfg)
-    report = admm_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon, cfg.admm)
+    problem = build_problem(cfg)
+    report = admm_solve(problem, cfg.admm)
     first, last = report.records[0].trajectory, report.records[-1].trajectory
     assert not np.array_equal(first.states, last.states)
     for record in report.records:
-        again = ilqr.rollout(dynamics, x0, record.trajectory.controls)
+        again = ilqr.rollout(problem.dynamics, problem.x0, record.trajectory.controls)
         np.testing.assert_array_equal(again.states, record.trajectory.states)

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from admmplan.admm import ADMMSettings, admm_solve
+from admmplan import ilqr
+from admmplan.admm import ADMMSettings, PenalizedCost, project_consensus, select
 from admmplan.barrier import (
     BarrierCost,
     BarrierSettings,
@@ -139,18 +140,14 @@ def test_strict_feasibility_checker_flags_offending_stamp():
 
 def test_scenario1_default_seed_infeasible():
     cfg = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(cfg)
     with pytest.raises(BarrierDomainViolation):
-        barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                      cfg.horizon, cfg.barrier)
+        barrier_solve(build_problem(cfg), cfg.barrier)
 
 
 def test_scenario2_default_seed_infeasible():
     cfg = builtin_scenario(2)
-    x0, cost, dynamics = build_problem(cfg)
     with pytest.raises(BarrierDomainViolation):
-        barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                      cfg.horizon, cfg.barrier)
+        barrier_solve(build_problem(cfg), cfg.barrier)
 
 
 def feasible_config(sid, v0):
@@ -159,9 +156,8 @@ def feasible_config(sid, v0):
 
 
 def test_scenario1_standstill_seed_converges():
-    cfg, (x0, cost, dynamics) = feasible_config(1, 0.0)
-    report = barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                           cfg.horizon, cfg.barrier)
+    cfg, problem = feasible_config(1, 0.0)
+    report = barrier_solve(problem, cfg.barrier)
     assert report.status == "converged"
     assert report.max_violation == 0.0
     assert report.iterations == cfg.barrier.outer_iters
@@ -170,9 +166,8 @@ def test_scenario1_standstill_seed_converges():
 
 
 def test_scenario2_slow_seed_converges():
-    cfg, (x0, cost, dynamics) = feasible_config(2, 4.0)
-    report = barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                           cfg.horizon, cfg.barrier)
+    cfg, problem = feasible_config(2, 4.0)
+    report = barrier_solve(problem, cfg.barrier)
     assert report.status == "converged"
     assert report.max_violation == 0.0
 
@@ -180,16 +175,22 @@ def test_scenario2_slow_seed_converges():
 def test_barrier_cost_approaches_consensus_cost():
     # Outer iterations drive the base cost toward the consensus solution's;
     # the gap shrinks monotonically until it is resolution limited, and ends
-    # below 5 percent.
-    cfg, (x0, cost, dynamics) = feasible_config(1, 0.0)
-    reference = admm_solve(
-        x0, cost, dynamics, cfg.bounds, cfg.obstacles, cfg.horizon,
-        ADMMSettings(ilqr=ILQRSettings(), max_admm_iters=60),
-        initialization="unconstrained",
-    )
-    ref_cost = reference.records[-1].cost
-    report = barrier_solve(x0, cost, dynamics, cfg.bounds, cfg.obstacles,
-                           cfg.horizon, cfg.barrier)
+    # below 5 percent. The reference is 60 consensus iterations seeded from
+    # the unconstrained optimum, replayed here.
+    cfg, problem = feasible_config(1, 0.0)
+    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
+    sigma, settings = ADMMSettings().sigma, ILQRSettings()
+    y = ilqr.solve(rollout(dynamics, problem.x0, np.zeros((cfg.horizon, 2))), cost, dynamics,
+                   settings).trajectory
+    z = select(y)
+    lam = np.zeros_like(z)
+    for _ in range(60):
+        y = ilqr.solve(y, PenalizedCost(cost, z, lam, sigma), dynamics, settings).trajectory
+        sel = select(y)
+        z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
+        lam += sigma * (sel - z)
+    ref_cost = total_cost(cost, y)
+    report = barrier_solve(problem, cfg.barrier)
     gaps = [abs(r.cost - ref_cost) / abs(ref_cost) for r in report.records]
     floor = 5e-3
     settled = False
@@ -214,6 +215,10 @@ def test_settings_validation():
     for field in ("initial_sharpness", "tighten_factor", "outer_iters", "margin"):
         with pytest.raises(ValueError):
             BarrierSettings(**{field: math.nan})
+    # 1/t would be 0 from the first or second stage: only the walls remain.
+    for field in ("initial_sharpness", "tighten_factor"):
+        with pytest.raises(ValueError, match=field):
+            BarrierSettings(**{field: math.inf})
     for value in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="integer"):
             BarrierSettings(outer_iters=value)

@@ -330,10 +330,13 @@ def test_cli_rejects_nan_settings(tmp_path):
 
 def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
     # An infinite mu_max never ends the regularization of a Q_uu that a NaN
-    # weight keeps indefinite, so each is rejected on load.
+    # weight keeps indefinite, and an infinite sharpness or tighten factor
+    # drops the barrier terms, so each is rejected on load.
     data = config_to_dict(builtin_scenario(1))
     for edit in ({"admm": dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], mu_max=math.inf))},
                  {"admm": dict(data["admm"], sigma=math.inf)},
+                 {"barrier": dict(data["barrier"], initial_sharpness=math.inf)},
+                 {"barrier": dict(data["barrier"], tighten_factor=math.inf)},
                  {"weights": dict(data["weights"], steering_weight=math.nan)}):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(dict(data, **edit)))
@@ -378,6 +381,23 @@ def test_config_infinite_box_limit_is_absent():
     config = config_from_dict(_with_fields("bounds", max_steer=math.inf, min_accel=-math.inf))
     constraints = ConstraintSet(config.bounds, config.obstacles, config.vehicle.timestep)
     assert constraints.faces == [(1, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_build_problem_passes_the_ego_heading_flag(flag):
+    problem = harness.build_problem(replace(builtin_scenario(1), ego_heading_ellipses=flag))
+    assert problem.constraints.use_ego_heading is flag
+
+
+def test_problem_rejects_constraints_on_another_timestep():
+    # The obstacles would move on a schedule that the dynamics do not keep.
+    problem = harness.build_problem(builtin_scenario(1))
+    h = problem.dynamics.params.timestep
+    with pytest.raises(ValueError, match="timestep"):
+        replace(problem, constraints=ConstraintSet(problem.constraints.bounds,
+                                                   problem.constraints.obstacles, 2 * h))
+    with pytest.raises(ValueError, match="timestep"):
+        replace(problem, dynamics=BicycleModel(VehicleParams(timestep=2 * h)))
 
 
 @pytest.mark.parametrize("value", [2.5, 60.0, True, "60"])

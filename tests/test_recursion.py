@@ -14,6 +14,8 @@ every stamp; the kernel for a pattern must return exactly what the dense
 kernel returns on the same rows.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from admmplan import ilqr
 from admmplan.admm import PenalizedCost, admm_solve, select
 from admmplan.barrier import BarrierCost
-from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
+from admmplan.constraints import InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import DomainError
 from admmplan.harness import build_problem
@@ -64,11 +66,10 @@ def linear_case(seed, horizon=25):
 
 
 def bicycle_case(scenario, seed=0):
-    config = builtin_scenario(scenario)
-    x0, cost, dynamics = build_problem(config)
+    problem = build_problem(builtin_scenario(scenario))
     rng = np.random.default_rng(seed)
-    controls = rng.normal(scale=[0.03, 0.5], size=(config.horizon, 2))
-    return rollout(dynamics, x0, controls), cost, dynamics
+    controls = rng.normal(scale=[0.03, 0.5], size=(problem.horizon, 2))
+    return rollout(problem.dynamics, problem.x0, controls), problem.cost, problem.dynamics
 
 
 def penalized_case(scenario):
@@ -84,15 +85,14 @@ def penalized_case(scenario):
 def barrier_case(seed):
     # The log barrier on a strictly feasible trajectory: a rotated, moving
     # ellipse beside the path gives position Hessians with off-diagonal terms.
-    config = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(config)
-    rng = np.random.default_rng(seed)
-    traj = rollout(dynamics, x0, rng.normal(scale=[0.01, 0.3], size=(config.horizon, 2)))
     obstacles = [Obstacle((12.0, 4.5), (1.0, 0.2), 0.4, 5.0, 2.5)]
-    constraints = ConstraintSet(InputBounds(), obstacles, dynamics.params.timestep)
-    barrier = BarrierCost(cost, constraints, sharpness=2.0)
-    assert constraints.violation(traj) == 0.0 and np.isfinite(total_cost(barrier, traj))
-    return traj, barrier, dynamics
+    problem = build_problem(replace(builtin_scenario(1), bounds=InputBounds(), obstacles=obstacles))
+    rng = np.random.default_rng(seed)
+    controls = rng.normal(scale=[0.01, 0.3], size=(problem.horizon, 2))
+    traj = rollout(problem.dynamics, problem.x0, controls)
+    barrier = BarrierCost(problem.cost, problem.constraints, sharpness=2.0)
+    assert problem.constraints.violation(traj) == 0.0 and np.isfinite(total_cost(barrier, traj))
+    return traj, barrier, problem.dynamics
 
 
 def polyline_case(seed):
@@ -110,11 +110,10 @@ def zero_control_case(seed):
     # Straight at constant speed: theta = 0 and steer = 0 make sin(theta),
     # tan(steer) and their Jacobian entries exactly 0.0 at every stamp, so
     # the sweep is specialized to more constant entries than in a solve.
-    config = builtin_scenario(seed)
-    x0, cost, dynamics = build_problem(config)
-    traj = rollout(dynamics, x0, np.zeros((config.horizon, 2)))
+    problem = build_problem(builtin_scenario(seed))
+    traj = rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
     assert not traj.states[:, 1:3].any()
-    return traj, cost, dynamics
+    return traj, problem.cost, problem.dynamics
 
 
 def indefinite_case(seed):
@@ -301,10 +300,9 @@ def test_admm_solve_rolls_out_once(monkeypatch):
 
     monkeypatch.setattr(ilqr, "forward_pass", counted_forward_pass)
     config = builtin_scenario(1)
-    x0, cost, dynamics = build_problem(config)
-    counter = CountingDynamics(dynamics)
-    report = admm_solve(x0, cost, counter, config.bounds, config.obstacles, config.horizon,
-                        config.admm)
+    problem = build_problem(config)
+    counter = CountingDynamics(problem.dynamics)
+    report = admm_solve(replace(problem, dynamics=counter), config.admm)
     assert report.status == "converged" and len(passes) > report.iterations
     assert counter.calls == config.horizon * (len(passes) + 1)
 
