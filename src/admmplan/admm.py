@@ -78,7 +78,6 @@ class SolveReport:
     trajectory: ilqr.Trajectory
     status: str
     records: list = field(default_factory=list)  # IterationRecord per iteration
-    seconds: float = 0.0
     max_violation: float = 0.0
     message: str = ""
 
@@ -222,17 +221,13 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
     try:
         probe = ilqr.solve(rollout0, cost, dynamics, settings.ilqr)
     except RegularizationExhausted as exc:
-        report = SolveReport(rollout0, STATUS_FAILED, message=str(exc),
-                             max_violation=trajectory_violation(rollout0, constraints))
-        report.seconds = time.perf_counter() - start
-        return report
+        return SolveReport(rollout0, STATUS_FAILED, message=str(exc),
+                           max_violation=trajectory_violation(rollout0, constraints))
 
     if trajectory_violation(probe.trajectory, constraints) <= FEASIBILITY_TOL:
         record = IterationRecord(probe.trajectory, 0.0, 0.0, probe.cost,
                                  probe.iterations, time.perf_counter() - start)
-        report = SolveReport(probe.trajectory, STATUS_CONVERGED, [record])
-        report.seconds = time.perf_counter() - start
-        return report
+        return SolveReport(probe.trajectory, STATUS_CONVERGED, [record])
 
     y = rollout0
     z = select(y)
@@ -271,6 +266,5 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
             break
 
     report.max_violation = trajectory_violation(report.trajectory, constraints)
-    report.seconds = time.perf_counter() - start
     return report
 

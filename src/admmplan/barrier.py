@@ -134,7 +134,6 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
     """
     settings = settings or BarrierSettings()
     cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
-    start = time.perf_counter()
 
     y = ilqr.rollout(dynamics, problem.x0, np.zeros((problem.horizon, 2)))
     check_strict_feasibility(y, constraints, settings.margin)
@@ -163,5 +162,4 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
         sharpness *= settings.tighten_factor
 
     report.max_violation = violation
-    report.seconds = time.perf_counter() - start
     return report

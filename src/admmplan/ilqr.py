@@ -20,6 +20,9 @@ value recursion
 
 The Levenberg-style mu keeps Q_uu positive definite near flat or indefinite
 regions; it grows on failed line searches and shrinks after accepted steps.
+Only its floor, `ILQRSettings.mu_init`, is a setting: the growth and shrink
+factors `MU_GROWTH` and `MU_SHRINK`, the cap `MU_MAX` and the line search's
+step lengths `ALPHAS` are fixed.
 
 The engine reads its models over whole trajectories: `dynamics.jacobians(X,
 U)` gives the stacked (T, 4, 4) and (T, 4, 2) Jacobians, `cost.values(traj)`
@@ -62,15 +65,22 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+# The regularization schedule and the line search are fixed: mu starts at
+# mu_init, grows by MU_GROWTH on a failed positive-definiteness check or line
+# search, shrinks by MU_SHRINK (down to mu_init) after an accepted step, and
+# the solve gives up past MU_MAX; the line search tries the step lengths
+# ALPHAS = 1, 1/2, ..., 2**-10 in turn.
+MU_GROWTH = 10.0
+MU_SHRINK = 0.5
+MU_MAX = 1e10
+ALPHAS = tuple(0.5**i for i in range(11))
+
+
 @dataclass
 class ILQRSettings:
     max_iters: int = 100
     cost_tolerance: float = 1e-4  # absolute change of the objective
     mu_init: float = 1e-6
-    mu_growth: float = 10.0
-    mu_shrink: float = 0.5
-    mu_max: float = 1e10
-    line_search_steps: int = 11  # alpha = 1, 1/2, ..., 2**-10
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -78,19 +88,8 @@ class ILQRSettings:
             raise ValueError("max_iters must be an integer of at least 1")
         if not self.cost_tolerance > 0:
             raise ValueError("cost_tolerance must be positive")
-        if not self.mu_init > 0:
-            raise ValueError("mu_init must be positive")
-        if not self.mu_growth > 1:
-            raise ValueError("mu_growth must exceed 1")
-        if not 0 < self.mu_shrink <= 1:
-            raise ValueError("need 0 < mu_shrink <= 1")
-        if not math.inf > self.mu_max >= self.mu_init:
-            raise ValueError("mu_max must be finite and at least mu_init")
-        if not is_count(self.line_search_steps):
-            raise ValueError("line_search_steps must be an integer of at least 1")
-
-    def alphas(self):
-        return [0.5**i for i in range(self.line_search_steps)]
+        if not MU_MAX >= self.mu_init > 0:
+            raise ValueError(f"need 0 < mu_init <= {MU_MAX:g}")
 
 
 @dataclass
@@ -118,17 +117,6 @@ class Trajectory:
             if not all(abs(a - b) <= tol for a, b in zip(nxt, states[tau + 1])):
                 return tau
         return None
-
-
-@dataclass
-class GainSchedule:
-    """The update u = u_nom + (k + K (x - x_nom)) as one float row (K[0], k[0],
-    K[1], k[1]) per stamp; `k` (T, 2) and `K` (T, 2, 4) build arrays of it."""
-
-    rows: list
-
-    k = property(lambda self: np.array(self.rows).reshape(-1, 2, 5)[:, :, 4])
-    K = property(lambda self: np.array(self.rows).reshape(-1, 2, 5)[:, :, :4])
 
 
 @dataclass
@@ -250,7 +238,7 @@ def _sweep_kernel(pattern: bytes):
     return scope["sweep"], np.array(columns, dtype=np.intp)
 
 
-def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
+def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     """Compute the affine control update along the nominal trajectory.
 
     Requires four states and two controls. The Jacobians and cost expansions
@@ -267,12 +255,14 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
     definiteness check, only the sweep restarts, at a larger mu.
 
     Returns:
-        (gains, value, mu): the gain schedule; the value model at the first
-        stamp as (V_x, V_xx, dV), where dV is the predicted total cost change
-        sum(-1/2 k' Q_uu k), nonpositive; and the mu actually used.
+        (gains, value, mu): the update u = u_nom + (k + K (x - x_nom)) as
+        one float row (K[0], k[0], K[1], k[1]) per stamp; the value model at
+        the first stamp as (V_x, V_xx, dV), where dV is the predicted total
+        cost change sum(-1/2 k' Q_uu k), nonpositive; and the mu actually
+        used.
 
     Raises:
-        RegularizationExhausted: mu grew past settings.mu_max.
+        RegularizationExhausted: mu grew past MU_MAX.
     """
     T = traj.horizon
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
@@ -285,19 +275,19 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSet
         pattern = (rows == 0).all(0).tobytes()
     sweep, columns = _sweep_kernel(pattern)
     rows = rows[:, columns].tolist()
-    while mu <= settings.mu_max:
+    while mu <= MU_MAX:
         result = sweep(rows, terminal, mu)
         if result is not None:
             gains, (V_x, V_xx, corner) = result
             gains.reverse()
-            return GainSchedule(gains), (V_x, V_xx, 0.5 * corner), mu
-        mu *= settings.mu_growth
+            return gains, (V_x, V_xx, 0.5 * corner), mu
+        mu *= MU_GROWTH
     raise RegularizationExhausted(
-        f"backward pass found no positive-definite Q_uu below mu={settings.mu_max}"
+        f"backward pass found no positive-definite Q_uu below mu={MU_MAX}"
     )
 
 
-def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
+def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     """Roll the affine policy through the true dynamics from the nominal start.
 
     The feedforward term is scaled by alpha; feedback is applied at full
@@ -308,7 +298,7 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
     """
     x = traj.states[0].tolist()
     states, controls = [x], []
-    rows = zip(gains.rows, traj.states.tolist(), traj.controls.tolist())
+    rows = zip(gains, traj.states.tolist(), traj.controls.tolist())
     try:
         for (K00, K01, K02, K03, k0, K10, K11, K12, K13, k1), (n0, n1, n2, n3), (w, a) in rows:
             d0, d1, d2, d3 = x[0] - n0, x[1] - n1, x[2] - n2, x[3] - n3
@@ -341,9 +331,9 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     iterations = 0
 
     for iterations in range(1, settings.max_iters + 1):
-        gains, (_, _, expected), mu = backward_pass(traj, cost, dynamics, mu, settings)
+        gains, (_, _, expected), mu = backward_pass(traj, cost, dynamics, mu)
         accepted = None
-        for alpha in settings.alphas():
+        for alpha in ALPHAS:
             try:
                 candidate = forward_pass(traj, gains, alpha, dynamics)
             except DomainError:
@@ -357,7 +347,7 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
             improvement = cost_now - cost_candidate
             traj, cost_now = candidate, cost_candidate
             history.append(cost_now)
-            mu = max(settings.mu_init, mu * settings.mu_shrink)
+            mu = max(settings.mu_init, mu * MU_SHRINK)
             if improvement < settings.cost_tolerance:
                 status = STATUS_CONVERGED
                 break
@@ -365,8 +355,8 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
             if abs(expected) < settings.cost_tolerance:
                 status = STATUS_CONVERGED
                 break
-            mu *= settings.mu_growth
-            if mu > settings.mu_max:
+            mu *= MU_GROWTH
+            if mu > MU_MAX:
                 raise RegularizationExhausted(
                     "line search failed and regularization is exhausted"
                 )

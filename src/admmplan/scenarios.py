@@ -24,7 +24,7 @@ from .barrier import BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
 from .errors import ConfigError, UnknownScenario
-from .ilqr import ILQRSettings, is_count
+from .ilqr import ALPHAS, MU_GROWTH, MU_MAX, MU_SHRINK, ILQRSettings, is_count
 from .vehicle import State, VehicleParams
 
 
@@ -94,58 +94,19 @@ def builtin_scenario(scenario_id) -> ScenarioConfig:
     raise UnknownScenario(f"no built-in scenario with id {scenario_id!r}")
 
 
-def _optional(value):
-    return None if value is None else float(value)
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
-    ref = {
-        "py_ref": _optional(config.reference.py_ref),
-        "v_ref": _optional(config.reference.v_ref),
-    }
-    if config.reference.polyline is not None:
-        ref["polyline"] = [list(p) for p in config.reference.polyline]
-        del ref["py_ref"]
-    return {
-        "name": config.name,
-        "horizon": config.horizon,
-        "ego_heading_ellipses": config.ego_heading_ellipses,
-        "initial_state": asdict(config.initial_state),
-        "vehicle": asdict(config.vehicle),
-        "weights": asdict(config.weights),
-        "reference": ref,
-        "bounds": asdict(config.bounds),
-        "obstacles": [
-            {
-                "center0": list(o.center0),
-                "velocity": list(o.velocity),
-                "heading": o.heading,
-                "semi_major": o.semi_major,
-                "semi_minor": o.semi_minor,
-            }
-            for o in config.obstacles
-        ],
-        "admm": asdict(config.admm),
-        "barrier": asdict(config.barrier),
-    }
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     try:
-        ref_data = dict(data.get("reference", {}))
-        polyline = ref_data.get("polyline")
-        reference = Reference(
-            py_ref=_optional(ref_data.get("py_ref")) if polyline is None else None,
-            polyline=tuple(tuple(p) for p in polyline) if polyline else None,
-            v_ref=_optional(ref_data.get("v_ref")),
-        )
         return ScenarioConfig(
             name=str(data.get("name", "custom")),
             initial_state=State(**data["initial_state"]),
             horizon=data["horizon"],
             vehicle=_vehicle_from_dict(data.get("vehicle", {})),
             weights=CostWeights(**data.get("weights", {})),
-            reference=reference,
+            reference=Reference(**data.get("reference", {})),
             bounds=InputBounds(**data.get("bounds", {})),
             obstacles=[Obstacle(**o) for o in data.get("obstacles", [])],
             admm=_settings_from_dict(ADMMSettings, data.get("admm", {})),
@@ -166,10 +127,20 @@ def _vehicle_from_dict(data: dict) -> VehicleParams:
     return VehicleParams(**data)
 
 
+# iLQR keys written by older versions, now fixed in the engine: they load
+# only at their fixed values, so that no file silently changes meaning.
+_RETIRED_ILQR_KEYS = {"mu_growth": MU_GROWTH, "mu_shrink": MU_SHRINK, "mu_max": MU_MAX,
+                      "line_search_steps": len(ALPHAS)}
+
+
 def _settings_from_dict(cls, data: dict):
     """ADMMSettings or BarrierSettings from a mapping with a nested `ilqr`."""
     data = dict(data)
-    return cls(ilqr=ILQRSettings(**data.pop("ilqr", {})), **data)
+    ilqr = dict(data.pop("ilqr", {}))
+    for key, fixed in _RETIRED_ILQR_KEYS.items():
+        if key in ilqr and (value := ilqr.pop(key)) != fixed:
+            raise ValueError(f"ilqr.{key} is fixed at {fixed!r}, got {value!r}")
+    return cls(ilqr=ILQRSettings(**ilqr), **data)
 
 
 def save_config(config: ScenarioConfig, path):

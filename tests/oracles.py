@@ -5,7 +5,8 @@ shares no solver code with the package: a finite-horizon Riccati recursion, a
 linear/quadratic problem wrapper for the iLQR interface, brute-force
 geometric helpers, the ellipse's center and shape-matrix form, and the iLQR
 backward and forward passes written stamp by stamp on small arrays (they
-borrow only the package's result and error types). The exception is
+borrow only the package's result and error types and its fixed
+regularization constants). The exception is
 `frame_project_timestep`, the cyclic keep-out projection on numpy ellipse
 frames: it is the array form of `project_timestep` and borrows its
 single-ellipse boundary solve and the stacked keep-out evaluator.
@@ -23,7 +24,7 @@ from admmplan.constraints import (
     project_inputs,
 )
 from admmplan.errors import DegenerateProjection, NonConvergence, RegularizationExhausted
-from admmplan.ilqr import GainSchedule, ILQRSettings, Trajectory
+from admmplan.ilqr import MU_GROWTH, MU_MAX, Trajectory
 
 
 class LinearDynamics:
@@ -65,10 +66,16 @@ class QuadraticCost:
         return l_x, l_u, l_xx, l_uu
 
 
-def gain_schedule(k, K):
-    """The solver's float-row GainSchedule of (T, 2) k and (T, 2, 4) K."""
+def gain_rows(k, K):
+    """The solver's float gain rows (K[0], k[0], K[1], k[1]) of (T, 2) k and (T, 2, 4) K."""
     k, K = np.asarray(k, dtype=float), np.asarray(K, dtype=float)
-    return GainSchedule(np.concatenate([K, k[:, :, None]], axis=2).reshape(len(k), -1).tolist())
+    return np.concatenate([K, k[:, :, None]], axis=2).reshape(len(k), -1).tolist()
+
+
+def gain_arrays(rows):
+    """The (T, 2) k and (T, 2, 4) K of the solver's float gain rows."""
+    G = np.array(rows, dtype=float).reshape(-1, 2, 5)
+    return G[:, :, 4], G[:, :, :4]
 
 
 def riccati_optimal(A, B, Q, R, Qf, x0, horizon):
@@ -194,7 +201,7 @@ def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.
     )
 
 
-def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, settings: ILQRSettings):
+def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     """The iLQR backward pass in plain (x, u) coordinates, one stamp at a time.
 
     Same contract as `admmplan.ilqr.backward_pass`, which writes the same
@@ -207,12 +214,12 @@ def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, setting
     gives the Q_xx, Q_ux and Q_uu blocks together.
 
     Returns:
-        (gains, value, mu): the gain schedule; the value model at the first
+        (gains, value, mu): the float gain rows; the value model at the first
         stamp as (V_x, V_xx, dV), where dV is the predicted total cost change
         sum(-1/2 k' Q_uu k), nonpositive; and the mu actually used.
 
     Raises:
-        RegularizationExhausted: mu grew past settings.mu_max.
+        RegularizationExhausted: mu grew past MU_MAX.
     """
     T, n = traj.horizon, traj.states.shape[1]
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
@@ -230,9 +237,9 @@ def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, setting
     Ks = np.empty((T, 2, n))
 
     while True:
-        if mu > settings.mu_max:
+        if mu > MU_MAX:
             raise RegularizationExhausted(
-                f"backward pass found no positive-definite Q_uu below mu={settings.mu_max}"
+                f"backward pass found no positive-definite Q_uu below mu={MU_MAX}"
             )
         V_x, V_xx, dV = l_x[T], l_xx[T], 0.0
         for tau, (F_t, Ft, H_t, At, Bt, lx, lu) in zip(range(T - 1, -1, -1), stamps):
@@ -254,11 +261,11 @@ def reference_backward_pass(traj: Trajectory, cost, dynamics, mu: float, setting
             V_xx = Q[:n, :n] - KtQ @ K
             V_xx = 0.5 * (V_xx + V_xx.T)
         else:
-            return gain_schedule(ks, Ks), (V_x, V_xx, dV), mu
-        mu *= settings.mu_growth
+            return gain_rows(ks, Ks), (V_x, V_xx, dV), mu
+        mu *= MU_GROWTH
 
 
-def reference_forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, dynamics):
+def reference_forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     """The iLQR forward pass on arrays: u = u_nom + (alpha k + K (x - x_nom)).
 
     Same contract as `admmplan.ilqr.forward_pass`, which runs the policy on
@@ -270,7 +277,8 @@ def reference_forward_pass(traj: Trajectory, gains: GainSchedule, alpha: float, 
     states = np.empty_like(traj.states)
     controls = np.empty_like(traj.controls)
     states[0] = x = traj.states[0]
-    rows = zip(alpha * gains.k, gains.K, traj.states, traj.controls)
+    k, K = gain_arrays(gains)
+    rows = zip(alpha * k, K, traj.states, traj.controls)
     for tau, (k, K, x_nom, u_nom) in enumerate(rows):
         controls[tau] = u = u_nom + (k + K @ (x - x_nom))
         states[tau + 1] = x = np.asarray(dynamics.step(x, u))

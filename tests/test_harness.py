@@ -108,6 +108,60 @@ def test_config_loads_files_with_retired_keys(tmp_path):
     assert cfg.horizon == 60
 
 
+# The iLQR schedule keys every older export carries, at the values it wrote.
+RETIRED_ILQR = {"mu_growth": 10.0, "mu_shrink": 0.5, "mu_max": 1e10, "line_search_steps": 11}
+
+
+def _with_ilqr_keys(data, **keys):
+    return dict(data, **{solver: dict(data[solver], ilqr=dict(data[solver]["ilqr"], **keys))
+                         for solver in ("admm", "barrier")})
+
+
+def test_config_loads_retired_ilqr_keys_at_their_fixed_values(tmp_path):
+    cfg = builtin_scenario(1)
+    data = _with_ilqr_keys(config_to_dict(cfg), **RETIRED_ILQR)
+    assert config_from_dict(data) == cfg
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert "line_search_steps: 11" in path.read_text()
+    assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("key, value", [("mu_growth", 5), ("mu_max", math.inf),
+                                        ("line_search_steps", 2.5)])
+def test_config_rejects_retired_ilqr_keys_at_other_values(tmp_path, key, value):
+    # The engine's schedule is fixed: a file asking for another one must not
+    # run silently with the fixed one.
+    data = config_to_dict(builtin_scenario(1))
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(_with_ilqr_keys(data, **dict(RETIRED_ILQR, **{key: value})))
+    path = tmp_path / "retired.yaml"
+    path.write_text(yaml.safe_dump(_with_ilqr_keys(data, **{key: value})))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_config_reference_docs_match_the_schema():
+    # The YAML block of docs/config.md lists every key of an exported
+    # config, section by section and in the exported order.
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    block = text.split("```yaml\n")[1].split("```")[0]
+    block = block.replace("# polyline:", "polyline:")  # the commented alternative
+    docs = yaml.safe_load(block)
+    assert docs["barrier"]["ilqr"] == {"...": None}  # `{ ... }`: same keys as admm.ilqr
+    docs["barrier"]["ilqr"] = docs["admm"]["ilqr"]
+    assert _key_paths(docs) == _key_paths(config_to_dict(builtin_scenario(1)))
+
+
+def _key_paths(value, prefix=()):
+    if isinstance(value, dict):
+        return [path for key, item in value.items() for path in _key_paths(item, prefix + (key,))]
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return _key_paths(value[0], prefix + ("-",))
+    return [prefix]
+
+
 @pytest.mark.parametrize("solver", ["admm", "barrier"])
 def test_config_rejects_ilqr_settings_that_hang(tmp_path, solver):
     # mu_init = 0 never grows, so the backward pass would restart forever.
@@ -329,9 +383,9 @@ def test_cli_rejects_nan_settings(tmp_path):
 
 
 def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
-    # An infinite mu_max never ends the regularization of a Q_uu that a NaN
-    # weight keeps indefinite, and an infinite sharpness or tighten factor
-    # drops the barrier terms, so each is rejected on load.
+    # The regularization cap mu_max is fixed in the engine, sigma must be
+    # finite and the weights not NaN, and an infinite sharpness or tighten
+    # factor drops the barrier terms, so each is rejected on load.
     data = config_to_dict(builtin_scenario(1))
     for edit in ({"admm": dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], mu_max=math.inf))},
                  {"admm": dict(data["admm"], sigma=math.inf)},
@@ -357,7 +411,7 @@ def _with_fields(section, **fields):
                                                "terminal_scale")]),
     ("vehicle", [{"wheelbase": math.nan}, {"timestep": math.nan}, {"timestep": math.inf}]),
     ("reference", [{"py_ref": math.nan}, {"v_ref": math.nan},
-                   {"polyline": [[0.0, 0.0], [math.nan, 1.0]]}]),
+                   {"py_ref": None, "polyline": [[0.0, 0.0], [math.nan, 1.0]]}]),
     ("initial_state", [{name: math.nan} for name in ("px", "py", "theta", "v")]),
 ], ids=["InputBounds", "CostWeights", "VehicleParams", "Reference", "State"])
 def test_config_rejects_nan_model_inputs(section, edits):
@@ -413,7 +467,7 @@ def test_cli_rejects_non_integer_iteration_counts(tmp_path):
     # A count of 2.5 is a configuration error (exit 2), not a crash inside
     # range() or a horizon truncated to 2.
     data = config_to_dict(builtin_scenario(1))
-    ilqr = dict(data["admm"]["ilqr"], line_search_steps=2.5)
+    ilqr = dict(data["admm"]["ilqr"], max_iters=2.5)
     for edit in ({"horizon": 2.5},
                  {"admm": dict(data["admm"], max_admm_iters=2.5)},
                  {"admm": dict(data["admm"], ilqr=ilqr)},

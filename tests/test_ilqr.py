@@ -20,7 +20,8 @@ from admmplan.vehicle import BicycleModel, VehicleParams
 from oracles import (
     LinearDynamics,
     QuadraticCost,
-    gain_schedule,
+    gain_arrays,
+    gain_rows,
     random_lqr_instance,
     riccati_optimal,
 )
@@ -66,9 +67,10 @@ def test_trajectory_feasibility_check():
 def test_backward_pass_zero_cost_gives_zero_gains():
     dynamics, _, x0, _ = lqr_setup(3)
     traj = rollout(dynamics, x0, np.zeros((20, 2)))
-    gains, (_, _, dV), _ = backward_pass(traj, ZeroCost(), dynamics, 1e-8, ILQRSettings())
-    np.testing.assert_allclose(gains.k, np.zeros((20, 2)), atol=1e-14)
-    np.testing.assert_allclose(gains.K, np.zeros((20, 2, 4)), atol=1e-14)
+    gains, (_, _, dV), _ = backward_pass(traj, ZeroCost(), dynamics, 1e-8)
+    k, K = gain_arrays(gains)
+    np.testing.assert_allclose(k, np.zeros((20, 2)), atol=1e-14)
+    np.testing.assert_allclose(K, np.zeros((20, 2, 4)), atol=1e-14)
     assert dV == pytest.approx(0.0, abs=1e-16)
 
 
@@ -77,9 +79,10 @@ def test_backward_pass_matches_riccati_gains():
     horizon = 25
     _, K_opt, _, _ = riccati_optimal(A, B, Q, R, Qf, x0, horizon)
     traj = rollout(dynamics, x0, np.zeros((horizon, 2)))
-    gains, _, _ = backward_pass(traj, cost, dynamics, 1e-12, ILQRSettings())
+    gains, _, _ = backward_pass(traj, cost, dynamics, 1e-12)
+    _, K = gain_arrays(gains)
     for tau in range(horizon):
-        np.testing.assert_allclose(gains.K[tau], -K_opt[tau], rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(K[tau], -K_opt[tau], rtol=1e-8, atol=1e-10)
 
 
 def test_backward_pass_regularization_exhausted():
@@ -89,7 +92,7 @@ def test_backward_pass_regularization_exhausted():
     dynamics, _, x0, _ = lqr_setup(5)
     traj = rollout(dynamics, x0, np.zeros((10, 2)))
     with pytest.raises(RegularizationExhausted):
-        backward_pass(traj, ConcaveCost(), dynamics, 1e-6, ILQRSettings())
+        backward_pass(traj, ConcaveCost(), dynamics, 1e-6)
 
 
 @pytest.mark.parametrize("stamps", [slice(None), slice(4, 5)])
@@ -106,7 +109,7 @@ def test_nan_l_uu_exhausts_regularization(stamps):
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((10, 2)))
     with pytest.raises(RegularizationExhausted):
-        backward_pass(traj, NaNCost(), model, 1e-6, ILQRSettings())
+        backward_pass(traj, NaNCost(), model, 1e-6)
     with pytest.raises(RegularizationExhausted, match="backward pass"):
         solve(traj, NaNCost(), model, ILQRSettings())
 
@@ -114,7 +117,7 @@ def test_nan_l_uu_exhausts_regularization(stamps):
 def test_forward_pass_zero_gains_is_identity():
     dynamics, _, x0, _ = lqr_setup(6)
     traj = rollout(dynamics, x0, np.ones((15, 2)) * 0.1)
-    gains = gain_schedule(np.zeros((15, 2)), np.zeros((15, 2, 4)))
+    gains = gain_rows(np.zeros((15, 2)), np.zeros((15, 2, 4)))
     out = forward_pass(traj, gains, 1.0, dynamics)
     np.testing.assert_array_equal(out.states, traj.states)
     np.testing.assert_array_equal(out.controls, traj.controls)
@@ -123,7 +126,7 @@ def test_forward_pass_zero_gains_is_identity():
 def test_forward_pass_alpha_zero_reproduces_nominal():
     dynamics, cost, x0, _ = lqr_setup(7)
     traj = rollout(dynamics, x0, np.zeros((15, 2)))
-    gains, _, _ = backward_pass(traj, cost, dynamics, 1e-9, ILQRSettings())
+    gains, _, _ = backward_pass(traj, cost, dynamics, 1e-9)
     out = forward_pass(traj, gains, 0.0, dynamics)
     np.testing.assert_allclose(out.states, traj.states, atol=1e-12)
 
@@ -133,7 +136,7 @@ def test_single_iteration_solves_lqr():
     horizon = 30
     opt_cost, _, _, _ = riccati_optimal(A, B, Q, R, Qf, x0, horizon)
     traj = rollout(dynamics, x0, np.zeros((horizon, 2)))
-    gains, _, _ = backward_pass(traj, cost, dynamics, 1e-12, ILQRSettings())
+    gains, _, _ = backward_pass(traj, cost, dynamics, 1e-12)
     out = forward_pass(traj, gains, 1.0, dynamics)
     assert total_cost(cost, out) == pytest.approx(opt_cost, rel=1e-9)
 
@@ -191,8 +194,9 @@ def test_solve_from_a_solved_trajectory_equals_solve_from_its_rollout():
 def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
     dynamics, cost, x0, _ = lqr_setup(11)
     result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, TIGHT)
-    gains, _, _ = backward_pass(result.trajectory, cost, dynamics, 1e-12, TIGHT)
-    assert np.abs(gains.k).max() < 1e-6
+    gains, _, _ = backward_pass(result.trajectory, cost, dynamics, 1e-12)
+    k, _ = gain_arrays(gains)
+    assert np.abs(k).max() < 1e-6
 
 
 def test_stationarity_at_convergence():
@@ -228,7 +232,7 @@ def test_feedback_consistency_quadratic_model():
     result = solve(rollout(dynamics, x0, np.zeros((40, 2))), cost, dynamics,
                    ILQRSettings(cost_tolerance=1e-9))
     traj = result.trajectory
-    gains, (V_x, V_xx, _), _ = backward_pass(traj, cost, dynamics, 1e-9, ILQRSettings())
+    gains, (V_x, V_xx, _), _ = backward_pass(traj, cost, dynamics, 1e-9)
     np.testing.assert_array_equal(V_xx, V_xx.T)
     base = total_cost(cost, traj)
     rng = np.random.default_rng(13)
@@ -256,16 +260,13 @@ def test_settings_validation():
         ILQRSettings(max_iters=0)
     with pytest.raises(ValueError):
         ILQRSettings(cost_tolerance=0.0)
-    # An infinite cap never exhausts the regularization: a Q_uu that never
-    # turns positive definite would restart the backward pass forever.
-    with pytest.raises(ValueError, match="mu_max"):
-        ILQRSettings(mu_max=math.inf)
+    # A mu_init above the fixed cap MU_MAX, infinity included, would fail
+    # every backward pass at once.
+    with pytest.raises(ValueError, match="mu_init"):
+        ILQRSettings(mu_init=math.inf)
 
 
-@pytest.mark.parametrize(
-    "field", ["max_iters", "cost_tolerance", "mu_init", "mu_growth", "mu_shrink", "mu_max",
-              "line_search_steps"],
-)
+@pytest.mark.parametrize("field", ["max_iters", "cost_tolerance", "mu_init"])
 def test_settings_reject_nan(field):
     with pytest.raises(ValueError):
         ILQRSettings(**{field: math.nan})
@@ -276,20 +277,15 @@ def test_settings_reject_nan(field):
     [
         ("mu_init", 0.0),
         ("mu_init", -1e-6),
-        ("mu_growth", 1.0),
-        ("mu_shrink", 0.0),
-        ("mu_shrink", 1.5),
-        ("mu_max", 1e-7),
-        ("line_search_steps", 0),
     ],
 )
 def test_settings_reject_values_that_hang(field, value):
-    # Each of these stalls the regularization schedule or the line search.
+    # A mu that is not positive never grows, so the schedule stalls.
     with pytest.raises(ValueError):
         ILQRSettings(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["max_iters", "line_search_steps"])
+@pytest.mark.parametrize("field", ["max_iters"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
 def test_iteration_counts_must_be_integers(field, value):
     with pytest.raises(ValueError, match="integer"):
@@ -297,7 +293,7 @@ def test_iteration_counts_must_be_integers(field, value):
 
 
 def test_settings_accept_boundary_values():
-    ILQRSettings(mu_shrink=1.0, mu_max=1e-6, line_search_steps=1)
+    ILQRSettings(max_iters=1, mu_init=ilqr.MU_MAX)
 
 
 def test_total_cost_sums_stamps_in_order():

@@ -28,27 +28,21 @@ from admmplan.constraints import InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import DomainError
 from admmplan.harness import build_problem
-from admmplan.ilqr import (
-    ILQRSettings,
-    backward_pass,
-    forward_pass,
-    rollout,
-    total_cost,
-)
+from admmplan.ilqr import backward_pass, forward_pass, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, VehicleParams
 
 from oracles import (
     LinearDynamics,
     QuadraticCost,
-    gain_schedule,
+    gain_arrays,
+    gain_rows,
     random_lqr_instance,
     reference_backward_pass,
     reference_forward_pass,
 )
 
 RTOL = 1e-10  # normwise: max |actual - expected| <= RTOL * max |expected|
-SETTINGS = ILQRSettings()
 
 
 def assert_close(actual, expected):
@@ -139,13 +133,12 @@ CASES = (
 
 
 def assert_matches_reference(traj, cost, dynamics, mu):
-    gains, (V_x, V_xx, dV), mu_used = backward_pass(traj, cost, dynamics, mu, SETTINGS)
-    ref, (ref_V_x, ref_V_xx, ref_dV), ref_mu = reference_backward_pass(
-        traj, cost, dynamics, mu, SETTINGS
-    )
+    gains, (V_x, V_xx, dV), mu_used = backward_pass(traj, cost, dynamics, mu)
+    ref, (ref_V_x, ref_V_xx, ref_dV), ref_mu = reference_backward_pass(traj, cost, dynamics, mu)
     assert mu_used == ref_mu
-    assert_close(gains.k, ref.k)
-    assert_close(gains.K, ref.K)
+    (k, K), (ref_k, ref_K) = gain_arrays(gains), gain_arrays(ref)
+    assert_close(k, ref_k)
+    assert_close(K, ref_K)
     assert_close(V_x, ref_V_x)
     assert_close(V_xx, ref_V_xx)
     assert_close(dV, ref_dV)
@@ -194,8 +187,8 @@ def test_backward_pass_equals_dense_sweep(build, arg, mu, monkeypatch):
     results = []
     for kernel in (ilqr._sweep_kernel, lambda pattern: DENSE):
         monkeypatch.setattr(ilqr, "_sweep_kernel", kernel)
-        gains, (V_x, V_xx, dV), mu_used = backward_pass(traj, cost, dynamics, mu, SETTINGS)
-        results.append((gains.rows, V_x.tolist(), V_xx.tolist(), dV, mu_used))
+        gains, (V_x, V_xx, dV), mu_used = backward_pass(traj, cost, dynamics, mu)
+        results.append((gains, V_x.tolist(), V_xx.tolist(), dV, mu_used))
     assert results[0] == results[1]
 
 
@@ -240,7 +233,7 @@ def test_forward_pass_matches_array_formula(build, arg, mu, alpha):
     # The float gain rows of the solver's own backward pass, read by the
     # float pass as rows and by the reference through the k and K arrays.
     traj, cost, dynamics = build(arg)
-    gains, _, _ = backward_pass(traj, cost, dynamics, mu, SETTINGS)
+    gains, _, _ = backward_pass(traj, cost, dynamics, mu)
     out = forward_pass(traj, gains, alpha, dynamics)
     ref = reference_forward_pass(traj, gains, alpha, dynamics)
     assert_close(out.states, ref.states)
@@ -276,7 +269,7 @@ def test_forward_pass_domain_error_at_the_same_stamp():
     rng = np.random.default_rng(3)
     k = np.zeros((12, 2))
     k[7, 0] = 1.2
-    gains = gain_schedule(k, 1e-3 * rng.normal(size=(12, 2, 4)))
+    gains = gain_rows(k, 1e-3 * rng.normal(size=(12, 2, 4)))
     stamps = []
     for roll in (forward_pass, reference_forward_pass):
         counter = CountingDynamics(model)
