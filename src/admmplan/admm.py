@@ -167,8 +167,9 @@ class PenalizedCost:
         off = select(traj) - self.centers
         l_x[:, :2] += self.sigma * off[:, :2]
         l_u += self.sigma * off[:-1, 2:]
-        l_xx[:, [0, 1], [0, 1]] += self.sigma
-        l_uu[:, [0, 1], [0, 1]] += self.sigma
+        for hessian in (l_xx, l_uu):
+            hessian[:, 0, 0] += self.sigma
+            hessian[:, 1, 1] += self.sigma
         return l_x, l_u, l_xx, l_uu
 
 

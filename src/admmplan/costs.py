@@ -157,7 +157,7 @@ def _control_expansion(U, weights):
     """Gradient (N, 2) and diagonal Hessian (N, 2, 2) of the control effort."""
     scale = np.array([2.0 * weights.steering_weight, 2.0 * weights.accel_weight])
     l_uu = np.zeros((len(U), CONTROL_DIM, CONTROL_DIM))
-    l_uu[:, [0, 1], [0, 1]] = scale
+    l_uu[:, 0, 0], l_uu[:, 1, 1] = scale
     return scale * U, l_uu
 
 

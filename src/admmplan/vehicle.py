@@ -160,7 +160,7 @@ def jacobians(x, u, params: VehicleParams):
 
     ct, st = np.cos(theta), np.sin(theta)
     f_x = np.zeros(theta.shape + (4, 4))
-    f_x[..., [0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+    f_x[..., 0, 0] = f_x[..., 1, 1] = f_x[..., 2, 2] = f_x[..., 3, 3] = 1.0
     f_x[..., 0, 2] = -b * st
     f_x[..., 0, 3] = db_dv * ct
     f_x[..., 1, 2] = b * ct
