@@ -1,19 +1,19 @@
 """Consensus ADMM wrapper around the iLQR engine.
 
 The constrained planning problem is split into a smooth subproblem (tracking
-cost plus a quadratic consensus penalty, solved by iLQR under the dynamics)
-and a projection subproblem (per-timestep Euclidean projection of the
-constraint-relevant block onto the box and keep-out sets). A scaled dual
-variable ties the two together:
+cost plus a quadratic consensus penalty under the dynamics) and a projection
+subproblem (per-timestep Euclidean projection of the constraint-relevant block
+onto the box and keep-out sets). A scaled dual variable ties the two together:
 
-    y   <- argmin  cost(y) + sigma/2 ||sel(y) - z + lam/sigma||^2   (iLQR)
+    y   <- one iLQR step on  cost(y) + sigma/2 ||sel(y) - z + lam/sigma||^2
     z   <- project(sel(y) + lam/sigma)                              (per stamp)
     lam <- lam + sigma (sel(y) - z)
 
-where sel(y) extracts (px, py, steer, accel) per time stamp. The loop stops
-on the max-norm primal residual ||sel(y) - z||; the dynamics-feasible y is
-returned, with its residual constraint violation reported alongside since
-feasibility is only reached in the limit.
+where sel(y) extracts (px, py, steer, accel) per time stamp. The y-update is
+one Gauss-Newton step from the current y, not an argmin: the next z and lam
+move its subproblem anyway. The loop stops on the max-norm primal residual
+||sel(y) - z||; the dynamics-feasible y is returned with its constraint
+violation, which is reported since feasibility is only reached in the limit.
 
 Initially infeasible trajectories are fine: the first iterate is a plain
 zero-control rollout, which is the advertised advantage over barrier-style
@@ -22,7 +22,7 @@ constrained iLQR.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -230,6 +230,7 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
                                  probe.iterations, time.perf_counter() - start)
         return SolveReport(probe.trajectory, STATUS_CONVERGED, [record])
 
+    one_step = replace(settings.ilqr, max_iters=1)
     y = rollout0
     z = select(y)
     lam = np.zeros_like(z)
@@ -243,13 +244,12 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
         iter_start = time.perf_counter()
         penalized = PenalizedCost(cost, z, lam, settings.sigma)
         try:
-            result = ilqr.solve(y, penalized, dynamics, settings.ilqr)
+            result = ilqr.solve(y, penalized, dynamics, one_step)
             y = result.trajectory
             sel = select(y)
             z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], constraints)
         except (RegularizationExhausted, NonConvergence) as exc:
-            report.status = STATUS_FAILED
-            report.message = str(exc)
+            report.status, report.message = STATUS_FAILED, str(exc)
             break
         lam += settings.sigma * (sel - z)
         res_inf, res_two = primal_residual(y, z)

@@ -31,6 +31,9 @@ from .errors import DegenerateProjection, NonConvergence
 FEASIBILITY_TOL = 1e-6
 # Boundary residual targeted by the single-ellipse nearest-point solve.
 PROJECTION_TOL = 1e-9
+# An ellipse-frame coordinate within this share of its semi-axis counts as 0:
+# on the major axis, or at the center, whichever side rounding put it on.
+AXIS_TOL = 1e-12
 MAX_PROJECTION_SWEEPS = 50
 # Box limits at or beyond this magnitude are treated as absent.
 UNBOUNDED_LIMIT = 1e8
@@ -176,7 +179,7 @@ def _nearest_boundary_point(qx, qy, a, b):
     (-b^2, 0]. Safeguarded Newton iterations; the on-axis and near-center
     degeneracies are handled analytically.
     """
-    if abs(qy) <= 1e-12 * b:
+    if abs(qy) <= AXIS_TOL * b:
         # Points (numerically) on the major axis: the nearest boundary point
         # leaves the axis when |qx| is inside the evolute cusp (a^2 - b^2)/a.
         cusp = (a * a - b * b) / a
@@ -221,8 +224,8 @@ def project_timestep(
     read from the constraint set's float rows and oriented by cos/sin of
     `ego_heading` when the set uses the ego heading; g is tested and the
     point moved on plain floats, in the evaluator's order of operations. A
-    position at an ellipse center has no unique nearest boundary point; it
-    goes to the minor-axis boundary point with a DegenerateProjection warning.
+    position at an ellipse center, to AXIS_TOL, has no unique nearest boundary
+    point; it goes to the minor-axis one with a DegenerateProjection warning.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within
@@ -246,12 +249,9 @@ def project_timestep(
             if 1.0 - along * along - across * across <= FEASIBILITY_TOL:
                 continue
             clean = False
-            if dx == 0.0 and dy == 0.0:
-                warnings.warn(
-                    "projection target is the ellipse center; returning the "
-                    "minor-axis boundary point",
-                    DegenerateProjection,
-                )
+            if abs(qx) <= AXIS_TOL * a and abs(qy) <= AXIS_TOL * b:
+                warnings.warn("projection target is the ellipse center; returning the "
+                              "minor-axis boundary point", DegenerateProjection)
                 px, py = cx - b * s, cy + b * c
                 continue
             # Fold into the closed first quadrant, solve, unfold.

@@ -343,9 +343,8 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
                 accepted = (candidate, cost_candidate)
                 break
         if accepted is not None:
-            candidate, cost_candidate = accepted
-            improvement = cost_now - cost_candidate
-            traj, cost_now = candidate, cost_candidate
+            improvement = cost_now - accepted[1]
+            traj, cost_now = accepted
             history.append(cost_now)
             mu = max(settings.mu_init, mu * MU_SHRINK)
             if improvement < settings.cost_tolerance:

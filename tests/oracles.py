@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 
 from admmplan.constraints import (
+    AXIS_TOL,
     FEASIBILITY_TOL,
     MAX_PROJECTION_SWEEPS,
     _nearest_boundary_point,
@@ -159,20 +160,23 @@ def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.nd
 
 def _project_with_frame(p, center, rot, a, b) -> np.ndarray:
     """Nearest boundary point for an interior p, in a known ellipse frame."""
-    d = p - center
-    if d[0] == 0.0 and d[1] == 0.0:
+    # Elementwise products, not a matmul, which may fuse multiply-adds: on a
+    # target whose cyclic projection amplifies rounding noise (one on the line
+    # of centers of two overlapping circles), any rounding that differs from
+    # project_timestep's grows into a different answer.
+    q = (rot.T * (p - center)).sum(axis=1)
+    if abs(q[0]) <= AXIS_TOL * a and abs(q[1]) <= AXIS_TOL * b:
         warnings.warn(
             "projection target is the ellipse center; returning the "
             "minor-axis boundary point",
             DegenerateProjection,
         )
         return center + b * rot[:, 1]
-    q = rot.T @ d
     # Fold into the closed first quadrant, solve, unfold.
     sx = 1.0 if q[0] >= 0.0 else -1.0
     sy = 1.0 if q[1] >= 0.0 else -1.0
     nx, ny = _nearest_boundary_point(sx * q[0], sy * q[1], a, b)
-    return center + rot @ np.array([sx * nx, sy * ny])
+    return center + (rot * [sx * nx, sy * ny]).sum(axis=1)
 
 
 def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.0) -> np.ndarray:

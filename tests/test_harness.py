@@ -208,7 +208,7 @@ def test_snapshot_policy_parsing(tmp_path):
 
 
 def test_cli_warns_on_snapshots_past_last_iteration(tmp_path):
-    # S1 converges in 6 ADMM iterations; the count is known only after the
+    # S1 converges in 5 ADMM iterations; the count is known only after the
     # solve, so indices past it are a warning on stderr, not a parse error.
     src = str(Path(admmplan.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -220,7 +220,7 @@ def test_cli_warns_on_snapshots_past_last_iteration(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert "UserWarning: snapshot indices [99, 120] are past the last iteration (6)" in done.stderr
+    assert "UserWarning: snapshot indices [99, 120] are past the last iteration (5)" in done.stderr
     written = sorted(p.name for p in (out / "admm").iterdir())
     assert written == ["residuals.csv", "timings.csv", "trajectory_iter002.csv"]
 

@@ -19,4 +19,4 @@ def test_readme_library_example_runs(capsys):
     section = README.read_text().split("\n## Library use\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, str(README), "exec"), {})
-    assert capsys.readouterr().out.startswith("converged 6 ")
+    assert capsys.readouterr().out.startswith("converged 5 ")
