@@ -29,9 +29,13 @@ import numpy as np
 from . import ilqr
 from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count
 from .constraints import FEASIBILITY_TOL, ConstraintSet, project_inputs, project_timestep
-from .errors import NonConvergence, RegularizationExhausted
+from .errors import DomainError, NonConvergence, RegularizationExhausted
 
 BLOCK_DIM = 4  # (px, py, steer, accel)
+# Raised inside a solve and reported as status "failed": the backward pass's
+# regularization cap, the cyclic projection's sweep budget, and Jacobians
+# requested at the kinematic domain boundary, which steps still accept.
+SOLVE_FAILURES = (RegularizationExhausted, NonConvergence, DomainError)
 
 
 @dataclass
@@ -65,6 +69,11 @@ class IterationRecord:
     cost: float  # base cost of the iterate; cost column
     ilqr_iterations: int  # inner iterations; ilqr_iters column
     seconds: float  # seconds column (with per-iteration timing)
+    # The inner solve's line search and regularization (ILQRResult's fields
+    # of the same names); not written to residuals.csv.
+    alpha: float | None = None
+    rejected_steps: int = 0
+    peak_mu: float | None = None
 
 
 @dataclass
@@ -221,13 +230,14 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
     # produces far worse projection targets than the plain rollout.)
     try:
         probe = ilqr.solve(rollout0, cost, dynamics, settings.ilqr)
-    except RegularizationExhausted as exc:
+    except SOLVE_FAILURES as exc:
         return SolveReport(rollout0, STATUS_FAILED, message=str(exc),
                            max_violation=trajectory_violation(rollout0, constraints))
 
     if trajectory_violation(probe.trajectory, constraints) <= FEASIBILITY_TOL:
-        record = IterationRecord(probe.trajectory, 0.0, 0.0, probe.cost,
-                                 probe.iterations, time.perf_counter() - start)
+        record = IterationRecord(probe.trajectory, 0.0, 0.0, probe.cost, probe.iterations,
+                                 time.perf_counter() - start, probe.alpha,
+                                 probe.rejected_steps, probe.peak_mu)
         return SolveReport(probe.trajectory, STATUS_CONVERGED, [record])
 
     one_step = replace(settings.ilqr, max_iters=1)
@@ -248,7 +258,7 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
             y = result.trajectory
             sel = select(y)
             z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], constraints)
-        except (RegularizationExhausted, NonConvergence) as exc:
+        except SOLVE_FAILURES as exc:
             report.status, report.message = STATUS_FAILED, str(exc)
             break
         lam += settings.sigma * (sel - z)
@@ -257,7 +267,8 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
         report.trajectory = y
         report.records.append(IterationRecord(
             y, res_inf, res_two, ilqr.total_cost(cost, y), result.iterations,
-            time.perf_counter() - iter_start,
+            time.perf_counter() - iter_start, result.alpha, result.rejected_steps,
+            result.peak_mu,
         ))
 
         if res_inf >= settings.primal_tolerance:

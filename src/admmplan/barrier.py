@@ -157,7 +157,8 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
         report.trajectory = y
         report.records.append(IterationRecord(
             y, violation, violation, ilqr.total_cost(cost, y), result.iterations,
-            time.perf_counter() - iter_start,
+            time.perf_counter() - iter_start, result.alpha, result.rejected_steps,
+            result.peak_mu,
         ))
         sharpness *= settings.tighten_factor
 

@@ -12,7 +12,10 @@ lateral target the position term is q_pos * (py - py_ref)^2, so the cost is
 an exact diagonal quadratic. For a polyline the expansion uses the
 Gauss-Newton Hessian built from the distance residual's first derivative, so
 it is positive semidefinite by construction. `TrackingCost` evaluates both
-over a whole trajectory as stacked arrays.
+over a whole trajectory as stacked arrays, once per trajectory content: it
+keeps the position term and the values of the last trajectory it saw, hands
+out those values read-only and builds every expansion afresh from the kept
+position term. It is therefore not safe to share across threads.
 """
 
 import math
@@ -126,18 +129,18 @@ def _position_term(X, weights, reference):
     return q * dist * dist, grad, hess
 
 
-def _state_values(X, weights, reference):
-    """Position plus speed penalty per row of X (N, 4)."""
-    value = _position_term(X, weights, reference)[0]
-    if reference.v_ref is not None:
-        dv = X[:, 3] - reference.v_ref
-        value += weights.velocity_weight * dv * dv
-    return value
+def _state_values(X, position, weights, reference):
+    """Position plus speed penalty per row of X (N, 4), from the position
+    term's values (N,)."""
+    if reference.v_ref is None:
+        return position
+    dv = X[:, 3] - reference.v_ref
+    return position + weights.velocity_weight * dv * dv
 
 
-def _state_expansion(X, weights, reference):
-    """Gradient (N, 4) and Hessian (N, 4, 4) of `_state_values`."""
-    _, gpos, hpos = _position_term(X, weights, reference)
+def _state_expansion(X, gpos, hpos, weights, reference):
+    """Gradient (N, 4) and Hessian (N, 4, 4) of `_state_values`, from the
+    position term's gradient (N, 2) and Hessian (N, 2, 2)."""
     l_x, l_xx = np.zeros((len(X), STATE_DIM)), np.zeros((len(X), STATE_DIM, STATE_DIM))
     l_x[:, :2] = gpos
     l_xx[:, :2, :2] = hpos
@@ -166,26 +169,48 @@ class TrackingCost:
 
     The solver-facing protocol works on whole trajectories:
 
-    * `values(traj)`: the T stage costs and the terminal cost, (T+1,);
+    * `values(traj)`: the T stage costs and the terminal cost, (T+1,),
+      read-only;
     * `expand(traj)`: (l_x (T+1, 4), l_u (T, 2), l_xx (T+1, 4, 4),
-      l_uu (T, 2, 2)), with the terminal gradient and Hessian in row T.
+      l_uu (T, 2, 2)), with the terminal gradient and Hessian in row T,
+      freshly allocated on every call so callers may update them in place.
 
     Every cost in the package has l_ux = 0, so the protocol carries no cross
     term. The position term of all T+1 stamps, including the closest
-    polyline points, is computed in one pass.
+    polyline points, is computed in one pass, and once per trajectory
+    content: the last trajectory's position term and values are kept,
+    keyed by the bytes of its states and controls, so a solver that asks
+    for the values and the expansion of one iterate, repeatedly, pays for
+    one pass. The key is the content, not the object, so a trajectory
+    changed in place is evaluated afresh. The kept slot is unguarded: a
+    TrackingCost must not be shared across threads.
     """
 
     def __init__(self, weights: CostWeights, reference: Reference):
         self.weights = weights
         self.reference = reference
+        # (key, position term triple, values) of the last trajectory.
+        self._slot = (None, None, None)
+
+    def _evaluate(self, traj):
+        """The position term and the values of traj, once per content."""
+        key = (traj.states.tobytes(), traj.controls.tobytes())
+        if key != self._slot[0]:
+            position = _position_term(traj.states, self.weights, self.reference)
+            states = _state_values(traj.states, position[0], self.weights, self.reference)
+            stages = _plus_effort(states[:-1], traj.controls, self.weights)
+            values = np.append(stages, self.weights.terminal_scale * states[-1])
+            for array in (*position, values):
+                array.flags.writeable = False
+            self._slot = (key, position, values)
+        return self._slot
 
     def values(self, traj) -> np.ndarray:
-        states = _state_values(traj.states, self.weights, self.reference)
-        stages = _plus_effort(states[:-1], traj.controls, self.weights)
-        return np.append(stages, self.weights.terminal_scale * states[-1])
+        return self._evaluate(traj)[2]
 
     def expand(self, traj):
-        l_x, l_xx = _state_expansion(traj.states, self.weights, self.reference)
+        _, (_, gpos, hpos), _ = self._evaluate(traj)
+        l_x, l_xx = _state_expansion(traj.states, gpos, hpos, self.weights, self.reference)
         l_x[-1] *= self.weights.terminal_scale
         l_xx[-1] *= self.weights.terminal_scale
         l_u, l_uu = _control_expansion(traj.controls, self.weights)

@@ -125,6 +125,9 @@ class ILQRResult:
     cost_history: list = field(default_factory=list)
     iterations: int = 0
     status: str = STATUS_MAX_ITERS
+    alpha: float | None = None  # last accepted step length; None if none was
+    rejected_steps: int = 0  # line-search trials rejected, DomainError ones included
+    peak_mu: float | None = None  # largest mu a backward pass used
 
     @property
     def cost(self) -> float:
@@ -321,7 +324,9 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     rolled out again. Iterations alternate backward and forward passes,
     accepting the first backtracking step that strictly decreases the cost;
     the loop stops when the accepted improvement (or the predicted one, if
-    no step is acceptable) falls below the cost tolerance.
+    no step is acceptable) falls below the cost tolerance. The result also
+    reports the last accepted step length, the number of rejected line-search
+    trials and the largest mu a backward pass used.
     """
     settings = settings or ILQRSettings()
     cost_now = total_cost(cost, traj)
@@ -329,22 +334,26 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     mu = settings.mu_init
     status = STATUS_MAX_ITERS
     iterations = 0
+    last_alpha, rejected, peak_mu = None, 0, mu
 
     for iterations in range(1, settings.max_iters + 1):
         gains, (_, _, expected), mu = backward_pass(traj, cost, dynamics, mu)
+        peak_mu = max(peak_mu, mu)
         accepted = None
         for alpha in ALPHAS:
             try:
                 candidate = forward_pass(traj, gains, alpha, dynamics)
             except DomainError:
+                rejected += 1
                 continue
             cost_candidate = total_cost(cost, candidate)
             if cost_candidate < cost_now:
-                accepted = (candidate, cost_candidate)
+                accepted = (candidate, cost_candidate, alpha)
                 break
+            rejected += 1
         if accepted is not None:
             improvement = cost_now - accepted[1]
-            traj, cost_now = accepted
+            traj, cost_now, last_alpha = accepted
             history.append(cost_now)
             mu = max(settings.mu_init, mu * MU_SHRINK)
             if improvement < settings.cost_tolerance:
@@ -360,4 +369,4 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
                     "line search failed and regularization is exhausted"
                 )
 
-    return ILQRResult(traj, history, iterations, status)
+    return ILQRResult(traj, history, iterations, status, last_alpha, rejected, peak_mu)

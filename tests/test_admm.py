@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from admmplan import admm, ilqr
+from admmplan import admm, costs, ilqr
 from admmplan.admm import (
     ADMMSettings,
     SolveReport,
@@ -18,6 +18,7 @@ from admmplan.admm import (
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
 from admmplan.barrier import barrier_solve
 from admmplan.costs import CostWeights, Reference, TrackingCost
+from admmplan.errors import DomainError
 from admmplan.harness import build_problem, solve_scenario
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
@@ -422,3 +423,96 @@ def test_each_record_keeps_its_own_iterate():
     for record in report.records:
         again = ilqr.rollout(problem.dynamics, problem.x0, record.trajectory.controls)
         np.testing.assert_array_equal(again.states, record.trajectory.states)
+
+
+class JacobiansFailAt(BicycleModel):
+    """The bicycle model whose `fail_at`-th Jacobian call finds its rows at
+    the kinematic domain boundary, which `step` still accepts."""
+
+    def __init__(self, params, fail_at):
+        super().__init__(params)
+        self.calls, self.fail_at = 0, fail_at
+
+    def jacobians(self, X, U):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise DomainError("jacobians undefined at time index 7: at or beyond the "
+                              "kinematic domain boundary", tau=7)
+        return super().jacobians(X, U)
+
+
+@pytest.mark.parametrize("phase", ["probe", "consensus"])
+def test_jacobian_domain_error_yields_failed_status(phase):
+    cfg = builtin_scenario(1)
+    problem = build_problem(cfg)
+    rollout0 = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
+    # One Jacobian call per inner iteration: the probe's, then one per
+    # consensus iteration.
+    probe_calls = ilqr.solve(rollout0, problem.cost, problem.dynamics, cfg.admm.ilqr).iterations
+    fail_at = 1 if phase == "probe" else probe_calls + 2
+    dynamics = JacobiansFailAt(problem.dynamics.params, fail_at)
+    report = admm_solve(replace(problem, dynamics=dynamics), cfg.admm)
+    assert report.status == "failed"
+    assert "time index 7" in report.message
+    assert report.iterations == (0 if phase == "probe" else 1)
+    assert report.trajectory.states.shape == (cfg.horizon + 1, 4)
+
+
+def test_forced_line_search_rejections_show_in_the_records(monkeypatch):
+    # Every full step leaves the kinematic domain, so every inner iteration
+    # rejects at least one trial and accepts a shorter step.
+    forward_pass = ilqr.forward_pass
+
+    def no_full_steps(traj, gains, alpha, dynamics):
+        if alpha == 1.0:
+            raise DomainError("forward pass step at time index 0: forced", tau=0)
+        return forward_pass(traj, gains, alpha, dynamics)
+
+    monkeypatch.setattr(ilqr, "forward_pass", no_full_steps)
+    cfg = builtin_scenario(1)
+    admm_report = admm_solve(build_problem(cfg), replace(cfg.admm, max_admm_iters=3))
+    cfg = replace(builtin_scenario(2), initial_state=State(0.0, 0.0, 0.0, 4.0))
+    barrier_report = barrier_solve(build_problem(cfg), replace(cfg.barrier, outer_iters=2))
+    for report in (admm_report, barrier_report):
+        assert report.records
+        for record in report.records:
+            assert record.rejected_steps >= record.ilqr_iterations >= 1
+            assert record.alpha in ilqr.ALPHAS[1:]
+            assert record.peak_mu >= cfg.admm.ilqr.mu_init
+
+
+def test_unforced_records_report_full_steps():
+    _, report = solve_scenario_admm(1)
+    assert [(r.alpha, r.rejected_steps) for r in report.records] == \
+        [(1.0, 0)] * report.iterations
+
+
+def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
+    # The tracking cost evaluates its position term (the closest points of
+    # a polyline reference) once per trajectory content, not once per
+    # values or expand call. The seed rollout is the one content evaluated
+    # twice: by the probe and again by the first consensus iteration, after
+    # the probe's own iterates.
+    position_term = costs._position_term
+    passes, contents = [], []
+
+    def counting(*args):
+        passes.append(1)
+        return position_term(*args)
+
+    def recording(method):
+        def wrapped(self, traj):
+            contents.append((traj.states.tobytes(), traj.controls.tobytes()))
+            return method(self, traj)
+        return wrapped
+
+    monkeypatch.setattr(costs, "_position_term", counting)
+    for name in ("values", "expand"):
+        monkeypatch.setattr(TrackingCost, name, recording(getattr(TrackingCost, name)))
+    polyline = ((0.0, 0.0), (20.0, 0.0), (40.0, 1.0), (60.0, 1.0))
+    cfg = replace(builtin_scenario(2), reference=Reference(polyline=polyline, v_ref=8.0))
+    report = admm_solve(build_problem(cfg), cfg.admm)
+    assert report.iterations == cfg.admm.max_admm_iters
+    changes = sum(a != b for a, b in zip([None] + contents, contents))
+    assert len(passes) == changes == len(set(contents)) + 1
+    assert 3 * len(passes) < len(contents)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.ilqr import Trajectory
@@ -174,3 +176,72 @@ def test_tracking_cost_adapter_matches_functions():
     state = X[:, 1] ** 2 + (X[:, 3] - 8.0) ** 2
     want = np.append(state[:7] + U[:, 0] ** 2 + U[:, 1] ** 2, 3.0 * state[7])
     np.testing.assert_allclose(cost.values(traj), want, rtol=1e-14)
+
+
+# The memo: one evaluation per trajectory content, bitwise equal to a fresh
+# TrackingCost whatever came before.
+REFERENCES = [Reference(py_ref=1.0, v_ref=8.0),
+              Reference(polyline=((0, 0), (10, 0), (20, 5), (30, 5)), v_ref=5.0)]
+REFERENCE_IDS = ["lateral", "polyline"]
+
+
+def evaluation(cost, traj):
+    """Values and expansion arrays of traj, as bytes."""
+    return [a.tobytes() for a in (cost.values(traj), *cost.expand(traj))]
+
+
+def random_trajectory(rng, horizon=6):
+    states = rng.uniform([-5, -8, -2, -3], [35, 8, 2, 12], size=(horizon + 1, 4))
+    return Trajectory(states, rng.uniform([-1, -4], [1, 4], size=(horizon, 2)))
+
+
+@pytest.mark.parametrize("ref", REFERENCES, ids=REFERENCE_IDS)
+def test_trajectory_changed_in_place_is_evaluated_afresh(ref):
+    weights = w(0.8, 1.1, 0.6, 0.3, ts=2.0)
+    cost = TrackingCost(weights, ref)
+    traj = random_trajectory(np.random.default_rng(29))
+    before = evaluation(cost, traj)
+    traj.states[2, :2] += 0.5
+    traj.controls[1, 0] -= 0.1
+    after = evaluation(cost, traj)
+    assert after == evaluation(TrackingCost(weights, ref), traj)
+    assert all(a != b for a, b in zip(before[:3], after[:3]))
+
+
+@pytest.mark.parametrize("ref", REFERENCES, ids=REFERENCE_IDS)
+def test_values_read_only_and_expansions_fresh(ref):
+    cost = TrackingCost(w(0.8, 1.1, 0.6, 0.3, ts=2.0), ref)
+    traj = random_trajectory(np.random.default_rng(31))
+    values = cost.values(traj)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    first = cost.expand(traj)
+    want = [a.tobytes() for a in first]
+    for array in first:
+        assert array.flags.writeable
+        array += 1.0
+    again = cost.expand(traj)
+    assert [a.tobytes() for a in again] == want
+    assert not any(np.shares_memory(a, b) for a, b in zip(first, again))
+    assert cost.values(traj) is values
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref=st.sampled_from(REFERENCES), seed=st.integers(0, 2**32 - 1),
+       calls=st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=16))
+def test_shared_cost_matches_fresh_evaluation(ref, seed, calls):
+    # A sequence of trajectories with repeats (and equal copies), each one
+    # read as values or as an expansion through one TrackingCost.
+    rng = np.random.default_rng(seed)
+    pool = [random_trajectory(rng, horizon=4) for _ in range(3)]
+    pool.append(Trajectory(pool[0].states.copy(), pool[0].controls.copy()))
+    weights = w(0.8, 1.1, 0.6, 0.3, ts=2.0)
+    shared = TrackingCost(weights, ref)
+    for index, expand in calls:
+        traj, fresh = pool[index], TrackingCost(weights, ref)
+        if expand:
+            got, want = shared.expand(traj), fresh.expand(traj)
+        else:
+            got, want = [shared.values(traj)], [fresh.values(traj)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

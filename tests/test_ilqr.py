@@ -151,6 +151,30 @@ def test_solve_matches_riccati_cost(seed):
     assert result.status == ilqr.STATUS_CONVERGED
 
 
+def test_solve_reports_full_steps_at_the_regularization_floor():
+    dynamics, cost, x0, _ = lqr_setup(9)
+    result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, ILQRSettings())
+    assert result.alpha == 1.0
+    assert result.rejected_steps == 0
+    assert result.peak_mu == ILQRSettings().mu_init
+
+
+def test_solve_reports_rejected_steps_and_grown_regularization():
+    # Q_uu = -1e-3 I: mu has to grow past 1e-3 for the gains, which are zero,
+    # so every trial reproduces the nominal, no step lowers the cost and the
+    # predicted change is zero.
+    class SlightlyConcave(ZeroCost):
+        l_uu = -1e-3 * np.eye(2)
+
+    dynamics, _, x0, _ = lqr_setup(11)
+    result = solve(rollout(dynamics, x0, np.zeros((10, 2))), SlightlyConcave(), dynamics,
+                   ILQRSettings(mu_init=1e-6))
+    assert result.status == ilqr.STATUS_CONVERGED and result.iterations == 1
+    assert result.alpha is None
+    assert result.rejected_steps == len(ilqr.ALPHAS)
+    assert 1e-3 < result.peak_mu < 1.1e-2
+
+
 def test_solve_monotone_descent_and_history():
     params = VehicleParams()
     dynamics = BicycleModel(params)
