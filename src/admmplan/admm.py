@@ -74,6 +74,9 @@ class IterationRecord:
     alpha: float | None = None
     rejected_steps: int = 0
     peak_mu: float | None = None
+    # The iteration's penalty weight: sigma for a consensus iteration, the
+    # stage's sharpness t for a barrier stage, None for a probe exit.
+    weight: float | None = None
 
 
 @dataclass
@@ -268,7 +271,7 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
         report.records.append(IterationRecord(
             y, res_inf, res_two, ilqr.total_cost(cost, y), result.iterations,
             time.perf_counter() - iter_start, result.alpha, result.rejected_steps,
-            result.peak_mu,
+            result.peak_mu, settings.sigma,
         ))
 
         if res_inf >= settings.primal_tolerance:

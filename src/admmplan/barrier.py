@@ -6,6 +6,13 @@ sharpness t by a fixed factor. The method needs a strictly feasible iterate
 at all times: the seed rollout is checked up front, and line-search steps
 that leave the barrier domain are rejected by an infinite cost.
 
+Only the last stage's answer is returned, so only the last stage is centered
+to the configured iLQR tolerance. On a convex problem a stage at sharpness t
+is within m/t of the optimum, m being the number of constraint terms (Boyd &
+Vandenberghe, *Convex Optimization*, §11.3), and centering it far below that
+bound buys nothing: earlier stages stop at the looser of the configured
+tolerance and CENTERING_FRACTION * m / t.
+
 Obstacle barrier Hessians keep only the Gauss-Newton (first-derivative outer
 product) term so the quadratic model stays positive semidefinite; box-limit
 barriers use their exact one-dimensional second derivatives.
@@ -13,15 +20,19 @@ barriers use their exact one-dimensional second derivatives.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ilqr
-from .ilqr import STATUS_CONVERGED, STATUS_FAILED, ILQRSettings, is_count
+from .ilqr import STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count
 from .admm import IterationRecord, Problem, SolveReport, trajectory_violation
 from .constraints import ConstraintSet
 from .errors import BarrierDomainViolation, RegularizationExhausted
+
+# Stages before the last stop once their cost improves by less than this
+# fraction of their duality-gap bound m/t.
+CENTERING_FRACTION = 1e-3
 
 
 @dataclass
@@ -127,6 +138,14 @@ def check_strict_feasibility(
 def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> SolveReport:
     """Constrained solve by the outer-inner log-barrier loop.
 
+    Stage i solves the barrier problem at sharpness t = initial_sharpness *
+    tighten_factor**i from the previous stage's answer. The last stage runs
+    iLQR to the configured cost tolerance; the others to the looser of that
+    and CENTERING_FRACTION * m / t, a share of the stage's duality-gap bound
+    m/t (Boyd & Vandenberghe §11.3). The status is the last stage's inner
+    status (`converged` or `max_iters`), or `failed` when the regularization
+    runs out.
+
     Raises:
         BarrierDomainViolation: the zero-control seed rollout (or, defensively,
         a later nominal iterate) is not strictly feasible. This is the
@@ -139,14 +158,21 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
     check_strict_feasibility(y, constraints, settings.margin)
     # A strictly feasible seed violates nothing.
     violation = 0.0
+    # Constraint terms: box faces on the T controls, keep-outs on the T+1 states.
+    terms = (len(constraints.faces) * problem.horizon
+             + len(constraints.obstacles) * (problem.horizon + 1))
 
-    report = SolveReport(y, STATUS_CONVERGED)
+    report = SolveReport(y, STATUS_MAX_ITERS)
     sharpness = settings.initial_sharpness
-    for _ in range(settings.outer_iters):
+    for stage in range(settings.outer_iters):
         iter_start = time.perf_counter()
+        inner = settings.ilqr
+        if stage < settings.outer_iters - 1:
+            gap = CENTERING_FRACTION * terms / sharpness
+            inner = replace(inner, cost_tolerance=max(inner.cost_tolerance, gap))
         barrier = BarrierCost(cost, constraints, sharpness, settings.margin)
         try:
-            result = ilqr.solve(y, barrier, dynamics, settings.ilqr)
+            result = ilqr.solve(y, barrier, dynamics, inner)
         except RegularizationExhausted as exc:
             report.status = STATUS_FAILED
             report.message = str(exc)
@@ -155,10 +181,11 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
         violation = trajectory_violation(y, constraints)
         # The barrier has no consensus residual: its violation fills both.
         report.trajectory = y
+        report.status = result.status
         report.records.append(IterationRecord(
             y, violation, violation, ilqr.total_cost(cost, y), result.iterations,
             time.perf_counter() - iter_start, result.alpha, result.rejected_steps,
-            result.peak_mu,
+            result.peak_mu, sharpness,
         ))
         sharpness *= settings.tighten_factor
 

@@ -30,9 +30,10 @@ from .vehicle import State, VehicleParams
 
 def _benchmark_barrier_settings() -> BarrierSettings:
     # Conservative interior-point continuation: a cautious initial weight and
-    # a gentle tightening ladder, landing the inner-iteration total in the
-    # few-times-the-consensus-solver regime that the comparison baseline is
-    # meant to represent.
+    # a gentle tightening ladder. With the early stages centered only to
+    # their duality gap, the criterion-7 starts take 52 (S1, v0 = 0) and 74
+    # (S2, v0 = 4) inner iterations, about 2.4 times the consensus solver's
+    # 22 and 31 (its probe plus 20 one-step iterations).
     return BarrierSettings(
         initial_sharpness=0.05,
         tighten_factor=2.0,

@@ -410,6 +410,15 @@ def test_report_counts_and_costs_come_from_its_records(case):
         assert case == "projection failure" and math.isnan(report.final_cost)
     if case == "probe exit":
         assert report.status == "converged" and report.iterations == 1
+    weights = [r.weight for r in report.records]
+    if case == "probe exit":
+        assert weights == [None]
+    elif case == "barrier":
+        ladder = builtin_scenario(1).barrier
+        assert weights == [ladder.initial_sharpness * ladder.tighten_factor**i
+                           for i in range(ladder.outer_iters)]
+    else:
+        assert weights == [builtin_scenario(1).admm.sigma] * len(weights)
 
 
 def test_each_record_keeps_its_own_iterate():

@@ -7,6 +7,7 @@ import pytest
 from admmplan import ilqr
 from admmplan.admm import ADMMSettings, PenalizedCost, project_consensus, select
 from admmplan.barrier import (
+    CENTERING_FRACTION,
     BarrierCost,
     BarrierSettings,
     barrier_solve,
@@ -169,6 +170,79 @@ def test_scenario2_slow_seed_converges():
     cfg, problem = feasible_config(2, 4.0)
     report = barrier_solve(problem, cfg.barrier)
     assert report.status == "converged"
+    assert report.max_violation == 0.0
+
+
+# The benchmark's baseline cells: the criterion-7 starts under the benchmark
+# ladder and under the library defaults. `tight_cost` is the final cost with
+# every stage centered to the configured tolerance; the ladder cells then took
+# 117 and 170 inner iterations.
+BASELINE_CELLS = [
+    (1, 0.0, "ladder", 456.4678973186082, 52),
+    (1, 0.0, "defaults", 456.4897728551878, 34),
+    (2, 4.0, "ladder", 72.93917299962679, 74),
+    (2, 4.0, "defaults", 72.94195917606105, 54),
+]
+
+
+@pytest.mark.parametrize("sid, v0, ladder, tight_cost, inner", BASELINE_CELLS)
+def test_loose_early_stages_keep_the_answer(sid, v0, ladder, tight_cost, inner):
+    cfg, problem = feasible_config(sid, v0)
+    report = barrier_solve(problem, cfg.barrier if ladder == "ladder" else BarrierSettings())
+    assert report.status == "converged"
+    assert report.max_violation == 0.0
+    assert report.final_cost == pytest.approx(tight_cost, rel=1e-6)
+    assert sum(report.ilqr_iterations) == inner  # work-count guard
+
+
+def test_single_stage_is_the_exact_inner_solve():
+    # With one stage, that stage is the last: the configured tolerance applies.
+    cfg, problem = feasible_config(1, 0.0)
+    settings = replace(cfg.barrier, outer_iters=1)
+    report = barrier_solve(problem, settings)
+    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
+    barrier = BarrierCost(problem.cost, problem.constraints, settings.initial_sharpness,
+                          settings.margin)
+    result = ilqr.solve(seed, barrier, problem.dynamics, settings.ilqr)
+    (record,) = report.records
+    assert report.status == result.status
+    np.testing.assert_array_equal(report.trajectory.states, result.trajectory.states)
+    np.testing.assert_array_equal(report.trajectory.controls, result.trajectory.controls)
+    assert record.cost == total_cost(problem.cost, result.trajectory)
+    assert (record.ilqr_iterations, record.alpha, record.rejected_steps, record.peak_mu) == (
+        result.iterations, result.alpha, result.rejected_steps, result.peak_mu)
+
+
+@pytest.mark.parametrize("configured", [1e-5, 1e-2])
+def test_stage_tolerance_follows_the_duality_gap(monkeypatch, configured):
+    # S1 has four box faces on 60 controls and one keep-out on 61 states, so
+    # CENTERING_FRACTION * m / t falls from 6.02 to 1.8e-4 along the ladder:
+    # above 1e-5 at every stage, below 1e-2 from the eleventh on.
+    cfg, problem = feasible_config(1, 0.0)
+    settings = replace(cfg.barrier, ilqr=replace(cfg.barrier.ilqr, cost_tolerance=configured))
+    m = 4 * 60 + 61
+    seen = []
+    solve = ilqr.solve
+
+    def spy(traj, cost, dynamics, inner):
+        seen.append((cost.sharpness, inner.cost_tolerance))
+        return solve(traj, cost, dynamics, inner)
+
+    monkeypatch.setattr(ilqr, "solve", spy)
+    barrier_solve(problem, settings)
+    assert len(seen) == settings.outer_iters
+    for i, (t, tolerance) in enumerate(seen):
+        assert t == settings.initial_sharpness * settings.tighten_factor**i
+        if i < settings.outer_iters - 1:
+            assert tolerance == max(configured, CENTERING_FRACTION * m / t)
+    assert seen[-1][1] == configured
+
+
+def test_unconverged_last_stage_reports_max_iters():
+    cfg, problem = feasible_config(2, 4.0)
+    settings = replace(cfg.barrier, outer_iters=2, ilqr=replace(cfg.barrier.ilqr, max_iters=1))
+    report = barrier_solve(problem, settings)
+    assert report.status == "max_iters"
     assert report.max_violation == 0.0
 
 
