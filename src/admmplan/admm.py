@@ -196,7 +196,7 @@ def project_consensus(targets, headings, constraints: ConstraintSet) -> np.ndarr
     z = targets.copy()
     z[:, 2:] = project_inputs(targets[:, 2:], constraints.bounds)
     for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():
-        z[tau] = project_timestep(targets[tau], constraints, tau, headings[tau])
+        z[tau] = project_timestep(targets[tau].tolist(), constraints, tau, headings[tau])
     return z
 
 

@@ -97,8 +97,7 @@ class BarrierCost:
         l_x, l_u, l_xx, l_uu = self.base.expand(traj)
         box, keepout = self.constraints.values(traj)
         _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
-        x = traj.states
-        grad = self.constraints.keepout_gradient(np.arange(len(x)), x[:, :2], x[:, 2])
+        grad = self.constraints.trajectory_gradient(traj)
         inv_t = 1.0 / self.sharpness
         # Box faces are linear in one control: exact 1-D barrier derivatives.
         for (i, sign, _), g in zip(self.constraints.faces, box.T):

@@ -12,10 +12,12 @@ where (along, across) is p - c rotated into the ellipse frame by -theta.
 `ConstraintSet` holds the only description of the ellipses: one float row
 per obstacle with its center at stamp 0, velocity, semi-axes and cos/sin of
 its heading. Its evaluator reads the rows as stacked columns for the
-violation scan and the log-barrier baseline. `project_timestep`, the
-consensus-update workhorse, reads them as plain floats at one stamp: it
-clamps the input components onto the boxes and pushes the position outside
-every keep-out ellipse by cyclic nearest-point projection, testing g in the
+violation scan and the log-barrier baseline, once per trajectory content,
+so the barrier's values, its expansion and the violation scan of one
+iterate share one pass. `project_timestep`, the consensus-update workhorse,
+reads the rows as plain floats at one stamp: it clamps the input components
+onto the boxes with float min/max and pushes the position outside every
+keep-out ellipse by cyclic nearest-point projection, testing g in the
 evaluator's order of operations.
 """
 
@@ -83,6 +85,11 @@ class Obstacle:
             raise ValueError("need finite semi_major >= semi_minor > 0")
 
 
+def _keepout(along, across):
+    """Keep-out values g from the ellipse-frame offsets of `_offsets`."""
+    return 1.0 - along**2 - across**2
+
+
 class ConstraintSet:
     """The box and keep-out constraints of one solve, as values g (<= 0 holds).
 
@@ -90,8 +97,13 @@ class ConstraintSet:
     scan, the barrier and the projection. Every evaluation takes one stamp
     or stacked rows with a leading stamp axis: `box(u)`,
     `keepout(tau, p, heading)` and `keepout_gradient(tau, p, heading)`
-    evaluate the given stamps, `values(traj)` the box and keep-out values of
-    a whole trajectory.
+    evaluate the given stamps; `values(traj)` gives the box and keep-out
+    values of a whole trajectory and `trajectory_gradient(traj)` its keep-out
+    gradients. The last two evaluate once per trajectory content: the last
+    trajectory's values and offsets are kept, keyed by the bytes of its
+    states and controls, and handed out read-only, so a trajectory changed
+    in place is evaluated afresh. The kept slot is unguarded: a
+    ConstraintSet must not be shared across threads.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -122,6 +134,8 @@ class ConstraintSet:
             dtype=float).reshape(-1, 8)
         self._rows = rows.tolist()
         self._ellipses = tuple(rows.T)
+        # (key, box g, keep-out g, offsets) of the last trajectory evaluated.
+        self._slot = (None, None, None, None)
 
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
@@ -141,23 +155,41 @@ class ConstraintSet:
         dy = p[..., 1, None] - (cy + t * vy)
         return (c * dx + s * dy) / a, (-s * dx + c * dy) / b, c, s
 
-    def keepout(self, tau, p, heading=0.0) -> np.ndarray:
-        """Keep-out values g (..., obstacles) at time indices tau (...),
-        positions p (..., 2) and headings (...)."""
-        along, across, _, _ = self._offsets(tau, p, heading)
-        return 1.0 - along**2 - across**2
-
-    def keepout_gradient(self, tau, p, heading=0.0) -> np.ndarray:
-        """Position gradients dg/dp (..., obstacles, 2) of `keepout`."""
-        along, across, c, s = self._offsets(tau, p, heading)
+    def _gradient(self, along, across, c, s):
+        """Position gradients dg/dp (..., obstacles, 2) from `_offsets`."""
         ga, gb = -2.0 * along / self._ellipses[4], -2.0 * across / self._ellipses[5]
         return np.stack([c * ga - s * gb, s * ga + c * gb], axis=-1)
 
+    def keepout(self, tau, p, heading=0.0) -> np.ndarray:
+        """Keep-out values g (..., obstacles) at time indices tau (...),
+        positions p (..., 2) and headings (...)."""
+        return _keepout(*self._offsets(tau, p, heading)[:2])
+
+    def keepout_gradient(self, tau, p, heading=0.0) -> np.ndarray:
+        """Position gradients dg/dp (..., obstacles, 2) of `keepout`."""
+        return self._gradient(*self._offsets(tau, p, heading))
+
+    def _evaluate(self, traj):
+        """The slot of traj: (key, box g, keep-out g, offsets), once per content."""
+        key = (traj.states.tobytes(), traj.controls.tobytes())
+        if key != self._slot[0]:
+            states = traj.states
+            offsets = self._offsets(np.arange(len(states)), states[:, :2], states[:, 2])
+            box, keepout = self.box(traj.controls), _keepout(*offsets[:2])
+            for array in (box, keepout, *offsets):
+                array.flags.writeable = False
+            self._slot = (key, box, keepout, offsets)
+        return self._slot
+
     def values(self, traj):
-        """(box g (T, faces), keep-out g (T+1, obstacles)) along a trajectory."""
-        states = traj.states
-        return self.box(traj.controls), self.keepout(
-            np.arange(len(states)), states[:, :2], states[:, 2])
+        """(box g (T, faces), keep-out g (T+1, obstacles)) along a trajectory,
+        read-only."""
+        _, box, keepout, _ = self._evaluate(traj)
+        return box, keepout
+
+    def trajectory_gradient(self, traj) -> np.ndarray:
+        """`keepout_gradient` at every stamp of a trajectory, (T+1, obstacles, 2)."""
+        return self._gradient(*self._evaluate(traj)[3])
 
     def violation(self, traj) -> float:
         """Largest constraint value along a trajectory (0 when feasible)."""
@@ -219,8 +251,11 @@ def project_timestep(
 ) -> np.ndarray:
     """Project one consensus block (px, py, steer, accel) onto the constraints.
 
-    Inputs are clamped onto their boxes; the position is pushed outside every
-    keep-out ellipse at time index tau by cyclic projection. The ellipses are
+    `block` is any sequence of four floats; a list, such as a row of
+    `targets.tolist()`, is the fast input, and the only array built is the
+    result. Inputs are clamped onto their boxes by float min/max, equal to
+    `project_inputs`; the position is pushed outside every keep-out ellipse
+    at time index tau by cyclic projection. The ellipses are
     read from the constraint set's float rows and oriented by cos/sin of
     `ego_heading` when the set uses the ego heading; g is tested and the
     point moved on plain floats, in the evaluator's order of operations. A
@@ -232,9 +267,10 @@ def project_timestep(
         the sweep budget (overlapping obstacles leaving no nearby feasible
         point).
     """
-    out = np.array(block, dtype=float)
-    out[2:] = project_inputs(out[2:], constraints.bounds)
-    px, py = out[:2].tolist()
+    px, py, steer, accel = block
+    bounds = constraints.bounds
+    steer = min(max(steer, -bounds.max_steer), bounds.max_steer)
+    accel = min(max(accel, bounds.min_accel), bounds.max_accel)
     t = tau * constraints.timestep
     ego = (math.cos(ego_heading), math.sin(ego_heading)) if constraints.use_ego_heading else None
     ellipses = [(cx + t * vx, cy + t * vy, a, b, *(ego or (c, s)))
@@ -261,8 +297,7 @@ def project_timestep(
             nx, ny = sx * nx, sy * ny
             px, py = cx + (c * nx - s * ny), cy + (s * nx + c * ny)
         if clean:
-            out[0], out[1] = px, py
-            return out
+            return np.array([px, py, steer, accel], dtype=float)
     raise NonConvergence(
         f"cyclic ellipse projection did not converge at time index {tau}", tau=tau
     )

@@ -35,12 +35,14 @@ loops the data stay floats: `dynamics.step` returns a list of four, the gains
 are one float row per stamp, and a solve starts from the nominal trajectory
 it is handed, such as the previous solve's, without rolling it out again.
 
-Most Jacobian and expansion entries are 0.0 at every stamp, so the recursion
-is generated from the formulas above once per pattern of such entries
-(`_sweep_kernel`, cached by the pattern's bytes, at most 64 kernels),
-dropping every product with a constant 0.0. No other rounding step changes:
-on finite input the result equals the dense recursion's up to the sign of an
-exact zero; inf or NaN input runs dense.
+Most Jacobian and expansion entries are 0.0 at every stamp, and some, such
+as the bicycle model's f_x diagonal, are 1.0 at every stamp, so the
+recursion is generated from the formulas above once per pattern of such
+entries (`_sweep_kernel`, cached by the pattern's bytes, at most 64
+kernels), dropping every product with a constant 0.0 and writing 1.0 * x as
+x. No other rounding step changes: on finite input the result equals the
+dense recursion's up to the sign of an exact zero; inf or NaN input runs
+dense.
 """
 
 import functools
@@ -111,9 +113,9 @@ class Trajectory:
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
         """First time index whose step misses the next state by more than tol, or by NaN."""
-        states = self.states.tolist()
+        states, step = self.states.tolist(), dynamics.step
         for tau, u in enumerate(self.controls.tolist()):
-            nxt = dynamics.step(states[tau], u)
+            nxt = step(states[tau], u)
             if not all(abs(a - b) <= tol for a, b in zip(nxt, states[tau + 1])):
                 return tau
         return None
@@ -138,10 +140,10 @@ def rollout(dynamics, x0, controls) -> Trajectory:
     """Integrate an open-loop control sequence through the dynamics; a
     DomainError from a step that leaves the kinematic domain names its stamp."""
     controls = np.array(controls, dtype=float)
-    states = [np.asarray(x0, dtype=float).tolist()]
+    states, step = [np.asarray(x0, dtype=float).tolist()], dynamics.step
     try:
         for u in controls.tolist():
-            states.append(dynamics.step(states[-1], u))
+            states.append(step(states[-1], u))
     except DomainError as exc:
         tau = len(states) - 1
         raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
@@ -169,18 +171,35 @@ _SWEEP = """def sweep(rows, terminal, mu):
 """
 
 
+# Pattern states of a row column: read from the rows, or 0.0 or 1.0 at every stamp.
+_FREE, _ZERO, _ONE = 0, 1, 2
+
+
 @functools.lru_cache(maxsize=64)
 def _sweep_kernel(pattern: bytes):
-    """The sweep for `pattern` (per `_ROW` slot, 1 if 0.0 at every stamp; b"" is
-    dense) and the row columns it reads. The sweep returns the gain rows,
-    latest stamp first, and (V_x, V_xx, 2 dV) at the first stamp; or None as
-    soon as a regularized Q_uu is not positive definite."""
-    zero = {name for name, flag in zip(_ROW, pattern) if flag}
+    """The sweep for `pattern` (per `_ROW` slot, _ZERO or _ONE if 0.0 or 1.0
+    at every stamp, else _FREE; b"" is dense) and the row columns it reads.
+    The sweep returns the gain rows, latest stamp first, and (V_x, V_xx, 2 dV)
+    at the first stamp; or None as soon as a regularized Q_uu is not positive
+    definite."""
+    # Constant row slots, and intermediates that come out as a constant or
+    # as a bare name (1.0 * x is x), are not assigned but read as this
+    # stand-in. A name standing in must not be read after it is reassigned.
+    stand = {name: "0.0" if state == _ZERO else "1.0"
+             for name, state in zip(_ROW, pattern) if state != _FREE}
+    reassigned = set()
     body = []
-    sym = lambda name: "0.0" if name in zero else name  # noqa: E731
+
+    def sym(name):
+        expr = stand.get(name, name)
+        assert expr == name or expr not in reassigned, f"{name} read after {expr} changed"
+        return expr
+
+    def times(a, b):
+        return b if a == "1.0" else a if b == "1.0" else f"{a}*{b}"
 
     def dot(*pairs):  # summed left to right, as in the dense sweep
-        return " + ".join(f"{a}*{b}" for a, b in ((sym(a), sym(b)) for a, b in pairs)
+        return " + ".join(times(a, b) for a, b in ((sym(a), sym(b)) for a, b in pairs)
                           if "0.0" not in (a, b)) or "0.0"
 
     def comb(a, op, b):  # a op b, without an exact-zero operand
@@ -188,8 +207,8 @@ def _sweep_kernel(pattern: bytes):
         return a if b == "0.0" else b if a == "0.0" and op == "+" else f"({a}) {op} ({b})"
 
     def let(name, expr):
-        if expr == "0.0":
-            zero.add(name)  # dropped where it is read
+        if expr in ("0.0", "1.0") or expr.isidentifier():
+            stand[name] = expr
         else:
             body.append(f"{name} = {expr}")
 
@@ -215,10 +234,11 @@ def _sweep_kernel(pattern: bytes):
     let("ra", comb("u00", "+", "mu"))
     let("rd", comb("u11", "+", "mu"))
     let("det", comb(dot(("ra", "rd")), "-", dot(("u01", "u01"))))
-    body.append("if not (ra > 0.0 and det > 0.0): return None")
-    let("i00", "-rd/det")  # -(Q_uu + mu I)^-1
-    let("i01", f"{sym('u01')}/det")
-    let("i11", "-ra/det")
+    ra, rd, det = sym("ra"), sym("rd"), sym("det")
+    body.append(f"if not ({ra} > 0.0 and {det} > 0.0): return None")
+    let("i00", f"-{rd}/{det}")  # -(Q_uu + mu I)^-1
+    let("i01", f"{sym('u01')}/{det}")
+    let("i11", f"-{ra}/{det}")
     # Gains G = [K | k] = -(Q_uu + mu I)^-1 r (rows k0., k1.) and P = Q_uu G.
     for u, j in product(range(2), range(5)):
         let(f"k{u}{j}", dot((f"i0{u}", f"r0{j}"), (f"i{u}1", f"r1{j}")))
@@ -226,14 +246,21 @@ def _sweep_kernel(pattern: bytes):
     body.append(f"gains.append(({gains}))")
     for u, j in product(range(2), range(5)):
         let(f"p{u}{j}", dot((f"u0{u}", f"k0{j}"), (f"u{u}1", f"k1{j}")))
-    # [[V_xx, V_x], [V_x', corner]] = [[Q_xx, Q_x], [Q_x', corner]] - G' P.
-    for i, j in ((i, j) for i in range(4) for j in range(i, 5)):
+    # [[V_xx, V_x], [V_x', corner]] = [[Q_xx, Q_x], [Q_x', corner]] - G' P,
+    # in place: a q that aliases an entry reassigned before it is read is
+    # copied first.
+    pairs = [(i, j) for i in range(4) for j in range(i, 5)]
+    for n, (i, j) in enumerate(pairs):
+        if stand.get(f"q{i}{j}") in [V(*pair) for pair in pairs[:n]]:
+            body.append(f"q{i}{j} = {stand.pop(f'q{i}{j}')}")
+    for i, j in pairs:
         body.append(f"{V(i, j)} = " + comb(comb(f"h{i}{j}", "+", f"q{i}{j}"), "-",
                                            dot((f"k0{i}", f"p0{j}"), (f"k1{i}", f"p1{j}"))))
+        reassigned.add(V(i, j))
     body.append("corner = " + comb("corner", "-", dot(("k04", "p04"), ("k14", "p14"))))
     # Only the upper triangles of the symmetric l_xx (h) and l_uu (n) are read.
     columns = [k for k, name in enumerate(_ROW)
-               if name not in zero and (name[0] not in "hn" or name[1] <= name[2])]
+               if name not in stand and (name[0] not in "hn" or name[1] <= name[2])]
     source = _SWEEP.format(row="".join(f"{_ROW[k]}, " for k in columns),
                            body="\n        ".join(body))
     scope = {"np": np}
@@ -245,10 +272,11 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     """Compute the affine control update along the nominal trajectory.
 
     Requires four states and two controls. The Jacobians and cost expansions
-    are stacked once and their columns that are not 0.0 throughout listed as
-    float rows for the sweep (`_sweep_kernel`), which forms the Q blocks of the
-    module docstring, solves the regularized 2x2 system in closed form for
-    G = [K | k], and updates the value model with the unregularized Q_uu,
+    are stacked once and their columns that are not 0.0 or 1.0 throughout
+    listed as float rows for the sweep (`_sweep_kernel`), which forms the Q
+    blocks of the module docstring, solves the regularized 2x2 system in
+    closed form for G = [K | k], and updates the value model with the
+    unregularized Q_uu,
 
         [[V_xx, V_x], [V_x', c]] = [[Q_xx, Q_x], [Q_x', c]] - G' Q_uu G,
 
@@ -275,7 +303,9 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     terminal = l_xx[T].ravel().tolist() + l_x[T].tolist()
     pattern = b""  # dense where inf or NaN may meet a constant 0.0 (0.0 * inf is NaN)
     if np.isfinite(rows).all() and np.isfinite(terminal).all():
-        pattern = (rows == 0).all(0).tobytes()
+        first = rows[0]
+        state = np.where(first == 0.0, _ZERO, np.where(first == 1.0, _ONE, _FREE))
+        pattern = (state * (rows == first).all(0)).astype(np.uint8).tobytes()
     sweep, columns = _sweep_kernel(pattern)
     rows = rows[:, columns].tolist()
     while mu <= MU_MAX:
@@ -299,7 +329,7 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     and the float gain rows, which cost less per stamp than small arrays. A
     DomainError from a step that leaves the kinematic domain names its stamp.
     """
-    x = traj.states[0].tolist()
+    x, step = traj.states[0].tolist(), dynamics.step
     states, controls = [x], []
     rows = zip(gains, traj.states.tolist(), traj.controls.tolist())
     try:
@@ -307,7 +337,7 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
             d0, d1, d2, d3 = x[0] - n0, x[1] - n1, x[2] - n2, x[3] - n3
             u = [w + (alpha * k0 + (K00 * d0 + K01 * d1 + K02 * d2 + K03 * d3)),
                  a + (alpha * k1 + (K10 * d0 + K11 * d1 + K12 * d2 + K13 * d3))]
-            x = dynamics.step(x, u)
+            x = step(x, u)
             controls.append(u)
             states.append(x)
     except DomainError as exc:

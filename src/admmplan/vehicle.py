@@ -15,6 +15,11 @@ large steering angles:
 
 Headings are kept unwrapped (no modular reduction) so the Jacobians stay
 smooth across the +-pi seam.
+
+`BicycleModel.step` is the only implementation of this map: a closure over
+the wheelbase and timestep, built with the model, that evaluates sin(w) once
+and is one Python call per stamp. `jacobians` differentiates it over stacked
+rows.
 """
 
 import math
@@ -62,60 +67,40 @@ class State:
         return np.array([self.px, self.py, self.theta, self.v], dtype=float)
 
 
-def front_roll(v: float, params: VehicleParams) -> float:
-    """Rolling distance of the front wheels over one step (may be negative)."""
-    return params.timestep * v
+def _stepper(wheelbase: float, timestep: float):
+    """The one-step map x, u -> x' of the module docstring for one geometry.
 
-
-def back_roll(v: float, steer: float, params: VehicleParams) -> float:
-    """Rolling distance of the back wheels over one step.
-
-    Reduces to the front roll when steer = 0. Raises DomainError when the
-    square-root argument goes negative, which means the time step is too
-    large for the commanded speed/steer pair.
+    Takes the state (px, py, theta, v) and the control (steer, accel) as any
+    sequences of floats; plain float lists are the fast input, which the
+    solvers' rollouts pass. Returns the next state as a new list of four
+    Python floats. Raises DomainError when the back roll's square-root
+    argument d^2 - f^2 sin^2(w) goes negative, which means the time step is
+    too large for the commanded speed/steer pair.
     """
-    d = params.wheelbase
-    f = front_roll(v, params)
-    disc = d * d - (f * math.sin(steer)) ** 2
-    if disc < 0.0:
-        raise DomainError(
-            f"back roll undefined for v={v}, steer={steer}: "
-            f"|front_roll*sin(steer)| exceeds wheelbase {d}"
-        )
-    return d + f * math.cos(steer) - math.sqrt(disc)
+    d, h = wheelbase, timestep
+    dd = d * d
+    sin, cos, sqrt, asin = math.sin, math.cos, math.sqrt, math.asin
 
+    def step(x, u) -> list:
+        px, py, theta, v = x
+        w, a = u
+        f = h * v  # front roll
+        fs = f * sin(w)
+        disc = dd - fs ** 2
+        if disc < 0.0:
+            raise DomainError(
+                f"back roll undefined for v={v}, steer={w}: "
+                f"|front_roll*sin(steer)| exceeds wheelbase {d}"
+            )
+        b = d + f * cos(w) - sqrt(disc)
+        return [px + b * cos(theta), py + b * sin(theta), theta + asin(fs / d), v + h * a]
 
-def step(x, u, params: VehicleParams) -> list:
-    """Advance the state one sample period.
-
-    Args:
-        x: state (px, py, theta, v), any sequence of four floats.
-        u: control (steer, accel), any sequence of two floats.
-        params: vehicle geometry.
-
-    Plain float lists are the fast input: the solvers' rollouts pass them,
-    because the scalar kinematics below cost more on array elements.
-
-    Returns:
-        Next state as a new list of four Python floats; wrap it in
-        `np.asarray` for array arithmetic.
-    """
-    px, py, theta, v = x
-    w, a = u
-    d = params.wheelbase
-    h = params.timestep
-    b = back_roll(v, w, params)
-    f = h * v
-    return [
-        px + b * math.cos(theta),
-        py + b * math.sin(theta),
-        theta + math.asin(f * math.sin(w) / d),
-        v + h * a,
-    ]
+    return step
 
 
 def jacobians(x, u, params: VehicleParams):
-    """Exact partial derivatives of `step` with respect to state and control.
+    """Exact partial derivatives of `BicycleModel.step` with respect to state
+    and control.
 
     Takes one stamp (x of shape (4,), u of shape (2,)) or stacked rows
     (x of shape (T, 4), u of shape (T, 2)).
@@ -176,13 +161,15 @@ def jacobians(x, u, params: VehicleParams):
 
 class BicycleModel:
     """Dynamics adapter for the trajectory solvers: `step(x, u)` advances one
-    stamp, `jacobians(X, U)` linearizes stacked rows in one call."""
+    stamp, `jacobians(X, U)` linearizes stacked rows in one call.
+
+    `step` is the one-step map built for the model's params when the model
+    is made (see `_stepper`), so a call is one Python function call.
+    """
 
     def __init__(self, params: VehicleParams | None = None):
         self.params = params or VehicleParams()
-
-    def step(self, x, u) -> list:
-        return step(x, u, self.params)
+        self.step = _stepper(self.params.wheelbase, self.params.timestep)
 
     def jacobians(self, X, U):
         return jacobians(X, U, self.params)

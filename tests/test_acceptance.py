@@ -18,7 +18,7 @@ from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem, solve_scenario
 from admmplan.ilqr import ILQRSettings, Trajectory
 from admmplan.scenarios import builtin_scenario, save_config
-from admmplan.vehicle import State, VehicleParams, jacobians, step
+from admmplan.vehicle import BicycleModel, State, VehicleParams, jacobians
 
 from oracles import (
     LinearDynamics,
@@ -62,6 +62,7 @@ def test_criterion_1_lqr_oracle_equivalence():
 def test_criterion_2_derivative_suite():
     """Analytic Jacobians and cost expansions match central differences."""
     params = VehicleParams()
+    step = BicycleModel(params).step
     weights = CostWeights(0.7, 1.1, 0.6, 0.3, 2.0)
     costs = [
         TrackingCost(weights, Reference(py_ref=0.0, v_ref=8.0)),
@@ -84,14 +85,14 @@ def test_criterion_2_derivative_suite():
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            fd = (np.asarray(step(x + dx, u, params))
-                  - np.asarray(step(x - dx, u, params))) / (2 * eps)
+            fd = (np.asarray(step(x + dx, u))
+                  - np.asarray(step(x - dx, u))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_x[:, j]).max())
         for j in range(2):
             du = np.zeros(2)
             du[j] = eps
-            fd = (np.asarray(step(x, u + du, params))
-                  - np.asarray(step(x, u - du, params))) / (2 * eps)
+            fd = (np.asarray(step(x, u + du))
+                  - np.asarray(step(x, u - du))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_u[:, j]).max())
         cost = costs[i % 2]
         l_x, l_u, _, _ = cost.expand(at(x, u))

@@ -156,23 +156,6 @@ def feasible_config(sid, v0):
     return cfg, build_problem(cfg)
 
 
-def test_scenario1_standstill_seed_converges():
-    cfg, problem = feasible_config(1, 0.0)
-    report = barrier_solve(problem, cfg.barrier)
-    assert report.status == "converged"
-    assert report.max_violation == 0.0
-    assert report.iterations == cfg.barrier.outer_iters
-    # every outer iterate stays strictly feasible
-    assert all(r.residual_inf == 0.0 for r in report.records)
-
-
-def test_scenario2_slow_seed_converges():
-    cfg, problem = feasible_config(2, 4.0)
-    report = barrier_solve(problem, cfg.barrier)
-    assert report.status == "converged"
-    assert report.max_violation == 0.0
-
-
 # The benchmark's baseline cells: the criterion-7 starts under the benchmark
 # ladder and under the library defaults. `tight_cost` is the final cost with
 # every stage centered to the configured tolerance; the ladder cells then took
@@ -188,11 +171,41 @@ BASELINE_CELLS = [
 @pytest.mark.parametrize("sid, v0, ladder, tight_cost, inner", BASELINE_CELLS)
 def test_loose_early_stages_keep_the_answer(sid, v0, ladder, tight_cost, inner):
     cfg, problem = feasible_config(sid, v0)
-    report = barrier_solve(problem, cfg.barrier if ladder == "ladder" else BarrierSettings())
+    settings = cfg.barrier if ladder == "ladder" else BarrierSettings()
+    report = barrier_solve(problem, settings)
     assert report.status == "converged"
     assert report.max_violation == 0.0
+    assert report.iterations == settings.outer_iters
+    # every outer iterate stays strictly feasible
+    assert all(r.residual_inf == 0.0 for r in report.records)
     assert report.final_cost == pytest.approx(tight_cost, rel=1e-6)
     assert sum(report.ilqr_iterations) == inner  # work-count guard
+
+
+def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
+    # The constraint set evaluates a trajectory's ellipse-frame offsets once
+    # per content, not once per barrier value, expansion or violation scan.
+    offsets = ConstraintSet._offsets
+    passes, contents = [], []
+
+    def counting(*args):
+        passes.append(1)
+        return offsets(*args)
+
+    def recording(method):
+        def wrapped(self, traj):
+            contents.append((traj.states.tobytes(), traj.controls.tobytes()))
+            return method(self, traj)
+        return wrapped
+
+    monkeypatch.setattr(ConstraintSet, "_offsets", counting)
+    for name in ("values", "trajectory_gradient"):
+        monkeypatch.setattr(ConstraintSet, name, recording(getattr(ConstraintSet, name)))
+    cfg, problem = feasible_config(1, 0.0)
+    report = barrier_solve(problem, cfg.barrier)
+    assert report.status == "converged"
+    assert len(passes) == len(set(contents))
+    assert 3 * len(passes) < len(contents)
 
 
 def test_single_stage_is_the_exact_inner_solve():

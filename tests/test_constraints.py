@@ -390,3 +390,47 @@ def test_violation_is_worst_pointwise_value(obs, horizon, data, use_ego_heading)
                   bounds.min_accel - accel]
     constraints = ConstraintSet(bounds, obs, 0.1, use_ego_heading)
     assert constraints.violation(traj) == max(brute)
+
+
+def rolled_trajectory(seed, horizon=12):
+    rng = np.random.default_rng(seed)
+    states = np.column_stack([np.linspace(0.0, 20.0, horizon + 1), rng.normal(size=horizon + 1),
+                              rng.normal(scale=0.3, size=horizon + 1), np.full(horizon + 1, 5.0)])
+    return Trajectory(states, rng.normal(scale=[0.5, 2.0], size=(horizon, 2)))
+
+
+TWO_ELLIPSES = [Obstacle((8.0, 0.5), (1.0, -0.5), 0.4, 5.0, 2.5), Obstacle((15.0, -1.0))]
+
+
+@pytest.mark.parametrize("use_ego_heading", [False, True])
+def test_trajectory_values_are_read_only_and_match_the_stamp_evaluators(use_ego_heading):
+    # One evaluation per trajectory content, handed out read-only; the slot's
+    # gradient is `keepout_gradient`'s, bit for bit.
+    constraints = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1, use_ego_heading)
+    traj = rolled_trajectory(0)
+    box, keepout = constraints.values(traj)
+    assert not box.flags.writeable and not keepout.flags.writeable
+    with pytest.raises(ValueError):
+        keepout[0, 0] = 0.0
+    stamps, x = np.arange(len(traj.states)), traj.states
+    assert np.array_equal(box, constraints.box(traj.controls))
+    assert keepout.tobytes() == constraints.keepout(stamps, x[:, :2], x[:, 2]).tobytes()
+    assert (constraints.trajectory_gradient(traj).tobytes()
+            == constraints.keepout_gradient(stamps, x[:, :2], x[:, 2]).tobytes())
+
+
+def test_trajectory_changed_in_place_is_evaluated_again():
+    constraints = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1)
+    traj = rolled_trajectory(1)
+    traj.states[3, :2] = (8.5, 30.0)
+    traj.controls[2, 0] = 0.0
+    first = [a.copy() for a in constraints.values(traj)]
+    gradient = constraints.trajectory_gradient(traj).copy()
+    traj.states[3, :2] = (8.5, 0.5)  # into the first ellipse
+    traj.controls[2, 0] = 1.0  # past the steer limit
+    box, keepout = constraints.values(traj)
+    assert keepout[3, 0] > 0.0 > first[1][3, 0] and box[2, 0] > 0.0 > first[0][2, 0]
+    assert not np.array_equal(constraints.trajectory_gradient(traj), gradient)
+    fresh = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1)
+    for kept, new in zip(constraints.values(traj), fresh.values(traj)):
+        assert kept.tobytes() == new.tobytes()

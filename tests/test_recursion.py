@@ -9,8 +9,8 @@ the solvers pass: the tracking cost (lane and polyline references), the
 ADMM consensus penalty and the log barrier, plus dense linear-quadratic
 instances.
 
-The float sweep is generated per pattern of row entries that are 0.0 at
-every stamp; the kernel for a pattern must return exactly what the dense
+The float sweep is generated per pattern of row entries that are 0.0 or 1.0
+at every stamp; the kernel for a pattern must return exactly what the dense
 kernel returns on the same rows.
 """
 
@@ -195,14 +195,16 @@ def test_backward_pass_equals_dense_sweep(build, arg, mu, monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(mask=st.lists(st.sampled_from(".01"), min_size=50, max_size=50),
        units=st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 3)),
-       seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 8))
-def test_specialized_sweep_equals_dense_sweep(mask, units, seed, horizon):
+       diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 8))
+def test_specialized_sweep_equals_dense_sweep(mask, units, diagonal, seed, horizon):
     # Rows honouring a random pattern of constant 0.0 (of either sign) and
-    # 1.0 slots, with some columns of [f_x f_u] unit vectors as in the
-    # bicycle model: the kernel generated for the pattern of 0.0 slots
-    # returns exactly what the dense kernel returns, None included, at
-    # every mu.
+    # 1.0 slots, with some columns of [f_x f_u] unit vectors, or the unit
+    # diagonal of the bicycle model's f_x: the kernel generated for the
+    # pattern returns exactly what the dense kernel returns, None included,
+    # at every mu.
     mask = list(mask)
+    if diagonal:
+        units = dict(units, a=0, b=1, c=2, d=3)
     for c, k in units.items():
         for i in range(4):
             mask[ilqr._ROW.index(f"{c}{i}")] = "1" if i == k else "0"
@@ -212,11 +214,27 @@ def test_specialized_sweep_equals_dense_sweep(mask, units, seed, horizon):
         if slot != ".":
             rows[:, k] = 1.0 if slot == "1" else rng.choice([0.0, -0.0], size=horizon)
     terminal = rng.normal(size=20).tolist()
-    sweep, columns = ilqr._sweep_kernel(bytes(m == "0" for m in mask))
+    state = {".": ilqr._FREE, "0": ilqr._ZERO, "1": ilqr._ONE}
+    sweep, columns = ilqr._sweep_kernel(bytes(state[m] for m in mask))
     dense, dense_columns = DENSE
     for mu in (1e-6, 1e-1, 1e2, 1e6):
         assert (plain(sweep(rows[:, columns].tolist(), terminal, mu))
                 == plain(dense(rows[:, dense_columns].tolist(), terminal, mu)))
+
+
+def test_bicycle_pattern_folds_the_unit_diagonal(monkeypatch):
+    # The pattern a bicycle backward pass keys its kernel by marks the f_x
+    # diagonal as 1.0 at every stamp, so the kernel reads none of it.
+    traj, cost, dynamics = bicycle_case(2)
+    kernel, patterns = ilqr._sweep_kernel, []
+    monkeypatch.setattr(ilqr, "_sweep_kernel", lambda pattern: patterns.append(pattern)
+                        or kernel(pattern))
+    backward_pass(traj, cost, dynamics, 1e-6)
+    (pattern,) = patterns
+    diagonal = [ilqr._ROW.index(name) for name in ("a0", "b1", "c2", "d3")]
+    assert [pattern[k] for k in diagonal] == [ilqr._ONE] * 4
+    _, columns = kernel(pattern)
+    assert not set(diagonal) & set(columns.tolist())
 
 
 def plain(result):

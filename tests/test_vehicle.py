@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from admmplan.errors import DomainError
-from admmplan.vehicle import (
-    BicycleModel,
-    State,
-    VehicleParams,
-    back_roll,
-    front_roll,
-    jacobians,
-    step,
-)
+from admmplan.vehicle import BicycleModel, State, VehicleParams, jacobians
 
 PARAMS = VehicleParams(wheelbase=2.0, timestep=0.1)
+step = BicycleModel(PARAMS).step
 
 # High-precision evaluations of the closed-form kinematics, frozen from a
 # 50-digit arithmetic run.
@@ -22,40 +15,58 @@ BACK_ROLL_V8_W06 = 0.7119475529054942951
 STEP_W03 = (0.38563093945705269708, 0.0, 0.0591385067755583433, 4.0)
 
 
+def rolls(v, w):
+    """(front roll, back roll) of one step at speed v and steer w: how far a
+    step from heading 0 moves the rear axle without steering and at steer w."""
+    return step([0.0, 0.0, 0.0, v], [0.0, 0.0])[0], step([0.0, 0.0, 0.0, v], [w, 0.0])[0]
+
+
+def docstring_step(x, u, params):
+    # The kinematics of the module docstring, written out once more.
+    px, py, theta, v = x
+    w, a = u
+    d, h = params.wheelbase, params.timestep
+    f = h * v
+    b = d + f * math.cos(w) - math.sqrt(d * d - (f * math.sin(w)) ** 2)
+    return [px + b * math.cos(theta), py + b * math.sin(theta),
+            theta + math.asin(f * math.sin(w) / d), v + h * a]
+
+
 def test_front_roll_values():
-    assert front_roll(4.0, PARAMS) == pytest.approx(0.4)
-    assert front_roll(0.0, PARAMS) == 0.0
-    assert front_roll(8.0, PARAMS) == pytest.approx(0.8)
+    assert rolls(4.0, 0.0)[0] == pytest.approx(0.4)
+    assert rolls(0.0, 0.0)[0] == 0.0
+    assert rolls(8.0, 0.0)[0] == pytest.approx(0.8)
 
 
 def test_back_roll_zero_steer_matches_front_roll():
-    assert back_roll(4.0, 0.0, PARAMS) == pytest.approx(0.4)
-    assert back_roll(0.0, 0.5, PARAMS) == 0.0
+    front, back = rolls(4.0, 0.0)
+    assert back == front == pytest.approx(0.4)
+    assert rolls(0.0, 0.5)[1] == 0.0
 
 
 def test_back_roll_high_precision_value():
-    assert back_roll(8.0, 0.6, PARAMS) == pytest.approx(BACK_ROLL_V8_W06, abs=1e-14)
+    assert rolls(8.0, 0.6)[1] == pytest.approx(BACK_ROLL_V8_W06, abs=1e-14)
 
 
 def test_back_roll_outside_domain_raises():
     # front roll 10 * sin(pi/2) exceeds the wheelbase
-    fast = VehicleParams(wheelbase=2.0, timestep=1.0)
+    fast = BicycleModel(VehicleParams(wheelbase=2.0, timestep=1.0))
     with pytest.raises(DomainError):
-        back_roll(10.0, math.pi / 2.0, fast)
+        fast.step([0.0, 0.0, 0.0, 10.0], [math.pi / 2.0, 0.0])
 
 
 def test_step_straight_line():
-    nxt = step(np.array([0.0, 0.0, 0.0, 4.0]), np.zeros(2), PARAMS)
+    nxt = step(np.array([0.0, 0.0, 0.0, 4.0]), np.zeros(2))
     np.testing.assert_allclose(nxt, [0.4, 0.0, 0.0, 4.0], atol=1e-15)
 
 
 def test_step_axis_symmetry():
-    nxt = step(np.array([0.0, 0.0, math.pi / 2, 4.0]), np.array([0.0, 1.0]), PARAMS)
+    nxt = step(np.array([0.0, 0.0, math.pi / 2, 4.0]), np.array([0.0, 1.0]))
     np.testing.assert_allclose(nxt, [0.0, 0.4, math.pi / 2, 4.1], atol=1e-15)
 
 
 def test_step_steered_high_precision_value():
-    nxt = step(np.array([0.0, 0.0, 0.0, 4.0]), np.array([0.3, 0.0]), PARAMS)
+    nxt = step(np.array([0.0, 0.0, 0.0, 4.0]), np.array([0.3, 0.0]))
     np.testing.assert_allclose(nxt, STEP_W03, atol=1e-14)
 
 
@@ -65,37 +76,46 @@ def test_step_translation_invariance():
     for _ in range(50):
         x = rng.uniform([-5, -5, -2, -1], [5, 5, 2, 10])
         u = rng.uniform([-0.6, -3], [0.6, 3])
-        np.testing.assert_allclose(
-            step(x + shift, u, PARAMS), np.asarray(step(x, u, PARAMS)) + shift, atol=1e-12
-        )
+        np.testing.assert_allclose(step(x + shift, u), np.asarray(step(x, u)) + shift, atol=1e-12)
 
 
 def test_step_returns_four_floats_of_the_array_formula():
     # The kinematics of the module docstring evaluated into an array, against
     # the list that step returns, for list and array inputs alike.
     rng = np.random.default_rng(5)
-    h, d = PARAMS.timestep, PARAMS.wheelbase
-    for _ in range(50):
-        x = rng.uniform([-10, -10, -3, -2], [10, 10, 3, 12])
-        u = rng.uniform([-0.6, -3], [0.6, 3])
-        px, py, theta, v = x.tolist()
-        w, a = u.tolist()
-        b = back_roll(v, w, PARAMS)
-        expected = np.array([px + b * math.cos(theta), py + b * math.sin(theta),
-                             theta + math.asin(h * v * math.sin(w) / d), v + h * a])
-        for nxt in (step(x.tolist(), u.tolist(), PARAMS), step(x, u, PARAMS),
-                    BicycleModel(PARAMS).step(x.tolist(), u.tolist())):
-            assert type(nxt) is list and len(nxt) == 4
-            assert all(isinstance(value, float) for value in nxt)
-            assert nxt == expected.tolist()
+    for params in (PARAMS, VehicleParams(2.7, 0.05)):
+        model = BicycleModel(params)
+        for _ in range(50):
+            x = rng.uniform([-10, -10, -3, -2], [10, 10, 3, 12])
+            u = rng.uniform([-0.6, -3], [0.6, 3])
+            expected = np.array(docstring_step(x.tolist(), u.tolist(), params))
+            for nxt in (model.step(x.tolist(), u.tolist()), model.step(x, u)):
+                assert type(nxt) is list and len(nxt) == 4
+                assert all(isinstance(value, float) for value in nxt)
+                assert nxt == expected.tolist()
+
+
+def test_step_domain_error_at_the_boundary():
+    # d^2 - (h v sin(w))^2 < 0 is outside; = 0 is the last step inside.
+    params = VehicleParams(2.7, 0.05)
+    model = BicycleModel(params)
+    w = math.pi / 2
+    edge = params.wheelbase / (params.timestep * math.sin(w))
+    assert model.step([0.0, 0.0, 0.0, edge], [w, 0.0]) == \
+        docstring_step([0.0, 0.0, 0.0, edge], [w, 0.0], params)
+    v = math.nextafter(edge, math.inf)
+    with pytest.raises(DomainError) as info:
+        model.step([1.0, 2.0, 0.3, v], [w, 0.5])
+    assert str(info.value) == (f"back roll undefined for v={v}, steer={w}: "
+                               f"|front_roll*sin(steer)| exceeds wheelbase 2.7")
 
 
 def test_zero_steer_is_straight_line_at_any_heading():
     rng = np.random.default_rng(19)
     for _ in range(50):
         x = rng.uniform([-5, -5, -3, 0.1], [5, 5, 3, 10])
-        nxt = step(x, np.array([0.0, rng.uniform(-2, 2)]), PARAMS)
-        b = back_roll(x[3], 0.0, PARAMS)
+        nxt = step(x, np.array([0.0, rng.uniform(-2, 2)]))
+        b = rolls(x[3], 0.0)[1]
         assert nxt[2] == x[2]
         assert nxt[1] == x[1] + b * math.sin(x[2])
         assert nxt[0] == x[0] + b * math.cos(x[2])
@@ -135,14 +155,12 @@ def test_jacobians_match_central_differences():
         for j in range(4):
             dx = np.zeros(4)
             dx[j] = eps
-            fd = (np.asarray(step(x + dx, u, PARAMS))
-                  - np.asarray(step(x - dx, u, PARAMS))) / (2 * eps)
+            fd = (np.asarray(step(x + dx, u)) - np.asarray(step(x - dx, u))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_x[:, j]).max())
         for j in range(2):
             du = np.zeros(2)
             du[j] = eps
-            fd = (np.asarray(step(x, u + du, PARAMS))
-                  - np.asarray(step(x, u - du, PARAMS))) / (2 * eps)
+            fd = (np.asarray(step(x, u + du)) - np.asarray(step(x, u - du))) / (2 * eps)
             worst = max(worst, np.abs(fd - f_u[:, j]).max())
     assert worst < 1e-5
 
@@ -157,7 +175,7 @@ def test_stacked_jacobians_name_first_stamp_outside_domain():
     fast = VehicleParams(wheelbase=2.0, timestep=1.0)
     states = np.tile([0.0, 0.0, 0.0, 2.0], (8, 1))
     controls = np.zeros((8, 2))
-    controls[[3, 6], 0] = math.pi / 2  # |front_roll * sin(steer)| = wheelbase
+    controls[[3, 6], 0] = math.pi / 2  # |h * v * sin(steer)| = wheelbase
     with pytest.raises(DomainError) as info:
         jacobians(states, controls, fast)
     assert info.value.tau == 3
