@@ -59,8 +59,7 @@ class ADMMSettings:
 class IterationRecord:
     """One outer iteration: its iterate and the values of its residuals.csv row.
 
-    `trajectory` is the iterate itself, not a copy: solves return fresh
-    trajectories and nothing changes one in place.
+    `trajectory` is the iterate itself, not a copy.
     """
 
     trajectory: ilqr.Trajectory

@@ -12,13 +12,14 @@ where (along, across) is p - c rotated into the ellipse frame by -theta.
 `ConstraintSet` holds the only description of the ellipses: one float row
 per obstacle with its center at stamp 0, velocity, semi-axes and cos/sin of
 its heading. Its evaluator reads the rows as stacked columns for the
-violation scan and the log-barrier baseline, once per trajectory content,
-so the barrier's values, its expansion and the violation scan of one
-iterate share one pass. `project_timestep`, the consensus-update workhorse,
-reads the rows as plain floats at one stamp: it clamps the input components
-onto the boxes with float min/max and pushes the position outside every
-keep-out ellipse by cyclic nearest-point projection, testing g in the
-evaluator's order of operations.
+violation scan and the log-barrier baseline, once per trajectory: the
+trajectory keeps the result (`Trajectory.evaluation`), so the barrier's
+values, its expansion and the violation scan of one iterate share one pass.
+`project_timestep`, the consensus-update workhorse, reads the rows as plain
+floats at one stamp: it clamps the input components onto the boxes with
+float min/max and pushes the position outside every keep-out ellipse by
+cyclic nearest-point projection, testing g in the evaluator's order of
+operations.
 """
 
 import math
@@ -99,11 +100,8 @@ class ConstraintSet:
     `keepout(tau, p, heading)` and `keepout_gradient(tau, p, heading)`
     evaluate the given stamps; `values(traj)` gives the box and keep-out
     values of a whole trajectory and `trajectory_gradient(traj)` its keep-out
-    gradients. The last two evaluate once per trajectory content: the last
-    trajectory's values and offsets are kept, keyed by the bytes of its
-    states and controls, and handed out read-only, so a trajectory changed
-    in place is evaluated afresh. The kept slot is unguarded: a
-    ConstraintSet must not be shared across threads.
+    gradients. The last two evaluate once per trajectory: the trajectory
+    keeps the values and offsets, read-only.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -134,8 +132,6 @@ class ConstraintSet:
             dtype=float).reshape(-1, 8)
         self._rows = rows.tolist()
         self._ellipses = tuple(rows.T)
-        # (key, box g, keep-out g, offsets) of the last trajectory evaluated.
-        self._slot = (None, None, None, None)
 
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
@@ -170,26 +166,22 @@ class ConstraintSet:
         return self._gradient(*self._offsets(tau, p, heading))
 
     def _evaluate(self, traj):
-        """The slot of traj: (key, box g, keep-out g, offsets), once per content."""
-        key = (traj.states.tobytes(), traj.controls.tobytes())
-        if key != self._slot[0]:
-            states = traj.states
-            offsets = self._offsets(np.arange(len(states)), states[:, :2], states[:, 2])
-            box, keepout = self.box(traj.controls), _keepout(*offsets[:2])
-            for array in (box, keepout, *offsets):
-                array.flags.writeable = False
-            self._slot = (key, box, keepout, offsets)
-        return self._slot
+        """(box g, keep-out g, offsets) of traj, read-only."""
+        states = traj.states
+        offsets = self._offsets(np.arange(len(states)), states[:, :2], states[:, 2])
+        box, keepout = self.box(traj.controls), _keepout(*offsets[:2])
+        for array in (box, keepout, *offsets):
+            array.flags.writeable = False
+        return box, keepout, offsets
 
     def values(self, traj):
         """(box g (T, faces), keep-out g (T+1, obstacles)) along a trajectory,
         read-only."""
-        _, box, keepout, _ = self._evaluate(traj)
-        return box, keepout
+        return traj.evaluation(self, self._evaluate)[:2]
 
     def trajectory_gradient(self, traj) -> np.ndarray:
         """`keepout_gradient` at every stamp of a trajectory, (T+1, obstacles, 2)."""
-        return self._gradient(*self._evaluate(traj)[3])
+        return self._gradient(*traj.evaluation(self, self._evaluate)[2])
 
     def violation(self, traj) -> float:
         """Largest constraint value along a trajectory (0 when feasible)."""

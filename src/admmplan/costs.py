@@ -12,10 +12,9 @@ lateral target the position term is q_pos * (py - py_ref)^2, so the cost is
 an exact diagonal quadratic. For a polyline the expansion uses the
 Gauss-Newton Hessian built from the distance residual's first derivative, so
 it is positive semidefinite by construction. `TrackingCost` evaluates both
-over a whole trajectory as stacked arrays, once per trajectory content: it
-keeps the position term and the values of the last trajectory it saw, hands
-out those values read-only and builds every expansion afresh from the kept
-position term. It is therefore not safe to share across threads.
+over a whole trajectory as stacked arrays: the position term and the values
+once per trajectory, kept by the trajectory (`Trajectory.evaluation`) and
+read-only, and every expansion afresh from the kept position term.
 """
 
 import math
@@ -75,8 +74,9 @@ class Reference:
             raise ValueError("py_ref and v_ref must be finite")
         if self.polyline is not None:
             pts = tuple(tuple(float(c) for c in p) for p in self.polyline)
-            if not all(math.isfinite(c) for p in pts for c in p):
-                raise ValueError("polyline points must be finite")
+            for p in pts:
+                if len(p) != 2 or not all(map(math.isfinite, p)):
+                    raise ValueError(f"polyline points must be two finite numbers each, got {p}")
             if len(pts) < 2:
                 raise ValueError("polyline needs at least two points")
             for a, b in zip(pts, pts[1:]):
@@ -177,39 +177,30 @@ class TrackingCost:
 
     Every cost in the package has l_ux = 0, so the protocol carries no cross
     term. The position term of all T+1 stamps, including the closest
-    polyline points, is computed in one pass, and once per trajectory
-    content: the last trajectory's position term and values are kept,
-    keyed by the bytes of its states and controls, so a solver that asks
-    for the values and the expansion of one iterate, repeatedly, pays for
-    one pass. The key is the content, not the object, so a trajectory
-    changed in place is evaluated afresh. The kept slot is unguarded: a
-    TrackingCost must not be shared across threads.
+    polyline points, is computed in one pass, once per trajectory: the
+    trajectory keeps it with the values, so a solver that asks for the
+    values and the expansion of one iterate, repeatedly, pays for one pass.
     """
 
     def __init__(self, weights: CostWeights, reference: Reference):
         self.weights = weights
         self.reference = reference
-        # (key, position term triple, values) of the last trajectory.
-        self._slot = (None, None, None)
 
     def _evaluate(self, traj):
-        """The position term and the values of traj, once per content."""
-        key = (traj.states.tobytes(), traj.controls.tobytes())
-        if key != self._slot[0]:
-            position = _position_term(traj.states, self.weights, self.reference)
-            states = _state_values(traj.states, position[0], self.weights, self.reference)
-            stages = _plus_effort(states[:-1], traj.controls, self.weights)
-            values = np.append(stages, self.weights.terminal_scale * states[-1])
-            for array in (*position, values):
-                array.flags.writeable = False
-            self._slot = (key, position, values)
-        return self._slot
+        """The position term triple and the values of traj, read-only."""
+        position = _position_term(traj.states, self.weights, self.reference)
+        states = _state_values(traj.states, position[0], self.weights, self.reference)
+        stages = _plus_effort(states[:-1], traj.controls, self.weights)
+        values = np.append(stages, self.weights.terminal_scale * states[-1])
+        for array in (*position, values):
+            array.flags.writeable = False
+        return position, values
 
     def values(self, traj) -> np.ndarray:
-        return self._evaluate(traj)[2]
+        return traj.evaluation(self, self._evaluate)[1]
 
     def expand(self, traj):
-        _, (_, gpos, hpos), _ = self._evaluate(traj)
+        (_, gpos, hpos), _ = traj.evaluation(self, self._evaluate)
         l_x, l_xx = _state_expansion(traj.states, gpos, hpos, self.weights, self.reference)
         l_x[-1] *= self.weights.terminal_scale
         l_xx[-1] *= self.weights.terminal_scale

@@ -265,7 +265,7 @@ def run(
         print(f"cannot prepare output directory {out_dir}: {exc}")
         return EXIT_IO
 
-    dynamics = build_problem(config).dynamics
+    dynamics = BicycleModel(config.vehicle)
     methods = list(METHODS) if compare else [method]
     records_by_method = {}
     any_failed = False

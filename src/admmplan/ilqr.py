@@ -94,22 +94,36 @@ class ILQRSettings:
             raise ValueError(f"need 0 < mu_init <= {MU_MAX:g}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Paired state/control sequences: states has one more row than controls."""
+    """Paired state/control sequences: states has one more row than controls.
+
+    A read-only value: it keeps read-only float copies of the arrays it is
+    given, and each model's evaluation of it (`evaluation`).
+    """
 
     states: np.ndarray  # (T+1, 4)
     controls: np.ndarray  # (T, 2)
+    _evaluations: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        self.controls = np.asarray(self.controls, dtype=float)
+        for name in ("states", "controls"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if len(self.states) != len(self.controls) + 1:
             raise ValueError("states must be one longer than controls")
 
     @property
     def horizon(self) -> int:
         return len(self.controls)
+
+    def evaluation(self, model, evaluate):
+        """`evaluate(self)`, computed on the first call for `model` (a key by
+        identity) and kept; `evaluate` should return read-only arrays."""
+        if model not in self._evaluations:
+            self._evaluations[model] = evaluate(self)
+        return self._evaluations[model]
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
         """First time index whose step misses the next state by more than tol, or by NaN."""
@@ -139,15 +153,14 @@ class ILQRResult:
 def rollout(dynamics, x0, controls) -> Trajectory:
     """Integrate an open-loop control sequence through the dynamics; a
     DomainError from a step that leaves the kinematic domain names its stamp."""
-    controls = np.array(controls, dtype=float)
     states, step = [np.asarray(x0, dtype=float).tolist()], dynamics.step
     try:
-        for u in controls.tolist():
+        for u in np.asarray(controls, dtype=float).tolist():
             states.append(step(states[-1], u))
     except DomainError as exc:
         tau = len(states) - 1
         raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
-    return Trajectory(np.array(states), controls)
+    return Trajectory(states, controls)
 
 
 def total_cost(cost, traj: Trajectory) -> float:
@@ -343,7 +356,7 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     except DomainError as exc:
         tau = len(controls)
         raise DomainError(f"forward pass step at time index {tau}: {exc}", tau=tau) from exc
-    return Trajectory(np.array(states), np.array(controls))
+    return Trajectory(states, controls)
 
 
 def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None) -> ILQRResult:

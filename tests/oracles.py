@@ -3,7 +3,8 @@
 Everything here is deliberately written from the textbook definitions and
 shares no solver code with the package: a finite-horizon Riccati recursion, a
 linear/quadratic problem wrapper for the iLQR interface, brute-force
-geometric helpers, the ellipse's center and shape-matrix form, and the iLQR
+geometric helpers, the ellipse's center and shape-matrix form, a copy of a
+trajectory with one entry moved (for finite differences), and the iLQR
 backward and forward passes written stamp by stamp on small arrays (they
 borrow only the package's result and error types and its fixed
 regularization constants). The exception is
@@ -65,6 +66,14 @@ class QuadraticCost:
         l_uu = 2.0 * np.tile(self.R, (T, 1, 1))
         l_u = np.einsum("tij,tj->ti", l_uu, U)
         return l_x, l_u, l_xx, l_uu
+
+
+def nudged(traj: Trajectory, part: int, index, delta: float) -> Trajectory:
+    """A new trajectory with entry `index` of traj's states (part 0) or
+    controls (part 1) moved by delta."""
+    arrays = [traj.states.copy(), traj.controls.copy()]
+    arrays[part][index] += delta
+    return Trajectory(*arrays)
 
 
 def gain_rows(k, K):

@@ -20,6 +20,8 @@ from admmplan.ilqr import ILQRSettings, Trajectory, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
+from oracles import nudged
+
 
 class FlatCost:
     def values(self, traj):
@@ -96,13 +98,10 @@ def test_barrier_gradients_match_finite_differences():
     for _ in range(20):
         traj = clear_trajectory(cost.constraints, rng, horizon=10)
         l_x, l_u, _, _ = cost.expand(traj)
-        for rows, grad in ((traj.states, l_x), (traj.controls, l_u)):
-            for index in np.ndindex(rows.shape):
-                rows[index] += eps
-                up = total_cost(cost, traj)
-                rows[index] -= 2 * eps
-                down = total_cost(cost, traj)
-                rows[index] += eps
+        for part, grad in enumerate((l_x, l_u)):
+            for index in np.ndindex(grad.shape):
+                up = total_cost(cost, nudged(traj, part, index, eps))
+                down = total_cost(cost, nudged(traj, part, index, -eps))
                 assert (up - down) / (2 * eps) == pytest.approx(grad[index], abs=1e-5)
 
 
@@ -111,7 +110,7 @@ def test_expansion_names_first_stamp_outside_domain():
     cost = make_barrier(obstacles=obs)
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((60, 2)))
-    traj.controls[55, 0] = 0.7  # past the steering box, after the obstacle
+    traj = nudged(traj, 1, (55, 0), 0.7)  # past the steering box, after the obstacle
     # Stamps 27-48 sit inside the ellipse; a backward walk would name 55.
     keepout = ConstraintSet(InputBounds(), obs, 0.1).keepout(
         np.arange(61), traj.states[:, :2])[:, 0]

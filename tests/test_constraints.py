@@ -404,7 +404,7 @@ TWO_ELLIPSES = [Obstacle((8.0, 0.5), (1.0, -0.5), 0.4, 5.0, 2.5), Obstacle((15.0
 
 @pytest.mark.parametrize("use_ego_heading", [False, True])
 def test_trajectory_values_are_read_only_and_match_the_stamp_evaluators(use_ego_heading):
-    # One evaluation per trajectory content, handed out read-only; the slot's
+    # One evaluation per trajectory, handed out read-only; the kept
     # gradient is `keepout_gradient`'s, bit for bit.
     constraints = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1, use_ego_heading)
     traj = rolled_trajectory(0)
@@ -420,17 +420,29 @@ def test_trajectory_values_are_read_only_and_match_the_stamp_evaluators(use_ego_
 
 
 def test_trajectory_changed_in_place_is_evaluated_again():
+    # A write into a trajectory raises and leaves its evaluation as it was;
+    # the changed content is a new trajectory, which the same constraint
+    # set evaluates again.
     constraints = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1)
-    traj = rolled_trajectory(1)
-    traj.states[3, :2] = (8.5, 30.0)
-    traj.controls[2, 0] = 0.0
+    rolled = rolled_trajectory(1)
+    states, controls = rolled.states.copy(), rolled.controls.copy()
+    states[3, :2] = (8.5, 30.0)
+    controls[2, 0] = 0.0
+    traj = Trajectory(states, controls)
     first = [a.copy() for a in constraints.values(traj)]
     gradient = constraints.trajectory_gradient(traj).copy()
-    traj.states[3, :2] = (8.5, 0.5)  # into the first ellipse
-    traj.controls[2, 0] = 1.0  # past the steer limit
-    box, keepout = constraints.values(traj)
+    with pytest.raises(ValueError):
+        traj.states[3, :2] = (8.5, 0.5)
+    with pytest.raises(ValueError):
+        traj.controls[2, 0] = 1.0
+    for kept, was in zip(constraints.values(traj), first):
+        assert kept.tobytes() == was.tobytes()
+    states[3, :2] = (8.5, 0.5)  # into the first ellipse
+    controls[2, 0] = 1.0  # past the steer limit
+    changed = Trajectory(states, controls)
+    box, keepout = constraints.values(changed)
     assert keepout[3, 0] > 0.0 > first[1][3, 0] and box[2, 0] > 0.0 > first[0][2, 0]
-    assert not np.array_equal(constraints.trajectory_gradient(traj), gradient)
+    assert not np.array_equal(constraints.trajectory_gradient(changed), gradient)
     fresh = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1)
-    for kept, new in zip(constraints.values(traj), fresh.values(traj)):
+    for kept, new in zip(constraints.values(changed), fresh.values(changed)):
         assert kept.tobytes() == new.tobytes()

@@ -67,6 +67,9 @@ def test_reference_validation():
         Reference(polyline=((0, 0),))
     with pytest.raises(ValueError):
         Reference(polyline=((0, 0), (0, 0), (1, 0)))
+    for polyline in (((0, 0, 0), (40, 2, 0)), ((0,), (40,))):
+        with pytest.raises(ValueError, match="two finite numbers each"):
+            Reference(polyline=polyline)
 
 
 def test_weights_validation():
@@ -178,16 +181,11 @@ def test_tracking_cost_adapter_matches_functions():
     np.testing.assert_allclose(cost.values(traj), want, rtol=1e-14)
 
 
-# The memo: one evaluation per trajectory content, bitwise equal to a fresh
-# TrackingCost whatever came before.
+# One evaluation per trajectory, kept by the trajectory, bitwise equal to a
+# fresh TrackingCost whatever came before.
 REFERENCES = [Reference(py_ref=1.0, v_ref=8.0),
               Reference(polyline=((0, 0), (10, 0), (20, 5), (30, 5)), v_ref=5.0)]
 REFERENCE_IDS = ["lateral", "polyline"]
-
-
-def evaluation(cost, traj):
-    """Values and expansion arrays of traj, as bytes."""
-    return [a.tobytes() for a in (cost.values(traj), *cost.expand(traj))]
 
 
 def random_trajectory(rng, horizon=6):
@@ -195,17 +193,33 @@ def random_trajectory(rng, horizon=6):
     return Trajectory(states, rng.uniform([-1, -4], [1, 4], size=(horizon, 2)))
 
 
+def evaluation(cost, traj):
+    """Values and expansion arrays of traj, as bytes."""
+    return [a.tobytes() for a in (cost.values(traj), *cost.expand(traj))]
+
+
 @pytest.mark.parametrize("ref", REFERENCES, ids=REFERENCE_IDS)
 def test_trajectory_changed_in_place_is_evaluated_afresh(ref):
+    # A write into a trajectory raises and leaves its evaluation as it was;
+    # the changed content is a new trajectory, which the same cost
+    # evaluates afresh.
     weights = w(0.8, 1.1, 0.6, 0.3, ts=2.0)
     cost = TrackingCost(weights, ref)
     traj = random_trajectory(np.random.default_rng(29))
     before = evaluation(cost, traj)
-    traj.states[2, :2] += 0.5
-    traj.controls[1, 0] -= 0.1
-    after = evaluation(cost, traj)
-    assert after == evaluation(TrackingCost(weights, ref), traj)
+    with pytest.raises(ValueError):
+        traj.states[2, :2] += 0.5
+    with pytest.raises(ValueError):
+        traj.controls[1, 0] -= 0.1
+    assert evaluation(cost, traj) == before
+    states, controls = traj.states.copy(), traj.controls.copy()
+    states[2, :2] += 0.5
+    controls[1, 0] -= 0.1
+    changed = Trajectory(states, controls)
+    after = evaluation(cost, changed)
+    assert after == evaluation(TrackingCost(weights, ref), changed)
     assert all(a != b for a, b in zip(before[:3], after[:3]))
+    assert evaluation(cost, traj) == before
 
 
 @pytest.mark.parametrize("ref", REFERENCES, ids=REFERENCE_IDS)

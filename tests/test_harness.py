@@ -241,8 +241,9 @@ def test_trajectory_csv_contents(tmp_path):
 def test_trajectory_csv_rechecks_dynamics(tmp_path):
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((5, 2)))
-    broken = Trajectory(traj.states.copy(), traj.controls.copy())
-    broken.states[2, 1] += 1e-3
+    states = traj.states.copy()
+    states[2, 1] += 1e-3
+    broken = Trajectory(states, traj.controls)
     with pytest.raises(PlannerError):
         write_trajectory_csv(broken, model, tmp_path / "bad.csv")
 
@@ -364,6 +365,20 @@ def test_cli_rejects_malformed_obstacle(tmp_path):
         out = tmp_path / f"out{len(obstacles)}"
         assert cli.main(["--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("polyline", [[[0, 0, 0], [40, 2, 0]], [[0], [40]]])
+def test_cli_rejects_polyline_points_that_are_not_pairs(tmp_path, polyline):
+    # Three numbers per point used to crash the solve with a broadcasting
+    # error; one number per point was broadcast and planned against.
+    data = _with_fields("reference", py_ref=None, polyline=polyline)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ConfigError, match="two finite numbers each"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_rejects_nan_settings(tmp_path):

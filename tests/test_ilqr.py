@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from admmplan import ilqr
+from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import RegularizationExhausted
 from admmplan.ilqr import (
@@ -22,6 +23,7 @@ from oracles import (
     QuadraticCost,
     gain_arrays,
     gain_rows,
+    nudged,
     random_lqr_instance,
     riccati_optimal,
 )
@@ -58,10 +60,40 @@ def test_trajectory_feasibility_check():
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((10, 2)))
     assert traj.dynamics_break(model) is None
-    traj.states[3, 0] += 1e-6
-    assert traj.dynamics_break(model) == 2
-    traj.states[3, 0] = math.nan
-    assert traj.dynamics_break(model) == 2
+    assert nudged(traj, 0, (3, 0), 1e-6).dynamics_break(model) == 2
+    assert nudged(traj, 0, (3, 0), math.nan).dynamics_break(model) == 2
+
+
+def test_trajectory_is_read_only_and_keeps_one_evaluation_per_model():
+    rng = np.random.default_rng(37)
+    states, controls = rng.normal(size=(7, 4)) * 5, rng.normal(size=(6, 2))
+    traj = Trajectory(states, controls)
+    # The inputs are copied, not frozen.
+    assert states.flags.writeable and controls.flags.writeable
+    assert not np.shares_memory(traj.states, states)
+    assert not np.shares_memory(traj.controls, controls)
+    for array in (traj.states, traj.controls):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    calls = []
+
+    def evaluate(t):
+        calls.append(t)
+        return len(calls)
+
+    first, second = object(), object()
+    for _ in range(2):
+        assert [traj.evaluation(first, evaluate), traj.evaluation(second, evaluate)] == [1, 2]
+    assert calls == [traj, traj]
+    # An equal copy is evaluated on its own, to the same bits.
+    copy = Trajectory(traj.states, traj.controls)
+    assert copy.evaluation(first, evaluate) == 3
+    cost = TrackingCost(CostWeights(), Reference(polyline=((0, 0), (10, 0), (20, 5)), v_ref=5.0))
+    constraints = ConstraintSet(InputBounds(), [Obstacle((1.0, 0.5))], 0.1)
+    kept, fresh = ([cost.values(t), *constraints.values(t), constraints.trajectory_gradient(t)]
+                   for t in (traj, copy))
+    assert not any(np.shares_memory(a, b) for a, b in zip(kept, fresh))
+    assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
 
 
 def test_backward_pass_zero_cost_gives_zero_gains():
@@ -263,9 +295,9 @@ def test_feedback_consistency_quadratic_model():
     for _ in range(5):
         delta = rng.normal(size=4)
         delta *= 1e-3 / np.linalg.norm(delta)
-        shifted = Trajectory(traj.states.copy(), traj.controls.copy())
-        shifted.states[0] = traj.states[0] + delta
-        out = forward_pass(shifted, gains, 0.0, dynamics)
+        states = traj.states.copy()
+        states[0] += delta
+        out = forward_pass(Trajectory(states, traj.controls), gains, 0.0, dynamics)
         actual = total_cost(cost, out) - base
         predicted = float(delta @ V_x + 0.5 * delta @ V_xx @ delta)
         assert actual == pytest.approx(predicted, rel=0.1)
