@@ -27,7 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ilqr
-from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count
+from .ilqr import (
+    STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real,
+)
 from .constraints import FEASIBILITY_TOL, ConstraintSet, project_inputs, project_timestep
 from .errors import DomainError, NonConvergence, RegularizationExhausted
 
@@ -47,11 +49,11 @@ class ADMMSettings:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not math.inf > self.sigma > 0:
+        if not (is_real(self.sigma) and math.inf > self.sigma > 0):
             raise ValueError("sigma must be positive and finite")
         if not is_count(self.max_admm_iters):
             raise ValueError("max_admm_iters must be an integer of at least 1")
-        if not self.primal_tolerance > 0:
+        if not (is_real(self.primal_tolerance) and self.primal_tolerance > 0):
             raise ValueError("primal_tolerance must be positive")
 
 
@@ -191,7 +193,7 @@ def project_consensus(targets, headings, constraints: ConstraintSet) -> np.ndarr
     clamped in one stacked operation, and only stamps with a keep-out value
     above FEASIBILITY_TOL go through `project_timestep`.
     """
-    g = constraints.keepout(np.arange(len(targets)), targets[:, :2], headings)
+    g = constraints.horizon_keepout(targets[:, :2], headings)
     z = targets.copy()
     z[:, 2:] = project_inputs(targets[:, 2:], constraints.bounds)
     for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():

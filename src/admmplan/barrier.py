@@ -15,7 +15,11 @@ tolerance and CENTERING_FRACTION * m / t.
 
 Obstacle barrier Hessians keep only the Gauss-Newton (first-derivative outer
 product) term so the quadratic model stays positive semidefinite; box-limit
-barriers use their exact one-dimensional second derivatives.
+barriers use their exact one-dimensional second derivatives. Each constraint
+family's logs, reciprocals, keep-out gradients and Gauss-Newton terms are
+computed in one call over its stacked columns, one column per box face or
+obstacle, and then added to the base values and expansion one column at a
+time, in face and obstacle order.
 """
 
 import math
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ilqr
-from .ilqr import STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count
+from .ilqr import STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real
 from .admm import IterationRecord, Problem, SolveReport, trajectory_violation
 from .constraints import ConstraintSet
 from .errors import BarrierDomainViolation, RegularizationExhausted
@@ -45,13 +49,13 @@ class BarrierSettings:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not math.inf > self.initial_sharpness > 0:
+        if not (is_real(self.initial_sharpness) and math.inf > self.initial_sharpness > 0):
             raise ValueError("initial_sharpness must be positive and finite")
-        if not math.inf > self.tighten_factor > 1:
+        if not (is_real(self.tighten_factor) and math.inf > self.tighten_factor > 1):
             raise ValueError("tighten_factor must exceed 1 and be finite")
         if not is_count(self.outer_iters):
             raise ValueError("outer_iters must be an integer of at least 1")
-        if not self.margin >= 0:
+        if not (is_real(self.margin) and self.margin >= 0):
             raise ValueError("margin must be nonnegative")
 
 
@@ -78,16 +82,18 @@ class BarrierCost:
         self.constraints = constraints
         self.sharpness = sharpness
         self.margin = margin
+        self._face_signs = np.array([sign for _, sign, _ in constraints.faces])
 
     def values(self, traj) -> np.ndarray:
         box, keepout = self.constraints.values(traj)
         outside = _outside(box, keepout, self.margin)
         with np.errstate(invalid="ignore", divide="ignore"):
+            box_logs, keepout_logs = np.log(-box), np.log(-keepout)
             logs = np.zeros(len(keepout))
-            for g in box.T:
-                logs[:-1] -= np.log(-g)
-            for g in keepout.T:
-                logs -= np.log(-g)
+            for column in box_logs.T:
+                logs[:-1] -= column
+            for column in keepout_logs.T:
+                logs -= column
         values = self.base.values(traj) + logs / self.sharpness
         values[outside] = math.inf
         return values
@@ -97,32 +103,34 @@ class BarrierCost:
         l_x, l_u, l_xx, l_uu = self.base.expand(traj)
         box, keepout = self.constraints.values(traj)
         _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
-        grad = self.constraints.trajectory_gradient(traj)
         inv_t = 1.0 / self.sharpness
         # Box faces are linear in one control: exact 1-D barrier derivatives.
-        for (i, sign, _), g in zip(self.constraints.faces, box.T):
-            l_u[:, i] -= inv_t * sign / g
-            l_uu[:, i, i] += inv_t / g**2
+        gradient, curvature = inv_t * self._face_signs / box, inv_t / box**2
+        for (i, _, _), du, duu in zip(self.constraints.faces, gradient.T, curvature.T):
+            l_u[:, i] -= du
+            l_uu[:, i, i] += duu
         # Keep-out barriers: gradient and Gauss-Newton Hessian.
-        for g, dg in zip(keepout.T, grad.transpose(1, 0, 2)):
-            l_x[:, :2] -= inv_t * dg / g[:, None]
-            outer = dg[:, :, None] * dg[:, None, :]
-            l_xx[:, :2, :2] += inv_t * outer / (g**2)[:, None, None]
+        dg = self.constraints.trajectory_gradient(traj)
+        gradient = inv_t * dg / keepout[:, :, None]
+        outer = dg[..., :, None] * dg[..., None, :]
+        hessian = inv_t * outer / (keepout**2)[:, :, None, None]
+        for j in range(keepout.shape[1]):
+            l_x[:, :2] -= gradient[:, j]
+            l_xx[:, :2, :2] += hessian[:, j]
         return l_x, l_u, l_xx, l_uu
 
 
 def _outside(box, keepout, margin):
     """Per stamp (T+1,): whether some constraint has -g <= margin."""
-    outside = (-keepout <= margin).any(axis=1)
-    outside[:-1] |= (-box <= margin).any(axis=1)
+    outside = (keepout >= -margin).any(axis=1)
+    outside[:-1] |= (box >= -margin).any(axis=1)
     return outside
 
 
 def _check_domain(box, keepout, margin, problem):
     """Raise BarrierDomainViolation at the first stamp outside the domain."""
-    outside = _outside(box, keepout, margin)
-    if outside.any():
-        tau = int(np.argmax(outside))
+    if (keepout >= -margin).any() or (box >= -margin).any():
+        tau = int(np.argmax(_outside(box, keepout, margin)))
         raise BarrierDomainViolation(f"{problem} at time index {tau}", tau=tau)
 
 

@@ -15,6 +15,9 @@ its heading. Its evaluator reads the rows as stacked columns for the
 violation scan and the log-barrier baseline, once per trajectory: the
 trajectory keeps the result (`Trajectory.evaluation`), so the barrier's
 values, its expansion and the violation scan of one iterate share one pass.
+The obstacle centers of every stamp of a horizon are computed once per set
+and horizon and kept, for the evaluator and for the consensus projection's
+keep-out scan (`horizon_keepout`).
 `project_timestep`, the consensus-update workhorse, reads the rows as plain
 floats at one stamp: it clamps the input components onto the boxes with
 float min/max and pushes the position outside every keep-out ellipse by
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProjection, NonConvergence
+from .ilqr import is_real
 
 # Constraint values larger than this count as violated in feasibility scans.
 FEASIBILITY_TOL = 1e-6
@@ -52,6 +56,9 @@ class InputBounds:
 
     def __post_init__(self):
         # Written so that NaN fails every check; an infinite limit is absent.
+        for name in ("max_steer", "max_accel", "min_accel"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.max_steer > 0:
             raise ValueError("max_steer must be positive")
         if not self.min_accel < 0 < self.max_accel:
@@ -76,12 +83,15 @@ class Obstacle:
 
     def __post_init__(self):
         for name in ("center0", "velocity"):
-            value = tuple(float(c) for c in getattr(self, name))
-            if len(value) != 2 or not all(map(math.isfinite, value)):
+            value = tuple(getattr(self, name))
+            if len(value) != 2 or not all(is_real(c) and math.isfinite(c) for c in value):
                 raise ValueError(f"{name} must be two finite numbers, got {value}")
-            object.__setattr__(self, name, value)
-        if not math.isfinite(self.heading):
-            raise ValueError("heading must be finite")
+            object.__setattr__(self, name, tuple(map(float, value)))
+        if not (is_real(self.heading) and math.isfinite(self.heading)):
+            raise ValueError(f"heading must be a finite number, got {self.heading!r}")
+        for name in ("semi_major", "semi_minor"):
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not math.inf > self.semi_major >= self.semi_minor > 0:
             raise ValueError("need finite semi_major >= semi_minor > 0")
 
@@ -98,10 +108,13 @@ class ConstraintSet:
     scan, the barrier and the projection. Every evaluation takes one stamp
     or stacked rows with a leading stamp axis: `box(u)`,
     `keepout(tau, p, heading)` and `keepout_gradient(tau, p, heading)`
-    evaluate the given stamps; `values(traj)` gives the box and keep-out
-    values of a whole trajectory and `trajectory_gradient(traj)` its keep-out
-    gradients. The last two evaluate once per trajectory: the trajectory
-    keeps the values and offsets, read-only.
+    evaluate the given stamps; `horizon_keepout(p, heading)` evaluates the
+    stamps 0 .. N-1 of N positions, `values(traj)` gives the box and
+    keep-out values of a whole trajectory and `trajectory_gradient(traj)` its
+    keep-out gradients. The last two evaluate once per trajectory: the
+    trajectory keeps the values and offsets, read-only. The last three read
+    the obstacle centers of all stamps of a horizon, which the set computes
+    once per number of stamps and keeps.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -132,43 +145,70 @@ class ConstraintSet:
             dtype=float).reshape(-1, 8)
         self._rows = rows.tolist()
         self._ellipses = tuple(rows.T)
+        # Centers of every stamp of a horizon, by number of stamps.
+        self._centers = {}
 
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
         u = np.asarray(u, dtype=float)
         return self._face_sign * u[..., self._face_index] - self._face_limit
 
-    def _offsets(self, tau, p, heading):
-        """Offsets (along / e_a, across / e_b) of p from every obstacle center
-        in its frame, (..., obstacles) each, and the frame's cos and sin."""
-        cx, cy, vx, vy, a, b, c, s = self._ellipses
+    def _centers_at(self, tau):
+        """Obstacle centers (cx, cy) at time indices tau (...), (..., obstacles) each."""
+        cx, cy, vx, vy = self._ellipses[:4]
+        t = (np.asarray(tau) * self.timestep)[..., None]
+        return cx + t * vx, cy + t * vy
+
+    def _horizon_centers(self, stamps):
+        """`_centers_at` time indices 0 .. stamps-1, computed on the first call
+        for a number of stamps and kept, read-only."""
+        if stamps not in self._centers:
+            centers = self._centers_at(np.arange(stamps))
+            for array in centers:
+                array.flags.writeable = False
+            self._centers[stamps] = centers
+        return self._centers[stamps]
+
+    def _offsets(self, centers, p, heading):
+        """Offsets (along / e_a, across / e_b) of p from the obstacle centers
+        (cx, cy) in each obstacle's frame, (..., obstacles) each, and the
+        frame's cos and sin."""
+        cx, cy = centers
+        a, b, c, s = self._ellipses[4:]
         if self.use_ego_heading:
             heading = np.asarray(heading, dtype=float)[..., None]
             c, s = np.cos(heading), np.sin(heading)
         p = np.asarray(p, dtype=float)
-        t = (np.asarray(tau) * self.timestep)[..., None]
-        dx = p[..., 0, None] - (cx + t * vx)
-        dy = p[..., 1, None] - (cy + t * vy)
+        dx = p[..., 0, None] - cx
+        dy = p[..., 1, None] - cy
         return (c * dx + s * dy) / a, (-s * dx + c * dy) / b, c, s
 
     def _gradient(self, along, across, c, s):
         """Position gradients dg/dp (..., obstacles, 2) from `_offsets`."""
         ga, gb = -2.0 * along / self._ellipses[4], -2.0 * across / self._ellipses[5]
-        return np.stack([c * ga - s * gb, s * ga + c * gb], axis=-1)
+        gradient = np.empty(ga.shape + (2,))
+        gradient[..., 0] = c * ga - s * gb
+        gradient[..., 1] = s * ga + c * gb
+        return gradient
 
     def keepout(self, tau, p, heading=0.0) -> np.ndarray:
         """Keep-out values g (..., obstacles) at time indices tau (...),
         positions p (..., 2) and headings (...)."""
-        return _keepout(*self._offsets(tau, p, heading)[:2])
+        return _keepout(*self._offsets(self._centers_at(tau), p, heading)[:2])
 
     def keepout_gradient(self, tau, p, heading=0.0) -> np.ndarray:
         """Position gradients dg/dp (..., obstacles, 2) of `keepout`."""
-        return self._gradient(*self._offsets(tau, p, heading))
+        return self._gradient(*self._offsets(self._centers_at(tau), p, heading))
+
+    def horizon_keepout(self, p, heading=0.0) -> np.ndarray:
+        """`keepout` at time indices 0 .. N-1 for positions p (N, 2) and
+        headings (N,), from the kept centers of N stamps."""
+        return _keepout(*self._offsets(self._horizon_centers(len(p)), p, heading)[:2])
 
     def _evaluate(self, traj):
         """(box g, keep-out g, offsets) of traj, read-only."""
         states = traj.states
-        offsets = self._offsets(np.arange(len(states)), states[:, :2], states[:, 2])
+        offsets = self._offsets(self._horizon_centers(len(states)), states[:, :2], states[:, 2])
         box, keepout = self.box(traj.controls), _keepout(*offsets[:2])
         for array in (box, keepout, *offsets):
             array.flags.writeable = False

@@ -18,10 +18,11 @@ read-only, and every expansion afresh from the kept position term.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .ilqr import is_real
 from .vehicle import CONTROL_DIM, STATE_DIM
 
 # Closest-point parameters within this distance of a segment end are treated
@@ -43,15 +44,11 @@ class CostWeights:
     terminal_scale: float = 120.0
 
     def __post_init__(self):
-        vals = (
-            self.position_weight,
-            self.velocity_weight,
-            self.steering_weight,
-            self.accel_weight,
-            self.terminal_scale,
-        )
-        if not all(math.inf > v >= 0 for v in vals):  # NaN fails too
-            raise ValueError("cost weights must be finite and nonnegative")
+        vals = [getattr(self, f.name) for f in fields(self)]
+        for f, value in zip(fields(self), vals):
+            if not (is_real(value) and math.inf > value >= 0):  # NaN fails too
+                raise ValueError(f"cost weight {f.name} must be finite and nonnegative, "
+                                 f"got {value!r}")
         if not any(v > 0 for v in vals[:4]):
             raise ValueError("at least one cost weight must be positive")
 
@@ -70,13 +67,16 @@ class Reference:
     def __post_init__(self):
         if (self.py_ref is None) == (self.polyline is None):
             raise ValueError("exactly one of py_ref and polyline must be given")
-        if any(r is not None and not math.isfinite(r) for r in (self.py_ref, self.v_ref)):
-            raise ValueError("py_ref and v_ref must be finite")
+        for name in ("py_ref", "v_ref"):
+            value = getattr(self, name)
+            if value is not None and not (is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.polyline is not None:
-            pts = tuple(tuple(float(c) for c in p) for p in self.polyline)
+            pts = tuple(tuple(p) for p in self.polyline)
             for p in pts:
-                if len(p) != 2 or not all(map(math.isfinite, p)):
+                if len(p) != 2 or not all(is_real(c) and math.isfinite(c) for c in p):
                     raise ValueError(f"polyline points must be two finite numbers each, got {p}")
+            pts = tuple(tuple(map(float, p)) for p in pts)
             if len(pts) < 2:
                 raise ValueError("polyline needs at least two points")
             for a, b in zip(pts, pts[1:]):

@@ -32,8 +32,10 @@ T. Only the Riccati recursion and the rollouts run stamp by stamp, on plain
 Python floats written out for four states and two controls: on blocks this
 small a float operation costs far less than a numpy call. Between those
 loops the data stay floats: `dynamics.step` returns a list of four, the gains
-are one float row per stamp, and a solve starts from the nominal trajectory
-it is handed, such as the previous solve's, without rolling it out again.
+are one float row per stamp, the rollouts read the nominal and collect the
+new states and controls as flat float lists, each of which becomes its array
+in one conversion, and a solve starts from the nominal trajectory it is
+handed, such as the previous solve's, without rolling it out again.
 
 Most Jacobian and expansion entries are 0.0 at every stamp, and some, such
 as the bicycle model's f_x diagonal, are 1.0 at every stamp, so the
@@ -67,6 +69,12 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number: False for True, "1.5" and None, True
+    for NaN and inf."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # The regularization schedule and the line search are fixed: mu starts at
 # mu_init, grows by MU_GROWTH on a failed positive-definiteness check or line
 # search, shrinks by MU_SHRINK (down to mu_init) after an accepted step, and
@@ -88,9 +96,9 @@ class ILQRSettings:
         # Written so that NaN fails every check.
         if not is_count(self.max_iters):
             raise ValueError("max_iters must be an integer of at least 1")
-        if not self.cost_tolerance > 0:
+        if not (is_real(self.cost_tolerance) and self.cost_tolerance > 0):
             raise ValueError("cost_tolerance must be positive")
-        if not MU_MAX >= self.mu_init > 0:
+        if not (is_real(self.mu_init) and MU_MAX >= self.mu_init > 0):
             raise ValueError(f"need 0 < mu_init <= {MU_MAX:g}")
 
 
@@ -152,15 +160,21 @@ class ILQRResult:
 
 def rollout(dynamics, x0, controls) -> Trajectory:
     """Integrate an open-loop control sequence through the dynamics; a
-    DomainError from a step that leaves the kinematic domain names its stamp."""
-    states, step = [np.asarray(x0, dtype=float).tolist()], dynamics.step
+    DomainError from a step that leaves the kinematic domain names its stamp.
+
+    The states are collected as one flat float list, which becomes the
+    states array in one conversion."""
+    controls = np.asarray(controls, dtype=float)
+    x, step = np.asarray(x0, dtype=float).tolist(), dynamics.step
+    states = list(x)
     try:
-        for u in np.asarray(controls, dtype=float).tolist():
-            states.append(step(states[-1], u))
+        for u in controls.tolist():
+            x = step(x, u)
+            states += x
     except DomainError as exc:
-        tau = len(states) - 1
+        tau = len(states) // len(x) - 1
         raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
-    return Trajectory(states, controls)
+    return Trajectory(np.array(states).reshape(len(controls) + 1, -1), controls)
 
 
 def total_cost(cost, traj: Trajectory) -> float:
@@ -184,22 +198,25 @@ _SWEEP = """def sweep(rows, terminal, mu):
 """
 
 
-# Pattern states of a row column: read from the rows, or 0.0 or 1.0 at every stamp.
-_FREE, _ZERO, _ONE = 0, 1, 2
+# The two constants a row column may hold at every stamp, as a column vector
+# to compare a row against.
+_CONSTANTS = np.array([[0.0], [1.0]])
 
 
 @functools.lru_cache(maxsize=64)
 def _sweep_kernel(pattern: bytes):
-    """The sweep for `pattern` (per `_ROW` slot, _ZERO or _ONE if 0.0 or 1.0
-    at every stamp, else _FREE; b"" is dense) and the row columns it reads.
-    The sweep returns the gain rows, latest stamp first, and (V_x, V_xx, 2 dV)
-    at the first stamp; or None as soon as a regularized Q_uu is not positive
+    """The sweep for `pattern` and the row columns it reads. The pattern is
+    one byte per `_ROW` slot, 1 if the slot is 0.0 at every stamp, followed by
+    one byte per slot, 1 if it is 1.0 at every stamp; b"" is dense. The sweep
+    returns the gain rows, latest stamp first, and (V_x, V_xx, 2 dV) at the
+    first stamp; or None as soon as a regularized Q_uu is not positive
     definite."""
     # Constant row slots, and intermediates that come out as a constant or
     # as a bare name (1.0 * x is x), are not assigned but read as this
     # stand-in. A name standing in must not be read after it is reassigned.
-    stand = {name: "0.0" if state == _ZERO else "1.0"
-             for name, state in zip(_ROW, pattern) if state != _FREE}
+    zero, one = pattern[:len(_ROW)], pattern[len(_ROW):]
+    stand = {name: "0.0" if is_zero else "1.0"
+             for name, is_zero, is_one in zip(_ROW, zero, one) if is_zero or is_one}
     reassigned = set()
     body = []
 
@@ -285,11 +302,12 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     """Compute the affine control update along the nominal trajectory.
 
     Requires four states and two controls. The Jacobians and cost expansions
-    are stacked once and their columns that are not 0.0 or 1.0 throughout
-    listed as float rows for the sweep (`_sweep_kernel`), which forms the Q
-    blocks of the module docstring, solves the regularized 2x2 system in
-    closed form for G = [K | k], and updates the value model with the
-    unregularized Q_uu,
+    are stacked once; the columns that are 0.0 or 1.0 throughout are found
+    by comparing every row with the first and the first with both constants,
+    and the other columns are listed, latest stamp first, as float rows for
+    the sweep (`_sweep_kernel`). The sweep forms the Q blocks of the module
+    docstring, solves the regularized 2x2 system in closed form for
+    G = [K | k], and updates the value model with the unregularized Q_uu,
 
         [[V_xx, V_x], [V_x', c]] = [[Q_xx, Q_x], [Q_x', c]] - G' Q_uu G,
 
@@ -312,15 +330,14 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
     l_x, l_u, l_xx, l_uu = cost.expand(traj)
     rows = np.concatenate([f_x.reshape(T, 16), f_u.reshape(T, 8), l_x[:T], l_u,
-                           l_xx[:T].reshape(T, 16), l_uu.reshape(T, 4)], axis=1)[::-1]
+                           l_xx[:T].reshape(T, 16), l_uu.reshape(T, 4)], axis=1)
     terminal = l_xx[T].ravel().tolist() + l_x[T].tolist()
     pattern = b""  # dense where inf or NaN may meet a constant 0.0 (0.0 * inf is NaN)
-    if np.isfinite(rows).all() and np.isfinite(terminal).all():
+    if np.isfinite(rows).all() and all(map(math.isfinite, terminal)):
         first = rows[0]
-        state = np.where(first == 0.0, _ZERO, np.where(first == 1.0, _ONE, _FREE))
-        pattern = (state * (rows == first).all(0)).astype(np.uint8).tobytes()
+        pattern = ((first == _CONSTANTS) & (rows == first).all(0)).tobytes()
     sweep, columns = _sweep_kernel(pattern)
-    rows = rows[:, columns].tolist()
+    rows = rows[::-1, columns].tolist()
     while mu <= MU_MAX:
         result = sweep(rows, terminal, mu)
         if result is not None:
@@ -339,24 +356,28 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     The feedforward term is scaled by alpha; feedback is applied at full
     strength against the deviation from the nominal states. The policy runs
     on plain floats over the four states and two controls of a Trajectory
-    and the float gain rows, which cost less per stamp than small arrays. A
-    DomainError from a step that leaves the kinematic domain names its stamp.
+    and the float gain rows, which cost less per stamp than small arrays: it
+    reads the nominal as flat float lists and collects the new states and
+    controls as flat float lists, each of which becomes its array in one
+    conversion. A DomainError from a step that leaves the kinematic domain
+    names its stamp.
     """
     x, step = traj.states[0].tolist(), dynamics.step
-    states, controls = [x], []
-    rows = zip(gains, traj.states.tolist(), traj.controls.tolist())
+    states, controls = list(x), []
+    nominal, applied = iter(traj.states.ravel().tolist()), iter(traj.controls.ravel().tolist())
+    rows = zip(gains, nominal, nominal, nominal, nominal, applied, applied)
     try:
-        for (K00, K01, K02, K03, k0, K10, K11, K12, K13, k1), (n0, n1, n2, n3), (w, a) in rows:
+        for (K00, K01, K02, K03, k0, K10, K11, K12, K13, k1), n0, n1, n2, n3, w, a in rows:
             d0, d1, d2, d3 = x[0] - n0, x[1] - n1, x[2] - n2, x[3] - n3
-            u = [w + (alpha * k0 + (K00 * d0 + K01 * d1 + K02 * d2 + K03 * d3)),
-                 a + (alpha * k1 + (K10 * d0 + K11 * d1 + K12 * d2 + K13 * d3))]
+            u = (w + (alpha * k0 + (K00 * d0 + K01 * d1 + K02 * d2 + K03 * d3)),
+                 a + (alpha * k1 + (K10 * d0 + K11 * d1 + K12 * d2 + K13 * d3)))
             x = step(x, u)
-            controls.append(u)
-            states.append(x)
+            controls += u
+            states += x
     except DomainError as exc:
-        tau = len(controls)
+        tau = len(controls) // 2
         raise DomainError(f"forward pass step at time index {tau}: {exc}", tau=tau) from exc
-    return Trajectory(states, controls)
+    return Trajectory(np.array(states).reshape(-1, 4), np.array(controls).reshape(-1, 2))
 
 
 def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None) -> ILQRResult:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .ilqr import is_real
 
 STATE_DIM = 4
 CONTROL_DIM = 2
@@ -48,8 +49,10 @@ class VehicleParams:
     timestep: float = 0.1
 
     def __post_init__(self):
-        if not (math.inf > self.wheelbase > 0 and math.inf > self.timestep > 0):
-            raise ValueError("wheelbase and timestep must be positive and finite")
+        for name in ("wheelbase", "timestep"):
+            value = getattr(self, name)
+            if not (is_real(value) and math.inf > value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,10 @@ class State:
     v: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.px, self.py, self.theta, self.v))):
-            raise ValueError("state must be finite")
+        for name in ("px", "py", "theta", "v"):
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value)):
+                raise ValueError(f"state {name} must be a finite number, got {value!r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.theta, self.v], dtype=float)

@@ -7,12 +7,16 @@ geometric helpers, the ellipse's center and shape-matrix form, a copy of a
 trajectory with one entry moved (for finite differences), and the iLQR
 backward and forward passes written stamp by stamp on small arrays (they
 borrow only the package's result and error types and its fixed
-regularization constants). The exception is
+regularization constants). The exceptions are
 `frame_project_timestep`, the cyclic keep-out projection on numpy ellipse
 frames: it is the array form of `project_timestep` and borrows its
-single-ellipse boundary solve and the stacked keep-out evaluator.
+single-ellipse boundary solve and the stacked keep-out evaluator; and
+`column_barrier_values` and `column_barrier_expansion`, the log barrier's
+terms formed one constraint column at a time, which read the barrier cost's
+base cost and constraint set.
 """
 
+import functools
 import math
 import warnings
 
@@ -282,7 +286,9 @@ def reference_forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics
     """The iLQR forward pass on arrays: u = u_nom + (alpha k + K (x - x_nom)).
 
     Same contract as `admmplan.ilqr.forward_pass`, which runs the policy on
-    plain floats; this is the array formula it replaced.
+    plain floats; this is the array formula it replaced, with K (x - x_nom)
+    summed over the states in index order, as the float pass sums it, so
+    the two agree bit for bit.
 
     The feedforward term is scaled by alpha; feedback is applied at full
     strength against the deviation from the nominal states.
@@ -293,6 +299,41 @@ def reference_forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics
     k, K = gain_arrays(gains)
     rows = zip(alpha * k, K, traj.states, traj.controls)
     for tau, (k, K, x_nom, u_nom) in enumerate(rows):
-        controls[tau] = u = u_nom + (k + K @ (x - x_nom))
+        products = (K * (x - x_nom)).T  # one (controls,) column per state
+        controls[tau] = u = u_nom + (k + functools.reduce(np.add, products))
         states[tau + 1] = x = np.asarray(dynamics.step(x, u))
     return Trajectory(states, controls)
+
+
+def column_barrier_values(cost, traj):
+    """`BarrierCost.values` with each constraint column's logs taken and
+    summed in turn: box faces in face order, then obstacles."""
+    box, keepout = cost.constraints.values(traj)
+    outside = (-keepout <= cost.margin).any(axis=1)
+    outside[:-1] |= (-box <= cost.margin).any(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logs = np.zeros(len(keepout))
+        for g in box.T:
+            logs[:-1] -= np.log(-g)
+        for g in keepout.T:
+            logs -= np.log(-g)
+    values = cost.base.values(traj) + logs / cost.sharpness
+    values[outside] = math.inf
+    return values
+
+
+def column_barrier_expansion(cost, traj):
+    """`BarrierCost.expand` on a trajectory inside the barrier domain, with
+    each constraint column's terms formed and added in turn."""
+    l_x, l_u, l_xx, l_uu = cost.base.expand(traj)
+    box, keepout = cost.constraints.values(traj)
+    grad = cost.constraints.trajectory_gradient(traj)
+    inv_t = 1.0 / cost.sharpness
+    for (i, sign, _), g in zip(cost.constraints.faces, box.T):
+        l_u[:, i] -= inv_t * sign / g
+        l_uu[:, i, i] += inv_t / g**2
+    for g, dg in zip(keepout.T, grad.transpose(1, 0, 2)):
+        l_x[:, :2] -= inv_t * dg / g[:, None]
+        outer = dg[:, :, None] * dg[:, None, :]
+        l_xx[:, :2, :2] += inv_t * outer / (g**2)[:, None, None]
+    return l_x, l_u, l_xx, l_uu

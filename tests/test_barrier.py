@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from admmplan import ilqr
-from admmplan.admm import ADMMSettings, PenalizedCost, project_consensus, select
+from admmplan.admm import ADMMSettings, PenalizedCost, admm_solve, project_consensus, select
 from admmplan.barrier import (
     CENTERING_FRACTION,
     BarrierCost,
@@ -184,6 +184,9 @@ def test_loose_early_stages_keep_the_answer(sid, v0, ladder, tight_cost, inner):
 def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
     # The constraint set evaluates a trajectory's ellipse-frame offsets once
     # per content, not once per barrier value, expansion or violation scan.
+    # The pass and request counts of the two ladder solves are pinned, so a
+    # count that misses the function computing the offsets fails rather
+    # than passing at zero.
     offsets = ConstraintSet._offsets
     passes, contents = [], []
 
@@ -200,11 +203,34 @@ def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
     monkeypatch.setattr(ConstraintSet, "_offsets", counting)
     for name in ("values", "trajectory_gradient"):
         monkeypatch.setattr(ConstraintSet, name, recording(getattr(ConstraintSet, name)))
-    cfg, problem = feasible_config(1, 0.0)
-    report = barrier_solve(problem, cfg.barrier)
-    assert report.status == "converged"
-    assert len(passes) == len(set(contents))
-    assert 3 * len(passes) < len(contents)
+    for sid, v0, distinct, requests in ((1, 0.0, 63, 199), (2, 4.0, 99, 279)):
+        passes.clear()
+        contents.clear()
+        cfg, problem = feasible_config(sid, v0)
+        report = barrier_solve(problem, cfg.barrier)
+        assert report.status == "converged"
+        assert len(passes) == len(set(contents)) == distinct
+        assert len(contents) == requests
+
+
+def test_obstacle_centers_once_per_horizon_in_a_solve(monkeypatch):
+    # Every trajectory of a solve spans the problem's horizon, so one solve
+    # computes the obstacle centers of its stamps once, for the evaluator
+    # and, in the consensus solver, for the projection's keep-out scan.
+    centers_at = ConstraintSet._centers_at
+    stamps = []
+
+    def counting(self, tau):
+        stamps.append(np.shape(tau))
+        return centers_at(self, tau)
+
+    monkeypatch.setattr(ConstraintSet, "_centers_at", counting)
+    for solve, settings in ((barrier_solve, "barrier"), (admm_solve, "admm")):
+        stamps.clear()
+        cfg, problem = feasible_config(2, 4.0)
+        report = solve(problem, getattr(cfg, settings))
+        assert report.iterations > 1
+        assert stamps == [(cfg.horizon + 1,)]
 
 
 def test_single_stage_is_the_exact_inner_solve():

@@ -419,6 +419,30 @@ def test_trajectory_values_are_read_only_and_match_the_stamp_evaluators(use_ego_
             == constraints.keepout_gradient(stamps, x[:, :2], x[:, 2]).tobytes())
 
 
+MOVING = [Obstacle((8.0, 0.5), (1.0, -0.5), 0.4, 5.0, 2.5),
+          Obstacle((15.0, -1.0), (-2.0, 0.75), -1.1, 3.0, 1.5)]
+
+
+@pytest.mark.parametrize("use_ego_heading", [False, True])
+def test_two_horizons_through_one_set_match_each_stamp(use_ego_heading):
+    # The set keeps the obstacle centers per horizon; whichever horizon it
+    # evaluated first, each trajectory's values and gradients are the
+    # per-stamp evaluators', bit for bit, and so is the consensus scan.
+    constraints = ConstraintSet(make_bounds(), MOVING, 0.1, use_ego_heading)
+    for seed, horizon in ((2, 12), (3, 7), (4, 12)):
+        traj = rolled_trajectory(seed, horizon)
+        box, keepout = constraints.values(traj)
+        gradient = constraints.trajectory_gradient(traj)
+        for tau, x in enumerate(traj.states):
+            assert keepout[tau].tobytes() == constraints.keepout(tau, x[:2], x[2]).tobytes()
+            assert (gradient[tau].tobytes()
+                    == constraints.keepout_gradient(tau, x[:2], x[2]).tobytes())
+        for tau, u in enumerate(traj.controls):
+            assert box[tau].tobytes() == constraints.box(u).tobytes()
+        scan = constraints.horizon_keepout(traj.states[:, :2], traj.states[:, 2])
+        assert scan.tobytes() == keepout.tobytes()
+
+
 def test_trajectory_changed_in_place_is_evaluated_again():
     # A write into a trajectory raises and leaves its evaluation as it was;
     # the changed content is a new trajectory, which the same constraint

@@ -519,6 +519,56 @@ def test_cli_rejects_quoted_ego_heading_flag(tmp_path):
     assert not out.exists()
 
 
+def _obstacle_with(**fields):
+    data = config_to_dict(builtin_scenario(1))
+    return dict(data, obstacles=[dict(data["obstacles"][0], **fields)])
+
+
+@pytest.mark.parametrize("data, field", [
+    (_obstacle_with(center0=[True, 0.0]), "center0"),
+    (_obstacle_with(velocity=[0.0, True]), "velocity"),
+    (_with_fields("reference", py_ref=None, polyline=[[True, 0.0], [40.0, 2.0]]), "polyline"),
+    (_obstacle_with(heading=True), "heading"),
+    (_with_fields("weights", steering_weight=True), "steering_weight"),
+], ids=["center0", "velocity", "polyline", "heading", "weight"])
+def test_cli_rejects_a_boolean_where_a_number_is_read(tmp_path, data, field):
+    # float(True) is 1.0: a YAML true must not be planned against as a
+    # coordinate, an angle or a weight.
+    path = tmp_path / "boolean.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert path.read_text().count("true") == 1
+    with pytest.raises(ConfigError, match=field):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _with_nested(section, **fields):
+    data = config_to_dict(builtin_scenario(1))
+    if section == "obstacle":
+        return _obstacle_with(**fields)
+    if section == "ilqr":
+        return dict(data, admm=dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], **fields)))
+    return _with_fields(section, **fields)
+
+
+@pytest.mark.parametrize("section, name", [
+    ("initial_state", "px"), ("initial_state", "v"), ("reference", "py_ref"),
+    ("reference", "v_ref"), ("vehicle", "wheelbase"), ("vehicle", "timestep"),
+    ("bounds", "max_steer"), ("bounds", "min_accel"), ("admm", "sigma"),
+    ("admm", "primal_tolerance"), ("ilqr", "cost_tolerance"), ("ilqr", "mu_init"),
+    ("barrier", "initial_sharpness"), ("barrier", "tighten_factor"), ("barrier", "margin"),
+    ("weights", "position_weight"), ("weights", "terminal_scale"),
+    ("obstacle", "semi_major"), ("obstacle", "semi_minor"),
+])
+def test_config_rejects_a_boolean_real(section, name):
+    # True compares as 1 and False as 0; neither is read as a number.
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict(_with_nested(section, **{name: flag}))
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     code = cli.main(
         ["--scenario", "1", "--method", "barrier", "--out", str(tmp_path)]

@@ -1,13 +1,14 @@
 """The float backward and forward passes against the stamp-by-stamp array
 references in oracles.py.
 
-Both passes reorder floating-point arithmetic, so they agree with the
-references to a tolerance fixed from float64 rounding before the comparison
-was first run, not bit for bit. The regularization mu they settle on is
-decided by sign tests alone and must be identical. The cases cover the costs
-the solvers pass: the tracking cost (lane and polyline references), the
-ADMM consensus penalty and the log barrier, plus dense linear-quadratic
-instances.
+The backward pass reorders floating-point arithmetic, so it agrees with its
+reference to a tolerance fixed from float64 rounding before the comparison
+was first run, not bit for bit. The regularization mu it settles on is
+decided by sign tests alone and must be identical. The forward pass and its
+reference sum the feedback in the same order and agree bit for bit. The
+cases cover the costs the solvers pass: the tracking cost (lane and polyline
+references), the ADMM consensus penalty and the log barrier, plus dense
+linear-quadratic instances.
 
 The float sweep is generated per pattern of row entries that are 0.0 or 1.0
 at every stamp; the kernel for a pattern must return exactly what the dense
@@ -214,8 +215,8 @@ def test_specialized_sweep_equals_dense_sweep(mask, units, diagonal, seed, horiz
         if slot != ".":
             rows[:, k] = 1.0 if slot == "1" else rng.choice([0.0, -0.0], size=horizon)
     terminal = rng.normal(size=20).tolist()
-    state = {".": ilqr._FREE, "0": ilqr._ZERO, "1": ilqr._ONE}
-    sweep, columns = ilqr._sweep_kernel(bytes(state[m] for m in mask))
+    pattern = bytes(m == "0" for m in mask) + bytes(m == "1" for m in mask)
+    sweep, columns = ilqr._sweep_kernel(pattern)
     dense, dense_columns = DENSE
     for mu in (1e-6, 1e-1, 1e2, 1e6):
         assert (plain(sweep(rows[:, columns].tolist(), terminal, mu))
@@ -232,7 +233,8 @@ def test_bicycle_pattern_folds_the_unit_diagonal(monkeypatch):
     backward_pass(traj, cost, dynamics, 1e-6)
     (pattern,) = patterns
     diagonal = [ilqr._ROW.index(name) for name in ("a0", "b1", "c2", "d3")]
-    assert [pattern[k] for k in diagonal] == [ilqr._ONE] * 4
+    ones = pattern[len(ilqr._ROW):]
+    assert [(pattern[k], ones[k]) for k in diagonal] == [(0, 1)] * 4
     _, columns = kernel(pattern)
     assert not set(diagonal) & set(columns.tolist())
 
@@ -249,21 +251,41 @@ def plain(result):
 @pytest.mark.parametrize("alpha", [1.0, 0.25])
 def test_forward_pass_matches_array_formula(build, arg, mu, alpha):
     # The float gain rows of the solver's own backward pass, read by the
-    # float pass as rows and by the reference through the k and K arrays.
+    # float pass as flat rows and by the reference through the k and K
+    # arrays; both sum the feedback in state order, so they agree bit for
+    # bit. The pass's states are its controls stepped through the dynamics,
+    # also bit for bit, in read-only float arrays of the nominal's shapes.
     traj, cost, dynamics = build(arg)
     gains, _, _ = backward_pass(traj, cost, dynamics, mu)
     out = forward_pass(traj, gains, alpha, dynamics)
     ref = reference_forward_pass(traj, gains, alpha, dynamics)
-    assert_close(out.states, ref.states)
-    assert_close(out.controls, ref.controls)
+    np.testing.assert_array_equal(out.states, ref.states)
+    np.testing.assert_array_equal(out.controls, ref.controls)
+    assert_read_only_floats(out, traj.horizon)
+    np.testing.assert_array_equal(out.states, stepped(dynamics, out.states[0], out.controls))
 
 
-def test_rollout_steps_arrays_exactly():
-    traj, _, dynamics = bicycle_case(1)
-    states = [traj.states[0]]
-    for u in traj.controls:
-        states.append(dynamics.step(states[-1], u))
-    np.testing.assert_array_equal(traj.states, np.array(states))
+def assert_read_only_floats(traj, horizon):
+    for array, shape in ((traj.states, (horizon + 1, 4)), (traj.controls, (horizon, 2))):
+        assert array.shape == shape and array.dtype == np.float64
+        assert not array.flags.writeable
+
+
+def stepped(dynamics, x0, controls):
+    """States from stepping `dynamics.step` through controls, one stamp at a time."""
+    states = [np.asarray(x0, dtype=float)]
+    for u in controls:
+        states.append(np.asarray(dynamics.step(states[-1], u), dtype=float))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("build, arg, mu", CASES)
+def test_rollout_steps_arrays_exactly(build, arg, mu):
+    traj, _, dynamics = build(arg)
+    rolled = rollout(dynamics, traj.states[0], traj.controls)
+    assert_read_only_floats(rolled, traj.horizon)
+    np.testing.assert_array_equal(rolled.states, stepped(dynamics, traj.states[0], traj.controls))
+    np.testing.assert_array_equal(rolled.controls, traj.controls)
 
 
 class CountingDynamics:

@@ -4,7 +4,8 @@ The solvers read dynamics Jacobians, cost values and cost expansions over
 whole trajectories as stacked arrays. Each check here rebuilds the same
 arrays one stamp at a time, from one-stamp slices of the tracking cost and
 single-stamp `jacobians` and `ConstraintSet` evaluations, and requires
-agreement to 1e-12.
+agreement to 1e-12. The barrier's stacked terms must also equal, bit for
+bit, the same terms formed one constraint column at a time.
 """
 
 import math
@@ -21,6 +22,8 @@ from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import BarrierDomainViolation
 from admmplan.ilqr import Trajectory, total_cost
 from admmplan.vehicle import VehicleParams, jacobians
+
+from oracles import column_barrier_expansion, column_barrier_values
 
 TOL = 1e-12
 POLYLINE = ((0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 5.0))
@@ -193,11 +196,16 @@ def test_barrier_cost_stacked_equal_single_stamp(
             l_uu[t, i, i] += 1.0 / g**2 / sharpness
 
     close(cost.values(traj), values)
+    # The stacked barrier terms are the column-by-column ones, bit for bit.
+    assert cost.values(traj).tobytes() == column_barrier_values(cost, traj).tobytes()
     assert math.isinf(total_cost(cost, traj)) == bool(outside)
     if outside:
         with pytest.raises(BarrierDomainViolation) as info:
             cost.expand(traj)
         assert info.value.tau == outside[0]
     else:
-        for got, want in zip(cost.expand(traj), (l_x, l_u, l_xx, l_uu)):
+        expansion = cost.expand(traj)
+        for got, want, column in zip(expansion, (l_x, l_u, l_xx, l_uu),
+                                     column_barrier_expansion(cost, traj)):
             close(got, want)
+            assert got.tobytes() == column.tobytes()
