@@ -9,11 +9,11 @@ onto the box and keep-out sets). A scaled dual variable ties the two together:
     z   <- project(sel(y) + lam/sigma)                              (per stamp)
     lam <- lam + sigma (sel(y) - z)
 
-where sel(y) extracts (px, py, steer, accel) per time stamp. The y-update is
-one Gauss-Newton step from the current y, not an argmin: the next z and lam
-move its subproblem anyway. The loop stops on the max-norm primal residual
-||sel(y) - z||; the dynamics-feasible y is returned with its constraint
-violation, which is reported since feasibility is only reached in the limit.
+where sel(y) extracts (px, py, steer, accel) per stamp, kept by each iterate.
+The y-update is one Gauss-Newton step from the current y, not an argmin: the
+next z and lam move its subproblem anyway. The loop stops on the max-norm
+primal residual ||sel(y) - z||; the dynamics-feasible y is returned with its
+constraint violation, reported since feasibility is only reached in the limit.
 
 Initially infeasible trajectories are fine: the first iterate is a plain
 zero-control rollout, which is the advertised advantage over barrier-style
@@ -131,21 +131,32 @@ class Problem:
         object.__setattr__(self, "x0", np.asarray(self.x0, float))
 
 
-def select(traj: ilqr.Trajectory) -> np.ndarray:
-    """Extract the constraint-relevant blocks (px, py, steer, accel) per stamp.
+def _blocks(traj: ilqr.Trajectory) -> np.ndarray:
+    """`select(traj)`, built once per trajectory and kept by it, read-only."""
+    return traj.evaluation(_blocks, _build_blocks)
 
-    The block at the final stamp carries zeros in the control slots.
-    """
+
+def _build_blocks(traj: ilqr.Trajectory) -> np.ndarray:
     T = traj.horizon
     blocks = np.zeros((T + 1, BLOCK_DIM))
     blocks[:, :2] = traj.states[:, :2]
     blocks[:T, 2:] = traj.controls
+    blocks.flags.writeable = False
     return blocks
 
 
+def select(traj: ilqr.Trajectory) -> np.ndarray:
+    """Extract the constraint-relevant blocks (px, py, steer, accel) per stamp.
+
+    The block at the final stamp carries zeros in the control slots. A fresh,
+    writable copy of the blocks that the trajectory keeps for the solver.
+    """
+    return _blocks(traj).copy()
+
+
 def primal_residual(traj: ilqr.Trajectory, z: np.ndarray):
-    """Max-norm (and 2-norm, for plotting) of select(y) - z."""
-    diff = select(traj) - z
+    """Max-norm (and 2-norm, for plotting) of select(y) - z, from the kept blocks."""
+    diff = _blocks(traj) - z
     return float(np.max(np.abs(diff))), float(np.linalg.norm(diff))
 
 
@@ -158,7 +169,7 @@ class PenalizedCost:
     the final block's control slots are never read. Over a trajectory,
     `values` adds sigma/2 times each stamp's squared offset to the base
     values, and `expand` adds sigma times the offsets to the gradients and
-    sigma to the selected Hessian diagonals, all as array operations.
+    sigma to the selected Hessian diagonals, as array operations on kept blocks.
     """
 
     def __init__(self, base, z, lam, sigma: float):
@@ -169,7 +180,7 @@ class PenalizedCost:
         self.centers[-1, 2:] = 0.0
 
     def values(self, traj) -> np.ndarray:
-        off = select(traj) - self.centers
+        off = _blocks(traj) - self.centers
         squares = (off[:, None, :] @ off[:, :, None])[:, 0, 0]
         return self.base.values(traj) + 0.5 * self.sigma * squares
 
@@ -177,7 +188,7 @@ class PenalizedCost:
         # Expansion arrays are freshly allocated by the base model, so they
         # can be updated in place.
         l_x, l_u, l_xx, l_uu = self.base.expand(traj)
-        off = select(traj) - self.centers
+        off = _blocks(traj) - self.centers
         l_x[:, :2] += self.sigma * off[:, :2]
         l_u += self.sigma * off[:-1, 2:]
         for hessian in (l_xx, l_uu):
@@ -260,7 +271,7 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
         try:
             result = ilqr.solve(y, penalized, dynamics, one_step)
             y = result.trajectory
-            sel = select(y)
+            sel = _blocks(y)
             z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], constraints)
         except SOLVE_FAILURES as exc:
             report.status, report.message = STATUS_FAILED, str(exc)

@@ -19,10 +19,10 @@ The obstacle centers of every stamp of a horizon are computed once per set
 and horizon and kept, for the evaluator and for the consensus projection's
 keep-out scan (`horizon_keepout`).
 `project_timestep`, the consensus-update workhorse, reads the rows as plain
-floats at one stamp: it clamps the input components onto the boxes with
-float min/max and pushes the position outside every keep-out ellipse by
-cyclic nearest-point projection, testing g in the evaluator's order of
-operations.
+floats at one stamp, centers moved to the stamp once per set and stamp and
+kept: it clamps the input components onto the boxes with float min/max and
+pushes the position outside every keep-out ellipse by cyclic nearest-point
+projection, testing g in the evaluator's order of operations.
 """
 
 import math
@@ -114,7 +114,8 @@ class ConstraintSet:
     keep-out gradients. The last two evaluate once per trajectory: the
     trajectory keeps the values and offsets, read-only. The last three read
     the obstacle centers of all stamps of a horizon, which the set computes
-    once per number of stamps and keeps.
+    once per number of stamps and keeps; `project_timestep` reads the float
+    rows of one stamp, which the set computes once per time index and keeps.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -147,6 +148,8 @@ class ConstraintSet:
         self._ellipses = tuple(rows.T)
         # Centers of every stamp of a horizon, by number of stamps.
         self._centers = {}
+        # Float ellipse rows of one stamp, by time index.
+        self._stamps = {}
 
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
@@ -168,6 +171,16 @@ class ConstraintSet:
                 array.flags.writeable = False
             self._centers[stamps] = centers
         return self._centers[stamps]
+
+    def _ellipses_at(self, tau) -> tuple:
+        """The ellipses at time index tau as float rows (cx, cy, e_a, e_b, cos,
+        sin), centers cx + (tau * timestep) * vx, computed once per tau and kept."""
+        rows = self._stamps.get(tau)
+        if rows is None:
+            t = tau * self.timestep
+            rows = self._stamps[tau] = tuple((cx + t * vx, cy + t * vy, a, b, c, s)
+                                             for cx, cy, vx, vy, a, b, c, s in self._rows)
+        return rows
 
     def _offsets(self, centers, p, heading):
         """Offsets (along / e_a, across / e_b) of p from the obstacle centers
@@ -240,42 +253,37 @@ def _nearest_boundary_point(qx, qy, a, b):
 
     Solves the KKT condition x = a^2 qx/(a^2+t), y = b^2 qy/(b^2+t) on the
     on-boundary equation F(t) = 0, where F is strictly decreasing on
-    (-b^2, 0]. Safeguarded Newton iterations; the on-axis and near-center
-    degeneracies are handled analytically.
+    (-b^2, 0]. Safeguarded Newton iterations, inline on floats, with the slope
+    F' formed only for a step; on-axis and near-center points analytically.
     """
+    aa, bb = a * a, b * b
     if abs(qy) <= AXIS_TOL * b:
         # Points (numerically) on the major axis: the nearest boundary point
         # leaves the axis when |qx| is inside the evolute cusp (a^2 - b^2)/a.
-        cusp = (a * a - b * b) / a
+        cusp = (aa - bb) / a
         if abs(qx) >= cusp:
             return math.copysign(a, qx), 0.0
-        x = a * a * qx / (a * a - b * b)
+        x = aa * qx / (aa - bb)
         return x, b * math.sqrt(max(0.0, 1.0 - (x / a) ** 2))
 
     fa2 = (a * qx) ** 2
     fb2 = (b * qy) ** 2
-
-    def value_slope(t):
-        ga, gb = a * a + t, b * b + t
-        val = fa2 / (ga * ga) + fb2 / (gb * gb) - 1.0
-        slope = -2.0 * (fa2 / (ga**3) + fb2 / (gb**3))
-        return val, slope
-
-    lo, hi = -b * b, 0.0  # F(lo+) = +inf, F(hi) < 0 for interior points
-    t = -b * b + b * abs(qy)  # exact root when qx = 0
+    lo, hi = -bb, 0.0  # F(lo+) = +inf, F(hi) < 0 for interior points
+    t = -bb + b * abs(qy)  # exact root when qx = 0
     for _ in range(200):
-        val, slope = value_slope(t)
+        ga, gb = aa + t, bb + t
+        val = fa2 / (ga * ga) + fb2 / (gb * gb) - 1.0
         if abs(val) < PROJECTION_TOL:
             break
         if val > 0.0:
             lo = t
         else:
             hi = t
-        t_new = t - val / slope
+        t_new = t - val / (-2.0 * (fa2 / (ga**3) + fb2 / (gb**3)))
         if not (lo < t_new < hi):
             t_new = 0.5 * (lo + hi)
         t = t_new
-    return a * a * qx / (a * a + t), b * b * qy / (b * b + t)
+    return aa * qx / (aa + t), bb * qy / (bb + t)
 
 
 def project_timestep(
@@ -287,10 +295,10 @@ def project_timestep(
     `targets.tolist()`, is the fast input, and the only array built is the
     result. Inputs are clamped onto their boxes by float min/max, equal to
     `project_inputs`; the position is pushed outside every keep-out ellipse
-    at time index tau by cyclic projection. The ellipses are
-    read from the constraint set's float rows and oriented by cos/sin of
-    `ego_heading` when the set uses the ego heading; g is tested and the
-    point moved on plain floats, in the evaluator's order of operations. A
+    at time index tau by cyclic projection. The ellipses are the set's float
+    rows of stamp tau (`ConstraintSet._ellipses_at`), with cos/sin of
+    `ego_heading` swapped in when the set uses it; g is tested and the point
+    moved on plain floats, in the evaluator's order of operations. A
     position at an ellipse center, to AXIS_TOL, has no unique nearest boundary
     point; it goes to the minor-axis one with a DegenerateProjection warning.
 
@@ -303,10 +311,10 @@ def project_timestep(
     bounds = constraints.bounds
     steer = min(max(steer, -bounds.max_steer), bounds.max_steer)
     accel = min(max(accel, bounds.min_accel), bounds.max_accel)
-    t = tau * constraints.timestep
-    ego = (math.cos(ego_heading), math.sin(ego_heading)) if constraints.use_ego_heading else None
-    ellipses = [(cx + t * vx, cy + t * vy, a, b, *(ego or (c, s)))
-                for cx, cy, vx, vy, a, b, c, s in constraints._rows]
+    ellipses = constraints._ellipses_at(tau)
+    if constraints.use_ego_heading:
+        c, s = math.cos(ego_heading), math.sin(ego_heading)
+        ellipses = [(cx, cy, a, b, c, s) for cx, cy, a, b, _, _ in ellipses]
     # One extra pass so a sweep that ends clean can be verified and returned.
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True

@@ -12,9 +12,10 @@ lateral target the position term is q_pos * (py - py_ref)^2, so the cost is
 an exact diagonal quadratic. For a polyline the expansion uses the
 Gauss-Newton Hessian built from the distance residual's first derivative, so
 it is positive semidefinite by construction. `TrackingCost` evaluates both
-over a whole trajectory as stacked arrays: the position term and the values
-once per trajectory, kept by the trajectory (`Trajectory.evaluation`) and
-read-only, and every expansion afresh from the kept position term.
+over a whole trajectory as stacked arrays: the values and closest points once
+per trajectory, the position gradient and Hessian once per expanded one, all
+kept by the trajectory (`Trajectory.evaluation`) and read-only, and every
+expansion afresh from the kept derivatives.
 """
 
 import math
@@ -28,6 +29,7 @@ from .vehicle import CONTROL_DIM, STATE_DIM
 # Closest-point parameters within this distance of a segment end are treated
 # as vertex projections when picking the Gauss-Newton Hessian branch.
 _VERTEX_EPS = 1e-12
+_IDENTITY = np.eye(2)  # the Gauss-Newton Hessian at a vertex, over 2q
 
 
 @dataclass(frozen=True)
@@ -111,22 +113,31 @@ def _closest_on_polyline(P, polyline):
 
 
 def _position_term(X, weights, reference):
-    """Value (N,), gradient (N, 2) and GN Hessian (N, 2, 2) of the position
-    penalty as functions of (px, py), per row of X (N, 4)."""
+    """Values (N,) of the position penalty per row of X (N, 4), and what its
+    derivatives read: the closest points (N, 2), segment tangents (N, 2) and
+    interior flags (N,) of a polyline reference, None for a lateral target."""
     q = weights.position_weight
-    grad, hess = np.zeros((len(X), 2)), np.zeros((len(X), 2, 2))
     if reference.py_ref is not None:
         e = X[:, 1] - reference.py_ref
-        grad[:, 1] = 2.0 * q * e
+        return q * e * e, None
+    dist, closest, tangent, interior = _closest_on_polyline(X[:, :2], reference.polyline)
+    return q * dist * dist, (closest, tangent, interior)
+
+
+def _position_derivatives(X, geometry, weights, reference):
+    """Gradient (N, 2) and GN Hessian (N, 2, 2) of the position penalty as
+    functions of (px, py), per row of X (N, 4), from `_position_term`'s
+    geometry."""
+    q = weights.position_weight
+    if geometry is None:
+        grad, hess = np.zeros((len(X), 2)), np.zeros((len(X), 2, 2))
+        grad[:, 1] = 2.0 * q * (X[:, 1] - reference.py_ref)
         hess[:, 1, 1] = 2.0 * q
-        return q * e * e, grad, hess
-    P = X[:, :2]
-    dist, closest, tangent, interior = _closest_on_polyline(P, reference.polyline)
-    grad[:] = 2.0 * q * (P - closest)
-    hess[:] = np.eye(2)
-    hess[interior] -= tangent[interior, :, None] * tangent[interior, None, :]
-    hess *= 2.0 * q
-    return q * dist * dist, grad, hess
+        return grad, hess
+    closest, tangent, interior = geometry
+    outer = tangent[:, :, None] * tangent[:, None, :]
+    hess = np.where(interior[:, None, None], _IDENTITY - outer, _IDENTITY)
+    return 2.0 * q * (X[:, :2] - closest), hess * (2.0 * q)
 
 
 def _state_values(X, position, weights, reference):
@@ -177,9 +188,9 @@ class TrackingCost:
 
     Every cost in the package has l_ux = 0, so the protocol carries no cross
     term. The position term of all T+1 stamps, including the closest
-    polyline points, is computed in one pass, once per trajectory: the
-    trajectory keeps it with the values, so a solver that asks for the
-    values and the expansion of one iterate, repeatedly, pays for one pass.
+    polyline points, is computed in one pass per trajectory, its derivatives
+    on the first `expand`; the trajectory keeps both, so a solver that asks
+    for the values and expansion of one iterate repeatedly pays once.
     """
 
     def __init__(self, weights: CostWeights, reference: Reference):
@@ -187,20 +198,29 @@ class TrackingCost:
         self.reference = reference
 
     def _evaluate(self, traj):
-        """The position term triple and the values of traj, read-only."""
-        position = _position_term(traj.states, self.weights, self.reference)
-        states = _state_values(traj.states, position[0], self.weights, self.reference)
-        stages = _plus_effort(states[:-1], traj.controls, self.weights)
-        values = np.append(stages, self.weights.terminal_scale * states[-1])
-        for array in (*position, values):
+        """The position term's geometry and the values of traj, read-only."""
+        position, geometry = _position_term(traj.states, self.weights, self.reference)
+        states = _state_values(traj.states, position, self.weights, self.reference)
+        values = np.empty(len(states))
+        values[:-1] = _plus_effort(states[:-1], traj.controls, self.weights)
+        values[-1] = self.weights.terminal_scale * states[-1]
+        for array in (*(geometry or ()), values):
             array.flags.writeable = False
-        return position, values
+        return geometry, values
+
+    def _derive(self, traj):
+        """The position term's gradient and Hessian of traj, read-only."""
+        geometry = traj.evaluation(self, self._evaluate)[0]
+        derivatives = _position_derivatives(traj.states, geometry, self.weights, self.reference)
+        for array in derivatives:
+            array.flags.writeable = False
+        return derivatives
 
     def values(self, traj) -> np.ndarray:
         return traj.evaluation(self, self._evaluate)[1]
 
     def expand(self, traj):
-        (_, gpos, hpos), _ = traj.evaluation(self, self._evaluate)
+        gpos, hpos = traj.evaluation((self, "derivatives"), self._derive)
         l_x, l_xx = _state_expansion(traj.states, gpos, hpos, self.weights, self.reference)
         l_x[-1] *= self.weights.terminal_scale
         l_xx[-1] *= self.weights.terminal_scale

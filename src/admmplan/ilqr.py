@@ -65,14 +65,17 @@ STATUS_FAILED = "failed"
 
 
 def is_count(value) -> bool:
-    """Whether value is an integer of at least 1: False for 2.5, NaN and True."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    """Whether value is an integer of at least 1: False for 2.5, NaN and True.
+    An exact int skips the ABC check."""
+    return (type(value) is int or (isinstance(value, numbers.Integral)
+                                   and not isinstance(value, bool))) and value >= 1
 
 
 def is_real(value) -> bool:
     """Whether value is a real number: False for True, "1.5" and None, True
-    for NaN and inf."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    for NaN and inf. An exact float or int skips the ABC check."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 # The regularization schedule and the line search are fixed: mu starts at
@@ -127,8 +130,9 @@ class Trajectory:
         return len(self.controls)
 
     def evaluation(self, model, evaluate):
-        """`evaluate(self)`, computed on the first call for `model` (a key by
-        identity) and kept; `evaluate` should return read-only arrays."""
+        """`evaluate(self)`, computed on the first call for `model` (a dict
+        key; models compare by identity) and kept; `evaluate` should return
+        read-only arrays."""
         if model not in self._evaluations:
             self._evaluations[model] = evaluate(self)
         return self._evaluations[model]

@@ -32,6 +32,8 @@ from .ilqr import is_real
 
 STATE_DIM = 4
 CONTROL_DIM = 2
+# The unit diagonal that every stamp's f_x shares.
+_IDENTITY = np.eye(STATE_DIM)
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,8 @@ def jacobians(x, u, params: VehicleParams):
     Raises:
         DomainError: at or beyond the boundary of the kinematic domain,
         where the derivatives blow up; its `tau` is the first such row.
+
+    f*sin(steer) is formed once; f_x starts as the identity in one assignment.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -126,8 +130,9 @@ def jacobians(x, u, params: VehicleParams):
 
     f = h * v
     s, c = np.sin(w), np.cos(w)
-    disc = d * d - (f * s) ** 2
-    q = f * s / d
+    fs = f * s
+    disc = d * d - fs ** 2
+    q = fs / d
     outside = (disc <= 0.0) | (np.abs(q) >= 1.0)
     if outside.any():
         tau = int(np.argmax(outside.reshape(-1)))
@@ -140,17 +145,17 @@ def jacobians(x, u, params: VehicleParams):
     b = d + f * c - root
 
     # d(back roll)/d(front roll) and /d(steer)
-    db_df = c + f * s * s / root
+    db_df = c + fs * s / root
     db_dv = h * db_df
-    db_dw = -f * s + f * f * s * c / root
+    db_dw = -fs + f * f * s * c / root
 
     dasin = 1.0 / np.sqrt(1.0 - q * q)
     dth_dv = (h * s / d) * dasin
     dth_dw = (f * c / d) * dasin
 
     ct, st = np.cos(theta), np.sin(theta)
-    f_x = np.zeros(theta.shape + (4, 4))
-    f_x[..., 0, 0] = f_x[..., 1, 1] = f_x[..., 2, 2] = f_x[..., 3, 3] = 1.0
+    f_x = np.empty(theta.shape + (4, 4))
+    f_x[...] = _IDENTITY
     f_x[..., 0, 2] = -b * st
     f_x[..., 0, 3] = db_dv * ct
     f_x[..., 1, 2] = b * ct

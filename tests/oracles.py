@@ -13,7 +13,10 @@ frames: it is the array form of `project_timestep` and borrows its
 single-ellipse boundary solve and the stacked keep-out evaluator; and
 `column_barrier_values` and `column_barrier_expansion`, the log barrier's
 terms formed one constraint column at a time, which read the barrier cost's
-base cost and constraint set.
+base cost and constraint set. `closure_nearest_boundary_point` is a frozen
+copy of the single-ellipse boundary solve as it was first written, with its
+Newton step in a closure, kept so that rewrites of the solve can be checked
+against it bit for bit.
 """
 
 import functools
@@ -26,6 +29,7 @@ from admmplan.constraints import (
     AXIS_TOL,
     FEASIBILITY_TOL,
     MAX_PROJECTION_SWEEPS,
+    PROJECTION_TOL,
     _nearest_boundary_point,
     project_inputs,
 )
@@ -190,6 +194,42 @@ def _project_with_frame(p, center, rot, a, b) -> np.ndarray:
     sy = 1.0 if q[1] >= 0.0 else -1.0
     nx, ny = _nearest_boundary_point(sx * q[0], sy * q[1], a, b)
     return center + (rot * [sx * nx, sy * ny]).sum(axis=1)
+
+
+def closure_nearest_boundary_point(qx, qy, a, b):
+    """`admmplan.constraints._nearest_boundary_point` with its value and
+    slope F(t), F'(t) in a closure, operation for operation."""
+    if abs(qy) <= AXIS_TOL * b:
+        cusp = (a * a - b * b) / a
+        if abs(qx) >= cusp:
+            return math.copysign(a, qx), 0.0
+        x = a * a * qx / (a * a - b * b)
+        return x, b * math.sqrt(max(0.0, 1.0 - (x / a) ** 2))
+
+    fa2 = (a * qx) ** 2
+    fb2 = (b * qy) ** 2
+
+    def value_slope(t):
+        ga, gb = a * a + t, b * b + t
+        val = fa2 / (ga * ga) + fb2 / (gb * gb) - 1.0
+        slope = -2.0 * (fa2 / (ga**3) + fb2 / (gb**3))
+        return val, slope
+
+    lo, hi = -b * b, 0.0
+    t = -b * b + b * abs(qy)
+    for _ in range(200):
+        val, slope = value_slope(t)
+        if abs(val) < PROJECTION_TOL:
+            break
+        if val > 0.0:
+            lo = t
+        else:
+            hi = t
+        t_new = t - val / slope
+        if not (lo < t_new < hi):
+            t_new = 0.5 * (lo + hi)
+        t = t_new
+    return a * a * qx / (a * a + t), b * b * qy / (b * b + t)
 
 
 def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.0) -> np.ndarray:

@@ -15,7 +15,9 @@ from admmplan.admm import (
     select,
     trajectory_violation,
 )
-from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
+from admmplan.constraints import (
+    FEASIBILITY_TOL, ConstraintSet, InputBounds, Obstacle, project_timestep,
+)
 from admmplan.barrier import barrier_solve
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import DomainError
@@ -217,30 +219,73 @@ def test_z_iterates_feasible():
         assert constraints.keepout(np.arange(T + 1), z[:, :2]).max() <= 1e-6
 
 
-@pytest.mark.parametrize("scenario", [1, 2])
+def projection_case(case):
+    """S1 or S2 (case 1 or 2), or an S1/S2 variant with the ellipses of one
+    kind of benchmark corpus instance: rotated ellipses oriented by the ego
+    heading, moving rotated ellipses, or overlapping ellipses in the lane
+    that S2 changes into."""
+    if case in (1, 2):
+        return builtin_scenario(case)
+    if case == "ego heading":
+        return replace(builtin_scenario(1), ego_heading_ellipses=True, obstacles=[
+            Obstacle((15.0, -0.5), heading=0.3, semi_major=4.0, semi_minor=2.0)])
+    if case == "moving":
+        return replace(builtin_scenario(1), obstacles=[
+            Obstacle((14.0, 0.8), (2.0, -0.2), heading=-0.2, semi_major=4.5, semi_minor=2.0),
+            Obstacle((30.0, -1.0), (2.0, -0.2), heading=0.1, semi_major=4.0, semi_minor=2.0)])
+    return replace(builtin_scenario(2), obstacles=[
+        Obstacle((0.0, 4.2), (6.0, 0.0), heading=0.1, semi_major=5.0, semi_minor=2.5),
+        Obstacle((6.0, 5.0), (6.0, 0.0), heading=-0.15, semi_major=4.0, semi_minor=2.0),
+        Obstacle((20.0, 0.0), (3.0, 0.0), semi_major=5.0, semi_minor=2.5)])
+
+
+PROJECTION_CASES = [1, 2, "ego heading", "moving", "overlapping"]
+
+
+@pytest.mark.parametrize("scenario", PROJECTION_CASES)
 def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
-    # The projection targets of every ADMM iteration of S1/S2, as passed,
-    # and with the inputs scaled past the box limits.
-    calls = []
+    # The projection targets of every ADMM iteration, as passed, and with
+    # the inputs scaled past the box limits. In the solve, project_consensus
+    # hands admm.project_timestep, the layer a profile sees, exactly the
+    # stamps whose keep-out value exceeds FEASIBILITY_TOL, once each. The
+    # per-stamp projections read a twin constraint set whose per-stamp
+    # ellipse rows were filled in shuffled stamp order; the two must agree
+    # bit for bit.
+    calls, projected = [], []
+
+    def counting(block, constraints, tau, heading):
+        projected.append(tau)
+        return project_timestep(block, constraints, tau, heading)
 
     def spy(targets, headings, constraints):
+        projected.clear()
+        z = project_consensus(targets, headings, constraints)
+        g = constraints.keepout(np.arange(len(targets)), targets[:, :2], headings)
+        assert projected == np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist()
         calls.append((targets.copy(), headings.copy(), constraints))
-        return project_consensus(targets, headings, constraints)
+        return z
 
+    monkeypatch.setattr(admm, "project_timestep", counting)
     monkeypatch.setattr(admm, "project_consensus", spy)
-    solve_scenario(builtin_scenario(scenario), "admm")
+    solve_scenario(projection_case(scenario), "admm")
+    first, headings, constraints = calls[0]
+    twin = ConstraintSet(constraints.bounds, constraints.obstacles, constraints.timestep,
+                         constraints.use_ego_heading)
+    for tau in np.random.default_rng(0).permutation(len(first)).tolist():
+        project_timestep(first[tau].tolist(), twin, tau, headings[tau])
     moved = clamped = 0
     for targets, headings, constraints in calls:
         for blocks in (targets, targets * [1.0, 1.0, 20.0, 20.0]):
             per_stamp = np.array([
-                project_timestep(block, constraints, tau, heading)
+                project_timestep(block, twin, tau, heading)
                 for tau, (block, heading) in enumerate(zip(blocks, headings))
             ])
             np.testing.assert_array_equal(project_consensus(blocks, headings, constraints),
                                           per_stamp)
             moved += np.count_nonzero((per_stamp[:, :2] != blocks[:, :2]).any(axis=1))
             clamped += np.count_nonzero((per_stamp[:, 2:] != blocks[:, 2:]).any(axis=1))
-    assert len(calls) == PAPER_PINS[scenario][0] and moved > 0 and clamped > 0
+    assert len(calls) == PAPER_PINS.get(scenario, (len(calls),))[0]
+    assert moved > 0 and clamped > 0
 
 
 def test_inactive_splitting_matches_plain_ilqr():
@@ -499,26 +544,35 @@ def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
     # The tracking cost evaluates its position term (the closest points of
     # a polyline reference) once per trajectory, not once per values or
     # expand call; the seed rollout, read by the probe and again by the
-    # first consensus iteration, is evaluated once.
-    position_term = costs._position_term
-    passes, contents = [], []
+    # first consensus iteration, is evaluated once. It forms the term's
+    # gradient and Hessian once per trajectory that it expands, so not for
+    # the line-search candidates that are only valued.
+    passes, derivative_passes, contents, expanded = [], [], [], []
 
-    def counting(*args):
-        passes.append(1)
-        return position_term(*args)
+    def counting(function, into):
+        def wrapped(*args):
+            into.append(1)
+            return function(*args)
+        return wrapped
 
-    def recording(method):
+    def recording(method, *intos):
         def wrapped(self, traj):
-            contents.append((traj.states.tobytes(), traj.controls.tobytes()))
+            for into in intos:
+                into.append((traj.states.tobytes(), traj.controls.tobytes()))
             return method(self, traj)
         return wrapped
 
-    monkeypatch.setattr(costs, "_position_term", counting)
-    for name in ("values", "expand"):
-        monkeypatch.setattr(TrackingCost, name, recording(getattr(TrackingCost, name)))
+    monkeypatch.setattr(costs, "_position_term", counting(costs._position_term, passes))
+    monkeypatch.setattr(costs, "_position_derivatives",
+                        counting(costs._position_derivatives, derivative_passes))
+    monkeypatch.setattr(TrackingCost, "values", recording(TrackingCost.values, contents))
+    monkeypatch.setattr(TrackingCost, "expand",
+                        recording(TrackingCost.expand, contents, expanded))
     polyline = ((0.0, 0.0), (20.0, 0.0), (40.0, 1.0), (60.0, 1.0))
     cfg = replace(builtin_scenario(2), reference=Reference(polyline=polyline, v_ref=8.0))
     report = admm_solve(build_problem(cfg), cfg.admm)
     assert report.iterations == cfg.admm.max_admm_iters
     assert len(passes) == len(set(contents))
     assert 3 * len(passes) < len(contents)
+    assert len(derivative_passes) == len(set(expanded)) < len(expanded)
+    assert len(derivative_passes) < len(passes)

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admmplan.constraints import (
+    AXIS_TOL,
     FEASIBILITY_TOL,
     ConstraintSet,
     InputBounds,
     Obstacle,
+    _nearest_boundary_point,
     project_inputs,
     project_timestep,
 )
@@ -19,6 +22,7 @@ from admmplan.ilqr import Trajectory
 
 from oracles import (
     center_at,
+    closure_nearest_boundary_point,
     dense_ellipse_boundary,
     ellipse_shape,
     frame_project_timestep,
@@ -279,6 +283,31 @@ def test_ego_heading_convention_switch():
     rotated = project_timestep(block, ego, 0, ego_heading=math.pi / 2)
     # with the ellipse rotated a quarter turn the point sits inside
     assert np.linalg.norm(rotated[:2] - block[:2]) > 0.5
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    minor=st.floats(0.1, 10.0),
+    stretch=st.floats(1.0, 10.0),
+    radius=st.floats(0.0, 1.0, exclude_max=True),
+    angle=st.floats(0.0, math.pi / 2),
+)
+# Near the major axis, on both sides of AXIS_TOL, and near the center.
+@example(minor=2.5, stretch=2.0, radius=0.5, angle=0.0)
+@example(minor=2.5, stretch=2.0, radius=0.5, angle=0.9 * AXIS_TOL / 0.5)
+@example(minor=2.5, stretch=2.0, radius=0.5, angle=1.1 * AXIS_TOL / 0.5)
+@example(minor=2.5, stretch=2.0, radius=0.9, angle=1e-9)
+@example(minor=2.5, stretch=2.0, radius=1e-9, angle=0.7)
+@example(minor=2.5, stretch=2.0, radius=1e-15, angle=1.5)
+@example(minor=2.5, stretch=1.0, radius=0.3, angle=0.2)
+def test_nearest_boundary_point_equals_the_closure_version_bitwise(minor, stretch, radius,
+                                                                   angle):
+    # An interior point of the closed first quadrant, as project_timestep
+    # folds it, at `radius` of the way from the center to the boundary.
+    a, b = minor * stretch, minor
+    qx, qy = a * radius * math.cos(angle), b * radius * math.sin(angle)
+    want = closure_nearest_boundary_point(qx, qy, a, b)
+    assert struct.pack("2d", *_nearest_boundary_point(qx, qy, a, b)) == struct.pack("2d", *want)
 
 
 @st.composite

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +51,21 @@ class ZeroCost:
         (N, n), T = traj.states.shape, traj.horizon
         return (np.zeros((N, n)), np.zeros((T, 2)), np.zeros((N, n, n)),
                 np.tile(self.l_uu, (T, 1, 1)))
+
+
+@pytest.mark.parametrize("value, real, count", [
+    (1.5, True, False), (1, True, True), (7, True, True), (0, True, False),
+    (-3, True, False), (2.0, True, False), (math.nan, True, False),
+    (math.inf, True, False), (np.float64(1.5), True, False), (np.int64(3), True, True),
+    (np.int64(0), True, False), (Fraction(1, 2), True, False), (Fraction(2), True, False),
+    (True, False, False), (False, False, False), ("1.5", False, False), ("1", False, False),
+    (None, False, False), (Decimal("1.5"), False, False), (Decimal(2), False, False),
+    (1 + 0j, False, False),
+], ids=repr)
+def test_number_checks(value, real, count):
+    # The exact-float/int fast path answers as the numbers ABCs do.
+    assert ilqr.is_real(value) is real
+    assert ilqr.is_count(value) == count  # np.bool_ for numpy integers
 
 
 def test_trajectory_shape_validation():
