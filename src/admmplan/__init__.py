@@ -8,9 +8,7 @@ projection step is solved exactly per time stamp. A log-barrier constrained
 iLQR baseline and a benchmark harness round out the toolkit.
 """
 
-from .admm import (
-    ADMMSettings, IterationRecord, Problem, SolveReport, admm_solve, primal_residual, select,
-)
+from .admm import ADMMSettings, IterationRecord, Problem, SolveReport, admm_solve, primal_residual
 from .barrier import BarrierSettings, barrier_solve
 from .constraints import (
     ConstraintSet,
@@ -73,6 +71,5 @@ __all__ = [
     "project_timestep",
     "rollout",
     "save_config",
-    "select",
     "total_cost",
 ]

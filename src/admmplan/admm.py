@@ -132,7 +132,9 @@ class Problem:
 
 
 def _blocks(traj: ilqr.Trajectory) -> np.ndarray:
-    """`select(traj)`, built once per trajectory and kept by it, read-only."""
+    """The constraint-relevant blocks sel(traj), (px, py, steer, accel) per
+    stamp with zeros in the final stamp's control slots, built once per
+    trajectory and kept by it, read-only."""
     return traj.evaluation(_blocks, _build_blocks)
 
 
@@ -145,17 +147,8 @@ def _build_blocks(traj: ilqr.Trajectory) -> np.ndarray:
     return blocks
 
 
-def select(traj: ilqr.Trajectory) -> np.ndarray:
-    """Extract the constraint-relevant blocks (px, py, steer, accel) per stamp.
-
-    The block at the final stamp carries zeros in the control slots. A fresh,
-    writable copy of the blocks that the trajectory keeps for the solver.
-    """
-    return _blocks(traj).copy()
-
-
 def primal_residual(traj: ilqr.Trajectory, z: np.ndarray):
-    """Max-norm (and 2-norm, for plotting) of select(y) - z, from the kept blocks."""
+    """Max-norm (and 2-norm, for plotting) of sel(y) - z, from the kept blocks."""
     diff = _blocks(traj) - z
     return float(np.max(np.abs(diff))), float(np.linalg.norm(diff))
 
@@ -257,7 +250,7 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
 
     one_step = replace(settings.ilqr, max_iters=1)
     y = rollout0
-    z = select(y)
+    z = _blocks(y).copy()
     lam = np.zeros_like(z)
     report = SolveReport(y, STATUS_MAX_ITERS)
     # The residual test only ends the solve once the constraints have bitten

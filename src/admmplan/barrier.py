@@ -82,7 +82,6 @@ class BarrierCost:
         self.constraints = constraints
         self.sharpness = sharpness
         self.margin = margin
-        self._face_signs = np.array([sign for _, sign, _ in constraints.faces])
 
     def values(self, traj) -> np.ndarray:
         box, keepout = self.constraints.values(traj)
@@ -105,7 +104,7 @@ class BarrierCost:
         _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
         inv_t = 1.0 / self.sharpness
         # Box faces are linear in one control: exact 1-D barrier derivatives.
-        gradient, curvature = inv_t * self._face_signs / box, inv_t / box**2
+        gradient, curvature = inv_t * self.constraints.face_signs / box, inv_t / box**2
         for (i, _, _), du, duu in zip(self.constraints.faces, gradient.T, curvature.T):
             l_u[:, i] -= du
             l_uu[:, i, i] += duu

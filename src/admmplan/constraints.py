@@ -105,17 +105,17 @@ class ConstraintSet:
     """The box and keep-out constraints of one solve, as values g (<= 0 holds).
 
     Built once per problem by `build_problem` and shared by the violation
-    scan, the barrier and the projection. Every evaluation takes one stamp
-    or stacked rows with a leading stamp axis: `box(u)`,
-    `keepout(tau, p, heading)` and `keepout_gradient(tau, p, heading)`
-    evaluate the given stamps; `horizon_keepout(p, heading)` evaluates the
-    stamps 0 .. N-1 of N positions, `values(traj)` gives the box and
-    keep-out values of a whole trajectory and `trajectory_gradient(traj)` its
-    keep-out gradients. The last two evaluate once per trajectory: the
-    trajectory keeps the values and offsets, read-only. The last three read
-    the obstacle centers of all stamps of a horizon, which the set computes
-    once per number of stamps and keeps; `project_timestep` reads the float
-    rows of one stamp, which the set computes once per time index and keeps.
+    scan, the barrier and the projection. `faces` lists the finite box faces
+    as (control index, sign, limit), `face_signs` their signs as one array.
+    `box(u)` evaluates one stamp or stacked rows with a leading stamp axis;
+    `horizon_keepout(p, heading)` evaluates the stamps 0 .. N-1 of N
+    positions, `values(traj)` gives the box and keep-out values of a whole
+    trajectory and `trajectory_gradient(traj)` its keep-out gradients. The
+    last two evaluate once per trajectory: the trajectory keeps the values
+    and offsets, read-only. The last three read the obstacle centers of all
+    stamps of a horizon, which the set computes once per number of stamps
+    and keeps; `project_timestep` reads the float rows of one stamp, which
+    the set computes once per time index and keeps.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -137,7 +137,7 @@ class ConstraintSet:
             self.faces.append((1, -1.0, -bounds.min_accel))
         faces = np.array(self.faces, dtype=float).reshape(-1, 3)
         self._face_index = faces[:, 0].astype(int)
-        self._face_sign, self._face_limit = faces[:, 1], faces[:, 2]
+        self.face_signs, self._face_limit = faces[:, 1], faces[:, 2]
         # One float row per obstacle: center, velocity, semi-axes, cos/sin
         # heading; `_ellipses` holds the same rows as (obstacles,) columns.
         rows = np.array(
@@ -154,19 +154,16 @@ class ConstraintSet:
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
         u = np.asarray(u, dtype=float)
-        return self._face_sign * u[..., self._face_index] - self._face_limit
-
-    def _centers_at(self, tau):
-        """Obstacle centers (cx, cy) at time indices tau (...), (..., obstacles) each."""
-        cx, cy, vx, vy = self._ellipses[:4]
-        t = (np.asarray(tau) * self.timestep)[..., None]
-        return cx + t * vx, cy + t * vy
+        return self.face_signs * u[..., self._face_index] - self._face_limit
 
     def _horizon_centers(self, stamps):
-        """`_centers_at` time indices 0 .. stamps-1, computed on the first call
-        for a number of stamps and kept, read-only."""
+        """Obstacle centers (cx, cy) at time indices 0 .. stamps-1, (stamps,
+        obstacles) each, computed on the first call for a number of stamps and
+        kept, read-only."""
         if stamps not in self._centers:
-            centers = self._centers_at(np.arange(stamps))
+            cx, cy, vx, vy = self._ellipses[:4]
+            t = (np.arange(stamps) * self.timestep)[:, None]
+            centers = cx + t * vx, cy + t * vy
             for array in centers:
                 array.flags.writeable = False
             self._centers[stamps] = centers
@@ -196,26 +193,9 @@ class ConstraintSet:
         dy = p[..., 1, None] - cy
         return (c * dx + s * dy) / a, (-s * dx + c * dy) / b, c, s
 
-    def _gradient(self, along, across, c, s):
-        """Position gradients dg/dp (..., obstacles, 2) from `_offsets`."""
-        ga, gb = -2.0 * along / self._ellipses[4], -2.0 * across / self._ellipses[5]
-        gradient = np.empty(ga.shape + (2,))
-        gradient[..., 0] = c * ga - s * gb
-        gradient[..., 1] = s * ga + c * gb
-        return gradient
-
-    def keepout(self, tau, p, heading=0.0) -> np.ndarray:
-        """Keep-out values g (..., obstacles) at time indices tau (...),
-        positions p (..., 2) and headings (...)."""
-        return _keepout(*self._offsets(self._centers_at(tau), p, heading)[:2])
-
-    def keepout_gradient(self, tau, p, heading=0.0) -> np.ndarray:
-        """Position gradients dg/dp (..., obstacles, 2) of `keepout`."""
-        return self._gradient(*self._offsets(self._centers_at(tau), p, heading))
-
     def horizon_keepout(self, p, heading=0.0) -> np.ndarray:
-        """`keepout` at time indices 0 .. N-1 for positions p (N, 2) and
-        headings (N,), from the kept centers of N stamps."""
+        """Keep-out values g (N, obstacles) at time indices 0 .. N-1 for
+        positions p (N, 2) and headings (N,), from the kept centers of N stamps."""
         return _keepout(*self._offsets(self._horizon_centers(len(p)), p, heading)[:2])
 
     def _evaluate(self, traj):
@@ -233,8 +213,14 @@ class ConstraintSet:
         return traj.evaluation(self, self._evaluate)[:2]
 
     def trajectory_gradient(self, traj) -> np.ndarray:
-        """`keepout_gradient` at every stamp of a trajectory, (T+1, obstacles, 2)."""
-        return self._gradient(*traj.evaluation(self, self._evaluate)[2])
+        """Position gradients dg/dp of the keep-out values at every stamp of a
+        trajectory, (T+1, obstacles, 2), from the kept offsets."""
+        along, across, c, s = traj.evaluation(self, self._evaluate)[2]
+        ga, gb = -2.0 * along / self._ellipses[4], -2.0 * across / self._ellipses[5]
+        gradient = np.empty(ga.shape + (2,))
+        gradient[..., 0] = c * ga - s * gb
+        gradient[..., 1] = s * ga + c * gb
+        return gradient
 
     def violation(self, traj) -> float:
         """Largest constraint value along a trajectory (0 when feasible)."""

@@ -112,69 +112,6 @@ def _closest_on_polyline(P, polyline):
     return np.sqrt(d2[rows, i]), proj[rows, i], tangent, interior
 
 
-def _position_term(X, weights, reference):
-    """Values (N,) of the position penalty per row of X (N, 4), and what its
-    derivatives read: the closest points (N, 2), segment tangents (N, 2) and
-    interior flags (N,) of a polyline reference, None for a lateral target."""
-    q = weights.position_weight
-    if reference.py_ref is not None:
-        e = X[:, 1] - reference.py_ref
-        return q * e * e, None
-    dist, closest, tangent, interior = _closest_on_polyline(X[:, :2], reference.polyline)
-    return q * dist * dist, (closest, tangent, interior)
-
-
-def _position_derivatives(X, geometry, weights, reference):
-    """Gradient (N, 2) and GN Hessian (N, 2, 2) of the position penalty as
-    functions of (px, py), per row of X (N, 4), from `_position_term`'s
-    geometry."""
-    q = weights.position_weight
-    if geometry is None:
-        grad, hess = np.zeros((len(X), 2)), np.zeros((len(X), 2, 2))
-        grad[:, 1] = 2.0 * q * (X[:, 1] - reference.py_ref)
-        hess[:, 1, 1] = 2.0 * q
-        return grad, hess
-    closest, tangent, interior = geometry
-    outer = tangent[:, :, None] * tangent[:, None, :]
-    hess = np.where(interior[:, None, None], _IDENTITY - outer, _IDENTITY)
-    return 2.0 * q * (X[:, :2] - closest), hess * (2.0 * q)
-
-
-def _state_values(X, position, weights, reference):
-    """Position plus speed penalty per row of X (N, 4), from the position
-    term's values (N,)."""
-    if reference.v_ref is None:
-        return position
-    dv = X[:, 3] - reference.v_ref
-    return position + weights.velocity_weight * dv * dv
-
-
-def _state_expansion(X, gpos, hpos, weights, reference):
-    """Gradient (N, 4) and Hessian (N, 4, 4) of `_state_values`, from the
-    position term's gradient (N, 2) and Hessian (N, 2, 2)."""
-    l_x, l_xx = np.zeros((len(X), STATE_DIM)), np.zeros((len(X), STATE_DIM, STATE_DIM))
-    l_x[:, :2] = gpos
-    l_xx[:, :2, :2] = hpos
-    if reference.v_ref is not None:
-        l_x[:, 3] = 2.0 * weights.velocity_weight * (X[:, 3] - reference.v_ref)
-        l_xx[:, 3, 3] = 2.0 * weights.velocity_weight
-    return l_x, l_xx
-
-
-def _plus_effort(values, U, weights):
-    """Stage costs from state values (N,) and controls U (N, 2)."""
-    return (values + weights.steering_weight * U[:, 0] * U[:, 0]
-            + weights.accel_weight * U[:, 1] * U[:, 1])
-
-
-def _control_expansion(U, weights):
-    """Gradient (N, 2) and diagonal Hessian (N, 2, 2) of the control effort."""
-    scale = np.array([2.0 * weights.steering_weight, 2.0 * weights.accel_weight])
-    l_uu = np.zeros((len(U), CONTROL_DIM, CONTROL_DIM))
-    l_uu[:, 0, 0], l_uu[:, 1, 1] = scale
-    return scale * U, l_uu
-
-
 class TrackingCost:
     """Cost-model adapter binding weights and a reference for the solvers.
 
@@ -198,31 +135,63 @@ class TrackingCost:
         self.reference = reference
 
     def _evaluate(self, traj):
-        """The position term's geometry and the values of traj, read-only."""
-        position, geometry = _position_term(traj.states, self.weights, self.reference)
-        states = _state_values(traj.states, position, self.weights, self.reference)
+        """The position term's geometry and the values of traj, read-only.
+
+        The geometry is what the position term's derivatives read: the
+        closest points (T+1, 2), segment tangents (T+1, 2) and interior flags
+        (T+1,) of a polyline reference, None for a lateral target."""
+        X, U, w, ref = traj.states, traj.controls, self.weights, self.reference
+        if ref.py_ref is not None:
+            e = X[:, 1] - ref.py_ref
+            states, geometry = w.position_weight * e * e, None
+        else:
+            dist, closest, tangent, interior = _closest_on_polyline(X[:, :2], ref.polyline)
+            states, geometry = w.position_weight * dist * dist, (closest, tangent, interior)
+        if ref.v_ref is not None:
+            dv = X[:, 3] - ref.v_ref
+            states = states + w.velocity_weight * dv * dv
         values = np.empty(len(states))
-        values[:-1] = _plus_effort(states[:-1], traj.controls, self.weights)
-        values[-1] = self.weights.terminal_scale * states[-1]
+        values[:-1] = (states[:-1] + w.steering_weight * U[:, 0] * U[:, 0]
+                       + w.accel_weight * U[:, 1] * U[:, 1])
+        values[-1] = w.terminal_scale * states[-1]
         for array in (*(geometry or ()), values):
             array.flags.writeable = False
         return geometry, values
 
     def _derive(self, traj):
-        """The position term's gradient and Hessian of traj, read-only."""
+        """The position term's gradient (T+1, 2) and Gauss-Newton Hessian
+        (T+1, 2, 2) in (px, py) of traj, read-only."""
         geometry = traj.evaluation(self, self._evaluate)[0]
-        derivatives = _position_derivatives(traj.states, geometry, self.weights, self.reference)
-        for array in derivatives:
+        X, q = traj.states, self.weights.position_weight
+        if geometry is None:
+            grad, hess = np.zeros((len(X), 2)), np.zeros((len(X), 2, 2))
+            grad[:, 1] = 2.0 * q * (X[:, 1] - self.reference.py_ref)
+            hess[:, 1, 1] = 2.0 * q
+        else:
+            closest, tangent, interior = geometry
+            outer = tangent[:, :, None] * tangent[:, None, :]
+            hess = np.where(interior[:, None, None], _IDENTITY - outer, _IDENTITY)
+            grad, hess = 2.0 * q * (X[:, :2] - closest), hess * (2.0 * q)
+        for array in (grad, hess):
             array.flags.writeable = False
-        return derivatives
+        return grad, hess
 
     def values(self, traj) -> np.ndarray:
         return traj.evaluation(self, self._evaluate)[1]
 
     def expand(self, traj):
         gpos, hpos = traj.evaluation((self, "derivatives"), self._derive)
-        l_x, l_xx = _state_expansion(traj.states, gpos, hpos, self.weights, self.reference)
-        l_x[-1] *= self.weights.terminal_scale
-        l_xx[-1] *= self.weights.terminal_scale
-        l_u, l_uu = _control_expansion(traj.controls, self.weights)
-        return l_x, l_u, l_xx, l_uu
+        X, U, w, ref = traj.states, traj.controls, self.weights, self.reference
+        l_x, l_xx = np.zeros((len(X), STATE_DIM)), np.zeros((len(X), STATE_DIM, STATE_DIM))
+        l_x[:, :2] = gpos
+        l_xx[:, :2, :2] = hpos
+        if ref.v_ref is not None:
+            l_x[:, 3] = 2.0 * w.velocity_weight * (X[:, 3] - ref.v_ref)
+            l_xx[:, 3, 3] = 2.0 * w.velocity_weight
+        l_x[-1] *= w.terminal_scale
+        l_xx[-1] *= w.terminal_scale
+        # The control effort: gradient and diagonal Hessian.
+        scale = np.array([2.0 * w.steering_weight, 2.0 * w.accel_weight])
+        l_uu = np.zeros((len(U), CONTROL_DIM, CONTROL_DIM))
+        l_uu[:, 0, 0], l_uu[:, 1, 1] = scale
+        return l_x, scale * U, l_xx, l_uu

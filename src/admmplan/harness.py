@@ -215,14 +215,15 @@ def parse_snapshot_policy(text: str):
 
 def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
                   include_seconds=False):
-    """Write the residual history and the selected per-iteration snapshots.
+    """Write the residual history and the per-iteration snapshots that
+    `policy`, a `parse_snapshot_policy` text, selects.
 
     Snapshot indices past the solve's last iteration have no trajectory to
     write; they are skipped with a UserWarning that names them.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    picks = parse_snapshot_policy(policy) if isinstance(policy, str) else policy
+    picks = parse_snapshot_policy(policy)
     total = report.iterations
     if picks == "all":
         chosen = set(range(1, total + 1))

@@ -68,7 +68,7 @@ def is_count(value) -> bool:
     """Whether value is an integer of at least 1: False for 2.5, NaN and True.
     An exact int skips the ABC check."""
     return (type(value) is int or (isinstance(value, numbers.Integral)
-                                   and not isinstance(value, bool))) and value >= 1
+                                   and not isinstance(value, bool))) and bool(value >= 1)
 
 
 def is_real(value) -> bool:

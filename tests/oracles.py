@@ -4,19 +4,22 @@ Everything here is deliberately written from the textbook definitions and
 shares no solver code with the package: a finite-horizon Riccati recursion, a
 linear/quadratic problem wrapper for the iLQR interface, brute-force
 geometric helpers, the ellipse's center and shape-matrix form, a copy of a
-trajectory with one entry moved (for finite differences), and the iLQR
-backward and forward passes written stamp by stamp on small arrays (they
-borrow only the package's result and error types and its fixed
-regularization constants). The exceptions are
-`frame_project_timestep`, the cyclic keep-out projection on numpy ellipse
-frames: it is the array form of `project_timestep` and borrows its
-single-ellipse boundary solve and the stacked keep-out evaluator; and
-`column_barrier_values` and `column_barrier_expansion`, the log barrier's
-terms formed one constraint column at a time, which read the barrier cost's
-base cost and constraint set. `closure_nearest_boundary_point` is a frozen
-copy of the single-ellipse boundary solve as it was first written, with its
-Newton step in a closure, kept so that rewrites of the solve can be checked
-against it bit for bit.
+trajectory with one entry moved (for finite differences), the consensus
+blocks of a trajectory, and the iLQR backward and forward passes written
+stamp by stamp on small arrays (they borrow only the package's result and
+error types and its fixed regularization constants). The exceptions are
+`keepout_at` and `keepout_gradient_at`, a constraint set's keep-out values and
+gradients at any time indices: they borrow the set's ellipse-frame offsets
+(`ConstraintSet._offsets`) and are the per-stamp reference that the stacked
+evaluator must equal bit for bit; `frame_project_timestep`, the cyclic
+keep-out projection on numpy ellipse frames: it is the array form of
+`project_timestep` and borrows its single-ellipse boundary solve and
+`keepout_at`; and `column_barrier_values` and `column_barrier_expansion`,
+the log barrier's terms formed one constraint column at a time, which read
+the barrier cost's base cost and constraint set.
+`closure_nearest_boundary_point` is a frozen copy of the single-ellipse
+boundary solve as it was first written, with its Newton step in a closure,
+kept so that rewrites of the solve can be checked against it bit for bit.
 """
 
 import functools
@@ -175,6 +178,39 @@ def ellipse_shape(heading: float, semi_major: float, semi_minor: float) -> np.nd
     return rot @ np.diag([semi_major**-2, semi_minor**-2]) @ rot.T
 
 
+def _stamp_offsets(constraints, tau, p, heading):
+    """`ConstraintSet._offsets` at time indices tau (...), with the obstacle
+    centers moved to each stamp from the obstacles' own fields."""
+    t = (np.asarray(tau) * constraints.timestep)[..., None]
+    center0 = np.array([obs.center0 for obs in constraints.obstacles]).reshape(-1, 2)
+    velocity = np.array([obs.velocity for obs in constraints.obstacles]).reshape(-1, 2)
+    centers = center0[:, 0] + t * velocity[:, 0], center0[:, 1] + t * velocity[:, 1]
+    return constraints._offsets(centers, p, heading)
+
+
+def keepout_at(constraints, tau, p, heading=0.0) -> np.ndarray:
+    """Keep-out values g (..., obstacles) of a constraint set at time indices
+    tau (...), positions p (..., 2) and headings (...)."""
+    along, across = _stamp_offsets(constraints, tau, p, heading)[:2]
+    return 1.0 - along**2 - across**2
+
+
+def keepout_gradient_at(constraints, tau, p, heading=0.0) -> np.ndarray:
+    """Position gradients dg/dp (..., obstacles, 2) of `keepout_at`."""
+    along, across, c, s = _stamp_offsets(constraints, tau, p, heading)
+    a = np.array([obs.semi_major for obs in constraints.obstacles])
+    b = np.array([obs.semi_minor for obs in constraints.obstacles])
+    ga, gb = -2.0 * along / a, -2.0 * across / b
+    return np.stack([c * ga - s * gb, s * ga + c * gb], axis=-1)
+
+
+def consensus_blocks(traj: Trajectory) -> np.ndarray:
+    """Consensus blocks (px, py, steer, accel) per stamp, (T+1, 4), with
+    zeros in the final stamp's control slots; a fresh, writable array."""
+    controls = np.vstack([traj.controls, np.zeros((1, 2))])
+    return np.hstack([traj.states[:, :2], controls])
+
+
 def _project_with_frame(p, center, rot, a, b) -> np.ndarray:
     """Nearest boundary point for an interior p, in a known ellipse frame."""
     # Elementwise products, not a matmul, which may fuse multiply-adds: on a
@@ -235,12 +271,12 @@ def closure_nearest_boundary_point(qx, qy, a, b):
 def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.0) -> np.ndarray:
     """`project_timestep` on numpy ellipse frames: the obstacle's center at
     tau and a 2x2 rotation map the point into and out of each ellipse's
-    frame, and every move is re-checked with the stacked evaluator."""
+    frame, and every move is re-checked with `keepout_at`."""
     block = np.asarray(block, dtype=float)
     out = block.copy()
     out[2:] = project_inputs(block[2:], constraints.bounds)
     p = out[:2]
-    g = constraints.keepout(tau, p, ego_heading)
+    g = keepout_at(constraints, tau, p, ego_heading)
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True
         for k, obs in enumerate(constraints.obstacles):
@@ -248,7 +284,7 @@ def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.
                 rot = _rotation(ego_heading if constraints.use_ego_heading else obs.heading)
                 p = _project_with_frame(p, center_at(obs, tau, constraints.timestep), rot,
                                         obs.semi_major, obs.semi_minor)
-                g = constraints.keepout(tau, p, ego_heading)
+                g = keepout_at(constraints, tau, p, ego_heading)
                 clean = False
         if clean:
             out[:2] = p

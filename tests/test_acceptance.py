@@ -24,6 +24,7 @@ from oracles import (
     LinearDynamics,
     QuadraticCost,
     dense_ellipse_boundary,
+    keepout_at,
     nearest_on_boundary,
     random_lqr_instance,
     riccati_optimal,
@@ -153,7 +154,7 @@ def scenario_constraint_summary(cfg, traj):
     a_max = float(traj.controls[:, 1].max())
     constraints = ConstraintSet(cfg.bounds, cfg.obstacles, h)
     worst_h = float(np.max(
-        constraints.keepout(np.arange(traj.horizon + 1), traj.states[:, :2])
+        keepout_at(constraints, np.arange(traj.horizon + 1), traj.states[:, :2])
     ))
     return max_steer, a_min, a_max, worst_h
 

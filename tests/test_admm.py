@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from admmplan import admm, costs, ilqr
+from admmplan import admm, ilqr
 from admmplan.admm import (
     ADMMSettings,
     SolveReport,
@@ -12,7 +12,6 @@ from admmplan.admm import (
     admm_solve,
     primal_residual,
     project_consensus,
-    select,
     trajectory_violation,
 )
 from admmplan.constraints import (
@@ -25,7 +24,7 @@ from admmplan.harness import build_problem, solve_scenario
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
-from oracles import nudged
+from oracles import consensus_blocks, keepout_at, nudged
 
 
 def tracking_cost():
@@ -40,11 +39,14 @@ def straight_rollout(v0=4.0, horizon=10):
 
 
 def test_select_block_layout():
+    # sel(y), the blocks a trajectory keeps for the solver, read-only.
     _, traj = straight_rollout()
-    blocks = select(traj)
+    blocks = admm._blocks(traj)
     assert blocks.shape == (11, 4)
     np.testing.assert_allclose(blocks[1], [0.4, 0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_array_equal(blocks[-1, 2:], [0.0, 0.0])
+    assert not blocks.flags.writeable
+    assert blocks.tobytes() == consensus_blocks(traj).tobytes()
 
 
 def test_select_is_linear():
@@ -53,25 +55,26 @@ def test_select_is_linear():
     a = ilqr.Trajectory(rng.normal(size=(9, 4)), rng.normal(size=(8, 2)))
     b = ilqr.Trajectory(rng.normal(size=(9, 4)), rng.normal(size=(8, 2)))
     combo = ilqr.Trajectory(a.states + b.states, a.controls + b.controls)
-    np.testing.assert_allclose(select(combo), select(a) + select(b), atol=1e-12)
+    np.testing.assert_allclose(admm._blocks(combo), admm._blocks(a) + admm._blocks(b),
+                               atol=1e-12)
 
 
 def test_select_block_count():
     for horizon in (1, 7, 60):
         _, traj = straight_rollout(horizon=horizon)
-        assert select(traj).shape[0] == horizon + 1
+        assert admm._blocks(traj).shape[0] == horizon + 1
 
 
 def test_primal_residual_zero_on_consensus():
     _, traj = straight_rollout()
-    res_inf, res_two = primal_residual(traj, select(traj))
+    res_inf, res_two = primal_residual(traj, consensus_blocks(traj))
     assert res_inf == 0.0
     assert res_two == 0.0
 
 
 def test_primal_residual_max_norm():
     _, traj = straight_rollout()
-    z = select(traj)
+    z = consensus_blocks(traj)
     z[3, 0] += 0.5
     res_inf, res_two = primal_residual(traj, z)
     assert res_inf == pytest.approx(0.5)
@@ -81,9 +84,9 @@ def test_primal_residual_max_norm():
 def test_primal_residual_matches_direct_norms():
     rng = np.random.default_rng(1)
     _, traj = straight_rollout()
-    z = select(traj) + rng.normal(size=(11, 4))
+    z = consensus_blocks(traj) + rng.normal(size=(11, 4))
     res_inf, res_two = primal_residual(traj, z)
-    diff = select(traj) - z
+    diff = consensus_blocks(traj) - z
     assert res_inf == pytest.approx(np.abs(diff).max())
     assert res_two == pytest.approx(np.linalg.norm(diff))
 
@@ -91,7 +94,7 @@ def test_primal_residual_matches_direct_norms():
 def test_penalty_vanishes_at_consensus():
     _, traj = straight_rollout()
     base = tracking_cost()
-    z = select(traj)
+    z = consensus_blocks(traj)
     pen = PenalizedCost(base, z, np.zeros_like(z), 10.0)
     np.testing.assert_allclose(pen.values(traj), base.values(traj), rtol=1e-12)
 
@@ -100,7 +103,7 @@ def test_penalty_matches_direct_formula():
     rng = np.random.default_rng(2)
     _, traj = straight_rollout()
     base = tracking_cost()
-    z = select(traj) + rng.normal(size=(11, 4))
+    z = consensus_blocks(traj) + rng.normal(size=(11, 4))
     lam = rng.normal(size=(11, 4))
     sigma = 7.5
     pen = PenalizedCost(base, z, lam, sigma)
@@ -122,7 +125,7 @@ def test_penalty_matches_direct_formula():
 def test_penalty_small_sigma_limit():
     _, traj = straight_rollout()
     base = tracking_cost()
-    z = select(traj) + 1.0
+    z = consensus_blocks(traj) + 1.0
     base_value = base.values(traj)[2]
     for sigma in (1e-2, 1e-5, 1e-8):
         pen = PenalizedCost(base, z, np.zeros_like(z), sigma)
@@ -136,7 +139,7 @@ def test_penalty_expansion_matches_finite_differences():
     rng = np.random.default_rng(3)
     _, traj = straight_rollout()
     base = tracking_cost()
-    z = select(traj) + rng.normal(size=(11, 4))
+    z = consensus_blocks(traj) + rng.normal(size=(11, 4))
     lam = rng.normal(size=(11, 4))
     pen = PenalizedCost(base, z, lam, 10.0)
     eps = 1e-6
@@ -183,13 +186,13 @@ def test_dual_update_identity():
     cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
     T = cfg.horizon
     y = ilqr.rollout(dynamics, problem.x0, np.zeros((T, 2)))
-    z = select(y)
+    z = consensus_blocks(y)
     lam = np.zeros_like(z)
     sigma = cfg.admm.sigma
     for _ in range(4):
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
-        sel = select(y)
+        sel = consensus_blocks(y)
         targets = sel + lam / sigma
         for tau in range(T + 1):
             z[tau] = project_timestep(targets[tau], constraints, tau)
@@ -204,19 +207,19 @@ def test_z_iterates_feasible():
     cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
     T = cfg.horizon
     y = ilqr.rollout(dynamics, problem.x0, np.zeros((T, 2)))
-    z = select(y)
+    z = consensus_blocks(y)
     lam = np.zeros_like(z)
     sigma = cfg.admm.sigma
     for _ in range(6):
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
-        sel = select(y)
+        sel = consensus_blocks(y)
         targets = sel + lam / sigma
         for tau in range(T + 1):
             z[tau] = project_timestep(targets[tau], constraints, tau)
         lam += sigma * (sel - z)
         assert constraints.box(z[:, 2:]).max() <= 1e-6
-        assert constraints.keepout(np.arange(T + 1), z[:, :2]).max() <= 1e-6
+        assert keepout_at(constraints, np.arange(T + 1), z[:, :2]).max() <= 1e-6
 
 
 def projection_case(case):
@@ -260,7 +263,7 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
     def spy(targets, headings, constraints):
         projected.clear()
         z = project_consensus(targets, headings, constraints)
-        g = constraints.keepout(np.arange(len(targets)), targets[:, :2], headings)
+        g = keepout_at(constraints, np.arange(len(targets)), targets[:, :2], headings)
         assert projected == np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist()
         calls.append((targets.copy(), headings.copy(), constraints))
         return z
@@ -562,9 +565,9 @@ def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
             return method(self, traj)
         return wrapped
 
-    monkeypatch.setattr(costs, "_position_term", counting(costs._position_term, passes))
-    monkeypatch.setattr(costs, "_position_derivatives",
-                        counting(costs._position_derivatives, derivative_passes))
+    monkeypatch.setattr(TrackingCost, "_evaluate", counting(TrackingCost._evaluate, passes))
+    monkeypatch.setattr(TrackingCost, "_derive",
+                        counting(TrackingCost._derive, derivative_passes))
     monkeypatch.setattr(TrackingCost, "values", recording(TrackingCost.values, contents))
     monkeypatch.setattr(TrackingCost, "expand",
                         recording(TrackingCost.expand, contents, expanded))

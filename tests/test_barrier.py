@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from admmplan import ilqr
-from admmplan.admm import ADMMSettings, PenalizedCost, admm_solve, project_consensus, select
+from admmplan.admm import ADMMSettings, PenalizedCost, admm_solve, project_consensus
 from admmplan.barrier import (
     CENTERING_FRACTION,
     BarrierCost,
@@ -20,7 +20,7 @@ from admmplan.ilqr import ILQRSettings, Trajectory, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
-from oracles import nudged
+from oracles import consensus_blocks, keepout_at, nudged
 
 
 class FlatCost:
@@ -75,7 +75,7 @@ def clear_trajectory(constraints, rng, horizon, clearance=0.05):
     for tau in range(horizon + 1):
         while True:
             x = rng.normal(size=4) * 6
-            if np.all(constraints.keepout(tau, x[:2]) < -clearance):
+            if np.all(keepout_at(constraints, tau, x[:2]) < -clearance):
                 break
         states.append(x)
         while tau < horizon:
@@ -112,8 +112,8 @@ def test_expansion_names_first_stamp_outside_domain():
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((60, 2)))
     traj = nudged(traj, 1, (55, 0), 0.7)  # past the steering box, after the obstacle
     # Stamps 27-48 sit inside the ellipse; a backward walk would name 55.
-    keepout = ConstraintSet(InputBounds(), obs, 0.1).keepout(
-        np.arange(61), traj.states[:, :2])[:, 0]
+    keepout = keepout_at(ConstraintSet(InputBounds(), obs, 0.1), np.arange(61),
+                         traj.states[:, :2])[:, 0]
     inside = np.flatnonzero(keepout > -1e-6)
     assert (inside[0], inside[-1]) == (27, 48)
     with pytest.raises(BarrierDomainViolation) as info:
@@ -216,21 +216,27 @@ def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
 def test_obstacle_centers_once_per_horizon_in_a_solve(monkeypatch):
     # Every trajectory of a solve spans the problem's horizon, so one solve
     # computes the obstacle centers of its stamps once, for the evaluator
-    # and, in the consensus solver, for the projection's keep-out scan.
-    centers_at = ConstraintSet._centers_at
-    stamps = []
+    # and, in the consensus solver, for the projection's keep-out scan:
+    # every request hands back the one kept pair of center arrays.
+    horizon_centers = ConstraintSet._horizon_centers
+    calls = []
 
-    def counting(self, tau):
-        stamps.append(np.shape(tau))
-        return centers_at(self, tau)
+    def recording(self, stamps):
+        centers = horizon_centers(self, stamps)
+        calls.append((stamps, centers))
+        return centers
 
-    monkeypatch.setattr(ConstraintSet, "_centers_at", counting)
+    monkeypatch.setattr(ConstraintSet, "_horizon_centers", recording)
     for solve, settings in ((barrier_solve, "barrier"), (admm_solve, "admm")):
-        stamps.clear()
+        calls.clear()
         cfg, problem = feasible_config(2, 4.0)
         report = solve(problem, getattr(cfg, settings))
         assert report.iterations > 1
-        assert stamps == [(cfg.horizon + 1,)]
+        assert len(calls) > 1
+        assert {stamps for stamps, _ in calls} == {cfg.horizon + 1}
+        first = calls[0][1]
+        assert all(centers is first for _, centers in calls)
+        assert [array.shape for array in first] == [(cfg.horizon + 1, len(cfg.obstacles))] * 2
 
 
 def test_single_stage_is_the_exact_inner_solve():
@@ -294,11 +300,11 @@ def test_barrier_cost_approaches_consensus_cost():
     sigma, settings = ADMMSettings().sigma, ILQRSettings()
     y = ilqr.solve(rollout(dynamics, problem.x0, np.zeros((cfg.horizon, 2))), cost, dynamics,
                    settings).trajectory
-    z = select(y)
+    z = consensus_blocks(y)
     lam = np.zeros_like(z)
     for _ in range(60):
         y = ilqr.solve(y, PenalizedCost(cost, z, lam, sigma), dynamics, settings).trajectory
-        sel = select(y)
+        sel = consensus_blocks(y)
         z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam += sigma * (sel - z)
     ref_cost = total_cost(cost, y)

@@ -26,6 +26,8 @@ from oracles import (
     dense_ellipse_boundary,
     ellipse_shape,
     frame_project_timestep,
+    keepout_at,
+    keepout_gradient_at,
     nearest_on_boundary,
 )
 
@@ -53,26 +55,26 @@ def make_bounds():
 
 def test_violation_at_center_is_one():
     constraints = ConstraintSet(make_bounds(), [Obstacle(center0=(3.0, -1.0))], 0.1)
-    assert constraints.keepout(0, (3.0, -1.0))[0] == pytest.approx(1.0)
+    assert keepout_at(constraints, 0, (3.0, -1.0))[0] == pytest.approx(1.0)
 
 
 def test_violation_zero_on_major_axis_boundary():
     obs = Obstacle(center0=(0.0, 0.0), heading=0.4, semi_major=5.0, semi_minor=2.5)
     p = (5.0 * math.cos(0.4), 5.0 * math.sin(0.4))
-    g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(0, p)[0]
+    g = keepout_at(ConstraintSet(make_bounds(), [obs], 0.1), 0, p)[0]
     assert g == pytest.approx(0.0, abs=1e-12)
 
 
 def test_violation_scenario_point():
     obs = Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)
-    g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(0, (15.0, 2.0))[0]
+    g = keepout_at(ConstraintSet(make_bounds(), [obs], 0.1), 0, (15.0, 2.0))[0]
     assert g == pytest.approx(-0.44)
 
 
 def test_violation_moving_obstacle_center():
     obs = Obstacle(center0=(0.0, 0.0), velocity=(3.0, 0.0))
     np.testing.assert_allclose(center_at(obs, 10, 0.1), [3.0, 0.0])
-    g = ConstraintSet(make_bounds(), [obs], 0.1).keepout(10, (3.0, 0.0))[0]
+    g = keepout_at(ConstraintSet(make_bounds(), [obs], 0.1), 10, (3.0, 0.0))[0]
     assert g == pytest.approx(1.0)
 
 
@@ -89,8 +91,8 @@ def test_violation_rotation_invariance():
                      semi_minor=1.5)
         b = Obstacle(center0=tuple(rot @ center), heading=heading + angle,
                      semi_major=4.0, semi_minor=1.5)
-        va = ConstraintSet(make_bounds(), [a], 0.1).keepout(0, p)[0]
-        vb = ConstraintSet(make_bounds(), [b], 0.1).keepout(0, rot @ p)[0]
+        va = keepout_at(ConstraintSet(make_bounds(), [a], 0.1), 0, p)[0]
+        vb = keepout_at(ConstraintSet(make_bounds(), [b], 0.1), 0, rot @ p)[0]
         assert va == pytest.approx(vb, abs=1e-12)
 
 
@@ -233,7 +235,7 @@ def test_project_timestep_clamps_inputs_and_clears_obstacles():
     out = project_timestep(block, constraints, 0)
     assert out[2] == pytest.approx(0.6)
     assert out[3] == pytest.approx(-3.0)
-    assert constraints.keepout(0, out[:2])[0] <= 1e-6
+    assert keepout_at(constraints, 0, out[:2])[0] <= 1e-6
 
 
 def test_project_timestep_idempotent():
@@ -256,7 +258,7 @@ def test_project_timestep_moving_obstacle_uses_time_index():
     block = np.array([10.0, 0.1, 0.0, 0.0])
     constraints = ConstraintSet(make_bounds(), [obs], 0.1)
     moved = project_timestep(block, constraints, 10)
-    assert constraints.keepout(10, moved[:2])[0] <= 1e-6
+    assert keepout_at(constraints, 10, moved[:2])[0] <= 1e-6
     unmoved = project_timestep(block, constraints, 0)
     np.testing.assert_array_equal(unmoved, block)
 
@@ -331,9 +333,13 @@ def obstacles(draw):
     use_ego_heading=st.booleans(),
 )
 def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_heading):
+    # The set's trajectory evaluator, at stamp tau of a trajectory through p.
     constraints = ConstraintSet(make_bounds(), [obs], 0.1, use_ego_heading)
-    g = constraints.keepout(tau, p, ego_heading)[0]
-    gx, gy = constraints.keepout_gradient(tau, p, ego_heading)[0]
+    states = np.zeros((tau + 1, 4))
+    states[tau, :3] = (*p, ego_heading)
+    traj = Trajectory(states, np.zeros((tau, 2)))
+    g = constraints.values(traj)[1][tau, 0]
+    gx, gy = constraints.trajectory_gradient(traj)[tau, 0]
     heading = ego_heading if use_ego_heading else obs.heading
     A = ellipse_shape(heading, obs.semi_major, obs.semi_minor)
     d = np.asarray(p) - center_at(obs, tau, 0.1)
@@ -389,7 +395,7 @@ def test_projection_matches_frame_reference(obs, tau, near, offset, inputs, ego_
         out = project_timestep(block, constraints, tau, ego_heading)
     np.testing.assert_allclose(out[:2], expected[:2], rtol=0.0, atol=1e-9)
     np.testing.assert_array_equal(out[2:], expected[2:])
-    assert constraints.keepout(tau, out[:2], ego_heading).max() <= FEASIBILITY_TOL
+    assert keepout_at(constraints, tau, out[:2], ego_heading).max() <= FEASIBILITY_TOL
 
 
 @settings(max_examples=100, deadline=None)
@@ -413,7 +419,7 @@ def test_violation_is_worst_pointwise_value(obs, horizon, data, use_ego_heading)
     for tau in range(horizon + 1):
         for o in obs:
             one = ConstraintSet(bounds, [o], 0.1, use_ego_heading)
-            brute.append(one.keepout(tau, states[tau, :2], states[tau, 2])[0])
+            brute.append(keepout_at(one, tau, states[tau, :2], states[tau, 2])[0])
     for steer, accel in controls:
         brute += [abs(steer) - bounds.max_steer, accel - bounds.max_accel,
                   bounds.min_accel - accel]
@@ -433,8 +439,8 @@ TWO_ELLIPSES = [Obstacle((8.0, 0.5), (1.0, -0.5), 0.4, 5.0, 2.5), Obstacle((15.0
 
 @pytest.mark.parametrize("use_ego_heading", [False, True])
 def test_trajectory_values_are_read_only_and_match_the_stamp_evaluators(use_ego_heading):
-    # One evaluation per trajectory, handed out read-only; the kept
-    # gradient is `keepout_gradient`'s, bit for bit.
+    # One evaluation per trajectory, handed out read-only; the values and
+    # the gradient are the per-stamp evaluator's, bit for bit.
     constraints = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1, use_ego_heading)
     traj = rolled_trajectory(0)
     box, keepout = constraints.values(traj)
@@ -443,9 +449,9 @@ def test_trajectory_values_are_read_only_and_match_the_stamp_evaluators(use_ego_
         keepout[0, 0] = 0.0
     stamps, x = np.arange(len(traj.states)), traj.states
     assert np.array_equal(box, constraints.box(traj.controls))
-    assert keepout.tobytes() == constraints.keepout(stamps, x[:, :2], x[:, 2]).tobytes()
+    assert keepout.tobytes() == keepout_at(constraints, stamps, x[:, :2], x[:, 2]).tobytes()
     assert (constraints.trajectory_gradient(traj).tobytes()
-            == constraints.keepout_gradient(stamps, x[:, :2], x[:, 2]).tobytes())
+            == keepout_gradient_at(constraints, stamps, x[:, :2], x[:, 2]).tobytes())
 
 
 MOVING = [Obstacle((8.0, 0.5), (1.0, -0.5), 0.4, 5.0, 2.5),
@@ -463,9 +469,9 @@ def test_two_horizons_through_one_set_match_each_stamp(use_ego_heading):
         box, keepout = constraints.values(traj)
         gradient = constraints.trajectory_gradient(traj)
         for tau, x in enumerate(traj.states):
-            assert keepout[tau].tobytes() == constraints.keepout(tau, x[:2], x[2]).tobytes()
+            assert keepout[tau].tobytes() == keepout_at(constraints, tau, x[:2], x[2]).tobytes()
             assert (gradient[tau].tobytes()
-                    == constraints.keepout_gradient(tau, x[:2], x[2]).tobytes())
+                    == keepout_gradient_at(constraints, tau, x[:2], x[2]).tobytes())
         for tau, u in enumerate(traj.controls):
             assert box[tau].tobytes() == constraints.box(u).tobytes()
         scan = constraints.horizon_keepout(traj.states[:, :2], traj.states[:, 2])

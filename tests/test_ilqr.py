@@ -65,7 +65,7 @@ class ZeroCost:
 def test_number_checks(value, real, count):
     # The exact-float/int fast path answers as the numbers ABCs do.
     assert ilqr.is_real(value) is real
-    assert ilqr.is_count(value) == count  # np.bool_ for numpy integers
+    assert ilqr.is_count(value) is count
 
 
 def test_trajectory_shape_validation():

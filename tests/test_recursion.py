@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmplan import ilqr
-from admmplan.admm import PenalizedCost, admm_solve, select
+from admmplan.admm import PenalizedCost, admm_solve
 from admmplan.barrier import BarrierCost
 from admmplan.constraints import InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
@@ -36,6 +36,7 @@ from admmplan.vehicle import BicycleModel, VehicleParams
 from oracles import (
     LinearDynamics,
     QuadraticCost,
+    consensus_blocks,
     gain_arrays,
     gain_rows,
     random_lqr_instance,
@@ -72,7 +73,8 @@ def penalized_case(scenario):
     # the trajectory, so the penalty moves every gradient and Hessian diagonal.
     traj, cost, dynamics = bicycle_case(scenario)
     rng = np.random.default_rng(scenario)
-    z = select(traj) + rng.normal(scale=[1.0, 1.0, 0.05, 0.5], size=(traj.horizon + 1, 4))
+    z = consensus_blocks(traj) + rng.normal(scale=[1.0, 1.0, 0.05, 0.5],
+                                            size=(traj.horizon + 1, 4))
     lam = rng.normal(scale=5.0, size=z.shape)
     return traj, PenalizedCost(cost, z, lam, 10.0), dynamics
 
@@ -162,7 +164,7 @@ def test_cost_cases_reach_their_structure():
     _, _, l_xx, _ = cost.expand(traj)
     assert np.max(np.abs(l_xx[:, 0, 1])) > 1e-6
     traj, cost, _ = penalized_case(1)
-    assert np.min(np.abs(cost.centers[:-1] - select(traj)[:-1])) > 0.0
+    assert np.min(np.abs(cost.centers[:-1] - consensus_blocks(traj)[:-1])) > 0.0
 
 
 @settings(max_examples=40, deadline=None)

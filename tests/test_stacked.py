@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmplan.admm import PenalizedCost, select
+from admmplan.admm import PenalizedCost
 from admmplan.barrier import BarrierCost
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
@@ -23,7 +23,10 @@ from admmplan.errors import BarrierDomainViolation
 from admmplan.ilqr import Trajectory, total_cost
 from admmplan.vehicle import VehicleParams, jacobians
 
-from oracles import column_barrier_expansion, column_barrier_values
+from oracles import (
+    column_barrier_expansion, column_barrier_values, consensus_blocks, keepout_at,
+    keepout_gradient_at,
+)
 
 TOL = 1e-12
 POLYLINE = ((0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 5.0))
@@ -132,7 +135,7 @@ def test_penalized_cost_stacked_equal_single_stamp(w, reference, traj, data):
     centers = z - lam / sigma
     for t in range(T + 1):
         n = 4 if t < T else 2  # the terminal stamp penalizes position only
-        off = select(traj)[t, :n] - centers[t, :n]
+        off = consensus_blocks(traj)[t, :n] - centers[t, :n]
         values[t] += 0.5 * sigma * float(off @ off)
         l_x[t, :2] += sigma * off[:2]
         l_xx[t, [0, 1], [0, 1]] += sigma
@@ -180,8 +183,8 @@ def test_barrier_cost_stacked_equal_single_stamp(
     outside = []
     for t in range(T + 1):
         x = traj.states[t]
-        keep = constraints.keepout(t, x[:2], x[2])
-        grad = constraints.keepout_gradient(t, x[:2], x[2])
+        keep = keepout_at(constraints, t, x[:2], x[2])
+        grad = keepout_gradient_at(constraints, t, x[:2], x[2])
         box = constraints.box(traj.controls[t]) if t < T else np.zeros(0)
         if np.any(-keep <= margin) or np.any(-box <= margin):
             outside.append(t)
