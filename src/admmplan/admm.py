@@ -59,40 +59,45 @@ class ADMMSettings:
 
 @dataclass
 class IterationRecord:
-    """One outer iteration: its iterate and the values of its residuals.csv row.
+    """One outer iteration: its inner iLQR result and the values of its
+    residuals.csv row.
 
-    `trajectory` is the iterate itself, not a copy.
+    `inner` is the iteration's `ILQRResult` itself, not a copy: its
+    iterations (ilqr_iters column), line search and regularization are read
+    from it, and `trajectory` is its iterate.
     """
 
-    trajectory: ilqr.Trajectory
+    inner: ilqr.ILQRResult
     residual_inf: float  # residual_inf column
     residual_two: float  # residual_2 column
     cost: float  # base cost of the iterate; cost column
-    ilqr_iterations: int  # inner iterations; ilqr_iters column
     seconds: float  # seconds column (with per-iteration timing)
-    # The inner solve's line search and regularization (ILQRResult's fields
-    # of the same names); not written to residuals.csv.
-    alpha: float | None = None
-    rejected_steps: int = 0
-    peak_mu: float | None = None
     # The iteration's penalty weight: sigma for a consensus iteration, the
     # stage's sharpness t for a barrier stage, None for a probe exit.
     weight: float | None = None
+
+    @property
+    def trajectory(self) -> ilqr.Trajectory:
+        return self.inner.trajectory
 
 
 @dataclass
 class SolveReport:
     """Outcome of a constrained solve plus one record per outer iteration.
 
-    When there are records, `trajectory` is the last record's trajectory;
-    a solve that fails before its first iteration returns its seed rollout.
+    `trajectory` is the last record's iterate or, with no records, `seed`,
+    the trajectory the solve started from.
     """
 
-    trajectory: ilqr.Trajectory
+    seed: ilqr.Trajectory | None
     status: str
     records: list = field(default_factory=list)  # IterationRecord per iteration
     max_violation: float = 0.0
     message: str = ""
+
+    @property
+    def trajectory(self) -> ilqr.Trajectory | None:
+        return self.records[-1].trajectory if self.records else self.seed
 
     @property
     def iterations(self) -> int:
@@ -104,7 +109,7 @@ class SolveReport:
 
     @property
     def ilqr_iterations(self) -> list:
-        return [r.ilqr_iterations for r in self.records]
+        return [r.inner.iterations for r in self.records]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +248,14 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
                            max_violation=trajectory_violation(rollout0, constraints))
 
     if trajectory_violation(probe.trajectory, constraints) <= FEASIBILITY_TOL:
-        record = IterationRecord(probe.trajectory, 0.0, 0.0, probe.cost, probe.iterations,
-                                 time.perf_counter() - start, probe.alpha,
-                                 probe.rejected_steps, probe.peak_mu)
-        return SolveReport(probe.trajectory, STATUS_CONVERGED, [record])
+        record = IterationRecord(probe, 0.0, 0.0, probe.cost, time.perf_counter() - start)
+        return SolveReport(rollout0, STATUS_CONVERGED, [record])
 
     one_step = replace(settings.ilqr, max_iters=1)
     y = rollout0
     z = _blocks(y).copy()
     lam = np.zeros_like(z)
-    report = SolveReport(y, STATUS_MAX_ITERS)
+    report = SolveReport(rollout0, STATUS_MAX_ITERS)
     # The residual test only ends the solve once the constraints have bitten
     # at least once; before that a feasible iterate just means the consensus
     # has nothing to say yet while the objective is still improving.
@@ -271,12 +274,9 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
             break
         lam += settings.sigma * (sel - z)
         res_inf, res_two = primal_residual(y, z)
-
-        report.trajectory = y
         report.records.append(IterationRecord(
-            y, res_inf, res_two, ilqr.total_cost(cost, y), result.iterations,
-            time.perf_counter() - iter_start, result.alpha, result.rejected_steps,
-            result.peak_mu, settings.sigma,
+            result, res_inf, res_two, ilqr.total_cost(cost, y),
+            time.perf_counter() - iter_start, settings.sigma,
         ))
 
         if res_inf >= settings.primal_tolerance:

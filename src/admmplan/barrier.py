@@ -30,9 +30,9 @@ import numpy as np
 
 from . import ilqr
 from .ilqr import STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real
-from .admm import IterationRecord, Problem, SolveReport, trajectory_violation
+from .admm import SOLVE_FAILURES, IterationRecord, Problem, SolveReport, trajectory_violation
 from .constraints import ConstraintSet
-from .errors import BarrierDomainViolation, RegularizationExhausted
+from .errors import BarrierDomainViolation
 
 # Stages before the last stop once their cost improves by less than this
 # fraction of their duality-gap bound m/t.
@@ -108,14 +108,16 @@ class BarrierCost:
         for (i, _, _), du, duu in zip(self.constraints.faces, gradient.T, curvature.T):
             l_u[:, i] -= du
             l_uu[:, i, i] += duu
-        # Keep-out barriers: gradient and Gauss-Newton Hessian.
+        # Keep-out barriers: gradient and Gauss-Newton Hessian in the first
+        # k states, (px, py) or, with the ego heading, (px, py, theta).
         dg = self.constraints.trajectory_gradient(traj)
+        k = dg.shape[-1]
         gradient = inv_t * dg / keepout[:, :, None]
         outer = dg[..., :, None] * dg[..., None, :]
         hessian = inv_t * outer / (keepout**2)[:, :, None, None]
         for j in range(keepout.shape[1]):
-            l_x[:, :2] -= gradient[:, j]
-            l_xx[:, :2, :2] += hessian[:, j]
+            l_x[:, :k] -= gradient[:, j]
+            l_xx[:, :k, :k] += hessian[:, j]
         return l_x, l_u, l_xx, l_uu
 
 
@@ -149,8 +151,9 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
     iLQR to the configured cost tolerance; the others to the looser of that
     and CENTERING_FRACTION * m / t, a share of the stage's duality-gap bound
     m/t (Boyd & Vandenberghe §11.3). The status is the last stage's inner
-    status (`converged` or `max_iters`), or `failed` when the regularization
-    runs out.
+    status (`converged` or `max_iters`), or `failed` on a solve failure that
+    the consensus solver reports the same way (`admm.SOLVE_FAILURES`); the
+    finished stages are kept.
 
     Raises:
         BarrierDomainViolation: the zero-control seed rollout (or, defensively,
@@ -162,13 +165,11 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
 
     y = ilqr.rollout(dynamics, problem.x0, np.zeros((problem.horizon, 2)))
     check_strict_feasibility(y, constraints, settings.margin)
-    # A strictly feasible seed violates nothing.
-    violation = 0.0
     # Constraint terms: box faces on the T controls, keep-outs on the T+1 states.
     terms = (len(constraints.faces) * problem.horizon
              + len(constraints.obstacles) * (problem.horizon + 1))
 
-    report = SolveReport(y, STATUS_MAX_ITERS)
+    report = SolveReport(y, STATUS_MAX_ITERS)  # a strictly feasible seed violates nothing
     sharpness = settings.initial_sharpness
     for stage in range(settings.outer_iters):
         iter_start = time.perf_counter()
@@ -179,21 +180,17 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
         barrier = BarrierCost(cost, constraints, sharpness, settings.margin)
         try:
             result = ilqr.solve(y, barrier, dynamics, inner)
-        except RegularizationExhausted as exc:
-            report.status = STATUS_FAILED
-            report.message = str(exc)
+        except SOLVE_FAILURES as exc:
+            report.status, report.message = STATUS_FAILED, str(exc)
             break
         y = result.trajectory
-        violation = trajectory_violation(y, constraints)
+        violation = report.max_violation = trajectory_violation(y, constraints)
         # The barrier has no consensus residual: its violation fills both.
-        report.trajectory = y
         report.status = result.status
         report.records.append(IterationRecord(
-            y, violation, violation, ilqr.total_cost(cost, y), result.iterations,
-            time.perf_counter() - iter_start, result.alpha, result.rejected_steps,
-            result.peak_mu, sharpness,
+            result, violation, violation, ilqr.total_cost(cost, y),
+            time.perf_counter() - iter_start, sharpness,
         ))
         sharpness *= settings.tighten_factor
 
-    report.max_violation = violation
     return report

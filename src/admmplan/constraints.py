@@ -213,13 +213,18 @@ class ConstraintSet:
         return traj.evaluation(self, self._evaluate)[:2]
 
     def trajectory_gradient(self, traj) -> np.ndarray:
-        """Position gradients dg/dp of the keep-out values at every stamp of a
-        trajectory, (T+1, obstacles, 2), from the kept offsets."""
+        """Gradients of the keep-out values at every stamp of a trajectory,
+        from the kept offsets: dg/dp, (T+1, obstacles, 2), and with the ego
+        heading, which turns the ellipse frame, dg/dtheta = 2 along across
+        (e_a/e_b - e_b/e_a) as a third column."""
         along, across, c, s = traj.evaluation(self, self._evaluate)[2]
-        ga, gb = -2.0 * along / self._ellipses[4], -2.0 * across / self._ellipses[5]
-        gradient = np.empty(ga.shape + (2,))
+        a, b = self._ellipses[4:6]
+        ga, gb = -2.0 * along / a, -2.0 * across / b
+        gradient = np.empty(ga.shape + (2 + self.use_ego_heading,))
         gradient[..., 0] = c * ga - s * gb
         gradient[..., 1] = s * ga + c * gb
+        if self.use_ego_heading:
+            gradient[..., 2] = 2.0 * along * across * (a / b - b / a)
         return gradient
 
     def violation(self, traj) -> float:

@@ -13,9 +13,8 @@ an exact diagonal quadratic. For a polyline the expansion uses the
 Gauss-Newton Hessian built from the distance residual's first derivative, so
 it is positive semidefinite by construction. `TrackingCost` evaluates both
 over a whole trajectory as stacked arrays: the values and closest points once
-per trajectory, the position gradient and Hessian once per expanded one, all
-kept by the trajectory (`Trajectory.evaluation`) and read-only, and every
-expansion afresh from the kept derivatives.
+per trajectory, kept by the trajectory (`Trajectory.evaluation`) and
+read-only, and every expansion afresh from the kept closest points.
 """
 
 import math
@@ -125,9 +124,10 @@ class TrackingCost:
 
     Every cost in the package has l_ux = 0, so the protocol carries no cross
     term. The position term of all T+1 stamps, including the closest
-    polyline points, is computed in one pass per trajectory, its derivatives
-    on the first `expand`; the trajectory keeps both, so a solver that asks
-    for the values and expansion of one iterate repeatedly pays once.
+    polyline points, is computed in one pass per trajectory and kept by it,
+    so a solver that asks for the values and expansion of one iterate
+    repeatedly pays that pass once; each `expand` forms the derivatives from
+    the kept closest points.
     """
 
     def __init__(self, weights: CostWeights, reference: Reference):
@@ -158,33 +158,23 @@ class TrackingCost:
             array.flags.writeable = False
         return geometry, values
 
-    def _derive(self, traj):
-        """The position term's gradient (T+1, 2) and Gauss-Newton Hessian
-        (T+1, 2, 2) in (px, py) of traj, read-only."""
-        geometry = traj.evaluation(self, self._evaluate)[0]
-        X, q = traj.states, self.weights.position_weight
-        if geometry is None:
-            grad, hess = np.zeros((len(X), 2)), np.zeros((len(X), 2, 2))
-            grad[:, 1] = 2.0 * q * (X[:, 1] - self.reference.py_ref)
-            hess[:, 1, 1] = 2.0 * q
-        else:
-            closest, tangent, interior = geometry
-            outer = tangent[:, :, None] * tangent[:, None, :]
-            hess = np.where(interior[:, None, None], _IDENTITY - outer, _IDENTITY)
-            grad, hess = 2.0 * q * (X[:, :2] - closest), hess * (2.0 * q)
-        for array in (grad, hess):
-            array.flags.writeable = False
-        return grad, hess
-
     def values(self, traj) -> np.ndarray:
         return traj.evaluation(self, self._evaluate)[1]
 
     def expand(self, traj):
-        gpos, hpos = traj.evaluation((self, "derivatives"), self._derive)
+        geometry = traj.evaluation(self, self._evaluate)[0]
         X, U, w, ref = traj.states, traj.controls, self.weights, self.reference
+        q = w.position_weight
         l_x, l_xx = np.zeros((len(X), STATE_DIM)), np.zeros((len(X), STATE_DIM, STATE_DIM))
-        l_x[:, :2] = gpos
-        l_xx[:, :2, :2] = hpos
+        # The position term: gradient and Gauss-Newton Hessian in (px, py).
+        if geometry is None:
+            l_x[:, 1] = 2.0 * q * (X[:, 1] - ref.py_ref)
+            l_xx[:, 1, 1] = 2.0 * q
+        else:
+            closest, tangent, interior = geometry
+            outer = tangent[:, :, None] * tangent[:, None, :]
+            hess = np.where(interior[:, None, None], _IDENTITY - outer, _IDENTITY)
+            l_x[:, :2], l_xx[:, :2, :2] = 2.0 * q * (X[:, :2] - closest), hess * (2.0 * q)
         if ref.v_ref is not None:
             l_x[:, 3] = 2.0 * w.velocity_weight * (X[:, 3] - ref.v_ref)
             l_xx[:, 3, 3] = 2.0 * w.velocity_weight

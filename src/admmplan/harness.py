@@ -45,15 +45,14 @@ METHODS = ("admm", "barrier")
 
 @dataclass
 class TrialRecord:
+    """One timed trial and the report of its solve. A trial that raised has a
+    failed report with no trajectory, NaN violation and the error as message."""
+
     method: str
     scenario: str
     trial: int
     seconds: float
-    status: str
-    final_cost: float
-    max_violation: float
-    message: str = ""
-    report: SolveReport | None = None  # None when the trial raised
+    report: SolveReport
 
 
 def build_problem(config: ScenarioConfig) -> Problem:
@@ -87,15 +86,9 @@ def run_trials(config: ScenarioConfig, method: str, trials: int) -> list:
         try:
             report = solve_scenario(config, method)
         except PlannerError as exc:
-            records.append(TrialRecord(
-                method, config.name, index, time.perf_counter() - start,
-                STATUS_FAILED, math.nan, math.nan, message=str(exc),
-            ))
-        else:
-            records.append(TrialRecord(
-                method, config.name, index, time.perf_counter() - start,
-                report.status, report.final_cost, report.max_violation, report=report,
-            ))
+            report = SolveReport(None, STATUS_FAILED, max_violation=math.nan, message=str(exc))
+        records.append(TrialRecord(method, config.name, index,
+                                   time.perf_counter() - start, report))
     return records
 
 
@@ -140,7 +133,7 @@ def write_residuals_csv(report: SolveReport, path, include_seconds=False):
         for index, r in enumerate(report.records, 1):
             writer.writerow(
                 [index, _format(r.residual_inf), _format(r.residual_two), _format(r.cost),
-                 r.ilqr_iterations, _format(r.seconds) if include_seconds else ""]
+                 r.inner.iterations, _format(r.seconds) if include_seconds else ""]
             )
 
 
@@ -153,8 +146,8 @@ def write_timings_csv(records, path):
         )
         for r in records:
             writer.writerow(
-                [r.method, r.scenario, r.trial, _format(r.seconds), r.status,
-                 _format(r.final_cost), _format(r.max_violation)]
+                [r.method, r.scenario, r.trial, _format(r.seconds), r.report.status,
+                 _format(r.report.final_cost), _format(r.report.max_violation)]
             )
         if records:
             mean = sum(r.seconds for r in records) / len(records)
@@ -179,7 +172,7 @@ def write_compare_csv(records_by_method, path):
             for m in methods:
                 recs = records_by_method[m]
                 if i < len(recs):
-                    row += [_format(recs[i].seconds), recs[i].status]
+                    row += [_format(recs[i].seconds), recs[i].report.status]
                 else:
                     row += ["", ""]
             writer.writerow(row)
@@ -277,17 +270,14 @@ def run(
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)
             write_timings_csv(records, method_dir / "timings.csv")
-            emitted = next((r.report for r in records if r.report is not None), None)
+            emitted = next((r.report for r in records if r.report.trajectory is not None), None)
             if emitted is not None:
                 emit_iterates(emitted, dynamics, method_dir, snapshots,
                               include_seconds)
-            for record in records:
-                suffix = f" ({record.message})" if record.message else ""
-                print(
-                    f"{m} trial {record.trial}: {record.status} "
-                    f"in {record.seconds:.4f} s{suffix}"
-                )
-            if all(r.status == STATUS_FAILED for r in records):
+            for r in records:
+                suffix = f" ({r.report.message})" if r.report.message else ""
+                print(f"{m} trial {r.trial}: {r.report.status} in {r.seconds:.4f} s{suffix}")
+            if all(r.report.status == STATUS_FAILED for r in records):
                 any_failed = True
         if compare:
             write_compare_csv(records_by_method, out_dir / "compare.csv")

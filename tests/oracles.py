@@ -196,12 +196,16 @@ def keepout_at(constraints, tau, p, heading=0.0) -> np.ndarray:
 
 
 def keepout_gradient_at(constraints, tau, p, heading=0.0) -> np.ndarray:
-    """Position gradients dg/dp (..., obstacles, 2) of `keepout_at`."""
+    """Position gradients dg/dp (..., obstacles, 2) of `keepout_at`; with the
+    ego heading, which turns the ellipse frame, dg/dheading in a third column."""
     along, across, c, s = _stamp_offsets(constraints, tau, p, heading)
     a = np.array([obs.semi_major for obs in constraints.obstacles])
     b = np.array([obs.semi_minor for obs in constraints.obstacles])
     ga, gb = -2.0 * along / a, -2.0 * across / b
-    return np.stack([c * ga - s * gb, s * ga + c * gb], axis=-1)
+    columns = [c * ga - s * gb, s * ga + c * gb]
+    if constraints.use_ego_heading:
+        columns.append(2.0 * along * across * (a / b - b / a))
+    return np.stack(columns, axis=-1)
 
 
 def consensus_blocks(traj: Trajectory) -> np.ndarray:
@@ -400,16 +404,18 @@ def column_barrier_values(cost, traj):
 
 def column_barrier_expansion(cost, traj):
     """`BarrierCost.expand` on a trajectory inside the barrier domain, with
-    each constraint column's terms formed and added in turn."""
+    each constraint column's terms formed and added in turn; keep-out terms
+    in (px, py) or, with the ego heading, (px, py, theta)."""
     l_x, l_u, l_xx, l_uu = cost.base.expand(traj)
     box, keepout = cost.constraints.values(traj)
     grad = cost.constraints.trajectory_gradient(traj)
+    k = grad.shape[-1]
     inv_t = 1.0 / cost.sharpness
     for (i, sign, _), g in zip(cost.constraints.faces, box.T):
         l_u[:, i] -= inv_t * sign / g
         l_uu[:, i, i] += inv_t / g**2
     for g, dg in zip(keepout.T, grad.transpose(1, 0, 2)):
-        l_x[:, :2] -= inv_t * dg / g[:, None]
+        l_x[:, :k] -= inv_t * dg / g[:, None]
         outer = dg[:, :, None] * dg[:, None, :]
-        l_xx[:, :2, :2] += inv_t * outer / (g**2)[:, None, None]
+        l_xx[:, :k, :k] += inv_t * outer / (g**2)[:, None, None]
     return l_x, l_u, l_xx, l_uu

@@ -311,7 +311,7 @@ def test_probe_honours_the_ilqr_iteration_cap():
         settings = replace(cfg.admm, ilqr=replace(cfg.admm.ilqr, max_iters=max_iters))
         report = admm_solve(build_problem(cfg), settings)
         assert report.status == "converged" and report.iterations == 1
-        assert 1 <= report.records[0].ilqr_iterations <= max_iters
+        assert 1 <= report.records[0].inner.iterations <= max_iters
 
 
 def test_scenario1_report_contents():
@@ -349,15 +349,16 @@ def test_consensus_iterations_take_one_ilqr_step():
     assert [r.status for r in reports] == ["converged", "converged", "max_iters"]
     for report in reports:
         assert report.iterations > 1
-        assert [r.ilqr_iterations for r in report.records] == [1] * report.iterations
+        assert [r.inner.iterations for r in report.records] == [1] * report.iterations
 
 
 def test_determinism_identical_reports():
     _, first = solve_scenario_admm(1)
     _, second = solve_scenario_admm(1)
-    for field in ("residual_inf", "residual_two", "cost", "ilqr_iterations"):
+    for field in ("residual_inf", "residual_two", "cost"):
         assert ([getattr(r, field) for r in first.records]
                 == [getattr(r, field) for r in second.records])
+    assert first.ilqr_iterations == second.ilqr_iterations
     np.testing.assert_array_equal(
         first.trajectory.states, second.trajectory.states
     )
@@ -449,7 +450,7 @@ def report_of(case) -> SolveReport:
 def test_report_counts_and_costs_come_from_its_records(case):
     report = report_of(case)
     assert report.iterations == len(report.records)
-    assert report.ilqr_iterations == [r.ilqr_iterations for r in report.records]
+    assert report.ilqr_iterations == [r.inner.iterations for r in report.records]
     if report.records:
         assert report.final_cost == report.records[-1].cost
         assert report.trajectory is report.records[-1].trajectory
@@ -532,14 +533,15 @@ def test_forced_line_search_rejections_show_in_the_records(monkeypatch):
     for report in (admm_report, barrier_report):
         assert report.records
         for record in report.records:
-            assert record.rejected_steps >= record.ilqr_iterations >= 1
-            assert record.alpha in ilqr.ALPHAS[1:]
-            assert record.peak_mu >= cfg.admm.ilqr.mu_init
+            inner = record.inner
+            assert inner.rejected_steps >= inner.iterations >= 1
+            assert inner.alpha in ilqr.ALPHAS[1:]
+            assert inner.peak_mu >= cfg.admm.ilqr.mu_init
 
 
 def test_unforced_records_report_full_steps():
     _, report = solve_scenario_admm(1)
-    assert [(r.alpha, r.rejected_steps) for r in report.records] == \
+    assert [(r.inner.alpha, r.inner.rejected_steps) for r in report.records] == \
         [(1.0, 0)] * report.iterations
 
 
@@ -547,10 +549,8 @@ def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
     # The tracking cost evaluates its position term (the closest points of
     # a polyline reference) once per trajectory, not once per values or
     # expand call; the seed rollout, read by the probe and again by the
-    # first consensus iteration, is evaluated once. It forms the term's
-    # gradient and Hessian once per trajectory that it expands, so not for
-    # the line-search candidates that are only valued.
-    passes, derivative_passes, contents, expanded = [], [], [], []
+    # first consensus iteration, is evaluated once.
+    passes, contents = [], []
 
     def counting(function, into):
         def wrapped(*args):
@@ -558,24 +558,18 @@ def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
             return function(*args)
         return wrapped
 
-    def recording(method, *intos):
+    def recording(method):
         def wrapped(self, traj):
-            for into in intos:
-                into.append((traj.states.tobytes(), traj.controls.tobytes()))
+            contents.append((traj.states.tobytes(), traj.controls.tobytes()))
             return method(self, traj)
         return wrapped
 
     monkeypatch.setattr(TrackingCost, "_evaluate", counting(TrackingCost._evaluate, passes))
-    monkeypatch.setattr(TrackingCost, "_derive",
-                        counting(TrackingCost._derive, derivative_passes))
-    monkeypatch.setattr(TrackingCost, "values", recording(TrackingCost.values, contents))
-    monkeypatch.setattr(TrackingCost, "expand",
-                        recording(TrackingCost.expand, contents, expanded))
+    monkeypatch.setattr(TrackingCost, "values", recording(TrackingCost.values))
+    monkeypatch.setattr(TrackingCost, "expand", recording(TrackingCost.expand))
     polyline = ((0.0, 0.0), (20.0, 0.0), (40.0, 1.0), (60.0, 1.0))
     cfg = replace(builtin_scenario(2), reference=Reference(polyline=polyline, v_ref=8.0))
     report = admm_solve(build_problem(cfg), cfg.admm)
     assert report.iterations == cfg.admm.max_admm_iters
     assert len(passes) == len(set(contents))
     assert 3 * len(passes) < len(contents)
-    assert len(derivative_passes) == len(set(expanded)) < len(expanded)
-    assert len(derivative_passes) < len(passes)

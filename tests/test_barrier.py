@@ -21,6 +21,7 @@ from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
 from oracles import consensus_blocks, keepout_at, nudged
+from test_admm import JacobiansFailAt
 
 
 class FlatCost:
@@ -33,8 +34,9 @@ class FlatCost:
                 np.zeros((T, 2, 2)))
 
 
-def make_barrier(sharpness=1.0, obstacles=(), bounds=None):
-    constraints = ConstraintSet(bounds or InputBounds(0.6, 3.0, -3.0), obstacles, 0.1)
+def make_barrier(sharpness=1.0, obstacles=(), bounds=None, use_ego_heading=False):
+    constraints = ConstraintSet(bounds or InputBounds(0.6, 3.0, -3.0), obstacles, 0.1,
+                                use_ego_heading)
     return BarrierCost(FlatCost(), constraints, sharpness)
 
 
@@ -75,7 +77,7 @@ def clear_trajectory(constraints, rng, horizon, clearance=0.05):
     for tau in range(horizon + 1):
         while True:
             x = rng.normal(size=4) * 6
-            if np.all(keepout_at(constraints, tau, x[:2]) < -clearance):
+            if np.all(keepout_at(constraints, tau, x[:2], x[2]) < -clearance):
                 break
         states.append(x)
         while tau < horizon:
@@ -87,22 +89,25 @@ def clear_trajectory(constraints, rng, horizon, clearance=0.05):
 
 
 def test_barrier_gradients_match_finite_differences():
+    # Also with the ego heading: the ellipse frame turns with theta, so the
+    # keep-out barriers have a theta gradient too.
     obs = [
         Obstacle(center0=(3.0, 1.0), heading=0.4, semi_major=2.0, semi_minor=1.0),
         Obstacle(center0=(-2.0, -2.0), velocity=(1.0, 0.0), semi_major=1.5,
                  semi_minor=0.8),
     ]
-    cost = make_barrier(sharpness=2.0, obstacles=obs)
-    rng = np.random.default_rng(4)
     eps = 1e-6
-    for _ in range(20):
-        traj = clear_trajectory(cost.constraints, rng, horizon=10)
-        l_x, l_u, _, _ = cost.expand(traj)
-        for part, grad in enumerate((l_x, l_u)):
-            for index in np.ndindex(grad.shape):
-                up = total_cost(cost, nudged(traj, part, index, eps))
-                down = total_cost(cost, nudged(traj, part, index, -eps))
-                assert (up - down) / (2 * eps) == pytest.approx(grad[index], abs=1e-5)
+    for use_ego_heading in (False, True):
+        cost = make_barrier(sharpness=2.0, obstacles=obs, use_ego_heading=use_ego_heading)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            traj = clear_trajectory(cost.constraints, rng, horizon=10)
+            l_x, l_u, _, _ = cost.expand(traj)
+            for part, grad in enumerate((l_x, l_u)):
+                for index in np.ndindex(grad.shape):
+                    up = total_cost(cost, nudged(traj, part, index, eps))
+                    down = total_cost(cost, nudged(traj, part, index, -eps))
+                    assert (up - down) / (2 * eps) == pytest.approx(grad[index], abs=1e-5)
 
 
 def test_expansion_names_first_stamp_outside_domain():
@@ -253,7 +258,8 @@ def test_single_stage_is_the_exact_inner_solve():
     np.testing.assert_array_equal(report.trajectory.states, result.trajectory.states)
     np.testing.assert_array_equal(report.trajectory.controls, result.trajectory.controls)
     assert record.cost == total_cost(problem.cost, result.trajectory)
-    assert (record.ilqr_iterations, record.alpha, record.rejected_steps, record.peak_mu) == (
+    inner = record.inner
+    assert (inner.iterations, inner.alpha, inner.rejected_steps, inner.peak_mu) == (
         result.iterations, result.alpha, result.rejected_steps, result.peak_mu)
 
 
@@ -280,6 +286,25 @@ def test_stage_tolerance_follows_the_duality_gap(monkeypatch, configured):
         if i < settings.outer_iters - 1:
             assert tolerance == max(configured, CENTERING_FRACTION * m / t)
     assert seen[-1][1] == configured
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_jacobian_domain_error_yields_failed_status(stage):
+    # The barrier reports the failures the consensus solver reports
+    # (admm.SOLVE_FAILURES), keeping the stages it finished.
+    cfg, problem = feasible_config(1, 0.0)
+    clean = barrier_solve(problem, cfg.barrier)
+    # One Jacobian call per inner iteration; the first call of the stage fails.
+    fail_at = 1 + sum(clean.ilqr_iterations[:stage - 1])
+    dynamics = JacobiansFailAt(problem.dynamics.params, fail_at)
+    report = barrier_solve(replace(problem, dynamics=dynamics), cfg.barrier)
+    assert report.status == "failed"
+    assert "time index 7" in report.message
+    assert report.iterations == stage - 1
+    assert [r.cost for r in report.records] == [r.cost for r in clean.records[:stage - 1]]
+    assert report.trajectory is (report.records[-1].trajectory if report.records
+                                 else report.seed)
+    assert report.max_violation == 0.0
 
 
 def test_unconverged_last_stage_reports_max_iters():

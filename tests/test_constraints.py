@@ -339,7 +339,7 @@ def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_hea
     states[tau, :3] = (*p, ego_heading)
     traj = Trajectory(states, np.zeros((tau, 2)))
     g = constraints.values(traj)[1][tau, 0]
-    gx, gy = constraints.trajectory_gradient(traj)[tau, 0]
+    gx, gy, *heading_gradient = constraints.trajectory_gradient(traj)[tau, 0]
     heading = ego_heading if use_ego_heading else obs.heading
     A = ellipse_shape(heading, obs.semi_major, obs.semi_minor)
     d = np.asarray(p) - center_at(obs, tau, 0.1)
@@ -348,6 +348,13 @@ def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_hea
     grad = -2.0 * A @ d
     np.testing.assert_allclose([gx, gy], grad, rtol=1e-12,
                                atol=1e-12 * (1.0 + float(np.abs(grad).max())))
+    # The ego heading turns the frame: dA/dheading = J A - A J, J the
+    # quarter-turn generator, so dg/dheading = -d' (J A - A J) d.
+    assert len(heading_gradient) == use_ego_heading
+    if use_ego_heading:
+        J = np.array([[0.0, -1.0], [1.0, 0.0]])
+        assert heading_gradient[0] == pytest.approx(-float(d @ (J @ A - A @ J) @ d),
+                                                    rel=1e-9, abs=1e-9 * scale)
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,7 @@ import yaml
 
 import admmplan
 from admmplan import cli, harness
-from admmplan.constraints import ConstraintSet
+from admmplan.constraints import ConstraintSet, Obstacle
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
     emit_iterates,
@@ -31,7 +31,7 @@ from admmplan.scenarios import (
     save_config,
     with_overrides,
 )
-from admmplan.vehicle import BicycleModel, VehicleParams
+from admmplan.vehicle import BicycleModel, State, VehicleParams
 
 
 def read_rows(path):
@@ -282,12 +282,14 @@ def test_run_trials_counts_and_failures():
     cfg = builtin_scenario(1)
     records = run_trials(cfg, "admm", 2)
     assert [r.trial for r in records] == [1, 2]
-    assert all(r.status == "converged" for r in records)
-    assert all(r.report is not None and r.final_cost == r.report.final_cost for r in records)
+    assert all(r.report.status == "converged" for r in records)
+    assert all(r.report.trajectory is not None for r in records)
     records = run_trials(cfg, "barrier", 3)
-    assert all(r.status == "failed" for r in records)
-    assert all(math.isnan(r.final_cost) for r in records)
-    assert [r.report for r in records] == [None, None, None]
+    assert all(r.report.status == "failed" for r in records)
+    assert all(math.isnan(r.report.final_cost) for r in records)
+    assert all(math.isnan(r.report.max_violation) for r in records)
+    assert [r.report.trajectory for r in records] == [None, None, None]
+    assert all("not strictly feasible at time index" in r.report.message for r in records)
 
 
 def test_run_writes_artifacts_and_timing_table(tmp_path):
@@ -574,6 +576,28 @@ def test_cli_solver_failure_exit_code(tmp_path):
         ["--scenario", "1", "--method", "barrier", "--out", str(tmp_path)]
     )
     assert code == 3
+
+
+def test_cli_prints_the_reason_of_a_reported_failure(tmp_path, capsys):
+    # S2 traffic whose ellipses overlap between the lanes while passing
+    # (the benchmark corpus's known projection failure): the consensus
+    # solver reports the failure, and each trial line names its reason.
+    cfg = replace(
+        builtin_scenario(2), name="corpus48", initial_state=State(0.0, 0.0, 0.0, 8.49),
+        obstacles=[Obstacle((4.91, 3.905), (5.514, 0.0), -0.053, 4.416, 1.586),
+                   Obstacle((23.55, 0.495), (1.375, 0.0), -0.212, 5.319, 2.221),
+                   Obstacle((46.279, 4.08), (2.769, 0.0), -0.201, 4.897, 1.559)],
+    )
+    path = tmp_path / "corpus48.yaml"
+    save_config(cfg, path)
+    code = cli.main(["--config", str(path), "--method", "admm", "--trials", "2",
+                     "--out", str(tmp_path / "out")])
+    assert code == harness.EXIT_SOLVER
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.endswith(
+            "(cyclic ellipse projection did not converge at time index 29)")
 
 
 def test_cli_io_error_exit_code(tmp_path):

@@ -191,9 +191,10 @@ def test_barrier_cost_stacked_equal_single_stamp(
             values[t] = math.inf
             continue
         values[t] -= (np.sum(np.log(-box)) + np.sum(np.log(-keep))) / sharpness
-        for g, dg in zip(keep, grad):
-            l_x[t, :2] -= dg / g / sharpness
-            l_xx[t, :2, :2] += np.outer(dg, dg) / g**2 / sharpness
+        for g, dg in zip(keep, grad):  # in (px, py), and theta with the ego heading
+            k = len(dg)
+            l_x[t, :k] -= dg / g / sharpness
+            l_xx[t, :k, :k] += np.outer(dg, dg) / g**2 / sharpness
         for (i, sign, _), g in zip(constraints.faces, box):
             l_u[t, i] -= sign / g / sharpness
             l_uu[t, i, i] += 1.0 / g**2 / sharpness
