@@ -11,7 +11,8 @@ onto the box and keep-out sets). A scaled dual variable ties the two together:
 
 where sel(y) extracts (px, py, steer, accel) per stamp, kept by each iterate.
 The y-update is one Gauss-Newton step from the current y, not an argmin: the
-next z and lam move its subproblem anyway. The loop stops on the max-norm
+next z and lam move its subproblem anyway. The loop, a generator that
+`solve_report` turns into either solver's report, stops on the max-norm
 primal residual ||sel(y) - z||; the dynamics-feasible y is returned with its
 constraint violation, reported since feasibility is only reached in the limit.
 
@@ -71,7 +72,7 @@ class IterationRecord:
     residual_inf: float  # residual_inf column
     residual_two: float  # residual_2 column
     cost: float  # base cost of the iterate; cost column
-    seconds: float  # seconds column (with per-iteration timing)
+    seconds: float  # since the previous record or the seed rollout; seconds column
     # The iteration's penalty weight: sigma for a consensus iteration, the
     # stage's sharpness t for a barrier stage, None for a probe exit.
     weight: float | None = None
@@ -219,6 +220,28 @@ def trajectory_violation(traj: ilqr.Trajectory, constraints: ConstraintSet) -> f
     return constraints.violation(traj)
 
 
+def solve_report(seed, iterations, problem: Problem) -> SolveReport:
+    """The report of a solve from `seed`, built from its outer iterations.
+
+    `iterations` yields `(result, residual_inf, residual_two, weight, status)`
+    per outer iteration, `status` being the report's if the solve ends there.
+    A record's seconds run from the end of the previous record (the first's
+    from this call). `SOLVE_FAILURES` end it "failed", finished records kept.
+    """
+    report = SolveReport(seed, STATUS_MAX_ITERS)
+    marks = [time.perf_counter()]
+    try:
+        for result, res_inf, res_two, weight, report.status in iterations:
+            cost = ilqr.total_cost(problem.cost, result.trajectory)
+            marks.append(time.perf_counter())
+            report.records.append(IterationRecord(
+                result, res_inf, res_two, cost, marks[-1] - marks[-2], weight))
+    except SOLVE_FAILURES as exc:
+        report.status, report.message = STATUS_FAILED, str(exc)
+    report.max_violation = trajectory_violation(report.trajectory, problem.constraints)
+    return report
+
+
 def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveReport:
     """Plan a constrained trajectory by consensus splitting.
 
@@ -231,60 +254,42 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
         report rather than raised.
     """
     settings = settings or ADMMSettings()
-    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
-    start = time.perf_counter()
     # The only rollout: the probe's nominal, the first iterate, a failed probe's answer.
-    rollout0 = ilqr.rollout(dynamics, problem.x0, np.zeros((problem.horizon, 2)))
+    rollout0 = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
+    return solve_report(rollout0, _consensus(problem, settings, rollout0), problem)
 
+
+def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
+    """The probe, then the consensus iterations from `y`, as `solve_report` items."""
     # Probe: solve the unconstrained base problem first. If its optimum is
     # already feasible the splitting has nothing to do; consensus holds
     # exactly and the solve is finished. (On an infeasible probe the result
     # is discarded: seeding the consensus from a deeply violating optimum
     # produces far worse projection targets than the plain rollout.)
-    try:
-        probe = ilqr.solve(rollout0, cost, dynamics, settings.ilqr)
-    except SOLVE_FAILURES as exc:
-        return SolveReport(rollout0, STATUS_FAILED, message=str(exc),
-                           max_violation=trajectory_violation(rollout0, constraints))
-
-    if trajectory_violation(probe.trajectory, constraints) <= FEASIBILITY_TOL:
-        record = IterationRecord(probe, 0.0, 0.0, probe.cost, time.perf_counter() - start)
-        return SolveReport(rollout0, STATUS_CONVERGED, [record])
+    probe = ilqr.solve(y, problem.cost, problem.dynamics, settings.ilqr)
+    if trajectory_violation(probe.trajectory, problem.constraints) <= FEASIBILITY_TOL:
+        yield probe, 0.0, 0.0, None, STATUS_CONVERGED
+        return
 
     one_step = replace(settings.ilqr, max_iters=1)
-    y = rollout0
     z = _blocks(y).copy()
     lam = np.zeros_like(z)
-    report = SolveReport(rollout0, STATUS_MAX_ITERS)
     # The residual test only ends the solve once the constraints have bitten
     # at least once; before that a feasible iterate just means the consensus
     # has nothing to say yet while the objective is still improving.
     engaged = False
 
     for _ in range(settings.max_admm_iters):
-        iter_start = time.perf_counter()
-        penalized = PenalizedCost(cost, z, lam, settings.sigma)
-        try:
-            result = ilqr.solve(y, penalized, dynamics, one_step)
-            y = result.trajectory
-            sel = _blocks(y)
-            z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], constraints)
-        except SOLVE_FAILURES as exc:
-            report.status, report.message = STATUS_FAILED, str(exc)
-            break
+        penalized = PenalizedCost(problem.cost, z, lam, settings.sigma)
+        result = ilqr.solve(y, penalized, problem.dynamics, one_step)
+        y = result.trajectory
+        sel = _blocks(y)
+        z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], problem.constraints)
         lam += settings.sigma * (sel - z)
         res_inf, res_two = primal_residual(y, z)
-        report.records.append(IterationRecord(
-            result, res_inf, res_two, ilqr.total_cost(cost, y),
-            time.perf_counter() - iter_start, settings.sigma,
-        ))
-
         if res_inf >= settings.primal_tolerance:
             engaged = True
         elif engaged:
-            report.status = STATUS_CONVERGED
-            break
-
-    report.max_violation = trajectory_violation(report.trajectory, constraints)
-    return report
-
+            yield result, res_inf, res_two, settings.sigma, STATUS_CONVERGED
+            return
+        yield result, res_inf, res_two, settings.sigma, STATUS_MAX_ITERS

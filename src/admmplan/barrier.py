@@ -2,9 +2,10 @@
 
 Hard constraints g_i <= 0 are replaced by -(1/t) log(-g_i) penalties and the
 smooth problem is solved by iLQR inside an outer loop that multiplies the
-sharpness t by a fixed factor. The method needs a strictly feasible iterate
-at all times: the seed rollout is checked up front, and line-search steps
-that leave the barrier domain are rejected by an infinite cost.
+sharpness t by a fixed factor: a generator of stages that `admm.solve_report`
+turns into the report. The method needs a strictly feasible iterate at all
+times: the seed rollout is checked up front, and line-search steps that leave
+the barrier domain are rejected by an infinite cost.
 
 Only the last stage's answer is returned, so only the last stage is centered
 to the configured iLQR tolerance. On a convex problem a stage at sharpness t
@@ -23,14 +24,13 @@ time, in face and obstacle order.
 """
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import ilqr
-from .ilqr import STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real
-from .admm import SOLVE_FAILURES, IterationRecord, Problem, SolveReport, trajectory_violation
+from .ilqr import ILQRSettings, is_count, is_real
+from .admm import Problem, SolveReport, solve_report, trajectory_violation
 from .constraints import ConstraintSet
 from .errors import BarrierDomainViolation
 
@@ -151,9 +151,8 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
     iLQR to the configured cost tolerance; the others to the looser of that
     and CENTERING_FRACTION * m / t, a share of the stage's duality-gap bound
     m/t (Boyd & Vandenberghe §11.3). The status is the last stage's inner
-    status (`converged` or `max_iters`), or `failed` on a solve failure that
-    the consensus solver reports the same way (`admm.SOLVE_FAILURES`); the
-    finished stages are kept.
+    status (`converged` or `max_iters`), or `failed` as `admm.solve_report`
+    reports a solve failure, with the finished stages kept.
 
     Raises:
         BarrierDomainViolation: the zero-control seed rollout (or, defensively,
@@ -161,36 +160,26 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
         documented limitation that the consensus solver avoids.
     """
     settings = settings or BarrierSettings()
-    cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
-
-    y = ilqr.rollout(dynamics, problem.x0, np.zeros((problem.horizon, 2)))
-    check_strict_feasibility(y, constraints, settings.margin)
+    y = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
+    check_strict_feasibility(y, problem.constraints, settings.margin)
     # Constraint terms: box faces on the T controls, keep-outs on the T+1 states.
-    terms = (len(constraints.faces) * problem.horizon
-             + len(constraints.obstacles) * (problem.horizon + 1))
+    terms = (len(problem.constraints.faces) * problem.horizon
+             + len(problem.constraints.obstacles) * (problem.horizon + 1))
+    return solve_report(y, _stages(problem, settings, y, terms), problem)
 
-    report = SolveReport(y, STATUS_MAX_ITERS)  # a strictly feasible seed violates nothing
+
+def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory, terms: int):
+    """The barrier stages from `y`, as `admm.solve_report` items."""
     sharpness = settings.initial_sharpness
     for stage in range(settings.outer_iters):
-        iter_start = time.perf_counter()
         inner = settings.ilqr
         if stage < settings.outer_iters - 1:
             gap = CENTERING_FRACTION * terms / sharpness
             inner = replace(inner, cost_tolerance=max(inner.cost_tolerance, gap))
-        barrier = BarrierCost(cost, constraints, sharpness, settings.margin)
-        try:
-            result = ilqr.solve(y, barrier, dynamics, inner)
-        except SOLVE_FAILURES as exc:
-            report.status, report.message = STATUS_FAILED, str(exc)
-            break
+        barrier = BarrierCost(problem.cost, problem.constraints, sharpness, settings.margin)
+        result = ilqr.solve(y, barrier, problem.dynamics, inner)
         y = result.trajectory
-        violation = report.max_violation = trajectory_violation(y, constraints)
         # The barrier has no consensus residual: its violation fills both.
-        report.status = result.status
-        report.records.append(IterationRecord(
-            result, violation, violation, ilqr.total_cost(cost, y),
-            time.perf_counter() - iter_start, sharpness,
-        ))
+        violation = trajectory_violation(y, problem.constraints)
+        yield result, violation, violation, sharpness, result.status
         sharpness *= settings.tighten_factor
-
-    return report

@@ -124,8 +124,9 @@ _RETIRED_VEHICLE_KEYS = ("body_length", "body_width")
 
 
 def _vehicle_from_dict(data: dict) -> VehicleParams:
-    data = {k: v for k, v in data.items() if k not in _RETIRED_VEHICLE_KEYS}
-    return VehicleParams(**data)
+    if not isinstance(data, dict):
+        raise TypeError(f"the vehicle section must be a mapping, got {data!r}")
+    return VehicleParams(**{k: v for k, v in data.items() if k not in _RETIRED_VEHICLE_KEYS})
 
 
 # iLQR keys written by older versions, now fixed in the engine: they load

@@ -5,9 +5,11 @@ shares no solver code with the package: a finite-horizon Riccati recursion, a
 linear/quadratic problem wrapper for the iLQR interface, brute-force
 geometric helpers, the ellipse's center and shape-matrix form, a copy of a
 trajectory with one entry moved (for finite differences), the consensus
-blocks of a trajectory, and the iLQR backward and forward passes written
+blocks of a trajectory, the iLQR backward and forward passes written
 stamp by stamp on small arrays (they borrow only the package's result and
-error types and its fixed regularization constants). The exceptions are
+error types and its fixed regularization constants), the bicycle step and a
+trajectory's one-step dynamics residual, and the worst constraint value of a
+trajectory from a constraint set's inputs. The exceptions are
 `keepout_at` and `keepout_gradient_at`, a constraint set's keep-out values and
 gradients at any time indices: they borrow the set's ellipse-frame offsets
 (`ConstraintSet._offsets`) and are the per-stamp reference that the stacked
@@ -419,3 +421,50 @@ def column_barrier_expansion(cost, traj):
         outer = dg[:, :, None] * dg[:, None, :]
         l_xx[:, :k, :k] += inv_t * outer / (g**2)[:, None, None]
     return l_x, l_u, l_xx, l_uu
+
+
+def bicycle_step(x, u, wheelbase: float, timestep: float) -> tuple:
+    """One kinematic bicycle step from the documented rolling geometry of
+    `admmplan.vehicle`, on plain floats; ValueError outside its domain."""
+    px, py, theta, v = (float(c) for c in x)
+    w, a = float(u[0]), float(u[1])
+    front = timestep * v
+    back = wheelbase + front * math.cos(w) - math.sqrt(wheelbase**2 - (front * math.sin(w)) ** 2)
+    return (px + back * math.cos(theta), py + back * math.sin(theta),
+            theta + math.asin(front * math.sin(w) / wheelbase), v + timestep * a)
+
+
+def dynamics_gap(traj: Trajectory, x0, params) -> float:
+    """Largest one-step residual of the bicycle recursion along a trajectory,
+    its first state against x0 included; inf where a step leaves the domain."""
+    gap = float(np.max(np.abs(traj.states[0] - np.asarray(x0, dtype=float))))
+    for tau, u in enumerate(traj.controls):
+        try:
+            step = bicycle_step(traj.states[tau], u, params.wheelbase, params.timestep)
+        except ValueError:
+            return math.inf
+        gap = max(gap, float(np.max(np.abs(np.subtract(step, traj.states[tau + 1])))))
+    return gap
+
+
+def worst_constraint(traj: Trajectory, constraints) -> float:
+    """Largest constraint value g along a trajectory (below 0 when strictly
+    feasible), stamp by stamp from the definitions of a constraint set's
+    inputs: |steer| - max_steer, accel - max_accel and min_accel - accel per
+    control, and 1 - d'Ad per keep-out ellipse, A its shape matrix under the
+    obstacle's heading (or the ego's, with `use_ego_heading`) and d the
+    offset from its center at the stamp. A box limit that the set treats as
+    absent gives values far below 0 here, which change no comparison made
+    with this value."""
+    bounds = constraints.bounds
+    worst = -math.inf
+    for steer, accel in traj.controls.tolist():
+        worst = max(worst, abs(steer) - bounds.max_steer, accel - bounds.max_accel,
+                    bounds.min_accel - accel)
+    for tau, (px, py, theta, _) in enumerate(traj.states.tolist()):
+        for obs in constraints.obstacles:
+            heading = theta if constraints.use_ego_heading else obs.heading
+            d = np.array([px, py]) - center_at(obs, tau, constraints.timestep)
+            shape = ellipse_shape(heading, obs.semi_major, obs.semi_minor)
+            worst = max(worst, float(1.0 - d @ shape @ d))
+    return worst

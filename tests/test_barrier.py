@@ -191,7 +191,8 @@ def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
     # per content, not once per barrier value, expansion or violation scan.
     # The pass and request counts of the two ladder solves are pinned, so a
     # count that misses the function computing the offsets fails rather
-    # than passing at zero.
+    # than passing at zero. The requests include the report's final
+    # violation scan, which reads the last stage's kept evaluation.
     offsets = ConstraintSet._offsets
     passes, contents = [], []
 
@@ -208,7 +209,7 @@ def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
     monkeypatch.setattr(ConstraintSet, "_offsets", counting)
     for name in ("values", "trajectory_gradient"):
         monkeypatch.setattr(ConstraintSet, name, recording(getattr(ConstraintSet, name)))
-    for sid, v0, distinct, requests in ((1, 0.0, 63, 199), (2, 4.0, 99, 279)):
+    for sid, v0, distinct, requests in ((1, 0.0, 63, 200), (2, 4.0, 99, 280)):
         passes.clear()
         contents.clear()
         cfg, problem = feasible_config(sid, v0)

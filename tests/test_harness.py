@@ -521,6 +521,20 @@ def test_cli_rejects_quoted_ego_heading_flag(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [None, [1, 2], "x", 3])
+def test_cli_rejects_a_vehicle_section_that_is_not_a_mapping(tmp_path, value):
+    # Every other section is a configuration error (exit 2) when it is not a
+    # mapping; the vehicle section's key filter used to crash on it instead.
+    data = config_to_dict(builtin_scenario(1))
+    path = tmp_path / "vehicle.yaml"
+    path.write_text(yaml.safe_dump(dict(data, vehicle=value)))
+    with pytest.raises(ConfigError, match="vehicle"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def _obstacle_with(**fields):
     data = config_to_dict(builtin_scenario(1))
     return dict(data, obstacles=[dict(data["obstacles"][0], **fields)])
@@ -626,7 +640,12 @@ def test_cli_iter_timing_flag_populates_seconds(tmp_path):
         "--scenario", "1", "--method", "admm", "--out", str(out), "--iter-timing",
     ]) == 0
     rows = read_rows(out / "admm" / "residuals.csv")
-    assert all(row[5] != "" for row in rows[1:])
+    seconds = [float(row[5]) for row in rows[1:]]
+    assert seconds and all(s >= 0.0 for s in seconds)
+    # Each record's seconds run from the end of the previous record, so the
+    # records account for no more than the trial's own time.
+    trial = read_rows(out / "admm" / "timings.csv")[1]
+    assert sum(seconds) <= float(trial[3])
 
     plain = tmp_path / "plain"
     assert cli.main(["--scenario", "1", "--method", "admm", "--out", str(plain)]) == 0
