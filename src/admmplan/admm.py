@@ -31,7 +31,7 @@ from . import ilqr
 from .ilqr import (
     STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real,
 )
-from .constraints import FEASIBILITY_TOL, ConstraintSet, project_inputs, project_timestep
+from .constraints import FEASIBILITY_TOL, ConstraintSet, project_timestep
 from .errors import DomainError, NonConvergence, RegularizationExhausted
 
 BLOCK_DIM = 4  # (px, py, steer, accel)
@@ -155,8 +155,12 @@ def _build_blocks(traj: ilqr.Trajectory) -> np.ndarray:
 
 def primal_residual(traj: ilqr.Trajectory, z: np.ndarray):
     """Max-norm (and 2-norm, for plotting) of sel(y) - z, from the kept blocks."""
-    diff = _blocks(traj) - z
-    return float(np.max(np.abs(diff))), float(np.linalg.norm(diff))
+    return _norms(_blocks(traj) - z)
+
+
+def _norms(diff: np.ndarray):  # the max-norm and np.linalg.norm's 2-norm
+    flat = diff.ravel()
+    return float(abs(flat).max()), math.sqrt(flat.dot(flat))
 
 
 class PenalizedCost:
@@ -200,12 +204,12 @@ def project_consensus(targets, headings, constraints: ConstraintSet) -> np.ndarr
     """Project the consensus blocks (T+1, 4) of every stamp onto the constraints.
 
     Equal to `project_timestep` on every stamp: the inputs of all stamps are
-    clamped in one stacked operation, and only stamps with a keep-out value
-    above FEASIBILITY_TOL go through `project_timestep`.
+    clamped by two stacked float max/min calls, and only stamps with a
+    keep-out value above FEASIBILITY_TOL go through `project_timestep`.
     """
-    g = constraints.horizon_keepout(targets[:, :2], headings)
-    z = targets.copy()
-    z[:, 2:] = project_inputs(targets[:, 2:], constraints.bounds)
+    g, b = constraints.horizon_keepout(targets[:, :2], headings), constraints.bounds
+    z = np.maximum(targets, (-math.inf, -math.inf, -b.max_steer, b.min_accel))
+    np.minimum(z, (math.inf, math.inf, b.max_steer, b.max_accel), out=z)
     for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():
         z[tau] = project_timestep(targets[tau].tolist(), constraints, tau, headings[tau])
     return z
@@ -285,8 +289,9 @@ def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
         y = result.trajectory
         sel = _blocks(y)
         z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], problem.constraints)
-        lam += settings.sigma * (sel - z)
-        res_inf, res_two = primal_residual(y, z)
+        diff = sel - z
+        lam += settings.sigma * diff
+        res_inf, res_two = _norms(diff)
         if res_inf >= settings.primal_tolerance:
             engaged = True
         elif engaged:

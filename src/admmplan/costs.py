@@ -86,20 +86,17 @@ class Reference:
             object.__setattr__(self, "polyline", pts)
 
 
-def _closest_on_polyline(P, polyline):
+def _closest_on_polyline(P, segments):
     """Closest polyline points to every row of P (N, 2), found in one pass.
 
     Returns (distance, closest_point, segment_tangent, interior) stacked per
     row; `interior` tells whether the projection hit a segment interior
     (True) or clamped to a vertex (False).
     """
-    pts = np.asarray(polyline, dtype=float)
-    s0 = pts[:-1]
-    seg = pts[1:] - s0
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    s0, seg, seg_len2 = segments
     rel = P[:, None, :] - s0
     t = np.einsum("nij,ij->ni", rel, seg) / seg_len2
-    t = np.clip(t, 0.0, 1.0)
+    np.clip(t, 0.0, 1.0, out=t)
     proj = s0 + t[..., None] * seg
     gap = P[:, None, :] - proj
     d2 = np.einsum("nij,nij->ni", gap, gap)
@@ -133,6 +130,10 @@ class TrackingCost:
     def __init__(self, weights: CostWeights, reference: Reference):
         self.weights = weights
         self.reference = reference
+        if reference.polyline is not None:  # segment starts, vectors, squared lengths
+            pts = np.array(reference.polyline)
+            seg = pts[1:] - pts[:-1]
+            self._segments = pts[:-1], seg, np.einsum("ij,ij->i", seg, seg)
 
     def _evaluate(self, traj):
         """The position term's geometry and the values of traj, read-only.
@@ -145,7 +146,7 @@ class TrackingCost:
             e = X[:, 1] - ref.py_ref
             states, geometry = w.position_weight * e * e, None
         else:
-            dist, closest, tangent, interior = _closest_on_polyline(X[:, :2], ref.polyline)
+            dist, closest, tangent, interior = _closest_on_polyline(X[:, :2], self._segments)
             states, geometry = w.position_weight * dist * dist, (closest, tangent, interior)
         if ref.v_ref is not None:
             dv = X[:, 3] - ref.v_ref

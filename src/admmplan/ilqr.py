@@ -37,19 +37,20 @@ new states and controls as flat float lists, each of which becomes its array
 in one conversion, and a solve starts from the nominal trajectory it is
 handed, such as the previous solve's, without rolling it out again.
 
-Most Jacobian and expansion entries are 0.0 at every stamp, and some, such
-as the bicycle model's f_x diagonal, are 1.0 at every stamp, so the
+Most Jacobian and expansion entries hold one value at every stamp: 0.0,
+1.0 (the bicycle model's f_x diagonal) or another (f_u[3, 1] = h), so the
 recursion is generated from the formulas above once per pattern of such
 entries (`_sweep_kernel`, cached by the pattern's bytes, at most 64
-kernels), dropping every product with a constant 0.0 and writing 1.0 * x as
-x. No other rounding step changes: on finite input the result equals the
-dense recursion's up to the sign of an exact zero; inf or NaN input runs
-dense.
+kernels): products with a constant 0.0 are dropped, 1.0 * x is x, the other
+constants are read once per sweep and no unread value is computed. No other
+rounding step changes: on finite input the result equals the dense
+recursion's up to the sign of an exact zero; inf or NaN input runs dense.
 """
 
 import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -125,6 +126,13 @@ class Trajectory:
         if len(self.states) != len(self.controls) + 1:
             raise ValueError("states must be one longer than controls")
 
+    @classmethod
+    def _own(cls, states, controls):  # frozen, not copied: arrays nothing else holds
+        states.flags.writeable = controls.flags.writeable = False
+        traj = object.__new__(cls)
+        traj.__dict__.update(states=states, controls=controls, _evaluations={})
+        return traj
+
     @property
     def horizon(self) -> int:
         return len(self.controls)
@@ -168,7 +176,7 @@ def rollout(dynamics, x0, controls) -> Trajectory:
 
     The states are collected as one flat float list, which becomes the
     states array in one conversion."""
-    controls = np.asarray(controls, dtype=float)
+    controls = np.array(controls, dtype=float)
     x, step = np.asarray(x0, dtype=float).tolist(), dynamics.step
     states = list(x)
     try:
@@ -178,12 +186,12 @@ def rollout(dynamics, x0, controls) -> Trajectory:
     except DomainError as exc:
         tau = len(states) // len(x) - 1
         raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
-    return Trajectory(np.array(states).reshape(len(controls) + 1, -1), controls)
+    return Trajectory._own(np.array(states).reshape(len(controls) + 1, -1), controls)
 
 
 def total_cost(cost, traj: Trajectory) -> float:
     """Per-stamp costs summed in stamp order; inf outside the cost's domain."""
-    value = float(np.cumsum(cost.values(traj))[-1])
+    value = float(cost.values(traj).cumsum()[-1])
     return value if math.isfinite(value) else math.inf
 
 
@@ -192,8 +200,9 @@ def total_cost(cost, traj: Trajectory) -> float:
 _ROW = ([f"{c}{i}" for i in range(4) for c in "abcd"] + [f"{c}{i}" for i in range(4) for c in "ef"]
         + [f"h{i}4" for i in range(4)] + ["m0", "m1"]
         + [f"h{i}{j}" for i in range(4) for j in range(4)] + ["n00", "n01", "n10", "n11"])
-_SWEEP = """def sweep(rows, terminal, mu):
+_SWEEP = """def sweep(rows, fixed, terminal, mu):
     v00, v01, v02, v03, _, v11, v12, v13, _, _, v22, v23, _, _, _, v33, x0, x1, x2, x3 = terminal
+    ({fixed}) = fixed
     corner, gains = 0.0, []
     for ({row}) in rows:
         {body}
@@ -209,16 +218,17 @@ _CONSTANTS = np.array([[0.0], [1.0]])
 
 @functools.lru_cache(maxsize=64)
 def _sweep_kernel(pattern: bytes):
-    """The sweep for `pattern` and the row columns it reads. The pattern is
-    one byte per `_ROW` slot, 1 if the slot is 0.0 at every stamp, followed by
-    one byte per slot, 1 if it is 1.0 at every stamp; b"" is dense. The sweep
-    returns the gain rows, latest stamp first, and (V_x, V_xx, 2 dV) at the
-    first stamp; or None as soon as a regularized Q_uu is not positive
-    definite."""
+    """The sweep for `pattern` and the row columns it reads per stamp and
+    once. The pattern is three runs of one byte per `_ROW` slot, 1 if the
+    slot is 0.0, 1.0, or the same value at every stamp; b"" is dense.
+    `sweep(rows, fixed, terminal, mu)` returns the gain rows, latest stamp
+    first, and (V_x, V_xx, 2 dV) at the first stamp; or None as soon as a
+    regularized Q_uu is not positive definite."""
     # Constant row slots, and intermediates that come out as a constant or
     # as a bare name (1.0 * x is x), are not assigned but read as this
     # stand-in. A name standing in must not be read after it is reassigned.
-    zero, one = pattern[:len(_ROW)], pattern[len(_ROW):]
+    n = len(_ROW)
+    zero, one, fixed = pattern[:n], pattern[n:2 * n], pattern[2 * n:] or bytes(n)
     stand = {name: "0.0" if is_zero else "1.0"
              for name, is_zero, is_one in zip(_ROW, zero, one) if is_zero or is_one}
     reassigned = set()
@@ -292,25 +302,34 @@ def _sweep_kernel(pattern: bytes):
                                            dot((f"k0{i}", f"p0{j}"), (f"k1{i}", f"p1{j}"))))
         reassigned.add(V(i, j))
     body.append("corner = " + comb("corner", "-", dot(("k04", "p04"), ("k14", "p14"))))
+    # Drop the temporaries that no later line reads (V is read at the next stamp).
+    kept, read = [], {V(i, j) for i, j in pairs} | {"corner"}
+    for line in reversed(body):
+        if " = " not in line or line.split(" = ")[0] in read:
+            kept.append(line)
+            read.update(re.findall(r"[a-z_]\w*", line))
+    body = kept[::-1]
     # Only the upper triangles of the symmetric l_xx (h) and l_uu (n) are read.
-    columns = [k for k, name in enumerate(_ROW)
-               if name not in stand and (name[0] not in "hn" or name[1] <= name[2])]
+    slots = [k for k, name in enumerate(_ROW)
+             if name not in stand and (name[0] not in "hn" or name[1] <= name[2])]
+    columns, once = [k for k in slots if not fixed[k]], [k for k in slots if fixed[k]]
     source = _SWEEP.format(row="".join(f"{_ROW[k]}, " for k in columns),
+                           fixed="".join(f"{_ROW[k]}, " for k in once),
                            body="\n        ".join(body))
     scope = {"np": np}
     exec(compile(source, "<riccati sweep>", "exec"), scope)
-    return scope["sweep"], np.array(columns, dtype=np.intp)
+    return scope["sweep"], np.array(columns, dtype=np.intp), np.array(once, dtype=np.intp)
 
 
 def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     """Compute the affine control update along the nominal trajectory.
 
     Requires four states and two controls. The Jacobians and cost expansions
-    are stacked once; the columns that are 0.0 or 1.0 throughout are found
-    by comparing every row with the first and the first with both constants,
-    and the other columns are listed, latest stamp first, as float rows for
-    the sweep (`_sweep_kernel`). The sweep forms the Q blocks of the module
-    docstring, solves the regularized 2x2 system in closed form for
+    are stacked once; the columns that are constant throughout are found by
+    comparing every row with the first, and the first with 0.0 and 1.0. The
+    sweep (`_sweep_kernel`) reads the other constants once and the varying
+    columns, latest stamp first, as float rows. It forms the Q blocks of the
+    module docstring, solves the regularized 2x2 system in closed form for
     G = [K | k], and updates the value model with the unregularized Q_uu,
 
         [[V_xx, V_x], [V_x', c]] = [[Q_xx, Q_x], [Q_x', c]] - G' Q_uu G,
@@ -338,12 +357,12 @@ def backward_pass(traj: Trajectory, cost, dynamics, mu: float):
     terminal = l_xx[T].ravel().tolist() + l_x[T].tolist()
     pattern = b""  # dense where inf or NaN may meet a constant 0.0 (0.0 * inf is NaN)
     if np.isfinite(rows).all() and all(map(math.isfinite, terminal)):
-        first = rows[0]
-        pattern = ((first == _CONSTANTS) & (rows == first).all(0)).tobytes()
-    sweep, columns = _sweep_kernel(pattern)
-    rows = rows[::-1, columns].tolist()
+        first, fixed = rows[0], (rows == rows[0]).all(0)
+        pattern = ((first == _CONSTANTS) & fixed).tobytes() + fixed.tobytes()
+    sweep, columns, once = _sweep_kernel(pattern)
+    rows, fixed = rows[::-1, columns].tolist(), rows[0, once].tolist()
     while mu <= MU_MAX:
-        result = sweep(rows, terminal, mu)
+        result = sweep(rows, fixed, terminal, mu)
         if result is not None:
             gains, (V_x, V_xx, corner) = result
             gains.reverse()
@@ -381,7 +400,7 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     except DomainError as exc:
         tau = len(controls) // 2
         raise DomainError(f"forward pass step at time index {tau}: {exc}", tau=tau) from exc
-    return Trajectory(np.array(states).reshape(-1, 4), np.array(controls).reshape(-1, 2))
+    return Trajectory._own(np.array(states).reshape(-1, 4), np.array(controls).reshape(-1, 2))
 
 
 def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None) -> ILQRResult:

@@ -291,6 +291,26 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
     assert moved > 0 and clamped > 0
 
 
+@pytest.mark.parametrize("scenario", PROJECTION_CASES)
+def test_record_residuals_are_primal_residual_of_the_projected_z(scenario, monkeypatch):
+    # The loop takes sel(y) - z once for the dual update and both residual
+    # norms; each consensus record's residuals are primal_residual of its
+    # iterate against the z that iteration projected, bit for bit.
+    projected = []
+
+    def spy(targets, headings, constraints):
+        projected.append(project_consensus(targets, headings, constraints))
+        return projected[-1]
+
+    monkeypatch.setattr(admm, "project_consensus", spy)
+    report = solve_scenario(projection_case(scenario), "admm")
+    records = [r for r in report.records if r.weight is not None]
+    assert len(records) == len(projected) > 0
+    for record, z in zip(records, projected):
+        residuals = primal_residual(record.trajectory, z)
+        assert (record.residual_inf, record.residual_two) == residuals
+
+
 def test_inactive_splitting_matches_plain_ilqr():
     for sid in (1, 2):
         cfg = replace(builtin_scenario(sid), bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])

@@ -113,6 +113,34 @@ def test_trajectory_is_read_only_and_keeps_one_evaluation_per_model():
     assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
 
 
+def test_passes_hand_over_read_only_arrays_and_callers_keep_theirs():
+    # rollout and forward_pass give the Trajectory the arrays they build,
+    # read-only and shared with nothing else; a Trajectory built by a caller,
+    # and a rollout of a caller's controls, keep copies that the caller's
+    # later writes leave unchanged.
+    model = BicycleModel(VehicleParams())
+    x0, controls = np.array([0.0, 0.0, 0.0, 4.0]), np.full((10, 2), 0.1)
+    traj = rollout(model, x0, controls)
+    moved = forward_pass(traj, [(0.0,) * 10] * 10, 1.0, model)
+    for result in (traj, moved):
+        for array in (result.states, result.controls):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+    pairs = [(a, b) for a in (traj.states, traj.controls, moved.states, moved.controls)
+             for b in (traj.states, traj.controls, moved.states, moved.controls, x0, controls)
+             if a is not b]
+    assert not any(np.shares_memory(a, b) for a, b in pairs)
+    states = traj.states.copy()
+    built = Trajectory(states, controls)
+    before = [array.tobytes() for array in (traj.states, traj.controls, built.states,
+                                            built.controls)]
+    x0[:], controls[:], states[:] = 9.0, 5.0, 7.0
+    assert before == [array.tobytes() for array in (traj.states, traj.controls, built.states,
+                                                    built.controls)]
+    assert built.states.tobytes() == traj.states.tobytes()
+
+
 def test_backward_pass_zero_cost_gives_zero_gains():
     dynamics, _, x0, _ = lqr_setup(3)
     traj = rollout(dynamics, x0, np.zeros((20, 2)))

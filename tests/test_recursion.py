@@ -10,11 +10,14 @@ cases cover the costs the solvers pass: the tracking cost (lane and polyline
 references), the ADMM consensus penalty and the log barrier, plus dense
 linear-quadratic instances.
 
-The float sweep is generated per pattern of row entries that are 0.0 or 1.0
-at every stamp; the kernel for a pattern must return exactly what the dense
-kernel returns on the same rows.
+The float sweep is generated per pattern of row entries that are 0.0, 1.0 or
+another value at every stamp; the kernel for a pattern must return exactly
+what the dense kernel returns on the same rows, and compute no value that it
+does not read.
 """
 
+import dis
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -195,16 +198,29 @@ def test_backward_pass_equals_dense_sweep(build, arg, mu, monkeypatch):
     assert results[0] == results[1]
 
 
+def unread_names(function):
+    # The local names a function assigns and never reads, from its bytecode
+    # ("_" discards on purpose).
+    stored, loaded = set(), set()
+    for instruction in dis.get_instructions(function):
+        names = instruction.argval
+        names = names if isinstance(names, tuple) else (names,)
+        for op, name in zip(re.findall(r"(STORE|LOAD)_FAST", instruction.opname), names):
+            (stored if op == "STORE" else loaded).add(name)
+    return stored - loaded - {"_"}
+
+
 @settings(max_examples=300, deadline=None)
-@given(mask=st.lists(st.sampled_from(".01"), min_size=50, max_size=50),
+@given(mask=st.lists(st.sampled_from(".01c"), min_size=50, max_size=50),
        units=st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 3)),
        diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 8))
 def test_specialized_sweep_equals_dense_sweep(mask, units, diagonal, seed, horizon):
-    # Rows honouring a random pattern of constant 0.0 (of either sign) and
-    # 1.0 slots, with some columns of [f_x f_u] unit vectors, or the unit
-    # diagonal of the bicycle model's f_x: the kernel generated for the
-    # pattern returns exactly what the dense kernel returns, None included,
-    # at every mu.
+    # Rows honouring a random pattern of constant 0.0 (of either sign), 1.0
+    # and other constant ("c") slots, with some columns of [f_x f_u] unit
+    # vectors, or the unit diagonal of the bicycle model's f_x: the kernel
+    # generated for the pattern, which reads the other constants once,
+    # returns exactly what the dense kernel returns, None included, at every
+    # mu, and assigns no name it never reads.
     mask = list(mask)
     if diagonal:
         units = dict(units, a=0, b=1, c=2, d=3)
@@ -214,20 +230,28 @@ def test_specialized_sweep_equals_dense_sweep(mask, units, diagonal, seed, horiz
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(horizon, 50))
     for k, slot in enumerate(mask):
-        if slot != ".":
+        if slot == "c":
+            rows[:, k] = rng.normal()
+        elif slot != ".":
             rows[:, k] = 1.0 if slot == "1" else rng.choice([0.0, -0.0], size=horizon)
     terminal = rng.normal(size=20).tolist()
-    pattern = bytes(m == "0" for m in mask) + bytes(m == "1" for m in mask)
-    sweep, columns = ilqr._sweep_kernel(pattern)
-    dense, dense_columns = DENSE
+    pattern = b"".join(bytes(m in slots for m in mask) for slots in ("0", "1", "01c"))
+    sweep, columns, once = ilqr._sweep_kernel(pattern)
+    dense, dense_columns, dense_once = DENSE
+    assert dense_once.size == 0
+    constant = {k for k, m in enumerate(mask) if m == "c"}
+    assert set(once.tolist()) <= constant and not set(columns.tolist()) & constant
+    assert unread_names(sweep) == unread_names(dense) == set()
     for mu in (1e-6, 1e-1, 1e2, 1e6):
-        assert (plain(sweep(rows[:, columns].tolist(), terminal, mu))
-                == plain(dense(rows[:, dense_columns].tolist(), terminal, mu)))
+        assert (plain(sweep(rows[:, columns].tolist(), rows[0, once].tolist(), terminal, mu))
+                == plain(dense(rows[:, dense_columns].tolist(), [], terminal, mu)))
 
 
 def test_bicycle_pattern_folds_the_unit_diagonal(monkeypatch):
     # The pattern a bicycle backward pass keys its kernel by marks the f_x
-    # diagonal as 1.0 at every stamp, so the kernel reads none of it.
+    # diagonal as 1.0 at every stamp, so the kernel reads none of it; the
+    # time step in f_u[3, 1] is constant too, so the kernel reads it once per
+    # sweep instead of at every stamp.
     traj, cost, dynamics = bicycle_case(2)
     kernel, patterns = ilqr._sweep_kernel, []
     monkeypatch.setattr(ilqr, "_sweep_kernel", lambda pattern: patterns.append(pattern)
@@ -235,10 +259,13 @@ def test_bicycle_pattern_folds_the_unit_diagonal(monkeypatch):
     backward_pass(traj, cost, dynamics, 1e-6)
     (pattern,) = patterns
     diagonal = [ilqr._ROW.index(name) for name in ("a0", "b1", "c2", "d3")]
-    ones = pattern[len(ilqr._ROW):]
-    assert [(pattern[k], ones[k]) for k in diagonal] == [(0, 1)] * 4
-    _, columns = kernel(pattern)
-    assert not set(diagonal) & set(columns.tolist())
+    n = len(ilqr._ROW)
+    ones, fixed = pattern[n:2 * n], pattern[2 * n:]
+    assert [(pattern[k], ones[k], fixed[k]) for k in diagonal] == [(0, 1, 1)] * 4
+    sweep, columns, once = kernel(pattern)
+    assert not set(diagonal) & (set(columns.tolist()) | set(once.tolist()))
+    assert ilqr._ROW.index("f3") in once.tolist()
+    assert unread_names(sweep) == set()
 
 
 def plain(result):
