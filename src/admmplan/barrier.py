@@ -1,26 +1,27 @@
-"""Log-barrier constrained iLQR, the comparison baseline.
+"""Constraint penalties for iLQR: the log-barrier baseline and the restore.
 
-Hard constraints g_i <= 0 are replaced by -(1/t) log(-g_i) penalties and the
-smooth problem is solved by iLQR inside an outer loop that multiplies the
-sharpness t by a fixed factor: a generator of stages that `admm.solve_report`
-turns into the report. The method needs a strictly feasible iterate at all
-times: the seed rollout is checked up front, and line-search steps that leave
-the barrier domain are rejected by an infinite cost.
+`ConstraintPenalty` adds a penalty phi(g) of every constraint value g (g <= 0
+holds) to a base cost. Box faces are linear in one control and take phi''
+exactly; keep-out Hessians keep only the Gauss-Newton (first-derivative outer
+product) term, so the quadratic model stays positive semidefinite. Each
+family's terms are formed in one call over its stacked columns, one per box
+face or obstacle, and summed over them in one call.
 
-Only the last stage's answer is returned, so only the last stage is centered
-to the configured iLQR tolerance. On a convex problem a stage at sharpness t
-is within m/t of the optimum, m being the number of constraint terms (Boyd &
-Vandenberghe, *Convex Optimization*, §11.3), and centering it far below that
-bound buys nothing: earlier stages stop at the looser of the configured
-tolerance and CENTERING_FRACTION * m / t.
+The log barrier, phi = -log(-g) / t, is solved by iLQR inside an outer loop
+that multiplies the sharpness t by a fixed factor: a generator of stages that
+`admm.solve_report` turns into the report. It needs a strictly feasible
+iterate at all times: the seed rollout is checked up front, and line-search
+steps that leave the barrier domain are rejected by an infinite cost. Only
+the last stage's answer is returned, so only it is centered to the configured
+iLQR tolerance. On a convex problem a stage at sharpness t is within m/t of
+the optimum, m being the number of constraint terms (Boyd & Vandenberghe,
+*Convex Optimization*, §11.3), and centering it far below that bound buys
+nothing: earlier stages stop at the looser of the configured tolerance and
+CENTERING_FRACTION * m / t.
 
-Obstacle barrier Hessians keep only the Gauss-Newton (first-derivative outer
-product) term so the quadratic model stays positive semidefinite; box-limit
-barriers use their exact one-dimensional second derivatives. Each constraint
-family's logs, reciprocals, keep-out gradients and Gauss-Newton terms are
-computed in one call over its stacked columns, one column per box face or
-obstacle, and then added to the base values and expansion one column at a
-time, in face and obstacle order.
+The restore, a quadratic-penalty phase I (§11.4), reaches a strictly feasible
+iterate from an infeasible one by iLQR on the hinge phi = rho/2 max(0, g +
+HINGE_OFFSET)^2 at each rho of a fixed ladder. No method calls it yet.
 """
 
 import math
@@ -29,14 +30,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ilqr
-from .ilqr import ILQRSettings, is_count, is_real
+from .ilqr import STATUS_CONVERGED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real
 from .admm import Problem, SolveReport, solve_report, trajectory_violation
 from .constraints import ConstraintSet
-from .errors import BarrierDomainViolation
+from .errors import BarrierDomainViolation, NonConvergence
 
 # Stages before the last stop once their cost improves by less than this
 # fraction of their duality-gap bound m/t.
 CENTERING_FRACTION = 1e-3
+# The restore: the hinge weights rho tried in turn, the hinge's offset past
+# g = 0 and the inner iLQR solve at each weight.
+RESTORE_WEIGHTS = (1e2, 1e3, 1e4, 1e5, 1e6)
+HINGE_OFFSET = 1e-3
+RESTORE_ILQR = ILQRSettings(max_iters=30, cost_tolerance=1e-6)
 
 
 @dataclass
@@ -59,66 +65,74 @@ class BarrierSettings:
             raise ValueError("margin must be nonnegative")
 
 
-class BarrierCost:
-    """Base cost plus log-barrier terms for the box and keep-out constraints.
+class ConstraintPenalty:
+    """Base cost plus a penalty phi(g) on every box and keep-out value g.
 
-    Over a trajectory, `values` adds -(1/t) sum(log(-g)) of each stamp's
-    constraint values from the `ConstraintSet` to the base values, and is
-    +inf at every stamp outside the barrier domain (-g <= margin), so the
-    line search backtracks. `expand` adds the barrier gradients and Hessians
-    to the base expansion as array operations; it raises
-    BarrierDomainViolation at the first violating stamp instead, since it is
-    only ever requested on accepted (feasible) nominal trajectories.
+    `phi(g, order)` is phi, phi' or phi'' (order 0, 1, 2) elementwise. Over a
+    trajectory, `values` adds the sum of phi over the box faces of the first T
+    stamps and the keep-outs of all stamps to the base values; `expand` adds,
+    per box face, phi' times its sign to l_u and phi'' to its l_uu diagonal
+    entry, and per keep-out, phi' dg to l_x and phi'' dg dg' to l_xx in the
+    first k states: (px, py) or, with the ego heading, (px, py, theta).
+
+    With a `margin`, phi is defined only where every -g > margin: `values` is
+    +inf at each stamp outside, so the line search backtracks, and `expand`,
+    only ever requested on accepted nominal trajectories, raises
+    BarrierDomainViolation at the first.
     """
 
-    def __init__(
-        self,
-        base,
-        constraints: ConstraintSet,
-        sharpness: float,
-        margin: float = 1e-6,
-    ):
-        self.base = base
-        self.constraints = constraints
-        self.sharpness = sharpness
-        self.margin = margin
+    def __init__(self, base, constraints: ConstraintSet, phi, margin: float | None = None):
+        self.base, self.constraints, self.phi, self.margin = base, constraints, phi, margin
 
     def values(self, traj) -> np.ndarray:
         box, keepout = self.constraints.values(traj)
-        outside = _outside(box, keepout, self.margin)
         with np.errstate(invalid="ignore", divide="ignore"):
-            box_logs, keepout_logs = np.log(-box), np.log(-keepout)
-            logs = np.zeros(len(keepout))
-            for column in box_logs.T:
-                logs[:-1] -= column
-            for column in keepout_logs.T:
-                logs -= column
-        values = self.base.values(traj) + logs / self.sharpness
-        values[outside] = math.inf
+            terms = self.phi(keepout, 0).sum(axis=1)
+            terms[:-1] += self.phi(box, 0).sum(axis=1)
+        values = self.base.values(traj) + terms
+        if self.margin is not None:
+            values[_outside(box, keepout, self.margin)] = math.inf
         return values
 
     def expand(self, traj):
         # Expansion arrays are freshly allocated by the base model.
         l_x, l_u, l_xx, l_uu = self.base.expand(traj)
         box, keepout = self.constraints.values(traj)
-        _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
-        inv_t = 1.0 / self.sharpness
-        # Box faces are linear in one control: exact 1-D barrier derivatives.
-        gradient, curvature = inv_t * self.constraints.face_signs / box, inv_t / box**2
-        for (i, _, _), du, duu in zip(self.constraints.faces, gradient.T, curvature.T):
-            l_u[:, i] -= du
-            l_uu[:, i, i] += duu
-        # Keep-out barriers: gradient and Gauss-Newton Hessian in the first
-        # k states, (px, py) or, with the ego heading, (px, py, theta).
+        if self.margin is not None:
+            _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
+        faces = self.constraints.face_index
+        np.add.at(l_u, (slice(None), faces), self.phi(box, 1) * self.constraints.face_signs)
+        np.add.at(l_uu, (slice(None), faces, faces), self.phi(box, 2))
         dg = self.constraints.trajectory_gradient(traj)
         k = dg.shape[-1]
-        gradient = inv_t * dg / keepout[:, :, None]
+        l_x[:, :k] += (self.phi(keepout, 1)[:, :, None] * dg).sum(axis=1)
         outer = dg[..., :, None] * dg[..., None, :]
-        hessian = inv_t * outer / (keepout**2)[:, :, None, None]
-        for j in range(keepout.shape[1]):
-            l_x[:, :k] -= gradient[:, j]
-            l_xx[:, :k, :k] += hessian[:, j]
+        l_xx[:, :k, :k] += (self.phi(keepout, 2)[:, :, None, None] * outer).sum(axis=1)
         return l_x, l_u, l_xx, l_uu
+
+
+class BarrierCost(ConstraintPenalty):
+    """The log case of `ConstraintPenalty`: phi(g) = -log(-g) / t where -g > margin."""
+
+    def __init__(self, base, constraints: ConstraintSet, sharpness: float, margin: float = 1e-6):
+        super().__init__(base, constraints, self._log, margin)
+        self.sharpness = sharpness
+
+    def _log(self, g, order):
+        inv_t = 1.0 / self.sharpness
+        if order == 0:
+            return np.log(-g) * -inv_t
+        return -inv_t / g if order == 1 else inv_t / g**2
+
+
+def hinge(weight: float):
+    """The restore's phi(g, order): weight/2 max(0, g + HINGE_OFFSET)^2."""
+    def phi(g, order):
+        excess = np.maximum(g + HINGE_OFFSET, 0.0)
+        if order == 0:
+            return 0.5 * weight * excess**2
+        return weight * excess if order == 1 else weight * (excess > 0.0)
+    return phi
 
 
 def _outside(box, keepout, margin):
@@ -128,16 +142,14 @@ def _outside(box, keepout, margin):
     return outside
 
 
-def _check_domain(box, keepout, margin, problem):
-    """Raise BarrierDomainViolation at the first stamp outside the domain."""
+def _check_domain(box, keepout, margin, problem, error=BarrierDomainViolation):
+    """Raise `error` at the first stamp outside the domain."""
     if (keepout >= -margin).any() or (box >= -margin).any():
         tau = int(np.argmax(_outside(box, keepout, margin)))
-        raise BarrierDomainViolation(f"{problem} at time index {tau}", tau=tau)
+        raise error(f"{problem} at time index {tau}", tau=tau)
 
 
-def check_strict_feasibility(
-    traj: ilqr.Trajectory, constraints: ConstraintSet, margin: float
-):
+def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet, margin: float):
     """Raise BarrierDomainViolation at the first stamp violating any g < -margin."""
     box, keepout = constraints.values(traj)
     _check_domain(box, keepout, margin, "trajectory is not strictly feasible")
@@ -147,10 +159,9 @@ def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> 
     """Constrained solve by the outer-inner log-barrier loop.
 
     Stage i solves the barrier problem at sharpness t = initial_sharpness *
-    tighten_factor**i from the previous stage's answer. The last stage runs
-    iLQR to the configured cost tolerance; the others to the looser of that
-    and CENTERING_FRACTION * m / t, a share of the stage's duality-gap bound
-    m/t (Boyd & Vandenberghe §11.3). The status is the last stage's inner
+    tighten_factor**i from the previous stage's answer, to the configured
+    cost tolerance at the last stage and to the looser of that and
+    CENTERING_FRACTION * m / t before. The status is the last stage's inner
     status (`converged` or `max_iters`), or `failed` as `admm.solve_report`
     reports a solve failure, with the finished stages kept.
 
@@ -183,3 +194,29 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory, ter
         violation = trajectory_violation(y, problem.constraints)
         yield result, violation, violation, sharpness, result.status
         sharpness *= settings.tighten_factor
+
+
+def _restore(problem: Problem, y: ilqr.Trajectory, margin: float):
+    """The restore from `y`, as `admm.solve_report` items, one per weight.
+
+    Each rho of RESTORE_WEIGHTS runs RESTORE_ILQR on the base cost plus the
+    hinge from the previous answer, until an answer has every g < -margin
+    (`converged`). NonConvergence, one of `admm.SOLVE_FAILURES`, names the
+    first stamp outside when the ladder ends first, and the obstacle when
+    the start is inside one at time index 0, which no control moves.
+    """
+    constraints = problem.constraints
+    inside = np.flatnonzero(constraints.values(y)[1][0] > 0.0)
+    if inside.size:
+        raise NonConvergence(f"restore: start inside obstacle {inside[0]} at time index 0", tau=0)
+    for weight in RESTORE_WEIGHTS:
+        penalty = ConstraintPenalty(problem.cost, constraints, hinge(weight))
+        result = ilqr.solve(y, penalty, problem.dynamics, RESTORE_ILQR)
+        y = result.trajectory
+        violation = trajectory_violation(y, constraints)
+        done = not _outside(*constraints.values(y), margin).any()
+        yield result, violation, violation, weight, STATUS_CONVERGED if done else STATUS_MAX_ITERS
+        if done:
+            return
+    _check_domain(*constraints.values(y), margin,
+                  "restore ended without a strictly feasible iterate", NonConvergence)

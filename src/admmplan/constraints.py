@@ -106,7 +106,8 @@ class ConstraintSet:
 
     Built once per problem by `build_problem` and shared by the violation
     scan, the barrier and the projection. `faces` lists the finite box faces
-    as (control index, sign, limit), `face_signs` their signs as one array.
+    as (control index, sign, limit), `face_index` and `face_signs` their
+    control indices and signs as arrays.
     `box(u)` evaluates one stamp or stacked rows with a leading stamp axis;
     `horizon_keepout(p, heading)` evaluates the stamps 0 .. N-1 of N
     positions, `values(traj)` gives the box and keep-out values of a whole
@@ -136,8 +137,8 @@ class ConstraintSet:
         if bounds.min_accel > -UNBOUNDED_LIMIT:
             self.faces.append((1, -1.0, -bounds.min_accel))
         faces = np.array(self.faces, dtype=float).reshape(-1, 3)
-        self._face_index = faces[:, 0].astype(int)
-        self.face_signs, self._face_limit = faces[:, 1], faces[:, 2]
+        self.face_index, self.face_signs = faces[:, 0].astype(int), faces[:, 1]
+        self._face_limit = faces[:, 2]
         # One float row per obstacle: center, velocity, semi-axes, cos/sin
         # heading; `_ellipses` holds the same rows as (obstacles,) columns.
         rows = np.array(
@@ -154,7 +155,7 @@ class ConstraintSet:
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
         u = np.asarray(u, dtype=float)
-        return self.face_signs * u[..., self._face_index] - self._face_limit
+        return self.face_signs * u[..., self.face_index] - self._face_limit
 
     def _horizon_centers(self, stamps):
         """Obstacle centers (cx, cy) at time indices 0 .. stamps-1, (stamps,

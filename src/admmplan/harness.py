@@ -100,88 +100,60 @@ def _format(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trajectory_csv(traj: Trajectory, dynamics, path, tol=1e-8):
     """Emit one trajectory, re-validating the dynamics recursion row by row."""
     tau = traj.dynamics_break(dynamics, tol)
     if tau is not None:
-        raise PlannerError(
-            f"trajectory breaks the dynamics recursion at time index {tau}"
-        )
+        raise PlannerError(f"trajectory breaks the dynamics recursion at time index {tau}")
     h = dynamics.params.timestep
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tau", "t", "px", "py", "theta", "v", "w", "a"])
-        for tau in range(traj.horizon + 1):
-            px, py, theta, v = traj.states[tau]
-            if tau < traj.horizon:
-                w, a = traj.controls[tau]
-                tail = [_format(float(w)), _format(float(a))]
-            else:
-                tail = ["", ""]
-            writer.writerow(
-                [tau, _format(tau * h), _format(float(px)), _format(float(py)),
-                 _format(float(theta)), _format(float(v))] + tail
-            )
+    controls = [list(map(_format, u)) for u in traj.controls.tolist()] + [["", ""]]
+    _write_csv(path, ["tau", "t", "px", "py", "theta", "v", "w", "a"],
+               ([tau, _format(tau * h)] + list(map(_format, x)) + u
+                for tau, (x, u) in enumerate(zip(traj.states.tolist(), controls))))
 
 
 def write_residuals_csv(report: SolveReport, path, include_seconds=False):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters", "seconds"]
-        )
-        for index, r in enumerate(report.records, 1):
-            writer.writerow(
-                [index, _format(r.residual_inf), _format(r.residual_two), _format(r.cost),
+    _write_csv(path, ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters", "seconds"],
+               ([index, _format(r.residual_inf), _format(r.residual_two), _format(r.cost),
                  r.inner.iterations, _format(r.seconds) if include_seconds else ""]
-            )
+                for index, r in enumerate(report.records, 1)))
 
 
 def write_timings_csv(records, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["method", "scenario", "trial", "seconds", "status",
-             "final_cost", "max_violation"]
-        )
-        for r in records:
-            writer.writerow(
-                [r.method, r.scenario, r.trial, _format(r.seconds), r.report.status,
-                 _format(r.report.final_cost), _format(r.report.max_violation)]
-            )
-        if records:
-            mean = sum(r.seconds for r in records) / len(records)
-            writer.writerow(
-                [records[0].method, records[0].scenario, "mean", _format(mean),
-                 "", "", ""]
-            )
+    rows = [[r.method, r.scenario, r.trial, _format(r.seconds), r.report.status,
+             _format(r.report.final_cost), _format(r.report.max_violation)] for r in records]
+    if records:
+        mean = sum(r.seconds for r in records) / len(records)
+        rows.append([records[0].method, records[0].scenario, "mean", _format(mean), "", "", ""])
+    _write_csv(path, ["method", "scenario", "trial", "seconds", "status", "final_cost",
+                      "max_violation"], rows)
 
 
 def write_compare_csv(records_by_method, path):
     """Joint per-trial timing table across methods, plus a mean row."""
     methods = list(records_by_method)
     trials = max(len(v) for v in records_by_method.values())
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = ["trial"]
-        for m in methods:
-            header += [f"{m}_seconds", f"{m}_status"]
-        writer.writerow(header)
-        for i in range(trials):
-            row = [i + 1]
-            for m in methods:
-                recs = records_by_method[m]
-                if i < len(recs):
-                    row += [_format(recs[i].seconds), recs[i].report.status]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
-        row = ["mean"]
+    rows = []
+    for i in range(trials):
+        row = [i + 1]
         for m in methods:
             recs = records_by_method[m]
-            mean = sum(r.seconds for r in recs) / len(recs) if recs else math.nan
-            row += [_format(mean), ""]
-        writer.writerow(row)
+            row += [_format(recs[i].seconds), recs[i].report.status] if i < len(recs) else ["", ""]
+        rows.append(row)
+    row = ["mean"]
+    for m in methods:
+        recs = records_by_method[m]
+        row += [_format(sum(r.seconds for r in recs) / len(recs) if recs else math.nan), ""]
+    rows.append(row)
+    _write_csv(path, ["trial"] + [f"{m}_{c}" for m in methods for c in ("seconds", "status")],
+               rows)
 
 
 def parse_snapshot_policy(text: str):
@@ -224,12 +196,8 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
         chosen = {total if p == "last" else p for p in picks}
     dropped = sorted(i for i in chosen if i > total)
     if dropped:
-        warnings.warn(
-            f"snapshot indices {dropped} are past the last iteration ({total}); "
-            "no trajectory file is written for them",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"snapshot indices {dropped} are past the last iteration ({total}); "
+                      "no trajectory file is written for them", UserWarning, stacklevel=2)
     paths = []
     for index in sorted(i for i in chosen if 1 <= i <= total):
         path = out_dir / f"trajectory_iter{index:03d}.csv"
@@ -241,15 +209,8 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
     return paths
 
 
-def run(
-    config: ScenarioConfig,
-    method: str,
-    trials: int,
-    out_dir,
-    snapshots: str = "1,2,last",
-    compare: bool = False,
-    include_seconds: bool = False,
-) -> int:
+def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: str = "1,2,last",
+        compare: bool = False, include_seconds: bool = False) -> int:
     """Execute trials, write all artifacts, and return a process exit code."""
     out_dir = Path(out_dir)
     try:

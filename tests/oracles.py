@@ -387,39 +387,45 @@ def reference_forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics
     return Trajectory(states, controls)
 
 
+def _column_sum(columns, shape):
+    """Per-column arrays of `shape` summed over the columns the way the
+    penalty kernel sums its stacked columns: stacked on axis 1, summed there."""
+    return np.stack(columns, axis=1).sum(axis=1) if columns else np.zeros(shape)
+
+
 def column_barrier_values(cost, traj):
-    """`BarrierCost.values` with each constraint column's logs taken and
-    summed in turn: box faces in face order, then obstacles."""
+    """`BarrierCost.values` with each constraint column's terms -log(-g)/t
+    formed in turn: box faces in face order, then obstacles."""
     box, keepout = cost.constraints.values(traj)
     outside = (-keepout <= cost.margin).any(axis=1)
     outside[:-1] |= (-box <= cost.margin).any(axis=1)
+    inv_t = 1.0 / cost.sharpness
     with np.errstate(invalid="ignore", divide="ignore"):
-        logs = np.zeros(len(keepout))
-        for g in box.T:
-            logs[:-1] -= np.log(-g)
-        for g in keepout.T:
-            logs -= np.log(-g)
-    values = cost.base.values(traj) + logs / cost.sharpness
+        terms = _column_sum([np.log(-g) * -inv_t for g in keepout.T], len(keepout))
+        terms[:-1] += _column_sum([np.log(-g) * -inv_t for g in box.T], len(box))
+    values = cost.base.values(traj) + terms
     values[outside] = math.inf
     return values
 
 
 def column_barrier_expansion(cost, traj):
     """`BarrierCost.expand` on a trajectory inside the barrier domain, with
-    each constraint column's terms formed and added in turn; keep-out terms
-    in (px, py) or, with the ego heading, (px, py, theta)."""
+    each constraint column's terms, from phi'(g) = -1/(t g) and phi''(g) =
+    1/(t g^2), formed in turn and box-face terms added in face order;
+    keep-out terms in (px, py) or, with the ego heading, (px, py, theta)."""
     l_x, l_u, l_xx, l_uu = cost.base.expand(traj)
     box, keepout = cost.constraints.values(traj)
-    grad = cost.constraints.trajectory_gradient(traj)
+    grad = cost.constraints.trajectory_gradient(traj).transpose(1, 0, 2)
     k = grad.shape[-1]
     inv_t = 1.0 / cost.sharpness
     for (i, sign, _), g in zip(cost.constraints.faces, box.T):
-        l_u[:, i] -= inv_t * sign / g
+        l_u[:, i] += -inv_t / g * sign
         l_uu[:, i, i] += inv_t / g**2
-    for g, dg in zip(keepout.T, grad.transpose(1, 0, 2)):
-        l_x[:, :k] -= inv_t * dg / g[:, None]
-        outer = dg[:, :, None] * dg[:, None, :]
-        l_xx[:, :k, :k] += inv_t * outer / (g**2)[:, None, None]
+    l_x[:, :k] += _column_sum([(-inv_t / g)[:, None] * dg for g, dg in zip(keepout.T, grad)],
+                              (len(l_x), k))
+    outer = [dg[:, :, None] * dg[:, None, :] for dg in grad]
+    l_xx[:, :k, :k] += _column_sum([(inv_t / g**2)[:, None, None] * o
+                                    for g, o in zip(keepout.T, outer)], (len(l_x), k, k))
     return l_x, l_u, l_xx, l_uu
 
 
