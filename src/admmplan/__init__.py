@@ -8,15 +8,9 @@ projection step is solved exactly per time stamp. A log-barrier constrained
 iLQR baseline and a benchmark harness round out the toolkit.
 """
 
-from .admm import ADMMSettings, IterationRecord, Problem, SolveReport, admm_solve, primal_residual
+from .admm import ADMMSettings, IterationRecord, Problem, SolveReport, admm_solve
 from .barrier import BarrierSettings, barrier_solve
-from .constraints import (
-    ConstraintSet,
-    InputBounds,
-    Obstacle,
-    project_inputs,
-    project_timestep,
-)
+from .constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
 from .costs import CostWeights, Reference, TrackingCost
 from .errors import (
     BarrierDomainViolation,
@@ -66,8 +60,6 @@ __all__ = [
     "builtin_scenario",
     "ilqr_solve",
     "load_config",
-    "primal_residual",
-    "project_inputs",
     "project_timestep",
     "rollout",
     "save_config",

@@ -153,11 +153,6 @@ def _build_blocks(traj: ilqr.Trajectory) -> np.ndarray:
     return blocks
 
 
-def primal_residual(traj: ilqr.Trajectory, z: np.ndarray):
-    """Max-norm (and 2-norm, for plotting) of sel(y) - z, from the kept blocks."""
-    return _norms(_blocks(traj) - z)
-
-
 def _norms(diff: np.ndarray):  # the max-norm and np.linalg.norm's 2-norm
     flat = diff.ravel()
     return float(abs(flat).max()), math.sqrt(flat.dot(flat))
@@ -203,15 +198,16 @@ class PenalizedCost:
 def project_consensus(targets, headings, constraints: ConstraintSet) -> np.ndarray:
     """Project the consensus blocks (T+1, 4) of every stamp onto the constraints.
 
-    Equal to `project_timestep` on every stamp: the inputs of all stamps are
-    clamped by two stacked float max/min calls, and only stamps with a
-    keep-out value above FEASIBILITY_TOL go through `project_timestep`.
+    The box touches only the controls and the keep-outs only the position, so
+    the projection splits: the controls of all stamps are clamped onto the
+    set's `control_box` by one stacked clip, and only the positions of stamps
+    with a keep-out value above FEASIBILITY_TOL go through `project_timestep`.
     """
-    g, b = constraints.horizon_keepout(targets[:, :2], headings), constraints.bounds
-    z = np.maximum(targets, (-math.inf, -math.inf, -b.max_steer, b.min_accel))
-    np.minimum(z, (math.inf, math.inf, b.max_steer, b.max_accel), out=z)
+    g = constraints.horizon_keepout(targets[:, :2], headings)
+    z = targets.copy()
+    np.clip(targets[:, 2:], *constraints.control_box, out=z[:, 2:])
     for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():
-        z[tau] = project_timestep(targets[tau].tolist(), constraints, tau, headings[tau])
+        z[tau, :2] = project_timestep(targets[tau, :2].tolist(), constraints, tau, headings[tau])
     return z
 
 

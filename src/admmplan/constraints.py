@@ -20,9 +20,11 @@ and horizon and kept, for the evaluator and for the consensus projection's
 keep-out scan (`horizon_keepout`).
 `project_timestep`, the consensus-update workhorse, reads the rows as plain
 floats at one stamp, centers moved to the stamp once per set and stamp and
-kept: it clamps the input components onto the boxes with float min/max and
-pushes the position outside every keep-out ellipse by cyclic nearest-point
-projection, testing g in the evaluator's order of operations.
+kept: it pushes a position outside every keep-out ellipse by cyclic
+nearest-point projection, testing g in the evaluator's order of operations.
+The box touches only the controls and the keep-outs only the position, so
+the projection onto both splits into that position projection and a control
+clamp onto the set's `control_box`.
 """
 
 import math
@@ -107,7 +109,8 @@ class ConstraintSet:
     Built once per problem by `build_problem` and shared by the violation
     scan, the barrier and the projection. `faces` lists the finite box faces
     as (control index, sign, limit), `face_index` and `face_signs` their
-    control indices and signs as arrays.
+    control indices and signs as arrays, and `control_box` the (lower, upper)
+    limits of (steer, accel) as arrays.
     `box(u)` evaluates one stamp or stacked rows with a leading stamp axis;
     `horizon_keepout(p, heading)` evaluates the stamps 0 .. N-1 of N
     positions, `values(traj)` gives the box and keep-out values of a whole
@@ -139,6 +142,8 @@ class ConstraintSet:
         faces = np.array(self.faces, dtype=float).reshape(-1, 3)
         self.face_index, self.face_signs = faces[:, 0].astype(int), faces[:, 1]
         self._face_limit = faces[:, 2]
+        self.control_box = (np.array([-bounds.max_steer, bounds.min_accel]),
+                            np.array([bounds.max_steer, bounds.max_accel]))
         # One float row per obstacle: center, velocity, semi-axes, cos/sin
         # heading; `_ellipses` holds the same rows as (obstacles,) columns.
         rows = np.array(
@@ -234,12 +239,6 @@ class ConstraintSet:
         return float(max(np.max(box, initial=0.0), np.max(keepout, initial=0.0)))
 
 
-def project_inputs(u, bounds: InputBounds) -> np.ndarray:
-    """Exact Euclidean projection of controls (..., 2) = (steer, accel) onto
-    the box limits, for one stamp or stacked rows."""
-    return np.clip(u, (-bounds.max_steer, bounds.min_accel), (bounds.max_steer, bounds.max_accel))
-
-
 def _nearest_boundary_point(qx, qy, a, b):
     """Nearest point on the axis-aligned ellipse boundary to an interior point.
 
@@ -279,30 +278,25 @@ def _nearest_boundary_point(qx, qy, a, b):
 
 
 def project_timestep(
-    block, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0
-) -> np.ndarray:
-    """Project one consensus block (px, py, steer, accel) onto the constraints.
+    position, constraints: ConstraintSet, tau: int, ego_heading: float = 0.0
+) -> tuple:
+    """Push a position (px, py) outside every keep-out ellipse at time index tau.
 
-    `block` is any sequence of four floats; a list, such as a row of
-    `targets.tolist()`, is the fast input, and the only array built is the
-    result. Inputs are clamped onto their boxes by float min/max, equal to
-    `project_inputs`; the position is pushed outside every keep-out ellipse
-    at time index tau by cyclic projection. The ellipses are the set's float
-    rows of stamp tau (`ConstraintSet._ellipses_at`), with cos/sin of
-    `ego_heading` swapped in when the set uses it; g is tested and the point
-    moved on plain floats, in the evaluator's order of operations. A
-    position at an ellipse center, to AXIS_TOL, has no unique nearest boundary
-    point; it goes to the minor-axis one with a DegenerateProjection warning.
+    `position` is any pair of floats, plain floats being the fast input; the
+    result is the projected (px, py) as two floats. Cyclic projection runs
+    over the set's float rows of stamp tau (`ConstraintSet._ellipses_at`),
+    with cos/sin of `ego_heading` swapped in when the set uses it; g is
+    tested and the point moved on plain floats, in the evaluator's order of
+    operations. A position at an ellipse center, to AXIS_TOL, has no unique
+    nearest boundary point; it goes to the minor-axis one with a
+    DegenerateProjection warning.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within
         the sweep budget (overlapping obstacles leaving no nearby feasible
         point).
     """
-    px, py, steer, accel = block
-    bounds = constraints.bounds
-    steer = min(max(steer, -bounds.max_steer), bounds.max_steer)
-    accel = min(max(accel, bounds.min_accel), bounds.max_accel)
+    px, py = position
     ellipses = constraints._ellipses_at(tau)
     if constraints.use_ego_heading:
         c, s = math.cos(ego_heading), math.sin(ego_heading)
@@ -329,7 +323,7 @@ def project_timestep(
             nx, ny = sx * nx, sy * ny
             px, py = cx + (c * nx - s * ny), cy + (s * nx + c * ny)
         if clean:
-            return np.array([px, py, steer, accel], dtype=float)
+            return px, py
     raise NonConvergence(
         f"cyclic ellipse projection did not converge at time index {tau}", tau=tau
     )

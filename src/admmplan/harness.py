@@ -139,18 +139,15 @@ def write_timings_csv(records, path):
 def write_compare_csv(records_by_method, path):
     """Joint per-trial timing table across methods, plus a mean row."""
     methods = list(records_by_method)
-    trials = max(len(v) for v in records_by_method.values())
     rows = []
-    for i in range(trials):
-        row = [i + 1]
-        for m in methods:
-            recs = records_by_method[m]
-            row += [_format(recs[i].seconds), recs[i].report.status] if i < len(recs) else ["", ""]
+    for i, trial in enumerate(zip(*records_by_method.values()), 1):
+        row = [i]
+        for r in trial:
+            row += [_format(r.seconds), r.report.status]
         rows.append(row)
     row = ["mean"]
-    for m in methods:
-        recs = records_by_method[m]
-        row += [_format(sum(r.seconds for r in recs) / len(recs) if recs else math.nan), ""]
+    for recs in records_by_method.values():
+        row += [_format(sum(r.seconds for r in recs) / len(recs)), ""]
     rows.append(row)
     _write_csv(path, ["trial"] + [f"{m}_{c}" for m in methods for c in ("seconds", "status")],
                rows)

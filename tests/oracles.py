@@ -36,7 +36,6 @@ from admmplan.constraints import (
     MAX_PROJECTION_SWEEPS,
     PROJECTION_TOL,
     _nearest_boundary_point,
-    project_inputs,
 )
 from admmplan.errors import DegenerateProjection, NonConvergence, RegularizationExhausted
 from admmplan.ilqr import MU_GROWTH, MU_MAX, Trajectory
@@ -274,14 +273,12 @@ def closure_nearest_boundary_point(qx, qy, a, b):
     return a * a * qx / (a * a + t), b * b * qy / (b * b + t)
 
 
-def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.0) -> np.ndarray:
+def frame_project_timestep(position, constraints, tau: int,
+                           ego_heading: float = 0.0) -> np.ndarray:
     """`project_timestep` on numpy ellipse frames: the obstacle's center at
     tau and a 2x2 rotation map the point into and out of each ellipse's
     frame, and every move is re-checked with `keepout_at`."""
-    block = np.asarray(block, dtype=float)
-    out = block.copy()
-    out[2:] = project_inputs(block[2:], constraints.bounds)
-    p = out[:2]
+    p = np.array(position, dtype=float)
     g = keepout_at(constraints, tau, p, ego_heading)
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True
@@ -293,8 +290,7 @@ def frame_project_timestep(block, constraints, tau: int, ego_heading: float = 0.
                 g = keepout_at(constraints, tau, p, ego_heading)
                 clean = False
         if clean:
-            out[:2] = p
-            return out
+            return p
     raise NonConvergence(
         f"cyclic ellipse projection did not converge at time index {tau}", tau=tau
     )

@@ -146,10 +146,10 @@ def test_criterion_3_projection_oracle():
             phi = rng.uniform(0.0, 2.0 * math.pi)
             p = center + rot @ np.array([a * r * math.cos(phi),
                                          b * r * math.sin(phi)])
-            out = project_timestep(np.append(p, (0.0, 0.0)), constraints, 0)[:2]
+            out = np.array(project_timestep(p, constraints, 0))
             best = nearest_on_boundary(p, boundary)
             worst_match = max(worst_match, float(np.linalg.norm(out - best)))
-            again = project_timestep(np.append(out, (0.0, 0.0)), constraints, 0)[:2]
+            again = np.array(project_timestep(out, constraints, 0))
             worst_idem = max(worst_idem, float(np.linalg.norm(again - out)))
     ok = worst_match < 1e-4 and worst_idem < 1e-9
     report("criterion 3: projection oracle", ok,

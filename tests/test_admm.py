@@ -1,8 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admmplan import admm, ilqr
 from admmplan.admm import (
@@ -10,7 +13,6 @@ from admmplan.admm import (
     SolveReport,
     PenalizedCost,
     admm_solve,
-    primal_residual,
     project_consensus,
     trajectory_violation,
 )
@@ -19,12 +21,12 @@ from admmplan.constraints import (
 )
 from admmplan.barrier import barrier_solve
 from admmplan.costs import CostWeights, Reference, TrackingCost
-from admmplan.errors import DomainError
+from admmplan.errors import DegenerateProjection, DomainError, NonConvergence
 from admmplan.harness import build_problem, solve_scenario
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
-from oracles import consensus_blocks, keepout_at, nudged
+from oracles import center_at, consensus_blocks, keepout_at, nudged
 
 
 def tracking_cost():
@@ -65,9 +67,18 @@ def test_select_block_count():
         assert admm._blocks(traj).shape[0] == horizon + 1
 
 
+def residual_norms(traj, z):
+    """The loop's max-norm and 2-norm of sel(traj) - z, checked bit for bit
+    against np.abs(d).max() and np.linalg.norm(d) of the oracle's blocks."""
+    residuals = admm._norms(admm._blocks(traj) - z)
+    d = consensus_blocks(traj) - z
+    assert residuals == (np.abs(d).max(), np.linalg.norm(d))
+    return residuals
+
+
 def test_primal_residual_zero_on_consensus():
     _, traj = straight_rollout()
-    res_inf, res_two = primal_residual(traj, consensus_blocks(traj))
+    res_inf, res_two = residual_norms(traj, consensus_blocks(traj))
     assert res_inf == 0.0
     assert res_two == 0.0
 
@@ -76,7 +87,7 @@ def test_primal_residual_max_norm():
     _, traj = straight_rollout()
     z = consensus_blocks(traj)
     z[3, 0] += 0.5
-    res_inf, res_two = primal_residual(traj, z)
+    res_inf, res_two = residual_norms(traj, z)
     assert res_inf == pytest.approx(0.5)
     assert res_two == pytest.approx(0.5)
 
@@ -85,7 +96,7 @@ def test_primal_residual_matches_direct_norms():
     rng = np.random.default_rng(1)
     _, traj = straight_rollout()
     z = consensus_blocks(traj) + rng.normal(size=(11, 4))
-    res_inf, res_two = primal_residual(traj, z)
+    res_inf, res_two = residual_norms(traj, z)
     diff = consensus_blocks(traj) - z
     assert res_inf == pytest.approx(np.abs(diff).max())
     assert res_two == pytest.approx(np.linalg.norm(diff))
@@ -193,9 +204,7 @@ def test_dual_update_identity():
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
         sel = consensus_blocks(y)
-        targets = sel + lam / sigma
-        for tau in range(T + 1):
-            z[tau] = project_timestep(targets[tau], constraints, tau)
+        z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam_before = lam.copy()
         lam = lam + sigma * (sel - z)
         np.testing.assert_allclose(lam - lam_before, sigma * (sel - z), atol=1e-12)
@@ -214,9 +223,7 @@ def test_z_iterates_feasible():
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
         sel = consensus_blocks(y)
-        targets = sel + lam / sigma
-        for tau in range(T + 1):
-            z[tau] = project_timestep(targets[tau], constraints, tau)
+        z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam += sigma * (sel - z)
         assert constraints.box(z[:, 2:]).max() <= 1e-6
         assert keepout_at(constraints, np.arange(T + 1), z[:, :2]).max() <= 1e-6
@@ -245,6 +252,13 @@ def projection_case(case):
 PROJECTION_CASES = [1, 2, "ego heading", "moving", "overlapping"]
 
 
+def clamp(controls, bounds):
+    """Controls (..., 2) clipped onto the box of `bounds`, independently of
+    the constraint set's own limits."""
+    return np.clip(controls, (-bounds.max_steer, bounds.min_accel),
+                   (bounds.max_steer, bounds.max_accel))
+
+
 @pytest.mark.parametrize("scenario", PROJECTION_CASES)
 def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
     # The projection targets of every ADMM iteration, as passed, and with
@@ -252,13 +266,13 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
     # hands admm.project_timestep, the layer a profile sees, exactly the
     # stamps whose keep-out value exceeds FEASIBILITY_TOL, once each. The
     # per-stamp projections read a twin constraint set whose per-stamp
-    # ellipse rows were filled in shuffled stamp order; the two must agree
-    # bit for bit.
+    # ellipse rows were filled in shuffled stamp order, and the controls are
+    # clipped onto the bounds independently; the two must agree bit for bit.
     calls, projected = [], []
 
-    def counting(block, constraints, tau, heading):
+    def counting(position, constraints, tau, heading):
         projected.append(tau)
-        return project_timestep(block, constraints, tau, heading)
+        return project_timestep(position, constraints, tau, heading)
 
     def spy(targets, headings, constraints):
         projected.clear()
@@ -275,14 +289,13 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
     twin = ConstraintSet(constraints.bounds, constraints.obstacles, constraints.timestep,
                          constraints.use_ego_heading)
     for tau in np.random.default_rng(0).permutation(len(first)).tolist():
-        project_timestep(first[tau].tolist(), twin, tau, headings[tau])
+        project_timestep(first[tau, :2].tolist(), twin, tau, headings[tau])
     moved = clamped = 0
     for targets, headings, constraints in calls:
         for blocks in (targets, targets * [1.0, 1.0, 20.0, 20.0]):
-            per_stamp = np.array([
-                project_timestep(block, twin, tau, heading)
-                for tau, (block, heading) in enumerate(zip(blocks, headings))
-            ])
+            positions = [project_timestep(block[:2], twin, tau, heading)
+                         for tau, (block, heading) in enumerate(zip(blocks, headings))]
+            per_stamp = np.hstack([positions, clamp(blocks[:, 2:], constraints.bounds)])
             np.testing.assert_array_equal(project_consensus(blocks, headings, constraints),
                                           per_stamp)
             moved += np.count_nonzero((per_stamp[:, :2] != blocks[:, :2]).any(axis=1))
@@ -291,11 +304,76 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
     assert moved > 0 and clamped > 0
 
 
+@st.composite
+def consensus_targets(draw):
+    """Projection targets of 2-40 stamps near or inside 1-3 rotated, moving
+    ellipses, with controls up to 20 times the box and random headings, and
+    their constraint set, with or without the ego heading."""
+    def real(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    bounds = InputBounds(real(0.1, 1.0), real(0.5, 5.0), real(-5.0, -0.5))
+    obstacles = []
+    for _ in range(draw(st.integers(1, 3))):
+        minor = real(0.5, 3.0)
+        obstacles.append(Obstacle(center0=(real(-6.0, 6.0), real(-6.0, 6.0)),
+                                  velocity=(real(-2.0, 2.0), real(-2.0, 2.0)),
+                                  heading=real(-math.pi, math.pi),
+                                  semi_major=minor + real(0.0, 4.0), semi_minor=minor))
+    constraints = ConstraintSet(bounds, obstacles, 0.1, draw(st.booleans()))
+    targets, headings = [], []
+    for tau in range(draw(st.integers(2, 40))):
+        near = draw(st.sampled_from(obstacles))
+        cx, cy = center_at(near, tau, 0.1)
+        targets.append((cx + near.semi_major * real(-1.5, 1.5),
+                        cy + near.semi_major * real(-1.5, 1.5),
+                        real(-20.0, 20.0) * bounds.max_steer,
+                        real(20.0 * bounds.min_accel, 20.0 * bounds.max_accel)))
+        headings.append(real(-math.pi, math.pi))
+    return np.array(targets), np.array(headings), constraints
+
+
+# Three overlapping ellipses around a pocket that cyclic projection cannot
+# leave, entered at the second and third stamps.
+@example(case=(np.array([[20.0, 20.0, 0.9, -4.0], [-1.1, 1.5, 0.0, 0.0],
+                         [-1.1, 1.5, 0.0, 0.0]]), np.zeros(3),
+               ConstraintSet(InputBounds(), [
+                   Obstacle((-2.3, -1.2), heading=0.07, semi_major=4.1, semi_minor=2.3),
+                   Obstacle((2.0, -0.4), heading=2.17, semi_major=3.0, semi_minor=2.0),
+                   Obstacle((-2.3, 1.6), heading=-3.01, semi_major=5.3, semi_minor=1.5)],
+                   0.1)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=consensus_targets())
+def test_consensus_projection_splits_into_clamp_and_keepout_projection(case):
+    # The box touches only the controls and the keep-outs only the position:
+    # the controls are the clip onto the box and the positions are the
+    # per-stamp keep-out projection where a keep-out value exceeds
+    # FEASIBILITY_TOL and the target elsewhere, bit for bit. A stamp whose
+    # projection fails ends the projection with its own time index.
+    targets, headings, constraints = case
+    g = keepout_at(constraints, np.arange(len(targets)), targets[:, :2], headings)
+    positions = targets[:, :2].copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateProjection)
+        try:
+            for tau in np.flatnonzero((g > FEASIBILITY_TOL).any(axis=1)).tolist():
+                positions[tau] = project_timestep(targets[tau, :2], constraints, tau,
+                                                  headings[tau])
+        except NonConvergence:
+            with pytest.raises(NonConvergence, match=f"at time index {tau}$") as failure:
+                project_consensus(targets, headings, constraints)
+            assert failure.value.tau == tau
+            return
+        z = project_consensus(targets, headings, constraints)
+    assert z[:, 2:].tobytes() == clamp(targets[:, 2:], constraints.bounds).tobytes()
+    assert z[:, :2].tobytes() == positions.tobytes()
+
+
 @pytest.mark.parametrize("scenario", PROJECTION_CASES)
 def test_record_residuals_are_primal_residual_of_the_projected_z(scenario, monkeypatch):
     # The loop takes sel(y) - z once for the dual update and both residual
-    # norms; each consensus record's residuals are primal_residual of its
-    # iterate against the z that iteration projected, bit for bit.
+    # norms; each consensus record's residuals are the max-norm and 2-norm
+    # of its iterate's blocks less the z that iteration projected, bit for bit.
     projected = []
 
     def spy(targets, headings, constraints):
@@ -307,8 +385,8 @@ def test_record_residuals_are_primal_residual_of_the_projected_z(scenario, monke
     records = [r for r in report.records if r.weight is not None]
     assert len(records) == len(projected) > 0
     for record, z in zip(records, projected):
-        residuals = primal_residual(record.trajectory, z)
-        assert (record.residual_inf, record.residual_two) == residuals
+        d = consensus_blocks(record.trajectory) - z
+        assert (record.residual_inf, record.residual_two) == (np.abs(d).max(), np.linalg.norm(d))
 
 
 def test_inactive_splitting_matches_plain_ilqr():

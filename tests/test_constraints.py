@@ -14,9 +14,9 @@ from admmplan.constraints import (
     InputBounds,
     Obstacle,
     _nearest_boundary_point,
-    project_inputs,
     project_timestep,
 )
+from admmplan.admm import project_consensus
 from admmplan.errors import DegenerateProjection, NonConvergence
 from admmplan.ilqr import Trajectory
 
@@ -96,11 +96,13 @@ def test_violation_rotation_invariance():
         assert va == pytest.approx(vb, abs=1e-12)
 
 
-def test_project_inputs_clamps_to_paper_limits():
+def test_consensus_projection_clamps_inputs_to_paper_limits():
     bounds = InputBounds(max_steer=0.6, max_accel=3.0, min_accel=-3.0)
-    np.testing.assert_allclose(project_inputs((0.9, 0.0), bounds), [0.6, 0.0])
-    np.testing.assert_allclose(project_inputs((0.0, -5.0), bounds), [0.0, -3.0])
-    np.testing.assert_allclose(project_inputs((-0.2, 1.0), bounds), [-0.2, 1.0])
+    targets = np.array([[0.0, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, -5.0], [0.0, 0.0, -0.2, 1.0]])
+    z = project_consensus(targets, np.zeros(3), ConstraintSet(bounds, [], 0.1))
+    np.testing.assert_allclose(z[0, 2:], [0.6, 0.0])
+    np.testing.assert_allclose(z[1, 2:], [0.0, -3.0])
+    np.testing.assert_allclose(z[2, 2:], [-0.2, 1.0])
 
 
 def test_bounds_validation():
@@ -130,10 +132,9 @@ def test_obstacle_geometry_validation():
 
 
 def project_point(p, center, heading, a, b):
-    """Position part of `project_timestep` against one static ellipse."""
+    """`project_timestep` against one static ellipse, as an array."""
     obs = Obstacle(center0=tuple(center), heading=heading, semi_major=a, semi_minor=b)
-    block = np.concatenate([np.asarray(p, dtype=float), np.zeros(2)])
-    return project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)[:2]
+    return np.array(project_timestep(p, ConstraintSet(make_bounds(), [obs], 0.1), 0))
 
 
 def test_projection_leaves_exterior_points_alone():
@@ -202,37 +203,41 @@ def test_projection_nearest_point_optimality():
 
 
 def test_project_timestep_identity_when_feasible():
-    block = np.array([100.0, 100.0, 0.1, 1.0])
+    p = np.array([100.0, 100.0])
     obs = [Obstacle(center0=(0.0, 0.0))]
     np.testing.assert_array_equal(
-        project_timestep(block, ConstraintSet(make_bounds(), obs, 0.1), 0), block
+        project_timestep(p, ConstraintSet(make_bounds(), obs, 0.1), 0), p
     )
 
 
 def test_project_timestep_single_obstacle_matches_single_projection():
     obs = Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)
     block = np.array([15.5, 0.0, 0.2, 1.0])
-    out = project_timestep(block, ConstraintSet(make_bounds(), [obs], 0.1), 0)
+    constraints = ConstraintSet(make_bounds(), [obs], 0.1)
+    out = project_timestep(block[:2], constraints, 0)
     boundary = dense_ellipse_boundary(obs.center0, obs.heading, obs.semi_major,
                                       obs.semi_minor, 1_000_000)
-    assert np.linalg.norm(out[:2] - nearest_on_boundary(block[:2], boundary)) < 1e-4
-    np.testing.assert_array_equal(out[2:], block[2:])
+    assert np.linalg.norm(np.subtract(out, nearest_on_boundary(block[:2], boundary))) < 1e-4
+    # The consensus projection moves the position alone: inputs inside the
+    # box pass unchanged.
+    np.testing.assert_array_equal(project_consensus(block[None], np.zeros(1), constraints)[0],
+                                  [*out, *block[2:]])
 
 
 def test_project_timestep_inactive_second_obstacle():
     near = Obstacle(center0=(0.0, 0.0), semi_major=2.0, semi_minor=1.0)
     far = Obstacle(center0=(100.0, 0.0), semi_major=2.0, semi_minor=1.0)
-    block = np.array([0.5, 0.2, 0.0, 0.0])
-    both = project_timestep(block, ConstraintSet(make_bounds(), [near, far], 0.1), 0)
-    alone = project_timestep(block, ConstraintSet(make_bounds(), [near], 0.1), 0)
+    p = np.array([0.5, 0.2])
+    both = project_timestep(p, ConstraintSet(make_bounds(), [near, far], 0.1), 0)
+    alone = project_timestep(p, ConstraintSet(make_bounds(), [near], 0.1), 0)
     np.testing.assert_allclose(both, alone, atol=1e-12)
 
 
-def test_project_timestep_clamps_inputs_and_clears_obstacles():
+def test_consensus_projection_clamps_inputs_and_clears_obstacles():
     obs = Obstacle(center0=(0.0, 0.0), semi_major=5.0, semi_minor=2.5)
     block = np.array([1.0, 0.5, 0.9, -4.5])
     constraints = ConstraintSet(make_bounds(), [obs], 0.1)
-    out = project_timestep(block, constraints, 0)
+    out = project_consensus(block[None], np.zeros(1), constraints)[0]
     assert out[2] == pytest.approx(0.6)
     assert out[3] == pytest.approx(-3.0)
     assert keepout_at(constraints, 0, out[:2])[0] <= 1e-6
@@ -246,8 +251,8 @@ def test_project_timestep_idempotent():
     ]
     constraints = ConstraintSet(make_bounds(), obstacles, 0.1)
     for _ in range(200):
-        block = np.concatenate([rng.normal(size=2) * 4, rng.normal(size=2) * 2])
-        once = project_timestep(block, constraints, 0)
+        p = rng.normal(size=2) * 4
+        once = project_timestep(p, constraints, 0)
         twice = project_timestep(once, constraints, 0)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
@@ -255,12 +260,12 @@ def test_project_timestep_idempotent():
 def test_project_timestep_moving_obstacle_uses_time_index():
     obs = Obstacle(center0=(0.0, 0.0), velocity=(10.0, 0.0), semi_major=2.0,
                    semi_minor=1.0)
-    block = np.array([10.0, 0.1, 0.0, 0.0])
+    p = np.array([10.0, 0.1])
     constraints = ConstraintSet(make_bounds(), [obs], 0.1)
-    moved = project_timestep(block, constraints, 10)
-    assert keepout_at(constraints, 10, moved[:2])[0] <= 1e-6
-    unmoved = project_timestep(block, constraints, 0)
-    np.testing.assert_array_equal(unmoved, block)
+    moved = project_timestep(p, constraints, 10)
+    assert keepout_at(constraints, 10, moved)[0] <= 1e-6
+    unmoved = project_timestep(p, constraints, 0)
+    np.testing.assert_array_equal(unmoved, p)
 
 
 def test_project_timestep_nonconvergence_on_impossible_cover():
@@ -272,19 +277,19 @@ def test_project_timestep_nonconvergence_on_impossible_cover():
         for t in np.linspace(0, 2 * math.pi, 8, endpoint=False)
     ]
     with pytest.raises(NonConvergence):
-        project_timestep(np.zeros(4), ConstraintSet(make_bounds(), ring, 0.1), 0)
+        project_timestep(np.zeros(2), ConstraintSet(make_bounds(), ring, 0.1), 0)
 
 
 def test_ego_heading_convention_switch():
     obs = Obstacle(center0=(0.0, 0.0), heading=0.0, semi_major=5.0, semi_minor=2.5)
-    block = np.array([0.0, 3.0, 0.0, 0.0])  # outside with heading 0 (minor = 2.5)
+    p = np.array([0.0, 3.0])  # outside with heading 0 (minor = 2.5)
     own = ConstraintSet(make_bounds(), [obs], 0.1)
-    default = project_timestep(block, own, 0, ego_heading=1.2)
-    np.testing.assert_array_equal(default, block)  # ego heading ignored
+    default = project_timestep(p, own, 0, ego_heading=1.2)
+    np.testing.assert_array_equal(default, p)  # ego heading ignored
     ego = ConstraintSet(make_bounds(), [obs], 0.1, use_ego_heading=True)
-    rotated = project_timestep(block, ego, 0, ego_heading=math.pi / 2)
+    rotated = project_timestep(p, ego, 0, ego_heading=math.pi / 2)
     # with the ellipse rotated a quarter turn the point sits inside
-    assert np.linalg.norm(rotated[:2] - block[:2]) > 0.5
+    assert np.linalg.norm(np.subtract(rotated, p)) > 0.5
 
 
 @settings(max_examples=500, deadline=None)
@@ -363,7 +368,6 @@ def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_hea
     tau=st.integers(0, 60),
     near=st.integers(0, 2),
     offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-    inputs=st.tuples(st.floats(-2.0, 2.0), st.floats(-5.0, 5.0)),
     ego_heading=st.floats(-10.0, 10.0),
     use_ego_heading=st.booleans(),
 )
@@ -372,7 +376,7 @@ def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_hea
 @example(
     obs=[Obstacle(center0=(0.0, 0.0), heading=0.0625, semi_major=3.0, semi_minor=3.0),
          Obstacle(center0=(0.0, 0.0), heading=0.0625, semi_major=5.0, semi_minor=3.0)],
-    tau=0, near=0, offset=(0.0, -2.83e-47), inputs=(0.0, 0.0), ego_heading=0.0,
+    tau=0, near=0, offset=(0.0, -2.83e-47), ego_heading=0.0,
     use_ego_heading=False,
 )
 # A target on the line of centers of two overlapping circles: the cyclic
@@ -380,29 +384,27 @@ def test_keepout_matches_shape_matrix_form(obs, tau, p, ego_heading, use_ego_hea
 @example(
     obs=[Obstacle(center0=(0.0, 0.0), heading=1.0, semi_major=1.0, semi_minor=1.0),
          Obstacle(center0=(0.0, 0.0), velocity=(0.0, 1.0), semi_major=1.0, semi_minor=1.0)],
-    tau=11, near=0, offset=(0.0, 1.0), inputs=(0.0, 0.0), ego_heading=0.0,
+    tau=11, near=0, offset=(0.0, 1.0), ego_heading=0.0,
     use_ego_heading=False,
 )
-def test_projection_matches_frame_reference(obs, tau, near, offset, inputs, ego_heading,
+def test_projection_matches_frame_reference(obs, tau, near, offset, ego_heading,
                                             use_ego_heading):
     # Targets around one obstacle's center at tau, so most start inside it
     # and often inside a second, overlapping ellipse too.
     near = obs[near % len(obs)]
     p = center_at(near, tau, 0.1) + near.semi_major * np.array(offset)
-    block = np.array([*p, *inputs])
     constraints = ConstraintSet(make_bounds(), obs, 0.1, use_ego_heading)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateProjection)
         try:
-            expected = frame_project_timestep(block, constraints, tau, ego_heading)
+            expected = frame_project_timestep(p, constraints, tau, ego_heading)
         except NonConvergence:
             with pytest.raises(NonConvergence):
-                project_timestep(block, constraints, tau, ego_heading)
+                project_timestep(p, constraints, tau, ego_heading)
             return
-        out = project_timestep(block, constraints, tau, ego_heading)
-    np.testing.assert_allclose(out[:2], expected[:2], rtol=0.0, atol=1e-9)
-    np.testing.assert_array_equal(out[2:], expected[2:])
-    assert keepout_at(constraints, tau, out[:2], ego_heading).max() <= FEASIBILITY_TOL
+        out = project_timestep(p, constraints, tau, ego_heading)
+    np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-9)
+    assert keepout_at(constraints, tau, out, ego_heading).max() <= FEASIBILITY_TOL
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import admmplan.harness
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "admmplan"
 
 
 def test_all_exports_resolve():
@@ -41,3 +43,23 @@ def test_every_benchmark_hook_point_resolves():
         assert isinstance(module.__dict__.get(name), type), f"{module.__name__}.{name}"
     for name in tracer.PROXY_METHODS:
         assert isinstance(admmplan.harness.__dict__.get(name), type), f"admmplan.harness.{name}"
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # A public name that no package module reads and the benchmark does not
+    # import serves only the tests. Names are matched by the object's own
+    # `__name__`, so `ilqr_solve` counts as `solve` (read as `ilqr.solve`).
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    for path in TRACER.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [name for name in admmplan.__all__ if getattr(admmplan, name).__name__ not in read]
+    assert unread == []
