@@ -10,7 +10,7 @@ face or obstacle, and summed over them in one call.
 The log barrier, phi = -log(-g) / t, is solved by iLQR inside an outer loop
 that multiplies the sharpness t by a fixed factor: a generator of stages that
 `admm.solve_report` turns into the report. It needs a strictly feasible
-iterate at all times: the seed rollout is checked up front, and line-search
+iterate at all times: the stages check their start first, and line-search
 steps that leave the barrier domain are rejected by an infinite cost. Only
 the last stage's answer is returned, so only it is centered to the configured
 iLQR tolerance. On a convex problem a stage at sharpness t is within m/t of
@@ -150,37 +150,37 @@ def _check_domain(box, keepout, margin, problem, error=BarrierDomainViolation):
 
 
 def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet, margin: float):
-    """Raise BarrierDomainViolation at the first stamp violating any g < -margin."""
+    """The (box, keep-out) values of `traj`, read-only, if every g < -margin;
+    else BarrierDomainViolation at the first stamp where one is not."""
     box, keepout = constraints.values(traj)
     _check_domain(box, keepout, margin, "trajectory is not strictly feasible")
+    return box, keepout
 
 
 def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> SolveReport:
-    """Constrained solve by the outer-inner log-barrier loop.
-
-    Stage i solves the barrier problem at sharpness t = initial_sharpness *
-    tighten_factor**i from the previous stage's answer, to the configured
-    cost tolerance at the last stage and to the looser of that and
-    CENTERING_FRACTION * m / t before. The status is the last stage's inner
-    status (`converged` or `max_iters`), or `failed` as `admm.solve_report`
-    reports a solve failure, with the finished stages kept.
+    """Constrained solve by the log-barrier stages from the zero-control seed.
 
     Raises:
-        BarrierDomainViolation: the zero-control seed rollout (or, defensively,
-        a later nominal iterate) is not strictly feasible. This is the
-        documented limitation that the consensus solver avoids.
+        BarrierDomainViolation: the seed (or, defensively, a later nominal
+        iterate) is not strictly feasible. This is the documented limitation
+        that the consensus solver avoids.
     """
     settings = settings or BarrierSettings()
     y = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
-    check_strict_feasibility(y, problem.constraints, settings.margin)
-    # Constraint terms: box faces on the T controls, keep-outs on the T+1 states.
-    terms = (len(problem.constraints.faces) * problem.horizon
-             + len(problem.constraints.obstacles) * (problem.horizon + 1))
-    return solve_report(y, _stages(problem, settings, y, terms), problem)
+    return solve_report(y, _stages(problem, settings, y), problem)
 
 
-def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory, terms: int):
-    """The barrier stages from `y`, as `admm.solve_report` items."""
+def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
+    """The barrier stages from `y`, as `admm.solve_report` items.
+
+    `y` must be strictly feasible (`check_strict_feasibility`); its values
+    count m, the constraint terms. Stage i solves at sharpness t =
+    initial_sharpness * tighten_factor**i from the previous stage's answer,
+    to the configured cost tolerance at the last stage and to the looser of
+    that and CENTERING_FRACTION * m / t before; each yields its inner status.
+    """
+    box, keepout = check_strict_feasibility(y, problem.constraints, settings.margin)
+    terms = box.size + keepout.size
     sharpness = settings.initial_sharpness
     for stage in range(settings.outer_iters):
         inner = settings.ilqr
@@ -196,17 +196,18 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory, ter
         sharpness *= settings.tighten_factor
 
 
-def _restore(problem: Problem, y: ilqr.Trajectory, margin: float):
+def _restore(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
     """The restore from `y`, as `admm.solve_report` items, one per weight.
 
     Each rho of RESTORE_WEIGHTS runs RESTORE_ILQR on the base cost plus the
-    hinge from the previous answer, until an answer has every g < -margin
-    (`converged`). NonConvergence, one of `admm.SOLVE_FAILURES`, names the
-    first stamp outside when the ladder ends first, and the obstacle when
-    the start is inside one at time index 0, which no control moves.
+    hinge from the previous answer, until an answer has every g <
+    -settings.margin (`converged`). NonConvergence, one of
+    `admm.SOLVE_FAILURES`, names the first stamp outside when the ladder
+    ends first, and, before any solve, the obstacle when the start is within
+    the margin of one at time index 0, which no control moves.
     """
-    constraints = problem.constraints
-    inside = np.flatnonzero(constraints.values(y)[1][0] > 0.0)
+    constraints, margin = problem.constraints, settings.margin
+    inside = np.flatnonzero(constraints.values(y)[1][0] >= -margin)
     if inside.size:
         raise NonConvergence(f"restore: start inside obstacle {inside[0]} at time index 0", tau=0)
     for weight in RESTORE_WEIGHTS:

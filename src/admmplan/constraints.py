@@ -107,10 +107,9 @@ class ConstraintSet:
     """The box and keep-out constraints of one solve, as values g (<= 0 holds).
 
     Built once per problem by `build_problem` and shared by the violation
-    scan, the barrier and the projection. `faces` lists the finite box faces
-    as (control index, sign, limit), `face_index` and `face_signs` their
-    control indices and signs as arrays, and `control_box` the (lower, upper)
-    limits of (steer, accel) as arrays.
+    scan, the barrier and the projection. `face_index` and `face_signs` give
+    the control index and sign of each finite box face, and `control_box`
+    the (lower, upper) limits of (steer, accel), as arrays built from `bounds`.
     `box(u)` evaluates one stamp or stacked rows with a leading stamp axis;
     `horizon_keepout(p, heading)` evaluates the stamps 0 .. N-1 of N
     positions, `values(traj)` gives the box and keep-out values of a whole
@@ -127,19 +126,14 @@ class ConstraintSet:
 
     def __init__(self, bounds: InputBounds, obstacles, timestep: float,
                  use_ego_heading: bool = False):
-        self.bounds = bounds
         self.obstacles = list(obstacles)
         self.timestep = timestep
         self.use_ego_heading = use_ego_heading
-        # Finite box faces as (control index, sign, limit): g = sign * u[i] - limit.
-        self.faces = []
-        if bounds.max_steer < UNBOUNDED_LIMIT:
-            self.faces += [(0, 1.0, bounds.max_steer), (0, -1.0, bounds.max_steer)]
-        if bounds.max_accel < UNBOUNDED_LIMIT:
-            self.faces.append((1, 1.0, bounds.max_accel))
-        if bounds.min_accel > -UNBOUNDED_LIMIT:
-            self.faces.append((1, -1.0, -bounds.min_accel))
-        faces = np.array(self.faces, dtype=float).reshape(-1, 3)
+        # Finite box faces as (control index, sign, limit) rows: g = sign * u[i] - limit.
+        faces = np.array([face for face in (
+            (0, 1.0, bounds.max_steer), (0, -1.0, bounds.max_steer),
+            (1, 1.0, bounds.max_accel), (1, -1.0, -bounds.min_accel)
+        ) if face[2] < UNBOUNDED_LIMIT], dtype=float).reshape(-1, 3)
         self.face_index, self.face_signs = faces[:, 0].astype(int), faces[:, 1]
         self._face_limit = faces[:, 2]
         self.control_box = (np.array([-bounds.max_steer, bounds.min_accel]),

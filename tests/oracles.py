@@ -414,7 +414,7 @@ def column_barrier_expansion(cost, traj):
     grad = cost.constraints.trajectory_gradient(traj).transpose(1, 0, 2)
     k = grad.shape[-1]
     inv_t = 1.0 / cost.sharpness
-    for (i, sign, _), g in zip(cost.constraints.faces, box.T):
+    for i, sign, g in zip(cost.constraints.face_index, cost.constraints.face_signs, box.T):
         l_u[:, i] += -inv_t / g * sign
         l_uu[:, i, i] += inv_t / g**2
     l_x[:, :k] += _column_sum([(-inv_t / g)[:, None] * dg for g, dg in zip(keepout.T, grad)],
@@ -452,17 +452,17 @@ def dynamics_gap(traj: Trajectory, x0, params) -> float:
 def worst_constraint(traj: Trajectory, constraints) -> float:
     """Largest constraint value g along a trajectory (below 0 when strictly
     feasible), stamp by stamp from the definitions of a constraint set's
-    inputs: |steer| - max_steer, accel - max_accel and min_accel - accel per
-    control, and 1 - d'Ad per keep-out ellipse, A its shape matrix under the
-    obstacle's heading (or the ego's, with `use_ego_heading`) and d the
-    offset from its center at the stamp. A box limit that the set treats as
-    absent gives values far below 0 here, which change no comparison made
-    with this value."""
-    bounds = constraints.bounds
+    limits (`control_box`) and obstacles: |steer| - max_steer, accel -
+    max_accel and min_accel - accel per control, and 1 - d'Ad per keep-out
+    ellipse, A its shape matrix under the obstacle's heading (or the ego's,
+    with `use_ego_heading`) and d the offset from its center at the stamp. A
+    box limit that the set treats as absent gives values far below 0 here,
+    which change no comparison made with this value."""
+    (_, min_accel), (max_steer, max_accel) = (limits.tolist() for limits in
+                                              constraints.control_box)
     worst = -math.inf
     for steer, accel in traj.controls.tolist():
-        worst = max(worst, abs(steer) - bounds.max_steer, accel - bounds.max_accel,
-                    bounds.min_accel - accel)
+        worst = max(worst, abs(steer) - max_steer, accel - max_accel, min_accel - accel)
     for tau, (px, py, theta, _) in enumerate(traj.states.tolist()):
         for obs in constraints.obstacles:
             heading = theta if constraints.use_ego_heading else obs.heading

@@ -284,9 +284,10 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
 
     monkeypatch.setattr(admm, "project_timestep", counting)
     monkeypatch.setattr(admm, "project_consensus", spy)
-    solve_scenario(projection_case(scenario), "admm")
+    config = projection_case(scenario)
+    solve_scenario(config, "admm")
     first, headings, constraints = calls[0]
-    twin = ConstraintSet(constraints.bounds, constraints.obstacles, constraints.timestep,
+    twin = ConstraintSet(config.bounds, constraints.obstacles, constraints.timestep,
                          constraints.use_ego_heading)
     for tau in np.random.default_rng(0).permutation(len(first)).tolist():
         project_timestep(first[tau, :2].tolist(), twin, tau, headings[tau])
@@ -295,7 +296,7 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
         for blocks in (targets, targets * [1.0, 1.0, 20.0, 20.0]):
             positions = [project_timestep(block[:2], twin, tau, heading)
                          for tau, (block, heading) in enumerate(zip(blocks, headings))]
-            per_stamp = np.hstack([positions, clamp(blocks[:, 2:], constraints.bounds)])
+            per_stamp = np.hstack([positions, clamp(blocks[:, 2:], config.bounds)])
             np.testing.assert_array_equal(project_consensus(blocks, headings, constraints),
                                           per_stamp)
             moved += np.count_nonzero((per_stamp[:, :2] != blocks[:, :2]).any(axis=1))
@@ -308,7 +309,7 @@ def test_stacked_projection_equals_per_stamp_projection(scenario, monkeypatch):
 def consensus_targets(draw):
     """Projection targets of 2-40 stamps near or inside 1-3 rotated, moving
     ellipses, with controls up to 20 times the box and random headings, and
-    their constraint set, with or without the ego heading."""
+    their input bounds and constraint set, with or without the ego heading."""
     def real(lo, hi):
         return draw(st.floats(lo, hi))
 
@@ -330,13 +331,13 @@ def consensus_targets(draw):
                         real(-20.0, 20.0) * bounds.max_steer,
                         real(20.0 * bounds.min_accel, 20.0 * bounds.max_accel)))
         headings.append(real(-math.pi, math.pi))
-    return np.array(targets), np.array(headings), constraints
+    return np.array(targets), np.array(headings), bounds, constraints
 
 
 # Three overlapping ellipses around a pocket that cyclic projection cannot
 # leave, entered at the second and third stamps.
 @example(case=(np.array([[20.0, 20.0, 0.9, -4.0], [-1.1, 1.5, 0.0, 0.0],
-                         [-1.1, 1.5, 0.0, 0.0]]), np.zeros(3),
+                         [-1.1, 1.5, 0.0, 0.0]]), np.zeros(3), InputBounds(),
                ConstraintSet(InputBounds(), [
                    Obstacle((-2.3, -1.2), heading=0.07, semi_major=4.1, semi_minor=2.3),
                    Obstacle((2.0, -0.4), heading=2.17, semi_major=3.0, semi_minor=2.0),
@@ -350,7 +351,7 @@ def test_consensus_projection_splits_into_clamp_and_keepout_projection(case):
     # per-stamp keep-out projection where a keep-out value exceeds
     # FEASIBILITY_TOL and the target elsewhere, bit for bit. A stamp whose
     # projection fails ends the projection with its own time index.
-    targets, headings, constraints = case
+    targets, headings, bounds, constraints = case
     g = keepout_at(constraints, np.arange(len(targets)), targets[:, :2], headings)
     positions = targets[:, :2].copy()
     with warnings.catch_warnings():
@@ -365,7 +366,7 @@ def test_consensus_projection_splits_into_clamp_and_keepout_projection(case):
             assert failure.value.tau == tau
             return
         z = project_consensus(targets, headings, constraints)
-    assert z[:, 2:].tobytes() == clamp(targets[:, 2:], constraints.bounds).tobytes()
+    assert z[:, 2:].tobytes() == clamp(targets[:, 2:], bounds).tobytes()
     assert z[:, :2].tobytes() == positions.tobytes()
 
 

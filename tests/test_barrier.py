@@ -19,6 +19,7 @@ from admmplan.barrier import (
     BarrierSettings,
     ConstraintPenalty,
     _restore,
+    _stages,
     barrier_solve,
     check_strict_feasibility,
     hinge,
@@ -325,6 +326,83 @@ def test_stage_tolerance_follows_the_duality_gap(monkeypatch, configured):
     assert seen[-1][1] == configured
 
 
+def first_stamp_outside(traj, cfg, margin):
+    """The first stamp where a box face (from the configured limits) or a
+    keep-out (from the oracle) has g >= -margin, or None."""
+    steer, accel = traj.controls.T
+    box = np.maximum.reduce([abs(steer) - cfg.bounds.max_steer, accel - cfg.bounds.max_accel,
+                             cfg.bounds.min_accel - accel])
+    states = traj.states
+    g = keepout_at(build_problem(cfg).constraints, np.arange(len(states)), states[:, :2],
+                   states[:, 2])
+    for tau in range(len(states)):
+        if (tau < len(box) and box[tau] >= -margin) or (g[tau] >= -margin).any():
+            return tau
+    return None
+
+
+@pytest.mark.parametrize("start", ["keep-out", "box"])
+def test_stages_check_their_start_before_any_solve(monkeypatch, start):
+    # From S1's default seed, which runs into the ellipse, and from a
+    # criterion-7 start whose controls leave the box at stamps 7 and 12.
+    if start == "keep-out":
+        cfg = builtin_scenario(1)
+        controls = np.zeros((cfg.horizon, 2))
+    else:
+        cfg, _ = feasible_config(1, 0.0)
+        controls = np.zeros((cfg.horizon, 2))
+        controls[7, 1], controls[12, 0] = 3.5, 0.7
+    problem = build_problem(cfg)
+    y = rollout(problem.dynamics, problem.x0, controls)
+    first = first_stamp_outside(y, cfg, cfg.barrier.margin)
+    assert first == (27 if start == "keep-out" else 7)
+    solves = []
+    monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
+    with pytest.raises(BarrierDomainViolation, match=f"at time index {first}$") as info:
+        next(_stages(problem, cfg.barrier, y))
+    assert info.value.tau == first
+    assert solves == []
+
+
+FAR_OBSTACLES = [Obstacle(center0=(40.0, 20.0 + 10.0 * k)) for k in range(3)]
+
+
+@pytest.mark.parametrize("bounds, obstacles, configured", [
+    (InputBounds(), 1, 1e-6),
+    (InputBounds(), 0, 1e-6),
+    (InputBounds(max_steer=math.inf), 2, 1e-6),
+    (InputBounds(max_accel=math.inf), 3, 1e-6),
+    (InputBounds(min_accel=-math.inf), 1, 1.0),
+    (InputBounds(math.inf, math.inf, -math.inf), 0, 1e-6),
+])
+def test_first_stage_tolerance_counts_every_constraint_term(monkeypatch, bounds, obstacles,
+                                                            configured):
+    # m is counted here from the configuration: each finite box limit on the
+    # T controls (the steering limit bounds both signs) and each obstacle on
+    # the T+1 states.
+    cfg, _ = feasible_config(1, 0.0)
+    cfg = replace(cfg, horizon=30, bounds=bounds,
+                  obstacles=(cfg.obstacles + FAR_OBSTACLES)[:obstacles])
+    settings = replace(cfg.barrier, ilqr=replace(cfg.barrier.ilqr, cost_tolerance=configured))
+    assert settings.outer_iters > 1
+    limits = (2 * math.isfinite(bounds.max_steer) + math.isfinite(bounds.max_accel)
+              + math.isfinite(bounds.min_accel))
+    m = limits * cfg.horizon + obstacles * (cfg.horizon + 1)
+    problem = build_problem(cfg)
+    y = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
+    seen = []
+    solve = ilqr.solve
+
+    def spy(traj, cost, dynamics, inner):
+        seen.append((cost.sharpness, inner.cost_tolerance))
+        return solve(traj, cost, dynamics, inner)
+
+    monkeypatch.setattr(ilqr, "solve", spy)
+    next(_stages(problem, settings, y))
+    t = settings.initial_sharpness
+    assert seen == [(t, max(configured, CENTERING_FRACTION * m / t))]
+
+
 @pytest.mark.parametrize("stage", [1, 2])
 def test_jacobian_domain_error_yields_failed_status(stage):
     # The barrier reports the failures the consensus solver reports
@@ -404,8 +482,8 @@ def test_settings_validation():
             BarrierSettings(outer_iters=value)
 
 
-def restore(problem, y, margin):
-    return solve_report(y, _restore(problem, y, margin), problem)
+def restore(problem, settings, y):
+    return solve_report(y, _restore(problem, settings, y), problem)
 
 
 def test_restore_from_a_start_inside_a_keep_out_runs_no_solve(monkeypatch):
@@ -417,13 +495,30 @@ def test_restore_from_a_start_inside_a_keep_out_runs_no_solve(monkeypatch):
     seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
     solves = []
     monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
-    report = restore(problem, seed, cfg.barrier.margin)
+    report = restore(problem, cfg.barrier, seed)
     assert solves == []
     assert report.status == "failed"
     assert report.records == []
     assert "restore" in report.message
     assert "time index 0" in report.message
     assert "obstacle 1" in report.message
+
+
+def test_restore_from_a_start_on_a_keep_out_boundary_runs_no_solve(monkeypatch):
+    # A start exactly on an ellipse's boundary at stamp 0 is outside the
+    # barrier domain, and no control moves it.
+    cfg = builtin_scenario(1)
+    cfg = replace(cfg, obstacles=cfg.obstacles + [Obstacle(center0=(5.0, 0.0))])
+    problem = build_problem(cfg)
+    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
+    assert keepout_at(problem.constraints, 0, seed.states[0, :2])[1] == 0.0
+    solves = []
+    monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
+    report = restore(problem, cfg.barrier, seed)
+    assert solves == []
+    assert report.status == "failed"
+    assert report.records == []
+    assert report.message == "restore: start inside obstacle 1 at time index 0"
 
 
 def test_restore_ladder_that_ends_outside_names_the_first_stamp():
@@ -436,7 +531,7 @@ def test_restore_ladder_that_ends_outside_names_the_first_stamp():
                  semi_minor=50.0)])
     problem = build_problem(cfg)
     seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    report = restore(problem, seed, cfg.barrier.margin)
+    report = restore(problem, cfg.barrier, seed)
     assert report.status == "failed"
     assert [r.weight for r in report.records] == list(RESTORE_WEIGHTS)
     assert report.message == "restore ended without a strictly feasible iterate at time index 0"
@@ -461,7 +556,7 @@ def test_restore_makes_every_corpus_iterate_strictly_feasible(monkeypatch):
         if any(worst_constraint(r.trajectory, problem.constraints) < -margin
                for r in report.records):
             continue
-        answer = restore(problem, report.trajectory, margin)
+        answer = restore(problem, instance.config.barrier, report.trajectory)
         assert answer.status == "converged", (instance.name, answer.message)
         check_strict_feasibility(answer.trajectory, problem.constraints, margin)
         assert worst_constraint(answer.trajectory, problem.constraints) < -margin

@@ -451,7 +451,11 @@ def test_config_rejects_infinite_semi_axes():
 def test_config_infinite_box_limit_is_absent():
     config = config_from_dict(_with_fields("bounds", max_steer=math.inf, min_accel=-math.inf))
     constraints = ConstraintSet(config.bounds, config.obstacles, config.vehicle.timestep)
-    assert constraints.faces == [(1, 1.0, 3.0)]
+    assert constraints.face_index.tolist() == [1]
+    assert constraints.face_signs.tolist() == [1.0]
+    assert (-constraints.box(np.zeros(2))).tolist() == [3.0]
+    assert [limits.tolist() for limits in constraints.control_box] == [
+        [-math.inf, -math.inf], [math.inf, 3.0]]
 
 
 @pytest.mark.parametrize("flag", [False, True])
@@ -462,11 +466,11 @@ def test_build_problem_passes_the_ego_heading_flag(flag):
 
 def test_problem_rejects_constraints_on_another_timestep():
     # The obstacles would move on a schedule that the dynamics do not keep.
-    problem = harness.build_problem(builtin_scenario(1))
+    cfg = builtin_scenario(1)
+    problem = harness.build_problem(cfg)
     h = problem.dynamics.params.timestep
     with pytest.raises(ValueError, match="timestep"):
-        replace(problem, constraints=ConstraintSet(problem.constraints.bounds,
-                                                   problem.constraints.obstacles, 2 * h))
+        replace(problem, constraints=ConstraintSet(cfg.bounds, cfg.obstacles, 2 * h))
     with pytest.raises(ValueError, match="timestep"):
         replace(problem, dynamics=BicycleModel(VehicleParams(timestep=2 * h)))
 

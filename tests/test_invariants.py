@@ -147,7 +147,7 @@ def test_restore_invariants(config):
     problem = build_problem(config)
     margin = config.barrier.margin
     seed = rollout(problem.dynamics, problem.x0, np.zeros((HORIZON, 2)))
-    report = solve_report(seed, _restore(problem, seed, margin), problem)
+    report = solve_report(seed, _restore(problem, config.barrier, seed), problem)
     _check_report(report, problem)
     start = Trajectory(seed.states[:1], seed.controls[:0])
     if worst_constraint(start, problem.constraints) > ORACLE_TOL:

@@ -195,7 +195,7 @@ def test_barrier_cost_stacked_equal_single_stamp(
             k = len(dg)
             l_x[t, :k] -= dg / g / sharpness
             l_xx[t, :k, :k] += np.outer(dg, dg) / g**2 / sharpness
-        for (i, sign, _), g in zip(constraints.faces, box):
+        for i, sign, g in zip(constraints.face_index, constraints.face_signs, box):
             l_u[t, i] -= sign / g / sharpness
             l_uu[t, i, i] += 1.0 / g**2 / sharpness
 
