@@ -207,9 +207,10 @@ def _restore(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
     the margin of one at time index 0, which no control moves.
     """
     constraints, margin = problem.constraints, settings.margin
-    inside = np.flatnonzero(constraints.values(y)[1][0] >= -margin)
-    if inside.size:
-        raise NonConvergence(f"restore: start inside obstacle {inside[0]} at time index 0", tau=0)
+    near = np.flatnonzero(constraints.values(y)[1][0] >= -margin)
+    if near.size:
+        raise NonConvergence(f"restore: start within the margin of obstacle {near[0]} "
+                             "at time index 0", tau=0)
     for weight in RESTORE_WEIGHTS:
         penalty = ConstraintPenalty(problem.cost, constraints, hinge(weight))
         result = ilqr.solve(y, penalty, problem.dynamics, RESTORE_ILQR)

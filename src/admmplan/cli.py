@@ -55,9 +55,6 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"scenario{args.export_scenario}.yaml"
             scenarios.save_config(config, path)
-        except UnknownScenario as exc:
-            print(exc, file=sys.stderr)
-            return harness.EXIT_CONFIG
         except OSError as exc:
             print(f"cannot write scenario file: {exc}", file=sys.stderr)
             return harness.EXIT_IO

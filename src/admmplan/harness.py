@@ -95,8 +95,6 @@ def run_trials(config: ScenarioConfig, method: str, trials: int) -> list:
 def _format(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

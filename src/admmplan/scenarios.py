@@ -1,6 +1,8 @@
 """Scenario configurations: built-in driving setups and YAML round-tripping.
 
-Two built-in scenarios ship with the planner:
+Files load by one rule at every level: an unknown or repeated key, or a
+section that is not a mapping, is a ConfigError that names its dotted path.
+The two built-in scenarios:
 
   1. Static avoidance: a vehicle parked at (15, -1) m blocks the lane; the
      ego starts at rest-lane speed 4 m/s, tracks the lane center py = 0 and a
@@ -15,7 +17,8 @@ Both use steering limits of +-0.6 rad, acceleration limits of +-3 m/s^2,
 caps of 20 (consensus) and 100 (inner iLQR).
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 import yaml
 
@@ -51,7 +54,7 @@ class ScenarioConfig:
     weights: CostWeights = field(default_factory=CostWeights)
     reference: Reference = field(default_factory=lambda: Reference(py_ref=0.0))
     bounds: InputBounds = field(default_factory=InputBounds)
-    obstacles: list = field(default_factory=list)
+    obstacles: list[Obstacle] = field(default_factory=list)
     admm: ADMMSettings = field(default_factory=ADMMSettings)
     barrier: BarrierSettings = field(default_factory=BarrierSettings)
     ego_heading_ellipses: bool = False
@@ -61,6 +64,7 @@ class ScenarioConfig:
             raise ConfigError("horizon must be an integer of at least 1")
         if not isinstance(self.ego_heading_ellipses, bool):  # YAML "false" is a string
             raise ConfigError("ego_heading_ellipses must be true or false")
+        self.name = str(self.name)
         self.obstacles = list(self.obstacles)
 
 
@@ -100,49 +104,49 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    try:
-        return ScenarioConfig(
-            name=str(data.get("name", "custom")),
-            initial_state=State(**data["initial_state"]),
-            horizon=data["horizon"],
-            vehicle=_vehicle_from_dict(data.get("vehicle", {})),
-            weights=CostWeights(**data.get("weights", {})),
-            reference=Reference(**data.get("reference", {})),
-            bounds=InputBounds(**data.get("bounds", {})),
-            obstacles=[Obstacle(**o) for o in data.get("obstacles", [])],
-            admm=_settings_from_dict(ADMMSettings, data.get("admm", {})),
-            barrier=_settings_from_dict(BarrierSettings, data.get("barrier", {})),
-            ego_heading_ellipses=data.get("ego_heading_ellipses", False),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario configuration: {exc}") from exc
+    return _read(ScenarioConfig, {"name": "custom", **data}, "")
 
 
-# Vehicle keys written by older versions and ignored on load (the top-level
-# `seed` key of those files is ignored the same way).
-_RETIRED_VEHICLE_KEYS = ("body_length", "body_width")
+# Keys older versions wrote: one mapped to None is dropped, any other loads only at that value.
+_RETIRED_KEYS = {ScenarioConfig: {"seed": None},
+                 VehicleParams: {"body_length": None, "body_width": None},
+                 ILQRSettings: {"mu_growth": MU_GROWTH, "mu_shrink": MU_SHRINK, "mu_max": MU_MAX,
+                                "line_search_steps": len(ALPHAS)}}
 
 
-def _vehicle_from_dict(data: dict) -> VehicleParams:
+def _read(kind, data, path):
+    """The value of type `kind` at the dotted `path`, by the one rule above."""
+    if get_origin(kind) is list:
+        if not isinstance(data, list):
+            raise ConfigError(f"{path} must be a list, got {data!r}")
+        return [_read(get_args(kind)[0], item, f"{path}[{i}]") for i, item in enumerate(data)]
+    if not is_dataclass(kind):
+        return data
     if not isinstance(data, dict):
-        raise TypeError(f"the vehicle section must be a mapping, got {data!r}")
-    return VehicleParams(**{k: v for k, v in data.items() if k not in _RETIRED_VEHICLE_KEYS})
+        raise ConfigError(f"{path} must be a mapping, got {data!r}")
+    kinds = {f.name: f.type for f in fields(kind)}
+    retired = _RETIRED_KEYS.get(kind, {})
+    paths = {key: f"{path}.{key}" if path else str(key) for key in data}
+    for key, value in data.items():
+        if key not in kinds and key not in retired:
+            raise ConfigError(f"unknown key {paths[key]}")
+        if retired.get(key) not in (None, value):
+            raise ConfigError(f"{paths[key]} is fixed at {retired[key]!r}, got {value!r}")
+    try:
+        return kind(**{key: _read(kinds[key], value, paths[key])
+                       for key, value in data.items() if key in kinds})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {path or 'scenario configuration'}: {exc}") from exc
 
 
-# iLQR keys written by older versions, now fixed in the engine: they load
-# only at their fixed values, so that no file silently changes meaning.
-_RETIRED_ILQR_KEYS = {"mu_growth": MU_GROWTH, "mu_shrink": MU_SHRINK, "mu_max": MU_MAX,
-                      "line_search_steps": len(ALPHAS)}
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, but a key given twice in one mapping is an error."""
 
-
-def _settings_from_dict(cls, data: dict):
-    """ADMMSettings or BarrierSettings from a mapping with a nested `ilqr`."""
-    data = dict(data)
-    ilqr = dict(data.pop("ilqr", {}))
-    for key, fixed in _RETIRED_ILQR_KEYS.items():
-        if key in ilqr and (value := ilqr.pop(key)) != fixed:
-            raise ValueError(f"ilqr.{key} is fixed at {fixed!r}, got {value!r}")
-    return cls(ilqr=ILQRSettings(**ilqr), **data)
+    def construct_mapping(self, node, deep=False):
+        for i, (key, _) in enumerate(node.value):
+            if key.value in [other.value for other, _ in node.value[:i]]:
+                raise ConfigError(f"repeated key {key.value!r} at line {key.start_mark.line + 1}")
+        return super().construct_mapping(node, deep)
 
 
 def save_config(config: ScenarioConfig, path):
@@ -153,7 +157,7 @@ def save_config(config: ScenarioConfig, path):
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path) as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -518,7 +518,7 @@ def test_restore_from_a_start_on_a_keep_out_boundary_runs_no_solve(monkeypatch):
     assert solves == []
     assert report.status == "failed"
     assert report.records == []
-    assert report.message == "restore: start inside obstacle 1 at time index 0"
+    assert report.message == "restore: start within the margin of obstacle 1 at time index 0"
 
 
 def test_restore_ladder_that_ends_outside_names_the_first_stamp():

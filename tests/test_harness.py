@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ import yaml
 import admmplan
 from admmplan import cli, harness
 from admmplan.constraints import ConstraintSet, Obstacle
+from admmplan.costs import Reference
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
     emit_iterates,
@@ -24,6 +26,7 @@ from admmplan.harness import (
 )
 from admmplan.ilqr import Trajectory, rollout
 from admmplan.scenarios import (
+    ScenarioConfig,
     builtin_scenario,
     config_from_dict,
     config_to_dict,
@@ -537,6 +540,144 @@ def test_cli_rejects_a_vehicle_section_that_is_not_a_mapping(tmp_path, value):
     out = tmp_path / "out"
     assert cli.main(["--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# Every section of a configuration file by its dotted path ("" is the top
+# level and "obstacles.0" the first obstacle), as error messages name it.
+SECTIONS = ["", "initial_state", "vehicle", "weights", "reference", "bounds", "obstacles.0",
+            "admm", "admm.ilqr", "barrier", "barrier.ilqr"]
+
+
+def _set_at(data, path, value):
+    """`data` with the entry at the dotted `path` set to `value`, in place."""
+    keys = [int(key) if key.isdigit() else key for key in path.split(".")]
+    section = data
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    return data
+
+
+def _shown(path):
+    return path.replace(".0", "[0]")
+
+
+def _refused(tmp_path, data, message):
+    """Whether load_config and the CLI both refuse `data` with `message`."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(data if isinstance(data, str) else yaml.safe_dump(data, sort_keys=False))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    out = tmp_path / "out"
+    return cli.main(["--config", str(path), "--out", str(out)]) == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_cli_rejects_an_unknown_key_at_every_level(tmp_path, capsys, section):
+    # A misspelt top-level key was ignored: S1 with `obstacle:` for
+    # `obstacles:` planned through the parked car and exited 0.
+    key = f"{section}.colour".lstrip(".")
+    data = _set_at(config_to_dict(builtin_scenario(1)), key, "red")
+    assert _refused(tmp_path, data, f"unknown key {_shown(key)}")
+    assert capsys.readouterr().err == f"configuration error: unknown key {_shown(key)}\n"
+
+
+@pytest.mark.parametrize("value", [None, [1.0, 2.0], "x", 3])
+@pytest.mark.parametrize("section", SECTIONS[1:])
+def test_cli_rejects_a_section_that_is_not_a_mapping(tmp_path, section, value):
+    data = _set_at(config_to_dict(builtin_scenario(1)), section, value)
+    assert _refused(tmp_path, data, f"{_shown(section)} must be a mapping, got {value!r}")
+
+
+@pytest.mark.parametrize("value", [None, {"center0": [15.0, -1.0]}, "x"])
+def test_cli_rejects_obstacles_that_are_not_a_list(tmp_path, value):
+    data = dict(config_to_dict(builtin_scenario(1)), obstacles=value)
+    assert _refused(tmp_path, data, f"obstacles must be a list, got {value!r}")
+
+
+def test_cli_rejects_a_top_level_that_is_not_a_mapping(tmp_path):
+    assert _refused(tmp_path, "- 1\n- 2\n", "does not contain a configuration mapping")
+
+
+@pytest.mark.parametrize("edit", ["rename", "repeat"])
+def test_cli_rejects_an_exported_scenario_that_loses_its_obstacles(tmp_path, edit):
+    # Both edits used to load with no obstacles and plan through the car.
+    assert cli.main(["--export-scenario", "1", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "scenario1.yaml").read_text()
+    assert text.count("\nobstacles:\n") == 1
+    if edit == "rename":
+        text, message = text.replace("\nobstacles:\n", "\nobstacle:\n"), "unknown key obstacle"
+    else:
+        text += "obstacles: []\n"
+        message = f"repeated key 'obstacles' at line {len(text.splitlines())}"
+    assert _refused(tmp_path, text, message)
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("horizon: 60\ninitial_state: {v: 4.0}\nhorizon: 30\n", "horizon", 3),
+    ("horizon: 60\ninitial_state: {v: 4.0}\nvehicle:\n  wheelbase: 2.0\n  wheelbase: 3.0\n",
+     "wheelbase", 5),
+    ("horizon: 60\ninitial_state: {v: 4.0, v: 8.0}\n", "v", 2),
+])
+def test_cli_rejects_a_repeated_key_at_any_level(tmp_path, text, key, line):
+    assert _refused(tmp_path, text, f"repeated key {key!r} at line {line}")
+
+
+def test_config_key_may_override_a_merged_one(tmp_path):
+    # The repeated-key check reads the keys as written: a YAML merge (`<<`)
+    # still takes the keys given next to it over the merged ones.
+    path = tmp_path / "merge.yaml"
+    path.write_text("horizon: 60\ninitial_state: {v: 4.0}\nreference: {py_ref: 0.0}\n"
+                    "admm: {ilqr: &inner {max_iters: 40, mu_init: 1.0e-05}}\n"
+                    "barrier: {ilqr: {<<: *inner, max_iters: 50}}\n")
+    config = load_config(path)
+    assert (config.admm.ilqr.max_iters, config.barrier.ilqr.max_iters) == (40, 50)
+    assert config.barrier.ilqr.mu_init == 1e-5
+
+
+def test_config_without_a_section_takes_its_default(tmp_path):
+    # Every omitted section is its ScenarioConfig default, the reference too
+    # (py_ref 0, no speed term), as docs/config.md says.
+    path = tmp_path / "short.yaml"
+    path.write_text("horizon: 60\ninitial_state: {v: 4.0}\n")
+    assert load_config(path) == ScenarioConfig("custom", State(v=4.0), 60)
+
+
+def test_config_retired_ilqr_key_message_names_its_path():
+    data = _set_at(config_to_dict(builtin_scenario(1)), "admm.ilqr.mu_growth", 3.0)
+    with pytest.raises(ConfigError, match=r"^admm\.ilqr\.mu_growth is fixed at 10\.0, got 3\.0$"):
+        config_from_dict(data)
+
+
+def test_config_loads_every_documented_legacy_key(tmp_path):
+    # The top-level seed and the vehicle body size are dropped, and the
+    # fixed schedule keys of both iLQR sections load at their values.
+    cfg = builtin_scenario(1)
+    data = _with_ilqr_keys(config_to_dict(cfg), **RETIRED_ILQR)
+    data["seed"] = 7
+    data["vehicle"].update(body_length=4.5, body_width=1.8)
+    path = tmp_path / "legacy.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert load_config(path) == cfg
+
+
+def _moving_polyline_config():
+    # A polyline reference, ego-heading ellipses and moving, rotated traffic.
+    return replace(
+        builtin_scenario(2), name="polyline_traffic", ego_heading_ellipses=True,
+        reference=Reference(polyline=((0.0, 0.0), (20.0, 1.5), (45.0, 4.0)), v_ref=6.5),
+        obstacles=[Obstacle((18.0, 0.5), (2.5, 0.25), 0.1, 4.5, 2.0),
+                   Obstacle((5.0, 4.0), (6.0, -0.5), -0.3, 5.0, 2.5)],
+    )
+
+
+@pytest.mark.parametrize("cfg", [builtin_scenario(1), builtin_scenario(2),
+                                 _moving_polyline_config()], ids=["S1", "S2", "polyline"])
+def test_config_round_trips_through_the_strict_reader(tmp_path, cfg):
+    path = tmp_path / "config.yaml"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def _obstacle_with(**fields):
