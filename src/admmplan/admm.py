@@ -12,9 +12,11 @@ onto the box and keep-out sets). A scaled dual variable ties the two together:
 where sel(y) extracts (px, py, steer, accel) per stamp, kept by each iterate.
 The y-update is one Gauss-Newton step from the current y, not an argmin: the
 next z and lam move its subproblem anyway. The loop, a generator that
-`solve_report` turns into either solver's report, stops on the max-norm
-primal residual ||sel(y) - z||; the dynamics-feasible y is returned with its
-constraint violation, reported since feasibility is only reached in the limit.
+`solve_report` turns into either solver's report, stops once the max-norm
+primal residual ||sel(y) - z|| falls below PRIMAL_TOLERANCE; the
+dynamics-feasible y is returned with its constraint violation, reported since
+feasibility is only reached in the limit. Only sigma and the iteration cap
+are settings: the tolerance and the inner iLQR settings are module constants.
 
 Initially infeasible trajectories are fine: the first iterate is a plain
 zero-control rollout, which is the advertised advantage over barrier-style
@@ -39,14 +41,17 @@ BLOCK_DIM = 4  # (px, py, steer, accel)
 # regularization cap, the cyclic projection's sweep budget, and Jacobians
 # requested at the kinematic domain boundary, which steps still accept.
 SOLVE_FAILURES = (RegularizationExhausted, NonConvergence, DomainError)
+# The max-norm stopping threshold on the primal residual sel(y) - z.
+PRIMAL_TOLERANCE = 1e-3
+# The probe's iLQR solve, and each consensus iteration's single step of it.
+PROBE_ILQR = ILQRSettings()
+CONSENSUS_ILQR = replace(PROBE_ILQR, max_iters=1)
 
 
 @dataclass
 class ADMMSettings:
     sigma: float = 10.0
     max_admm_iters: int = 20
-    primal_tolerance: float = 1e-3
-    ilqr: ILQRSettings = field(default_factory=ILQRSettings)
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -54,8 +59,6 @@ class ADMMSettings:
             raise ValueError("sigma must be positive and finite")
         if not is_count(self.max_admm_iters):
             raise ValueError("max_admm_iters must be an integer of at least 1")
-        if not (is_real(self.primal_tolerance) and self.primal_tolerance > 0):
-            raise ValueError("primal_tolerance must be positive")
 
 
 @dataclass
@@ -266,12 +269,11 @@ def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
     # exactly and the solve is finished. (On an infeasible probe the result
     # is discarded: seeding the consensus from a deeply violating optimum
     # produces far worse projection targets than the plain rollout.)
-    probe = ilqr.solve(y, problem.cost, problem.dynamics, settings.ilqr)
+    probe = ilqr.solve(y, problem.cost, problem.dynamics, PROBE_ILQR)
     if trajectory_violation(probe.trajectory, problem.constraints) <= FEASIBILITY_TOL:
         yield probe, 0.0, 0.0, None, STATUS_CONVERGED
         return
 
-    one_step = replace(settings.ilqr, max_iters=1)
     z = _blocks(y).copy()
     lam = np.zeros_like(z)
     # The residual test only ends the solve once the constraints have bitten
@@ -281,14 +283,14 @@ def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
 
     for _ in range(settings.max_admm_iters):
         penalized = PenalizedCost(problem.cost, z, lam, settings.sigma)
-        result = ilqr.solve(y, penalized, problem.dynamics, one_step)
+        result = ilqr.solve(y, penalized, problem.dynamics, CONSENSUS_ILQR)
         y = result.trajectory
         sel = _blocks(y)
         z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], problem.constraints)
         diff = sel - z
         lam += settings.sigma * diff
         res_inf, res_two = _norms(diff)
-        if res_inf >= settings.primal_tolerance:
+        if res_inf >= PRIMAL_TOLERANCE:
             engaged = True
         elif engaged:
             yield result, res_inf, res_two, settings.sigma, STATUS_CONVERGED

@@ -10,14 +10,14 @@ face or obstacle, and summed over them in one call.
 The log barrier, phi = -log(-g) / t, is solved by iLQR inside an outer loop
 that multiplies the sharpness t by a fixed factor: a generator of stages that
 `admm.solve_report` turns into the report. It needs a strictly feasible
-iterate at all times: the stages check their start first, and line-search
-steps that leave the barrier domain are rejected by an infinite cost. Only
-the last stage's answer is returned, so only it is centered to the configured
-iLQR tolerance. On a convex problem a stage at sharpness t is within m/t of
-the optimum, m being the number of constraint terms (Boyd & Vandenberghe,
-*Convex Optimization*, §11.3), and centering it far below that bound buys
-nothing: earlier stages stop at the looser of the configured tolerance and
-CENTERING_FRACTION * m / t.
+iterate, every g < -MARGIN, at all times: the stages check their start
+first, and line-search steps that leave the barrier domain are rejected by
+an infinite cost. Only the last stage's answer is returned, so only it is
+centered to the configured iLQR tolerance. On a convex problem a stage at
+sharpness t is within m/t of the optimum, m being the number of constraint
+terms (Boyd & Vandenberghe, *Convex Optimization*, §11.3), and centering it
+far below that bound buys nothing: earlier stages stop at the looser of the
+configured tolerance and CENTERING_FRACTION * m / t.
 
 The restore, a quadratic-penalty phase I (§11.4), reaches a strictly feasible
 iterate from an infeasible one by iLQR on the hinge phi = rho/2 max(0, g +
@@ -43,6 +43,8 @@ CENTERING_FRACTION = 1e-3
 RESTORE_WEIGHTS = (1e2, 1e3, 1e4, 1e5, 1e6)
 HINGE_OFFSET = 1e-3
 RESTORE_ILQR = ILQRSettings(max_iters=30, cost_tolerance=1e-6)
+# Strict feasibility, for the barrier and the restore: every g < -MARGIN.
+MARGIN = 1e-6
 
 
 @dataclass
@@ -50,7 +52,6 @@ class BarrierSettings:
     initial_sharpness: float = 1.0  # starting t; barrier weight is 1/t
     tighten_factor: float = 5.0
     outer_iters: int = 5
-    margin: float = 1e-6  # strict-feasibility slack on every g
     ilqr: ILQRSettings = field(default_factory=ILQRSettings)
 
     def __post_init__(self):
@@ -61,8 +62,6 @@ class BarrierSettings:
             raise ValueError("tighten_factor must exceed 1 and be finite")
         if not is_count(self.outer_iters):
             raise ValueError("outer_iters must be an integer of at least 1")
-        if not (is_real(self.margin) and self.margin >= 0):
-            raise ValueError("margin must be nonnegative")
 
 
 class ConstraintPenalty:
@@ -112,10 +111,10 @@ class ConstraintPenalty:
 
 
 class BarrierCost(ConstraintPenalty):
-    """The log case of `ConstraintPenalty`: phi(g) = -log(-g) / t where -g > margin."""
+    """The log case of `ConstraintPenalty`: phi(g) = -log(-g) / t where -g > MARGIN."""
 
-    def __init__(self, base, constraints: ConstraintSet, sharpness: float, margin: float = 1e-6):
-        super().__init__(base, constraints, self._log, margin)
+    def __init__(self, base, constraints: ConstraintSet, sharpness: float):
+        super().__init__(base, constraints, self._log, MARGIN)
         self.sharpness = sharpness
 
     def _log(self, g, order):
@@ -149,11 +148,11 @@ def _check_domain(box, keepout, margin, problem, error=BarrierDomainViolation):
         raise error(f"{problem} at time index {tau}", tau=tau)
 
 
-def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet, margin: float):
-    """The (box, keep-out) values of `traj`, read-only, if every g < -margin;
+def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet):
+    """The (box, keep-out) values of `traj`, read-only, if every g < -MARGIN;
     else BarrierDomainViolation at the first stamp where one is not."""
     box, keepout = constraints.values(traj)
-    _check_domain(box, keepout, margin, "trajectory is not strictly feasible")
+    _check_domain(box, keepout, MARGIN, "trajectory is not strictly feasible")
     return box, keepout
 
 
@@ -179,7 +178,7 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
     to the configured cost tolerance at the last stage and to the looser of
     that and CENTERING_FRACTION * m / t before; each yields its inner status.
     """
-    box, keepout = check_strict_feasibility(y, problem.constraints, settings.margin)
+    box, keepout = check_strict_feasibility(y, problem.constraints)
     terms = box.size + keepout.size
     sharpness = settings.initial_sharpness
     for stage in range(settings.outer_iters):
@@ -187,7 +186,7 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
         if stage < settings.outer_iters - 1:
             gap = CENTERING_FRACTION * terms / sharpness
             inner = replace(inner, cost_tolerance=max(inner.cost_tolerance, gap))
-        barrier = BarrierCost(problem.cost, problem.constraints, sharpness, settings.margin)
+        barrier = BarrierCost(problem.cost, problem.constraints, sharpness)
         result = ilqr.solve(y, barrier, problem.dynamics, inner)
         y = result.trajectory
         # The barrier has no consensus residual: its violation fills both.
@@ -196,18 +195,18 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
         sharpness *= settings.tighten_factor
 
 
-def _restore(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
+def _restore(problem: Problem, y: ilqr.Trajectory):
     """The restore from `y`, as `admm.solve_report` items, one per weight.
 
     Each rho of RESTORE_WEIGHTS runs RESTORE_ILQR on the base cost plus the
-    hinge from the previous answer, until an answer has every g <
-    -settings.margin (`converged`). NonConvergence, one of
-    `admm.SOLVE_FAILURES`, names the first stamp outside when the ladder
-    ends first, and, before any solve, the obstacle when the start is within
-    the margin of one at time index 0, which no control moves.
+    hinge from the previous answer, until an answer has every g < -MARGIN
+    (`converged`). NonConvergence, one of `admm.SOLVE_FAILURES`, names the
+    first stamp outside when the ladder ends first, and, before any solve,
+    the obstacle when the start is within the margin of one at time index
+    0, which no control moves.
     """
-    constraints, margin = problem.constraints, settings.margin
-    near = np.flatnonzero(constraints.values(y)[1][0] >= -margin)
+    constraints = problem.constraints
+    near = np.flatnonzero(constraints.values(y)[1][0] >= -MARGIN)
     if near.size:
         raise NonConvergence(f"restore: start within the margin of obstacle {near[0]} "
                              "at time index 0", tau=0)
@@ -216,9 +215,9 @@ def _restore(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
         result = ilqr.solve(y, penalty, problem.dynamics, RESTORE_ILQR)
         y = result.trajectory
         violation = trajectory_violation(y, constraints)
-        done = not _outside(*constraints.values(y), margin).any()
+        done = not _outside(*constraints.values(y), MARGIN).any()
         yield result, violation, violation, weight, STATUS_CONVERGED if done else STATUS_MAX_ITERS
         if done:
             return
-    _check_domain(*constraints.values(y), margin,
+    _check_domain(*constraints.values(y), MARGIN,
                   "restore ended without a strictly feasible iterate", NonConvergence)

@@ -29,10 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--method", choices=harness.METHODS, default="admm")
     parser.add_argument("--trials", type=int, default=1, metavar="N")
     parser.add_argument("--out", default="out", metavar="DIR")
-    parser.add_argument("--max-admm", type=int, default=None, metavar="N",
-                        help="override the consensus iteration cap")
-    parser.add_argument("--sigma", type=float, default=None, metavar="X",
-                        help="override the consensus penalty parameter")
     parser.add_argument("--snapshots", default="1,2,last", metavar="POLICY",
                         help="iterations to export: 'all' or e.g. '1,2,last'")
     parser.add_argument("--compare", action="store_true",
@@ -66,8 +62,6 @@ def main(argv=None) -> int:
             config = scenarios.load_config(args.config)
         else:
             config = scenarios.builtin_scenario(args.scenario or "1")
-        config = scenarios.with_overrides(config, sigma=args.sigma,
-                                          max_admm=args.max_admm)
         if args.trials < 1:
             raise ConfigError("--trials must be at least 1")
         harness.parse_snapshot_policy(args.snapshots)

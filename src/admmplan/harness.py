@@ -21,6 +21,7 @@ byte-reproducible across runs.
 
 import csv
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -92,12 +93,6 @@ def run_trials(config: ScenarioConfig, method: str, trials: int) -> list:
     return records
 
 
-def _format(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -111,25 +106,25 @@ def write_trajectory_csv(traj: Trajectory, dynamics, path, tol=1e-8):
     if tau is not None:
         raise PlannerError(f"trajectory breaks the dynamics recursion at time index {tau}")
     h = dynamics.params.timestep
-    controls = [list(map(_format, u)) for u in traj.controls.tolist()] + [["", ""]]
+    controls = traj.controls.tolist() + [[None, None]]
     _write_csv(path, ["tau", "t", "px", "py", "theta", "v", "w", "a"],
-               ([tau, _format(tau * h)] + list(map(_format, x)) + u
+               ([tau, tau * h] + x + u
                 for tau, (x, u) in enumerate(zip(traj.states.tolist(), controls))))
 
 
 def write_residuals_csv(report: SolveReport, path, include_seconds=False):
     _write_csv(path, ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters", "seconds"],
-               ([index, _format(r.residual_inf), _format(r.residual_two), _format(r.cost),
-                 r.inner.iterations, _format(r.seconds) if include_seconds else ""]
+               ([index, r.residual_inf, r.residual_two, r.cost, r.inner.iterations,
+                 r.seconds if include_seconds else None]
                 for index, r in enumerate(report.records, 1)))
 
 
 def write_timings_csv(records, path):
-    rows = [[r.method, r.scenario, r.trial, _format(r.seconds), r.report.status,
-             _format(r.report.final_cost), _format(r.report.max_violation)] for r in records]
+    rows = [[r.method, r.scenario, r.trial, r.seconds, r.report.status,
+             r.report.final_cost, r.report.max_violation] for r in records]
     if records:
         mean = sum(r.seconds for r in records) / len(records)
-        rows.append([records[0].method, records[0].scenario, "mean", _format(mean), "", "", ""])
+        rows.append([records[0].method, records[0].scenario, "mean", mean, None, None, None])
     _write_csv(path, ["method", "scenario", "trial", "seconds", "status", "final_cost",
                       "max_violation"], rows)
 
@@ -141,11 +136,11 @@ def write_compare_csv(records_by_method, path):
     for i, trial in enumerate(zip(*records_by_method.values()), 1):
         row = [i]
         for r in trial:
-            row += [_format(r.seconds), r.report.status]
+            row += [r.seconds, r.report.status]
         rows.append(row)
     row = ["mean"]
     for recs in records_by_method.values():
-        row += [_format(sum(r.seconds for r in recs) / len(recs)), ""]
+        row += [sum(r.seconds for r in recs) / len(recs), None]
     rows.append(row)
     _write_csv(path, ["trial"] + [f"{m}_{c}" for m in methods for c in ("seconds", "status")],
                rows)
@@ -212,7 +207,7 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: st
         out_dir.mkdir(parents=True, exist_ok=True)
         save_config(config, out_dir / "config.yaml")
     except OSError as exc:
-        print(f"cannot prepare output directory {out_dir}: {exc}")
+        print(f"cannot prepare output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_IO
 
     dynamics = BicycleModel(config.vehicle)
@@ -238,6 +233,6 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: st
         if compare:
             write_compare_csv(records_by_method, out_dir / "compare.csv")
     except OSError as exc:
-        print(f"I/O failure while writing artifacts: {exc}")
+        print(f"I/O failure while writing artifacts: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_SOLVER if any_failed else EXIT_OK

@@ -17,13 +17,13 @@ Both use steering limits of +-0.6 rad, acceleration limits of +-3 m/s^2,
 caps of 20 (consensus) and 100 (inner iLQR).
 """
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin
 
 import yaml
 
-from .admm import ADMMSettings
-from .barrier import BarrierSettings
+from .admm import PRIMAL_TOLERANCE, PROBE_ILQR, ADMMSettings
+from .barrier import MARGIN, BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
 from .errors import ConfigError, UnknownScenario
@@ -107,11 +107,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return _read(ScenarioConfig, {"name": "custom", **data}, "")
 
 
-# Keys older versions wrote: one mapped to None is dropped, any other loads only at that value.
+# Keys older versions wrote: one mapped to None is dropped, any other loads only at that
+# value, a dataclass value after its section is read by the same rule.
 _RETIRED_KEYS = {ScenarioConfig: {"seed": None},
                  VehicleParams: {"body_length": None, "body_width": None},
                  ILQRSettings: {"mu_growth": MU_GROWTH, "mu_shrink": MU_SHRINK, "mu_max": MU_MAX,
-                                "line_search_steps": len(ALPHAS)}}
+                                "line_search_steps": len(ALPHAS)},
+                 ADMMSettings: {"primal_tolerance": PRIMAL_TOLERANCE, "ilqr": PROBE_ILQR},
+                 BarrierSettings: {"margin": MARGIN}}
 
 
 def _read(kind, data, path):
@@ -130,8 +133,11 @@ def _read(kind, data, path):
     for key, value in data.items():
         if key not in kinds and key not in retired:
             raise ConfigError(f"unknown key {paths[key]}")
-        if retired.get(key) not in (None, value):
-            raise ConfigError(f"{paths[key]} is fixed at {retired[key]!r}, got {value!r}")
+        fixed = retired.get(key)
+        if is_dataclass(fixed):
+            value = _read(type(fixed), value, paths[key])
+        if fixed not in (None, value):
+            raise ConfigError(f"{paths[key]} is fixed at {fixed!r}, got {value!r}")
     try:
         return kind(**{key: _read(kinds[key], value, paths[key])
                        for key, value in data.items() if key in kinds})
@@ -163,13 +169,3 @@ def load_config(path) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a configuration mapping")
     return config_from_dict(data)
-
-
-def with_overrides(config: ScenarioConfig, sigma=None, max_admm=None) -> ScenarioConfig:
-    """CLI-level overrides of the most commonly swept solver knobs."""
-    admm = config.admm
-    if sigma is not None:
-        admm = replace(admm, sigma=float(sigma))
-    if max_admm is not None:
-        admm = replace(admm, max_admm_iters=max_admm)
-    return replace(config, admm=admm)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from admmplan import cli, ilqr
+from admmplan import admm, cli, ilqr
 from admmplan.admm import admm_solve
 from admmplan.barrier import barrier_solve
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
@@ -270,7 +270,7 @@ def test_criterion_8_inactive_splitting_identity():
         problem = build_problem(cfg)
         rep = admm_solve(problem, cfg.admm)
         plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
-                           problem.cost, problem.dynamics, cfg.admm.ilqr)
+                           problem.cost, problem.dynamics, admm.PROBE_ILQR)
         worst = max(worst, abs(rep.records[-1].cost - plain.cost) / abs(plain.cost))
     ok = worst < 1e-6
     report("criterion 8: inactive-splitting identity", ok,

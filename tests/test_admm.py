@@ -171,9 +171,7 @@ def test_settings_validation():
         ADMMSettings(sigma=math.inf)
     with pytest.raises(ValueError):
         ADMMSettings(max_admm_iters=0)
-    with pytest.raises(ValueError):
-        ADMMSettings(primal_tolerance=0.0)
-    for field in ("sigma", "max_admm_iters", "primal_tolerance"):
+    for field in ("sigma", "max_admm_iters"):
         with pytest.raises(ValueError):
             ADMMSettings(**{field: math.nan})
     for value in (2.5, 3.0, True, "3"):
@@ -202,7 +200,7 @@ def test_dual_update_identity():
     sigma = cfg.admm.sigma
     for _ in range(4):
         pen = PenalizedCost(cost, z, lam, sigma)
-        y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
+        y = ilqr.solve(y, pen, dynamics, admm.PROBE_ILQR).trajectory
         sel = consensus_blocks(y)
         z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam_before = lam.copy()
@@ -221,7 +219,7 @@ def test_z_iterates_feasible():
     sigma = cfg.admm.sigma
     for _ in range(6):
         pen = PenalizedCost(cost, z, lam, sigma)
-        y = ilqr.solve(y, pen, dynamics, cfg.admm.ilqr).trajectory
+        y = ilqr.solve(y, pen, dynamics, admm.PROBE_ILQR).trajectory
         sel = consensus_blocks(y)
         z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam += sigma * (sel - z)
@@ -396,21 +394,10 @@ def test_inactive_splitting_matches_plain_ilqr():
         problem = build_problem(cfg)
         report = admm_solve(problem, cfg.admm)
         plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
-                           problem.cost, problem.dynamics, cfg.admm.ilqr)
+                           problem.cost, problem.dynamics, admm.PROBE_ILQR)
         assert report.status == "converged"
         assert [r.residual_inf for r in report.records] == [0.0]
         assert abs(report.records[-1].cost - plain.cost) <= 1e-6 * abs(plain.cost)
-
-
-def test_probe_honours_the_ilqr_iteration_cap():
-    # admm.ilqr.max_iters bounds the probe only; unconstrained, the probe
-    # exits and its record reports the probe's own iteration count.
-    cfg = replace(builtin_scenario(1), bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
-    for max_iters in (1, 2):
-        settings = replace(cfg.admm, ilqr=replace(cfg.admm.ilqr, max_iters=max_iters))
-        report = admm_solve(build_problem(cfg), settings)
-        assert report.status == "converged" and report.iterations == 1
-        assert 1 <= report.records[0].inner.iterations <= max_iters
 
 
 def test_scenario1_report_contents():
@@ -604,7 +591,7 @@ def test_jacobian_domain_error_yields_failed_status(phase):
     rollout0 = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
     # One Jacobian call per inner iteration: the probe's, then one per
     # consensus iteration.
-    probe_calls = ilqr.solve(rollout0, problem.cost, problem.dynamics, cfg.admm.ilqr).iterations
+    probe_calls = ilqr.solve(rollout0, problem.cost, problem.dynamics, admm.PROBE_ILQR).iterations
     fail_at = 1 if phase == "probe" else probe_calls + 2
     dynamics = JacobiansFailAt(problem.dynamics.params, fail_at)
     report = admm_solve(replace(problem, dynamics=dynamics), cfg.admm)
@@ -635,7 +622,7 @@ def test_forced_line_search_rejections_show_in_the_records(monkeypatch):
             inner = record.inner
             assert inner.rejected_steps >= inner.iterations >= 1
             assert inner.alpha in ilqr.ALPHAS[1:]
-            assert inner.peak_mu >= cfg.admm.ilqr.mu_init
+            assert inner.peak_mu >= admm.PROBE_ILQR.mu_init
 
 
 def test_unforced_records_report_full_steps():

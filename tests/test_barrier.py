@@ -14,6 +14,7 @@ from admmplan.admm import (
 from admmplan.barrier import (
     CENTERING_FRACTION,
     HINGE_OFFSET,
+    MARGIN,
     RESTORE_WEIGHTS,
     BarrierCost,
     BarrierSettings,
@@ -170,7 +171,7 @@ def test_strict_feasibility_checker_flags_offending_stamp():
     obs = [Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)]
     bounds = InputBounds(0.6, 3.0, -3.0)
     with pytest.raises(BarrierDomainViolation) as info:
-        check_strict_feasibility(traj, ConstraintSet(bounds, obs, 0.1), 1e-6)
+        check_strict_feasibility(traj, ConstraintSet(bounds, obs, 0.1))
     assert info.value.tau is not None
     first_bad = next(
         t for t in range(61)
@@ -288,8 +289,7 @@ def test_single_stage_is_the_exact_inner_solve():
     settings = replace(cfg.barrier, outer_iters=1)
     report = barrier_solve(problem, settings)
     seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    barrier = BarrierCost(problem.cost, problem.constraints, settings.initial_sharpness,
-                          settings.margin)
+    barrier = BarrierCost(problem.cost, problem.constraints, settings.initial_sharpness)
     result = ilqr.solve(seed, barrier, problem.dynamics, settings.ilqr)
     (record,) = report.records
     assert report.status == result.status
@@ -354,7 +354,7 @@ def test_stages_check_their_start_before_any_solve(monkeypatch, start):
         controls[7, 1], controls[12, 0] = 3.5, 0.7
     problem = build_problem(cfg)
     y = rollout(problem.dynamics, problem.x0, controls)
-    first = first_stamp_outside(y, cfg, cfg.barrier.margin)
+    first = first_stamp_outside(y, cfg, MARGIN)
     assert first == (27 if start == "keep-out" else 7)
     solves = []
     monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
@@ -467,10 +467,7 @@ def test_settings_validation():
         BarrierSettings(tighten_factor=1.0)
     with pytest.raises(ValueError):
         BarrierSettings(outer_iters=0)
-    with pytest.raises(ValueError):
-        BarrierSettings(margin=-1e-6)
-    BarrierSettings(margin=0.0)
-    for field in ("initial_sharpness", "tighten_factor", "outer_iters", "margin"):
+    for field in ("initial_sharpness", "tighten_factor", "outer_iters"):
         with pytest.raises(ValueError):
             BarrierSettings(**{field: math.nan})
     # 1/t would be 0 from the first or second stage: only the walls remain.
@@ -482,8 +479,8 @@ def test_settings_validation():
             BarrierSettings(outer_iters=value)
 
 
-def restore(problem, settings, y):
-    return solve_report(y, _restore(problem, settings, y), problem)
+def restore(problem, y):
+    return solve_report(y, _restore(problem, y), problem)
 
 
 def test_restore_from_a_start_inside_a_keep_out_runs_no_solve(monkeypatch):
@@ -495,7 +492,7 @@ def test_restore_from_a_start_inside_a_keep_out_runs_no_solve(monkeypatch):
     seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
     solves = []
     monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
-    report = restore(problem, cfg.barrier, seed)
+    report = restore(problem, seed)
     assert solves == []
     assert report.status == "failed"
     assert report.records == []
@@ -514,7 +511,7 @@ def test_restore_from_a_start_on_a_keep_out_boundary_runs_no_solve(monkeypatch):
     assert keepout_at(problem.constraints, 0, seed.states[0, :2])[1] == 0.0
     solves = []
     monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
-    report = restore(problem, cfg.barrier, seed)
+    report = restore(problem, seed)
     assert solves == []
     assert report.status == "failed"
     assert report.records == []
@@ -531,7 +528,7 @@ def test_restore_ladder_that_ends_outside_names_the_first_stamp():
                  semi_minor=50.0)])
     problem = build_problem(cfg)
     seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    report = restore(problem, cfg.barrier, seed)
+    report = restore(problem, seed)
     assert report.status == "failed"
     assert [r.weight for r in report.records] == list(RESTORE_WEIGHTS)
     assert report.message == "restore ended without a strictly feasible iterate at time index 0"
@@ -549,17 +546,17 @@ def test_restore_makes_every_corpus_iterate_strictly_feasible(monkeypatch):
     spec.loader.exec_module(workloads)
     restored = []
     for instance in workloads.build("corpus", 1).instances:
-        problem, margin = build_problem(instance.config), instance.config.barrier.margin
+        problem = build_problem(instance.config)
         report = admm_solve(problem, instance.config.admm)
         if report.records and report.records[-1].weight is None:  # a probe exit
             continue
-        if any(worst_constraint(r.trajectory, problem.constraints) < -margin
+        if any(worst_constraint(r.trajectory, problem.constraints) < -MARGIN
                for r in report.records):
             continue
-        answer = restore(problem, instance.config.barrier, report.trajectory)
+        answer = restore(problem, report.trajectory)
         assert answer.status == "converged", (instance.name, answer.message)
-        check_strict_feasibility(answer.trajectory, problem.constraints, margin)
-        assert worst_constraint(answer.trajectory, problem.constraints) < -margin
+        check_strict_feasibility(answer.trajectory, problem.constraints)
+        assert worst_constraint(answer.trajectory, problem.constraints) < -MARGIN
         for record in answer.records:
             assert dynamics_gap(record.trajectory, problem.x0, problem.dynamics.params) <= 1e-8
         restored.append(instance.name)

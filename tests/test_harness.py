@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 import os
@@ -13,6 +14,7 @@ import yaml
 
 import admmplan
 from admmplan import cli, harness
+from admmplan.admm import PROBE_ILQR
 from admmplan.constraints import ConstraintSet, Obstacle
 from admmplan.costs import Reference
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
@@ -32,7 +34,6 @@ from admmplan.scenarios import (
     config_to_dict,
     load_config,
     save_config,
-    with_overrides,
 )
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
@@ -56,7 +57,7 @@ def test_builtin_scenario_1_matches_paper_setup():
     assert cfg.vehicle.timestep == 0.1
     assert cfg.admm.sigma == 10.0
     assert cfg.admm.max_admm_iters == 20
-    assert cfg.admm.ilqr.max_iters == 100
+    assert PROBE_ILQR.max_iters == 100
 
 
 def test_builtin_scenario_2_matches_paper_setup():
@@ -113,6 +114,21 @@ def test_config_loads_files_with_retired_keys(tmp_path):
 
 # The iLQR schedule keys every older export carries, at the values it wrote.
 RETIRED_ILQR = {"mu_growth": 10.0, "mu_shrink": 0.5, "mu_max": 1e10, "line_search_steps": 11}
+# The solver keys older exports carry, at the values they wrote.
+RETIRED_SOLVER_KEYS = {
+    "admm": {"primal_tolerance": 0.001,
+             "ilqr": {"max_iters": 100, "cost_tolerance": 0.0001, "mu_init": 1e-06}},
+    "barrier": {"margin": 1e-06},
+}
+LEGACY = Path(__file__).resolve().parent / "legacy"
+
+
+def _old_export(cfg):
+    """The dict of `cfg` as older versions exported it, retired solver keys included."""
+    data = config_to_dict(cfg)
+    for section, keys in RETIRED_SOLVER_KEYS.items():
+        data[section].update(copy.deepcopy(keys))
+    return data
 
 
 def _with_ilqr_keys(data, **keys):
@@ -122,7 +138,7 @@ def _with_ilqr_keys(data, **keys):
 
 def test_config_loads_retired_ilqr_keys_at_their_fixed_values(tmp_path):
     cfg = builtin_scenario(1)
-    data = _with_ilqr_keys(config_to_dict(cfg), **RETIRED_ILQR)
+    data = _with_ilqr_keys(_old_export(cfg), **RETIRED_ILQR)
     assert config_from_dict(data) == cfg
     path = tmp_path / "old.yaml"
     path.write_text(yaml.safe_dump(data))
@@ -135,7 +151,7 @@ def test_config_loads_retired_ilqr_keys_at_their_fixed_values(tmp_path):
 def test_config_rejects_retired_ilqr_keys_at_other_values(tmp_path, key, value):
     # The engine's schedule is fixed: a file asking for another one must not
     # run silently with the fixed one.
-    data = config_to_dict(builtin_scenario(1))
+    data = _old_export(builtin_scenario(1))
     with pytest.raises(ConfigError, match=key):
         config_from_dict(_with_ilqr_keys(data, **dict(RETIRED_ILQR, **{key: value})))
     path = tmp_path / "retired.yaml"
@@ -152,8 +168,6 @@ def test_config_reference_docs_match_the_schema():
     block = text.split("```yaml\n")[1].split("```")[0]
     block = block.replace("# polyline:", "polyline:")  # the commented alternative
     docs = yaml.safe_load(block)
-    assert docs["barrier"]["ilqr"] == {"...": None}  # `{ ... }`: same keys as admm.ilqr
-    docs["barrier"]["ilqr"] = docs["admm"]["ilqr"]
     assert _key_paths(docs) == _key_paths(config_to_dict(builtin_scenario(1)))
 
 
@@ -183,14 +197,6 @@ def test_config_rejects_ilqr_settings_that_hang(tmp_path, solver):
 def test_config_dict_round_trip():
     cfg = builtin_scenario(2)
     assert config_from_dict(config_to_dict(cfg)) == cfg
-
-
-def test_overrides():
-    cfg = builtin_scenario(1)
-    out = with_overrides(cfg, sigma=25.0, max_admm=7)
-    assert out.admm.sigma == 25.0
-    assert out.admm.max_admm_iters == 7
-    assert cfg.admm.sigma == 10.0  # original untouched
 
 
 def test_snapshot_policy_parsing(tmp_path):
@@ -390,10 +396,11 @@ def test_cli_rejects_nan_settings(tmp_path):
     # NaN fails every settings check, so it is a configuration error (exit
     # 2), not a solve that ends "failed".
     data = config_to_dict(builtin_scenario(1))
-    for admm in (dict(data["admm"], sigma=math.nan),
-                 dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], cost_tolerance=math.nan))):
+    for edit in ({"admm": dict(data["admm"], sigma=math.nan)},
+                 {"barrier": dict(data["barrier"],
+                                  ilqr=dict(data["barrier"]["ilqr"], cost_tolerance=math.nan))}):
         path = tmp_path / "nan.yaml"
-        path.write_text(yaml.safe_dump(dict(data, admm=admm)))
+        path.write_text(yaml.safe_dump(dict(data, **edit)))
         assert ".nan" in path.read_text()
         with pytest.raises(ConfigError):
             load_config(path)
@@ -407,7 +414,8 @@ def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
     # finite and the weights not NaN, and an infinite sharpness or tighten
     # factor drops the barrier terms, so each is rejected on load.
     data = config_to_dict(builtin_scenario(1))
-    for edit in ({"admm": dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], mu_max=math.inf))},
+    for edit in ({"barrier": dict(data["barrier"],
+                                  ilqr=dict(data["barrier"]["ilqr"], mu_max=math.inf))},
                  {"admm": dict(data["admm"], sigma=math.inf)},
                  {"barrier": dict(data["barrier"], initial_sharpness=math.inf)},
                  {"barrier": dict(data["barrier"], tighten_factor=math.inf)},
@@ -491,10 +499,10 @@ def test_cli_rejects_non_integer_iteration_counts(tmp_path):
     # A count of 2.5 is a configuration error (exit 2), not a crash inside
     # range() or a horizon truncated to 2.
     data = config_to_dict(builtin_scenario(1))
-    ilqr = dict(data["admm"]["ilqr"], max_iters=2.5)
+    ilqr = dict(data["barrier"]["ilqr"], max_iters=2.5)
     for edit in ({"horizon": 2.5},
                  {"admm": dict(data["admm"], max_admm_iters=2.5)},
-                 {"admm": dict(data["admm"], ilqr=ilqr)},
+                 {"barrier": dict(data["barrier"], ilqr=ilqr)},
                  {"barrier": dict(data["barrier"], outer_iters=2.5)}):
         path = tmp_path / "count.yaml"
         path.write_text(yaml.safe_dump(dict(data, **edit)))
@@ -543,7 +551,8 @@ def test_cli_rejects_a_vehicle_section_that_is_not_a_mapping(tmp_path, value):
 
 
 # Every section of a configuration file by its dotted path ("" is the top
-# level and "obstacles.0" the first obstacle), as error messages name it.
+# level and "obstacles.0" the first obstacle), as error messages name it;
+# `admm.ilqr` is the retired section that older exports carry.
 SECTIONS = ["", "initial_state", "vehicle", "weights", "reference", "bounds", "obstacles.0",
             "admm", "admm.ilqr", "barrier", "barrier.ilqr"]
 
@@ -577,7 +586,7 @@ def test_cli_rejects_an_unknown_key_at_every_level(tmp_path, capsys, section):
     # A misspelt top-level key was ignored: S1 with `obstacle:` for
     # `obstacles:` planned through the parked car and exited 0.
     key = f"{section}.colour".lstrip(".")
-    data = _set_at(config_to_dict(builtin_scenario(1)), key, "red")
+    data = _set_at(_old_export(builtin_scenario(1)), key, "red")
     assert _refused(tmp_path, data, f"unknown key {_shown(key)}")
     assert capsys.readouterr().err == f"configuration error: unknown key {_shown(key)}\n"
 
@@ -585,7 +594,7 @@ def test_cli_rejects_an_unknown_key_at_every_level(tmp_path, capsys, section):
 @pytest.mark.parametrize("value", [None, [1.0, 2.0], "x", 3])
 @pytest.mark.parametrize("section", SECTIONS[1:])
 def test_cli_rejects_a_section_that_is_not_a_mapping(tmp_path, section, value):
-    data = _set_at(config_to_dict(builtin_scenario(1)), section, value)
+    data = _set_at(_old_export(builtin_scenario(1)), section, value)
     assert _refused(tmp_path, data, f"{_shown(section)} must be a mapping, got {value!r}")
 
 
@@ -628,11 +637,11 @@ def test_config_key_may_override_a_merged_one(tmp_path):
     # still takes the keys given next to it over the merged ones.
     path = tmp_path / "merge.yaml"
     path.write_text("horizon: 60\ninitial_state: {v: 4.0}\nreference: {py_ref: 0.0}\n"
-                    "admm: {ilqr: &inner {max_iters: 40, mu_init: 1.0e-05}}\n"
-                    "barrier: {ilqr: {<<: *inner, max_iters: 50}}\n")
-    config = load_config(path)
-    assert (config.admm.ilqr.max_iters, config.barrier.ilqr.max_iters) == (40, 50)
-    assert config.barrier.ilqr.mu_init == 1e-5
+                    "obstacles:\n- &car {center0: [15.0, -1.0], semi_major: 4.0}\n"
+                    "- {<<: *car, center0: [30.0, 1.0]}\n")
+    first, second = load_config(path).obstacles
+    assert (first.center0, second.center0) == ((15.0, -1.0), (30.0, 1.0))
+    assert first.semi_major == second.semi_major == 4.0
 
 
 def test_config_without_a_section_takes_its_default(tmp_path):
@@ -644,21 +653,62 @@ def test_config_without_a_section_takes_its_default(tmp_path):
 
 
 def test_config_retired_ilqr_key_message_names_its_path():
-    data = _set_at(config_to_dict(builtin_scenario(1)), "admm.ilqr.mu_growth", 3.0)
+    data = _set_at(_old_export(builtin_scenario(1)), "admm.ilqr.mu_growth", 3.0)
     with pytest.raises(ConfigError, match=r"^admm\.ilqr\.mu_growth is fixed at 10\.0, got 3\.0$"):
         config_from_dict(data)
 
 
 def test_config_loads_every_documented_legacy_key(tmp_path):
     # The top-level seed and the vehicle body size are dropped, and the
-    # fixed schedule keys of both iLQR sections load at their values.
+    # retired solver keys and the fixed schedule keys of both iLQR sections
+    # load at their values.
     cfg = builtin_scenario(1)
-    data = _with_ilqr_keys(config_to_dict(cfg), **RETIRED_ILQR)
+    data = _with_ilqr_keys(_old_export(cfg), **RETIRED_ILQR)
     data["seed"] = 7
     data["vehicle"].update(body_length=4.5, body_width=1.8)
     path = tmp_path / "legacy.yaml"
     path.write_text(yaml.safe_dump(data, sort_keys=False))
     assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("sid", [1, 2])
+def test_config_loads_an_export_that_carries_the_retired_solver_keys(sid):
+    # Files exported before admm.primal_tolerance, admm.ilqr and
+    # barrier.margin became constants load equal to the built-in scenario.
+    text = (LEGACY / f"scenario{sid}.yaml").read_text()
+    assert "primal_tolerance: 0.001" in text and "margin: 1.0e-06" in text
+    assert load_config(LEGACY / f"scenario{sid}.yaml") == builtin_scenario(sid)
+    assert config_from_dict(_old_export(builtin_scenario(sid))) == builtin_scenario(sid)
+
+
+@pytest.mark.parametrize("ilqr", [{}, {"max_iters": 100}, {"cost_tolerance": 1e-4},
+                                  {"mu_init": 1e-6, "mu_growth": 10.0},
+                                  RETIRED_SOLVER_KEYS["admm"]["ilqr"]],
+                         ids=["empty", "max_iters", "cost_tolerance", "mu_init", "full"])
+def test_config_loads_a_retired_admm_ilqr_section_at_the_defaults(ilqr):
+    # The section is read by the same rules as barrier.ilqr, so a partial
+    # one takes the defaults for the keys it leaves out.
+    data = _with_fields("admm", ilqr=ilqr)
+    assert config_from_dict(data) == builtin_scenario(1)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("admm", "primal_tolerance", 0.01, "admm.primal_tolerance is fixed at 0.001, got 0.01"),
+    ("admm", "primal_tolerance", 0.0, "admm.primal_tolerance is fixed at 0.001, got 0.0"),
+    ("barrier", "margin", 0.0, "barrier.margin is fixed at 1e-06, got 0.0"),
+    ("barrier", "margin", 1e-3, "barrier.margin is fixed at 1e-06, got 0.001"),
+    ("admm", "ilqr", {"max_iters": 30},
+     f"admm.ilqr is fixed at {PROBE_ILQR!r}, got {replace(PROBE_ILQR, max_iters=30)!r}"),
+    ("admm", "ilqr", {"cost_tolerance": 1e-5},
+     f"admm.ilqr is fixed at {PROBE_ILQR!r}, got {replace(PROBE_ILQR, cost_tolerance=1e-5)!r}"),
+], ids=["tolerance", "zero tolerance", "zero margin", "margin", "max_iters", "cost_tolerance"])
+def test_cli_rejects_a_retired_solver_key_at_another_value(tmp_path, section, key, value,
+                                                           message):
+    # The planner cannot honour another value, so the file is refused.
+    data = _with_fields(section, **{key: value})
+    assert _refused(tmp_path, data, message)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
 
 
 def _moving_polyline_config():
@@ -710,7 +760,8 @@ def _with_nested(section, **fields):
     if section == "obstacle":
         return _obstacle_with(**fields)
     if section == "ilqr":
-        return dict(data, admm=dict(data["admm"], ilqr=dict(data["admm"]["ilqr"], **fields)))
+        ilqr = dict(data["barrier"]["ilqr"], **fields)
+        return dict(data, barrier=dict(data["barrier"], ilqr=ilqr))
     return _with_fields(section, **fields)
 
 
@@ -759,24 +810,59 @@ def test_cli_prints_the_reason_of_a_reported_failure(tmp_path, capsys):
             "(cyclic ellipse projection did not converge at time index 29)")
 
 
-def test_cli_io_error_exit_code(tmp_path):
+def test_cli_io_error_exit_code(tmp_path, capsys):
     target = tmp_path / "blocked"
     target.write_text("a file, not a directory")
     code = cli.main(
         ["--scenario", "1", "--method", "admm", "--out", str(target)]
     )
     assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot prepare output directory {target}: ")
 
 
-def test_cli_overrides_propagate(tmp_path):
+def test_cli_artifact_write_failure_exit_code(tmp_path, capsys):
+    # The method's directory is taken by a file: config.yaml is written,
+    # the trial's artifacts are not.
+    (tmp_path / "admm").write_text("a file, not a directory")
+    code = cli.main(["--scenario", "1", "--method", "admm", "--out", str(tmp_path)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "I/O failure" not in captured.out
+    assert captured.err.startswith("I/O failure while writing artifacts: ")
+    assert load_config(tmp_path / "config.yaml") == builtin_scenario(1)
+
+
+def test_cli_export_scenario_into_a_file_exit_code(tmp_path, capsys):
+    target = tmp_path / "blocked"
+    target.write_text("a file, not a directory")
+    assert cli.main(["--export-scenario", "1", "--out", str(target)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write scenario file: ")
+
+
+@pytest.mark.parametrize("flag", [["--sigma", "12"], ["--max-admm", "9"]])
+def test_cli_has_no_solver_setting_flags(tmp_path, capsys, flag):
+    # The scenario file is the one way to set sigma and max_admm_iters.
     out = tmp_path / "o"
-    assert cli.main([
-        "--scenario", "1", "--method", "admm", "--out", str(out),
-        "--sigma", "12.5", "--max-admm", "9",
-    ]) == 0
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--scenario", "1", "--out", str(out)] + flag)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sets_sigma_and_the_iteration_cap_from_the_file(tmp_path):
+    data = _with_fields("admm", sigma=12.5, max_admm_iters=3)
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "o"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == harness.EXIT_OK
     cfg = load_config(out / "config.yaml")
-    assert cfg.admm.sigma == 12.5
-    assert cfg.admm.max_admm_iters == 9
+    assert (cfg.admm.sigma, cfg.admm.max_admm_iters) == (12.5, 3)
+    assert len(read_rows(out / "admm" / "residuals.csv")) - 1 <= 3
 
 
 def test_cli_iter_timing_flag_populates_seconds(tmp_path):

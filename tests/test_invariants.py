@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmplan.admm import admm_solve, solve_report, trajectory_violation
-from admmplan.barrier import _restore, barrier_solve, check_strict_feasibility
+from admmplan.admm import PRIMAL_TOLERANCE, admm_solve, solve_report, trajectory_violation
+from admmplan.barrier import MARGIN, _restore, barrier_solve, check_strict_feasibility
 from admmplan.constraints import Obstacle
 from admmplan.costs import Reference
 from admmplan.errors import BarrierDomainViolation
@@ -118,24 +118,23 @@ def test_consensus_solve_invariants(config):
     report = admm_solve(problem, config.admm)
     _check_report(report, problem)
     if report.status == "converged":
-        assert report.max_violation <= config.admm.primal_tolerance
+        assert report.max_violation <= PRIMAL_TOLERANCE
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(config=corpus_configs())
 def test_barrier_solve_invariants(config):
     problem = build_problem(config)
-    margin = config.barrier.margin
     try:
         report = barrier_solve(problem, config.barrier)
     except BarrierDomainViolation:
         # Only at the seed: the zero-control rollout is not strictly feasible.
         seed = rollout(problem.dynamics, problem.x0, np.zeros((HORIZON, 2)))
-        assert worst_constraint(seed, problem.constraints) >= -margin - ORACLE_TOL
+        assert worst_constraint(seed, problem.constraints) >= -MARGIN - ORACLE_TOL
         return
     _check_report(report, problem)
-    check_strict_feasibility(report.trajectory, problem.constraints, margin)
-    assert worst_constraint(report.trajectory, problem.constraints) < -margin + ORACLE_TOL
+    check_strict_feasibility(report.trajectory, problem.constraints)
+    assert worst_constraint(report.trajectory, problem.constraints) < -MARGIN + ORACLE_TOL
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -145,9 +144,8 @@ def test_restore_invariants(config):
     # fails naming a time index (`_check_report`); from a start inside a
     # keep-out, which no control moves, it fails at time index 0.
     problem = build_problem(config)
-    margin = config.barrier.margin
     seed = rollout(problem.dynamics, problem.x0, np.zeros((HORIZON, 2)))
-    report = solve_report(seed, _restore(problem, config.barrier, seed), problem)
+    report = solve_report(seed, _restore(problem, seed), problem)
     _check_report(report, problem)
     start = Trajectory(seed.states[:1], seed.controls[:0])
     if worst_constraint(start, problem.constraints) > ORACLE_TOL:
@@ -155,5 +153,5 @@ def test_restore_invariants(config):
         assert "time index 0" in report.message
     elif report.status != "failed":
         assert report.status == "converged"
-        check_strict_feasibility(report.trajectory, problem.constraints, margin)
-        assert worst_constraint(report.trajectory, problem.constraints) < -margin + ORACLE_TOL
+        check_strict_feasibility(report.trajectory, problem.constraints)
+        assert worst_constraint(report.trajectory, problem.constraints) < -MARGIN + ORACLE_TOL

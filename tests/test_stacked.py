@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmplan.admm import PenalizedCost
-from admmplan.barrier import BarrierCost
+from admmplan.barrier import MARGIN, BarrierCost
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import BarrierDomainViolation
@@ -173,10 +173,9 @@ def obstacles(draw):
 def test_barrier_cost_stacked_equal_single_stamp(
     w, reference, traj, obs, use_ego_heading, sharpness, bounds
 ):
-    margin = 1e-6
     constraints = ConstraintSet(bounds, obs, 0.1, use_ego_heading)
     base = TrackingCost(w, reference)
-    cost = BarrierCost(base, constraints, sharpness, margin)
+    cost = BarrierCost(base, constraints, sharpness)
 
     values, (l_x, l_u, l_xx, l_uu) = stampwise(base, traj)
     T = traj.horizon
@@ -186,7 +185,7 @@ def test_barrier_cost_stacked_equal_single_stamp(
         keep = keepout_at(constraints, t, x[:2], x[2])
         grad = keepout_gradient_at(constraints, t, x[:2], x[2])
         box = constraints.box(traj.controls[t]) if t < T else np.zeros(0)
-        if np.any(-keep <= margin) or np.any(-box <= margin):
+        if np.any(-keep <= MARGIN) or np.any(-box <= MARGIN):
             outside.append(t)
             values[t] = math.inf
             continue
