@@ -9,15 +9,15 @@ face or obstacle, and summed over them in one call.
 
 The log barrier, phi = -log(-g) / t, is solved by iLQR inside an outer loop
 that multiplies the sharpness t by a fixed factor: a generator of stages that
-`admm.solve_report` turns into the report. It needs a strictly feasible
-iterate, every g < -MARGIN, at all times: the stages check their start
-first, and line-search steps that leave the barrier domain are rejected by
-an infinite cost. Only the last stage's answer is returned, so only it is
-centered to the configured iLQR tolerance. On a convex problem a stage at
-sharpness t is within m/t of the optimum, m being the number of constraint
-terms (Boyd & Vandenberghe, *Convex Optimization*, §11.3), and centering it
-far below that bound buys nothing: earlier stages stop at the looser of the
-configured tolerance and CENTERING_FRACTION * m / t.
+`admm.solve_report` turns into the report. Its cost, `BarrierCost`, alone has
+a domain, the strictly feasible iterates (every g < -MARGIN): the stages check
+their start first, and line-search steps that leave it get an infinite cost.
+Only the last stage's answer is returned, so only it is centered to the
+configured iLQR tolerance. On a convex problem a stage at sharpness t is
+within m/t of the optimum, m being the number of constraint terms (Boyd &
+Vandenberghe, *Convex Optimization*, §11.3), and centering it far below that
+bound buys nothing: earlier stages stop at the looser of the configured
+tolerance and CENTERING_FRACTION * m / t.
 
 The restore, a quadratic-penalty phase I (§11.4), reaches a strictly feasible
 iterate from an infeasible one by iLQR on the hinge phi = rho/2 max(0, g +
@@ -43,7 +43,7 @@ CENTERING_FRACTION = 1e-3
 RESTORE_WEIGHTS = (1e2, 1e3, 1e4, 1e5, 1e6)
 HINGE_OFFSET = 1e-3
 RESTORE_ILQR = ILQRSettings(max_iters=30, cost_tolerance=1e-6)
-# Strict feasibility, for the barrier and the restore: every g < -MARGIN.
+# The barrier's domain, where the restore stops: every g < -MARGIN.
 MARGIN = 1e-6
 
 
@@ -73,15 +73,14 @@ class ConstraintPenalty:
     per box face, phi' times its sign to l_u and phi'' to its l_uu diagonal
     entry, and per keep-out, phi' dg to l_x and phi'' dg dg' to l_xx in the
     first k states: (px, py) or, with the ego heading, (px, py, theta).
-
-    With a `margin`, phi is defined only where every -g > margin: `values` is
-    +inf at each stamp outside, so the line search backtracks, and `expand`,
-    only ever requested on accepted nominal trajectories, raises
-    BarrierDomainViolation at the first.
     """
 
-    def __init__(self, base, constraints: ConstraintSet, phi, margin: float | None = None):
-        self.base, self.constraints, self.phi, self.margin = base, constraints, phi, margin
+    # Only `BarrierCost` has a domain, every -g > MARGIN: +inf `values` at each stamp
+    # outside, BarrierDomainViolation from `expand`. The restore's hinge has none.
+    domain = False
+
+    def __init__(self, base, constraints: ConstraintSet, phi):
+        self.base, self.constraints, self.phi = base, constraints, phi
 
     def values(self, traj) -> np.ndarray:
         box, keepout = self.constraints.values(traj)
@@ -89,16 +88,16 @@ class ConstraintPenalty:
             terms = self.phi(keepout, 0).sum(axis=1)
             terms[:-1] += self.phi(box, 0).sum(axis=1)
         values = self.base.values(traj) + terms
-        if self.margin is not None:
-            values[_outside(box, keepout, self.margin)] = math.inf
+        if self.domain:
+            values[_outside(box, keepout)] = math.inf
         return values
 
     def expand(self, traj):
         # Expansion arrays are freshly allocated by the base model.
         l_x, l_u, l_xx, l_uu = self.base.expand(traj)
         box, keepout = self.constraints.values(traj)
-        if self.margin is not None:
-            _check_domain(box, keepout, self.margin, "iterate left the barrier domain")
+        if self.domain:
+            _check_domain(box, keepout, "iterate left the barrier domain")
         faces = self.constraints.face_index
         np.add.at(l_u, (slice(None), faces), self.phi(box, 1) * self.constraints.face_signs)
         np.add.at(l_uu, (slice(None), faces, faces), self.phi(box, 2))
@@ -113,8 +112,10 @@ class ConstraintPenalty:
 class BarrierCost(ConstraintPenalty):
     """The log case of `ConstraintPenalty`: phi(g) = -log(-g) / t where -g > MARGIN."""
 
+    domain = True
+
     def __init__(self, base, constraints: ConstraintSet, sharpness: float):
-        super().__init__(base, constraints, self._log, MARGIN)
+        super().__init__(base, constraints, self._log)
         self.sharpness = sharpness
 
     def _log(self, g, order):
@@ -134,17 +135,17 @@ def hinge(weight: float):
     return phi
 
 
-def _outside(box, keepout, margin):
-    """Per stamp (T+1,): whether some constraint has -g <= margin."""
-    outside = (keepout >= -margin).any(axis=1)
-    outside[:-1] |= (box >= -margin).any(axis=1)
+def _outside(box, keepout):
+    """Per stamp (T+1,): whether some constraint has -g <= MARGIN."""
+    outside = (keepout >= -MARGIN).any(axis=1)
+    outside[:-1] |= (box >= -MARGIN).any(axis=1)
     return outside
 
 
-def _check_domain(box, keepout, margin, problem, error=BarrierDomainViolation):
+def _check_domain(box, keepout, problem, error=BarrierDomainViolation):
     """Raise `error` at the first stamp outside the domain."""
-    if (keepout >= -margin).any() or (box >= -margin).any():
-        tau = int(np.argmax(_outside(box, keepout, margin)))
+    if (keepout >= -MARGIN).any() or (box >= -MARGIN).any():
+        tau = int(np.argmax(_outside(box, keepout)))
         raise error(f"{problem} at time index {tau}", tau=tau)
 
 
@@ -152,17 +153,16 @@ def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet):
     """The (box, keep-out) values of `traj`, read-only, if every g < -MARGIN;
     else BarrierDomainViolation at the first stamp where one is not."""
     box, keepout = constraints.values(traj)
-    _check_domain(box, keepout, MARGIN, "trajectory is not strictly feasible")
+    _check_domain(box, keepout, "trajectory is not strictly feasible")
     return box, keepout
 
 
 def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> SolveReport:
     """Constrained solve by the log-barrier stages from the zero-control seed.
 
-    Raises:
-        BarrierDomainViolation: the seed (or, defensively, a later nominal
-        iterate) is not strictly feasible. This is the documented limitation
-        that the consensus solver avoids.
+    Raises BarrierDomainViolation when the seed (or, defensively, a later
+    nominal iterate) is not strictly feasible: the documented limitation that
+    the consensus solver avoids.
     """
     settings = settings or BarrierSettings()
     y = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
@@ -215,9 +215,9 @@ def _restore(problem: Problem, y: ilqr.Trajectory):
         result = ilqr.solve(y, penalty, problem.dynamics, RESTORE_ILQR)
         y = result.trajectory
         violation = trajectory_violation(y, constraints)
-        done = not _outside(*constraints.values(y), MARGIN).any()
+        done = not _outside(*constraints.values(y)).any()
         yield result, violation, violation, weight, STATUS_CONVERGED if done else STATUS_MAX_ITERS
         if done:
             return
-    _check_domain(*constraints.values(y), MARGIN,
-                  "restore ended without a strictly feasible iterate", NonConvergence)
+    _check_domain(*constraints.values(y), "restore ended without a strictly feasible iterate",
+                  NonConvergence)

@@ -18,7 +18,8 @@ keep-out projection on numpy ellipse frames: it is the array form of
 `project_timestep` and borrows its single-ellipse boundary solve and
 `keepout_at`; and `column_barrier_values` and `column_barrier_expansion`,
 the log barrier's terms formed one constraint column at a time, which read
-the barrier cost's base cost and constraint set.
+the barrier cost's base cost and constraint set and the barrier's domain
+bound `MARGIN`.
 `closure_nearest_boundary_point` is a frozen copy of the single-ellipse
 boundary solve as it was first written, with its Newton step in a closure,
 kept so that rewrites of the solve can be checked against it bit for bit.
@@ -30,6 +31,7 @@ import warnings
 
 import numpy as np
 
+from admmplan.barrier import MARGIN
 from admmplan.constraints import (
     AXIS_TOL,
     FEASIBILITY_TOL,
@@ -393,8 +395,8 @@ def column_barrier_values(cost, traj):
     """`BarrierCost.values` with each constraint column's terms -log(-g)/t
     formed in turn: box faces in face order, then obstacles."""
     box, keepout = cost.constraints.values(traj)
-    outside = (-keepout <= cost.margin).any(axis=1)
-    outside[:-1] |= (-box <= cost.margin).any(axis=1)
+    outside = (-keepout <= MARGIN).any(axis=1)
+    outside[:-1] |= (-box <= MARGIN).any(axis=1)
     inv_t = 1.0 / cost.sharpness
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = _column_sum([np.log(-g) * -inv_t for g in keepout.T], len(keepout))

@@ -536,6 +536,30 @@ def test_restore_ladder_that_ends_outside_names_the_first_stamp():
     assert box[0, 3] > 0.0 and (keepout[1:] > 0.0).all()
 
 
+def test_restore_stalls_on_an_axis_aligned_path_but_not_from_the_consensus():
+    # The zero-control rollout runs along the ellipse's major axis, where
+    # the keep-out gradient has no lateral component: every rho only brakes,
+    # past the box at stamp 0, and the ladder ends there. From the consensus
+    # solver's last iterate, which leaves the axis, the restore succeeds.
+    cfg = replace(builtin_scenario(1), horizon=30, initial_state=State(0.0, 0.0, 0.0, 7.53),
+                  obstacles=[Obstacle(center0=(8.0, 0.0), heading=0.0, semi_major=3.5,
+                                      semi_minor=1.5)])
+    problem = build_problem(cfg)
+    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
+    report = restore(problem, seed)
+    assert report.status == "failed"
+    assert [r.weight for r in report.records] == list(RESTORE_WEIGHTS)
+    assert report.message == "restore ended without a strictly feasible iterate at time index 0"
+    assert report.max_violation == pytest.approx(0.998, abs=1e-3)
+    assert not report.trajectory.states[:, 1].any() and not report.trajectory.controls[:, 0].any()
+
+    start = admm_solve(problem, cfg.admm).trajectory
+    report = restore(problem, start)
+    assert report.status == "converged", report.message
+    assert [r.weight for r in report.records] == [1e2, 1e3, 1e4]
+    check_strict_feasibility(report.trajectory, problem.constraints)
+
+
 def test_restore_makes_every_corpus_iterate_strictly_feasible(monkeypatch):
     # The benchmark corpus, built by its own module: every instance whose
     # consensus run is not a probe exit and has no strictly feasible iterate

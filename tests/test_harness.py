@@ -768,9 +768,9 @@ def _with_nested(section, **fields):
 @pytest.mark.parametrize("section, name", [
     ("initial_state", "px"), ("initial_state", "v"), ("reference", "py_ref"),
     ("reference", "v_ref"), ("vehicle", "wheelbase"), ("vehicle", "timestep"),
-    ("bounds", "max_steer"), ("bounds", "min_accel"), ("admm", "sigma"),
-    ("admm", "primal_tolerance"), ("ilqr", "cost_tolerance"), ("ilqr", "mu_init"),
-    ("barrier", "initial_sharpness"), ("barrier", "tighten_factor"), ("barrier", "margin"),
+    ("bounds", "max_steer"), ("bounds", "min_accel"), ("bounds", "max_accel"),
+    ("initial_state", "theta"), ("admm", "sigma"), ("ilqr", "cost_tolerance"),
+    ("ilqr", "mu_init"), ("barrier", "initial_sharpness"), ("barrier", "tighten_factor"),
     ("weights", "position_weight"), ("weights", "terminal_scale"),
     ("obstacle", "semi_major"), ("obstacle", "semi_minor"),
 ])
@@ -778,6 +778,14 @@ def test_config_rejects_a_boolean_real(section, name):
     # True compares as 1 and False as 0; neither is read as a number.
     for flag in (True, False):
         with pytest.raises(ConfigError, match=name):
+            config_from_dict(_with_nested(section, **{name: flag}))
+
+
+@pytest.mark.parametrize("section, name", [("admm", "primal_tolerance"), ("barrier", "margin")])
+def test_config_refuses_a_boolean_for_a_retired_key(section, name):
+    # A retired key loads only at its fixed value, which no boolean is.
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match=f"{section}.{name} is fixed at .*, got {flag}"):
             config_from_dict(_with_nested(section, **{name: flag}))
 
 

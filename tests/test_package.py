@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import admmplan
@@ -9,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = ROOT / "src" / "admmplan"
+DIGEST = ROOT / "tools" / "digest.py"
 
 
 def test_all_exports_resolve():
@@ -63,3 +67,13 @@ def test_every_public_name_has_a_caller_outside_tests():
                 read.update(alias.name for alias in node.names)
     unread = [name for name in admmplan.__all__ if getattr(admmplan, name).__name__ not in read]
     assert unread == []
+
+
+def test_digest_tool_prints_one_stable_digest():
+    # Two runs of the same code on one workload print the same SHA-256, so a
+    # differing digest between two checkouts means their plans differ.
+    command = [sys.executable, str(DIGEST), "--workload", "paper", "--seed", "1"]
+    first, second = (subprocess.run(command, capture_output=True, text=True, check=True).stdout
+                     for _ in range(2))
+    assert first == second
+    assert re.fullmatch(r"paper seed 1: [0-9a-f]{64}\n", first)
