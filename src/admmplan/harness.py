@@ -6,7 +6,8 @@ A run writes, under the output directory:
     <method>/trajectory_iterNNN.csv   trajectory of a selected solver iteration
     <method>/residuals.csv       one row per solver iteration
     <method>/timings.csv         one row per trial plus a mean row
-    compare.csv                  joint timing table (only with compare=True)
+
+with one <method> directory per method run; method "all" runs each of METHODS.
 
 Trajectory files carry the header `tau,t,px,py,theta,v,w,a` with the control
 columns blank on the final row; residual files carry
@@ -129,23 +130,6 @@ def write_timings_csv(records, path):
                       "max_violation"], rows)
 
 
-def write_compare_csv(records_by_method, path):
-    """Joint per-trial timing table across methods, plus a mean row."""
-    methods = list(records_by_method)
-    rows = []
-    for i, trial in enumerate(zip(*records_by_method.values()), 1):
-        row = [i]
-        for r in trial:
-            row += [r.seconds, r.report.status]
-        rows.append(row)
-    row = ["mean"]
-    for recs in records_by_method.values():
-        row += [sum(r.seconds for r in recs) / len(recs), None]
-    rows.append(row)
-    _write_csv(path, ["trial"] + [f"{m}_{c}" for m in methods for c in ("seconds", "status")],
-               rows)
-
-
 def parse_snapshot_policy(text: str):
     """Parse `all` or a comma list of 1-based iteration indices and `last`."""
     text = text.strip().lower()
@@ -200,8 +184,9 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
 
 
 def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: str = "1,2,last",
-        compare: bool = False, include_seconds: bool = False) -> int:
-    """Execute trials, write all artifacts, and return a process exit code."""
+        include_seconds: bool = False) -> int:
+    """Execute trials of `method`, or of every method for "all", write all
+    artifacts, and return a process exit code."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,27 +196,21 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: st
         return EXIT_IO
 
     dynamics = BicycleModel(config.vehicle)
-    methods = list(METHODS) if compare else [method]
-    records_by_method = {}
     any_failed = False
     try:
-        for m in methods:
+        for m in METHODS if method == "all" else (method,):
             records = run_trials(config, m, trials)
-            records_by_method[m] = records
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)
             write_timings_csv(records, method_dir / "timings.csv")
             emitted = next((r.report for r in records if r.report.trajectory is not None), None)
             if emitted is not None:
-                emit_iterates(emitted, dynamics, method_dir, snapshots,
-                              include_seconds)
+                emit_iterates(emitted, dynamics, method_dir, snapshots, include_seconds)
             for r in records:
                 suffix = f" ({r.report.message})" if r.report.message else ""
                 print(f"{m} trial {r.trial}: {r.report.status} in {r.seconds:.4f} s{suffix}")
             if all(r.report.status == STATUS_FAILED for r in records):
                 any_failed = True
-        if compare:
-            write_compare_csv(records_by_method, out_dir / "compare.csv")
     except OSError as exc:
         print(f"I/O failure while writing artifacts: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -519,6 +519,26 @@ def test_paper_runs_pinned(sid):
     assert report.final_cost == pytest.approx(final_cost, rel=1e-9)
 
 
+def test_consensus_that_never_engages_ends_at_the_cap_still_descending():
+    # S2 from 4 m/s: every iterate is feasible, so its projection is itself,
+    # both residuals stay exactly 0, the penalty never acts and the loop is
+    # plain one-step iLQR. The cap cuts it off while the cost still falls,
+    # well above the cost the barrier reaches from the same start.
+    cfg = builtin_scenario(2)
+    cfg = replace(cfg, initial_state=replace(cfg.initial_state, v=4.0))
+    report = admm_solve(build_problem(cfg), cfg.admm)
+    assert report.status == "max_iters" and report.iterations == 20
+    assert all(r.residual_inf == 0.0 and r.residual_two == 0.0 for r in report.records)
+    assert report.max_violation == 0.0
+    costs = [r.cost for r in report.records]
+    assert all(later < earlier for earlier, later in zip(costs, costs[1:]))
+    assert costs[0] == pytest.approx(367.25, abs=5e-3)
+    assert costs[-1] == pytest.approx(86.70, abs=5e-3)
+    barrier = barrier_solve(build_problem(cfg), cfg.barrier)
+    assert barrier.status == "converged"
+    assert barrier.final_cost == pytest.approx(72.94, abs=5e-3)
+
+
 def report_of(case) -> SolveReport:
     cfg = builtin_scenario(2 if case == "S2" else 1)
     if case == "barrier":

@@ -322,21 +322,38 @@ def test_run_barrier_failure_exit_code(tmp_path):
     assert rows[1][4] == "failed"
 
 
-def test_run_compare_table(tmp_path):
+def test_run_all_methods_writes_a_timing_table_per_method(tmp_path):
     cfg = builtin_scenario(1)
-    code = run(cfg, "admm", trials=2, out_dir=tmp_path, compare=True)
+    code = run(cfg, "all", trials=2, out_dir=tmp_path)
     assert code == harness.EXIT_SOLVER  # barrier fails on the default seed
-    rows = read_rows(tmp_path / "compare.csv")
-    assert rows[0] == ["trial", "admm_seconds", "admm_status",
-                       "barrier_seconds", "barrier_status"]
-    assert len(rows) == 4  # header + 2 trials + mean
+    for method in harness.METHODS:
+        rows = read_rows(tmp_path / method / "timings.csv")
+        assert len(rows) == 4  # header + 2 trials + mean
+        assert [row[0] for row in rows[1:]] == [method] * 3
+    assert not (tmp_path / "compare.csv").exists()
 
 
-def test_cli_export_scenario(tmp_path, capsys):
-    code = cli.main(["--export-scenario", "2", "--out", str(tmp_path)])
-    assert code == 0
-    out = capsys.readouterr().out.strip()
-    assert load_config(Path(out)) == builtin_scenario(2)
+def test_cli_method_all_names_the_barrier_failure(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["--scenario", "1", "--method", "all", "--trials", "1", "--out", str(out)]
+    assert cli.main(args) == harness.EXIT_SOLVER
+    printed = capsys.readouterr().out
+    assert "admm trial 1: converged" in printed
+    assert "barrier trial 1: failed" in printed
+    assert "not strictly feasible at time index 27" in printed
+    assert sorted(p.name for p in out.iterdir()) == ["admm", "barrier", "config.yaml"]
+
+
+def test_run_config_is_the_scenario_export(tmp_path):
+    # A run's config.yaml is the complete scenario: it loads back equal, is
+    # what save_config writes, and planning from it writes it again unchanged.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["--scenario", "2", "--out", str(a)]) == harness.EXIT_OK
+    assert load_config(a / "config.yaml") == builtin_scenario(2)
+    save_config(builtin_scenario(2), tmp_path / "saved.yaml")
+    assert (a / "config.yaml").read_bytes() == (tmp_path / "saved.yaml").read_bytes()
+    assert cli.main(["--config", str(a / "config.yaml"), "--out", str(b)]) == harness.EXIT_OK
+    assert (b / "config.yaml").read_bytes() == (a / "config.yaml").read_bytes()
 
 
 def test_cli_run_and_byte_identical_outputs(tmp_path):
@@ -611,8 +628,9 @@ def test_cli_rejects_a_top_level_that_is_not_a_mapping(tmp_path):
 @pytest.mark.parametrize("edit", ["rename", "repeat"])
 def test_cli_rejects_an_exported_scenario_that_loses_its_obstacles(tmp_path, edit):
     # Both edits used to load with no obstacles and plan through the car.
-    assert cli.main(["--export-scenario", "1", "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "scenario1.yaml").read_text()
+    run_dir = tmp_path / "run"
+    assert cli.main(["--scenario", "1", "--out", str(run_dir)]) == 0
+    text = (run_dir / "config.yaml").read_text()
     assert text.count("\nobstacles:\n") == 1
     if edit == "rename":
         text, message = text.replace("\nobstacles:\n", "\nobstacle:\n"), "unknown key obstacle"
@@ -842,13 +860,16 @@ def test_cli_artifact_write_failure_exit_code(tmp_path, capsys):
     assert load_config(tmp_path / "config.yaml") == builtin_scenario(1)
 
 
-def test_cli_export_scenario_into_a_file_exit_code(tmp_path, capsys):
-    target = tmp_path / "blocked"
-    target.write_text("a file, not a directory")
-    assert cli.main(["--export-scenario", "1", "--out", str(target)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("cannot write scenario file: ")
+@pytest.mark.parametrize("flag", [["--compare"], ["--export-scenario", "1"]])
+def test_cli_has_no_compare_or_export_flags(tmp_path, capsys, flag):
+    # `--method all` runs every method, and every run writes its config.yaml.
+    assert flag[0] not in cli.build_parser().format_help()
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--scenario", "1", "--out", str(out)] + flag)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [["--sigma", "12"], ["--max-admm", "9"]])
