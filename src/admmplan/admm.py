@@ -137,7 +137,10 @@ class Problem:
                 f"constraint timestep {self.constraints.timestep} differs from the "
                 f"dynamics timestep {self.dynamics.params.timestep}"
             )
-        object.__setattr__(self, "x0", np.asarray(self.x0, float))
+        x0 = np.asarray(self.x0, float)
+        if x0.shape != (4,) or not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be four finite numbers, got {self.x0!r}")
+        object.__setattr__(self, "x0", x0)
 
 
 def _blocks(traj: ilqr.Trajectory) -> np.ndarray:

@@ -136,15 +136,15 @@ def hinge(weight: float):
 
 
 def _outside(box, keepout):
-    """Per stamp (T+1,): whether some constraint has -g <= MARGIN."""
-    outside = (keepout >= -MARGIN).any(axis=1)
-    outside[:-1] |= (box >= -MARGIN).any(axis=1)
+    """Per stamp (T+1,): whether some constraint fails g < -MARGIN, NaN included."""
+    outside = ~(keepout < -MARGIN).all(axis=1)
+    outside[:-1] |= ~(box < -MARGIN).all(axis=1)
     return outside
 
 
 def _check_domain(box, keepout, problem, error=BarrierDomainViolation):
     """Raise `error` at the first stamp outside the domain."""
-    if (keepout >= -MARGIN).any() or (box >= -MARGIN).any():
+    if not ((keepout < -MARGIN).all() and (box < -MARGIN).all()):
         tau = int(np.argmax(_outside(box, keepout)))
         raise error(f"{problem} at time index {tau}", tau=tau)
 
@@ -206,7 +206,7 @@ def _restore(problem: Problem, y: ilqr.Trajectory):
     0, which no control moves.
     """
     constraints = problem.constraints
-    near = np.flatnonzero(constraints.values(y)[1][0] >= -MARGIN)
+    near = np.flatnonzero(~(constraints.values(y)[1][0] < -MARGIN))
     if near.size:
         raise NonConvergence(f"restore: start within the margin of obstacle {near[0]} "
                              "at time index 0", tau=0)

@@ -6,7 +6,8 @@ Examples:
     plan --config results/s1/config.yaml --method barrier --out results/custom
 
 Every run writes the complete configuration it used as `config.yaml`, which
-`--config` reads back: edit that file to plan a custom scenario.
+`--config` reads back: edit that file to plan a custom scenario. Each method
+writes the trajectory of every solver iteration and the residual history.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
 """
@@ -31,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="solver to run, or 'all' for every one")
     parser.add_argument("--trials", type=int, default=1, metavar="N")
     parser.add_argument("--out", default="out", metavar="DIR")
-    parser.add_argument("--snapshots", default="1,2,last", metavar="POLICY",
-                        help="iterations to export: 'all' or e.g. '1,2,last'")
     parser.add_argument("--iter-timing", action="store_true",
                         help="record per-iteration seconds in residuals.csv "
                         "(makes outputs run-dependent)")
@@ -47,9 +46,6 @@ def main(argv=None) -> int:
             config = scenarios.load_config(args.config)
         else:
             config = scenarios.builtin_scenario(args.scenario or "1")
-        if args.trials < 1:
-            raise ConfigError("--trials must be at least 1")
-        harness.parse_snapshot_policy(args.snapshots)
     except OSError as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
@@ -58,14 +54,11 @@ def main(argv=None) -> int:
         return harness.EXIT_CONFIG
 
     try:
-        return harness.run(
-            config,
-            args.method,
-            args.trials,
-            args.out,
-            snapshots=args.snapshots,
-            include_seconds=args.iter_timing,
-        )
+        return harness.run(config, args.method, args.trials, args.out,
+                           include_seconds=args.iter_timing)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return harness.EXIT_CONFIG
     except PlannerError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return harness.EXIT_SOLVER

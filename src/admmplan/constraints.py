@@ -228,9 +228,10 @@ class ConstraintSet:
         return gradient
 
     def violation(self, traj) -> float:
-        """Largest constraint value along a trajectory (0 when feasible)."""
+        """Largest constraint value along a trajectory (0 when feasible, NaN
+        when some value is NaN)."""
         box, keepout = self.values(traj)
-        return float(max(np.max(box, initial=0.0), np.max(keepout, initial=0.0)))
+        return float(np.maximum(np.max(box, initial=0.0), np.max(keepout, initial=0.0)))
 
 
 def _nearest_boundary_point(qx, qy, a, b):

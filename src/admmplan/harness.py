@@ -3,7 +3,7 @@
 A run writes, under the output directory:
 
     config.yaml                  exact configuration used (round-trippable)
-    <method>/trajectory_iterNNN.csv   trajectory of a selected solver iteration
+    <method>/trajectory_iterNNN.csv   trajectory of solver iteration NNN, for every one
     <method>/residuals.csv       one row per solver iteration
     <method>/timings.csv         one row per trial plus a mean row
 
@@ -24,7 +24,6 @@ import csv
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +31,8 @@ from .admm import Problem, SolveReport, admm_solve
 from .barrier import barrier_solve
 from .constraints import ConstraintSet
 from .costs import TrackingCost
-from .errors import PlannerError
-from .ilqr import STATUS_FAILED, Trajectory
+from .errors import ConfigError, PlannerError
+from .ilqr import STATUS_FAILED, Trajectory, is_count
 from .scenarios import ScenarioConfig, save_config
 from .vehicle import BicycleModel
 
@@ -130,52 +129,14 @@ def write_timings_csv(records, path):
                       "max_violation"], rows)
 
 
-def parse_snapshot_policy(text: str):
-    """Parse `all` or a comma list of 1-based iteration indices and `last`."""
-    text = text.strip().lower()
-    if text == "all":
-        return "all"
-    picks = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "last":
-            picks.add("last")
-            continue
-        index = int(token)
-        if index < 1:
-            raise ValueError(f"snapshot indices start at 1, got {index}")
-        picks.add(index)
-    if not picks:
-        raise ValueError("empty snapshot policy")
-    return picks
-
-
-def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
-                  include_seconds=False):
-    """Write the residual history and the per-iteration snapshots that
-    `policy`, a `parse_snapshot_policy` text, selects.
-
-    Snapshot indices past the solve's last iteration have no trajectory to
-    write; they are skipped with a UserWarning that names them.
-    """
+def emit_iterates(report: SolveReport, dynamics, out_dir, include_seconds=False):
+    """Write the residual history and one trajectory file per record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    picks = parse_snapshot_policy(policy)
-    total = report.iterations
-    if picks == "all":
-        chosen = set(range(1, total + 1))
-    else:
-        chosen = {total if p == "last" else p for p in picks}
-    dropped = sorted(i for i in chosen if i > total)
-    if dropped:
-        warnings.warn(f"snapshot indices {dropped} are past the last iteration ({total}); "
-                      "no trajectory file is written for them", UserWarning, stacklevel=2)
     paths = []
-    for index in sorted(i for i in chosen if 1 <= i <= total):
+    for index, record in enumerate(report.records, 1):
         path = out_dir / f"trajectory_iter{index:03d}.csv"
-        write_trajectory_csv(report.records[index - 1].trajectory, dynamics, path)
+        write_trajectory_csv(record.trajectory, dynamics, path)
         paths.append(path)
     residual_path = out_dir / "residuals.csv"
     write_residuals_csv(report, residual_path, include_seconds)
@@ -183,10 +144,16 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, policy="1,2,last",
     return paths
 
 
-def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: str = "1,2,last",
+def run(config: ScenarioConfig, method: str, trials: int, out_dir,
         include_seconds: bool = False) -> int:
     """Execute trials of `method`, or of every method for "all", write all
-    artifacts, and return a process exit code."""
+    artifacts, and return a process exit code.
+
+    Raises ConfigError, before any file is written, unless `trials` is an
+    integer of at least 1.
+    """
+    if not is_count(trials):
+        raise ConfigError("trials must be an integer of at least 1")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,7 +172,7 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir, snapshots: st
             write_timings_csv(records, method_dir / "timings.csv")
             emitted = next((r.report for r in records if r.report.trajectory is not None), None)
             if emitted is not None:
-                emit_iterates(emitted, dynamics, method_dir, snapshots, include_seconds)
+                emit_iterates(emitted, dynamics, method_dir, include_seconds)
             for r in records:
                 suffix = f" ({r.report.message})" if r.report.message else ""
                 print(f"{m} trial {r.trial}: {r.report.status} in {r.seconds:.4f} s{suffix}")

@@ -679,3 +679,13 @@ def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
     assert report.iterations == cfg.admm.max_admm_iters
     assert len(passes) == len(set(contents))
     assert 3 * len(passes) < len(contents)
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 0.0, 0.0, 4.0], [0.0, 0.0, math.inf, 4.0],
+                                [0.0, 4.0], [[0.0, 0.0, 0.0, 4.0]]])
+def test_problem_rejects_an_x0_that_is_not_four_finite_numbers(x0):
+    # The lateral tracking cost never reads px, so a NaN px once planned to
+    # a "converged" answer with an all-NaN px row.
+    problem = build_problem(builtin_scenario(1))
+    with pytest.raises(ValueError, match="x0 must be four finite numbers"):
+        replace(problem, x0=np.array(x0))

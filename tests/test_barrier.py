@@ -181,6 +181,23 @@ def test_strict_feasibility_checker_flags_offending_stamp():
     assert info.value.tau == first_bad
 
 
+def test_nan_positions_are_outside_the_domain():
+    # A NaN keep-out value fails g < -MARGIN: the checker names its first
+    # stamp and the barrier's values are +inf from there on.
+    model = BicycleModel(VehicleParams())
+    traj = rollout(model, np.array([0.0, 3.0, 0.0, 4.0]), np.zeros((60, 2)))
+    obs = [Obstacle(center0=(15.0, -1.0), semi_major=5.0, semi_minor=2.5)]
+    check_strict_feasibility(traj, make_constraints(obs))
+    states = traj.states.copy()
+    states[40:, 0] = math.nan
+    broken = Trajectory(states, traj.controls)
+    with pytest.raises(BarrierDomainViolation) as info:
+        check_strict_feasibility(broken, make_constraints(obs))
+    assert info.value.tau == 40
+    values = make_barrier(obstacles=obs).values(broken)
+    assert np.isfinite(values[:40]).all() and np.isposinf(values[40:]).all()
+
+
 def test_scenario1_default_seed_infeasible():
     cfg = builtin_scenario(1)
     with pytest.raises(BarrierDomainViolation):

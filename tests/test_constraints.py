@@ -514,3 +514,15 @@ def test_trajectory_changed_in_place_is_evaluated_again():
     fresh = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1)
     for kept, new in zip(constraints.values(changed), fresh.values(changed)):
         assert kept.tobytes() == new.tobytes()
+
+
+@pytest.mark.parametrize("control_scale", [0.0, 10.0])
+def test_violation_of_a_nan_position_is_nan(control_scale):
+    # Whether or not the controls leave the box, a NaN keep-out value is not
+    # read as feasible.
+    traj = rolled_trajectory(0)
+    states = traj.states.copy()
+    states[5, 0] = math.nan
+    constraints = ConstraintSet(make_bounds(), TWO_ELLIPSES, 0.1)
+    nan_traj = Trajectory(states, traj.controls * control_scale)
+    assert math.isnan(constraints.violation(nan_traj))

@@ -1,10 +1,7 @@
 import copy
 import csv
 import math
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +9,6 @@ import numpy as np
 import pytest
 import yaml
 
-import admmplan
 from admmplan import cli, harness
 from admmplan.admm import PROBE_ILQR
 from admmplan.constraints import ConstraintSet, Obstacle
@@ -20,7 +16,6 @@ from admmplan.costs import Reference
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
     emit_iterates,
-    parse_snapshot_policy,
     run,
     run_trials,
     solve_scenario,
@@ -199,41 +194,6 @@ def test_config_dict_round_trip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
-def test_snapshot_policy_parsing(tmp_path):
-    assert parse_snapshot_policy("all") == "all"
-    assert parse_snapshot_policy("1,2,last") == {1, 2, "last"}
-    assert parse_snapshot_policy(" 3 , last ") == {3, "last"}
-    with pytest.raises(ValueError):
-        parse_snapshot_policy("")
-    with pytest.raises(ValueError):
-        parse_snapshot_policy("1,x")
-    # Indices are 1-based: 0 and negatives select nothing, so they are errors.
-    for bad in ("0,-2", "0", "last,-1"):
-        with pytest.raises(ValueError):
-            parse_snapshot_policy(bad)
-    out = tmp_path / "o"
-    assert cli.main(["--scenario", "1", "--snapshots", "0,-2", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-def test_cli_warns_on_snapshots_past_last_iteration(tmp_path):
-    # S1 converges in 5 ADMM iterations; the count is known only after the
-    # solve, so indices past it are a warning on stderr, not a parse error.
-    src = str(Path(admmplan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = tmp_path / "o"
-    done = subprocess.run(
-        [sys.executable, "-m", "admmplan.cli", "--scenario", "1", "--method", "admm",
-         "--snapshots", "2,99,120", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "UserWarning: snapshot indices [99, 120] are past the last iteration (5)" in done.stderr
-    written = sorted(p.name for p in (out / "admm").iterdir())
-    assert written == ["residuals.csv", "timings.csv", "trajectory_iter002.csv"]
-
-
 def test_trajectory_csv_contents(tmp_path):
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((5, 2)))
@@ -258,33 +218,40 @@ def test_trajectory_csv_rechecks_dynamics(tmp_path):
 
 
 def test_emit_iterates_file_count(tmp_path):
+    # One trajectory file per record, and the residual history.
     cfg = builtin_scenario(1)
     report = solve_scenario(cfg, "admm")
     model = BicycleModel(cfg.vehicle)
-    paths = emit_iterates(report, model, tmp_path, policy="1,2,last")
-    names = sorted(p.name for p in paths)
-    expected_last = f"trajectory_iter{report.iterations:03d}.csv"
-    assert "residuals.csv" in names
-    assert "trajectory_iter001.csv" in names
-    assert "trajectory_iter002.csv" in names
-    assert expected_last in names
-    assert len(names) == 4
+    paths = emit_iterates(report, model, tmp_path)
+    names = [f"trajectory_iter{i:03d}.csv" for i in range(1, report.iterations + 1)]
+    assert [p.name for p in paths] == names + ["residuals.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["residuals.csv"])
     residual_rows = read_rows(tmp_path / "residuals.csv")
     assert residual_rows[0] == ["iter", "residual_inf", "residual_2", "cost",
                                 "ilqr_iters", "seconds"]
     assert len(residual_rows) - 1 == report.iterations
-    for traj_file in names:
-        if traj_file.startswith("trajectory"):
-            assert len(read_rows(tmp_path / traj_file)) - 1 == cfg.horizon + 1
+    for name in names:
+        assert len(read_rows(tmp_path / name)) - 1 == cfg.horizon + 1
 
 
-def test_emit_iterates_all_policy(tmp_path):
-    cfg = builtin_scenario(1)
-    report = solve_scenario(cfg, "admm")
-    model = BicycleModel(cfg.vehicle)
-    paths = emit_iterates(report, model, tmp_path, policy="all")
-    traj_files = [p for p in paths if p.name.startswith("trajectory")]
-    assert len(traj_files) == report.iterations
+def test_run_writes_one_trajectory_per_residual_row(tmp_path):
+    # S2 by ADMM takes 7 iterations; the barrier refuses its zero-control
+    # seed, so its one trial fails and it emits no report.
+    assert run(builtin_scenario(2), "all", 1, tmp_path) == harness.EXIT_SOLVER
+    report = solve_scenario(builtin_scenario(2), "admm")
+    residual_rows = read_rows(tmp_path / "admm" / "residuals.csv")[1:]
+    assert len(residual_rows) == report.iterations == 7
+    names = [f"trajectory_iter{i:03d}.csv" for i in range(1, 8)]
+    assert sorted(p.name for p in (tmp_path / "admm").glob("trajectory_iter*.csv")) == names
+    for name, record in zip(names, report.records):
+        rows = read_rows(tmp_path / "admm" / name)[1:]
+        states = np.array([[float(v) for v in row[2:6]] for row in rows])
+        controls = np.array([[float(v) for v in row[6:]] for row in rows[:-1]])
+        assert np.array_equal(states, record.trajectory.states)
+        assert np.array_equal(controls, record.trajectory.controls)
+        assert rows[-1][6:] == ["", ""]
+    assert sorted(p.name for p in (tmp_path / "barrier").iterdir()) == ["timings.csv"]
+    assert read_rows(tmp_path / "barrier" / "timings.csv")[1][4] == "failed"
 
 
 def test_run_trials_counts_and_failures():
@@ -376,8 +343,17 @@ def test_cli_config_error_exit_codes(tmp_path):
     assert cli.main(["--config", str(bad), "--method", "admm"]) == 2
     missing = tmp_path / "missing.yaml"
     assert cli.main(["--config", str(missing), "--method", "admm"]) == 2
-    assert cli.main(["--scenario", "1", "--trials", "0"]) == 2
-    assert cli.main(["--scenario", "1", "--snapshots", "bogus"]) == 2
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", "1", "--trials", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.0, True])
+def test_run_rejects_trials_before_writing_any_file(tmp_path, trials):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="trials"):
+        run(builtin_scenario(1), "admm", trials, out)
+    assert not out.exists()
 
 
 def test_cli_rejects_malformed_obstacle(tmp_path):
@@ -880,6 +856,19 @@ def test_cli_has_no_solver_setting_flags(tmp_path, capsys, flag):
         cli.main(["--scenario", "1", "--out", str(out)] + flag)
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_has_no_snapshots_flag(tmp_path, capsys):
+    # Every run writes every iterate, so no flag picks which.
+    flags = [a.option_strings[0] for a in cli.build_parser()._actions
+             if a.option_strings and a.dest != "help"]
+    assert flags == ["--scenario", "--config", "--method", "--trials", "--out", "--iter-timing"]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--scenario", "1", "--out", str(out), "--snapshots", "all"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --snapshots all" in capsys.readouterr().err
     assert not out.exists()
 
 
