@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import harness, scenarios
-from .errors import ConfigError, PlannerError, UnknownScenario
+from .errors import ConfigError, PlannerError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
-    except (ConfigError, UnknownScenario, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
 

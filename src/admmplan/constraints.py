@@ -19,9 +19,9 @@ The obstacle centers of every stamp of a horizon are computed once per set
 and horizon and kept, for the evaluator and for the consensus projection's
 keep-out scan (`horizon_keepout`).
 `project_timestep`, the consensus-update workhorse, reads the rows as plain
-floats at one stamp, centers moved to the stamp once per set and stamp and
-kept: it pushes a position outside every keep-out ellipse by cyclic
-nearest-point projection, testing g in the evaluator's order of operations.
+floats, moving the centers to its one stamp on each call: it pushes a
+position outside every keep-out ellipse by cyclic nearest-point projection,
+testing g in the evaluator's order of operations.
 The box touches only the controls and the keep-outs only the position, so
 the projection onto both splits into that position projection and a control
 clamp onto the set's `control_box`.
@@ -117,8 +117,7 @@ class ConstraintSet:
     last two evaluate once per trajectory: the trajectory keeps the values
     and offsets, read-only. The last three read the obstacle centers of all
     stamps of a horizon, which the set computes once per number of stamps
-    and keeps; `project_timestep` reads the float rows of one stamp, which
-    the set computes once per time index and keeps.
+    and keeps; `project_timestep` reads the obstacle rows as plain floats.
 
     Keep-out ellipses are oriented by each obstacle's own heading, or by the
     heading passed per stamp when `use_ego_heading` is set.
@@ -148,8 +147,6 @@ class ConstraintSet:
         self._ellipses = tuple(rows.T)
         # Centers of every stamp of a horizon, by number of stamps.
         self._centers = {}
-        # Float ellipse rows of one stamp, by time index.
-        self._stamps = {}
 
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
@@ -168,16 +165,6 @@ class ConstraintSet:
                 array.flags.writeable = False
             self._centers[stamps] = centers
         return self._centers[stamps]
-
-    def _ellipses_at(self, tau) -> tuple:
-        """The ellipses at time index tau as float rows (cx, cy, e_a, e_b, cos,
-        sin), centers cx + (tau * timestep) * vx, computed once per tau and kept."""
-        rows = self._stamps.get(tau)
-        if rows is None:
-            t = tau * self.timestep
-            rows = self._stamps[tau] = tuple((cx + t * vx, cy + t * vy, a, b, c, s)
-                                             for cx, cy, vx, vy, a, b, c, s in self._rows)
-        return rows
 
     def _offsets(self, centers, p, heading):
         """Offsets (along / e_a, across / e_b) of p from the obstacle centers
@@ -279,12 +266,12 @@ def project_timestep(
 
     `position` is any pair of floats, plain floats being the fast input; the
     result is the projected (px, py) as two floats. Cyclic projection runs
-    over the set's float rows of stamp tau (`ConstraintSet._ellipses_at`),
-    with cos/sin of `ego_heading` swapped in when the set uses it; g is
-    tested and the point moved on plain floats, in the evaluator's order of
-    operations. A position at an ellipse center, to AXIS_TOL, has no unique
-    nearest boundary point; it goes to the minor-axis one with a
-    DegenerateProjection warning.
+    over the set's float rows, centers moved to stamp tau as
+    cx + (tau * timestep) * vx and cos/sin of `ego_heading` swapped in when
+    the set uses it; g is tested and the point moved on plain floats, in the
+    evaluator's order of operations. A position at an ellipse center, to
+    AXIS_TOL, has no unique nearest boundary point; it goes to the
+    minor-axis one with a DegenerateProjection warning.
 
     Raises:
         NonConvergence: cyclic projection failed to clear all ellipses within
@@ -292,10 +279,12 @@ def project_timestep(
         point).
     """
     px, py = position
-    ellipses = constraints._ellipses_at(tau)
-    if constraints.use_ego_heading:
-        c, s = math.cos(ego_heading), math.sin(ego_heading)
-        ellipses = [(cx, cy, a, b, c, s) for cx, cy, a, b, _, _ in ellipses]
+    t = tau * constraints.timestep
+    ego = constraints.use_ego_heading
+    if ego:
+        ego_c, ego_s = math.cos(ego_heading), math.sin(ego_heading)
+    ellipses = [(cx + t * vx, cy + t * vy, a, b, ego_c if ego else c, ego_s if ego else s)
+                for cx, cy, vx, vy, a, b, c, s in constraints._rows]
     # One extra pass so a sweep that ends clean can be verified and returned.
     for _ in range(MAX_PROJECTION_SWEEPS + 1):
         clean = True

@@ -37,12 +37,12 @@ class BarrierDomainViolation(PlannerError):
     """
 
 
-class UnknownScenario(PlannerError):
-    """Requested built-in scenario id does not exist."""
-
-
 class ConfigError(PlannerError):
     """A configuration file or option set is invalid."""
+
+
+class UnknownScenario(ConfigError):
+    """Requested built-in scenario id does not exist."""
 
 
 class DegenerateProjection(UserWarning):

@@ -8,6 +8,7 @@ A run writes, under the output directory:
     <method>/timings.csv         one row per trial plus a mean row
 
 with one <method> directory per method run; method "all" runs each of METHODS.
+A reused directory keeps no residuals.csv or trajectory file of an earlier run.
 
 Trajectory files carry the header `tau,t,px,py,theta,v,w,a` with the control
 columns blank on the final row; residual files carry
@@ -149,9 +150,11 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir,
     """Execute trials of `method`, or of every method for "all", write all
     artifacts, and return a process exit code.
 
-    Raises ConfigError, before any file is written, unless `trials` is an
-    integer of at least 1.
+    Raises ConfigError, before any file is written, unless `method` is one of
+    METHODS or "all" and `trials` is an integer of at least 1.
     """
+    if method not in METHODS + ("all",):
+        raise ConfigError(f"unknown method {method!r}, choose from {METHODS + ('all',)}")
     if not is_count(trials):
         raise ConfigError("trials must be an integer of at least 1")
     out_dir = Path(out_dir)
@@ -169,6 +172,8 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir,
             records = run_trials(config, m, trials)
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)
+            for stale in [*method_dir.glob("trajectory_iter*.csv"), method_dir / "residuals.csv"]:
+                stale.unlink(missing_ok=True)
             write_timings_csv(records, method_dir / "timings.csv")
             emitted = next((r.report for r in records if r.report.trajectory is not None), None)
             if emitted is not None:

@@ -70,6 +70,9 @@ def test_builtin_scenario_2_matches_paper_setup():
 def test_unknown_scenario_raises():
     with pytest.raises(UnknownScenario):
         builtin_scenario(3)
+    # A library caller's one configuration handler catches it too.
+    with pytest.raises(ConfigError, match="no built-in scenario"):
+        builtin_scenario(3)
 
 
 def test_config_round_trip_through_yaml(tmp_path):
@@ -264,6 +267,26 @@ def test_run_writes_one_trajectory_per_residual_row(tmp_path):
     assert read_rows(tmp_path / "barrier" / "timings.csv")[1][4] == "failed"
 
 
+def test_run_into_a_reused_directory_keeps_no_stale_artifacts(tmp_path):
+    # S2 by ADMM writes 7 iterates and S1 then 5 into the same directory; a
+    # file the run did not write stays.
+    assert run(builtin_scenario(2), "admm", 1, tmp_path) == harness.EXIT_OK
+    (tmp_path / "admm" / "notes.txt").write_text("kept")
+    assert run(builtin_scenario(1), "admm", 1, tmp_path) == harness.EXIT_OK
+    assert len(read_rows(tmp_path / "admm" / "residuals.csv")) - 1 == 5
+    names = [f"trajectory_iter{i:03d}.csv" for i in range(1, 6)]
+    assert sorted(p.name for p in (tmp_path / "admm").iterdir()) == sorted(
+        names + ["notes.txt", "residuals.csv", "timings.csv"])
+    # A converged barrier run from standstill, then the refused S1 seed: the
+    # failed method holds only its timings.csv.
+    standstill = replace(builtin_scenario(1), initial_state=State(0.0, 0.0, 0.0, 0.0))
+    assert run(standstill, "barrier", 1, tmp_path) == harness.EXIT_OK
+    assert len(list((tmp_path / "barrier").glob("trajectory_iter*.csv"))) == 16
+    assert run(builtin_scenario(1), "barrier", 1, tmp_path) == harness.EXIT_SOLVER
+    assert sorted(p.name for p in (tmp_path / "barrier").iterdir()) == ["timings.csv"]
+    assert read_rows(tmp_path / "barrier" / "timings.csv")[1][4] == "failed"
+
+
 def test_run_trials_counts_and_failures():
     cfg = builtin_scenario(1)
     records = run_trials(cfg, "admm", 2)
@@ -363,6 +386,13 @@ def test_run_rejects_trials_before_writing_any_file(tmp_path, trials):
     out = tmp_path / "o"
     with pytest.raises(ConfigError, match="trials"):
         run(builtin_scenario(1), "admm", trials, out)
+    assert not out.exists()
+
+
+def test_run_rejects_an_unknown_method_before_writing_any_file(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=r"'ADMM'.*'admm', 'barrier', 'all'"):
+        run(builtin_scenario(1), "ADMM", 1, out)
     assert not out.exists()
 
 
