@@ -8,7 +8,9 @@ A run writes, under the output directory:
     <method>/timings.csv         one row per trial plus a mean row
 
 with one <method> directory per method run; method "all" runs each of METHODS.
-A reused directory keeps no residuals.csv or trajectory file of an earlier run.
+A reused directory keeps no timings.csv, residuals.csv or trajectory file of an
+earlier run, of any method. Only a method whose every trial raised, such as the
+barrier refusing its seed, writes its timings.csv alone.
 
 Trajectory files carry the header `tau,t,px,py,theta,v,w,a` with the control
 columns blank on the final row; residual files carry
@@ -168,12 +170,14 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir,
     dynamics = BicycleModel(config.vehicle)
     any_failed = False
     try:
+        for m in METHODS:
+            for name in ("trajectory_iter*.csv", "residuals.csv", "timings.csv"):
+                for stale in (out_dir / m).glob(name):
+                    stale.unlink()
         for m in METHODS if method == "all" else (method,):
             records = run_trials(config, m, trials)
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)
-            for stale in [*method_dir.glob("trajectory_iter*.csv"), method_dir / "residuals.csv"]:
-                stale.unlink(missing_ok=True)
             write_timings_csv(records, method_dir / "timings.csv")
             emitted = next((r.report for r in records if r.report.trajectory is not None), None)
             if emitted is not None:

@@ -1,7 +1,8 @@
 """Scenario configurations: built-in driving setups and YAML round-tripping.
 
-Files load by one rule at every level: an unknown or repeated key, or a
-section that is not a mapping, is a ConfigError that names its dotted path.
+Files load by one schema, the dataclass fields, and one rule at every level: a
+key that is no field, a repeated key or a section that is not a mapping is a
+ConfigError that names its dotted path.
 The two built-in scenarios:
 
   1. Static avoidance: a vehicle parked at (15, -1) m blocks the lane; the
@@ -22,12 +23,12 @@ from typing import get_args, get_origin
 
 import yaml
 
-from .admm import PRIMAL_TOLERANCE, PROBE_ILQR, ADMMSettings
-from .barrier import MARGIN, BarrierSettings
+from .admm import ADMMSettings
+from .barrier import BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
 from .errors import ConfigError, UnknownScenario
-from .ilqr import ALPHAS, MU_GROWTH, MU_MAX, MU_SHRINK, ILQRSettings, is_count
+from .ilqr import ILQRSettings, is_count
 from .vehicle import State, VehicleParams
 
 
@@ -107,16 +108,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return _read(ScenarioConfig, {"name": "custom", **data}, "")
 
 
-# Keys older versions wrote: one mapped to None is dropped, any other loads only at that
-# value, a dataclass value after its section is read by the same rule.
-_RETIRED_KEYS = {ScenarioConfig: {"seed": None},
-                 VehicleParams: {"body_length": None, "body_width": None},
-                 ILQRSettings: {"mu_growth": MU_GROWTH, "mu_shrink": MU_SHRINK, "mu_max": MU_MAX,
-                                "line_search_steps": len(ALPHAS)},
-                 ADMMSettings: {"primal_tolerance": PRIMAL_TOLERANCE, "ilqr": PROBE_ILQR},
-                 BarrierSettings: {"margin": MARGIN}}
-
-
 def _read(kind, data, path):
     """The value of type `kind` at the dotted `path`, by the one rule above."""
     if get_origin(kind) is list:
@@ -128,19 +119,12 @@ def _read(kind, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must be a mapping, got {data!r}")
     kinds = {f.name: f.type for f in fields(kind)}
-    retired = _RETIRED_KEYS.get(kind, {})
     paths = {key: f"{path}.{key}" if path else str(key) for key in data}
-    for key, value in data.items():
-        if key not in kinds and key not in retired:
+    for key in data:
+        if key not in kinds:
             raise ConfigError(f"unknown key {paths[key]}")
-        fixed = retired.get(key)
-        if is_dataclass(fixed):
-            value = _read(type(fixed), value, paths[key])
-        if fixed not in (None, value):
-            raise ConfigError(f"{paths[key]} is fixed at {fixed!r}, got {value!r}")
     try:
-        return kind(**{key: _read(kinds[key], value, paths[key])
-                       for key, value in data.items() if key in kinds})
+        return kind(**{key: _read(kinds[key], value, paths[key]) for key, value in data.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {path or 'scenario configuration'}: {exc}") from exc
 

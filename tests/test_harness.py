@@ -1,4 +1,3 @@
-import copy
 import csv
 import math
 import re
@@ -95,70 +94,6 @@ def test_config_round_trip_with_polyline(tmp_path):
     assert load_config(path) == cfg
 
 
-def test_config_loads_files_with_retired_keys(tmp_path):
-    # Files written before `seed` and the vehicle body size were dropped
-    # still load; those keys are ignored.
-    path = tmp_path / "old.yaml"
-    path.write_text(
-        "name: static_avoidance\nhorizon: 60\nseed: 7\n"
-        "initial_state: {px: 0.0, py: 0.0, theta: 0.0, v: 4.0}\n"
-        "vehicle: {wheelbase: 2.5, timestep: 0.1, body_length: 3.0, body_width: 2.0}\n"
-        "reference: {py_ref: 0.0}\n"
-    )
-    cfg = load_config(path)
-    assert cfg.vehicle == VehicleParams(wheelbase=2.5, timestep=0.1)
-    assert cfg.horizon == 60
-
-
-# The iLQR schedule keys every older export carries, at the values it wrote.
-RETIRED_ILQR = {"mu_growth": 10.0, "mu_shrink": 0.5, "mu_max": 1e10, "line_search_steps": 11}
-# The solver keys older exports carry, at the values they wrote.
-RETIRED_SOLVER_KEYS = {
-    "admm": {"primal_tolerance": 0.001,
-             "ilqr": {"max_iters": 100, "cost_tolerance": 0.0001, "mu_init": 1e-06}},
-    "barrier": {"margin": 1e-06},
-}
-LEGACY = Path(__file__).resolve().parent / "legacy"
-
-
-def _old_export(cfg):
-    """The dict of `cfg` as older versions exported it, retired solver keys included."""
-    data = config_to_dict(cfg)
-    for section, keys in RETIRED_SOLVER_KEYS.items():
-        data[section].update(copy.deepcopy(keys))
-    return data
-
-
-def _with_ilqr_keys(data, **keys):
-    return dict(data, **{solver: dict(data[solver], ilqr=dict(data[solver]["ilqr"], **keys))
-                         for solver in ("admm", "barrier")})
-
-
-def test_config_loads_retired_ilqr_keys_at_their_fixed_values(tmp_path):
-    cfg = builtin_scenario(1)
-    data = _with_ilqr_keys(_old_export(cfg), **RETIRED_ILQR)
-    assert config_from_dict(data) == cfg
-    path = tmp_path / "old.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert "line_search_steps: 11" in path.read_text()
-    assert load_config(path) == cfg
-
-
-@pytest.mark.parametrize("key, value", [("mu_growth", 5), ("mu_max", math.inf),
-                                        ("line_search_steps", 2.5)])
-def test_config_rejects_retired_ilqr_keys_at_other_values(tmp_path, key, value):
-    # The engine's schedule is fixed: a file asking for another one must not
-    # run silently with the fixed one.
-    data = _old_export(builtin_scenario(1))
-    with pytest.raises(ConfigError, match=key):
-        config_from_dict(_with_ilqr_keys(data, **dict(RETIRED_ILQR, **{key: value})))
-    path = tmp_path / "retired.yaml"
-    path.write_text(yaml.safe_dump(_with_ilqr_keys(data, **{key: value})))
-    out = tmp_path / "out"
-    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
-    assert not out.exists()
-
-
 def test_config_reference_docs_match_the_schema():
     # The YAML block of docs/config.md lists every key of an exported
     # config, section by section and in the exported order.
@@ -237,16 +172,6 @@ def test_emit_iterates_file_count(tmp_path):
         assert len(read_rows(tmp_path / name)) - 1 == cfg.horizon + 1
 
 
-def test_emit_iterates_all_policy(tmp_path):
-    # Writing every iterate is the only behaviour: one file per iteration.
-    cfg = builtin_scenario(1)
-    report = solve_scenario(cfg, "admm")
-    model = BicycleModel(cfg.vehicle)
-    paths = emit_iterates(report, model, tmp_path)
-    traj_files = [p for p in paths if p.name.startswith("trajectory")]
-    assert len(traj_files) == report.iterations
-
-
 def test_run_writes_one_trajectory_per_residual_row(tmp_path):
     # S2 by ADMM takes 7 iterations; the barrier refuses its zero-control
     # seed, so its one trial fails and it emits no report.
@@ -285,6 +210,16 @@ def test_run_into_a_reused_directory_keeps_no_stale_artifacts(tmp_path):
     assert run(builtin_scenario(1), "barrier", 1, tmp_path) == harness.EXIT_SOLVER
     assert sorted(p.name for p in (tmp_path / "barrier").iterdir()) == ["timings.csv"]
     assert read_rows(tmp_path / "barrier" / "timings.csv")[1][4] == "failed"
+    # One method after every method: no artifact of the other method's earlier
+    # scenario stays beside the new config.yaml.
+    out = tmp_path / "d"
+    assert cli.main(["--scenario", "2", "--method", "all", "--out", str(out)]) == 3
+    (out / "barrier" / "notes.txt").write_text("kept")
+    assert cli.main(["--scenario", "1", "--method", "admm", "--out", str(out)]) == 0
+    assert load_config(out / "config.yaml").name == "static_avoidance"
+    assert [p.name for p in (out / "barrier").iterdir()] == ["notes.txt"]
+    assert {row[1] for row in read_rows(out / "admm" / "timings.csv")[1:]} == {
+        "static_avoidance"}
 
 
 def test_run_trials_counts_and_failures():
@@ -584,10 +519,9 @@ def test_cli_rejects_a_vehicle_section_that_is_not_a_mapping(tmp_path, value):
 
 
 # Every section of a configuration file by its dotted path ("" is the top
-# level and "obstacles.0" the first obstacle), as error messages name it;
-# `admm.ilqr` is the retired section that older exports carry.
+# level and "obstacles.0" the first obstacle), as error messages name it.
 SECTIONS = ["", "initial_state", "vehicle", "weights", "reference", "bounds", "obstacles.0",
-            "admm", "admm.ilqr", "barrier", "barrier.ilqr"]
+            "admm", "barrier", "barrier.ilqr"]
 
 
 def _set_at(data, path, value):
@@ -619,7 +553,7 @@ def test_cli_rejects_an_unknown_key_at_every_level(tmp_path, capsys, section):
     # A misspelt top-level key was ignored: S1 with `obstacle:` for
     # `obstacles:` planned through the parked car and exited 0.
     key = f"{section}.colour".lstrip(".")
-    data = _set_at(_old_export(builtin_scenario(1)), key, "red")
+    data = _set_at(config_to_dict(builtin_scenario(1)), key, "red")
     assert _refused(tmp_path, data, f"unknown key {_shown(key)}")
     assert capsys.readouterr().err == f"configuration error: unknown key {_shown(key)}\n"
 
@@ -627,8 +561,26 @@ def test_cli_rejects_an_unknown_key_at_every_level(tmp_path, capsys, section):
 @pytest.mark.parametrize("value", [None, [1.0, 2.0], "x", 3])
 @pytest.mark.parametrize("section", SECTIONS[1:])
 def test_cli_rejects_a_section_that_is_not_a_mapping(tmp_path, section, value):
-    data = _set_at(_old_export(builtin_scenario(1)), section, value)
+    data = _set_at(config_to_dict(builtin_scenario(1)), section, value)
     assert _refused(tmp_path, data, f"{_shown(section)} must be a mapping, got {value!r}")
+
+
+# The keys older versions wrote, at the values they wrote: each is no field of
+# the schema, so a file that carries one is refused like any unknown key.
+RETIRED = {"seed": 0, "vehicle.body_length": 3.0, "vehicle.body_width": 2.0,
+           "admm.primal_tolerance": 0.001,
+           "admm.ilqr": {"max_iters": 100, "cost_tolerance": 0.0001, "mu_init": 1e-06},
+           "barrier.margin": 1e-06, "barrier.ilqr.mu_growth": 10.0,
+           "barrier.ilqr.mu_shrink": 0.5, "barrier.ilqr.mu_max": 1e10,
+           "barrier.ilqr.line_search_steps": 11}
+
+
+@pytest.mark.parametrize("path", RETIRED)
+def test_cli_rejects_a_key_older_versions_wrote(tmp_path, path):
+    data = _set_at(config_to_dict(builtin_scenario(1)), path, RETIRED[path])
+    assert _refused(tmp_path, data, f"unknown key {path}")
+    with pytest.raises(ConfigError, match=f"^unknown key {re.escape(path)}$"):
+        config_from_dict(data)
 
 
 @pytest.mark.parametrize("value", [None, {"center0": [15.0, -1.0]}, "x"])
@@ -684,65 +636,6 @@ def test_config_without_a_section_takes_its_default(tmp_path):
     path = tmp_path / "short.yaml"
     path.write_text("horizon: 60\ninitial_state: {v: 4.0}\n")
     assert load_config(path) == ScenarioConfig("custom", State(v=4.0), 60)
-
-
-def test_config_retired_ilqr_key_message_names_its_path():
-    data = _set_at(_old_export(builtin_scenario(1)), "admm.ilqr.mu_growth", 3.0)
-    with pytest.raises(ConfigError, match=r"^admm\.ilqr\.mu_growth is fixed at 10\.0, got 3\.0$"):
-        config_from_dict(data)
-
-
-def test_config_loads_every_documented_legacy_key(tmp_path):
-    # The top-level seed and the vehicle body size are dropped, and the
-    # retired solver keys and the fixed schedule keys of both iLQR sections
-    # load at their values.
-    cfg = builtin_scenario(1)
-    data = _with_ilqr_keys(_old_export(cfg), **RETIRED_ILQR)
-    data["seed"] = 7
-    data["vehicle"].update(body_length=4.5, body_width=1.8)
-    path = tmp_path / "legacy.yaml"
-    path.write_text(yaml.safe_dump(data, sort_keys=False))
-    assert load_config(path) == cfg
-
-
-@pytest.mark.parametrize("sid", [1, 2])
-def test_config_loads_an_export_that_carries_the_retired_solver_keys(sid):
-    # Files exported before admm.primal_tolerance, admm.ilqr and
-    # barrier.margin became constants load equal to the built-in scenario.
-    text = (LEGACY / f"scenario{sid}.yaml").read_text()
-    assert "primal_tolerance: 0.001" in text and "margin: 1.0e-06" in text
-    assert load_config(LEGACY / f"scenario{sid}.yaml") == builtin_scenario(sid)
-    assert config_from_dict(_old_export(builtin_scenario(sid))) == builtin_scenario(sid)
-
-
-@pytest.mark.parametrize("ilqr", [{}, {"max_iters": 100}, {"cost_tolerance": 1e-4},
-                                  {"mu_init": 1e-6, "mu_growth": 10.0},
-                                  RETIRED_SOLVER_KEYS["admm"]["ilqr"]],
-                         ids=["empty", "max_iters", "cost_tolerance", "mu_init", "full"])
-def test_config_loads_a_retired_admm_ilqr_section_at_the_defaults(ilqr):
-    # The section is read by the same rules as barrier.ilqr, so a partial
-    # one takes the defaults for the keys it leaves out.
-    data = _with_fields("admm", ilqr=ilqr)
-    assert config_from_dict(data) == builtin_scenario(1)
-
-
-@pytest.mark.parametrize("section, key, value, message", [
-    ("admm", "primal_tolerance", 0.01, "admm.primal_tolerance is fixed at 0.001, got 0.01"),
-    ("admm", "primal_tolerance", 0.0, "admm.primal_tolerance is fixed at 0.001, got 0.0"),
-    ("barrier", "margin", 0.0, "barrier.margin is fixed at 1e-06, got 0.0"),
-    ("barrier", "margin", 1e-3, "barrier.margin is fixed at 1e-06, got 0.001"),
-    ("admm", "ilqr", {"max_iters": 30},
-     f"admm.ilqr is fixed at {PROBE_ILQR!r}, got {replace(PROBE_ILQR, max_iters=30)!r}"),
-    ("admm", "ilqr", {"cost_tolerance": 1e-5},
-     f"admm.ilqr is fixed at {PROBE_ILQR!r}, got {replace(PROBE_ILQR, cost_tolerance=1e-5)!r}"),
-], ids=["tolerance", "zero tolerance", "zero margin", "margin", "max_iters", "cost_tolerance"])
-def test_cli_rejects_a_retired_solver_key_at_another_value(tmp_path, section, key, value,
-                                                           message):
-    # The planner cannot honour another value, so the file is refused.
-    data = _with_fields(section, **{key: value})
-    assert _refused(tmp_path, data, message)
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        config_from_dict(data)
 
 
 def _moving_polyline_config():
@@ -815,14 +708,6 @@ def test_config_rejects_a_boolean_real(section, name):
             config_from_dict(_with_nested(section, **{name: flag}))
 
 
-@pytest.mark.parametrize("section, name", [("admm", "primal_tolerance"), ("barrier", "margin")])
-def test_config_refuses_a_boolean_for_a_retired_key(section, name):
-    # A retired key loads only at its fixed value, which no boolean is.
-    for flag in (True, False):
-        with pytest.raises(ConfigError, match=f"{section}.{name} is fixed at .*, got {flag}"):
-            config_from_dict(_with_nested(section, **{name: flag}))
-
-
 def test_cli_solver_failure_exit_code(tmp_path):
     code = cli.main(
         ["--scenario", "1", "--method", "barrier", "--out", str(tmp_path)]
@@ -850,6 +735,11 @@ def test_cli_prints_the_reason_of_a_reported_failure(tmp_path, capsys):
     for line in lines:
         assert line.endswith(
             "(cyclic ellipse projection did not converge at time index 29)")
+    # A failed report with records has a trajectory, so its iterates are written.
+    admm_dir = tmp_path / "out" / "admm"
+    assert len(read_rows(admm_dir / "residuals.csv")) - 1 == 7
+    assert sorted(p.name for p in admm_dir.glob("trajectory_iter*.csv")) == [
+        f"trajectory_iter{i:03d}.csv" for i in range(1, 8)]
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
