@@ -172,6 +172,16 @@ def test_emit_iterates_file_count(tmp_path):
         assert len(read_rows(tmp_path / name)) - 1 == cfg.horizon + 1
 
 
+def test_emit_iterates_all_policy(tmp_path):
+    # Writing every iterate is the only behaviour: one file per iteration.
+    cfg = builtin_scenario(1)
+    report = solve_scenario(cfg, "admm")
+    model = BicycleModel(cfg.vehicle)
+    paths = emit_iterates(report, model, tmp_path)
+    traj_files = [p for p in paths if p.name.startswith("trajectory")]
+    assert len(traj_files) == report.iterations
+
+
 def test_run_writes_one_trajectory_per_residual_row(tmp_path):
     # S2 by ADMM takes 7 iterations; the barrier refuses its zero-control
     # seed, so its one trial fails and it emits no report.
