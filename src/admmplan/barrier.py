@@ -1,27 +1,22 @@
-"""Constraint penalties for iLQR: the log-barrier baseline and the restore.
+"""The log-barrier baseline for constrained iLQR.
 
-`ConstraintPenalty` adds a penalty phi(g) of every constraint value g (g <= 0
-holds) to a base cost. Box faces are linear in one control and take phi''
-exactly; keep-out Hessians keep only the Gauss-Newton (first-derivative outer
+`BarrierCost` adds phi(g) = -log(-g) / t of every constraint value g to a base
+cost. Its domain is the strictly feasible iterates, every g < -MARGIN: the
+stages check their start first, and line-search steps that leave it get an
+infinite cost. Box faces are linear in one control and take phi'' exactly;
+keep-out Hessians keep only the Gauss-Newton (first-derivative outer
 product) term, so the quadratic model stays positive semidefinite. Each
 family's terms are formed in one call over its stacked columns, one per box
 face or obstacle, and summed over them in one call.
 
-The log barrier, phi = -log(-g) / t, is solved by iLQR inside an outer loop
-that multiplies the sharpness t by a fixed factor: a generator of stages that
-`admm.solve_report` turns into the report. Its cost, `BarrierCost`, alone has
-a domain, the strictly feasible iterates (every g < -MARGIN): the stages check
-their start first, and line-search steps that leave it get an infinite cost.
-Only the last stage's answer is returned, so only it is centered to the
-configured iLQR tolerance. On a convex problem a stage at sharpness t is
-within m/t of the optimum, m being the number of constraint terms (Boyd &
-Vandenberghe, *Convex Optimization*, §11.3), and centering it far below that
-bound buys nothing: earlier stages stop at the looser of the configured
-tolerance and CENTERING_FRACTION * m / t.
-
-The restore, a quadratic-penalty phase I (§11.4), reaches a strictly feasible
-iterate from an infeasible one by iLQR on the hinge phi = rho/2 max(0, g +
-HINGE_OFFSET)^2 at each rho of a fixed ladder. No method calls it yet.
+The barrier is solved by iLQR inside an outer loop that multiplies the
+sharpness t by a fixed factor: a generator of stages that
+`admm.solve_report` turns into the report. Only the last stage's answer is
+returned, so only it is centered to the configured iLQR tolerance. On a
+convex problem a stage at sharpness t is within m/t of the optimum, m being
+the number of constraint terms (Boyd & Vandenberghe, *Convex Optimization*,
+§11.3), and centering it far below that bound buys nothing: earlier stages
+stop at the looser of the configured tolerance and CENTERING_FRACTION * m / t.
 """
 
 import math
@@ -30,20 +25,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ilqr
-from .ilqr import STATUS_CONVERGED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real
+from .ilqr import ILQRSettings, is_count, is_real
 from .admm import Problem, SolveReport, solve_report, trajectory_violation
 from .constraints import ConstraintSet
-from .errors import BarrierDomainViolation, NonConvergence
+from .errors import BarrierDomainViolation
 
 # Stages before the last stop once their cost improves by less than this
 # fraction of their duality-gap bound m/t.
 CENTERING_FRACTION = 1e-3
-# The restore: the hinge weights rho tried in turn, the hinge's offset past
-# g = 0 and the inner iLQR solve at each weight.
-RESTORE_WEIGHTS = (1e2, 1e3, 1e4, 1e5, 1e6)
-HINGE_OFFSET = 1e-3
-RESTORE_ILQR = ILQRSettings(max_iters=30, cost_tolerance=1e-6)
-# The barrier's domain, where the restore stops: every g < -MARGIN.
+# The barrier's domain: every g < -MARGIN.
 MARGIN = 1e-6
 
 
@@ -64,75 +54,47 @@ class BarrierSettings:
             raise ValueError("outer_iters must be an integer of at least 1")
 
 
-class ConstraintPenalty:
-    """Base cost plus a penalty phi(g) on every box and keep-out value g.
+class BarrierCost:
+    """Base cost plus the log barrier phi(g) = -log(-g) / t on every box and
+    keep-out value g, where every -g > MARGIN.
 
-    `phi(g, order)` is phi, phi' or phi'' (order 0, 1, 2) elementwise. Over a
-    trajectory, `values` adds the sum of phi over the box faces of the first T
-    stamps and the keep-outs of all stamps to the base values; `expand` adds,
-    per box face, phi' times its sign to l_u and phi'' to its l_uu diagonal
-    entry, and per keep-out, phi' dg to l_x and phi'' dg dg' to l_xx in the
-    first k states: (px, py) or, with the ego heading, (px, py, theta).
+    Over a trajectory, `values` adds the sum of phi over the box faces of the
+    first T stamps and the keep-outs of all stamps to the base values, and is
+    +inf at each stamp outside the domain; `expand` adds, per box face, phi'
+    times its sign to l_u and phi'' to its l_uu diagonal entry, and per
+    keep-out, phi' dg to l_x and phi'' dg dg' to l_xx in the first k states:
+    (px, py) or, with the ego heading, (px, py, theta). It raises
+    BarrierDomainViolation at the first stamp outside.
     """
 
-    # Only `BarrierCost` has a domain, every -g > MARGIN: +inf `values` at each stamp
-    # outside, BarrierDomainViolation from `expand`. The restore's hinge has none.
-    domain = False
-
-    def __init__(self, base, constraints: ConstraintSet, phi):
-        self.base, self.constraints, self.phi = base, constraints, phi
+    def __init__(self, base, constraints: ConstraintSet, sharpness: float):
+        self.base, self.constraints, self.sharpness = base, constraints, sharpness
 
     def values(self, traj) -> np.ndarray:
         box, keepout = self.constraints.values(traj)
+        inv_t = 1.0 / self.sharpness
         with np.errstate(invalid="ignore", divide="ignore"):
-            terms = self.phi(keepout, 0).sum(axis=1)
-            terms[:-1] += self.phi(box, 0).sum(axis=1)
+            terms = (np.log(-keepout) * -inv_t).sum(axis=1)
+            terms[:-1] += (np.log(-box) * -inv_t).sum(axis=1)
         values = self.base.values(traj) + terms
-        if self.domain:
-            values[_outside(box, keepout)] = math.inf
+        values[_outside(box, keepout)] = math.inf
         return values
 
     def expand(self, traj):
         # Expansion arrays are freshly allocated by the base model.
         l_x, l_u, l_xx, l_uu = self.base.expand(traj)
         box, keepout = self.constraints.values(traj)
-        if self.domain:
-            _check_domain(box, keepout, "iterate left the barrier domain")
+        _check_domain(box, keepout, "iterate left the barrier domain")
+        inv_t = 1.0 / self.sharpness
         faces = self.constraints.face_index
-        np.add.at(l_u, (slice(None), faces), self.phi(box, 1) * self.constraints.face_signs)
-        np.add.at(l_uu, (slice(None), faces, faces), self.phi(box, 2))
+        np.add.at(l_u, (slice(None), faces), -inv_t / box * self.constraints.face_signs)
+        np.add.at(l_uu, (slice(None), faces, faces), inv_t / box**2)
         dg = self.constraints.trajectory_gradient(traj)
         k = dg.shape[-1]
-        l_x[:, :k] += (self.phi(keepout, 1)[:, :, None] * dg).sum(axis=1)
+        l_x[:, :k] += ((-inv_t / keepout)[:, :, None] * dg).sum(axis=1)
         outer = dg[..., :, None] * dg[..., None, :]
-        l_xx[:, :k, :k] += (self.phi(keepout, 2)[:, :, None, None] * outer).sum(axis=1)
+        l_xx[:, :k, :k] += ((inv_t / keepout**2)[:, :, None, None] * outer).sum(axis=1)
         return l_x, l_u, l_xx, l_uu
-
-
-class BarrierCost(ConstraintPenalty):
-    """The log case of `ConstraintPenalty`: phi(g) = -log(-g) / t where -g > MARGIN."""
-
-    domain = True
-
-    def __init__(self, base, constraints: ConstraintSet, sharpness: float):
-        super().__init__(base, constraints, self._log)
-        self.sharpness = sharpness
-
-    def _log(self, g, order):
-        inv_t = 1.0 / self.sharpness
-        if order == 0:
-            return np.log(-g) * -inv_t
-        return -inv_t / g if order == 1 else inv_t / g**2
-
-
-def hinge(weight: float):
-    """The restore's phi(g, order): weight/2 max(0, g + HINGE_OFFSET)^2."""
-    def phi(g, order):
-        excess = np.maximum(g + HINGE_OFFSET, 0.0)
-        if order == 0:
-            return 0.5 * weight * excess**2
-        return weight * excess if order == 1 else weight * (excess > 0.0)
-    return phi
 
 
 def _outside(box, keepout):
@@ -142,11 +104,11 @@ def _outside(box, keepout):
     return outside
 
 
-def _check_domain(box, keepout, problem, error=BarrierDomainViolation):
-    """Raise `error` at the first stamp outside the domain."""
+def _check_domain(box, keepout, problem):
+    """Raise BarrierDomainViolation at the first stamp outside the domain."""
     if not ((keepout < -MARGIN).all() and (box < -MARGIN).all()):
         tau = int(np.argmax(_outside(box, keepout)))
-        raise error(f"{problem} at time index {tau}", tau=tau)
+        raise BarrierDomainViolation(f"{problem} at time index {tau}", tau=tau)
 
 
 def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet):
@@ -193,31 +155,3 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
         violation = trajectory_violation(y, problem.constraints)
         yield result, violation, violation, sharpness, result.status
         sharpness *= settings.tighten_factor
-
-
-def _restore(problem: Problem, y: ilqr.Trajectory):
-    """The restore from `y`, as `admm.solve_report` items, one per weight.
-
-    Each rho of RESTORE_WEIGHTS runs RESTORE_ILQR on the base cost plus the
-    hinge from the previous answer, until an answer has every g < -MARGIN
-    (`converged`). NonConvergence, one of `admm.SOLVE_FAILURES`, names the
-    first stamp outside when the ladder ends first, and, before any solve,
-    the obstacle when the start is within the margin of one at time index
-    0, which no control moves.
-    """
-    constraints = problem.constraints
-    near = np.flatnonzero(~(constraints.values(y)[1][0] < -MARGIN))
-    if near.size:
-        raise NonConvergence(f"restore: start within the margin of obstacle {near[0]} "
-                             "at time index 0", tau=0)
-    for weight in RESTORE_WEIGHTS:
-        penalty = ConstraintPenalty(problem.cost, constraints, hinge(weight))
-        result = ilqr.solve(y, penalty, problem.dynamics, RESTORE_ILQR)
-        y = result.trajectory
-        violation = trajectory_violation(y, constraints)
-        done = not _outside(*constraints.values(y)).any()
-        yield result, violation, violation, weight, STATUS_CONVERGED if done else STATUS_MAX_ITERS
-        if done:
-            return
-    _check_domain(*constraints.values(y), "restore ended without a strictly feasible iterate",
-                  NonConvergence)

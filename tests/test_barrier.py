@@ -1,29 +1,19 @@
-import importlib.util
 import math
 from dataclasses import replace
-from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from admmplan import ilqr
-from admmplan.admm import (
-    ADMMSettings, PenalizedCost, admm_solve, project_consensus, solve_report,
-)
+from admmplan.admm import ADMMSettings, PenalizedCost, admm_solve, project_consensus
 from admmplan.barrier import (
     CENTERING_FRACTION,
-    HINGE_OFFSET,
     MARGIN,
-    RESTORE_WEIGHTS,
     BarrierCost,
     BarrierSettings,
-    ConstraintPenalty,
-    _restore,
     _stages,
     barrier_solve,
     check_strict_feasibility,
-    hinge,
 )
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.errors import BarrierDomainViolation
@@ -32,10 +22,8 @@ from admmplan.ilqr import ILQRSettings, Trajectory, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
-from oracles import consensus_blocks, dynamics_gap, keepout_at, nudged, worst_constraint
+from oracles import consensus_blocks, keepout_at, nudged
 from test_admm import JacobiansFailAt
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 class FlatCost:
@@ -86,20 +74,13 @@ def test_barrier_weight_scales_inverse_sharpness():
     assert weak.values(traj)[0] == pytest.approx(strong.values(traj)[0] / 10.0)
 
 
-def clear_trajectory(constraints, rng, horizon, clearance=0.05, hinged=False):
+def clear_trajectory(constraints, rng, horizon, clearance=0.05):
     """Random states and controls, each stamp drawn until every constraint
-    value g is more than `clearance` from where the penalty is not smooth, so
-    central differences stay on one smooth piece: below g = 0 for the log
-    barrier; on either side of the kink g = -HINGE_OFFSET, and below 0.3, for
-    the hinge, whose draws reach past the box faces and into the ellipses."""
-    if hinged:
-        def clear(g):
-            return np.all((abs(g + HINGE_OFFSET) > clearance) & (g < 0.3))
-        spread, reach = 3.0, np.array([0.75, 3.3])
-    else:
-        def clear(g):
-            return np.all(g < -clearance)
-        spread, reach = 6.0, np.array([0.5, 2.5])
+    value g is below -`clearance`, so central differences of the log barrier
+    stay inside its domain."""
+    def clear(g):
+        return np.all(g < -clearance)
+    spread, reach = 6.0, np.array([0.5, 2.5])
     states, controls = [], []
     for tau in range(horizon + 1):
         while True:
@@ -117,35 +98,24 @@ def clear_trajectory(constraints, rng, horizon, clearance=0.05, hinged=False):
 
 def test_barrier_gradients_match_finite_differences():
     # Also with the ego heading: the ellipse frame turns with theta, so the
-    # keep-out terms have a theta gradient too. And for the restore's hinge
-    # at two weights, on trajectories whose box faces and keep-outs lie on
-    # both sides of its kink.
+    # keep-out terms have a theta gradient too.
     obs = [
         Obstacle(center0=(3.0, 1.0), heading=0.4, semi_major=2.0, semi_minor=1.0),
         Obstacle(center0=(-2.0, -2.0), velocity=(1.0, 0.0), semi_major=1.5,
                  semi_minor=0.8),
     ]
     eps = 1e-6
-    sides = set()
-    for use_ego_heading, weight in product((False, True), (None, 1e2, 1e4)):
-        if weight is None:
-            cost = make_barrier(sharpness=2.0, obstacles=obs, use_ego_heading=use_ego_heading)
-        else:
-            cost = ConstraintPenalty(FlatCost(), make_constraints(obs, None, use_ego_heading),
-                                     hinge(weight))
+    for use_ego_heading in (False, True):
+        cost = make_barrier(sharpness=2.0, obstacles=obs, use_ego_heading=use_ego_heading)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            traj = clear_trajectory(cost.constraints, rng, horizon=10, hinged=weight is not None)
-            if weight is not None:
-                for family, g in zip(("box", "keep-out"), cost.constraints.values(traj)):
-                    sides.update((family, bool(active)) for active in (g > -HINGE_OFFSET).ravel())
+            traj = clear_trajectory(cost.constraints, rng, horizon=10)
             l_x, l_u, _, _ = cost.expand(traj)
             for part, grad in enumerate((l_x, l_u)):
                 for index in np.ndindex(grad.shape):
                     up = total_cost(cost, nudged(traj, part, index, eps))
                     down = total_cost(cost, nudged(traj, part, index, -eps))
                     assert (up - down) / (2 * eps) == pytest.approx(grad[index], abs=1e-5)
-    assert sides == set(product(("box", "keep-out"), (False, True)))
 
 
 def test_expansion_names_first_stamp_outside_domain():
@@ -494,111 +464,3 @@ def test_settings_validation():
     for value in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="integer"):
             BarrierSettings(outer_iters=value)
-
-
-def restore(problem, y):
-    return solve_report(y, _restore(problem, y), problem)
-
-
-def test_restore_from_a_start_inside_a_keep_out_runs_no_solve(monkeypatch):
-    # No control moves the start: the restore names its stamp and obstacle
-    # before any solve.
-    cfg = builtin_scenario(1)
-    cfg = replace(cfg, obstacles=cfg.obstacles + [Obstacle(center0=(1.0, 0.5))])
-    problem = build_problem(cfg)
-    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    solves = []
-    monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
-    report = restore(problem, seed)
-    assert solves == []
-    assert report.status == "failed"
-    assert report.records == []
-    assert "restore" in report.message
-    assert "time index 0" in report.message
-    assert "obstacle 1" in report.message
-
-
-def test_restore_from_a_start_on_a_keep_out_boundary_runs_no_solve(monkeypatch):
-    # A start exactly on an ellipse's boundary at stamp 0 is outside the
-    # barrier domain, and no control moves it.
-    cfg = builtin_scenario(1)
-    cfg = replace(cfg, obstacles=cfg.obstacles + [Obstacle(center0=(5.0, 0.0))])
-    problem = build_problem(cfg)
-    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    assert keepout_at(problem.constraints, 0, seed.states[0, :2])[1] == 0.0
-    solves = []
-    monkeypatch.setattr(ilqr, "solve", lambda *args: solves.append(args))
-    report = restore(problem, seed)
-    assert solves == []
-    assert report.status == "failed"
-    assert report.records == []
-    assert report.message == "restore: start within the margin of obstacle 1 at time index 0"
-
-
-def test_restore_ladder_that_ends_outside_names_the_first_stamp():
-    # An ellipse that runs over the ego right after the start: no rho clears
-    # it, so the restore fails after the whole ladder, at the first stamp
-    # outside. That is stamp 0: braking past the box there shortens the
-    # intrusion from stamp 1 on.
-    cfg = replace(builtin_scenario(1), horizon=10, obstacles=[
-        Obstacle(center0=(-50.5, 0.0), velocity=(100.0, 0.0), semi_major=50.0,
-                 semi_minor=50.0)])
-    problem = build_problem(cfg)
-    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    report = restore(problem, seed)
-    assert report.status == "failed"
-    assert [r.weight for r in report.records] == list(RESTORE_WEIGHTS)
-    assert report.message == "restore ended without a strictly feasible iterate at time index 0"
-    box, keepout = problem.constraints.values(report.trajectory)
-    assert box[0, 3] > 0.0 and (keepout[1:] > 0.0).all()
-
-
-def test_restore_stalls_on_an_axis_aligned_path_but_not_from_the_consensus():
-    # The zero-control rollout runs along the ellipse's major axis, where
-    # the keep-out gradient has no lateral component: every rho only brakes,
-    # past the box at stamp 0, and the ladder ends there. From the consensus
-    # solver's last iterate, which leaves the axis, the restore succeeds.
-    cfg = replace(builtin_scenario(1), horizon=30, initial_state=State(0.0, 0.0, 0.0, 7.53),
-                  obstacles=[Obstacle(center0=(8.0, 0.0), heading=0.0, semi_major=3.5,
-                                      semi_minor=1.5)])
-    problem = build_problem(cfg)
-    seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
-    report = restore(problem, seed)
-    assert report.status == "failed"
-    assert [r.weight for r in report.records] == list(RESTORE_WEIGHTS)
-    assert report.message == "restore ended without a strictly feasible iterate at time index 0"
-    assert report.max_violation == pytest.approx(0.998, abs=1e-3)
-    assert not report.trajectory.states[:, 1].any() and not report.trajectory.controls[:, 0].any()
-
-    start = admm_solve(problem, cfg.admm).trajectory
-    report = restore(problem, start)
-    assert report.status == "converged", report.message
-    assert [r.weight for r in report.records] == [1e2, 1e3, 1e4]
-    check_strict_feasibility(report.trajectory, problem.constraints)
-
-
-def test_restore_makes_every_corpus_iterate_strictly_feasible(monkeypatch):
-    # The benchmark corpus, built by its own module: every instance whose
-    # consensus run is not a probe exit and has no strictly feasible iterate
-    # is restored from its last iterate.
-    monkeypatch.syspath_prepend(str(WORKLOADS.parent))  # for its `checks` import
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    restored = []
-    for instance in workloads.build("corpus", 1).instances:
-        problem = build_problem(instance.config)
-        report = admm_solve(problem, instance.config.admm)
-        if report.records and report.records[-1].weight is None:  # a probe exit
-            continue
-        if any(worst_constraint(r.trajectory, problem.constraints) < -MARGIN
-               for r in report.records):
-            continue
-        answer = restore(problem, report.trajectory)
-        assert answer.status == "converged", (instance.name, answer.message)
-        check_strict_feasibility(answer.trajectory, problem.constraints)
-        assert worst_constraint(answer.trajectory, problem.constraints) < -MARGIN
-        for record in answer.records:
-            assert dynamics_gap(record.trajectory, problem.x0, problem.dynamics.params) <= 1e-8
-        restored.append(instance.name)
-    assert len(restored) == 16

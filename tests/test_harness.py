@@ -388,21 +388,25 @@ def test_cli_rejects_nan_settings(tmp_path):
 
 
 def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
-    # The regularization cap mu_max is fixed in the engine, sigma must be
-    # finite and the weights not NaN, and an infinite sharpness or tighten
-    # factor drops the barrier terms, so each is rejected on load.
+    # The iteration caps must be integers, sigma must be finite and the
+    # weights not NaN, and an infinite sharpness or tighten factor drops the
+    # barrier terms, so each is rejected on load, for its own reason.
     data = config_to_dict(builtin_scenario(1))
-    for edit in ({"barrier": dict(data["barrier"],
-                                  ilqr=dict(data["barrier"]["ilqr"], mu_max=math.inf))},
-                 {"admm": dict(data["admm"], sigma=math.inf)},
-                 {"barrier": dict(data["barrier"], initial_sharpness=math.inf)},
-                 {"barrier": dict(data["barrier"], tighten_factor=math.inf)},
-                 {"weights": dict(data["weights"], steering_weight=math.nan)}):
-        path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump(dict(data, **edit)))
-        out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
+    for edit, message in (
+            ({"barrier": dict(data["barrier"],
+                              ilqr=dict(data["barrier"]["ilqr"], max_iters=math.inf))},
+             "max_iters must be an integer of at least 1"),
+            ({"admm": dict(data["admm"], max_admm_iters=math.inf)},
+             "max_admm_iters must be an integer of at least 1"),
+            ({"admm": dict(data["admm"], sigma=math.inf)},
+             "sigma must be positive and finite"),
+            ({"barrier": dict(data["barrier"], initial_sharpness=math.inf)},
+             "initial_sharpness must be positive and finite"),
+            ({"barrier": dict(data["barrier"], tighten_factor=math.inf)},
+             "tighten_factor must exceed 1 and be finite"),
+            ({"weights": dict(data["weights"], steering_weight=math.nan)},
+             "cost weight steering_weight must be finite and nonnegative")):
+        assert _refused(tmp_path, dict(data, **edit), message)
 
 
 def _with_fields(section, **fields):

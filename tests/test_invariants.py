@@ -1,6 +1,5 @@
 """Solver invariants on randomized planning problems with the benchmark
-corpus's structure, checked for both solvers and for the restore on every
-drawn instance."""
+corpus's structure, checked for both solvers on every drawn instance."""
 
 import math
 import re
@@ -11,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admmplan.admm import PRIMAL_TOLERANCE, admm_solve, solve_report, trajectory_violation
-from admmplan.barrier import MARGIN, _restore, barrier_solve, check_strict_feasibility
+from admmplan.admm import PRIMAL_TOLERANCE, admm_solve, trajectory_violation
+from admmplan.barrier import MARGIN, barrier_solve, check_strict_feasibility
 from admmplan.constraints import Obstacle
 from admmplan.costs import Reference
 from admmplan.errors import BarrierDomainViolation
@@ -135,23 +134,3 @@ def test_barrier_solve_invariants(config):
     _check_report(report, problem)
     check_strict_feasibility(report.trajectory, problem.constraints)
     assert worst_constraint(report.trajectory, problem.constraints) < -MARGIN + ORACLE_TOL
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(config=corpus_configs())
-def test_restore_invariants(config):
-    # From the zero-control rollout the restore ends strictly feasible or
-    # fails naming a time index (`_check_report`); from a start inside a
-    # keep-out, which no control moves, it fails at time index 0.
-    problem = build_problem(config)
-    seed = rollout(problem.dynamics, problem.x0, np.zeros((HORIZON, 2)))
-    report = solve_report(seed, _restore(problem, seed), problem)
-    _check_report(report, problem)
-    start = Trajectory(seed.states[:1], seed.controls[:0])
-    if worst_constraint(start, problem.constraints) > ORACLE_TOL:
-        assert report.status == "failed"
-        assert "time index 0" in report.message
-    elif report.status != "failed":
-        assert report.status == "converged"
-        check_strict_feasibility(report.trajectory, problem.constraints)
-        assert worst_constraint(report.trajectory, problem.constraints) < -MARGIN + ORACLE_TOL
