@@ -2,12 +2,14 @@
 
 `BarrierCost` adds phi(g) = -log(-g) / t of every constraint value g to a base
 cost. Its domain is the strictly feasible iterates, every g < -MARGIN: the
-stages check their start first, and line-search steps that leave it get an
-infinite cost. Box faces are linear in one control and take phi'' exactly;
-keep-out Hessians keep only the Gauss-Newton (first-derivative outer
-product) term, so the quadratic model stays positive semidefinite. Each
-family's terms are formed in one call over its stacked columns, one per box
-face or obstacle, and summed over them in one call.
+stages check their start first, and the line search rejects the trials that
+leave it. A trial whose first control leaves the box is rejected by `admits`
+before it is rolled out; any other trial outside gets an infinite cost. Box
+faces are linear in one control and take phi'' exactly; keep-out Hessians
+keep only the Gauss-Newton (first-derivative outer product) term, so the
+quadratic model stays positive semidefinite. Each family's terms are formed
+in one call over its stacked columns, one per box face or obstacle, and
+summed over them in one call.
 
 The barrier is solved by iLQR inside an outer loop that multiplies the
 sharpness t by a fixed factor: a generator of stages that
@@ -64,11 +66,22 @@ class BarrierCost:
     times its sign to l_u and phi'' to its l_uu diagonal entry, and per
     keep-out, phi' dg to l_x and phi'' dg dg' to l_xx in the first k states:
     (px, py) or, with the ego heading, (px, py, theta). It raises
-    BarrierDomainViolation at the first stamp outside.
+    BarrierDomainViolation at the first stamp outside. `admits` is the box
+    test of one control, which `ilqr.solve` runs on each line-search trial's
+    first control before rolling the trial out.
     """
 
     def __init__(self, base, constraints: ConstraintSet, sharpness: float):
         self.base, self.constraints, self.sharpness = base, constraints, sharpness
+        self._faces = list(zip(constraints.face_index.tolist(), constraints.face_signs.tolist(),
+                               constraints.face_limits.tolist()))
+
+    def admits(self, steer: float, accel: float) -> bool:
+        """Whether the control (steer, accel) passes every finite box face,
+        g < -MARGIN, in the float expression of `values`, on plain floats:
+        NaN fails, and the set's absent faces are never tested."""
+        u = (steer, accel)
+        return all(sign * u[i] - limit < -MARGIN for i, sign, limit in self._faces)
 
     def values(self, traj) -> np.ndarray:
         box, keepout = self.constraints.values(traj)

@@ -107,9 +107,10 @@ class ConstraintSet:
     """The box and keep-out constraints of one solve, as values g (<= 0 holds).
 
     Built once per problem by `build_problem` and shared by the violation
-    scan, the barrier and the projection. `face_index` and `face_signs` give
-    the control index and sign of each finite box face, and `control_box`
-    the (lower, upper) limits of (steer, accel), as arrays built from `bounds`.
+    scan, the barrier and the projection. `face_index`, `face_signs` and
+    `face_limits` give the control index, sign and limit of each finite box
+    face, and `control_box` the (lower, upper) limits of (steer, accel), as
+    arrays built from `bounds`.
     `box(u)` evaluates one stamp or stacked rows with a leading stamp axis;
     `horizon_keepout(p, heading)` evaluates the stamps 0 .. N-1 of N
     positions, `values(traj)` gives the box and keep-out values of a whole
@@ -134,7 +135,7 @@ class ConstraintSet:
             (1, 1.0, bounds.max_accel), (1, -1.0, -bounds.min_accel)
         ) if face[2] < UNBOUNDED_LIMIT], dtype=float).reshape(-1, 3)
         self.face_index, self.face_signs = faces[:, 0].astype(int), faces[:, 1]
-        self._face_limit = faces[:, 2]
+        self.face_limits = faces[:, 2]
         self.control_box = (np.array([-bounds.max_steer, bounds.min_accel]),
                             np.array([bounds.max_steer, bounds.max_accel]))
         # One float row per obstacle: center, velocity, semi-axes, cos/sin
@@ -151,7 +152,7 @@ class ConstraintSet:
     def box(self, u) -> np.ndarray:
         """g of every finite box face, (..., faces) for controls u (..., 2)."""
         u = np.asarray(u, dtype=float)
-        return self.face_signs * u[..., self.face_index] - self._face_limit
+        return self.face_signs * u[..., self.face_index] - self.face_limits
 
     def _horizon_centers(self, stamps):
         """Obstacle centers (cx, cy) at time indices 0 .. stamps-1, (stamps,

@@ -28,14 +28,18 @@ The engine reads its models over whole trajectories: `dynamics.jacobians(X,
 U)` gives the stacked (T, 4, 4) and (T, 4, 2) Jacobians, `cost.values(traj)`
 the T stage costs and the terminal cost (inf outside the cost's domain), and
 `cost.expand(traj)` the stacked (l_x, l_u, l_xx, l_uu), terminal terms in row
-T. Only the Riccati recursion and the rollouts run stamp by stamp, on plain
-Python floats written out for four states and two controls: on blocks this
-small a float operation costs far less than a numpy call. Between those
-loops the data stay floats: `dynamics.step` returns a list of four, the gains
-are one float row per stamp, the rollouts read the nominal and collect the
-new states and controls as flat float lists, each of which becomes its array
-in one conversion, and a solve starts from the nominal trajectory it is
-handed, such as the previous solve's, without rolling it out again.
+T. A cost may also offer `cost.admits(steer, accel)`, False only when
+`values` is inf at every stamp that applies this control; the line search
+then rejects a trial whose first control it does not admit before rolling
+it out (`solve`). Only the Riccati recursion and the rollouts run stamp by
+stamp, on plain Python floats written out for four states and two
+controls: on blocks this small a float operation costs far less than a
+numpy call. Between those loops the data stay floats: `dynamics.step`
+returns a list of four, the gains are one float row per stamp, the rollouts
+read the nominal and collect the new states and controls as flat float
+lists, each of which becomes its array in one conversion, and a solve
+starts from the nominal trajectory it is handed, such as the previous
+solve's, without rolling it out again.
 
 Most Jacobian and expansion entries hold one value at every stamp: 0.0,
 1.0 (the bicycle model's f_x diagonal) or another (f_u[3, 1] = h), so the
@@ -162,7 +166,7 @@ class ILQRResult:
     iterations: int = 0
     status: str = STATUS_MAX_ITERS
     alpha: float | None = None  # last accepted step length; None if none was
-    rejected_steps: int = 0  # line-search trials rejected, DomainError ones included
+    rejected_steps: int = 0  # line-search trials rejected, DomainError and screened ones included
     peak_mu: float | None = None  # largest mu a backward pass used
 
     @property
@@ -414,6 +418,14 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     no step is acceptable) falls below the cost tolerance. The result also
     reports the last accepted step length, the number of rejected line-search
     trials and the largest mu a backward pass used.
+
+    When the cost has `admits`, each trial's first control is screened
+    before its rollout: it is u_nom,0 + alpha k_0, since the state deviation
+    at stamp 0 is zero. A trial not admitted is rejected, and counted with
+    the rejected trials, without a forward pass or a cost evaluation. Its
+    control differs from the forward pass's at most in the sign of an exact
+    zero, so the screen rejects only trials the rollout would reject (or,
+    for an infinite steer, raise on).
     """
     settings = settings or ILQRSettings()
     cost_now = total_cost(cost, traj)
@@ -422,12 +434,18 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     status = STATUS_MAX_ITERS
     iterations = 0
     last_alpha, rejected, peak_mu = None, 0, mu
+    admits = getattr(cost, "admits", None)
 
     for iterations in range(1, settings.max_iters + 1):
         gains, (_, _, expected), mu = backward_pass(traj, cost, dynamics, mu)
         peak_mu = max(peak_mu, mu)
         accepted = None
+        if admits is not None:  # the first control and its feedforward gains k_0
+            (steer, accel), (k_steer, k_accel) = traj.controls[0].tolist(), gains[0][4::5]
         for alpha in ALPHAS:
+            if admits is not None and not admits(steer + alpha * k_steer, accel + alpha * k_accel):
+                rejected += 1
+                continue
             try:
                 candidate = forward_pass(traj, gains, alpha, dynamics)
             except DomainError:

@@ -67,6 +67,41 @@ def test_barrier_blows_up_at_boundary():
     assert cost.values(one_stamp(np.zeros(4), [0.7, 0.0]))[0] == math.inf
 
 
+def test_admits_is_the_box_test_of_values_at_one_stamp():
+    # admits(u) is False exactly when the values of a one-stamp trajectory
+    # under u are inf at stamp 0: on and past each face, one float step
+    # either side of the domain's edge +-(limit - MARGIN), and for NaN. An
+    # infinite limit is an absent face, which every control passes.
+    def admitted(cost, u):
+        admits = cost.admits(*u)
+        assert admits == (cost.values(one_stamp(np.zeros(4), u))[0] != math.inf), u
+        return admits
+
+    cost = make_barrier(bounds=InputBounds(0.6, 3.0, -3.0))
+    for axis, limit in ((0, 0.6), (1, 3.0)):
+        for side in (1.0, -1.0):
+            edge = side * (limit - MARGIN)
+            inside, outside = np.nextafter(edge, 0.0), np.nextafter(edge, side * math.inf)
+            for value, expected in ((0.0, True), (inside, True), (edge, None),
+                                    (outside, False), (side * limit, False),
+                                    (side * 2 * limit, False), (math.nan, False)):
+                u = [0.0, 0.0]
+                u[axis] = float(value)
+                assert admitted(cost, u) is expected or expected is None
+    # g = -MARGIN exactly is outside.
+    cost = make_barrier(bounds=InputBounds(2 * MARGIN, 3.0, -3.0))
+    assert not any(admitted(cost, u) for u in ([MARGIN, 0.0], [-MARGIN, 0.0]))
+    # Without the steering faces and the lower acceleration face, only
+    # accel < 3 - MARGIN is tested; without any face, every control passes.
+    cost = make_barrier(bounds=InputBounds(math.inf, 3.0, -math.inf))
+    assert [admitted(cost, u) for u in ([1e300, 0.0], [-1e300, -1e300], [math.nan, 2.0],
+                                        [0.0, 3.0], [0.0, math.nan])] == [
+        True, True, True, False, False]
+    cost = make_barrier(bounds=InputBounds(math.inf, math.inf, -math.inf))
+    assert all(admitted(cost, u) for u in ([1e300, -1e300], [-1e300, 1e300],
+                                           [math.nan, math.nan]))
+
+
 def test_barrier_weight_scales_inverse_sharpness():
     weak = make_barrier(sharpness=10.0)
     strong = make_barrier(sharpness=1.0)
@@ -211,13 +246,64 @@ def test_loose_early_stages_keep_the_answer(sid, v0, ladder, tight_cost, inner):
     assert sum(report.ilqr_iterations) == inner  # work-count guard
 
 
+class AdmitsHidden:
+    """A BarrierCost seen through `values` and `expand` alone, so the line
+    search rolls out and evaluates every trial."""
+
+    def __init__(self, *args):
+        self.cost = BarrierCost(*args)
+
+    def values(self, traj):
+        return self.cost.values(traj)
+
+    def expand(self, traj):
+        return self.cost.expand(traj)
+
+
+# Forward passes of each baseline cell's solve with every trial rolled out,
+# and with the trials whose first control leaves the box screened out.
+FORWARD_PASSES = {(1, "ladder"): (62, 59), (1, "defaults"): (72, 57),
+                  (2, "ladder"): (98, 98), (2, "defaults"): (78, 78)}
+
+
+@pytest.mark.parametrize("sid, v0, ladder", [cell[:3] for cell in BASELINE_CELLS])
+def test_first_control_screen_changes_no_solve(monkeypatch, sid, v0, ladder):
+    # The screen rejects only trials that the rollout would: each solve
+    # equals, bit for bit, the one that rolls out every trial, and skips the
+    # pinned number of forward passes.
+    cfg, problem = feasible_config(sid, v0)
+    settings = cfg.barrier if ladder == "ladder" else BarrierSettings()
+    forward_pass, passes = ilqr.forward_pass, []
+
+    def counting(*args):
+        passes.append(1)
+        return forward_pass(*args)
+
+    def fields(report):
+        yield report.status, report.message, len(report.records)
+        for r in report.records:
+            yield r.trajectory.states.tobytes(), r.trajectory.controls.tobytes()
+            yield repr(r.cost), repr(r.inner.alpha), r.inner.rejected_steps, repr(r.inner.peak_mu)
+
+    monkeypatch.setattr(ilqr, "forward_pass", counting)
+    screened = list(fields(barrier_solve(problem, settings)))
+    screened_passes = len(passes)
+    passes.clear()
+    monkeypatch.setattr("admmplan.barrier.BarrierCost", AdmitsHidden)
+    full = list(fields(barrier_solve(problem, settings)))
+    assert (len(passes), screened_passes) == FORWARD_PASSES[sid, ladder]
+    assert screened == full
+
+
 def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
     # The constraint set evaluates a trajectory's ellipse-frame offsets once
     # per content, not once per barrier value, expansion or violation scan.
     # The pass and request counts of the two ladder solves are pinned, so a
     # count that misses the function computing the offsets fails rather
     # than passing at zero. The requests include the report's final
-    # violation scan, which reads the last stage's kept evaluation.
+    # violation scan, which reads the last stage's kept evaluation; the S1
+    # line-search trials whose first control leaves the box are rejected
+    # before a rollout, so they are never evaluated.
     offsets = ConstraintSet._offsets
     passes, contents = [], []
 
@@ -234,7 +320,7 @@ def test_one_offsets_pass_per_trajectory_in_a_barrier_solve(monkeypatch):
     monkeypatch.setattr(ConstraintSet, "_offsets", counting)
     for name in ("values", "trajectory_gradient"):
         monkeypatch.setattr(ConstraintSet, name, recording(getattr(ConstraintSet, name)))
-    for sid, v0, distinct, requests in ((1, 0.0, 63, 200), (2, 4.0, 99, 280)):
+    for sid, v0, distinct, requests in ((1, 0.0, 60, 197), (2, 4.0, 99, 280)):
         passes.clear()
         contents.clear()
         cfg, problem = feasible_config(sid, v0)
