@@ -75,7 +75,7 @@ class IterationRecord:
     residual_inf: float  # residual_inf column
     residual_two: float  # residual_2 column
     cost: float  # base cost of the iterate; cost column
-    seconds: float  # since the previous record or the seed rollout; seconds column
+    seconds: float  # since the previous record or the seed rollout
     # The iteration's penalty weight: sigma for a consensus iteration, the
     # stage's sharpness t for a barrier stage, None for a probe exit.
     weight: float | None = None

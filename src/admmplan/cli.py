@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Examples:
-    plan --scenario 1 --method admm --trials 5 --out results/s1
-    plan --scenario 2 --method all --trials 5 --out results/s2
+    plan --scenario 1 --method admm --out results/s1
+    plan --scenario 2 --method all --out results/s2
     plan --config results/s1/config.yaml --method barrier --out results/custom
 
 Every run writes the complete configuration it used as `config.yaml`, which
 `--config` reads back: edit that file to plan a custom scenario. Each method
-writes the trajectory of every solver iteration and the residual history.
+solves once and writes the trajectory of every solver iteration, the residual
+history and the solve's time.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 a method's solve failed,
+4 I/O error.
 """
 
 import argparse
@@ -30,11 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="path to a scenario YAML file")
     parser.add_argument("--method", choices=harness.METHODS + ("all",), default="admm",
                         help="solver to run, or 'all' for every one")
-    parser.add_argument("--trials", type=int, default=1, metavar="N")
     parser.add_argument("--out", default="out", metavar="DIR")
-    parser.add_argument("--iter-timing", action="store_true",
-                        help="record per-iteration seconds in residuals.csv "
-                        "(makes outputs run-dependent)")
     return parser
 
 
@@ -54,8 +52,7 @@ def main(argv=None) -> int:
         return harness.EXIT_CONFIG
 
     try:
-        return harness.run(config, args.method, args.trials, args.out,
-                           include_seconds=args.iter_timing)
+        return harness.run(config, args.method, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG

@@ -1,33 +1,33 @@
-"""Benchmark harness: solves scenarios, times trials, and emits CSV artifacts.
+"""Planning harness: solves a scenario once per method, times each solve, and
+emits CSV artifacts.
 
 A run writes, under the output directory:
 
     config.yaml                  exact configuration used (round-trippable)
     <method>/trajectory_iterNNN.csv   trajectory of solver iteration NNN, for every one
     <method>/residuals.csv       one row per solver iteration
-    <method>/timings.csv         one row per trial plus a mean row
+    <method>/timings.csv         one row: the solve's time, status, cost and violation
 
 with one <method> directory per method run; method "all" runs each of METHODS.
 A reused directory keeps no timings.csv, residuals.csv or trajectory file of an
-earlier run, of any method. Only a method whose every trial raised, such as the
+earlier run, of any method. Only a method whose solve raised, such as the
 barrier refusing its seed, writes its timings.csv alone.
 
 Trajectory files carry the header `tau,t,px,py,theta,v,w,a` with the control
 columns blank on the final row; residual files carry
-`iter,residual_inf,residual_2,cost,ilqr_iters,seconds`. Both are written
+`iter,residual_inf,residual_2,cost,ilqr_iters`. Both are written
 from the report's `records`, one IterationRecord per iteration. Every
 trajectory row is re-checked against the dynamics recursion at write time.
 
-Timing measures the solver call only. The `seconds` column of residuals.csv
-stays blank unless per-iteration timing is requested, keeping default outputs
-byte-reproducible across runs.
+Timing measures the solver call only, and timings.csv is the one artifact
+that holds a wall-clock value: every other file is byte-reproducible across
+runs.
 """
 
 import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .admm import Problem, SolveReport, admm_solve
@@ -35,7 +35,7 @@ from .barrier import barrier_solve
 from .constraints import ConstraintSet
 from .costs import TrackingCost
 from .errors import ConfigError, PlannerError
-from .ilqr import STATUS_FAILED, Trajectory, is_count
+from .ilqr import STATUS_FAILED, Trajectory
 from .scenarios import ScenarioConfig, save_config
 from .vehicle import BicycleModel
 
@@ -45,18 +45,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 METHODS = ("admm", "barrier")
-
-
-@dataclass
-class TrialRecord:
-    """One timed trial and the report of its solve. A trial that raised has a
-    failed report with no trajectory, NaN violation and the error as message."""
-
-    method: str
-    scenario: str
-    trial: int
-    seconds: float
-    report: SolveReport
 
 
 def build_problem(config: ScenarioConfig) -> Problem:
@@ -79,23 +67,6 @@ def solve_scenario(config: ScenarioConfig, method: str) -> SolveReport:
     return solver(build_problem(config), settings)
 
 
-def run_trials(config: ScenarioConfig, method: str, trials: int) -> list:
-    """Solve the same configuration `trials` times, one TrialRecord each.
-
-    Failures are captured per trial; remaining trials still run.
-    """
-    records = []
-    for index in range(1, trials + 1):
-        start = time.perf_counter()
-        try:
-            report = solve_scenario(config, method)
-        except PlannerError as exc:
-            report = SolveReport(None, STATUS_FAILED, max_violation=math.nan, message=str(exc))
-        records.append(TrialRecord(method, config.name, index,
-                                   time.perf_counter() - start, report))
-    return records
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -115,24 +86,13 @@ def write_trajectory_csv(traj: Trajectory, dynamics, path, tol=1e-8):
                 for tau, (x, u) in enumerate(zip(traj.states.tolist(), controls))))
 
 
-def write_residuals_csv(report: SolveReport, path, include_seconds=False):
-    _write_csv(path, ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters", "seconds"],
-               ([index, r.residual_inf, r.residual_two, r.cost, r.inner.iterations,
-                 r.seconds if include_seconds else None]
+def write_residuals_csv(report: SolveReport, path):
+    _write_csv(path, ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters"],
+               ([index, r.residual_inf, r.residual_two, r.cost, r.inner.iterations]
                 for index, r in enumerate(report.records, 1)))
 
 
-def write_timings_csv(records, path):
-    rows = [[r.method, r.scenario, r.trial, r.seconds, r.report.status,
-             r.report.final_cost, r.report.max_violation] for r in records]
-    if records:
-        mean = sum(r.seconds for r in records) / len(records)
-        rows.append([records[0].method, records[0].scenario, "mean", mean, None, None, None])
-    _write_csv(path, ["method", "scenario", "trial", "seconds", "status", "final_cost",
-                      "max_violation"], rows)
-
-
-def emit_iterates(report: SolveReport, dynamics, out_dir, include_seconds=False):
+def emit_iterates(report: SolveReport, dynamics, out_dir):
     """Write the residual history and one trajectory file per record."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,23 +102,22 @@ def emit_iterates(report: SolveReport, dynamics, out_dir, include_seconds=False)
         write_trajectory_csv(record.trajectory, dynamics, path)
         paths.append(path)
     residual_path = out_dir / "residuals.csv"
-    write_residuals_csv(report, residual_path, include_seconds)
+    write_residuals_csv(report, residual_path)
     paths.append(residual_path)
     return paths
 
 
-def run(config: ScenarioConfig, method: str, trials: int, out_dir,
-        include_seconds: bool = False) -> int:
-    """Execute trials of `method`, or of every method for "all", write all
-    artifacts, and return a process exit code.
+def run(config: ScenarioConfig, method: str, out_dir) -> int:
+    """Solve with `method`, or with every method for "all", once each, write
+    all artifacts, and return a process exit code.
 
+    A solve that raises a PlannerError becomes a failed report with no
+    trajectory, NaN cost and violation, and the error as its message.
     Raises ConfigError, before any file is written, unless `method` is one of
-    METHODS or "all" and `trials` is an integer of at least 1.
+    METHODS or "all".
     """
     if method not in METHODS + ("all",):
         raise ConfigError(f"unknown method {method!r}, choose from {METHODS + ('all',)}")
-    if not is_count(trials):
-        raise ConfigError("trials must be an integer of at least 1")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,18 +134,23 @@ def run(config: ScenarioConfig, method: str, trials: int, out_dir,
                 for stale in (out_dir / m).glob(name):
                     stale.unlink()
         for m in METHODS if method == "all" else (method,):
-            records = run_trials(config, m, trials)
+            start = time.perf_counter()
+            try:
+                report = solve_scenario(config, m)
+            except PlannerError as exc:
+                report = SolveReport(None, STATUS_FAILED, max_violation=math.nan, message=str(exc))
+            seconds = time.perf_counter() - start
             method_dir = out_dir / m
             method_dir.mkdir(exist_ok=True)
-            write_timings_csv(records, method_dir / "timings.csv")
-            emitted = next((r.report for r in records if r.report.trajectory is not None), None)
-            if emitted is not None:
-                emit_iterates(emitted, dynamics, method_dir, include_seconds)
-            for r in records:
-                suffix = f" ({r.report.message})" if r.report.message else ""
-                print(f"{m} trial {r.trial}: {r.report.status} in {r.seconds:.4f} s{suffix}")
-            if all(r.report.status == STATUS_FAILED for r in records):
-                any_failed = True
+            _write_csv(method_dir / "timings.csv",
+                       ["method", "scenario", "seconds", "status", "final_cost", "max_violation"],
+                       [[m, config.name, seconds, report.status, report.final_cost,
+                         report.max_violation]])
+            if report.trajectory is not None:
+                emit_iterates(report, dynamics, method_dir)
+            suffix = f" ({report.message})" if report.message else ""
+            print(f"{m}: {report.status} in {seconds:.4f} s{suffix}")
+            any_failed = any_failed or report.status == STATUS_FAILED
     except OSError as exc:
         print(f"I/O failure while writing artifacts: {exc}", file=sys.stderr)
         return EXIT_IO

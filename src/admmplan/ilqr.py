@@ -150,12 +150,18 @@ class Trajectory:
         return self._evaluations[model]
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
-        """First time index whose step misses the next state by more than tol, or by NaN."""
+        """First time index whose step misses the next state by more than tol, by
+        NaN, or, for an infinite state or control, cannot be taken."""
         states, step = self.states.tolist(), dynamics.step
-        for tau, u in enumerate(self.controls.tolist()):
-            nxt = step(states[tau], u)
-            if not all(abs(a - b) <= tol for a, b in zip(nxt, states[tau + 1])):
-                return tau
+        try:
+            for tau, u in enumerate(self.controls.tolist()):
+                nxt = step(states[tau], u)
+                if not all(abs(a - b) <= tol for a, b in zip(nxt, states[tau + 1])):
+                    return tau
+        except ValueError:  # math's error on an infinite input: no next state
+            if all(map(math.isfinite, states[tau] + u)):
+                raise
+            return tau
         return None
 
 
@@ -175,8 +181,9 @@ class ILQRResult:
 
 
 def rollout(dynamics, x0, controls) -> Trajectory:
-    """Integrate an open-loop control sequence through the dynamics; a
-    DomainError from a step that leaves the kinematic domain names its stamp.
+    """Integrate an open-loop control sequence through the dynamics; a step
+    that leaves the kinematic domain, or that math refuses for an infinite
+    state or control, raises a DomainError that names its stamp.
 
     The states are collected as one flat float list, which becomes the
     states array in one conversion."""
@@ -187,10 +194,23 @@ def rollout(dynamics, x0, controls) -> Trajectory:
         for u in controls.tolist():
             x = step(x, u)
             states += x
-    except DomainError as exc:
+    except (DomainError, ValueError) as exc:
         tau = len(states) // len(x) - 1
-        raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
+        _raise_step_error(exc, "rollout", tau, x, controls[tau])
     return Trajectory._own(np.array(states).reshape(len(controls) + 1, -1), controls)
+
+
+def _raise_step_error(exc, where, tau, x, u):
+    """Raise the DomainError of a step at stamp tau of `where` that raised `exc`.
+
+    `exc` is a DomainError, or the ValueError ("math domain error") that math
+    raises on an infinite state or control, such as an infinite steer. A
+    ValueError at a finite state and control is no domain error: it is
+    re-raised unchanged.
+    """
+    if not isinstance(exc, DomainError) and all(map(math.isfinite, [*x, *u])):
+        raise exc
+    raise DomainError(f"{where} step at time index {tau}: {exc}", tau=tau) from exc
 
 
 def total_cost(cost, traj: Trajectory) -> float:
@@ -386,8 +406,9 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     and the float gain rows, which cost less per stamp than small arrays: it
     reads the nominal as flat float lists and collects the new states and
     controls as flat float lists, each of which becomes its array in one
-    conversion. A DomainError from a step that leaves the kinematic domain
-    names its stamp.
+    conversion. A step that leaves the kinematic domain, or that math refuses
+    for an infinite state or control, raises a DomainError that names its
+    stamp.
     """
     x, step = traj.states[0].tolist(), dynamics.step
     states, controls = list(x), []
@@ -401,9 +422,8 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
             x = step(x, u)
             controls += u
             states += x
-    except DomainError as exc:
-        tau = len(controls) // 2
-        raise DomainError(f"forward pass step at time index {tau}: {exc}", tau=tau) from exc
+    except (DomainError, ValueError) as exc:
+        _raise_step_error(exc, "forward pass", len(controls) // 2, x, u)
     return Trajectory._own(np.array(states).reshape(-1, 4), np.array(controls).reshape(-1, 2))
 
 
@@ -424,8 +444,7 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     at stamp 0 is zero. A trial not admitted is rejected, and counted with
     the rejected trials, without a forward pass or a cost evaluation. Its
     control differs from the forward pass's at most in the sign of an exact
-    zero, so the screen rejects only trials the rollout would reject (or,
-    for an infinite steer, raise on).
+    zero, so the screen rejects only trials the rollout would reject.
     """
     settings = settings or ILQRSettings()
     cost_now = total_cost(cost, traj)

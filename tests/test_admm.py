@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -586,6 +587,24 @@ def test_each_record_keeps_its_own_iterate():
     for record in report.records:
         again = ilqr.rollout(problem.dynamics, problem.x0, record.trajectory.controls)
         np.testing.assert_array_equal(again.states, record.trajectory.states)
+
+
+def test_record_seconds_add_up_to_no_more_than_the_solve():
+    # Each record's seconds run from the end of the previous record, so the
+    # records account for no more than the solve's own time: S1 by ADMM and
+    # S1 from standstill by the log barrier.
+    cfg = builtin_scenario(1)
+    standstill = replace(cfg, initial_state=State(0.0, 0.0, 0.0, 0.0))
+    for solver, config, settings in ((admm_solve, cfg, cfg.admm),
+                                     (barrier_solve, standstill, standstill.barrier)):
+        problem = build_problem(config)
+        start = time.perf_counter()
+        report = solver(problem, settings)
+        wall = time.perf_counter() - start
+        seconds = [record.seconds for record in report.records]
+        assert report.status == "converged" and seconds
+        assert all(s >= 0.0 for s in seconds)
+        assert sum(seconds) <= wall
 
 
 class JacobiansFailAt(BicycleModel):

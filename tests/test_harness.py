@@ -16,7 +16,6 @@ from admmplan.errors import ConfigError, PlannerError, UnknownScenario
 from admmplan.harness import (
     emit_iterates,
     run,
-    run_trials,
     solve_scenario,
     write_trajectory_csv,
 )
@@ -153,6 +152,12 @@ def test_trajectory_csv_rechecks_dynamics(tmp_path):
     broken = Trajectory(states, traj.controls)
     with pytest.raises(PlannerError):
         write_trajectory_csv(broken, model, tmp_path / "bad.csv")
+    # A control the dynamics cannot step, such as an infinite steer, is a
+    # break at its stamp too.
+    controls = traj.controls.copy()
+    controls[3, 0] = math.inf
+    with pytest.raises(PlannerError, match="time index 3"):
+        write_trajectory_csv(Trajectory(traj.states, controls), model, tmp_path / "inf.csv")
 
 
 def test_emit_iterates_file_count(tmp_path):
@@ -165,8 +170,7 @@ def test_emit_iterates_file_count(tmp_path):
     assert [p.name for p in paths] == names + ["residuals.csv"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["residuals.csv"])
     residual_rows = read_rows(tmp_path / "residuals.csv")
-    assert residual_rows[0] == ["iter", "residual_inf", "residual_2", "cost",
-                                "ilqr_iters", "seconds"]
+    assert residual_rows[0] == ["iter", "residual_inf", "residual_2", "cost", "ilqr_iters"]
     assert len(residual_rows) - 1 == report.iterations
     for name in names:
         assert len(read_rows(tmp_path / name)) - 1 == cfg.horizon + 1
@@ -184,8 +188,8 @@ def test_emit_iterates_all_policy(tmp_path):
 
 def test_run_writes_one_trajectory_per_residual_row(tmp_path):
     # S2 by ADMM takes 7 iterations; the barrier refuses its zero-control
-    # seed, so its one trial fails and it emits no report.
-    assert run(builtin_scenario(2), "all", 1, tmp_path) == harness.EXIT_SOLVER
+    # seed, so its solve fails and it emits no report.
+    assert run(builtin_scenario(2), "all", tmp_path) == harness.EXIT_SOLVER
     report = solve_scenario(builtin_scenario(2), "admm")
     residual_rows = read_rows(tmp_path / "admm" / "residuals.csv")[1:]
     assert len(residual_rows) == report.iterations == 7
@@ -199,15 +203,15 @@ def test_run_writes_one_trajectory_per_residual_row(tmp_path):
         assert np.array_equal(controls, record.trajectory.controls)
         assert rows[-1][6:] == ["", ""]
     assert sorted(p.name for p in (tmp_path / "barrier").iterdir()) == ["timings.csv"]
-    assert read_rows(tmp_path / "barrier" / "timings.csv")[1][4] == "failed"
+    assert read_rows(tmp_path / "barrier" / "timings.csv")[1][3] == "failed"
 
 
 def test_run_into_a_reused_directory_keeps_no_stale_artifacts(tmp_path):
     # S2 by ADMM writes 7 iterates and S1 then 5 into the same directory; a
     # file the run did not write stays.
-    assert run(builtin_scenario(2), "admm", 1, tmp_path) == harness.EXIT_OK
+    assert run(builtin_scenario(2), "admm", tmp_path) == harness.EXIT_OK
     (tmp_path / "admm" / "notes.txt").write_text("kept")
-    assert run(builtin_scenario(1), "admm", 1, tmp_path) == harness.EXIT_OK
+    assert run(builtin_scenario(1), "admm", tmp_path) == harness.EXIT_OK
     assert len(read_rows(tmp_path / "admm" / "residuals.csv")) - 1 == 5
     names = [f"trajectory_iter{i:03d}.csv" for i in range(1, 6)]
     assert sorted(p.name for p in (tmp_path / "admm").iterdir()) == sorted(
@@ -215,11 +219,11 @@ def test_run_into_a_reused_directory_keeps_no_stale_artifacts(tmp_path):
     # A converged barrier run from standstill, then the refused S1 seed: the
     # failed method holds only its timings.csv.
     standstill = replace(builtin_scenario(1), initial_state=State(0.0, 0.0, 0.0, 0.0))
-    assert run(standstill, "barrier", 1, tmp_path) == harness.EXIT_OK
+    assert run(standstill, "barrier", tmp_path) == harness.EXIT_OK
     assert len(list((tmp_path / "barrier").glob("trajectory_iter*.csv"))) == 16
-    assert run(builtin_scenario(1), "barrier", 1, tmp_path) == harness.EXIT_SOLVER
+    assert run(builtin_scenario(1), "barrier", tmp_path) == harness.EXIT_SOLVER
     assert sorted(p.name for p in (tmp_path / "barrier").iterdir()) == ["timings.csv"]
-    assert read_rows(tmp_path / "barrier" / "timings.csv")[1][4] == "failed"
+    assert read_rows(tmp_path / "barrier" / "timings.csv")[1][3] == "failed"
     # One method after every method: no artifact of the other method's earlier
     # scenario stays beside the new config.yaml.
     out = tmp_path / "d"
@@ -232,59 +236,63 @@ def test_run_into_a_reused_directory_keeps_no_stale_artifacts(tmp_path):
         "static_avoidance"}
 
 
-def test_run_trials_counts_and_failures():
-    cfg = builtin_scenario(1)
-    records = run_trials(cfg, "admm", 2)
-    assert [r.trial for r in records] == [1, 2]
-    assert all(r.report.status == "converged" for r in records)
-    assert all(r.report.trajectory is not None for r in records)
-    records = run_trials(cfg, "barrier", 3)
-    assert all(r.report.status == "failed" for r in records)
-    assert all(math.isnan(r.report.final_cost) for r in records)
-    assert all(math.isnan(r.report.max_violation) for r in records)
-    assert [r.report.trajectory for r in records] == [None, None, None]
-    assert all("not strictly feasible at time index" in r.report.message for r in records)
+def test_run_records_a_raising_solve_as_failed(tmp_path, capsys):
+    # The barrier refuses S1's zero-control seed: its one solve raises, and
+    # the run records a failed report with no trajectory, NaN cost and
+    # violation, and the error as its message.
+    assert run(builtin_scenario(1), "all", tmp_path) == harness.EXIT_SOLVER
+    header, row = read_rows(tmp_path / "barrier" / "timings.csv")
+    record = dict(zip(header, row))
+    assert record["status"] == "failed"
+    assert math.isnan(float(record["final_cost"]))
+    assert math.isnan(float(record["max_violation"]))
+    assert [p.name for p in (tmp_path / "barrier").iterdir()] == ["timings.csv"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].startswith("barrier: failed in ")
+    assert "not strictly feasible at time index" in printed[1]
+    # The solve that does not raise keeps its report and trajectory.
+    assert printed[0].startswith("admm: converged in ")
+    assert (tmp_path / "admm" / "residuals.csv").exists()
 
 
 def test_run_writes_artifacts_and_timing_table(tmp_path):
     cfg = builtin_scenario(1)
-    code = run(cfg, "admm", trials=2, out_dir=tmp_path)
+    code = run(cfg, "admm", out_dir=tmp_path)
     assert code == harness.EXIT_OK
     assert (tmp_path / "config.yaml").exists()
     assert load_config(tmp_path / "config.yaml") == cfg
-    rows = read_rows(tmp_path / "admm" / "timings.csv")
-    assert len(rows) == 4  # header + 2 trials + mean
-    assert rows[-1][2] == "mean"
-    seconds = [float(r[3]) for r in rows[1:]]
-    assert seconds[-1] == pytest.approx(np.mean(seconds[:-1]))
+    header, row = read_rows(tmp_path / "admm" / "timings.csv")  # one row per solve
+    assert header == ["method", "scenario", "seconds", "status", "final_cost", "max_violation"]
+    assert row[:2] == ["admm", "static_avoidance"] and row[3] == "converged"
+    assert float(row[2]) > 0.0
 
 
 def test_run_barrier_failure_exit_code(tmp_path):
     cfg = builtin_scenario(1)
-    code = run(cfg, "barrier", trials=1, out_dir=tmp_path)
+    code = run(cfg, "barrier", out_dir=tmp_path)
     assert code == harness.EXIT_SOLVER
     rows = read_rows(tmp_path / "barrier" / "timings.csv")
-    assert rows[1][4] == "failed"
+    assert rows[1][3] == "failed"
 
 
 def test_run_all_methods_writes_a_timing_table_per_method(tmp_path):
     cfg = builtin_scenario(1)
-    code = run(cfg, "all", trials=2, out_dir=tmp_path)
+    code = run(cfg, "all", out_dir=tmp_path)
     assert code == harness.EXIT_SOLVER  # barrier fails on the default seed
     for method in harness.METHODS:
         rows = read_rows(tmp_path / method / "timings.csv")
-        assert len(rows) == 4  # header + 2 trials + mean
-        assert [row[0] for row in rows[1:]] == [method] * 3
+        assert len(rows) == 2  # header + the one solve
+        assert rows[1][0] == method
     assert not (tmp_path / "compare.csv").exists()
 
 
 def test_cli_method_all_names_the_barrier_failure(tmp_path, capsys):
     out = tmp_path / "o"
-    args = ["--scenario", "1", "--method", "all", "--trials", "1", "--out", str(out)]
+    args = ["--scenario", "1", "--method", "all", "--out", str(out)]
     assert cli.main(args) == harness.EXIT_SOLVER
     printed = capsys.readouterr().out
-    assert "admm trial 1: converged" in printed
-    assert "barrier trial 1: failed" in printed
+    assert "admm: converged" in printed
+    assert "barrier: failed" in printed
     assert "not strictly feasible at time index 27" in printed
     assert sorted(p.name for p in out.iterdir()) == ["admm", "barrier", "config.yaml"]
 
@@ -321,23 +329,12 @@ def test_cli_config_error_exit_codes(tmp_path):
     assert cli.main(["--config", str(bad), "--method", "admm"]) == 2
     missing = tmp_path / "missing.yaml"
     assert cli.main(["--config", str(missing), "--method", "admm"]) == 2
-    out = tmp_path / "o"
-    assert cli.main(["--scenario", "1", "--trials", "0", "--out", str(out)]) == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("trials", [0, -1, 2.0, True])
-def test_run_rejects_trials_before_writing_any_file(tmp_path, trials):
-    out = tmp_path / "o"
-    with pytest.raises(ConfigError, match="trials"):
-        run(builtin_scenario(1), "admm", trials, out)
-    assert not out.exists()
 
 
 def test_run_rejects_an_unknown_method_before_writing_any_file(tmp_path):
     out = tmp_path / "o"
     with pytest.raises(ConfigError, match=r"'ADMM'.*'admm', 'barrier', 'all'"):
-        run(builtin_scenario(1), "ADMM", 1, out)
+        run(builtin_scenario(1), "ADMM", out)
     assert not out.exists()
 
 
@@ -732,7 +729,7 @@ def test_cli_solver_failure_exit_code(tmp_path):
 def test_cli_prints_the_reason_of_a_reported_failure(tmp_path, capsys):
     # S2 traffic whose ellipses overlap between the lanes while passing
     # (the benchmark corpus's known projection failure): the consensus
-    # solver reports the failure, and each trial line names its reason.
+    # solver reports the failure, and the method's line names its reason.
     cfg = replace(
         builtin_scenario(2), name="corpus48", initial_state=State(0.0, 0.0, 0.0, 8.49),
         obstacles=[Obstacle((4.91, 3.905), (5.514, 0.0), -0.053, 4.416, 1.586),
@@ -741,14 +738,11 @@ def test_cli_prints_the_reason_of_a_reported_failure(tmp_path, capsys):
     )
     path = tmp_path / "corpus48.yaml"
     save_config(cfg, path)
-    code = cli.main(["--config", str(path), "--method", "admm", "--trials", "2",
-                     "--out", str(tmp_path / "out")])
+    code = cli.main(["--config", str(path), "--method", "admm", "--out", str(tmp_path / "out")])
     assert code == harness.EXIT_SOLVER
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        assert line.endswith(
-            "(cyclic ellipse projection did not converge at time index 29)")
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("admm: failed in ")
+    assert line.endswith("(cyclic ellipse projection did not converge at time index 29)")
     # A failed report with records has a trajectory, so its iterates are written.
     admm_dir = tmp_path / "out" / "admm"
     assert len(read_rows(admm_dir / "residuals.csv")) - 1 == 7
@@ -770,7 +764,7 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
 
 def test_cli_artifact_write_failure_exit_code(tmp_path, capsys):
     # The method's directory is taken by a file: config.yaml is written,
-    # the trial's artifacts are not.
+    # the method's artifacts are not.
     (tmp_path / "admm").write_text("a file, not a directory")
     code = cli.main(["--scenario", "1", "--method", "admm", "--out", str(tmp_path)])
     assert code == 4
@@ -804,16 +798,19 @@ def test_cli_has_no_solver_setting_flags(tmp_path, capsys, flag):
 
 
 def test_cli_has_no_snapshots_flag(tmp_path, capsys):
-    # Every run writes every iterate, so no flag picks which.
+    # Every run writes every iterate, so no flag picks which; every run solves
+    # each method once, and only timings.csv holds a wall-clock value, so no
+    # flag sets a trial count or per-iteration timing either.
     flags = [a.option_strings[0] for a in cli.build_parser()._actions
              if a.option_strings and a.dest != "help"]
-    assert flags == ["--scenario", "--config", "--method", "--trials", "--out", "--iter-timing"]
-    out = tmp_path / "o"
-    with pytest.raises(SystemExit) as info:
-        cli.main(["--scenario", "1", "--out", str(out), "--snapshots", "all"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --snapshots all" in capsys.readouterr().err
-    assert not out.exists()
+    assert flags == ["--scenario", "--config", "--method", "--out"]
+    for flag in (["--snapshots", "all"], ["--trials", "2"], ["--iter-timing"]):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--scenario", "1", "--out", str(out)] + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_sets_sigma_and_the_iteration_cap_from_the_file(tmp_path):
@@ -825,23 +822,3 @@ def test_cli_sets_sigma_and_the_iteration_cap_from_the_file(tmp_path):
     cfg = load_config(out / "config.yaml")
     assert (cfg.admm.sigma, cfg.admm.max_admm_iters) == (12.5, 3)
     assert len(read_rows(out / "admm" / "residuals.csv")) - 1 <= 3
-
-
-def test_cli_iter_timing_flag_populates_seconds(tmp_path):
-    out = tmp_path / "timed"
-    assert cli.main([
-        "--scenario", "1", "--method", "admm", "--out", str(out), "--iter-timing",
-    ]) == 0
-    rows = read_rows(out / "admm" / "residuals.csv")
-    seconds = [float(row[5]) for row in rows[1:]]
-    assert seconds and all(s >= 0.0 for s in seconds)
-    # Each record's seconds run from the end of the previous record, so the
-    # records account for no more than the trial's own time.
-    trial = read_rows(out / "admm" / "timings.csv")[1]
-    assert sum(seconds) <= float(trial[3])
-
-    plain = tmp_path / "plain"
-    assert cli.main(["--scenario", "1", "--method", "admm", "--out", str(plain)]) == 0
-    rows = read_rows(plain / "admm" / "residuals.csv")
-    assert all(row[5] == "" for row in rows[1:])
-

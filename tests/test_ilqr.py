@@ -252,6 +252,23 @@ def test_solve_reports_rejected_steps_and_grown_regularization():
     assert 1e-3 < result.peak_mu < 1.1e-2
 
 
+def test_solve_rejects_trials_whose_steer_is_infinite(monkeypatch):
+    # A feedforward steer of inf at stamp 3 makes every trial's step raise
+    # math's ValueError there: each trial is rejected as a DomainError, and
+    # the solve returns instead of raising.
+    model = BicycleModel(VehicleParams())
+    traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((10, 2)))
+    k = np.zeros((10, 2))
+    k[3, 0] = math.inf
+    gains = gain_rows(k, np.zeros((10, 2, 4)))
+    monkeypatch.setattr(ilqr, "backward_pass", lambda *args: (gains, (0.0, 0.0, 0.0), 1e-6))
+    result = solve(traj, ZeroCost(), model, ILQRSettings(mu_init=1e-6))
+    assert result.status == ilqr.STATUS_CONVERGED and result.iterations == 1
+    assert result.alpha is None
+    assert result.rejected_steps == len(ilqr.ALPHAS)
+    assert result.trajectory is traj
+
+
 def test_solve_monotone_descent_and_history():
     params = VehicleParams()
     dynamics = BicycleModel(params)

@@ -17,6 +17,7 @@ does not read.
 """
 
 import dis
+import math
 import re
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from admmplan.constraints import InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import DomainError
 from admmplan.harness import build_problem
-from admmplan.ilqr import backward_pass, forward_pass, rollout, total_cost
+from admmplan.ilqr import Trajectory, backward_pass, forward_pass, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, VehicleParams
 
@@ -376,3 +377,45 @@ def test_rollout_domain_error_names_its_stamp():
     with pytest.raises(DomainError, match="time index 5") as info:
         rollout(model, np.array([0.0, 0.0, 0.0, 25.0]), controls)
     assert info.value.tau == 5
+
+
+def test_an_infinite_steer_is_a_domain_error_at_its_stamp():
+    # math.sin raises ValueError ("math domain error") on an infinite steer;
+    # the rollout and the forward pass raise a DomainError naming the stamp,
+    # and the write-time recheck reports the stamp as the break.
+    model = BicycleModel(VehicleParams())
+    x0 = np.array([0.0, 0.0, 0.0, 4.0])
+    controls = np.zeros((12, 2))
+    controls[1, 0] = math.inf
+    with pytest.raises(DomainError, match="rollout step at time index 1") as info:
+        rollout(model, x0, controls)
+    assert info.value.tau == 1
+    traj = rollout(model, x0, np.zeros((12, 2)))
+    k = np.zeros((12, 2))
+    k[7, 0] = math.inf
+    with pytest.raises(DomainError, match="forward pass step at time index 7") as info:
+        forward_pass(traj, gain_rows(k, np.zeros((12, 2, 4))), 0.5, model)
+    assert info.value.tau == 7
+    controls = traj.controls.copy()
+    controls[4, 0] = math.inf
+    assert Trajectory(traj.states, controls).dynamics_break(model) == 4
+
+
+def test_a_value_error_at_a_finite_stamp_propagates_unchanged():
+    error = ValueError("not a domain error")
+
+    class Refusing:
+        def step(self, x, u):
+            raise error
+
+    traj = rollout(BicycleModel(VehicleParams()), np.array([0.0, 0.0, 0.0, 4.0]),
+                   np.zeros((3, 2)))
+    with pytest.raises(ValueError) as info:
+        rollout(Refusing(), traj.states[0], traj.controls)
+    assert info.value is error
+    with pytest.raises(ValueError) as info:
+        forward_pass(traj, gain_rows(np.zeros((3, 2)), np.zeros((3, 2, 4))), 1.0, Refusing())
+    assert info.value is error
+    with pytest.raises(ValueError) as info:
+        traj.dynamics_break(Refusing())
+    assert info.value is error
