@@ -151,16 +151,15 @@ class Trajectory:
 
     def dynamics_break(self, dynamics, tol: float = 1e-10) -> int | None:
         """First time index whose step misses the next state by more than tol, by
-        NaN, or, for an infinite state or control, cannot be taken."""
+        NaN, or that the model refuses with a DomainError; any other error of
+        the model propagates unchanged."""
         states, step = self.states.tolist(), dynamics.step
         try:
             for tau, u in enumerate(self.controls.tolist()):
                 nxt = step(states[tau], u)
                 if not all(abs(a - b) <= tol for a, b in zip(nxt, states[tau + 1])):
                     return tau
-        except ValueError:  # math's error on an infinite input: no next state
-            if all(map(math.isfinite, states[tau] + u)):
-                raise
+        except DomainError:
             return tau
         return None
 
@@ -182,8 +181,8 @@ class ILQRResult:
 
 def rollout(dynamics, x0, controls) -> Trajectory:
     """Integrate an open-loop control sequence through the dynamics; a step
-    that leaves the kinematic domain, or that math refuses for an infinite
-    state or control, raises a DomainError that names its stamp.
+    the model refuses with a DomainError raises a DomainError that adds its
+    stamp, and any other error of the model propagates unchanged.
 
     The states are collected as one flat float list, which becomes the
     states array in one conversion."""
@@ -194,23 +193,10 @@ def rollout(dynamics, x0, controls) -> Trajectory:
         for u in controls.tolist():
             x = step(x, u)
             states += x
-    except (DomainError, ValueError) as exc:
+    except DomainError as exc:
         tau = len(states) // len(x) - 1
-        _raise_step_error(exc, "rollout", tau, x, controls[tau])
+        raise DomainError(f"rollout step at time index {tau}: {exc}", tau=tau) from exc
     return Trajectory._own(np.array(states).reshape(len(controls) + 1, -1), controls)
-
-
-def _raise_step_error(exc, where, tau, x, u):
-    """Raise the DomainError of a step at stamp tau of `where` that raised `exc`.
-
-    `exc` is a DomainError, or the ValueError ("math domain error") that math
-    raises on an infinite state or control, such as an infinite steer. A
-    ValueError at a finite state and control is no domain error: it is
-    re-raised unchanged.
-    """
-    if not isinstance(exc, DomainError) and all(map(math.isfinite, [*x, *u])):
-        raise exc
-    raise DomainError(f"{where} step at time index {tau}: {exc}", tau=tau) from exc
 
 
 def total_cost(cost, traj: Trajectory) -> float:
@@ -406,9 +392,9 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     and the float gain rows, which cost less per stamp than small arrays: it
     reads the nominal as flat float lists and collects the new states and
     controls as flat float lists, each of which becomes its array in one
-    conversion. A step that leaves the kinematic domain, or that math refuses
-    for an infinite state or control, raises a DomainError that names its
-    stamp.
+    conversion. A step the model refuses with a DomainError raises a
+    DomainError that adds its stamp; any other error of the model propagates
+    unchanged.
     """
     x, step = traj.states[0].tolist(), dynamics.step
     states, controls = list(x), []
@@ -422,8 +408,9 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
             x = step(x, u)
             controls += u
             states += x
-    except (DomainError, ValueError) as exc:
-        _raise_step_error(exc, "forward pass", len(controls) // 2, x, u)
+    except DomainError as exc:
+        tau = len(controls) // 2
+        raise DomainError(f"forward pass step at time index {tau}: {exc}", tau=tau) from exc
     return Trajectory._own(np.array(states).reshape(-1, 4), np.array(controls).reshape(-1, 2))
 
 

@@ -80,9 +80,12 @@ def _stepper(wheelbase: float, timestep: float):
     Takes the state (px, py, theta, v) and the control (steer, accel) as any
     sequences of floats; plain float lists are the fast input, which the
     solvers' rollouts pass. Returns the next state as a new list of four
-    Python floats. Raises DomainError when the back roll's square-root
-    argument d^2 - f^2 sin^2(w) goes negative, which means the time step is
-    too large for the commanded speed/steer pair.
+    Python floats (NaN in gives NaN out). Raises DomainError for every step
+    it refuses: when the back roll's square-root argument d^2 - f^2 sin^2(w)
+    goes negative (the time step is too large for the speed/steer pair), and
+    when math refuses the arithmetic (ValueError on an infinite steer or
+    heading, OverflowError when f sin(w) is too large to square). This is
+    the one test of the kinematic domain; the solvers only add the stamp.
     """
     d, h = wheelbase, timestep
     dd = d * d
@@ -91,16 +94,19 @@ def _stepper(wheelbase: float, timestep: float):
     def step(x, u) -> list:
         px, py, theta, v = x
         w, a = u
-        f = h * v  # front roll
-        fs = f * sin(w)
-        disc = dd - fs ** 2
-        if disc < 0.0:
-            raise DomainError(
-                f"back roll undefined for v={v}, steer={w}: "
-                f"|front_roll*sin(steer)| exceeds wheelbase {d}"
-            )
-        b = d + f * cos(w) - sqrt(disc)
-        return [px + b * cos(theta), py + b * sin(theta), theta + asin(fs / d), v + h * a]
+        try:
+            f = h * v  # front roll
+            fs = f * sin(w)
+            disc = dd - fs ** 2
+            if disc < 0.0:
+                raise DomainError(
+                    f"back roll undefined for v={v}, steer={w}: "
+                    f"|front_roll*sin(steer)| exceeds wheelbase {d}"
+                )
+            b = d + f * cos(w) - sqrt(disc)
+            return [px + b * cos(theta), py + b * sin(theta), theta + asin(fs / d), v + h * a]
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"step undefined for theta={theta}, v={v}, steer={w}: {exc}") from exc
 
     return step
 
@@ -131,7 +137,8 @@ def jacobians(x, u, params: VehicleParams):
     f = h * v
     s, c = np.sin(w), np.cos(w)
     fs = f * s
-    disc = d * d - fs ** 2
+    with np.errstate(over="ignore"):  # an overflowing square is outside: disc is -inf
+        disc = d * d - fs ** 2
     q = fs / d
     outside = (disc <= 0.0) | (np.abs(q) >= 1.0)
     if outside.any():

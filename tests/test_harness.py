@@ -160,6 +160,21 @@ def test_trajectory_csv_rechecks_dynamics(tmp_path):
         write_trajectory_csv(Trajectory(traj.states, controls), model, tmp_path / "inf.csv")
 
 
+def test_trajectory_csv_reports_a_step_the_model_refuses(tmp_path):
+    # Steer 1.2 at 25 m/s makes the back roll's discriminant negative: the
+    # step refuses it with a DomainError, which the recheck reports as the
+    # break at its stamp.
+    model = BicycleModel(VehicleParams())
+    traj = rollout(model, np.array([0.0, 0.0, 0.0, 25.0]), np.zeros((6, 2)))
+    controls = traj.controls.copy()
+    controls[2, 0] = 1.2
+    refused = Trajectory(traj.states, controls)
+    assert refused.dynamics_break(model) == 2
+    with pytest.raises(PlannerError, match="breaks the dynamics recursion at time index 2"):
+        write_trajectory_csv(refused, model, tmp_path / "refused.csv")
+    assert not (tmp_path / "refused.csv").exists()
+
+
 def test_emit_iterates_file_count(tmp_path):
     # One trajectory file per record, and the residual history.
     cfg = builtin_scenario(1)

@@ -253,9 +253,9 @@ def test_solve_reports_rejected_steps_and_grown_regularization():
 
 
 def test_solve_rejects_trials_whose_steer_is_infinite(monkeypatch):
-    # A feedforward steer of inf at stamp 3 makes every trial's step raise
-    # math's ValueError there: each trial is rejected as a DomainError, and
-    # the solve returns instead of raising.
+    # A feedforward steer of inf at stamp 3 makes the step refuse every
+    # trial there with a DomainError: each trial is rejected, and the solve
+    # returns instead of raising.
     model = BicycleModel(VehicleParams())
     traj = rollout(model, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((10, 2)))
     k = np.zeros((10, 2))

@@ -380,28 +380,34 @@ def test_rollout_domain_error_names_its_stamp():
 
 
 def test_an_infinite_steer_is_a_domain_error_at_its_stamp():
-    # math.sin raises ValueError ("math domain error") on an infinite steer;
-    # the rollout and the forward pass raise a DomainError naming the stamp,
-    # and the write-time recheck reports the stamp as the break.
+    # The bicycle step refuses an infinite steer (math.sin's ValueError) and
+    # a speed whose f sin(w) is too large to square (OverflowError) with a
+    # DomainError; the rollout and the forward pass name the stamp, and the
+    # write-time recheck reports the stamp as the break.
     model = BicycleModel(VehicleParams())
-    x0 = np.array([0.0, 0.0, 0.0, 4.0])
-    controls = np.zeros((12, 2))
-    controls[1, 0] = math.inf
-    with pytest.raises(DomainError, match="rollout step at time index 1") as info:
-        rollout(model, x0, controls)
-    assert info.value.tau == 1
-    traj = rollout(model, x0, np.zeros((12, 2)))
-    k = np.zeros((12, 2))
-    k[7, 0] = math.inf
-    with pytest.raises(DomainError, match="forward pass step at time index 7") as info:
-        forward_pass(traj, gain_rows(k, np.zeros((12, 2, 4))), 0.5, model)
-    assert info.value.tau == 7
-    controls = traj.controls.copy()
-    controls[4, 0] = math.inf
-    assert Trajectory(traj.states, controls).dynamics_break(model) == 4
+    for speed, steer in [(4.0, math.inf), (1e200, 0.5)]:
+        x0 = np.array([0.0, 0.0, 0.0, speed])
+        with pytest.raises(DomainError):
+            model.step(x0.tolist(), [steer, 0.0])
+        controls = np.zeros((12, 2))
+        controls[1, 0] = steer
+        with pytest.raises(DomainError, match="rollout step at time index 1") as info:
+            rollout(model, x0, controls)
+        assert info.value.tau == 1
+        traj = rollout(model, x0, np.zeros((12, 2)))
+        k = np.zeros((12, 2))
+        k[7, 0] = steer / 0.5
+        with pytest.raises(DomainError, match="forward pass step at time index 7") as info:
+            forward_pass(traj, gain_rows(k, np.zeros((12, 2, 4))), 0.5, model)
+        assert info.value.tau == 7
+        controls = traj.controls.copy()
+        controls[4, 0] = steer
+        assert Trajectory(traj.states, controls).dynamics_break(model) == 4
 
 
 def test_a_value_error_at_a_finite_stamp_propagates_unchanged():
+    # The engine interprets only DomainError: any other error of a
+    # caller-supplied model propagates unchanged, also at an infinite control.
     error = ValueError("not a domain error")
 
     class Refusing:
@@ -410,12 +416,17 @@ def test_a_value_error_at_a_finite_stamp_propagates_unchanged():
 
     traj = rollout(BicycleModel(VehicleParams()), np.array([0.0, 0.0, 0.0, 4.0]),
                    np.zeros((3, 2)))
-    with pytest.raises(ValueError) as info:
-        rollout(Refusing(), traj.states[0], traj.controls)
-    assert info.value is error
-    with pytest.raises(ValueError) as info:
-        forward_pass(traj, gain_rows(np.zeros((3, 2)), np.zeros((3, 2, 4))), 1.0, Refusing())
-    assert info.value is error
-    with pytest.raises(ValueError) as info:
-        traj.dynamics_break(Refusing())
-    assert info.value is error
+    infinite = traj.controls.copy()
+    infinite[0, 0] = math.inf
+    k = np.zeros((3, 2))
+    k[0, 0] = math.inf
+    for controls, feedforward in [(traj.controls, np.zeros((3, 2))), (infinite, k)]:
+        with pytest.raises(ValueError) as info:
+            rollout(Refusing(), traj.states[0], controls)
+        assert info.value is error
+        with pytest.raises(ValueError) as info:
+            forward_pass(traj, gain_rows(feedforward, np.zeros((3, 2, 4))), 1.0, Refusing())
+        assert info.value is error
+        with pytest.raises(ValueError) as info:
+            Trajectory(traj.states, controls).dynamics_break(Refusing())
+        assert info.value is error

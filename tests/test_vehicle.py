@@ -184,6 +184,17 @@ def test_stacked_jacobians_name_first_stamp_outside_domain():
     assert info.value.tau == 2
 
 
+def test_jacobians_read_an_overflowing_discriminant_as_outside():
+    # At 1e200 m/s and steer 0.5, (h v sin(steer))^2 overflows: row 3 is
+    # outside the domain, with no overflow warning.
+    states = np.tile([0.0, 0.0, 0.0, 4.0], (6, 1))
+    controls = np.zeros((6, 2))
+    states[3, 3], controls[3, 0] = 1e200, 0.5
+    with pytest.raises(DomainError) as info:
+        jacobians(states, controls, PARAMS)
+    assert info.value.tau == 3
+
+
 def test_state_control_array_round_trip():
     s = State(1.0, 2.0, 0.3, 4.0)
     np.testing.assert_array_equal(s.as_array(), [1.0, 2.0, 0.3, 4.0])
