@@ -22,7 +22,7 @@ from .errors import (
     RegularizationExhausted,
     UnknownScenario,
 )
-from .ilqr import ILQRSettings, Trajectory, rollout, total_cost
+from .ilqr import Trajectory, rollout, total_cost
 from .ilqr import solve as ilqr_solve
 from .scenarios import ScenarioConfig, builtin_scenario, load_config, save_config
 from .vehicle import BicycleModel, State, VehicleParams
@@ -39,7 +39,6 @@ __all__ = [
     "CostWeights",
     "DegenerateProjection",
     "DomainError",
-    "ILQRSettings",
     "InputBounds",
     "IterationRecord",
     "NonConvergence",

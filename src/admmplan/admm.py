@@ -16,7 +16,8 @@ next z and lam move its subproblem anyway. The loop, a generator that
 primal residual ||sel(y) - z|| falls below PRIMAL_TOLERANCE; the
 dynamics-feasible y is returned with its constraint violation, reported since
 feasibility is only reached in the limit. Only sigma and the iteration cap
-are settings: the tolerance and the inner iLQR settings are module constants.
+are settings: the tolerance is a module constant, the probe is one iLQR solve
+at the engine's defaults and each consensus iteration one step of it.
 
 Initially infeasible trajectories are fine: the first iterate is a plain
 zero-control rollout, which is the advertised advantage over barrier-style
@@ -25,14 +26,12 @@ constrained iLQR.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ilqr
-from .ilqr import (
-    STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, ILQRSettings, is_count, is_real,
-)
+from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, is_count, is_real
 from .constraints import FEASIBILITY_TOL, ConstraintSet, project_timestep
 from .errors import DomainError, NonConvergence, RegularizationExhausted
 
@@ -43,9 +42,6 @@ BLOCK_DIM = 4  # (px, py, steer, accel)
 SOLVE_FAILURES = (RegularizationExhausted, NonConvergence, DomainError)
 # The max-norm stopping threshold on the primal residual sel(y) - z.
 PRIMAL_TOLERANCE = 1e-3
-# The probe's iLQR solve, and each consensus iteration's single step of it.
-PROBE_ILQR = ILQRSettings()
-CONSENSUS_ILQR = replace(PROBE_ILQR, max_iters=1)
 
 
 @dataclass
@@ -272,7 +268,7 @@ def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
     # exactly and the solve is finished. (On an infeasible probe the result
     # is discarded: seeding the consensus from a deeply violating optimum
     # produces far worse projection targets than the plain rollout.)
-    probe = ilqr.solve(y, problem.cost, problem.dynamics, PROBE_ILQR)
+    probe = ilqr.solve(y, problem.cost, problem.dynamics)
     if trajectory_violation(probe.trajectory, problem.constraints) <= FEASIBILITY_TOL:
         yield probe, 0.0, 0.0, None, STATUS_CONVERGED
         return
@@ -286,7 +282,7 @@ def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
 
     for _ in range(settings.max_admm_iters):
         penalized = PenalizedCost(problem.cost, z, lam, settings.sigma)
-        result = ilqr.solve(y, penalized, problem.dynamics, CONSENSUS_ILQR)
+        result = ilqr.solve(y, penalized, problem.dynamics, max_iters=1)
         y = result.trajectory
         sel = _blocks(y)
         z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], problem.constraints)

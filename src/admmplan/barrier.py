@@ -14,7 +14,7 @@ summed over them in one call.
 The barrier is solved by iLQR inside an outer loop that multiplies the
 sharpness t by a fixed factor: a generator of stages that
 `admm.solve_report` turns into the report. Only the last stage's answer is
-returned, so only it is centered to the configured iLQR tolerance. On a
+returned, so only it is centered to the configured `cost_tolerance`. On a
 convex problem a stage at sharpness t is within m/t of the optimum, m being
 the number of constraint terms (Boyd & Vandenberghe, *Convex Optimization*,
 §11.3), and centering it far below that bound buys nothing: earlier stages
@@ -22,12 +22,12 @@ stop at the looser of the configured tolerance and CENTERING_FRACTION * m / t.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ilqr
-from .ilqr import ILQRSettings, is_count, is_real
+from .ilqr import is_count, is_real
 from .admm import Problem, SolveReport, solve_report, trajectory_violation
 from .constraints import ConstraintSet
 from .errors import BarrierDomainViolation
@@ -44,7 +44,7 @@ class BarrierSettings:
     initial_sharpness: float = 1.0  # starting t; barrier weight is 1/t
     tighten_factor: float = 5.0
     outer_iters: int = 5
-    ilqr: ILQRSettings = field(default_factory=ILQRSettings)
+    cost_tolerance: float = 1e-4  # the last stage's iLQR tolerance, a floor for the others
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -54,6 +54,8 @@ class BarrierSettings:
             raise ValueError("tighten_factor must exceed 1 and be finite")
         if not is_count(self.outer_iters):
             raise ValueError("outer_iters must be an integer of at least 1")
+        if not (is_real(self.cost_tolerance) and self.cost_tolerance > 0):
+            raise ValueError("cost_tolerance must be positive")
 
 
 class BarrierCost:
@@ -157,12 +159,11 @@ def _stages(problem: Problem, settings: BarrierSettings, y: ilqr.Trajectory):
     terms = box.size + keepout.size
     sharpness = settings.initial_sharpness
     for stage in range(settings.outer_iters):
-        inner = settings.ilqr
+        tolerance = settings.cost_tolerance
         if stage < settings.outer_iters - 1:
-            gap = CENTERING_FRACTION * terms / sharpness
-            inner = replace(inner, cost_tolerance=max(inner.cost_tolerance, gap))
+            tolerance = max(tolerance, CENTERING_FRACTION * terms / sharpness)
         barrier = BarrierCost(problem.cost, problem.constraints, sharpness)
-        result = ilqr.solve(y, barrier, problem.dynamics, inner)
+        result = ilqr.solve(y, barrier, problem.dynamics, cost_tolerance=tolerance)
         y = result.trajectory
         # The barrier has no consensus residual: its violation fills both.
         violation = trajectory_violation(y, problem.constraints)

@@ -15,9 +15,12 @@ class PlannerError(Exception):
 class DomainError(PlannerError):
     """A kinematic step left the model's valid domain.
 
-    Raised when the back-wheel rolling distance has no real solution,
-    i.e. the commanded speed/steer pair cannot be realized in one sample
-    period with the given wheelbase.
+    Raised by the bicycle step when the back-wheel rolling distance has no
+    real solution (the commanded speed/steer pair cannot be realized in one
+    sample period with the given wheelbase) and when math refuses its
+    arithmetic (ValueError on an infinite steer or heading, OverflowError at
+    a huge speed); and by its Jacobians at or beyond the domain boundary,
+    where the derivatives blow up. The solvers add the time index.
     """
 
 

@@ -45,6 +45,8 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 METHODS = ("admm", "barrier")
+# How far a written trajectory's state may miss the step of the one before.
+RECURSION_TOL = 1e-8
 
 
 def build_problem(config: ScenarioConfig) -> Problem:
@@ -74,9 +76,9 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def write_trajectory_csv(traj: Trajectory, dynamics, path, tol=1e-8):
+def write_trajectory_csv(traj: Trajectory, dynamics, path):
     """Emit one trajectory, re-validating the dynamics recursion row by row."""
-    tau = traj.dynamics_break(dynamics, tol)
+    tau = traj.dynamics_break(dynamics, RECURSION_TOL)
     if tau is not None:
         raise PlannerError(f"trajectory breaks the dynamics recursion at time index {tau}")
     h = dynamics.params.timestep

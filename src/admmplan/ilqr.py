@@ -20,9 +20,9 @@ value recursion
 
 The Levenberg-style mu keeps Q_uu positive definite near flat or indefinite
 regions; it grows on failed line searches and shrinks after accepted steps.
-Only its floor, `ILQRSettings.mu_init`, is a setting: the growth and shrink
-factors `MU_GROWTH` and `MU_SHRINK`, the cap `MU_MAX` and the line search's
-step lengths `ALPHAS` are fixed.
+Its schedule is fixed: the floor `MU_MIN`, the growth and shrink factors
+`MU_GROWTH` and `MU_SHRINK`, the cap `MU_MAX` and the line search's step
+lengths `ALPHAS`. A solve takes only its iteration cap and cost tolerance.
 
 The engine reads its models over whole trajectories: `dynamics.jacobians(X,
 U)` gives the stacked (T, 4, 4) and (T, 4, 2) Jacobians, `cost.values(traj)`
@@ -84,30 +84,15 @@ def is_real(value) -> bool:
 
 
 # The regularization schedule and the line search are fixed: mu starts at
-# mu_init, grows by MU_GROWTH on a failed positive-definiteness check or line
-# search, shrinks by MU_SHRINK (down to mu_init) after an accepted step, and
+# MU_MIN, grows by MU_GROWTH on a failed positive-definiteness check or line
+# search, shrinks by MU_SHRINK (down to MU_MIN) after an accepted step, and
 # the solve gives up past MU_MAX; the line search tries the step lengths
 # ALPHAS = 1, 1/2, ..., 2**-10 in turn.
+MU_MIN = 1e-6
 MU_GROWTH = 10.0
 MU_SHRINK = 0.5
 MU_MAX = 1e10
 ALPHAS = tuple(0.5**i for i in range(11))
-
-
-@dataclass
-class ILQRSettings:
-    max_iters: int = 100
-    cost_tolerance: float = 1e-4  # absolute change of the objective
-    mu_init: float = 1e-6
-
-    def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not is_count(self.max_iters):
-            raise ValueError("max_iters must be an integer of at least 1")
-        if not (is_real(self.cost_tolerance) and self.cost_tolerance > 0):
-            raise ValueError("cost_tolerance must be positive")
-        if not (is_real(self.mu_init) and MU_MAX >= self.mu_init > 0):
-            raise ValueError(f"need 0 < mu_init <= {MU_MAX:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,7 +399,8 @@ def forward_pass(traj: Trajectory, gains: list, alpha: float, dynamics):
     return Trajectory._own(np.array(states).reshape(-1, 4), np.array(controls).reshape(-1, 2))
 
 
-def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None) -> ILQRResult:
+def solve(traj: Trajectory, cost, dynamics, max_iters: int = 100,
+          cost_tolerance: float = 1e-4) -> ILQRResult:
     """Minimize the summed stage plus terminal cost subject to the dynamics.
 
     `traj` is the first nominal trajectory: the rollout of its controls from
@@ -422,7 +408,8 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     rolled out again. Iterations alternate backward and forward passes,
     accepting the first backtracking step that strictly decreases the cost;
     the loop stops when the accepted improvement (or the predicted one, if
-    no step is acceptable) falls below the cost tolerance. The result also
+    no step is acceptable) falls below `cost_tolerance`, an absolute change
+    of the objective, or after `max_iters` iterations. The result also
     reports the last accepted step length, the number of rejected line-search
     trials and the largest mu a backward pass used.
 
@@ -432,17 +419,22 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
     the rejected trials, without a forward pass or a cost evaluation. Its
     control differs from the forward pass's at most in the sign of an exact
     zero, so the screen rejects only trials the rollout would reject.
+
+    Raises ValueError for a `cost_tolerance` that is not a positive number:
+    at zero or NaN no improvement falls below it, so a stalled solve runs to
+    `max_iters`.
     """
-    settings = settings or ILQRSettings()
+    if not (is_real(cost_tolerance) and cost_tolerance > 0):
+        raise ValueError("cost_tolerance must be positive")
     cost_now = total_cost(cost, traj)
     history = [cost_now]
-    mu = settings.mu_init
+    mu = MU_MIN
     status = STATUS_MAX_ITERS
     iterations = 0
     last_alpha, rejected, peak_mu = None, 0, mu
     admits = getattr(cost, "admits", None)
 
-    for iterations in range(1, settings.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         gains, (_, _, expected), mu = backward_pass(traj, cost, dynamics, mu)
         peak_mu = max(peak_mu, mu)
         accepted = None
@@ -466,12 +458,12 @@ def solve(traj: Trajectory, cost, dynamics, settings: ILQRSettings | None = None
             improvement = cost_now - accepted[1]
             traj, cost_now, last_alpha = accepted
             history.append(cost_now)
-            mu = max(settings.mu_init, mu * MU_SHRINK)
-            if improvement < settings.cost_tolerance:
+            mu = max(MU_MIN, mu * MU_SHRINK)
+            if improvement < cost_tolerance:
                 status = STATUS_CONVERGED
                 break
         else:
-            if abs(expected) < settings.cost_tolerance:
+            if abs(expected) < cost_tolerance:
                 status = STATUS_CONVERGED
                 break
             mu *= MU_GROWTH

@@ -28,7 +28,7 @@ from .barrier import BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
 from .errors import ConfigError, UnknownScenario
-from .ilqr import ILQRSettings, is_count
+from .ilqr import is_count
 from .vehicle import State, VehicleParams
 
 
@@ -42,7 +42,7 @@ def _benchmark_barrier_settings() -> BarrierSettings:
         initial_sharpness=0.05,
         tighten_factor=2.0,
         outer_iters=16,
-        ilqr=ILQRSettings(cost_tolerance=1e-5),
+        cost_tolerance=1e-5,
     )
 
 

@@ -137,8 +137,10 @@ def jacobians(x, u, params: VehicleParams):
     f = h * v
     s, c = np.sin(w), np.cos(w)
     fs = f * s
-    with np.errstate(over="ignore"):  # an overflowing square is outside: disc is -inf
-        disc = d * d - fs ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = d * d - fs ** 2  # an overflowing square is outside: disc is -inf
+        ff = f * f  # where it overflows, f * fs is the f^2 sin(w) of a row inside
+        ffs = np.where(np.isinf(ff), f * fs, ff * s)
     q = fs / d
     outside = (disc <= 0.0) | (np.abs(q) >= 1.0)
     if outside.any():
@@ -154,7 +156,7 @@ def jacobians(x, u, params: VehicleParams):
     # d(back roll)/d(front roll) and /d(steer)
     db_df = c + fs * s / root
     db_dv = h * db_df
-    db_dw = -fs + f * f * s * c / root
+    db_dw = -fs + ffs * c / root
 
     dasin = 1.0 / np.sqrt(1.0 - q * q)
     dth_dv = (h * s / d) * dasin

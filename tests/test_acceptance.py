@@ -9,14 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from admmplan import admm, cli, ilqr
+from admmplan import cli, ilqr
 from admmplan.admm import admm_solve
 from admmplan.barrier import barrier_solve
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem, solve_scenario
-from admmplan.ilqr import ILQRSettings, Trajectory
+from admmplan.ilqr import Trajectory
 from admmplan.scenarios import builtin_scenario, save_config
 from admmplan.vehicle import BicycleModel, State, VehicleParams, jacobians
 
@@ -38,7 +38,7 @@ def report(name, ok, detail=""):
 
 def test_criterion_1_lqr_oracle_equivalence():
     """iLQR matches the Riccati-optimal cost on random LQ instances."""
-    settings = ILQRSettings(max_iters=50, cost_tolerance=1e-10, mu_init=1e-9)
+    settings = dict(max_iters=50, cost_tolerance=1e-10)
     horizon = 60
 
     def solve(A, B, Q, R, Qf, x0):
@@ -48,7 +48,7 @@ def test_criterion_1_lqr_oracle_equivalence():
         dynamics = LinearDynamics(A, B)
         result = ilqr.solve(
             ilqr.rollout(dynamics, x0, np.zeros((horizon, 2))),
-            QuadraticCost(Q, R, Qf), dynamics, settings,
+            QuadraticCost(Q, R, Qf), dynamics, **settings,
         )
         elapsed = (time.perf_counter() - start) * 1e3
         return abs(result.cost - opt_cost) / abs(opt_cost), elapsed
@@ -270,7 +270,7 @@ def test_criterion_8_inactive_splitting_identity():
         problem = build_problem(cfg)
         rep = admm_solve(problem, cfg.admm)
         plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
-                           problem.cost, problem.dynamics, admm.PROBE_ILQR)
+                           problem.cost, problem.dynamics)
         worst = max(worst, abs(rep.records[-1].cost - plain.cost) / abs(plain.cost))
     ok = worst < 1e-6
     report("criterion 8: inactive-splitting identity", ok,

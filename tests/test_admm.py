@@ -201,7 +201,7 @@ def test_dual_update_identity():
     sigma = cfg.admm.sigma
     for _ in range(4):
         pen = PenalizedCost(cost, z, lam, sigma)
-        y = ilqr.solve(y, pen, dynamics, admm.PROBE_ILQR).trajectory
+        y = ilqr.solve(y, pen, dynamics).trajectory
         sel = consensus_blocks(y)
         z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam_before = lam.copy()
@@ -220,7 +220,7 @@ def test_z_iterates_feasible():
     sigma = cfg.admm.sigma
     for _ in range(6):
         pen = PenalizedCost(cost, z, lam, sigma)
-        y = ilqr.solve(y, pen, dynamics, admm.PROBE_ILQR).trajectory
+        y = ilqr.solve(y, pen, dynamics).trajectory
         sel = consensus_blocks(y)
         z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam += sigma * (sel - z)
@@ -395,7 +395,7 @@ def test_inactive_splitting_matches_plain_ilqr():
         problem = build_problem(cfg)
         report = admm_solve(problem, cfg.admm)
         plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
-                           problem.cost, problem.dynamics, admm.PROBE_ILQR)
+                           problem.cost, problem.dynamics)
         assert report.status == "converged"
         assert [r.residual_inf for r in report.records] == [0.0]
         assert abs(report.records[-1].cost - plain.cost) <= 1e-6 * abs(plain.cost)
@@ -630,7 +630,7 @@ def test_jacobian_domain_error_yields_failed_status(phase):
     rollout0 = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
     # One Jacobian call per inner iteration: the probe's, then one per
     # consensus iteration.
-    probe_calls = ilqr.solve(rollout0, problem.cost, problem.dynamics, admm.PROBE_ILQR).iterations
+    probe_calls = ilqr.solve(rollout0, problem.cost, problem.dynamics).iterations
     fail_at = 1 if phase == "probe" else probe_calls + 2
     dynamics = JacobiansFailAt(problem.dynamics.params, fail_at)
     report = admm_solve(replace(problem, dynamics=dynamics), cfg.admm)
@@ -661,7 +661,7 @@ def test_forced_line_search_rejections_show_in_the_records(monkeypatch):
             inner = record.inner
             assert inner.rejected_steps >= inner.iterations >= 1
             assert inner.alpha in ilqr.ALPHAS[1:]
-            assert inner.peak_mu >= admm.PROBE_ILQR.mu_init
+            assert inner.peak_mu >= ilqr.MU_MIN
 
 
 def test_unforced_records_report_full_steps():

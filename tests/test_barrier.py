@@ -18,7 +18,7 @@ from admmplan.barrier import (
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.errors import BarrierDomainViolation
 from admmplan.harness import build_problem
-from admmplan.ilqr import ILQRSettings, Trajectory, rollout, total_cost
+from admmplan.ilqr import Trajectory, rollout, total_cost
 from admmplan.scenarios import builtin_scenario
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
@@ -363,7 +363,7 @@ def test_single_stage_is_the_exact_inner_solve():
     report = barrier_solve(problem, settings)
     seed = rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2)))
     barrier = BarrierCost(problem.cost, problem.constraints, settings.initial_sharpness)
-    result = ilqr.solve(seed, barrier, problem.dynamics, settings.ilqr)
+    result = ilqr.solve(seed, barrier, problem.dynamics, cost_tolerance=settings.cost_tolerance)
     (record,) = report.records
     assert report.status == result.status
     np.testing.assert_array_equal(report.trajectory.states, result.trajectory.states)
@@ -380,14 +380,14 @@ def test_stage_tolerance_follows_the_duality_gap(monkeypatch, configured):
     # CENTERING_FRACTION * m / t falls from 6.02 to 1.8e-4 along the ladder:
     # above 1e-5 at every stage, below 1e-2 from the eleventh on.
     cfg, problem = feasible_config(1, 0.0)
-    settings = replace(cfg.barrier, ilqr=replace(cfg.barrier.ilqr, cost_tolerance=configured))
+    settings = replace(cfg.barrier, cost_tolerance=configured)
     m = 4 * 60 + 61
     seen = []
     solve = ilqr.solve
 
-    def spy(traj, cost, dynamics, inner):
-        seen.append((cost.sharpness, inner.cost_tolerance))
-        return solve(traj, cost, dynamics, inner)
+    def spy(traj, cost, dynamics, cost_tolerance):
+        seen.append((cost.sharpness, cost_tolerance))
+        return solve(traj, cost, dynamics, cost_tolerance=cost_tolerance)
 
     monkeypatch.setattr(ilqr, "solve", spy)
     barrier_solve(problem, settings)
@@ -456,7 +456,7 @@ def test_first_stage_tolerance_counts_every_constraint_term(monkeypatch, bounds,
     cfg, _ = feasible_config(1, 0.0)
     cfg = replace(cfg, horizon=30, bounds=bounds,
                   obstacles=(cfg.obstacles + FAR_OBSTACLES)[:obstacles])
-    settings = replace(cfg.barrier, ilqr=replace(cfg.barrier.ilqr, cost_tolerance=configured))
+    settings = replace(cfg.barrier, cost_tolerance=configured)
     assert settings.outer_iters > 1
     limits = (2 * math.isfinite(bounds.max_steer) + math.isfinite(bounds.max_accel)
               + math.isfinite(bounds.min_accel))
@@ -466,9 +466,9 @@ def test_first_stage_tolerance_counts_every_constraint_term(monkeypatch, bounds,
     seen = []
     solve = ilqr.solve
 
-    def spy(traj, cost, dynamics, inner):
-        seen.append((cost.sharpness, inner.cost_tolerance))
-        return solve(traj, cost, dynamics, inner)
+    def spy(traj, cost, dynamics, cost_tolerance):
+        seen.append((cost.sharpness, cost_tolerance))
+        return solve(traj, cost, dynamics, cost_tolerance=cost_tolerance)
 
     monkeypatch.setattr(ilqr, "solve", spy)
     next(_stages(problem, settings, y))
@@ -495,10 +495,12 @@ def test_jacobian_domain_error_yields_failed_status(stage):
     assert report.max_violation == 0.0
 
 
-def test_unconverged_last_stage_reports_max_iters():
+def test_unconverged_last_stage_reports_max_iters(monkeypatch):
+    # Every stage stops after one inner iteration, short of its tolerance.
     cfg, problem = feasible_config(2, 4.0)
-    settings = replace(cfg.barrier, outer_iters=2, ilqr=replace(cfg.barrier.ilqr, max_iters=1))
-    report = barrier_solve(problem, settings)
+    solve = ilqr.solve
+    monkeypatch.setattr(ilqr, "solve", lambda *args, **kwargs: solve(*args, **kwargs, max_iters=1))
+    report = barrier_solve(problem, replace(cfg.barrier, outer_iters=2))
     assert report.status == "max_iters"
     assert report.max_violation == 0.0
 
@@ -510,13 +512,13 @@ def test_barrier_cost_approaches_consensus_cost():
     # the unconstrained optimum, replayed here.
     cfg, problem = feasible_config(1, 0.0)
     cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
-    sigma, settings = ADMMSettings().sigma, ILQRSettings()
-    y = ilqr.solve(rollout(dynamics, problem.x0, np.zeros((cfg.horizon, 2))), cost, dynamics,
-                   settings).trajectory
+    sigma = ADMMSettings().sigma
+    y = ilqr.solve(rollout(dynamics, problem.x0, np.zeros((cfg.horizon, 2))), cost,
+                   dynamics).trajectory
     z = consensus_blocks(y)
     lam = np.zeros_like(z)
     for _ in range(60):
-        y = ilqr.solve(y, PenalizedCost(cost, z, lam, sigma), dynamics, settings).trajectory
+        y = ilqr.solve(y, PenalizedCost(cost, z, lam, sigma), dynamics).trajectory
         sel = consensus_blocks(y)
         z = project_consensus(sel + lam / sigma, y.states[:, 2], constraints)
         lam += sigma * (sel - z)
@@ -550,3 +552,7 @@ def test_settings_validation():
     for value in (2.5, 3.0, True, "3"):
         with pytest.raises(ValueError, match="integer"):
             BarrierSettings(outer_iters=value)
+    # The iLQR cost tolerance must be a positive number; NaN fails.
+    for value in (0.0, -1e-4, math.nan, True, "1e-4"):
+        with pytest.raises(ValueError, match="cost_tolerance must be positive"):
+            BarrierSettings(cost_tolerance=value)

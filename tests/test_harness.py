@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from admmplan import cli, harness
-from admmplan.admm import PROBE_ILQR
+from admmplan import cli, harness, ilqr
 from admmplan.constraints import ConstraintSet, Obstacle
 from admmplan.costs import Reference
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
@@ -50,7 +49,7 @@ def test_builtin_scenario_1_matches_paper_setup():
     assert cfg.vehicle.timestep == 0.1
     assert cfg.admm.sigma == 10.0
     assert cfg.admm.max_admm_iters == 20
-    assert PROBE_ILQR.max_iters == 100
+    assert ilqr.solve.__defaults__ == (100, 1e-4)  # the probe's iLQR cap and tolerance
 
 
 def test_builtin_scenario_2_matches_paper_setup():
@@ -113,17 +112,15 @@ def _key_paths(value, prefix=()):
 
 @pytest.mark.parametrize("solver", ["admm", "barrier"])
 def test_config_rejects_ilqr_settings_that_hang(tmp_path, solver):
-    # mu_init = 0 never grows, so the backward pass would restart forever.
-    path = tmp_path / "hang.yaml"
-    path.write_text(
-        "horizon: 60\n"
-        "initial_state: {px: 0.0, py: 0.0, theta: 0.0, v: 4.0}\n"
-        "weights: {steering_weight: 0.0, accel_weight: 0.0}\n"
-        "reference: {py_ref: 0.0}\n"
-        f"{solver}: {{ilqr: {{mu_init: 0}}}}\n"
-    )
-    with pytest.raises(ConfigError):
-        load_config(path)
+    # mu_init = 0 would never grow, so the backward pass would restart
+    # forever; the regularization floor is fixed (ilqr.MU_MIN), and a file
+    # that still sets one is refused by its section's path (exit 2).
+    text = ("horizon: 60\n"
+            "initial_state: {px: 0.0, py: 0.0, theta: 0.0, v: 4.0}\n"
+            "weights: {steering_weight: 0.0, accel_weight: 0.0}\n"
+            "reference: {py_ref: 0.0}\n"
+            f"{solver}: {{ilqr: {{mu_init: 0}}}}\n")
+    assert _refused(tmp_path, text, f"unknown key {solver}.ilqr")
 
 
 def test_config_dict_round_trip():
@@ -387,8 +384,7 @@ def test_cli_rejects_nan_settings(tmp_path):
     # 2), not a solve that ends "failed".
     data = config_to_dict(builtin_scenario(1))
     for edit in ({"admm": dict(data["admm"], sigma=math.nan)},
-                 {"barrier": dict(data["barrier"],
-                                  ilqr=dict(data["barrier"]["ilqr"], cost_tolerance=math.nan))}):
+                 {"barrier": dict(data["barrier"], cost_tolerance=math.nan)}):
         path = tmp_path / "nan.yaml"
         path.write_text(yaml.safe_dump(dict(data, **edit)))
         assert ".nan" in path.read_text()
@@ -405,9 +401,6 @@ def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
     # barrier terms, so each is rejected on load, for its own reason.
     data = config_to_dict(builtin_scenario(1))
     for edit, message in (
-            ({"barrier": dict(data["barrier"],
-                              ilqr=dict(data["barrier"]["ilqr"], max_iters=math.inf))},
-             "max_iters must be an integer of at least 1"),
             ({"admm": dict(data["admm"], max_admm_iters=math.inf)},
              "max_admm_iters must be an integer of at least 1"),
             ({"admm": dict(data["admm"], sigma=math.inf)},
@@ -493,10 +486,8 @@ def test_cli_rejects_non_integer_iteration_counts(tmp_path):
     # A count of 2.5 is a configuration error (exit 2), not a crash inside
     # range() or a horizon truncated to 2.
     data = config_to_dict(builtin_scenario(1))
-    ilqr = dict(data["barrier"]["ilqr"], max_iters=2.5)
     for edit in ({"horizon": 2.5},
                  {"admm": dict(data["admm"], max_admm_iters=2.5)},
-                 {"barrier": dict(data["barrier"], ilqr=ilqr)},
                  {"barrier": dict(data["barrier"], outer_iters=2.5)}):
         path = tmp_path / "count.yaml"
         path.write_text(yaml.safe_dump(dict(data, **edit)))
@@ -547,15 +538,16 @@ def test_cli_rejects_a_vehicle_section_that_is_not_a_mapping(tmp_path, value):
 # Every section of a configuration file by its dotted path ("" is the top
 # level and "obstacles.0" the first obstacle), as error messages name it.
 SECTIONS = ["", "initial_state", "vehicle", "weights", "reference", "bounds", "obstacles.0",
-            "admm", "barrier", "barrier.ilqr"]
+            "admm", "barrier"]
 
 
 def _set_at(data, path, value):
-    """`data` with the entry at the dotted `path` set to `value`, in place."""
+    """`data` with the entry at the dotted `path` set to `value`, in place;
+    a missing section on the way is added."""
     keys = [int(key) if key.isdigit() else key for key in path.split(".")]
     section = data
     for key in keys[:-1]:
-        section = section[key]
+        section = section[key] if isinstance(section, list) else section.setdefault(key, {})
     section[keys[-1]] = value
     return data
 
@@ -592,11 +584,12 @@ def test_cli_rejects_a_section_that_is_not_a_mapping(tmp_path, section, value):
 
 
 # The keys older versions wrote, at the values they wrote: each is no field of
-# the schema, so a file that carries one is refused like any unknown key.
+# the schema, so a file that carries one is refused like any unknown key, by
+# the path of the outermost one.
+ILQR = {"max_iters": 100, "cost_tolerance": 0.0001, "mu_init": 1e-06}
 RETIRED = {"seed": 0, "vehicle.body_length": 3.0, "vehicle.body_width": 2.0,
-           "admm.primal_tolerance": 0.001,
-           "admm.ilqr": {"max_iters": 100, "cost_tolerance": 0.0001, "mu_init": 1e-06},
-           "barrier.margin": 1e-06, "barrier.ilqr.mu_growth": 10.0,
+           "admm.primal_tolerance": 0.001, "admm.ilqr": ILQR,
+           "barrier.margin": 1e-06, "barrier.ilqr": ILQR, "barrier.ilqr.mu_growth": 10.0,
            "barrier.ilqr.mu_shrink": 0.5, "barrier.ilqr.mu_max": 1e10,
            "barrier.ilqr.line_search_steps": 11}
 
@@ -604,8 +597,9 @@ RETIRED = {"seed": 0, "vehicle.body_length": 3.0, "vehicle.body_width": 2.0,
 @pytest.mark.parametrize("path", RETIRED)
 def test_cli_rejects_a_key_older_versions_wrote(tmp_path, path):
     data = _set_at(config_to_dict(builtin_scenario(1)), path, RETIRED[path])
-    assert _refused(tmp_path, data, f"unknown key {path}")
-    with pytest.raises(ConfigError, match=f"^unknown key {re.escape(path)}$"):
+    key = min((key for key in RETIRED if f"{path}.".startswith(f"{key}.")), key=len)
+    assert _refused(tmp_path, data, f"unknown key {key}")
+    with pytest.raises(ConfigError, match=f"^unknown key {re.escape(key)}$"):
         config_from_dict(data)
 
 
@@ -709,21 +703,15 @@ def test_cli_rejects_a_boolean_where_a_number_is_read(tmp_path, data, field):
 
 
 def _with_nested(section, **fields):
-    data = config_to_dict(builtin_scenario(1))
-    if section == "obstacle":
-        return _obstacle_with(**fields)
-    if section == "ilqr":
-        ilqr = dict(data["barrier"]["ilqr"], **fields)
-        return dict(data, barrier=dict(data["barrier"], ilqr=ilqr))
-    return _with_fields(section, **fields)
+    return _obstacle_with(**fields) if section == "obstacle" else _with_fields(section, **fields)
 
 
 @pytest.mark.parametrize("section, name", [
     ("initial_state", "px"), ("initial_state", "v"), ("reference", "py_ref"),
     ("reference", "v_ref"), ("vehicle", "wheelbase"), ("vehicle", "timestep"),
     ("bounds", "max_steer"), ("bounds", "min_accel"), ("bounds", "max_accel"),
-    ("initial_state", "theta"), ("admm", "sigma"), ("ilqr", "cost_tolerance"),
-    ("ilqr", "mu_init"), ("barrier", "initial_sharpness"), ("barrier", "tighten_factor"),
+    ("initial_state", "theta"), ("admm", "sigma"), ("barrier", "cost_tolerance"),
+    ("barrier", "initial_sharpness"), ("barrier", "tighten_factor"),
     ("weights", "position_weight"), ("weights", "terminal_scale"),
     ("obstacle", "semi_major"), ("obstacle", "semi_minor"),
 ])

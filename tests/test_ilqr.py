@@ -10,7 +10,6 @@ from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import RegularizationExhausted
 from admmplan.ilqr import (
-    ILQRSettings,
     Trajectory,
     backward_pass,
     forward_pass,
@@ -30,7 +29,7 @@ from oracles import (
     riccati_optimal,
 )
 
-TIGHT = ILQRSettings(max_iters=100, cost_tolerance=1e-10, mu_init=1e-9)
+TIGHT = dict(max_iters=100, cost_tolerance=1e-10)
 
 
 def lqr_setup(seed):
@@ -188,7 +187,7 @@ def test_nan_l_uu_exhausts_regularization(stamps):
     with pytest.raises(RegularizationExhausted):
         backward_pass(traj, NaNCost(), model, 1e-6)
     with pytest.raises(RegularizationExhausted, match="backward pass"):
-        solve(traj, NaNCost(), model, ILQRSettings())
+        solve(traj, NaNCost(), model)
 
 
 def test_forward_pass_zero_gains_is_identity():
@@ -223,17 +222,17 @@ def test_solve_matches_riccati_cost(seed):
     dynamics, cost, x0, (A, B, Q, R, Qf) = lqr_setup(seed)
     horizon = 60
     opt_cost, _, _, _ = riccati_optimal(A, B, Q, R, Qf, x0, horizon)
-    result = solve(rollout(dynamics, x0, np.zeros((horizon, 2))), cost, dynamics, TIGHT)
+    result = solve(rollout(dynamics, x0, np.zeros((horizon, 2))), cost, dynamics, **TIGHT)
     assert result.cost == pytest.approx(opt_cost, rel=1e-8)
     assert result.status == ilqr.STATUS_CONVERGED
 
 
 def test_solve_reports_full_steps_at_the_regularization_floor():
     dynamics, cost, x0, _ = lqr_setup(9)
-    result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, ILQRSettings())
+    result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics)
     assert result.alpha == 1.0
     assert result.rejected_steps == 0
-    assert result.peak_mu == ILQRSettings().mu_init
+    assert result.peak_mu == ilqr.MU_MIN
 
 
 def test_solve_reports_rejected_steps_and_grown_regularization():
@@ -244,8 +243,7 @@ def test_solve_reports_rejected_steps_and_grown_regularization():
         l_uu = -1e-3 * np.eye(2)
 
     dynamics, _, x0, _ = lqr_setup(11)
-    result = solve(rollout(dynamics, x0, np.zeros((10, 2))), SlightlyConcave(), dynamics,
-                   ILQRSettings(mu_init=1e-6))
+    result = solve(rollout(dynamics, x0, np.zeros((10, 2))), SlightlyConcave(), dynamics)
     assert result.status == ilqr.STATUS_CONVERGED and result.iterations == 1
     assert result.alpha is None
     assert result.rejected_steps == len(ilqr.ALPHAS)
@@ -262,7 +260,7 @@ def test_solve_rejects_trials_whose_steer_is_infinite(monkeypatch):
     k[3, 0] = math.inf
     gains = gain_rows(k, np.zeros((10, 2, 4)))
     monkeypatch.setattr(ilqr, "backward_pass", lambda *args: (gains, (0.0, 0.0, 0.0), 1e-6))
-    result = solve(traj, ZeroCost(), model, ILQRSettings(mu_init=1e-6))
+    result = solve(traj, ZeroCost(), model)
     assert result.status == ilqr.STATUS_CONVERGED and result.iterations == 1
     assert result.alpha is None
     assert result.rejected_steps == len(ilqr.ALPHAS)
@@ -274,15 +272,15 @@ def test_solve_monotone_descent_and_history():
     dynamics = BicycleModel(params)
     cost = TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0))
     nominal = rollout(dynamics, np.array([0.0, 0.0, 0.0, 2.0]), np.zeros((40, 2)))
-    result = solve(nominal, cost, dynamics, ILQRSettings())
+    result = solve(nominal, cost, dynamics)
     diffs = np.diff(result.cost_history)
     assert (diffs < 0).all()
 
 
 def test_solve_warm_start_converges_immediately():
     dynamics, cost, x0, _ = lqr_setup(10)
-    first = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, TIGHT)
-    again = solve(first.trajectory, cost, dynamics, TIGHT)
+    first = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, **TIGHT)
+    again = solve(first.trajectory, cost, dynamics, **TIGHT)
     assert again.status == ilqr.STATUS_CONVERGED
     assert again.iterations == 1
     assert again.cost == pytest.approx(first.cost, rel=1e-12)
@@ -311,7 +309,7 @@ def test_solve_from_a_solved_trajectory_equals_solve_from_its_rollout():
 
 def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
     dynamics, cost, x0, _ = lqr_setup(11)
-    result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, TIGHT)
+    result = solve(rollout(dynamics, x0, np.zeros((30, 2))), cost, dynamics, **TIGHT)
     gains, _, _ = backward_pass(result.trajectory, cost, dynamics, 1e-12)
     k, _ = gain_arrays(gains)
     assert np.abs(k).max() < 1e-6
@@ -320,7 +318,7 @@ def test_rerun_backward_pass_after_convergence_has_tiny_feedforward():
 def test_stationarity_at_convergence():
     dynamics, cost, x0, _ = lqr_setup(12)
     horizon = 30
-    result = solve(rollout(dynamics, x0, np.zeros((horizon, 2))), cost, dynamics, TIGHT)
+    result = solve(rollout(dynamics, x0, np.zeros((horizon, 2))), cost, dynamics, **TIGHT)
     traj = result.trajectory
     f_x, f_u = dynamics.jacobians(traj.states[:-1], traj.controls)
     l_x, l_u, l_xx, l_uu = cost.expand(traj)
@@ -347,8 +345,7 @@ def test_feedback_consistency_quadratic_model():
     dynamics = BicycleModel(VehicleParams())
     cost = TrackingCost(CostWeights(), Reference(py_ref=1.0, v_ref=6.0))
     x0 = np.array([0.0, 0.0, 0.0, 4.0])
-    result = solve(rollout(dynamics, x0, np.zeros((40, 2))), cost, dynamics,
-                   ILQRSettings(cost_tolerance=1e-9))
+    result = solve(rollout(dynamics, x0, np.zeros((40, 2))), cost, dynamics, cost_tolerance=1e-9)
     traj = result.trajectory
     gains, (V_x, V_xx, _), _ = backward_pass(traj, cost, dynamics, 1e-9)
     np.testing.assert_array_equal(V_xx, V_xx.T)
@@ -369,49 +366,26 @@ def test_scenario_subproblem_reaches_reference_speed():
     dynamics = BicycleModel(VehicleParams())
     cost = TrackingCost(CostWeights(), Reference(py_ref=0.0, v_ref=8.0))
     nominal = rollout(dynamics, np.array([0.0, 0.0, 0.0, 4.0]), np.zeros((60, 2)))
-    result = solve(nominal, cost, dynamics, ILQRSettings())
+    result = solve(nominal, cost, dynamics)
     assert result.trajectory.states[-1, 3] == pytest.approx(8.0, abs=0.1)
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        ILQRSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        ILQRSettings(cost_tolerance=0.0)
-    # A mu_init above the fixed cap MU_MAX, infinity included, would fail
-    # every backward pass at once.
-    with pytest.raises(ValueError, match="mu_init"):
-        ILQRSettings(mu_init=math.inf)
+    # The engine's cost tolerance must be a positive number: at zero no
+    # improvement falls below it and a stalled solve runs to max_iters.
+    dynamics, cost, x0, _ = lqr_setup(3)
+    nominal = rollout(dynamics, x0, np.zeros((10, 2)))
+    for value in (0.0, -1e-4, True, "1e-4"):
+        with pytest.raises(ValueError, match="cost_tolerance must be positive"):
+            solve(nominal, cost, dynamics, cost_tolerance=value)
 
 
-@pytest.mark.parametrize("field", ["max_iters", "cost_tolerance", "mu_init"])
+@pytest.mark.parametrize("field", ["cost_tolerance"])
 def test_settings_reject_nan(field):
+    dynamics, cost, x0, _ = lqr_setup(3)
+    nominal = rollout(dynamics, x0, np.zeros((10, 2)))
     with pytest.raises(ValueError):
-        ILQRSettings(**{field: math.nan})
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("mu_init", 0.0),
-        ("mu_init", -1e-6),
-    ],
-)
-def test_settings_reject_values_that_hang(field, value):
-    # A mu that is not positive never grows, so the schedule stalls.
-    with pytest.raises(ValueError):
-        ILQRSettings(**{field: value})
-
-
-@pytest.mark.parametrize("field", ["max_iters"])
-@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
-def test_iteration_counts_must_be_integers(field, value):
-    with pytest.raises(ValueError, match="integer"):
-        ILQRSettings(**{field: value})
-
-
-def test_settings_accept_boundary_values():
-    ILQRSettings(max_iters=1, mu_init=ilqr.MU_MAX)
+        solve(nominal, cost, dynamics, **{field: math.nan})
 
 
 def test_total_cost_sums_stamps_in_order():

@@ -195,6 +195,26 @@ def test_jacobians_read_an_overflowing_discriminant_as_outside():
     assert info.value.tau == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steer, db_dw", [(0.0, 0.0), (1e-300, 5e97)])
+def test_jacobians_are_finite_at_a_huge_speed_the_step_takes(steer, db_dw):
+    # At 1e200 m/s, (h v)^2 overflows, but h v sin(steer) is far inside the
+    # wheelbase: the step is defined, and so is every derivative, with no
+    # warning. d(back roll)/d(steer) = (h v)^2 sin cos / root - h v sin.
+    x, u = [0.0, 0.0, 0.0, 1e200], [steer, 0.0]
+    assert all(map(math.isfinite, step(x, u)))
+    f_x, f_u = jacobians(x, u, PARAMS)
+    assert np.isfinite(f_x).all() and np.isfinite(f_u).all()
+    assert f_u[0, 0] == pytest.approx(db_dw, rel=1e-12)
+    assert f_u[1, 0] == 0.0
+    # Stacked with an ordinary row, which keeps its single-row values.
+    rows = jacobians([[0.0, 0.0, 0.0, 4.0], x], [[0.3, 0.0], u], PARAMS)
+    for stacked, single, ordinary in zip(rows, (f_x, f_u),
+                                         jacobians([0.0, 0.0, 0.0, 4.0], [0.3, 0.0], PARAMS)):
+        np.testing.assert_array_equal(stacked[1], single)
+        np.testing.assert_array_equal(stacked[0], ordinary)
+
+
 def test_state_control_array_round_trip():
     s = State(1.0, 2.0, 0.3, 4.0)
     np.testing.assert_array_equal(s.as_array(), [1.0, 2.0, 0.3, 4.0])
