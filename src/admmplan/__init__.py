@@ -8,7 +8,7 @@ projection step is solved exactly per time stamp. A log-barrier constrained
 iLQR baseline and a benchmark harness round out the toolkit.
 """
 
-from .admm import ADMMSettings, IterationRecord, Problem, SolveReport, admm_solve
+from .admm import IterationRecord, Problem, SolveReport, admm_solve
 from .barrier import BarrierSettings, barrier_solve
 from .constraints import ConstraintSet, InputBounds, Obstacle, project_timestep
 from .costs import CostWeights, Reference, TrackingCost
@@ -30,7 +30,6 @@ from .vehicle import BicycleModel, State, VehicleParams
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADMMSettings",
     "BarrierDomainViolation",
     "BarrierSettings",
     "BicycleModel",

@@ -15,9 +15,9 @@ next z and lam move its subproblem anyway. The loop, a generator that
 `solve_report` turns into either solver's report, stops once the max-norm
 primal residual ||sel(y) - z|| falls below PRIMAL_TOLERANCE; the
 dynamics-feasible y is returned with its constraint violation, reported since
-feasibility is only reached in the limit. Only sigma and the iteration cap
-are settings: the tolerance is a module constant, the probe is one iLQR solve
-at the engine's defaults and each consensus iteration one step of it.
+feasibility is only reached in the limit. The loop has no settings: sigma,
+the iteration cap and the tolerance are module constants, the probe is one
+iLQR solve at the engine's defaults and each consensus iteration one step of it.
 
 Initially infeasible trajectories are fine: the first iterate is a plain
 zero-control rollout, which is the advertised advantage over barrier-style
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ilqr
-from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS, is_count, is_real
+from .ilqr import STATUS_CONVERGED, STATUS_FAILED, STATUS_MAX_ITERS
 from .constraints import FEASIBILITY_TOL, ConstraintSet, project_timestep
 from .errors import DomainError, NonConvergence, RegularizationExhausted
 
@@ -40,21 +40,12 @@ BLOCK_DIM = 4  # (px, py, steer, accel)
 # regularization cap, the cyclic projection's sweep budget, and Jacobians
 # requested at the kinematic domain boundary, which steps still accept.
 SOLVE_FAILURES = (RegularizationExhausted, NonConvergence, DomainError)
-# The max-norm stopping threshold on the primal residual sel(y) - z.
+# The consensus loop is fixed: the penalty SIGMA (scaled ADMM's rho), the cap
+# of MAX_ADMM_ITERS consensus iterations, and the max-norm stopping threshold
+# PRIMAL_TOLERANCE on the primal residual sel(y) - z.
+SIGMA = 10.0
+MAX_ADMM_ITERS = 20
 PRIMAL_TOLERANCE = 1e-3
-
-
-@dataclass
-class ADMMSettings:
-    sigma: float = 10.0
-    max_admm_iters: int = 20
-
-    def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not (is_real(self.sigma) and math.inf > self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not is_count(self.max_admm_iters):
-            raise ValueError("max_admm_iters must be an integer of at least 1")
 
 
 @dataclass
@@ -244,7 +235,7 @@ def solve_report(seed, iterations, problem: Problem) -> SolveReport:
     return report
 
 
-def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveReport:
+def admm_solve(problem: Problem) -> SolveReport:
     """Plan a constrained trajectory by consensus splitting.
 
     Returns:
@@ -255,13 +246,12 @@ def admm_solve(problem: Problem, settings: ADMMSettings | None = None) -> SolveR
         Internal solver failures are reported as status "failed" on a partial
         report rather than raised.
     """
-    settings = settings or ADMMSettings()
     # The only rollout: the probe's nominal, the first iterate, a failed probe's answer.
     rollout0 = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
-    return solve_report(rollout0, _consensus(problem, settings, rollout0), problem)
+    return solve_report(rollout0, _consensus(problem, rollout0), problem)
 
 
-def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
+def _consensus(problem: Problem, y: ilqr.Trajectory):
     """The probe, then the consensus iterations from `y`, as `solve_report` items."""
     # Probe: solve the unconstrained base problem first. If its optimum is
     # already feasible the splitting has nothing to do; consensus holds
@@ -280,18 +270,18 @@ def _consensus(problem: Problem, settings: ADMMSettings, y: ilqr.Trajectory):
     # has nothing to say yet while the objective is still improving.
     engaged = False
 
-    for _ in range(settings.max_admm_iters):
-        penalized = PenalizedCost(problem.cost, z, lam, settings.sigma)
+    for _ in range(MAX_ADMM_ITERS):
+        penalized = PenalizedCost(problem.cost, z, lam, SIGMA)
         result = ilqr.solve(y, penalized, problem.dynamics, max_iters=1)
         y = result.trajectory
         sel = _blocks(y)
-        z = project_consensus(sel + lam / settings.sigma, y.states[:, 2], problem.constraints)
+        z = project_consensus(sel + lam / SIGMA, y.states[:, 2], problem.constraints)
         diff = sel - z
-        lam += settings.sigma * diff
+        lam += SIGMA * diff
         res_inf, res_two = _norms(diff)
         if res_inf >= PRIMAL_TOLERANCE:
             engaged = True
         elif engaged:
-            yield result, res_inf, res_two, settings.sigma, STATUS_CONVERGED
+            yield result, res_inf, res_two, SIGMA, STATUS_CONVERGED
             return
-        yield result, res_inf, res_two, settings.sigma, STATUS_MAX_ITERS
+        yield result, res_inf, res_two, SIGMA, STATUS_MAX_ITERS

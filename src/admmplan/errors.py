@@ -17,10 +17,11 @@ class DomainError(PlannerError):
 
     Raised by the bicycle step when the back-wheel rolling distance has no
     real solution (the commanded speed/steer pair cannot be realized in one
-    sample period with the given wheelbase) and when math refuses its
-    arithmetic (ValueError on an infinite steer or heading, OverflowError at
-    a huge speed); and by its Jacobians at or beyond the domain boundary,
-    where the derivatives blow up. The solvers add the time index.
+    sample period with the given wheelbase, or the front roll h v is
+    infinite) and when math refuses its arithmetic (ValueError on an
+    infinite steer or heading, OverflowError at a huge speed); and by its
+    Jacobians at or beyond the domain boundary, where the derivatives blow
+    up. The solvers add the time index.
     """
 
 

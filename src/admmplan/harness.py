@@ -59,14 +59,13 @@ def build_problem(config: ScenarioConfig) -> Problem:
 
 
 def solve_scenario(config: ScenarioConfig, method: str) -> SolveReport:
-    """Run one solver on a scenario; barrier infeasibility propagates."""
+    """Run one solver on a scenario; barrier infeasibility propagates. Only
+    the barrier takes settings, the scenario's `barrier` section."""
     if method == "admm":
-        solver, settings = admm_solve, config.admm
-    elif method == "barrier":
-        solver, settings = barrier_solve, config.barrier
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return solver(build_problem(config), settings)
+        return admm_solve(build_problem(config))
+    if method == "barrier":
+        return barrier_solve(build_problem(config), config.barrier)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _write_csv(path, header, rows):

@@ -420,10 +420,13 @@ def solve(traj: Trajectory, cost, dynamics, max_iters: int = 100,
     control differs from the forward pass's at most in the sign of an exact
     zero, so the screen rejects only trials the rollout would reject.
 
-    Raises ValueError for a `cost_tolerance` that is not a positive number:
+    Raises ValueError for a `max_iters` that is not an integer of at least 1
+    (`is_count`), and for a `cost_tolerance` that is not a positive number:
     at zero or NaN no improvement falls below it, so a stalled solve runs to
     `max_iters`.
     """
+    if not is_count(max_iters):
+        raise ValueError("max_iters must be an integer of at least 1")
     if not (is_real(cost_tolerance) and cost_tolerance > 0):
         raise ValueError("cost_tolerance must be positive")
     cost_now = total_cost(cost, traj)

@@ -14,8 +14,8 @@ The two built-in scenarios:
      reference.
 
 Both use steering limits of +-0.6 rad, acceleration limits of +-3 m/s^2,
-5 x 2.5 m keep-out semi-axes, horizon 60 at 0.1 s, penalty 10, and iteration
-caps of 20 (consensus) and 100 (inner iLQR).
+5 x 2.5 m keep-out semi-axes, horizon 60 at 0.1 s and the barrier's
+benchmark ladder (`_benchmark_barrier_settings`).
 """
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -23,7 +23,6 @@ from typing import get_args, get_origin
 
 import yaml
 
-from .admm import ADMMSettings
 from .barrier import BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
@@ -56,7 +55,6 @@ class ScenarioConfig:
     reference: Reference = field(default_factory=lambda: Reference(py_ref=0.0))
     bounds: InputBounds = field(default_factory=InputBounds)
     obstacles: list[Obstacle] = field(default_factory=list)
-    admm: ADMMSettings = field(default_factory=ADMMSettings)
     barrier: BarrierSettings = field(default_factory=BarrierSettings)
     ego_heading_ellipses: bool = False
 

@@ -82,8 +82,9 @@ def _stepper(wheelbase: float, timestep: float):
     solvers' rollouts pass. Returns the next state as a new list of four
     Python floats (NaN in gives NaN out). Raises DomainError for every step
     it refuses: when the back roll's square-root argument d^2 - f^2 sin^2(w)
-    goes negative (the time step is too large for the speed/steer pair), and
-    when math refuses the arithmetic (ValueError on an infinite steer or
+    goes negative (the time step is too large for the speed/steer pair) or
+    is NaN from an infinite front roll f (h v overflows, or v is infinite),
+    and when math refuses the arithmetic (ValueError on an infinite steer or
     heading, OverflowError when f sin(w) is too large to square). This is
     the one test of the kinematic domain; the solvers only add the stamp.
     """
@@ -98,11 +99,12 @@ def _stepper(wheelbase: float, timestep: float):
             f = h * v  # front roll
             fs = f * sin(w)
             disc = dd - fs ** 2
-            if disc < 0.0:
-                raise DomainError(
-                    f"back roll undefined for v={v}, steer={w}: "
-                    f"|front_roll*sin(steer)| exceeds wheelbase {d}"
-                )
+            if not disc >= 0.0:  # negative or NaN; one comparison in the domain
+                if disc < 0.0:
+                    raise DomainError(f"back roll undefined for v={v}, steer={w}: "
+                                      f"|front_roll*sin(steer)| exceeds wheelbase {d}")
+                if math.isinf(f) and not math.isnan(w):  # else NaN in, NaN out
+                    raise DomainError(f"front roll timestep*v is infinite for v={v}, steer={w}")
             b = d + f * cos(w) - sqrt(disc)
             return [px + b * cos(theta), py + b * sin(theta), theta + asin(fs / d), v + h * a]
         except (ValueError, OverflowError) as exc:
@@ -134,15 +136,15 @@ def jacobians(x, u, params: VehicleParams):
     d = params.wheelbase
     h = params.timestep
 
-    f = h * v
     s, c = np.sin(w), np.cos(w)
-    fs = f * s
     with np.errstate(over="ignore", invalid="ignore"):
+        f = h * v  # an infinite front roll is outside
+        fs = f * s
         disc = d * d - fs ** 2  # an overflowing square is outside: disc is -inf
         ff = f * f  # where it overflows, f * fs is the f^2 sin(w) of a row inside
         ffs = np.where(np.isinf(ff), f * fs, ff * s)
     q = fs / d
-    outside = (disc <= 0.0) | (np.abs(q) >= 1.0)
+    outside = (disc <= 0.0) | (np.abs(q) >= 1.0) | np.isinf(f)
     if outside.any():
         tau = int(np.argmax(outside.reshape(-1)))
         raise DomainError(

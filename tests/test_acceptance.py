@@ -231,7 +231,7 @@ def test_criterion_6_infeasible_seed_contrast():
             barrier_failed = False
         except BarrierDomainViolation:
             barrier_failed = True
-        admm_report = admm_solve(problem, cfg.admm)
+        admm_report = admm_solve(problem)
         outcomes.append((sid, barrier_failed, admm_report.status))
     ok = all(bf and status == "converged" for _, bf, status in outcomes)
     report("criterion 6: infeasible-seed contrast", ok, str(outcomes))
@@ -268,7 +268,7 @@ def test_criterion_8_inactive_splitting_identity():
     for sid in (1, 2):
         cfg = replace(builtin_scenario(sid), bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
         problem = build_problem(cfg)
-        rep = admm_solve(problem, cfg.admm)
+        rep = admm_solve(problem)
         plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
                            problem.cost, problem.dynamics)
         worst = max(worst, abs(rep.records[-1].cost - plain.cost) / abs(plain.cost))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from admmplan import admm, ilqr
 from admmplan.admm import (
-    ADMMSettings,
     SolveReport,
     PenalizedCost,
     admm_solve,
@@ -165,24 +164,9 @@ def test_penalty_expansion_matches_finite_differences():
                 assert (up - down) / (2 * eps) == pytest.approx(grad[index], abs=1e-5)
 
 
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        ADMMSettings(sigma=0.0)
-    with pytest.raises(ValueError, match="sigma"):
-        ADMMSettings(sigma=math.inf)
-    with pytest.raises(ValueError):
-        ADMMSettings(max_admm_iters=0)
-    for field in ("sigma", "max_admm_iters"):
-        with pytest.raises(ValueError):
-            ADMMSettings(**{field: math.nan})
-    for value in (2.5, 3.0, True, "3"):
-        with pytest.raises(ValueError, match="integer"):
-            ADMMSettings(max_admm_iters=value)
-
-
 def solve_scenario_admm(sid):
     cfg = builtin_scenario(sid)
-    return cfg, admm_solve(build_problem(cfg), cfg.admm)
+    return cfg, admm_solve(build_problem(cfg))
 
 
 # ADMM iterations and final cost of the paper's scenarios.
@@ -198,7 +182,7 @@ def test_dual_update_identity():
     y = ilqr.rollout(dynamics, problem.x0, np.zeros((T, 2)))
     z = consensus_blocks(y)
     lam = np.zeros_like(z)
-    sigma = cfg.admm.sigma
+    sigma = admm.SIGMA
     for _ in range(4):
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics).trajectory
@@ -217,7 +201,7 @@ def test_z_iterates_feasible():
     y = ilqr.rollout(dynamics, problem.x0, np.zeros((T, 2)))
     z = consensus_blocks(y)
     lam = np.zeros_like(z)
-    sigma = cfg.admm.sigma
+    sigma = admm.SIGMA
     for _ in range(6):
         pen = PenalizedCost(cost, z, lam, sigma)
         y = ilqr.solve(y, pen, dynamics).trajectory
@@ -393,7 +377,7 @@ def test_inactive_splitting_matches_plain_ilqr():
     for sid in (1, 2):
         cfg = replace(builtin_scenario(sid), bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
         problem = build_problem(cfg)
-        report = admm_solve(problem, cfg.admm)
+        report = admm_solve(problem)
         plain = ilqr.solve(ilqr.rollout(problem.dynamics, problem.x0, np.zeros((cfg.horizon, 2))),
                            problem.cost, problem.dynamics)
         assert report.status == "converged"
@@ -404,7 +388,7 @@ def test_inactive_splitting_matches_plain_ilqr():
 def test_scenario1_report_contents():
     cfg, report = solve_scenario_admm(1)
     assert report.status == "converged"
-    assert report.iterations <= cfg.admm.max_admm_iters
+    assert report.iterations <= admm.MAX_ADMM_ITERS
     assert len(report.records) == report.iterations
     assert len(report.ilqr_iterations) == report.iterations
     # residual decays to near-feasibility and the trajectory clears the ellipse
@@ -427,12 +411,12 @@ def test_returned_trajectory_dynamically_feasible():
         assert report.trajectory.dynamics_break(dynamics, tol=1e-9) is None
 
 
-def test_consensus_iterations_take_one_ilqr_step():
+def test_consensus_iterations_take_one_ilqr_step(monkeypatch):
     # Every consensus iteration takes exactly one inner iLQR step, whether
     # the solve converges or runs out of iterations.
     reports = [solve_scenario_admm(sid)[1] for sid in (1, 2)]
-    cfg = builtin_scenario(1)
-    reports.append(admm_solve(build_problem(cfg), replace(cfg.admm, max_admm_iters=3)))
+    monkeypatch.setattr(admm, "MAX_ADMM_ITERS", 3)
+    reports.append(admm_solve(build_problem(builtin_scenario(1))))
     assert [r.status for r in reports] == ["converged", "converged", "max_iters"]
     for report in reports:
         assert report.iterations > 1
@@ -467,7 +451,7 @@ def keepout_ring():
 def test_projection_failure_yields_failed_status_with_partial_report():
     # the solve must report the projection failure instead of raising
     cfg = replace(builtin_scenario(1), obstacles=keepout_ring())
-    report = admm_solve(build_problem(cfg), cfg.admm)
+    report = admm_solve(build_problem(cfg))
     assert report.status == "failed"
     assert report.message
     assert report.trajectory.states.shape == (cfg.horizon + 1, 4)
@@ -493,7 +477,7 @@ def test_failed_probe_reports_the_seed_violation():
     # zero-control rollout, which drives through the S1 obstacle.
     cfg = builtin_scenario(1)
     problem = build_problem(cfg)
-    report = admm_solve(replace(problem, cost=NaNControlHessian(problem.cost)), cfg.admm)
+    report = admm_solve(replace(problem, cost=NaNControlHessian(problem.cost)))
     assert report.status == "failed" and not report.records
     assert report.max_violation > 0
     assert report.max_violation == trajectory_violation(report.trajectory, problem.constraints)
@@ -527,7 +511,7 @@ def test_consensus_that_never_engages_ends_at_the_cap_still_descending():
     # well above the cost the barrier reaches from the same start.
     cfg = builtin_scenario(2)
     cfg = replace(cfg, initial_state=replace(cfg.initial_state, v=4.0))
-    report = admm_solve(build_problem(cfg), cfg.admm)
+    report = admm_solve(build_problem(cfg))
     assert report.status == "max_iters" and report.iterations == 20
     assert all(r.residual_inf == 0.0 and r.residual_two == 0.0 for r in report.records)
     assert report.max_violation == 0.0
@@ -550,7 +534,7 @@ def report_of(case) -> SolveReport:
         cfg = replace(cfg, bounds=InputBounds(1e9, 1e9, -1e9), obstacles=[])
     elif case == "projection failure":
         cfg = replace(cfg, obstacles=keepout_ring())
-    return admm_solve(build_problem(cfg), cfg.admm)
+    return admm_solve(build_problem(cfg))
 
 
 @pytest.mark.parametrize("case", ["S1", "S2", "probe exit", "barrier", "projection failure"])
@@ -573,7 +557,7 @@ def test_report_counts_and_costs_come_from_its_records(case):
         assert weights == [ladder.initial_sharpness * ladder.tighten_factor**i
                            for i in range(ladder.outer_iters)]
     else:
-        assert weights == [builtin_scenario(1).admm.sigma] * len(weights)
+        assert weights == [admm.SIGMA] * len(weights)
 
 
 def test_each_record_keeps_its_own_iterate():
@@ -581,7 +565,7 @@ def test_each_record_keeps_its_own_iterate():
     # a trajectory in place would turn every record into the last one.
     cfg = builtin_scenario(1)
     problem = build_problem(cfg)
-    report = admm_solve(problem, cfg.admm)
+    report = admm_solve(problem)
     first, last = report.records[0].trajectory, report.records[-1].trajectory
     assert not np.array_equal(first.states, last.states)
     for record in report.records:
@@ -595,11 +579,11 @@ def test_record_seconds_add_up_to_no_more_than_the_solve():
     # S1 from standstill by the log barrier.
     cfg = builtin_scenario(1)
     standstill = replace(cfg, initial_state=State(0.0, 0.0, 0.0, 0.0))
-    for solver, config, settings in ((admm_solve, cfg, cfg.admm),
-                                     (barrier_solve, standstill, standstill.barrier)):
+    for config, solver in ((cfg, admm_solve),
+                           (standstill, lambda problem: barrier_solve(problem, standstill.barrier))):
         problem = build_problem(config)
         start = time.perf_counter()
-        report = solver(problem, settings)
+        report = solver(problem)
         wall = time.perf_counter() - start
         seconds = [record.seconds for record in report.records]
         assert report.status == "converged" and seconds
@@ -633,7 +617,7 @@ def test_jacobian_domain_error_yields_failed_status(phase):
     probe_calls = ilqr.solve(rollout0, problem.cost, problem.dynamics).iterations
     fail_at = 1 if phase == "probe" else probe_calls + 2
     dynamics = JacobiansFailAt(problem.dynamics.params, fail_at)
-    report = admm_solve(replace(problem, dynamics=dynamics), cfg.admm)
+    report = admm_solve(replace(problem, dynamics=dynamics))
     assert report.status == "failed"
     assert "time index 7" in report.message
     assert report.iterations == (0 if phase == "probe" else 1)
@@ -651,8 +635,8 @@ def test_forced_line_search_rejections_show_in_the_records(monkeypatch):
         return forward_pass(traj, gains, alpha, dynamics)
 
     monkeypatch.setattr(ilqr, "forward_pass", no_full_steps)
-    cfg = builtin_scenario(1)
-    admm_report = admm_solve(build_problem(cfg), replace(cfg.admm, max_admm_iters=3))
+    monkeypatch.setattr(admm, "MAX_ADMM_ITERS", 3)
+    admm_report = admm_solve(build_problem(builtin_scenario(1)))
     cfg = replace(builtin_scenario(2), initial_state=State(0.0, 0.0, 0.0, 4.0))
     barrier_report = barrier_solve(build_problem(cfg), replace(cfg.barrier, outer_iters=2))
     for report in (admm_report, barrier_report):
@@ -694,8 +678,8 @@ def test_one_position_term_pass_per_change_of_trajectory(monkeypatch):
     monkeypatch.setattr(TrackingCost, "expand", recording(TrackingCost.expand))
     polyline = ((0.0, 0.0), (20.0, 0.0), (40.0, 1.0), (60.0, 1.0))
     cfg = replace(builtin_scenario(2), reference=Reference(polyline=polyline, v_ref=8.0))
-    report = admm_solve(build_problem(cfg), cfg.admm)
-    assert report.iterations == cfg.admm.max_admm_iters
+    report = admm_solve(build_problem(cfg))
+    assert report.iterations == admm.MAX_ADMM_ITERS
     assert len(passes) == len(set(contents))
     assert 3 * len(passes) < len(contents)
 

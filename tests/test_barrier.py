@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from admmplan import ilqr
-from admmplan.admm import ADMMSettings, PenalizedCost, admm_solve, project_consensus
+from admmplan.admm import SIGMA, PenalizedCost, admm_solve, project_consensus
 from admmplan.barrier import (
     CENTERING_FRACTION,
     MARGIN,
@@ -344,10 +344,10 @@ def test_obstacle_centers_once_per_horizon_in_a_solve(monkeypatch):
         return centers
 
     monkeypatch.setattr(ConstraintSet, "_horizon_centers", recording)
-    for solve, settings in ((barrier_solve, "barrier"), (admm_solve, "admm")):
+    for method in ("barrier", "admm"):
         calls.clear()
         cfg, problem = feasible_config(2, 4.0)
-        report = solve(problem, getattr(cfg, settings))
+        report = barrier_solve(problem, cfg.barrier) if method == "barrier" else admm_solve(problem)
         assert report.iterations > 1
         assert len(calls) > 1
         assert {stamps for stamps, _ in calls} == {cfg.horizon + 1}
@@ -512,7 +512,7 @@ def test_barrier_cost_approaches_consensus_cost():
     # the unconstrained optimum, replayed here.
     cfg, problem = feasible_config(1, 0.0)
     cost, dynamics, constraints = problem.cost, problem.dynamics, problem.constraints
-    sigma = ADMMSettings().sigma
+    sigma = SIGMA
     y = ilqr.solve(rollout(dynamics, problem.x0, np.zeros((cfg.horizon, 2))), cost,
                    dynamics).trajectory
     z = consensus_blocks(y)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from admmplan import cli, harness, ilqr
+from admmplan import admm, cli, harness, ilqr
 from admmplan.constraints import ConstraintSet, Obstacle
 from admmplan.costs import Reference
 from admmplan.errors import ConfigError, PlannerError, UnknownScenario
@@ -47,8 +47,8 @@ def test_builtin_scenario_1_matches_paper_setup():
     assert (cfg.bounds.min_accel, cfg.bounds.max_accel) == (-3.0, 3.0)
     assert cfg.horizon == 60
     assert cfg.vehicle.timestep == 0.1
-    assert cfg.admm.sigma == 10.0
-    assert cfg.admm.max_admm_iters == 20
+    assert admm.SIGMA == 10.0
+    assert admm.MAX_ADMM_ITERS == 20
     assert ilqr.solve.__defaults__ == (100, 1e-4)  # the probe's iLQR cap and tolerance
 
 
@@ -114,13 +114,15 @@ def _key_paths(value, prefix=()):
 def test_config_rejects_ilqr_settings_that_hang(tmp_path, solver):
     # mu_init = 0 would never grow, so the backward pass would restart
     # forever; the regularization floor is fixed (ilqr.MU_MIN), and a file
-    # that still sets one is refused by its section's path (exit 2).
+    # that still sets one is refused by the path of its outermost retired
+    # section (exit 2): `admm` is no section at all.
     text = ("horizon: 60\n"
             "initial_state: {px: 0.0, py: 0.0, theta: 0.0, v: 4.0}\n"
             "weights: {steering_weight: 0.0, accel_weight: 0.0}\n"
             "reference: {py_ref: 0.0}\n"
             f"{solver}: {{ilqr: {{mu_init: 0}}}}\n")
-    assert _refused(tmp_path, text, f"unknown key {solver}.ilqr")
+    assert _refused(tmp_path, text, "unknown key admm" if solver == "admm" else
+                    "unknown key barrier.ilqr")
 
 
 def test_config_dict_round_trip():
@@ -382,29 +384,24 @@ def test_cli_rejects_polyline_points_that_are_not_pairs(tmp_path, polyline):
 def test_cli_rejects_nan_settings(tmp_path):
     # NaN fails every settings check, so it is a configuration error (exit
     # 2), not a solve that ends "failed".
-    data = config_to_dict(builtin_scenario(1))
-    for edit in ({"admm": dict(data["admm"], sigma=math.nan)},
-                 {"barrier": dict(data["barrier"], cost_tolerance=math.nan)}):
-        path = tmp_path / "nan.yaml"
-        path.write_text(yaml.safe_dump(dict(data, **edit)))
-        assert ".nan" in path.read_text()
-        with pytest.raises(ConfigError):
-            load_config(path)
-        out = tmp_path / "out"
-        assert cli.main(["--config", str(path), "--out", str(out)]) == 2
-        assert not out.exists()
+    path = tmp_path / "nan.yaml"
+    path.write_text(yaml.safe_dump(_with_fields("barrier", cost_tolerance=math.nan)))
+    assert ".nan" in path.read_text()
+    with pytest.raises(ConfigError):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
-    # The iteration caps must be integers, sigma must be finite and the
-    # weights not NaN, and an infinite sharpness or tighten factor drops the
-    # barrier terms, so each is rejected on load, for its own reason.
+    # The iteration cap must be an integer and the weights not NaN, and an
+    # infinite sharpness or tighten factor drops the barrier terms, so each
+    # is rejected on load, for its own reason.
     data = config_to_dict(builtin_scenario(1))
     for edit, message in (
-            ({"admm": dict(data["admm"], max_admm_iters=math.inf)},
-             "max_admm_iters must be an integer of at least 1"),
-            ({"admm": dict(data["admm"], sigma=math.inf)},
-             "sigma must be positive and finite"),
+            ({"barrier": dict(data["barrier"], outer_iters=math.inf)},
+             "outer_iters must be an integer of at least 1"),
             ({"barrier": dict(data["barrier"], initial_sharpness=math.inf)},
              "initial_sharpness must be positive and finite"),
             ({"barrier": dict(data["barrier"], tighten_factor=math.inf)},
@@ -487,7 +484,6 @@ def test_cli_rejects_non_integer_iteration_counts(tmp_path):
     # range() or a horizon truncated to 2.
     data = config_to_dict(builtin_scenario(1))
     for edit in ({"horizon": 2.5},
-                 {"admm": dict(data["admm"], max_admm_iters=2.5)},
                  {"barrier": dict(data["barrier"], outer_iters=2.5)}):
         path = tmp_path / "count.yaml"
         path.write_text(yaml.safe_dump(dict(data, **edit)))
@@ -538,7 +534,7 @@ def test_cli_rejects_a_vehicle_section_that_is_not_a_mapping(tmp_path, value):
 # Every section of a configuration file by its dotted path ("" is the top
 # level and "obstacles.0" the first obstacle), as error messages name it.
 SECTIONS = ["", "initial_state", "vehicle", "weights", "reference", "bounds", "obstacles.0",
-            "admm", "barrier"]
+            "barrier"]
 
 
 def _set_at(data, path, value):
@@ -588,6 +584,7 @@ def test_cli_rejects_a_section_that_is_not_a_mapping(tmp_path, section, value):
 # the path of the outermost one.
 ILQR = {"max_iters": 100, "cost_tolerance": 0.0001, "mu_init": 1e-06}
 RETIRED = {"seed": 0, "vehicle.body_length": 3.0, "vehicle.body_width": 2.0,
+           "admm": {"sigma": 10.0, "max_admm_iters": 20},
            "admm.primal_tolerance": 0.001, "admm.ilqr": ILQR,
            "barrier.margin": 1e-06, "barrier.ilqr": ILQR, "barrier.ilqr.mu_growth": 10.0,
            "barrier.ilqr.mu_shrink": 0.5, "barrier.ilqr.mu_max": 1e10,
@@ -710,7 +707,7 @@ def _with_nested(section, **fields):
     ("initial_state", "px"), ("initial_state", "v"), ("reference", "py_ref"),
     ("reference", "v_ref"), ("vehicle", "wheelbase"), ("vehicle", "timestep"),
     ("bounds", "max_steer"), ("bounds", "min_accel"), ("bounds", "max_accel"),
-    ("initial_state", "theta"), ("admm", "sigma"), ("barrier", "cost_tolerance"),
+    ("initial_state", "theta"), ("barrier", "cost_tolerance"),
     ("barrier", "initial_sharpness"), ("barrier", "tighten_factor"),
     ("weights", "position_weight"), ("weights", "terminal_scale"),
     ("obstacle", "semi_major"), ("obstacle", "semi_minor"),
@@ -791,7 +788,8 @@ def test_cli_has_no_compare_or_export_flags(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flag", [["--sigma", "12"], ["--max-admm", "9"]])
 def test_cli_has_no_solver_setting_flags(tmp_path, capsys, flag):
-    # The scenario file is the one way to set sigma and max_admm_iters.
+    # Sigma and the consensus iteration cap are constants (admm.SIGMA and
+    # admm.MAX_ADMM_ITERS): neither a flag nor the scenario file sets them.
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as info:
         cli.main(["--scenario", "1", "--out", str(out)] + flag)
@@ -815,13 +813,3 @@ def test_cli_has_no_snapshots_flag(tmp_path, capsys):
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
-
-def test_cli_sets_sigma_and_the_iteration_cap_from_the_file(tmp_path):
-    data = _with_fields("admm", sigma=12.5, max_admm_iters=3)
-    path = tmp_path / "sweep.yaml"
-    path.write_text(yaml.safe_dump(data))
-    out = tmp_path / "o"
-    assert cli.main(["--config", str(path), "--out", str(out)]) == harness.EXIT_OK
-    cfg = load_config(out / "config.yaml")
-    assert (cfg.admm.sigma, cfg.admm.max_admm_iters) == (12.5, 3)
-    assert len(read_rows(out / "admm" / "residuals.csv")) - 1 <= 3

@@ -372,12 +372,18 @@ def test_scenario_subproblem_reaches_reference_speed():
 
 def test_settings_validation():
     # The engine's cost tolerance must be a positive number: at zero no
-    # improvement falls below it and a stalled solve runs to max_iters.
+    # improvement falls below it and a stalled solve runs to max_iters. Its
+    # cap must be a count: 0 and -3 returned a zero-iteration result, True
+    # ran one iteration, and 2.5 and NaN failed inside range().
     dynamics, cost, x0, _ = lqr_setup(3)
     nominal = rollout(dynamics, x0, np.zeros((10, 2)))
     for value in (0.0, -1e-4, True, "1e-4"):
         with pytest.raises(ValueError, match="cost_tolerance must be positive"):
             solve(nominal, cost, dynamics, cost_tolerance=value)
+    for value in (0, -3, True, 2.5, 3.0, math.nan, "3"):
+        with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
+            solve(nominal, cost, dynamics, max_iters=value)
+    assert solve(nominal, cost, dynamics, max_iters=np.int64(1)).iterations == 1
 
 
 @pytest.mark.parametrize("field", ["cost_tolerance"])

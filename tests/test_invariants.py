@@ -114,7 +114,7 @@ def _check_report(report, problem):
 @given(config=corpus_configs())
 def test_consensus_solve_invariants(config):
     problem = build_problem(config)
-    report = admm_solve(problem, config.admm)
+    report = admm_solve(problem)
     _check_report(report, problem)
     if report.status == "converged":
         assert report.max_violation <= PRIMAL_TOLERANCE

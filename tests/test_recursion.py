@@ -365,7 +365,7 @@ def test_admm_solve_rolls_out_once(monkeypatch):
     config = builtin_scenario(1)
     problem = build_problem(config)
     counter = CountingDynamics(problem.dynamics)
-    report = admm_solve(replace(problem, dynamics=counter), config.admm)
+    report = admm_solve(replace(problem, dynamics=counter))
     assert report.status == "converged" and len(passes) > report.iterations
     assert counter.calls == config.horizon * (len(passes) + 1)
 

@@ -215,6 +215,24 @@ def test_jacobians_are_finite_at_a_huge_speed_the_step_takes(steer, db_dw):
         np.testing.assert_array_equal(stacked[0], ordinary)
 
 
+@pytest.mark.filterwarnings("error")
+def test_step_and_jacobians_refuse_an_infinite_front_roll():
+    # At a 10 s timestep, h v overflows at v = 1e308: f sin(0) is NaN, which
+    # a `disc < 0` test let through to NaN positions, and the Jacobians
+    # warned of the overflow. The finite row is outside the domain, with no
+    # warning; an infinite speed is too, and NaN in still gives NaN out.
+    params = VehicleParams(timestep=10.0)
+    model = BicycleModel(params)
+    for v in (1e308, -1e308, math.inf):
+        with pytest.raises(DomainError, match="front roll timestep\\*v is infinite"):
+            model.step([0.0, 0.0, 0.0, v], [0.0, 0.0])
+        with pytest.raises(DomainError) as info:
+            jacobians([[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, v]], np.zeros((2, 2)), params)
+        assert info.value.tau == 1
+    for x, u in (([0.0, 0.0, 0.0, math.nan], [0.0, 0.0]), ([0.0, 0.0, 0.0, 1e308], [math.nan, 0.0])):
+        assert all(map(math.isnan, model.step(x, u)[:3]))
+
+
 def test_state_control_array_round_trip():
     s = State(1.0, 2.0, 0.3, 4.0)
     np.testing.assert_array_equal(s.as_array(), [1.0, 2.0, 0.3, 4.0])
