@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ilqr
-from .ilqr import is_count, is_real
+from .ilqr import is_count, require
 from .admm import Problem, SolveReport, solve_report, trajectory_violation
 from .constraints import ConstraintSet
 from .errors import BarrierDomainViolation
@@ -39,7 +39,7 @@ CENTERING_FRACTION = 1e-3
 MARGIN = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class BarrierSettings:
     initial_sharpness: float = 1.0  # starting t; barrier weight is 1/t
     tighten_factor: float = 5.0
@@ -47,15 +47,14 @@ class BarrierSettings:
     cost_tolerance: float = 1e-4  # the last stage's iLQR tolerance, a floor for the others
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not (is_real(self.initial_sharpness) and math.inf > self.initial_sharpness > 0):
-            raise ValueError("initial_sharpness must be positive and finite")
-        if not (is_real(self.tighten_factor) and math.inf > self.tighten_factor > 1):
-            raise ValueError("tighten_factor must exceed 1 and be finite")
+        require(self.initial_sharpness, "initial_sharpness", lambda v: math.inf > v > 0,
+                "be positive and finite")
+        require(self.tighten_factor, "tighten_factor", lambda v: math.inf > v > 1,
+                "exceed 1 and be finite")
         if not is_count(self.outer_iters):
             raise ValueError("outer_iters must be an integer of at least 1")
-        if not (is_real(self.cost_tolerance) and self.cost_tolerance > 0):
-            raise ValueError("cost_tolerance must be positive")
+        require(self.cost_tolerance, "cost_tolerance", lambda v: math.inf > v > 0,
+                "be positive and finite")
 
 
 class BarrierCost:
@@ -134,14 +133,13 @@ def check_strict_feasibility(traj: ilqr.Trajectory, constraints: ConstraintSet):
     return box, keepout
 
 
-def barrier_solve(problem: Problem, settings: BarrierSettings | None = None) -> SolveReport:
+def barrier_solve(problem: Problem, settings: BarrierSettings = BarrierSettings()) -> SolveReport:
     """Constrained solve by the log-barrier stages from the zero-control seed.
 
     Raises BarrierDomainViolation when the seed (or, defensively, a later
     nominal iterate) is not strictly feasible: the documented limitation that
     the consensus solver avoids.
     """
-    settings = settings or BarrierSettings()
     y = ilqr.rollout(problem.dynamics, problem.x0, np.zeros((problem.horizon, 2)))
     return solve_report(y, _stages(problem, settings, y), problem)
 

@@ -38,22 +38,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
+    # `harness.run` handles its own OSErrors; a ConfigError is a PlannerError.
     try:
         if args.config is not None:
             config = scenarios.load_config(args.config)
         else:
             config = scenarios.builtin_scenario(args.scenario or "1")
+        return harness.run(config, args.method, args.out)
     except OSError as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return harness.EXIT_CONFIG
-
-    try:
-        return harness.run(config, args.method, args.out)
-    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return harness.EXIT_CONFIG
     except PlannerError as exc:

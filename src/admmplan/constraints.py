@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProjection, NonConvergence
-from .ilqr import is_real
+from .ilqr import is_real, require
 
 # Constraint values larger than this count as violated in feasibility scans.
 FEASIBILITY_TOL = 1e-6
@@ -57,12 +57,9 @@ class InputBounds:
     min_accel: float = -3.0
 
     def __post_init__(self):
-        # Written so that NaN fails every check; an infinite limit is absent.
-        for name in ("max_steer", "max_accel", "min_accel"):
-            if not is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not self.max_steer > 0:
-            raise ValueError("max_steer must be positive")
+        for name in ("max_steer", "max_accel", "min_accel"):  # an infinite limit is absent
+            require(getattr(self, name), name)
+        require(self.max_steer, "max_steer", lambda v: v > 0, "be positive")
         if not self.min_accel < 0 < self.max_accel:
             raise ValueError("need min_accel < 0 < max_accel")
 
@@ -89,11 +86,9 @@ class Obstacle:
             if len(value) != 2 or not all(is_real(c) and math.isfinite(c) for c in value):
                 raise ValueError(f"{name} must be two finite numbers, got {value}")
             object.__setattr__(self, name, tuple(map(float, value)))
-        if not (is_real(self.heading) and math.isfinite(self.heading)):
-            raise ValueError(f"heading must be a finite number, got {self.heading!r}")
+        require(self.heading, "heading", math.isfinite, "be a finite number")
         for name in ("semi_major", "semi_minor"):
-            if not is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            require(getattr(self, name), name)
         if not math.inf > self.semi_major >= self.semi_minor > 0:
             raise ValueError("need finite semi_major >= semi_minor > 0")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ilqr import is_real
+from .ilqr import is_real, require
 from .vehicle import CONTROL_DIM, STATE_DIM
 
 # Closest-point parameters within this distance of a segment end are treated
@@ -47,9 +47,8 @@ class CostWeights:
     def __post_init__(self):
         vals = [getattr(self, f.name) for f in fields(self)]
         for f, value in zip(fields(self), vals):
-            if not (is_real(value) and math.inf > value >= 0):  # NaN fails too
-                raise ValueError(f"cost weight {f.name} must be finite and nonnegative, "
-                                 f"got {value!r}")
+            require(value, f"cost weight {f.name}", lambda v: math.inf > v >= 0,
+                    "be finite and nonnegative")
         if not any(v > 0 for v in vals[:4]):
             raise ValueError("at least one cost weight must be positive")
 
@@ -70,8 +69,8 @@ class Reference:
             raise ValueError("exactly one of py_ref and polyline must be given")
         for name in ("py_ref", "v_ref"):
             value = getattr(self, name)
-            if value is not None and not (is_real(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value is not None:
+                require(value, name, math.isfinite, "be a finite number")
         if self.polyline is not None:
             pts = tuple(tuple(p) for p in self.polyline)
             for p in pts:

@@ -83,6 +83,14 @@ def is_real(value) -> bool:
                                            and not isinstance(value, bool))
 
 
+def require(value, name, ok=None, what="be a number"):
+    """Raise ValueError(f"{name} must {what}, got {value!r}") unless value is
+    real (`is_real`) and `ok(value)` holds. `ok` is a comparison, so NaN
+    fails it; None asks for a real number only."""
+    if not (is_real(value) and (ok is None or ok(value))):
+        raise ValueError(f"{name} must {what}, got {value!r}")
+
+
 # The regularization schedule and the line search are fixed: mu starts at
 # MU_MIN, grows by MU_GROWTH on a failed positive-definiteness check or line
 # search, shrinks by MU_SHRINK (down to MU_MIN) after an accepted step, and
@@ -421,14 +429,14 @@ def solve(traj: Trajectory, cost, dynamics, max_iters: int = 100,
     zero, so the screen rejects only trials the rollout would reject.
 
     Raises ValueError for a `max_iters` that is not an integer of at least 1
-    (`is_count`), and for a `cost_tolerance` that is not a positive number:
-    at zero or NaN no improvement falls below it, so a stalled solve runs to
-    `max_iters`.
+    (`is_count`), and for a `cost_tolerance` that is not a positive finite
+    number: at zero or NaN no improvement falls below it, so a stalled solve
+    runs to `max_iters`, and at inf every one does, so any solve stops after
+    one iteration as converged.
     """
     if not is_count(max_iters):
         raise ValueError("max_iters must be an integer of at least 1")
-    if not (is_real(cost_tolerance) and cost_tolerance > 0):
-        raise ValueError("cost_tolerance must be positive")
+    require(cost_tolerance, "cost_tolerance", lambda v: math.inf > v > 0, "be positive and finite")
     cost_now = total_cost(cost, traj)
     history = [cost_now]
     mu = MU_MIN

@@ -15,7 +15,7 @@ The two built-in scenarios:
 
 Both use steering limits of +-0.6 rad, acceleration limits of +-3 m/s^2,
 5 x 2.5 m keep-out semi-axes, horizon 60 at 0.1 s and the barrier's
-benchmark ladder (`_benchmark_barrier_settings`).
+benchmark ladder (`BENCHMARK_BARRIER`).
 """
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -31,18 +31,17 @@ from .ilqr import is_count
 from .vehicle import State, VehicleParams
 
 
-def _benchmark_barrier_settings() -> BarrierSettings:
-    # Conservative interior-point continuation: a cautious initial weight and
-    # a gentle tightening ladder. With the early stages centered only to
-    # their duality gap, the criterion-7 starts take 52 (S1, v0 = 0) and 74
-    # (S2, v0 = 4) inner iterations, about 2.4 times the consensus solver's
-    # 22 and 31 (its probe plus 20 one-step iterations).
-    return BarrierSettings(
-        initial_sharpness=0.05,
-        tighten_factor=2.0,
-        outer_iters=16,
-        cost_tolerance=1e-5,
-    )
+# Conservative interior-point continuation: a cautious initial weight and
+# a gentle tightening ladder. With the early stages centered only to
+# their duality gap, the criterion-7 starts take 52 (S1, v0 = 0) and 74
+# (S2, v0 = 4) inner iterations, about 2.4 times the consensus solver's
+# 22 and 31 (its probe plus 20 one-step iterations).
+BENCHMARK_BARRIER = BarrierSettings(
+    initial_sharpness=0.05,
+    tighten_factor=2.0,
+    outer_iters=16,
+    cost_tolerance=1e-5,
+)
 
 
 @dataclass
@@ -79,7 +78,7 @@ def builtin_scenario(scenario_id) -> ScenarioConfig:
                 Obstacle(center0=(15.0, -1.0), velocity=(0.0, 0.0), heading=0.0,
                          semi_major=5.0, semi_minor=2.5),
             ],
-            barrier=_benchmark_barrier_settings(),
+            barrier=BENCHMARK_BARRIER,
         )
     if scenario_id in (2, "2"):
         return ScenarioConfig(
@@ -93,7 +92,7 @@ def builtin_scenario(scenario_id) -> ScenarioConfig:
                 Obstacle(center0=(0.0, 4.0), velocity=(6.0, 0.0), heading=0.0,
                          semi_major=5.0, semi_minor=2.5),
             ],
-            barrier=_benchmark_barrier_settings(),
+            barrier=BENCHMARK_BARRIER,
         )
     raise UnknownScenario(f"no built-in scenario with id {scenario_id!r}")
 

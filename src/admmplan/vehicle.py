@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .ilqr import is_real
+from .ilqr import require
 
 STATE_DIM = 4
 CONTROL_DIM = 2
@@ -52,9 +52,8 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("wheelbase", "timestep"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.inf > value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            require(getattr(self, name), name, lambda v: math.inf > v > 0,
+                    "be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,7 @@ class State:
 
     def __post_init__(self):
         for name in ("px", "py", "theta", "v"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value)):
-                raise ValueError(f"state {name} must be a finite number, got {value!r}")
+            require(getattr(self, name), f"state {name}", math.isfinite, "be a finite number")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.theta, self.v], dtype=float)

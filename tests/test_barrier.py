@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -556,3 +556,16 @@ def test_settings_validation():
     for value in (0.0, -1e-4, math.nan, True, "1e-4"):
         with pytest.raises(ValueError, match="cost_tolerance must be positive"):
             BarrierSettings(cost_tolerance=value)
+    # At inf every stage stopped after one inner iteration as converged.
+    with pytest.raises(ValueError, match="cost_tolerance must be positive and finite, got inf"):
+        BarrierSettings(cost_tolerance=math.inf)
+
+
+def test_settings_are_frozen():
+    # Both built-in scenarios hold the one benchmark ladder, which no
+    # caller can change under the other.
+    ladder = builtin_scenario(1).barrier
+    assert builtin_scenario(2).barrier is ladder
+    with pytest.raises(FrozenInstanceError):
+        ladder.outer_iters = 2
+    assert replace(ladder, outer_iters=2).outer_iters == 2 and ladder.outer_iters == 16

@@ -395,9 +395,10 @@ def test_cli_rejects_nan_settings(tmp_path):
 
 
 def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
-    # The iteration cap must be an integer and the weights not NaN, and an
-    # infinite sharpness or tighten factor drops the barrier terms, so each
-    # is rejected on load, for its own reason.
+    # The iteration cap must be an integer and the weights not NaN, an
+    # infinite sharpness or tighten factor drops the barrier terms, and an
+    # infinite cost tolerance ends every stage after one inner iteration as
+    # converged, so each is rejected on load, for its own reason.
     data = config_to_dict(builtin_scenario(1))
     for edit, message in (
             ({"barrier": dict(data["barrier"], outer_iters=math.inf)},
@@ -406,6 +407,8 @@ def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
              "initial_sharpness must be positive and finite"),
             ({"barrier": dict(data["barrier"], tighten_factor=math.inf)},
              "tighten_factor must exceed 1 and be finite"),
+            ({"barrier": dict(data["barrier"], cost_tolerance=math.inf)},
+             "cost_tolerance must be positive and finite, got inf"),
             ({"weights": dict(data["weights"], steering_weight=math.nan)},
              "cost weight steering_weight must be finite and nonnegative")):
         assert _refused(tmp_path, dict(data, **edit), message)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from admmplan import ilqr
+from admmplan.barrier import BarrierSettings
 from admmplan.constraints import ConstraintSet, InputBounds, Obstacle
 from admmplan.costs import CostWeights, Reference, TrackingCost
 from admmplan.errors import RegularizationExhausted
@@ -17,7 +18,7 @@ from admmplan.ilqr import (
     solve,
     total_cost,
 )
-from admmplan.vehicle import BicycleModel, VehicleParams
+from admmplan.vehicle import BicycleModel, State, VehicleParams
 
 from oracles import (
     LinearDynamics,
@@ -65,6 +66,65 @@ def test_number_checks(value, real, count):
     # The exact-float/int fast path answers as the numbers ABCs do.
     assert ilqr.is_real(value) is real
     assert ilqr.is_count(value) is count
+
+
+def _solve_at_tolerance(value):
+    dynamics, cost, x0, _ = lqr_setup(3)
+    return solve(rollout(dynamics, x0, np.zeros((10, 2))), cost, dynamics, cost_tolerance=value)
+
+
+NOT_REAL = (True, "1.5")
+NOT_FINITE = (math.nan, math.inf, -math.inf) + NOT_REAL
+# Every real-valued field that `ilqr.require` checks: how to build a value
+# with it, the start of its refusal message and the values it refuses with
+# that message. NaN in a box limit or a semi-axis fails the relation
+# between the fields instead, which names no value; an infinite box limit
+# is an absent face.
+CHECKED_FIELDS = [
+    ("max_steer", lambda v: InputBounds(max_steer=v), "max_steer must be a number", NOT_REAL),
+    ("max_steer", lambda v: InputBounds(max_steer=v), "max_steer must be positive",
+     (math.nan, 0.0, -0.6, -math.inf)),
+    ("max_accel", lambda v: InputBounds(max_accel=v), "max_accel must be a number", NOT_REAL),
+    ("min_accel", lambda v: InputBounds(min_accel=v), "min_accel must be a number", NOT_REAL),
+    ("heading", lambda v: Obstacle((0.0, 0.0), heading=v), "heading must be a finite number",
+     NOT_FINITE),
+    ("semi_major", lambda v: Obstacle((0.0, 0.0), semi_major=v), "semi_major must be a number",
+     NOT_REAL),
+    ("semi_minor", lambda v: Obstacle((0.0, 0.0), semi_minor=v), "semi_minor must be a number",
+     NOT_REAL),
+    *[(name, lambda v, name=name: CostWeights(**{name: v}),
+       f"cost weight {name} must be finite and nonnegative", NOT_FINITE + (-1.0,))
+      for name in ("position_weight", "velocity_weight", "steering_weight", "accel_weight",
+                   "terminal_scale")],
+    ("py_ref", lambda v: Reference(py_ref=v), "py_ref must be a finite number", NOT_FINITE),
+    ("v_ref", lambda v: Reference(py_ref=0.0, v_ref=v), "v_ref must be a finite number",
+     NOT_FINITE),
+    *[(name, lambda v, name=name: VehicleParams(**{name: v}),
+       f"{name} must be positive and finite", NOT_FINITE + (0.0,))
+      for name in ("wheelbase", "timestep")],
+    *[(name, lambda v, name=name: State(**{name: v}), f"state {name} must be a finite number",
+       NOT_FINITE) for name in ("px", "py", "theta", "v")],
+    ("initial_sharpness", lambda v: BarrierSettings(initial_sharpness=v),
+     "initial_sharpness must be positive and finite", NOT_FINITE + (0.0,)),
+    ("tighten_factor", lambda v: BarrierSettings(tighten_factor=v),
+     "tighten_factor must exceed 1 and be finite", NOT_FINITE + (1.0,)),
+    ("cost_tolerance", lambda v: BarrierSettings(cost_tolerance=v),
+     "cost_tolerance must be positive", NOT_FINITE + (0.0,)),
+    ("solve cost_tolerance", _solve_at_tolerance, "cost_tolerance must be positive",
+     NOT_FINITE + (0.0,)),
+]
+
+
+@pytest.mark.parametrize("build, prefix, value", [
+    pytest.param(build, prefix, value, id=f"{label}={value!r}")
+    for label, build, prefix, values in CHECKED_FIELDS for value in values])
+def test_require_names_the_field_and_the_refused_value(build, prefix, value):
+    # One rule checks every real-valued field: the message keeps the
+    # field's own text and ends with the value it refused.
+    with pytest.raises(ValueError) as info:
+        build(value)
+    message = str(info.value)
+    assert message.startswith(prefix) and message.endswith(f"got {value!r}"), message
 
 
 def test_trajectory_shape_validation():
@@ -380,6 +440,10 @@ def test_settings_validation():
     for value in (0.0, -1e-4, True, "1e-4"):
         with pytest.raises(ValueError, match="cost_tolerance must be positive"):
             solve(nominal, cost, dynamics, cost_tolerance=value)
+    # At inf every improvement falls below it: any solve stopped after one
+    # iteration as converged.
+    with pytest.raises(ValueError, match="cost_tolerance must be positive and finite, got inf"):
+        solve(nominal, cost, dynamics, cost_tolerance=math.inf)
     for value in (0, -3, True, 2.5, 3.0, math.nan, "3"):
         with pytest.raises(ValueError, match="max_iters must be an integer of at least 1"):
             solve(nominal, cost, dynamics, max_iters=value)
