@@ -20,7 +20,6 @@ from .errors import (
     NonConvergence,
     PlannerError,
     RegularizationExhausted,
-    UnknownScenario,
 )
 from .ilqr import Trajectory, rollout, total_cost
 from .ilqr import solve as ilqr_solve
@@ -51,7 +50,6 @@ __all__ = [
     "State",
     "TrackingCost",
     "Trajectory",
-    "UnknownScenario",
     "VehicleParams",
     "admm_solve",
     "barrier_solve",

@@ -51,8 +51,7 @@ class BarrierSettings:
                 "be positive and finite")
         require(self.tighten_factor, "tighten_factor", lambda v: math.inf > v > 1,
                 "exceed 1 and be finite")
-        if not is_count(self.outer_iters):
-            raise ValueError("outer_iters must be an integer of at least 1")
+        require(self.outer_iters, "outer_iters", is_count, "be an integer of at least 1")
         require(self.cost_tolerance, "cost_tolerance", lambda v: math.inf > v > 0,
                 "be positive and finite")
 

@@ -50,28 +50,27 @@ UNBOUNDED_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class InputBounds:
-    """Box limits on the control vector (steer, accel)."""
+    """Box limits on the control vector (steer, accel): `max_steer` and `max_accel`
+    are positive, `min_accel` negative, and an infinite limit is an absent face."""
 
     max_steer: float = 0.6
     max_accel: float = 3.0
     min_accel: float = -3.0
 
     def __post_init__(self):
-        for name in ("max_steer", "max_accel", "min_accel"):  # an infinite limit is absent
-            require(getattr(self, name), name)
         require(self.max_steer, "max_steer", lambda v: v > 0, "be positive")
-        if not self.min_accel < 0 < self.max_accel:
-            raise ValueError("need min_accel < 0 < max_accel")
+        require(self.max_accel, "max_accel", lambda v: v > 0, "be positive")
+        require(self.min_accel, "min_accel", lambda v: v < 0, "be negative")
 
 
 @dataclass(frozen=True)
 class Obstacle:
     """Keep-out ellipse translating at constant velocity.
 
-    The heading is fixed (the ellipse does not rotate as it moves); the
-    semi-axes are finite with `semi_major >= semi_minor > 0`. `center0` and
-    `velocity` are two finite numbers each. Time index tau and the sample
-    period map to the center via center0 + tau * timestep * velocity.
+    The heading is fixed (the ellipse does not rotate as it moves);
+    `semi_minor` is positive and finite, `semi_major` finite and at least
+    `semi_minor`, and `center0` and `velocity` two finite numbers each. Time
+    index tau maps to the center center0 + tau * timestep * velocity.
     """
 
     center0: tuple
@@ -87,10 +86,9 @@ class Obstacle:
                 raise ValueError(f"{name} must be two finite numbers, got {value}")
             object.__setattr__(self, name, tuple(map(float, value)))
         require(self.heading, "heading", math.isfinite, "be a finite number")
-        for name in ("semi_major", "semi_minor"):
-            require(getattr(self, name), name)
-        if not math.inf > self.semi_major >= self.semi_minor > 0:
-            raise ValueError("need finite semi_major >= semi_minor > 0")
+        require(self.semi_minor, "semi_minor", lambda v: math.inf > v > 0, "be positive and finite")
+        require(self.semi_major, "semi_major", lambda v: math.inf > v >= self.semi_minor,
+                "be finite and at least semi_minor")
 
 
 def _keepout(along, across):

@@ -50,7 +50,8 @@ class CostWeights:
             require(value, f"cost weight {f.name}", lambda v: math.inf > v >= 0,
                     "be finite and nonnegative")
         if not any(v > 0 for v in vals[:4]):
-            raise ValueError("at least one cost weight must be positive")
+            got = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), vals[:4]))
+            raise ValueError(f"at least one cost weight must be positive, got {got}")
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class ConfigError(PlannerError):
     """A configuration file or option set is invalid."""
 
 
-class UnknownScenario(ConfigError):
-    """Requested built-in scenario id does not exist."""
-
-
 class DegenerateProjection(UserWarning):
     """Projection target is the exact ellipse center; nearest point is non-unique.
 

@@ -83,11 +83,11 @@ def is_real(value) -> bool:
                                            and not isinstance(value, bool))
 
 
-def require(value, name, ok=None, what="be a number"):
+def require(value, name, ok, what):
     """Raise ValueError(f"{name} must {what}, got {value!r}") unless value is
-    real (`is_real`) and `ok(value)` holds. `ok` is a comparison, so NaN
-    fails it; None asks for a real number only."""
-    if not (is_real(value) and (ok is None or ok(value))):
+    real (`is_real`) and `ok(value)` holds. `ok` is a comparison or
+    `math.isfinite`, which NaN fails, or `is_count`."""
+    if not (is_real(value) and ok(value)):
         raise ValueError(f"{name} must {what}, got {value!r}")
 
 
@@ -121,7 +121,8 @@ class Trajectory:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         if len(self.states) != len(self.controls) + 1:
-            raise ValueError("states must be one longer than controls")
+            raise ValueError("states must be one longer than controls, got "
+                             f"{len(self.states)} states and {len(self.controls)} controls")
 
     @classmethod
     def _own(cls, states, controls):  # frozen, not copied: arrays nothing else holds
@@ -434,8 +435,7 @@ def solve(traj: Trajectory, cost, dynamics, max_iters: int = 100,
     runs to `max_iters`, and at inf every one does, so any solve stops after
     one iteration as converged.
     """
-    if not is_count(max_iters):
-        raise ValueError("max_iters must be an integer of at least 1")
+    require(max_iters, "max_iters", is_count, "be an integer of at least 1")
     require(cost_tolerance, "cost_tolerance", lambda v: math.inf > v > 0, "be positive and finite")
     cost_now = total_cost(cost, traj)
     history = [cost_now]

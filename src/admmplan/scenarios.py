@@ -1,8 +1,8 @@
 """Scenario configurations: built-in driving setups and YAML round-tripping.
 
 Files load by one schema, the dataclass fields, and one rule at every level: a
-key that is no field, a repeated key or a section that is not a mapping is a
-ConfigError that names its dotted path.
+key that is no field, a repeated key, a section that is not a mapping or a value
+its dataclass refuses is a ConfigError that names its dotted path.
 The two built-in scenarios:
 
   1. Static avoidance: a vehicle parked at (15, -1) m blocks the lane; the
@@ -26,8 +26,8 @@ import yaml
 from .barrier import BarrierSettings
 from .constraints import InputBounds, Obstacle
 from .costs import CostWeights, Reference
-from .errors import ConfigError, UnknownScenario
-from .ilqr import is_count
+from .errors import ConfigError
+from .ilqr import is_count, require
 from .vehicle import State, VehicleParams
 
 
@@ -58,16 +58,16 @@ class ScenarioConfig:
     ego_heading_ellipses: bool = False
 
     def __post_init__(self):
-        if not is_count(self.horizon):
-            raise ConfigError("horizon must be an integer of at least 1")
+        require(self.horizon, "horizon", is_count, "be an integer of at least 1")
         if not isinstance(self.ego_heading_ellipses, bool):  # YAML "false" is a string
-            raise ConfigError("ego_heading_ellipses must be true or false")
+            raise ValueError("ego_heading_ellipses must be true or false, "
+                             f"got {self.ego_heading_ellipses!r}")
         self.name = str(self.name)
         self.obstacles = list(self.obstacles)
 
 
 def builtin_scenario(scenario_id) -> ScenarioConfig:
-    """Return one of the two built-in driving scenarios."""
+    """Return one of the two built-in driving scenarios; any other id is a ConfigError."""
     if scenario_id in (1, "1"):
         return ScenarioConfig(
             name="static_avoidance",
@@ -94,7 +94,7 @@ def builtin_scenario(scenario_id) -> ScenarioConfig:
             ],
             barrier=BENCHMARK_BARRIER,
         )
-    raise UnknownScenario(f"no built-in scenario with id {scenario_id!r}")
+    raise ConfigError(f"no built-in scenario with id {scenario_id!r}")
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,7 +76,9 @@ def test_reference_validation():
 def test_weights_validation():
     with pytest.raises(ValueError):
         CostWeights(position_weight=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "at least one cost weight must be positive, got position_weight=0.0, "
+            "velocity_weight=0.0, steering_weight=0.0, accel_weight=0.0")):
         CostWeights(0.0, 0.0, 0.0, 0.0, 1.0)
 
 

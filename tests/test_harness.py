@@ -11,7 +11,7 @@ import yaml
 from admmplan import admm, cli, harness, ilqr
 from admmplan.constraints import ConstraintSet, Obstacle
 from admmplan.costs import Reference
-from admmplan.errors import ConfigError, PlannerError, UnknownScenario
+from admmplan.errors import ConfigError, PlannerError
 from admmplan.harness import (
     emit_iterates,
     run,
@@ -65,11 +65,11 @@ def test_builtin_scenario_2_matches_paper_setup():
 
 
 def test_unknown_scenario_raises():
-    with pytest.raises(UnknownScenario):
+    # A plain ConfigError, which a library caller's one configuration
+    # handler catches.
+    with pytest.raises(ConfigError, match="^no built-in scenario with id 3$") as info:
         builtin_scenario(3)
-    # A library caller's one configuration handler catches it too.
-    with pytest.raises(ConfigError, match="no built-in scenario"):
-        builtin_scenario(3)
+    assert type(info.value) is ConfigError
 
 
 def test_config_round_trip_through_yaml(tmp_path):
@@ -394,11 +394,12 @@ def test_cli_rejects_nan_settings(tmp_path):
     assert not out.exists()
 
 
-def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
-    # The iteration cap must be an integer and the weights not NaN, an
-    # infinite sharpness or tighten factor drops the barrier terms, and an
-    # infinite cost tolerance ends every stage after one inner iteration as
-    # converged, so each is rejected on load, for its own reason.
+def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path, capsys):
+    # The iteration cap and the horizon must be integers, the weights not
+    # NaN and the ego-heading flag a boolean, an infinite sharpness or
+    # tighten factor drops the barrier terms, and an infinite cost
+    # tolerance ends every stage after one inner iteration as converged, so
+    # each is rejected on load, for its own reason, and the CLI prints it.
     data = config_to_dict(builtin_scenario(1))
     for edit, message in (
             ({"barrier": dict(data["barrier"], outer_iters=math.inf)},
@@ -410,8 +411,15 @@ def test_cli_rejects_infinite_caps_and_nan_weights(tmp_path):
             ({"barrier": dict(data["barrier"], cost_tolerance=math.inf)},
              "cost_tolerance must be positive and finite, got inf"),
             ({"weights": dict(data["weights"], steering_weight=math.nan)},
-             "cost weight steering_weight must be finite and nonnegative")):
+             "cost weight steering_weight must be finite and nonnegative"),
+            ({"horizon": 0},
+             "invalid scenario configuration: horizon must be an integer of at least 1, got 0"),
+            ({"ego_heading_ellipses": "false"},
+             "invalid scenario configuration: ego_heading_ellipses must be true or false, "
+             "got 'false'")):
         assert _refused(tmp_path, dict(data, **edit), message)
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: invalid ") and message in err, err
 
 
 def _with_fields(section, **fields):
@@ -439,10 +447,12 @@ def test_config_rejects_nan_model_inputs(section, edits):
 
 def test_config_rejects_infinite_semi_axes():
     data = config_to_dict(builtin_scenario(1))
-    for fields in ({"semi_major": math.inf}, {"semi_major": math.inf, "semi_minor": math.inf},
-                   {"semi_major": math.nan}):
+    # The minor semi-axis is checked first, then the major one against it.
+    for fields, name in (({"semi_major": math.inf}, "semi_major"),
+                         ({"semi_major": math.inf, "semi_minor": math.inf}, "semi_minor"),
+                         ({"semi_major": math.nan}, "semi_major")):
         obstacles = [dict(data["obstacles"][0], **fields)]
-        with pytest.raises(ConfigError, match="semi_major"):
+        with pytest.raises(ConfigError, match=f"^invalid obstacles\\[0\\]: {name} must"):
             config_from_dict(dict(data, obstacles=obstacles))
 
 
@@ -475,10 +485,13 @@ def test_problem_rejects_constraints_on_another_timestep():
 
 @pytest.mark.parametrize("value", [2.5, 60.0, True, "60"])
 def test_horizon_must_be_an_integer(value):
+    # The dataclass refuses with a ValueError, which the file reader turns
+    # into a ConfigError naming the path.
     cfg = builtin_scenario(1)
-    with pytest.raises(ConfigError, match="integer"):
+    message = f"horizon must be an integer of at least 1, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(cfg, horizon=value)
-    with pytest.raises(ConfigError, match="integer"):
+    with pytest.raises(ConfigError, match=re.escape(f"invalid scenario configuration: {message}")):
         config_from_dict(dict(config_to_dict(cfg), horizon=value))
 
 
@@ -500,9 +513,10 @@ def test_ego_heading_ellipses_must_be_a_boolean(value):
     # bool("false") is True: a quoted YAML value must not switch the
     # keep-out convention silently.
     data = config_to_dict(builtin_scenario(1))
-    with pytest.raises(ConfigError, match="ego_heading_ellipses"):
+    message = f"ego_heading_ellipses must be true or false, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(f"invalid scenario configuration: {message}")):
         config_from_dict(dict(data, ego_heading_ellipses=value))
-    with pytest.raises(ConfigError, match="ego_heading_ellipses"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         replace(builtin_scenario(1), ego_heading_ellipses=value)
     for flag in (False, True):
         assert config_from_dict(dict(data, ego_heading_ellipses=flag)).ego_heading_ellipses is flag

@@ -18,6 +18,7 @@ from admmplan.ilqr import (
     solve,
     total_cost,
 )
+from admmplan.scenarios import ScenarioConfig
 from admmplan.vehicle import BicycleModel, State, VehicleParams
 
 from oracles import (
@@ -73,25 +74,33 @@ def _solve_at_tolerance(value):
     return solve(rollout(dynamics, x0, np.zeros((10, 2))), cost, dynamics, cost_tolerance=value)
 
 
+def _solve_with_cap(value):
+    dynamics, cost, x0, _ = lqr_setup(3)
+    return solve(rollout(dynamics, x0, np.zeros((10, 2))), cost, dynamics, max_iters=value)
+
+
 NOT_REAL = (True, "1.5")
 NOT_FINITE = (math.nan, math.inf, -math.inf) + NOT_REAL
-# Every real-valued field that `ilqr.require` checks: how to build a value
-# with it, the start of its refusal message and the values it refuses with
-# that message. NaN in a box limit or a semi-axis fails the relation
-# between the fields instead, which names no value; an infinite box limit
-# is an absent face.
+NOT_COUNT = (True, 2.5, 2.0, math.nan, 0, -1, "3")
+# Every single-value check, each by `ilqr.require`: how to build a value
+# with the field, the start of its refusal message and the values it
+# refuses with that message. An infinite box limit is an absent face, so
+# a box limit that is a number is refused only for NaN or the wrong sign;
+# the minor semi-axis is checked first, and the major one against it (the
+# default minor is 2.5).
 CHECKED_FIELDS = [
-    ("max_steer", lambda v: InputBounds(max_steer=v), "max_steer must be a number", NOT_REAL),
     ("max_steer", lambda v: InputBounds(max_steer=v), "max_steer must be positive",
-     (math.nan, 0.0, -0.6, -math.inf)),
-    ("max_accel", lambda v: InputBounds(max_accel=v), "max_accel must be a number", NOT_REAL),
-    ("min_accel", lambda v: InputBounds(min_accel=v), "min_accel must be a number", NOT_REAL),
+     NOT_REAL + (math.nan, 0.0, -0.6, -math.inf)),
+    ("max_accel", lambda v: InputBounds(max_accel=v), "max_accel must be positive",
+     NOT_REAL + (math.nan, 0.0)),
+    ("min_accel", lambda v: InputBounds(min_accel=v), "min_accel must be negative",
+     NOT_REAL + (math.nan, 0.0, 1.0)),
     ("heading", lambda v: Obstacle((0.0, 0.0), heading=v), "heading must be a finite number",
      NOT_FINITE),
-    ("semi_major", lambda v: Obstacle((0.0, 0.0), semi_major=v), "semi_major must be a number",
-     NOT_REAL),
-    ("semi_minor", lambda v: Obstacle((0.0, 0.0), semi_minor=v), "semi_minor must be a number",
-     NOT_REAL),
+    ("semi_major", lambda v: Obstacle((0.0, 0.0), semi_major=v),
+     "semi_major must be finite and at least semi_minor", NOT_FINITE + (1.0, 0.0)),
+    ("semi_minor", lambda v: Obstacle((0.0, 0.0), semi_minor=v),
+     "semi_minor must be positive and finite", NOT_FINITE + (0.0,)),
     *[(name, lambda v, name=name: CostWeights(**{name: v}),
        f"cost weight {name} must be finite and nonnegative", NOT_FINITE + (-1.0,))
       for name in ("position_weight", "velocity_weight", "steering_weight", "accel_weight",
@@ -112,6 +121,11 @@ CHECKED_FIELDS = [
      "cost_tolerance must be positive", NOT_FINITE + (0.0,)),
     ("solve cost_tolerance", _solve_at_tolerance, "cost_tolerance must be positive",
      NOT_FINITE + (0.0,)),
+    ("max_iters", _solve_with_cap, "max_iters must be an integer of at least 1", NOT_COUNT),
+    ("outer_iters", lambda v: BarrierSettings(outer_iters=v),
+     "outer_iters must be an integer of at least 1", NOT_COUNT),
+    ("horizon", lambda v: ScenarioConfig("x", State(), horizon=v),
+     "horizon must be an integer of at least 1", NOT_COUNT),
 ]
 
 
@@ -128,7 +142,8 @@ def test_require_names_the_field_and_the_refused_value(build, prefix, value):
 
 
 def test_trajectory_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^states must be one longer than controls, "
+                                         "got 5 states and 5 controls$"):
         Trajectory(np.zeros((5, 4)), np.zeros((5, 2)))
 
 
